@@ -6,6 +6,7 @@ lines. Every tolerance is pinned here, not deferred.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import time
@@ -52,9 +53,12 @@ from openhealth.pipeline import (
     segment,
     windows_to_matrix,
 )
-from openhealth.simengine import replay, run_scenario
+from openhealth.simengine import TRACE_VERSION, replay, run_scenario
 
 REFERENCE = Path("configs/reference.json")
+# SHA-256 of the seed-0 reference trace text. A deliberate change to the
+# trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
+REFERENCE_TRACE_SHA256 = "eb6b2708edc8cf1a267f2006baf739fd4a400809afcb904a70a47017b7bc065a"
 
 
 def ok(criterion: int, message: str) -> None:
@@ -66,6 +70,12 @@ def reference_trace():
     """One 7-day reference run shared by the energy and protocol criteria."""
     config = load_config(REFERENCE)
     return run_scenario(config, seed=0)
+
+
+def test_reference_trace_digest_pinned(reference_trace):
+    assert TRACE_VERSION == 1
+    digest = hashlib.sha256(reference_trace.text().encode("utf-8")).hexdigest()
+    assert digest == REFERENCE_TRACE_SHA256, "reference trace bytes changed"
 
 
 def test_c01_synthetic_corpus_accuracy_all_classes():

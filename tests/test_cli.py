@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,6 +8,8 @@ from openhealth.cli import main
 from openhealth.dataio import read_dataset
 
 REFERENCE = Path("configs/reference.json")
+# SHA-256 of the `datagen --seed 7` CSV for the small config below.
+DATAGEN_SEED7_SHA256 = "ec268ec3af793c16c78f9ea310dff17e796ceffef2f7f94ebefc4869b5e44978"
 
 
 def write_config(tmp_path, mutate=None, name="config.json"):
@@ -28,6 +31,7 @@ def test_datagen_output_is_readable_and_deterministic(tmp_path, capsys):
     assert main(["datagen", "--config", str(config), "--out", str(out1), "--seed", "7"]) == 0
     assert main(["datagen", "--config", str(config), "--out", str(out2), "--seed", "7"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert hashlib.sha256(out1.read_bytes()).hexdigest() == DATAGEN_SEED7_SHA256
     rec = read_dataset(out1)
     assert len(rec.samples) > 0
     assert rec.has_stretch

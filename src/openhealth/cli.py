@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .classifier import (
     DegenerateDatasetError,
     evaluate,
@@ -81,18 +79,16 @@ def _load_config(path: str) -> Config:
 
 
 def _labeled_windows(recording, config: Config, app: str):
-    label_set = label_set_for(app)
-    if recording.annotations and not isinstance(recording.annotations[0].label, label_set):
+    if recording.label_set not in (None, label_set_for(app)):
         raise CliError(
             f"dataset labels do not belong to the {app!r} label set", EXIT_DATA
         )
-    windows = segment(recording, config.pipeline.window, config.pipeline.overlap)
-    labeled = [w for w in windows if w.label is not None]
-    if not labeled:
+    w = config.pipeline.window
+    starts, codes = segment(recording, w, config.pipeline.overlap)
+    labeled = codes >= 0
+    if not labeled.any():
         raise CliError("dataset yields no labeled windows", EXIT_DATA)
-    matrix = windows_to_matrix(labeled)
-    labels = np.array([w.label.value for w in labeled], dtype=int)
-    return matrix, labels
+    return windows_to_matrix(recording, starts[labeled], w), codes[labeled]
 
 
 def cmd_datagen(args) -> int:
@@ -105,7 +101,7 @@ def cmd_datagen(args) -> int:
     recording = generate_synthetic(model, spec.full_schedule(), config.profile.sample_rate_hz)
     write_dataset(recording, args.out)
     print(
-        f"wrote {args.out}: {len(recording.samples)} samples, "
+        f"wrote {args.out}: {len(recording)} samples, "
         f"{len(recording.annotations)} annotations, seed {seed}"
     )
     return EXIT_OK

@@ -1,11 +1,12 @@
-"""Shared domain types: sensor samples, label sets, and the hardware profile."""
+"""Shared domain types: label sets, column-stored recordings, and the hardware profile."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
+
+import numpy as np
 
 ACCEL_FULL_SCALE_G = 16.0
 GYRO_FULL_SCALE_DPS = 2000.0
@@ -95,34 +96,6 @@ def parse_label(text: str) -> Label:
 
 
 @dataclass(frozen=True)
-class SensorSample:
-    """One timestamped motion reading.
-
-    accel is in g, gyro in degrees/second, stretch normalized to [0,1]
-    (None for recordings without the knee-sleeve channel).
-    """
-
-    t_ms: int
-    accel: tuple[float, float, float]
-    gyro: tuple[float, float, float]
-    stretch: float | None = None
-
-    def validate(self) -> None:
-        for v in self.accel:
-            if not math.isfinite(v) or abs(v) > ACCEL_FULL_SCALE_G:
-                raise ValueError(f"accel component {v} outside +/-{ACCEL_FULL_SCALE_G} g")
-        for v in self.gyro:
-            if not math.isfinite(v) or abs(v) > GYRO_FULL_SCALE_DPS:
-                raise ValueError(f"gyro component {v} outside +/-{GYRO_FULL_SCALE_DPS} dps")
-        if self.stretch is not None and not (0.0 <= self.stretch <= 1.0):
-            raise ValueError(f"stretch {self.stretch} outside [0,1]")
-
-    def channel_values(self) -> tuple[float, ...]:
-        base = self.accel + self.gyro
-        return base + (self.stretch,) if self.stretch is not None else base
-
-
-@dataclass(frozen=True)
 class DeviceProfile:
     """Hardware budget constants for the wearable node.
 
@@ -169,62 +142,95 @@ class Annotation:
         if self.end_ms <= self.start_ms:
             raise ValueError(f"empty annotation interval [{self.start_ms}, {self.end_ms})")
 
-    def duration_ms(self) -> int:
-        return self.end_ms - self.start_ms
+
+class InvalidSample(ValueError):
+    """A recording row breaks an invariant; ``index`` is its 0-based position."""
+
+    def __init__(self, index: int, detail: str):
+        super().__init__(f"sample {index}: {detail}")
+        self.index = index
+        self.detail = detail
+
+
+# Inclusive per-channel bounds, in canonical channel order.
+_LOWER = np.array([-ACCEL_FULL_SCALE_G] * 3 + [-GYRO_FULL_SCALE_DPS] * 3 + [0.0])
+_UPPER = np.array([ACCEL_FULL_SCALE_G] * 3 + [GYRO_FULL_SCALE_DPS] * 3 + [1.0])
 
 
 @dataclass
 class LabeledRecording:
-    """An ordered sensor recording plus its non-overlapping label intervals."""
+    """A sensor recording stored as columns.
 
-    samples: list[SensorSample]
-    annotations: list[Annotation] = field(default_factory=list)
-    subject_id: str = ""
-    metadata: dict[str, str] = field(default_factory=dict)
+    t_ms is an (N,) int64 array of strictly increasing timestamps; values an
+    (N, C) float64 matrix in canonical channel order, C = 6 without the
+    stretch channel and 7 with it; codes an (N,) int64 array of label codes
+    of label_set, -1 for unlabeled samples (all -1 when codes is omitted).
+    label_set is ActivityLabel, GestureLabel, or None for a recording with
+    no labels.
+    """
+
+    t_ms: np.ndarray
+    values: np.ndarray
+    codes: np.ndarray | None = None
+    label_set: type | None = None
 
     def __post_init__(self) -> None:
+        self.t_ms = np.asarray(self.t_ms, dtype=np.int64)
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if self.codes is None:
+            self.codes = np.full(len(self.t_ms), -1, dtype=np.int64)
+        self.codes = np.asarray(self.codes, dtype=np.int64)
         self.validate()
 
     def validate(self) -> None:
-        prev_t = None
-        has_stretch = None
-        for i, s in enumerate(self.samples):
-            s.validate()
-            if prev_t is not None and s.t_ms <= prev_t:
-                raise ValueError(f"t_ms not strictly increasing at sample {i} ({s.t_ms} after {prev_t})")
-            prev_t = s.t_ms
-            present = s.stretch is not None
-            if has_stretch is None:
-                has_stretch = present
-            elif present != has_stretch:
-                raise ValueError(f"stretch channel present for some samples but not sample {i}")
-        ordered = sorted(self.annotations, key=lambda a: a.start_ms)
-        for a, b in zip(ordered, ordered[1:]):
-            if b.start_ms < a.end_ms:
-                raise ValueError(f"overlapping annotations at {b.start_ms} ms")
-        if self.samples and ordered:
-            lo, hi = self.samples[0].t_ms, self.samples[-1].t_ms
-            if ordered[0].start_ms < lo or ordered[-1].end_ms > hi + 1:
-                raise ValueError("annotation interval outside sample time range")
-        kinds = {type(a.label) for a in self.annotations}
-        if len(kinds) > 1:
-            raise ValueError("annotations mix activity and gesture labels")
+        """Raise InvalidSample at the first row that breaks an invariant.
+
+        Timestamps increase strictly, every value is finite and within
+        sensor full scale (stretch within [0, 1]), and every code names a
+        member of label_set or is -1. Shape errors raise ValueError.
+        """
+        t, values, codes = self.t_ms, self.values, self.codes
+        n = len(t)
+        if t.ndim != 1 or codes.shape != (n,):
+            raise ValueError("t_ms and codes must be (N,) arrays of equal length")
+        if values.ndim != 2 or values.shape[0] != n or values.shape[1] not in (6, 7):
+            raise ValueError("values must be (N, 6) without stretch or (N, 7) with stretch")
+        steps = np.flatnonzero(np.diff(t) <= 0)
+        if steps.size:
+            i = int(steps[0]) + 1
+            raise InvalidSample(i, f"t_ms {t[i]} not strictly increasing after {t[i - 1]}")
+        c = values.shape[1]
+        lower, upper = _LOWER[:c], _UPPER[:c]
+        bad = np.argwhere(~((values >= lower) & (values <= upper)))  # NaN fails both
+        if bad.size:
+            i, ch = (int(v) for v in bad[0])
+            raise InvalidSample(
+                i, f"{ALL_CHANNELS[ch]} value {values[i, ch]} outside [{lower[ch]:g}, {upper[ch]:g}]"
+            )
+        n_codes = len(self.label_set) if self.label_set is not None else 0
+        wrong = np.flatnonzero((codes < -1) | (codes >= n_codes))
+        if wrong.size:
+            i = int(wrong[0])
+            kind = self.label_set.__name__ if self.label_set is not None else "an unlabeled recording"
+            raise InvalidSample(i, f"label code {codes[i]} is not in {kind}")
+
+    def __len__(self) -> int:
+        return len(self.t_ms)
 
     @property
     def has_stretch(self) -> bool:
-        return bool(self.samples) and self.samples[0].stretch is not None
+        return self.values.shape[1] == 7
 
     @property
-    def channel_names(self) -> tuple[str, ...]:
-        return ALL_CHANNELS if self.has_stretch else ACCEL_CHANNELS + GYRO_CHANNELS
-
-    def label_at(self, t_ms: int) -> Label | None:
-        for a in self.annotations:
-            if a.start_ms <= t_ms < a.end_ms:
-                return a.label
-        return None
-
-    def duration_ms(self) -> int:
-        if not self.samples:
-            return 0
-        return self.samples[-1].t_ms - self.samples[0].t_ms
+    def annotations(self) -> list[Annotation]:
+        """Runs of equal label codes as [first_t, last_t + 1) intervals (a read-only view)."""
+        codes = self.codes
+        if self.label_set is None or not len(codes):
+            return []
+        firsts = np.flatnonzero(np.diff(codes, prepend=codes[0] - 1))
+        lasts = np.append(firsts[1:], len(codes)) - 1
+        return [
+            Annotation(int(self.t_ms[a]), int(self.t_ms[b]) + 1, self.label_set(int(codes[a])))
+            for a, b in zip(firsts, lasts)
+            if codes[a] >= 0
+        ]

@@ -2,27 +2,22 @@
 
 Dataset files are plain CSV with the fixed header
 ``t_ms,ax,ay,az,gx,gy,gz,stretch,label``, one row per sample, floats
-written with 6 fractional digits. The label column repeats the active
-annotation name on every covered row (empty = unlabeled); annotations are
-reconstructed from contiguous runs of equal labels, with the interval
-convention [first_row_t, last_row_t + 1).
+written with 6 fractional digits. The label column holds each row's label
+name (empty = unlabeled); a recording's annotations are the contiguous
+runs of equal labels, with the interval convention
+[first_row_t, last_row_t + 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    Annotation,
-    Label,
-    LabeledRecording,
-    SensorSample,
-    parse_label,
-)
+from .core import InvalidSample, Label, LabeledRecording, parse_label
 
 DATASET_HEADER = "t_ms,ax,ay,az,gx,gy,gz,stretch,label"
 FLOAT_DIGITS = 6
@@ -38,89 +33,109 @@ class DatasetFormatError(ValueError):
     """Malformed dataset file; message carries the offending line number."""
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.{FLOAT_DIGITS}f}"
-
-
 def write_dataset(recording: LabeledRecording, path: str | Path) -> None:
     """Write a recording as dataset CSV. Invariants are re-checked first."""
     recording.validate()
-    path = Path(path)
-    lines = [DATASET_HEADER]
-    for s in recording.samples:
-        label = recording.label_at(s.t_ms)
-        stretch = _fmt(s.stretch) if s.stretch is not None else ""
-        lines.append(
-            f"{s.t_ms},{_fmt(s.accel[0])},{_fmt(s.accel[1])},{_fmt(s.accel[2])},"
-            f"{_fmt(s.gyro[0])},{_fmt(s.gyro[1])},{_fmt(s.gyro[2])},"
-            f"{stretch},{label.name if label is not None else ''}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    field = f",%.{FLOAT_DIGITS}f"
+    row = "%d" + field * 6 + (field if recording.has_stretch else ",") + ",%s"
+    names = [label.name for label in recording.label_set or ()] + [""]  # code -1 is last
+    rows = zip(
+        recording.t_ms.tolist(),
+        *recording.values.T.tolist(),
+        map(names.__getitem__, recording.codes.tolist()),
+    )
+    body = "\n".join([DATASET_HEADER, *map(row.__mod__, rows)])
+    Path(path).write_text(body + "\n", encoding="utf-8")
+
+
+_CHUNK_ROWS = 8192  # rows split at once; bounds the transient field strings
+
+
+def _column(fields: Sequence[str], convert, dtype) -> np.ndarray:
+    """Convert one column of field strings; a failure raises InvalidSample at its row."""
+    try:
+        return np.array(list(map(convert, fields)), dtype=dtype)
+    except (ValueError, OverflowError):
+        for k, text in enumerate(fields):
+            try:
+                np.array(convert(text), dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise InvalidSample(k, f"unparseable value {text!r} ({exc})") from None
+        raise
 
 
 def read_dataset(path: str | Path) -> LabeledRecording:
     """Parse a dataset CSV back into a LabeledRecording.
 
     Raises DatasetFormatError naming the 1-based line number on a bad
-    header, an unparseable row, or non-monotonic timestamps.
+    header, a wrong column count, an unparseable or out-of-range value,
+    a stretch value on only some rows, an unknown label name, labels from
+    both label sets, or non-increasing timestamps.
     """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"byte {exc.start}: not UTF-8 text") from None
     lines = text.splitlines()
     if not lines or lines[0] != DATASET_HEADER:
         got = lines[0] if lines else "<empty file>"
         raise DatasetFormatError(f"line 1: bad header {got!r}, expected {DATASET_HEADER!r}")
 
-    samples: list[SensorSample] = []
-    row_labels: list[Label | None] = []
-    prev_t: int | None = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 9:
-            raise DatasetFormatError(f"line {lineno}: expected 9 columns, got {len(parts)}")
+    rows = list(filter(str.strip, lines[1:]))  # blank lines are skipped
+    n = len(rows)
+    t_ms = np.empty(n, dtype=np.int64)
+    values = np.empty((n, 7))
+    codes = np.empty(n, dtype=np.int64)
+    lookup: dict[str, int] = {"": -1}
+    label_set: type | None = None
+    has_stretch = None
+    for lo in range(0, n, _CHUNK_ROWS):
+        chunk = rows[lo : lo + _CHUNK_ROWS]
+        m = len(chunk)
         try:
-            t_ms = int(parts[0])
-            accel = (float(parts[1]), float(parts[2]), float(parts[3]))
-            gyro = (float(parts[4]), float(parts[5]), float(parts[6]))
-            stretch = float(parts[7]) if parts[7] != "" else None
-        except ValueError as exc:
-            raise DatasetFormatError(f"line {lineno}: unparseable value ({exc})") from None
-        if any(not np.isfinite(v) for v in accel + gyro):
-            raise DatasetFormatError(f"line {lineno}: non-finite value")
-        if prev_t is not None and t_ms <= prev_t:
-            raise DatasetFormatError(
-                f"line {lineno}: t_ms {t_ms} not greater than previous {prev_t}"
-            )
-        prev_t = t_ms
-        label = parse_label(parts[8]) if parts[8] != "" else None
-        samples.append(SensorSample(t_ms=t_ms, accel=accel, gyro=gyro, stretch=stretch))
-        row_labels.append(label)
+            commas = list(map(str.count, chunk, repeat(",")))
+            if commas.count(8) != m:
+                k = next(k for k, c in enumerate(commas) if c != 8)
+                raise InvalidSample(k, f"expected 9 columns, got {commas[k] + 1}")
+            fields = ",".join(chunk).split(",")
+            cols = [fields[j::9] for j in range(9)]
+            if has_stretch is None:
+                has_stretch = cols[7][0] != ""
+            if cols[7].count("") != (0 if has_stretch else m):
+                k = next(k for k, field in enumerate(cols[7]) if (field != "") != has_stretch)
+                raise InvalidSample(k, "stretch present on only some rows")
+            converters = [(int, np.int64)] + [(float, np.float64)] * (7 if has_stretch else 6)
+            parsed = [_column(col, *conv) for col, conv in zip(cols, converters)]
+            t_ms[lo : lo + m] = parsed[0]
+            values[lo : lo + m, : len(parsed) - 1] = np.array(parsed[1:]).T
+            names = cols[8]
+            for name in sorted(set(names) - lookup.keys(), key=names.index):
+                try:
+                    label = parse_label(name)
+                except ValueError:
+                    raise InvalidSample(names.index(name), f"unknown label name {name!r}") from None
+                if label_set is None:
+                    label_set = type(label)
+                elif not isinstance(label, label_set):
+                    raise InvalidSample(
+                        names.index(name), f"label {name!r} is not a {label_set.__name__}; labels mix label sets"
+                    )
+                lookup[name] = label.value
+            codes[lo : lo + m] = np.fromiter(map(lookup.__getitem__, names), np.int64, m)
+        except InvalidSample as exc:  # index counts from the chunk's first row
+            raise DatasetFormatError(f"line {_line_number(lines, lo + exc.index)}: {exc.detail}") from None
 
-    annotations = _annotations_from_rows(samples, row_labels)
-    return LabeledRecording(samples=samples, annotations=annotations)
-
-
-def _annotations_from_rows(
-    samples: Sequence[SensorSample], row_labels: Sequence[Label | None]
-) -> list[Annotation]:
-    annotations: list[Annotation] = []
-    run_start: int | None = None
-    run_label: Label | None = None
-    for i, label in enumerate(row_labels):
-        if label != run_label:
-            if run_label is not None:
-                annotations.append(
-                    Annotation(samples[run_start].t_ms, samples[i - 1].t_ms + 1, run_label)
-                )
-            run_start = i if label is not None else None
-            run_label = label
-    if run_label is not None:
-        annotations.append(
-            Annotation(samples[run_start].t_ms, samples[-1].t_ms + 1, run_label)
+    try:
+        return LabeledRecording(
+            t_ms=t_ms, values=values if has_stretch else values[:, :6], codes=codes, label_set=label_set
         )
-    return annotations
+    except InvalidSample as exc:
+        raise DatasetFormatError(f"line {_line_number(lines, exc.index)}: {exc.detail}") from None
+
+
+def _line_number(lines: list[str], row: int) -> int:
+    """1-based file line of the row-th non-blank data row."""
+    return [k for k in range(2, len(lines) + 1) if lines[k - 1].strip()][row]
 
 
 @dataclass(frozen=True)
@@ -224,59 +239,47 @@ def generate_synthetic(
         if label not in model.signals:
             raise ValueError(f"no signal model for label {label.name}")
 
+    label_sets = {type(label) for label, _ in schedule}
+    if len(label_sets) > 1:
+        raise ValueError("schedule mixes activity and gesture labels")
+
     rng = np.random.default_rng(model.seed)
-    samples: list[SensorSample] = []
-    annotations: list[Annotation] = []
+    n_channels = 7 if model.has_stretch else 6
+    t_ms, values, codes = [np.empty(0, np.int64)], [np.empty((0, n_channels))], [np.empty(0, np.int64)]
     index = 0
     for label, duration_ms in schedule:
         n = round(duration_ms * rate_hz / 1000.0)
         if n == 0:
             continue
-        sig = model.signals[label]
-        t_s = (index + np.arange(n)) / rate_hz
-        t_ms = np.floor((index + np.arange(n)) * 1000.0 / rate_hz).astype(np.int64)
-        accel, gyro, stretch = synthesize_signal(sig, t_s, rng)
-
-        for i in range(n):
-            samples.append(
-                SensorSample(
-                    t_ms=int(t_ms[i]),
-                    accel=(float(accel[i, 0]), float(accel[i, 1]), float(accel[i, 2])),
-                    gyro=(float(gyro[i, 0]), float(gyro[i, 1]), float(gyro[i, 2])),
-                    stretch=float(stretch[i]) if stretch is not None else None,
-                )
-            )
-        start_ms = int(t_ms[0])
-        end_ms = int(t_ms[-1]) + 1
-        if annotations and annotations[-1].label == label and annotations[-1].end_ms >= start_ms:
-            annotations[-1] = Annotation(annotations[-1].start_ms, end_ms, label)
-        else:
-            annotations.append(Annotation(start_ms, end_ms, label))
+        k = index + np.arange(n)
+        accel, gyro, stretch = synthesize_signal(model.signals[label], k / rate_hz, rng)
+        t_ms.append(np.floor(k * 1000.0 / rate_hz).astype(np.int64))
+        values.append(np.column_stack([accel, gyro] if stretch is None else [accel, gyro, stretch]))
+        codes.append(np.full(n, label.value, dtype=np.int64))
         index += n
 
-    return LabeledRecording(samples=samples, annotations=annotations)
+    return LabeledRecording(
+        t_ms=np.concatenate(t_ms),
+        values=np.concatenate(values),
+        codes=np.concatenate(codes),
+        label_set=label_sets.pop() if label_sets else None,
+    )
 
 
 def quantize_recording(recording: LabeledRecording) -> LabeledRecording:
     """Round all channel values to the CSV precision (6 fractional digits).
 
-    Recordings quantized this way round-trip bit-exactly through
+    Rounds through the same ``%.6f`` text the CSV holds, so recordings
+    quantized this way round-trip bit-exactly through
     write_dataset/read_dataset.
     """
-    samples = [
-        SensorSample(
-            t_ms=s.t_ms,
-            accel=tuple(round(v, FLOAT_DIGITS) for v in s.accel),
-            gyro=tuple(round(v, FLOAT_DIGITS) for v in s.gyro),
-            stretch=round(s.stretch, FLOAT_DIGITS) if s.stretch is not None else None,
-        )
-        for s in recording.samples
-    ]
+    values = recording.values
+    rounded = [float(f"{v:.{FLOAT_DIGITS}f}") for v in values.ravel().tolist()]
     return LabeledRecording(
-        samples=samples,
-        annotations=list(recording.annotations),
-        subject_id=recording.subject_id,
-        metadata=dict(recording.metadata),
+        t_ms=recording.t_ms.copy(),
+        values=np.array(rounded).reshape(values.shape),
+        codes=recording.codes.copy(),
+        label_set=recording.label_set,
     )
 
 

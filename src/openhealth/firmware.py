@@ -13,7 +13,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
-from .core import DeviceProfile, SensorSample
+import numpy as np
+
+from .core import DeviceProfile
 from .pipeline import FEATURES_PER_CHANNEL
 
 MOTION_THRESHOLD_G = 0.05
@@ -75,12 +77,16 @@ def step_state_machine(state: PowerState, event: DeviceEvent) -> StepResult:
     return StepResult(state=new_state, actions=(action,), noop=False)
 
 
-def motion_detector(samples: Sequence[SensorSample], threshold_g: float = MOTION_THRESHOLD_G) -> bool:
-    """True iff |accel| deviates from 1 g by more than the threshold anywhere."""
-    if len(samples) < 2:
+def motion_detector(values: np.ndarray, threshold_g: float = MOTION_THRESHOLD_G) -> bool:
+    """True iff |accel| deviates from 1 g by more than the threshold anywhere.
+
+    values is an (n, >=3) sample matrix whose first three columns are
+    accel in g, in canonical channel order.
+    """
+    if len(values) < 2:
         raise ValueError("motion detection needs at least 2 samples")
-    deviation = max(abs(math.sqrt(sum(v * v for v in s.accel)) - 1.0) for s in samples)
-    return deviation > threshold_g
+    mags = np.linalg.norm(values[:, :3], axis=1)
+    return bool(np.max(np.abs(mags - 1.0)) > threshold_g)
 
 
 def state_power_mw(profile: DeviceProfile, app: str, state: PowerState) -> float:
@@ -187,9 +193,6 @@ class DutyPlan:
             raise ValueError("duty fractions must lie in [0, 1]")
         if self.planned_active_mwh > self.available_mwh + 1e-9:
             raise ValueError("planned energy exceeds projected available energy")
-
-    def fraction_at(self, t_ms: int) -> float:
-        return self.fractions[(t_ms // SLOT_MS) % SLOTS_PER_DAY]
 
 
 def plan_duty_cycle(

@@ -265,13 +265,6 @@ def estimate_offset(t1: int, t2: int, t3: int, t4: int) -> tuple[float, int]:
     return offset, rtt
 
 
-@dataclass
-class SyncState:
-    offset_ms: float = 0.0
-    rtt_ms: int = 0
-    synced: bool = False
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     interval_ms: int = 200
@@ -296,13 +289,6 @@ class ChannelModel:
                 raise ValueError("latency range must be (lo, hi) with 0 <= lo <= hi")
         elif lat < 0:
             raise ValueError("latency must be >= 0")
-
-
-@dataclass(frozen=True)
-class DeliveryRecord:
-    delivered: bool
-    attempts: int
-    latency_ms: int | None  # end-to-end, first send to matching ACK
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ at bin k yields feature value a. Dimension D = channels * 12.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import ActivityLabel, Label, LabeledRecording, SensorSample
+from .core import ActivityLabel, Label, LabeledRecording
 
 FFT_BINS = 8
 FEATURES_PER_CHANNEL = 4 + FFT_BINS
@@ -21,19 +22,6 @@ MIN_WINDOW = 2 * FFT_BINS  # need 8 nonzero rfft bins
 MAJORITY_THRESHOLD = 0.75
 MAX_GAP_PERIODS = 1.5
 STD_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class WindowSegment:
-    """Exactly W contiguous samples plus the majority label over them."""
-
-    samples: tuple[SensorSample, ...]
-    start_ms: int
-    label: Label | None = None
-
-    def values(self) -> np.ndarray:
-        """(W, C) channel matrix in canonical channel order."""
-        return np.array([s.channel_values() for s in self.samples], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -48,122 +36,67 @@ class FeatureStats:
         return int(self.mean.shape[0])
 
 
-def feature_names(channel_names) -> list[str]:
-    names = []
-    for ch in channel_names:
-        names.extend([f"{ch}_mean", f"{ch}_std", f"{ch}_min", f"{ch}_max"])
-        names.extend([f"{ch}_fft{k}" for k in range(1, FFT_BINS + 1)])
-    return names
-
-
-def recording_matrix(recording: LabeledRecording) -> np.ndarray:
-    """(N, C) matrix of all channel values of a recording."""
-    if not recording.samples:
-        c = len(recording.channel_names)
-        return np.empty((0, c), dtype=float)
-    return np.array([s.channel_values() for s in recording.samples], dtype=float)
-
-
 def window_stride(w: int, overlap_fraction: float) -> int:
     return max(1, round(w * (1.0 - overlap_fraction)))
 
 
+def majority_label(counts: Sequence[int], label_set: type) -> Label | None:
+    """Label of one window from its per-code sample counts.
+
+    counts[c] is the number of window samples with label code c, so the
+    count of unlabeled samples (code -1) is the last entry. The label
+    covering at least 75% of the window wins; an activity window holding
+    two or more labels and no such majority is Transition; any other
+    window has no label (None), and training and evaluation drop it.
+    """
+    labeled = list(counts[:-1])
+    top = max(labeled)
+    if top >= MAJORITY_THRESHOLD * sum(counts):
+        return label_set(labeled.index(top))
+    if label_set is ActivityLabel and sum(1 for c in labeled if c > 0) >= 2:
+        return ActivityLabel.Transition
+    return None
+
+
 def segment(
     recording: LabeledRecording, w: int = 128, overlap_fraction: float = 0.5
-) -> list[WindowSegment]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Cut a recording into fixed-length windows with majority labels.
 
-    Windows containing a timing gap larger than 1.5 nominal sample periods
-    are dropped. A window is labeled with the class covering at least 75%
-    of its samples; an activity window straddling two or more annotations
-    with no such majority becomes Transition; otherwise the label is None.
-    A recording shorter than w yields an empty list.
+    Returns (starts, codes): the first sample index of each window and the
+    code of its majority_label, -1 for a window without one. Windows
+    containing a timing gap larger than 1.5 nominal sample periods are
+    dropped. A recording shorter than w yields no windows.
     """
     if not 0.0 <= overlap_fraction < 1.0:
         raise ValueError("overlap_fraction must be in [0, 1)")
     if w < 8:
         raise ValueError("window length must be >= 8")
-    n = len(recording.samples)
-    if n < w:
-        return []
+    n = len(recording)
+    starts = np.arange(0, max(n - w + 1, 0), window_stride(w, overlap_fraction))
 
-    starts, labels = _window_starts_and_labels(recording, w, overlap_fraction)
-    windows = []
-    for start, label in zip(starts, labels):
-        windows.append(
-            WindowSegment(
-                samples=tuple(recording.samples[start : start + w]),
-                start_ms=recording.samples[start].t_ms,
-                label=label,
-            )
-        )
-    return windows
-
-
-def _window_starts_and_labels(
-    recording: LabeledRecording, w: int, overlap_fraction: float
-) -> tuple[list[int], list[Label | None]]:
-    n = len(recording.samples)
-    stride = window_stride(w, overlap_fraction)
-    t = np.array([s.t_ms for s in recording.samples], dtype=np.int64)
-    diffs = np.diff(t)
+    diffs = np.diff(recording.t_ms)
     period = float(np.median(diffs)) if diffs.size else 0.0
+    gap_prefix = np.concatenate([[0], np.cumsum(diffs > MAX_GAP_PERIODS * period)])
+    starts = starts[gap_prefix[starts + w - 1] == gap_prefix[starts]]
 
-    bad = (diffs > MAX_GAP_PERIODS * period).astype(np.int64) if diffs.size else np.zeros(0, np.int64)
-    bad_prefix = np.concatenate([[0], np.cumsum(bad)])
-
-    label_kind = _label_kind(recording)
-    codes = _sample_label_codes(recording, label_kind)
-    n_codes = len(label_kind) if label_kind is not None else 0
-    prefixes = []
-    for c in range(n_codes):
-        prefixes.append(np.concatenate([[0], np.cumsum(codes == c)]))
-
-    starts: list[int] = []
-    labels: list[Label | None] = []
-    for start in range(0, n - w + 1, stride):
-        end = start + w
-        if bad_prefix[end - 1] - bad_prefix[start] > 0:
-            continue  # timing gap inside the window
-        starts.append(start)
-        labels.append(_majority_label(prefixes, label_kind, start, end, w))
-    return starts, labels
+    label_set = recording.label_set
+    if label_set is None:
+        return starts, np.full(len(starts), -1, dtype=np.int64)
+    # Per-window counts of every code from prefix sums; code -1 maps to the last column.
+    prefix = np.zeros((n + 1, len(label_set) + 1), dtype=np.int64)
+    np.cumsum(np.eye(len(label_set) + 1, dtype=np.int64)[recording.codes], axis=0, out=prefix[1:])
+    labels = [majority_label(c, label_set) for c in (prefix[starts + w] - prefix[starts]).tolist()]
+    codes = np.array([-1 if label is None else label.value for label in labels], dtype=np.int64)
+    return starts, codes
 
 
-def _label_kind(recording: LabeledRecording) -> type | None:
-    if not recording.annotations:
-        return None
-    return type(recording.annotations[0].label)
-
-
-def _sample_label_codes(recording: LabeledRecording, label_kind: type | None) -> np.ndarray:
-    codes = np.full(len(recording.samples), -1, dtype=np.int64)
-    if label_kind is None:
-        return codes
-    t = np.array([s.t_ms for s in recording.samples], dtype=np.int64)
-    for a in recording.annotations:
-        lo = np.searchsorted(t, a.start_ms, side="left")
-        hi = np.searchsorted(t, a.end_ms, side="left")
-        codes[lo:hi] = a.label.value
-    return codes
-
-
-def _majority_label(prefixes, label_kind, start: int, end: int, w: int) -> Label | None:
-    if label_kind is None:
-        return None
-    counts = [int(p[end] - p[start]) for p in prefixes]
-    top = max(counts)
-    if top >= MAJORITY_THRESHOLD * w:
-        return label_kind(counts.index(top))
-    distinct = sum(1 for c in counts if c > 0)
-    if distinct >= 2 and label_kind is ActivityLabel:
-        return ActivityLabel.Transition
-    return None
-
-
-def extract_features(window: WindowSegment) -> np.ndarray:
-    """Feature vector of one window (see module docstring for the layout)."""
-    return extract_feature_matrix(window.values()[None, :, :])[0]
+def windows_to_matrix(recording: LabeledRecording, starts: np.ndarray, w: int) -> np.ndarray:
+    """(n, W, C) stack of the windows of length w beginning at the given sample indices."""
+    starts = np.asarray(starts, dtype=np.int64)
+    if not len(starts):
+        raise ValueError("no windows")
+    return recording.values[starts[:, None] + np.arange(w)]
 
 
 def extract_feature_matrix(windows: np.ndarray) -> np.ndarray:
@@ -189,13 +122,6 @@ def extract_feature_matrix(windows: np.ndarray) -> np.ndarray:
         feats[:, base + 3] = mx[:, ch]
         feats[:, base + 4 : base + 4 + FFT_BINS] = spectrum[:, :, ch]
     return feats
-
-
-def windows_to_matrix(windows: list[WindowSegment]) -> np.ndarray:
-    """Stack window channel matrices into an (n, W, C) array."""
-    if not windows:
-        raise ValueError("no windows")
-    return np.stack([win.values() for win in windows])
 
 
 def normalize_features(

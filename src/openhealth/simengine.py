@@ -27,7 +27,7 @@ import numpy as np
 
 from .classifier import MlpModel, forward, load_model
 from .config import Config, DeviceSpec, ScenarioSettings
-from .core import ActivityLabel, Label, label_set_for
+from .core import Label, label_set_for
 from .dataio import synthesize_signal
 from .firmware import (
     BATTERY_RECOVERY_FRACTION,
@@ -37,6 +37,7 @@ from .firmware import (
     PowerState,
     SLOT_MS,
     account_energy,
+    motion_detector,
     plan_duty_cycle,
     step_state_machine,
 )
@@ -56,12 +57,10 @@ from .netproto import (
     unpack_ack,
     unpack_sync_reply,
 )
-from .pipeline import extract_feature_matrix, normalize_features
+from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
 TRACE_VERSION = 1
 MIN_RADIO_MS = 1
-
-MAJORITY = 0.75
 
 
 class VersionMismatch(ValueError):
@@ -116,7 +115,6 @@ class SimChannel:
         self.model = model
         self.name = name
         self.rng = sim.rng_for(name)
-        self.byte_log: list[bytes] = []
 
     def _latency(self) -> int:
         lat = self.model.latency_ms
@@ -128,7 +126,6 @@ class SimChannel:
         _, type_value, device_id, seq, _ = peek_header(frame)
         kind = FrameType(type_value).name
         self.sim.emit("frame_tx", src, kind, device_id, seq, len(frame), frame.hex())
-        self.byte_log.append(frame)
         if self.rng.random() < self.model.loss_probability:
             self.sim.emit("frame_lost", self.name, src, kind, device_id, seq)
             return
@@ -138,7 +135,6 @@ class SimChannel:
             flipped[bit // 8] ^= 1 << (bit % 8)
             frame = bytes(flipped)
             self.sim.emit("frame_corrupt", self.name, src, kind, device_id, seq, frame.hex())
-            self.byte_log.append(frame)
         self.sim.schedule(self.sim.now + self._latency(), lambda: receiver.receive(frame))
 
 
@@ -338,13 +334,14 @@ class SimDevice:
 
         Seeded by (scenario seed, device, window start) so the stream does
         not depend on event ordering. Windows may span schedule blocks;
-        samples are drawn per block run in time order.
+        samples are drawn per block run in time order. Returns the (W, C)
+        sample matrix and the per-code label counts majority_label takes.
         """
         rng = _window_rng(self.sim.seed, self.spec.device_id, start_ms)
         idx = np.arange(self.window)
         t_ms = start_ms + idx * self.period_ms
         t_s = t_ms / 1000.0
-        labels: list[Label | None] = []
+        counts = [0] * (len(self.label_set) + 1)
         accel = np.empty((self.window, 3))
         gyro = np.empty((self.window, 3))
         stretch_parts: list[np.ndarray | None] = []
@@ -361,31 +358,25 @@ class SimDevice:
             accel[i:j] = a
             gyro[i:j] = g
             stretch_parts.append(s)
-            labels.extend([label] * (j - i))
+            counts[label.value] += j - i
             i = j
         if stretch_parts[0] is not None:
             stretch = np.concatenate(stretch_parts)
             matrix = np.hstack([accel, gyro, stretch[:, None]])
         else:
             matrix = np.hstack([accel, gyro])
-        return matrix, labels
+        return matrix, counts
 
-    def _oracle_label(self, labels) -> tuple[Label, float]:
-        counts: dict[Label, int] = {}
-        for l in labels:
-            counts[l] = counts.get(l, 0) + 1
-        top_label = max(counts, key=lambda k: (counts[k], -k.value))
-        top = counts[top_label]
-        frac = top / len(labels)
-        if frac >= MAJORITY:
-            return top_label, frac
-        if len(counts) >= 2 and self.label_set is ActivityLabel:
-            return ActivityLabel.Transition, frac
-        return top_label, frac
-
-    def _classify(self, matrix: np.ndarray, labels) -> tuple[Label, float]:
+    def _classify(self, matrix: np.ndarray, counts: list[int]) -> tuple[Label, float]:
         if self.model is None:
-            return self._oracle_label(labels)
+            # The oracle must name a label: where majority_label gives none
+            # (a gesture window without a 75% majority), it names the
+            # top-count label, the lowest code on ties.
+            top = max(counts)
+            label = majority_label(counts, self.label_set)
+            if label is None:
+                label = self.label_set(counts.index(top))
+            return label, top / self.window
         feats = extract_feature_matrix(matrix[None, :, :])
         normed, _ = normalize_features(feats, self.model.stats)
         probs = forward(self.model, normed[0])
@@ -505,7 +496,7 @@ class SimDevice:
 
     def _probe_motion(self) -> bool:
         matrix, _ = self._window_samples(self.sim.now)
-        return _matrix_motion(matrix)
+        return motion_detector(matrix)
 
     def _window_done(self, gen: int) -> None:
         if gen != self.cycle_gen or self.state is not PowerState.Sampling:
@@ -514,10 +505,10 @@ class SimDevice:
         if self.depleted:
             return
         start_ms = self.sim.now - self.window_ms
-        matrix, labels = self._window_samples(start_ms)
-        if _matrix_motion(matrix):
+        matrix, counts = self._window_samples(start_ms)
+        if motion_detector(matrix):
             self.last_motion_ms = self.sim.now
-        label, confidence = self._classify(matrix, labels)
+        label, confidence = self._classify(matrix, counts)
         if self._transition(DeviceEvent.WindowFull):
             conf_fp = min(10000, round(confidence * 10000))
             self.sim.emit("classify", self.name, self.window_index, label.name, conf_fp)
@@ -690,11 +681,6 @@ class SimDevice:
             latency = self.sim.now - alert.first_sent_ms
             self.sim.emit("alert_delivered", self.name, alert.seq, alert.attempts, latency)
             self._pop_alert(alert)
-
-
-def _matrix_motion(matrix: np.ndarray, threshold_g: float = 0.05) -> bool:
-    mags = np.linalg.norm(matrix[:, :3], axis=1)
-    return bool(np.max(np.abs(mags - 1.0)) > threshold_g)
 
 
 @dataclass

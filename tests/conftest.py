@@ -1,42 +1,33 @@
 from __future__ import annotations
 
-import math
-
+import numpy as np
 import pytest
 
-from openhealth.core import (
-    ActivityLabel,
-    Annotation,
-    LabeledRecording,
-    SensorSample,
-)
+from openhealth.core import ActivityLabel, LabeledRecording
 from openhealth.dataio import LabelSignalModel, SyntheticActivityModel
 
 
-def make_samples(n: int, period_ms: int = 10, stretch: float | None = 0.5):
-    """Constant 1 g gravity along z, zero gyro."""
-    return [
-        SensorSample(t_ms=i * period_ms, accel=(0.0, 0.0, 1.0), gyro=(0.0, 0.0, 0.0), stretch=stretch)
-        for i in range(n)
-    ]
+def make_values(n: int, stretch: float | None = 0.5) -> np.ndarray:
+    """Constant 1 g gravity along z, zero gyro, constant stretch (or no stretch column)."""
+    values = np.zeros((n, 6 if stretch is None else 7))
+    values[:, 2] = 1.0
+    if stretch is not None:
+        values[:, 6] = stretch
+    return values
 
 
 def make_recording(n: int = 256, period_ms: int = 10, label=ActivityLabel.Walk, stretch=0.5):
-    samples = make_samples(n, period_ms, stretch)
-    annotations = [Annotation(0, samples[-1].t_ms + 1, label)] if label is not None else []
-    return LabeledRecording(samples=samples, annotations=annotations)
+    """make_values at a fixed period, every sample labeled `label` (None: unlabeled)."""
+    codes = np.full(n, -1 if label is None else label.value)
+    label_set = None if label is None else type(label)
+    return LabeledRecording(np.arange(n) * period_ms, make_values(n, stretch), codes, label_set)
 
 
-def sine_samples(n: int, freq_hz: float, amp: float, rate_hz: float = 100.0, axis: int = 2):
-    samples = []
-    for i in range(n):
-        t = i / rate_hz
-        accel = [0.0, 0.0, 0.0]
-        accel[axis] = 1.0 + amp * math.sin(2.0 * math.pi * freq_hz * t)
-        samples.append(
-            SensorSample(t_ms=round(i * 1000 / rate_hz), accel=tuple(accel), gyro=(0.0, 0.0, 0.0), stretch=None)
-        )
-    return samples
+def sine_recording(n: int, freq_hz: float, amp: float, rate_hz: float = 100.0, axis: int = 2):
+    """Unlabeled recording with a sinusoid of amplitude amp about 1 g on one accel axis."""
+    values = np.zeros((n, 6))
+    values[:, axis] = 1.0 + amp * np.sin(2.0 * np.pi * freq_hz * (np.arange(n) / rate_hz))
+    return LabeledRecording(np.round(np.arange(n) * 1000 / rate_hz).astype(np.int64), values)
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ def test_datagen_output_is_readable_and_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     assert hashlib.sha256(out1.read_bytes()).hexdigest() == DATAGEN_SEED7_SHA256
     rec = read_dataset(out1)
-    assert len(rec.samples) > 0
+    assert len(rec) > 0
     assert rec.has_stretch
 
 
@@ -110,6 +110,19 @@ def test_train_single_class_exits_3(tmp_path, capsys):
     ])
     assert code == 3
     assert "degenerate" in capsys.readouterr().err.lower()
+
+
+def test_train_out_of_range_row_exits_3(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_text(
+        "t_ms,ax,ay,az,gx,gy,gz,stretch,label\n"
+        "0,0.0,0.0,1.0,0.0,0.0,0.0,0.5,Walk\n"
+        "10,20.0,0.0,1.0,0.0,0.0,0.0,0.5,Walk\n"
+    )
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.ohm")])
+    assert code == 3
+    assert "line 3" in capsys.readouterr().err
+    assert not (tmp_path / "m.ohm").exists()
 
 
 def test_eval_unlabeled_data_exits_3(tmp_path, capsys):

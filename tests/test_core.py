@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from openhealth.core import (
@@ -7,15 +8,15 @@ from openhealth.core import (
     Annotation,
     DeviceProfile,
     GestureLabel,
+    InvalidSample,
     LabeledRecording,
-    SensorSample,
     decode_label,
     encode_label,
     label_set_for,
     parse_label,
 )
 
-from conftest import make_samples
+from conftest import make_recording, make_values
 
 
 def test_activity_label_encoding_order():
@@ -63,64 +64,54 @@ def test_profile_rejects_nonpositive_power():
 
 
 def test_sample_range_validation():
-    SensorSample(0, (16.0, 0, 0), (2000.0, 0, 0), 1.0).validate()
-    with pytest.raises(ValueError):
-        SensorSample(0, (16.1, 0, 0), (0, 0, 0)).validate()
-    with pytest.raises(ValueError):
-        SensorSample(0, (0, 0, 0), (0, -2001.0, 0)).validate()
-    with pytest.raises(ValueError):
-        SensorSample(0, (0, 0, 0), (0, 0, 0), stretch=1.2).validate()
+    values = make_values(2)
+    values[0] = (16.0, -16.0, 0, 2000.0, -2000.0, 0, 1.0)
+    values[1, 6] = 0.0
+    LabeledRecording([0, 10], values).validate()
+    for ch, v in [(0, 16.1), (4, -2001.0), (6, 1.2), (6, -0.1), (1, float("nan")), (3, float("inf"))]:
+        bad = values.copy()
+        bad[1, ch] = v
+        with pytest.raises(InvalidSample, match="sample 1") as exc:
+            LabeledRecording([0, 10], bad)
+        assert exc.value.index == 1
 
 
 def test_recording_requires_increasing_timestamps():
-    samples = make_samples(3)
-    bad = [samples[0], samples[2], samples[1]]
-    with pytest.raises(ValueError, match="strictly increasing"):
-        LabeledRecording(samples=bad)
+    with pytest.raises(InvalidSample, match="strictly increasing") as exc:
+        LabeledRecording([0, 20, 10], make_values(3))
+    assert exc.value.index == 2
+    with pytest.raises(InvalidSample, match="strictly increasing"):
+        LabeledRecording([0, 10, 10], make_values(3))
 
 
 def test_recording_requires_consistent_stretch():
-    samples = make_samples(2, stretch=0.5) + [
-        SensorSample(t_ms=20, accel=(0, 0, 1), gyro=(0, 0, 0), stretch=None)
-    ]
+    # stretch is a column: present on every sample or on none
     with pytest.raises(ValueError, match="stretch"):
-        LabeledRecording(samples=samples)
+        LabeledRecording([0, 10], np.zeros((2, 5)))
+    values = make_values(3)
+    values[1, 6] = float("nan")  # a sample without a stretch reading
+    with pytest.raises(InvalidSample, match="stretch"):
+        LabeledRecording([0, 10, 20], values)
 
 
-def test_recording_rejects_overlapping_annotations():
-    samples = make_samples(10)
-    with pytest.raises(ValueError, match="overlap"):
-        LabeledRecording(
-            samples=samples,
-            annotations=[
-                Annotation(0, 50, ActivityLabel.Walk),
-                Annotation(40, 80, ActivityLabel.Sit),
-            ],
-        )
+def test_recording_rejects_codes_outside_label_set():
+    codes = np.array([GestureLabel.Up.value, ActivityLabel.Transition.value])
+    with pytest.raises(InvalidSample, match="not in GestureLabel"):
+        LabeledRecording([0, 10], make_values(2), codes, GestureLabel)
+    with pytest.raises(InvalidSample, match="unlabeled"):
+        LabeledRecording([0, 10], make_values(2), np.array([-1, 0]))
 
 
-def test_recording_rejects_mixed_label_kinds():
-    samples = make_samples(10)
-    with pytest.raises(ValueError, match="mix"):
-        LabeledRecording(
-            samples=samples,
-            annotations=[
-                Annotation(0, 40, ActivityLabel.Walk),
-                Annotation(50, 80, GestureLabel.Up),
-            ],
-        )
-
-
-def test_label_at_half_open_intervals():
-    samples = make_samples(10)
-    rec = LabeledRecording(
-        samples=samples,
-        annotations=[Annotation(0, 50, ActivityLabel.Walk), Annotation(50, 91, ActivityLabel.Sit)],
-    )
-    assert rec.label_at(0) is ActivityLabel.Walk
-    assert rec.label_at(49) is ActivityLabel.Walk
-    assert rec.label_at(50) is ActivityLabel.Sit
-    assert rec.label_at(91) is None
+def test_annotations_are_half_open_runs():
+    walk, sit = ActivityLabel.Walk.value, ActivityLabel.Sit.value
+    codes = np.array([walk] * 5 + [sit] * 4 + [-1] + [walk])
+    rec = LabeledRecording(np.arange(11) * 10, make_values(11), codes, ActivityLabel)
+    assert rec.annotations == [
+        Annotation(0, 41, ActivityLabel.Walk),
+        Annotation(50, 81, ActivityLabel.Sit),
+        Annotation(100, 101, ActivityLabel.Walk),
+    ]
+    assert make_recording(4, label=None).annotations == []
 
 
 def test_display_names():

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from openhealth.core import ActivityLabel, Annotation
+from openhealth.core import ActivityLabel, Annotation, InvalidSample
 from openhealth.dataio import (
     DATASET_HEADER,
     DatasetFormatError,
@@ -26,7 +26,8 @@ def test_round_trip_identity_with_stretch(tmp_path, tiny_har_model):
     path = tmp_path / "d.csv"
     write_dataset(rec, path)
     back = read_dataset(path)
-    assert back.samples == rec.samples
+    assert np.array_equal(back.t_ms, rec.t_ms)
+    assert np.array_equal(back.values, rec.values)
     assert back.annotations == rec.annotations
 
 
@@ -35,7 +36,8 @@ def test_round_trip_identity_without_stretch(tmp_path):
     path = tmp_path / "d.csv"
     write_dataset(rec, path)
     back = read_dataset(path)
-    assert back.samples == rec.samples
+    assert np.array_equal(back.t_ms, rec.t_ms)
+    assert np.array_equal(back.values, rec.values)
     assert not back.has_stretch
     # stretch column stays empty on disk
     line = path.read_text().splitlines()[1]
@@ -54,7 +56,7 @@ def test_header_only_file_is_empty_recording(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(DATASET_HEADER + "\n")
     rec = read_dataset(path)
-    assert rec.samples == []
+    assert len(rec) == 0
     assert rec.annotations == []
 
 
@@ -108,19 +110,75 @@ def test_wrong_column_count_names_line(tmp_path):
         read_dataset(path)
 
 
-def test_overlapping_annotations_rejected_before_write(tmp_path):
+def test_invalid_recording_rejected_before_write(tmp_path):
     rec = make_recording(20)
-    rec.annotations.append(Annotation(5, 60, ActivityLabel.Sit))  # overlaps the Walk annotation
-    with pytest.raises(ValueError, match="overlap"):
+    rec.values[5, 0] = 20.0  # beyond accel full scale, set after construction
+    with pytest.raises(InvalidSample, match="sample 5"):
         write_dataset(rec, tmp_path / "never.csv")
     assert not (tmp_path / "never.csv").exists()
+
+
+GOOD_ROW = ["0", "0.0", "0.0", "1.0", "0.0", "0.0", "0.0", "0.5", "Walk"]
+
+
+@pytest.mark.parametrize(
+    "column, text",
+    [
+        (1, "nan"), (5, "inf"), (7, "nan"), (7, "-inf"),  # non-finite, stretch included
+        (3, "16.5"), (4, "-2000.5"), (7, "1.5"), (7, "-0.1"),  # beyond full scale
+        (8, "Fly"),  # unknown label name
+        (8, "Up"),  # a gesture label among activity labels
+        (7, ""),  # stretch missing from one row only
+    ],
+    ids=[
+        "nan-accel", "inf-gyro", "nan-stretch", "inf-stretch",
+        "accel-range", "gyro-range", "stretch-above-1", "stretch-below-0",
+        "unknown-label", "mixed-label-sets", "partial-stretch",
+    ],
+)
+def test_bad_row_names_line(tmp_path, column, text):
+    rows = [DATASET_HEADER]
+    for i in range(4):
+        row = [str(10 * i)] + GOOD_ROW[1:]
+        if i == 2:
+            row[column] = text
+        rows.append(",".join(row))
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DatasetFormatError, match="^line 4: "):
+        read_dataset(path)
+
+
+_FIELDS = st.sampled_from(
+    ["", "0", "10", "-3", "1.5", "0.25", "nan", "inf", "1e400", "20.0", "9" * 25, "Walk", "Up", "Fly", " "]
+)
+_ROW = st.one_of(st.lists(_FIELDS, max_size=11), st.lists(_FIELDS, min_size=9, max_size=9))
+_ROWS = st.lists(_ROW.map(",".join), max_size=6)
+_FILES = st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=200).map(lambda text: text.encode("utf-8", "surrogatepass")),
+    _ROWS.map(lambda rows: "\n".join([DATASET_HEADER, *rows]).encode("utf-8")),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_FILES)
+def test_read_dataset_raises_only_format_errors(tmp_path, data):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    try:
+        rec = read_dataset(path)
+    except DatasetFormatError:
+        return
+    rec.validate()
 
 
 def test_generate_synthetic_is_deterministic(tiny_har_model):
     schedule = [(ActivityLabel.Walk, 3000), (ActivityLabel.LieDown, 2000)]
     a = generate_synthetic(tiny_har_model, schedule, 100.0)
     b = generate_synthetic(tiny_har_model, schedule, 100.0)
-    assert a.samples == b.samples
+    assert np.array_equal(a.t_ms, b.t_ms)
+    assert np.array_equal(a.values, b.values)
     assert a.annotations == b.annotations
 
 
@@ -135,16 +193,16 @@ def test_generate_degenerate_model_constant_gravity():
         seed=3,
     )
     rec = generate_synthetic(model, [(ActivityLabel.LieDown, 1000)], 100.0)
-    for s in rec.samples:
-        assert s.accel == (1.0, 0.0, 0.0)
-        assert s.gyro == (0.0, 0.0, 0.0)
+    assert len(rec) == 100
+    assert (rec.values[:, :3] == (1.0, 0.0, 0.0)).all()
+    assert (rec.values[:, 3:6] == 0.0).all()
 
 
 def test_generate_walk_fft_peak_at_model_frequency(tiny_har_model):
     # Independent oracle: FFT of |accel| over the generated 10 s window.
     rate = 100.0
     rec = generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 10_000)], rate)
-    mag = np.array([np.linalg.norm(s.accel) for s in rec.samples])
+    mag = np.linalg.norm(rec.values[:, :3], axis=1)
     spectrum = np.abs(np.fft.rfft(mag - mag.mean()))
     freqs = np.fft.rfftfreq(len(mag), d=1.0 / rate)
     peak = freqs[np.argmax(spectrum)]

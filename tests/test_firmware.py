@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from openhealth.classifier import init_model, quantize_model
-from openhealth.core import DeviceProfile, SensorSample
+from openhealth.core import DeviceProfile
 from openhealth.firmware import (
     BudgetError,
     DeviceAction,
@@ -73,11 +74,17 @@ def test_all_other_pairs_are_noops():
 # --- motion detection ------------------------------------------------------
 
 def _samples(mags):
-    return [SensorSample(t_ms=i * 10, accel=(0.0, 0.0, m), gyro=(0, 0, 0)) for i, m in enumerate(mags)]
+    """(n, 6) sample matrix with |accel| = m along z and zero gyro."""
+    values = np.zeros((len(mags), 6))
+    values[:, 2] = mags
+    return values
 
 
 def test_motion_detector_stationary():
     assert motion_detector(_samples([1.0] * 20)) is False
+    # only the accel columns count: gyro and stretch columns are ignored
+    still = np.hstack([_samples([1.0] * 20)[:, :3], np.full((20, 3), 500.0), np.full((20, 1), 0.9)])
+    assert motion_detector(still) is False
 
 
 def test_motion_detector_spike():

@@ -3,32 +3,46 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from openhealth.core import ActivityLabel, Annotation, GestureLabel, LabeledRecording, SensorSample
+from openhealth.core import ActivityLabel, GestureLabel, LabeledRecording
 from openhealth.pipeline import (
     FEATURES_PER_CHANNEL,
     FFT_BINS,
     extract_feature_matrix,
-    extract_features,
+    majority_label,
     normalize_features,
     segment,
     window_stride,
     windows_to_matrix,
 )
 
-from conftest import make_recording, make_samples, sine_samples
+from conftest import make_recording, make_values, sine_recording
+
+
+def labeled(runs, label_set=ActivityLabel, stretch=0.5):
+    """Recording at 10 ms whose label codes follow runs of (label or None, length)."""
+    codes = np.concatenate([np.full(k, -1 if label is None else label.value) for label, k in runs])
+    n = len(codes)
+    return LabeledRecording(np.arange(n) * 10, make_values(n, stretch), codes, label_set)
+
+
+def features_of(recording, w=128, overlap_fraction=0.5):
+    starts, _ = segment(recording, w, overlap_fraction)
+    return extract_feature_matrix(windows_to_matrix(recording, starts, w))
 
 
 def test_segment_basic_arithmetic():
     rec = make_recording(256)
-    windows = segment(rec, w=128, overlap_fraction=0.5)
-    assert len(windows) == 3
-    assert [w.start_ms for w in windows] == [0, 640, 1280]
-    assert all(len(w.samples) == 128 for w in windows)
+    starts, codes = segment(rec, w=128, overlap_fraction=0.5)
+    assert len(starts) == 3
+    assert rec.t_ms[starts].tolist() == [0, 640, 1280]
+    assert windows_to_matrix(rec, starts, 128).shape == (3, 128, 7)
+    assert codes.tolist() == [ActivityLabel.Walk.value] * 3
 
 
 def test_segment_short_recording_empty():
     rec = make_recording(100)
-    assert segment(rec, w=128) == []
+    starts, codes = segment(rec, w=128)
+    assert len(starts) == 0 and len(codes) == 0
 
 
 def test_segment_count_formula():
@@ -37,7 +51,7 @@ def test_segment_count_formula():
             rec = make_recording(n)
             stride = window_stride(128, overlap)
             expected = (n - 128) // stride + 1
-            assert len(segment(rec, 128, overlap)) == expected, (n, overlap)
+            assert len(segment(rec, 128, overlap)[0]) == expected, (n, overlap)
 
 
 def test_segment_validates_arguments():
@@ -50,57 +64,45 @@ def test_segment_validates_arguments():
 
 def test_majority_label_threshold():
     # 60% Walk / 40% Sit within one window -> Transition (neither >= 75%)
-    samples = make_samples(128)
-    ann = [Annotation(0, samples[76].t_ms + 1, ActivityLabel.Walk),
-           Annotation(samples[77].t_ms, samples[-1].t_ms + 1, ActivityLabel.Sit)]
-    rec = LabeledRecording(samples=samples, annotations=ann)
-    (window,) = segment(rec, w=128)
-    assert window.label is ActivityLabel.Transition
+    rec = labeled([(ActivityLabel.Walk, 77), (ActivityLabel.Sit, 51)])
+    (_,), (code,) = segment(rec, w=128)
+    assert code == ActivityLabel.Transition.value
 
     # 80% Walk / 20% Sit -> Walk
-    ann = [Annotation(0, samples[102].t_ms + 1, ActivityLabel.Walk),
-           Annotation(samples[103].t_ms, samples[-1].t_ms + 1, ActivityLabel.Sit)]
-    rec = LabeledRecording(samples=samples, annotations=ann)
-    (window,) = segment(rec, w=128)
-    assert window.label is ActivityLabel.Walk
+    rec = labeled([(ActivityLabel.Walk, 103), (ActivityLabel.Sit, 25)])
+    (_,), (code,) = segment(rec, w=128)
+    assert code == ActivityLabel.Walk.value
+
+    # exactly 75% is a majority; the unlabeled count is the last entry
+    assert majority_label([0, 0, 0, 0, 0, 96, 0, 32], ActivityLabel) is ActivityLabel.Walk
+    assert majority_label([0, 0, 0, 0, 0, 95, 0, 33], ActivityLabel) is None
 
 
 def test_majority_label_gesture_has_no_transition():
-    samples = make_samples(128, stretch=None)
-    ann = [Annotation(0, samples[63].t_ms + 1, GestureLabel.Up),
-           Annotation(samples[64].t_ms, samples[-1].t_ms + 1, GestureLabel.Down)]
-    rec = LabeledRecording(samples=samples, annotations=ann)
-    (window,) = segment(rec, w=128)
-    assert window.label is None
+    rec = labeled([(GestureLabel.Up, 64), (GestureLabel.Down, 64)], GestureLabel, stretch=None)
+    (_,), (code,) = segment(rec, w=128)
+    assert code == -1
+    assert majority_label([64, 64, 0, 0, 0], GestureLabel) is None
 
 
 def test_partially_unlabeled_window_with_single_annotation():
-    samples = make_samples(128)
-    ann = [Annotation(0, samples[63].t_ms + 1, ActivityLabel.Walk)]  # 50% covered
-    rec = LabeledRecording(samples=samples, annotations=ann)
-    (window,) = segment(rec, w=128)
-    assert window.label is None
+    rec = labeled([(ActivityLabel.Walk, 64), (None, 64)])  # 50% covered
+    (_,), (code,) = segment(rec, w=128)
+    assert code == -1
 
 
 def test_windows_with_time_gaps_are_dropped():
-    samples = make_samples(128) + [
-        SensorSample(t_ms=1270 + 500 + 10 * i, accel=(0, 0, 1), gyro=(0, 0, 0), stretch=0.5)
-        for i in range(128)
-    ]
-    rec = LabeledRecording(samples=samples)
-    windows = segment(rec, w=128, overlap_fraction=0.5)
+    t = np.concatenate([np.arange(128) * 10, 1270 + 500 + 10 * np.arange(128)])
+    rec = LabeledRecording(t, make_values(256))
+    starts, _ = segment(rec, w=128, overlap_fraction=0.5)
     # windows straddling the 500 ms gap vanish; clean ones on both sides stay
-    assert all(
-        max(b.t_ms - a.t_ms for a, b in zip(w.samples, w.samples[1:])) <= 15
-        for w in windows
-    )
-    assert len(windows) == 2
+    windows_t = rec.t_ms[starts[:, None] + np.arange(128)]
+    assert np.diff(windows_t, axis=1).max() <= 15
+    assert len(starts) == 2
 
 
 def test_features_constant_channel():
-    rec = make_recording(128)
-    (window,) = segment(rec, w=128)
-    feats = extract_features(window)
+    (feats,) = features_of(make_recording(128))
     az = 2 * FEATURES_PER_CHANNEL  # channel order ax, ay, az
     assert feats[az + 0] == pytest.approx(1.0)  # mean
     assert feats[az + 1] == pytest.approx(0.0)  # std
@@ -113,10 +115,7 @@ def test_features_pure_sinusoid_bin3_closed_form():
     # Closed-form DFT oracle: x[n] = a*sin(2*pi*3*n/W) has |X_3| = a*W/2,
     # zero elsewhere; features scale by 2/W so feature bin 3 equals a.
     w, a = 128, 0.25
-    samples = sine_samples(w, freq_hz=3 * 100.0 / w, amp=a)
-    rec = LabeledRecording(samples=samples)
-    (window,) = segment(rec, w=w)
-    feats = extract_features(window)
+    (feats,) = features_of(sine_recording(w, freq_hz=3 * 100.0 / w, amp=a), w=w)
     az = 2 * FEATURES_PER_CHANNEL
     bins = feats[az + 4 : az + 4 + FFT_BINS]
     assert bins[2] == pytest.approx(a, abs=1e-9)
@@ -126,9 +125,8 @@ def test_features_pure_sinusoid_bin3_closed_form():
 
 
 def test_features_deterministic_for_identical_windows():
-    rec = make_recording(256)
-    w1, _, w3 = segment(rec, w=128, overlap_fraction=0.5)
-    assert np.array_equal(extract_features(w1), extract_features(w3))
+    f1, _, f3 = features_of(make_recording(256), w=128, overlap_fraction=0.5)
+    assert np.array_equal(f1, f3)
 
 
 def test_features_translation_covariance():
@@ -149,23 +147,23 @@ def test_features_translation_covariance():
 
 def test_features_never_read_outside_window():
     rec_a = make_recording(256)
-    samples_b = list(rec_a.samples[:128]) + [
-        SensorSample(t_ms=s.t_ms, accel=(0.3, 0.1, 0.9), gyro=(5.0, 0, 0), stretch=0.2)
-        for s in rec_a.samples[128:]
-    ]
-    rec_b = LabeledRecording(samples=samples_b)
-    wa = segment(rec_a, w=128, overlap_fraction=0.0)[0]
-    wb = segment(rec_b, w=128, overlap_fraction=0.0)[0]
-    assert np.array_equal(extract_features(wa), extract_features(wb))
+    values_b = rec_a.values.copy()
+    values_b[128:] = (0.3, 0.1, 0.9, 5.0, 0, 0, 0.2)
+    rec_b = LabeledRecording(rec_a.t_ms, values_b)
+    fa = features_of(rec_a, w=128, overlap_fraction=0.0)[0]
+    fb = features_of(rec_b, w=128, overlap_fraction=0.0)[0]
+    assert np.array_equal(fa, fb)
 
 
 def test_feature_matrix_matches_single_window_path(tiny_har_model):
     from openhealth.dataio import generate_synthetic
 
     rec = generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 3000)], 100.0)
-    windows = segment(rec, w=128, overlap_fraction=0.5)
-    batch = extract_feature_matrix(windows_to_matrix(windows))
-    singles = np.stack([extract_features(w) for w in windows])
+    starts, _ = segment(rec, w=128, overlap_fraction=0.5)
+    batch = extract_feature_matrix(windows_to_matrix(rec, starts, 128))
+    singles = np.concatenate([extract_feature_matrix(windows_to_matrix(rec, [s], 128)) for s in starts])
+    stacked = np.stack([rec.values[s : s + 128] for s in starts])
+    assert np.array_equal(windows_to_matrix(rec, starts, 128), stacked)
     assert np.allclose(batch, singles, atol=0, rtol=0)
 
 

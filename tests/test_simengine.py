@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from openhealth.config import load_config, parse_config
@@ -218,9 +217,10 @@ def test_model_driven_classification(tmp_path):
     cfg = load_config(REFERENCE)
     spec = cfg.synthetic["har"]
     rec = generate_synthetic(spec.make_model(3), spec.full_schedule()[:12], 100.0)
-    windows = [w for w in segment(rec, 128, 0.5) if w.label is not None]
-    feats = extract_feature_matrix(windows_to_matrix(windows))
-    labels = np.array([w.label.value for w in windows])
+    starts, codes = segment(rec, 128, 0.5)
+    labeled = codes >= 0
+    feats = extract_feature_matrix(windows_to_matrix(rec, starts[labeled], 128))
+    labels = codes[labeled]
     x, stats = normalize_features(feats)
     from dataclasses import replace
 
@@ -252,19 +252,28 @@ def test_gesture_app_scenario():
     assert replay(trace.lines).passed
 
 
-def test_matrix_motion_agrees_with_firmware_detector():
-    from openhealth.core import SensorSample
-    from openhealth.firmware import motion_detector
-    from openhealth.simengine import _matrix_motion
+def test_oracle_names_top_label_for_gesture_window_without_majority():
+    from openhealth.core import GestureLabel
+    from openhealth.pipeline import majority_label
+    from openhealth.simengine import SimChannel, SimDevice
 
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        accel = rng.normal((0, 0, 1), rng.uniform(0.0, 0.2), (64, 3))
-        matrix = np.hstack([accel, np.zeros((64, 3))])
-        samples = [
-            SensorSample(t_ms=i * 10, accel=tuple(a), gyro=(0, 0, 0)) for i, a in enumerate(accel)
-        ]
-        assert _matrix_motion(matrix) == motion_detector(samples)
+    raw = small_raw(duration_ms=60_000)
+    raw["scenario"]["devices"] = [
+        {"id": 3, "app": "gesture", "clock_offset_ms": 0,
+         "schedule": [["Down", 640], ["Up", 640]], "alert_schedule": []},
+    ]
+    config = parse_config(raw)
+    sim = Simulator(seed=0)
+    device = SimDevice(
+        sim, config.scenario.devices[0], config, config.scenario, SimChannel(sim, config.channel), None
+    )
+    matrix, counts = device._window_samples(0)  # 64 Down samples, then 64 Up
+    assert matrix.shape[0] == 128
+    assert counts == [64, 64, 0, 0, 0]  # per code (Up, Down, Left, Right), unlabeled last
+    # No 75% majority: training and evaluation drop such a window ...
+    assert majority_label(counts, GestureLabel) is None
+    # ... but the oracle must name one: the top count, the lowest code on ties.
+    assert device._classify(matrix, counts) == (GestureLabel.Up, 0.5)
 
 
 def test_sync_times_out_after_three_attempts():

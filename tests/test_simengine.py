@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from openhealth.config import load_config, parse_config
 from openhealth.netproto import frame_nonce, peek_header
 from openhealth.simengine import (
+    TRACE_VERSION,
     Simulator,
     VersionMismatch,
     replay,
@@ -348,3 +350,61 @@ def test_state_machine_cycle_appears_in_trace(small_trace):
     text = ",".join(states)
     assert "Sampling,Processing,Transmitting,Sampling" in text
     assert "Sleep" in states
+
+
+# SHA-256 of the seed-0 trace of lossy_model_raw() below, driven by the model
+# that trained_model_path trains. A deliberate change to the trace bytes bumps
+# TRACE_VERSION and re-pins this digest in the same change.
+LOSSY_MODEL_TRACE_SHA256 = "36d44ef367d6105a4486cc45c0d4962ace7aec93012bf9e63843a33bf5b2240e"
+LOSSY_MODEL_SHA256 = "290a22919954a96f98b2d7f7a418057099f22ecb2771555cc244604bd9f2095b"
+
+
+@pytest.fixture(scope="module")
+def trained_model_path(tmp_path_factory):
+    """An OHM1 model trained for 60 epochs on 12 blocks of the reference corpus."""
+    from dataclasses import replace
+
+    from openhealth.classifier import init_model, save_model, train
+    from openhealth.dataio import generate_synthetic
+    from openhealth.pipeline import extract_feature_matrix, normalize_features, segment, windows_to_matrix
+
+    cfg = load_config(REFERENCE)
+    spec = cfg.synthetic["har"]
+    rec = generate_synthetic(spec.make_model(3), spec.full_schedule()[:12], 100.0)
+    starts, codes = segment(rec, 128, 0.5)
+    labeled = codes >= 0
+    feats = extract_feature_matrix(windows_to_matrix(rec, starts[labeled], 128))
+    x, stats = normalize_features(feats)
+    model = init_model((feats.shape[1], 16, 7), seed=0)
+    model.stats = stats
+    trained, _ = train(model, x, codes[labeled], replace(cfg.train.config, epochs=60))
+    path = tmp_path_factory.mktemp("model") / "har.ohm"
+    save_model(trained, path)
+    return path
+
+
+def lossy_model_raw(model_path):
+    """Two model-driven devices for two minutes on a lossy, corrupting link."""
+    with open(REFERENCE) as f:
+        raw = json.load(f)
+    raw["channel"] = {"latency_ms": [10, 40], "loss_probability": 0.1, "corruption_probability": 0.05}
+    raw["scenario"].update(
+        duration_ms=120_000, report_every_n_windows=1, alert_labels=["Jump"],
+        use_duty_plan=False, model_path=str(model_path),
+    )
+    for device in raw["scenario"]["devices"]:
+        device["schedule"] = [["Walk", 20_000], ["Jump", 15_000], ["Sit", 15_000], ["Stand", 15_000]]
+    return raw
+
+
+def test_lossy_model_trace_digest_pinned(trained_model_path):
+    assert TRACE_VERSION == 1
+    model_digest = hashlib.sha256(trained_model_path.read_bytes()).hexdigest()
+    assert model_digest == LOSSY_MODEL_SHA256, "trained model bytes changed"
+    trace = run_scenario(parse_config(lossy_model_raw(trained_model_path)), seed=0)
+    kinds = [line.split("\t")[1] for line in trace.lines]
+    for kind in ("frame_lost", "frame_corrupt", "frame_reject", "classify", "alert_sent"):
+        assert kind in kinds, f"scenario no longer exercises {kind}"
+    assert replay(trace.lines).passed
+    digest = hashlib.sha256(trace.text().encode("utf-8")).hexdigest()
+    assert digest == LOSSY_MODEL_TRACE_SHA256, "model-driven lossy trace bytes changed"

@@ -43,6 +43,10 @@ class DegenerateDatasetError(ValueError):
     """Training data does not contain at least two classes."""
 
 
+class ModelFormatError(ValueError):
+    """Malformed OHM1/OHQ1 model blob; the message names the byte offset."""
+
+
 @dataclass
 class MlpModel:
     """Weights for a [D, H, C] rectifier network with softmax output."""
@@ -407,9 +411,44 @@ def _pack_f64(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype=float).astype(">f8").tobytes()
 
 
-def _unpack_f64(buf: bytes, offset: int, count: int) -> tuple[np.ndarray, int]:
-    end = offset + 8 * count
+def _take(buf: bytes, offset: int, size: int, what: str) -> int:
+    """End offset of the next field; ModelFormatError if the blob ends first."""
+    end = offset + size
+    if end > len(buf):
+        raise ModelFormatError(
+            f"byte {offset}: blob ends inside the {what} ({size} bytes needed, {len(buf) - offset} left)"
+        )
+    return end
+
+
+def _unpack(fmt: str, buf: bytes, offset: int, what: str) -> tuple:
+    _take(buf, offset, struct.calcsize(fmt), what)
+    return struct.unpack_from(fmt, buf, offset)
+
+
+def _unpack_f64(buf: bytes, offset: int, count: int, what: str) -> tuple[np.ndarray, int]:
+    end = _take(buf, offset, 8 * count, what)
     return np.frombuffer(buf[offset:end], dtype=">f8").astype(float), end
+
+
+def _unpack_header(buf: bytes, magic: bytes, kind: str) -> tuple[int, int, int]:
+    """Layer sizes (d, h, c) from the 18-byte header shared by both blobs."""
+    if buf[:4] != magic:
+        raise ModelFormatError(f"byte 0: not a {kind} blob (bad magic)")
+    version, n_sizes = _unpack(">BB", buf, 4, "header")
+    if version != 1 or n_sizes != 3:
+        raise ModelFormatError(f"byte 4: unsupported {kind} blob version {version}")
+    return _unpack(">3I", buf, 6, "layer sizes")
+
+
+def _unpack_stats(buf: bytes, offset: int, d: int) -> tuple[FeatureStats | None, int]:
+    (has_stats,) = _unpack(">B", buf, offset, "stats flag")
+    offset += 1
+    if not has_stats:
+        return None, offset
+    mean, offset = _unpack_f64(buf, offset, d, "feature means")
+    std, offset = _unpack_f64(buf, offset, d, "feature deviations")
+    return FeatureStats(mean=mean, std=std), offset
 
 
 def model_to_bytes(model: MlpModel) -> bytes:
@@ -428,26 +467,19 @@ def model_to_bytes(model: MlpModel) -> bytes:
 
 
 def model_from_bytes(buf: bytes) -> MlpModel:
-    if buf[:4] != MODEL_MAGIC:
-        raise ValueError("not a model blob (bad magic)")
-    version, n_sizes = struct.unpack(">BB", buf[4:6])
-    if version != 1 or n_sizes != 3:
-        raise ValueError(f"unsupported model blob version {version}")
-    d, h, c = struct.unpack(">3I", buf[6:18])
+    """Decode an OHM1 blob; raises only ModelFormatError."""
+    d, h, c = _unpack_header(buf, MODEL_MAGIC, "model")
     off = 18
-    w1, off = _unpack_f64(buf, off, d * h)
-    b1, off = _unpack_f64(buf, off, h)
-    w2, off = _unpack_f64(buf, off, h * c)
-    b2, off = _unpack_f64(buf, off, c)
-    (has_stats,) = struct.unpack(">B", buf[off : off + 1])
-    off += 1
-    stats = None
-    if has_stats:
-        mean, off = _unpack_f64(buf, off, d)
-        std, off = _unpack_f64(buf, off, d)
-        stats = FeatureStats(mean=mean, std=std)
+    w1, off = _unpack_f64(buf, off, d * h, "layer 1 weights")
+    b1, off = _unpack_f64(buf, off, h, "layer 1 biases")
+    w2, off = _unpack_f64(buf, off, h * c, "layer 2 weights")
+    b2, off = _unpack_f64(buf, off, c, "layer 2 biases")
+    stats, _ = _unpack_stats(buf, off, d)
     model = MlpModel(w1=w1.reshape(d, h), b1=b1, w2=w2.reshape(h, c), b2=b2, stats=stats)
-    model.validate()
+    try:
+        model.validate()
+    except ValueError as exc:
+        raise ModelFormatError(f"byte 18: {exc}") from None
     return model
 
 
@@ -463,27 +495,18 @@ def quantized_to_bytes(qm: QuantizedModel) -> bytes:
 
 
 def quantized_from_bytes(buf: bytes) -> QuantizedModel:
-    if buf[:4] != QUANT_MAGIC:
-        raise ValueError("not a quantized model blob (bad magic)")
-    version, n_sizes = struct.unpack(">BB", buf[4:6])
-    if version != 1 or n_sizes != 3:
-        raise ValueError(f"unsupported quantized blob version {version}")
-    d, h, c = struct.unpack(">3I", buf[6:18])
+    """Decode an OHQ1 blob; raises only ModelFormatError."""
+    d, h, c = _unpack_header(buf, QUANT_MAGIC, "quantized model")
     off = 18
     tensors = []
-    for count in (d * h, h, h * c, c):
-        scale, zp = struct.unpack(">fi", buf[off : off + 8])
+    for k, count in enumerate((d * h, h, h * c, c), start=1):
+        scale, zp = _unpack(">fi", buf, off, f"tensor {k} scale and zero point")
         off += 8
-        q = np.frombuffer(buf[off : off + count], dtype=">i1").astype(np.int8)
-        off += count
+        end = _take(buf, off, count, f"tensor {k} values")
+        q = np.frombuffer(buf[off:end], dtype=">i1").astype(np.int8)
+        off = end
         tensors.append(QuantizedTensor(q=q, scale=float(scale), zero_point=int(zp)))
-    (has_stats,) = struct.unpack(">B", buf[off : off + 1])
-    off += 1
-    stats = None
-    if has_stats:
-        mean, off = _unpack_f64(buf, off, d)
-        std, off = _unpack_f64(buf, off, d)
-        stats = FeatureStats(mean=mean, std=std)
+    stats, _ = _unpack_stats(buf, off, d)
     return QuantizedModel(layer_sizes=(d, h, c), tensors=tensors, stats=stats)
 
 

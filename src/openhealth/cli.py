@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .classifier import (
     DegenerateDatasetError,
+    ModelFormatError,
     evaluate,
     init_model,
     load_model,
@@ -154,7 +155,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     try:
         model = load_model(args.model)
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ModelFormatError) as exc:
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
     try:
         recording = read_dataset(args.data)

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from openhealth.classifier import (
     DegenerateDatasetError,
     EvalReport,
     MlpModel,
+    ModelFormatError,
     TrainConfig,
     ablation_compare,
     evaluate,
@@ -293,6 +297,58 @@ def test_blob_bad_magic():
         model_from_bytes(b"XXXX" + b"\x00" * 40)
     with pytest.raises(ValueError, match="magic"):
         quantized_from_bytes(b"YYYY" + b"\x00" * 40)
+
+
+def _valid_blobs() -> list[bytes]:
+    m = init_model((6, 3, 4), seed=2)
+    with_stats = init_model((6, 3, 4), seed=2)
+    with_stats.stats = FeatureStats(mean=np.arange(6.0), std=np.ones(6))
+    return [
+        model_to_bytes(m), model_to_bytes(with_stats),
+        quantized_to_bytes(quantize_model(m)), quantized_to_bytes(quantize_model(with_stats)),
+    ]
+
+
+@pytest.mark.parametrize("decode", [model_from_bytes, quantized_from_bytes])
+def test_truncated_blob_names_byte_offset(decode):
+    blob = _valid_blobs()[1 if decode is model_from_bytes else 3]
+    for cut in range(len(blob)):
+        with pytest.raises(ModelFormatError, match=r"^byte \d+: "):
+            decode(blob[:cut])
+
+
+def test_non_finite_parameter_is_format_error():
+    blob = bytearray(_valid_blobs()[0])
+    blob[18:26] = struct.pack(">d", float("nan"))  # the first layer-1 weight
+    with pytest.raises(ModelFormatError, match="^byte 18: non-finite"):
+        model_from_bytes(bytes(blob))
+
+
+# Overwrites: raw bytes anywhere, or a big-endian float64 (NaN and infinities
+# included) on a parameter boundary (float64 parameters start at byte 18).
+_EDIT = st.one_of(
+    st.tuples(st.integers(0, 399), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.integers(0, 48).map(lambda k: 18 + 8 * k), st.floats().map(lambda v: struct.pack(">d", v))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    blob=st.sampled_from(_valid_blobs()),
+    cut=st.one_of(st.none(), st.integers(0, 400)),
+    edits=st.lists(_EDIT, max_size=4),
+    tail=st.binary(max_size=16),
+)
+def test_blob_decoders_raise_only_format_errors(blob, cut, edits, tail):
+    data = bytearray(blob[:cut])
+    for pos, chunk in edits:
+        data[pos : pos + len(chunk)] = chunk[: max(0, len(data) - pos)]
+    data += tail
+    for decode in (model_from_bytes, quantized_from_bytes):
+        try:
+            decode(bytes(data))
+        except ModelFormatError:
+            pass
 
 
 def test_split_dataset_deterministic():

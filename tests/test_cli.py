@@ -4,6 +4,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from openhealth.cli import main
 from openhealth.dataio import read_dataset
 
@@ -141,6 +143,19 @@ def test_eval_unlabeled_data_exits_3(tmp_path, capsys):
     code = main(["eval", "--data", str(bare), "--model", str(model)])
     assert code == 3
     assert "labeled" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut", [10, -1])  # inside the layer sizes; at the stats flag
+def test_eval_truncated_model_exits_3(tmp_path, capsys, cut):
+    from openhealth.classifier import init_model, model_to_bytes
+
+    blob = model_to_bytes(init_model((84, 16, 7), seed=0))
+    model = tmp_path / "cut.ohm"
+    model.write_bytes(blob[:cut])
+    code = main(["eval", "--data", str(tmp_path / "unused.csv"), "--model", str(model)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("model error: byte ") and "blob ends inside" in err
 
 
 def test_budget_default_and_storage_claim(tmp_path, capsys):

@@ -11,6 +11,7 @@ runs of equal labels, with the interval convention
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -158,6 +159,16 @@ class LabelSignalModel:
     def signature(self) -> tuple:
         return (self.freq_hz, self.amp_g, self.orientation)
 
+    @cached_property
+    def waveform(self) -> tuple[np.ndarray, float, float]:
+        """The per-label constants of synthesize_signal: unit orientation,
+        angular frequency 2*pi*f, and the gyro swing amplitude."""
+        orient = np.asarray(self.orientation, dtype=float)
+        norm = np.linalg.norm(orient)
+        if norm > 0:
+            orient = orient / norm
+        return orient, 2.0 * np.pi * self.freq_hz, _GYRO_SWING_DPS_PER_G_HZ * self.amp_g * self.freq_hz
+
 
 @dataclass(frozen=True)
 class SyntheticActivityModel:
@@ -188,36 +199,49 @@ class SyntheticActivityModel:
 
 
 def synthesize_signal(
-    sig: LabelSignalModel, t_s: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Evaluate one label's signal model at the given times (seconds).
+    sig: LabelSignalModel, t_s: np.ndarray, rng: np.random.Generator, out: np.ndarray
+) -> np.ndarray:
+    """Evaluate one label's signal model at the given times (seconds) into out.
 
-    Consumes the RNG in a fixed order (accel, gyro, stretch) so callers can
-    build deterministic streams. Values are clipped to sensor full scale.
+    out is an (n, 3), (n, 6) or (n, 7) block, filled in place with the
+    canonical channels it holds: accel (g), gyro (deg/s), stretch. The RNG
+    is drawn in that order -- accel noise (n, 3), gyro noise (n, 3),
+    stretch noise (n,) -- and drawing stops after the block's last column,
+    so a 3-column block draws accel noise only and leaves the stream where
+    a full draw would have reached after accel. A 7-column block needs a
+    label with a stretch channel. Values are clipped to sensor full scale.
+    Returns out.
     """
-    n = len(t_s)
-    orient = np.asarray(sig.orientation, dtype=float)
-    norm = np.linalg.norm(orient)
-    if norm > 0:
-        orient = orient / norm
-    phase = 2.0 * np.pi * sig.freq_hz * t_s
-    osc = sig.amp_g * np.sin(phase)
-    accel = orient[None, :] * (1.0 + osc)[:, None]
-    accel = accel + rng.normal(0.0, sig.noise_sigma, (n, 3))
-    accel = np.clip(accel, -16.0, 16.0)
+    # Each channel group is built in a contiguous temporary and copied in
+    # once: arithmetic on column slices of a wide block is several times slower.
+    orient, omega, swing_amp = sig.waveform
+    phase = omega * t_s
+    accel = orient * (1.0 + sig.amp_g * np.sin(phase))[:, None]
+    accel += rng.normal(0.0, sig.noise_sigma, accel.shape)
+    out[:, :3] = _clip(accel, -16.0, 16.0)
+    if out.shape[1] == 3:
+        return out
 
-    swing = _GYRO_SWING_DPS_PER_G_HZ * sig.amp_g * sig.freq_hz * np.cos(phase)
-    gyro = swing[:, None] * _GYRO_AXIS_WEIGHTS[None, :]
-    gyro = gyro + rng.normal(0.0, _GYRO_NOISE_SCALE * sig.noise_sigma, (n, 3))
-    gyro = np.clip(gyro, -2000.0, 2000.0)
+    gyro = (swing_amp * np.cos(phase))[:, None] * _GYRO_AXIS_WEIGHTS
+    gyro += rng.normal(0.0, _GYRO_NOISE_SCALE * sig.noise_sigma, gyro.shape)
+    out[:, 3:6] = _clip(gyro, -2000.0, 2000.0)
+    if out.shape[1] == 6:
+        return out
 
-    if sig.stretch_base is not None:
-        stretch = sig.stretch_base + sig.stretch_amp * np.sin(phase + np.pi / 4)
-        stretch = stretch + rng.normal(0.0, sig.noise_sigma / 2.0, n)
-        stretch = np.clip(stretch, 0.0, 1.0)
-    else:
-        stretch = None
-    return accel, gyro, stretch
+    if sig.stretch_base is None:
+        raise ValueError("a 7-column block needs a label with a stretch channel")
+    stretch = sig.stretch_base + sig.stretch_amp * np.sin(phase + np.pi / 4)
+    stretch += rng.normal(0.0, sig.noise_sigma / 2.0, len(stretch))
+    out[:, 6] = _clip(stretch, 0.0, 1.0)
+    return out
+
+
+def _clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """np.clip(x, lo, hi) in place; returns x. Equal to it bit for bit on
+    synthesized values: those are never NaN or -0.0 (noise is drawn as
+    0.0 + sigma * z), the only inputs where maximum/minimum and clip differ."""
+    np.maximum(x, lo, out=x)
+    return np.minimum(x, hi, out=x)
 
 
 def generate_synthetic(
@@ -244,24 +268,23 @@ def generate_synthetic(
         raise ValueError("schedule mixes activity and gesture labels")
 
     rng = np.random.default_rng(model.seed)
-    n_channels = 7 if model.has_stretch else 6
-    t_ms, values, codes = [np.empty(0, np.int64)], [np.empty((0, n_channels))], [np.empty(0, np.int64)]
+    sizes = [round(duration_ms * rate_hz / 1000.0) for _, duration_ms in schedule]
+    k = np.arange(sum(sizes))
+    values = np.empty((len(k), 7 if model.has_stretch else 6))
+    codes = np.empty(len(k), dtype=np.int64)
     index = 0
-    for label, duration_ms in schedule:
-        n = round(duration_ms * rate_hz / 1000.0)
+    for (label, _), n in zip(schedule, sizes):
         if n == 0:
             continue
-        k = index + np.arange(n)
-        accel, gyro, stretch = synthesize_signal(model.signals[label], k / rate_hz, rng)
-        t_ms.append(np.floor(k * 1000.0 / rate_hz).astype(np.int64))
-        values.append(np.column_stack([accel, gyro] if stretch is None else [accel, gyro, stretch]))
-        codes.append(np.full(n, label.value, dtype=np.int64))
+        run = slice(index, index + n)
+        synthesize_signal(model.signals[label], k[run] / rate_hz, rng, values[run])
+        codes[run] = label.value
         index += n
 
     return LabeledRecording(
-        t_ms=np.concatenate(t_ms),
-        values=np.concatenate(values),
-        codes=np.concatenate(codes),
+        t_ms=np.floor(k * 1000.0 / rate_hz).astype(np.int64),
+        values=values,
+        codes=codes,
         label_set=label_sets.pop() if label_sets else None,
     )
 

@@ -77,6 +77,12 @@ def step_state_machine(state: PowerState, event: DeviceEvent) -> StepResult:
     return StepResult(state=new_state, actions=(action,), noop=False)
 
 
+def next_state(state: PowerState, event: DeviceEvent) -> PowerState | None:
+    """The state step_state_machine moves to, or None for a no-op."""
+    hit = _TRANSITIONS.get((state, event))
+    return None if hit is None else hit[0]
+
+
 def motion_detector(values: np.ndarray, threshold_g: float = MOTION_THRESHOLD_G) -> bool:
     """True iff |accel| deviates from 1 g by more than the threshold anywhere.
 
@@ -85,8 +91,9 @@ def motion_detector(values: np.ndarray, threshold_g: float = MOTION_THRESHOLD_G)
     """
     if len(values) < 2:
         raise ValueError("motion detection needs at least 2 samples")
-    mags = np.linalg.norm(values[:, :3], axis=1)
-    return bool(np.max(np.abs(mags - 1.0)) > threshold_g)
+    accel = values[:, :3]
+    mags = np.sqrt(np.add.reduce(accel * accel, axis=1))  # np.linalg.norm's own arithmetic
+    return bool(np.abs(mags - 1.0).max() > threshold_g)
 
 
 def state_power_mw(profile: DeviceProfile, app: str, state: PowerState) -> float:
@@ -153,29 +160,49 @@ def account_energy(
     share = sum(dwell.values())
     if not math.isclose(share, 1.0, abs_tol=1e-9):
         raise ValueError(f"dwell fractions must sum to 1, got {share}")
-    dt_h = dt_ms / 3_600_000.0
     harvest_mw = energy.mppt_efficiency * energy.harvest_power_mw(t_ms)
     consumption_mw = sum(
         state_power_mw(profile, app, state) * frac for state, frac in dwell.items()
     )
-    net_mw = harvest_mw - consumption_mw
-    eff = energy.charge_efficiency if net_mw >= 0 else 1.0
-    net_mwh = net_mw * eff * dt_h
-
-    raw = energy.battery_mwh + net_mwh
-    new_level = min(max(raw, 0.0), energy.capacity_mwh)
-    curtailed = max(0.0, raw - energy.capacity_mwh)
-    shortfall = max(0.0, -raw)
+    new_level, net_mwh, curtailed, shortfall, harvest_mwh, consumed_mwh = energy_step(
+        energy.battery_mwh, energy.capacity_mwh, energy.charge_efficiency, harvest_mw, consumption_mw, dt_ms
+    )
     delta = EnergyDelta(
         net_mwh=net_mwh,
         applied_mwh=new_level - energy.battery_mwh,
         curtailed_mwh=curtailed,
         shortfall_mwh=shortfall,
-        harvest_mwh=harvest_mw * dt_h,
-        consumed_mwh=consumption_mw * dt_h,
+        harvest_mwh=harvest_mwh,
+        consumed_mwh=consumed_mwh,
     )
     depleted = new_level <= 0.0
     return replace(energy, battery_mwh=new_level), delta, depleted
+
+
+def energy_step(
+    battery_mwh: float,
+    capacity_mwh: float,
+    charge_efficiency: float,
+    harvest_mw: float,
+    consumption_mw: float,
+    dt_ms: int,
+) -> tuple[float, float, float, float, float, float]:
+    """The energy rule: dt_ms at constant post-MPPT harvest and consumption.
+
+    Returns (new battery level, net, curtailed, shortfall, harvested,
+    consumed), all in mWh; depleted means a new level <= 0. Charging
+    applies charge_efficiency; discharging is taken at face value.
+    """
+    dt_h = dt_ms / 3_600_000.0
+    net_mw = harvest_mw - consumption_mw
+    eff = charge_efficiency if net_mw >= 0 else 1.0
+    net_mwh = net_mw * eff * dt_h
+    raw = battery_mwh + net_mwh
+    new_level = min(max(raw, 0.0), capacity_mwh)
+    return (
+        new_level, net_mwh, max(0.0, raw - capacity_mwh), max(0.0, -raw),
+        harvest_mw * dt_h, consumption_mw * dt_h,
+    )
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from dataclasses import dataclass, field, replace as dc_replace
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -36,10 +37,12 @@ from .firmware import (
     EnergyState,
     PowerState,
     SLOT_MS,
-    account_energy,
+    SLOTS_PER_DAY,
+    energy_step,
     motion_detector,
+    next_state,
     plan_duty_cycle,
-    step_state_machine,
+    state_power_mw,
 )
 from .netproto import (
     AppId,
@@ -93,8 +96,7 @@ class Simulator:
         self._tie += 1
 
     def emit(self, kind: str, entity: str, *details) -> None:
-        parts = [str(self.now), kind, entity, *[str(d) for d in details]]
-        self.lines.append("\t".join(parts))
+        self.lines.append("\t".join(map(str, (self.now, kind, entity, *details))))
 
     def run(self, until_ms: int) -> None:
         while self._heap and self._heap[0][0] <= until_ms:
@@ -148,18 +150,14 @@ class SimHost:
         self.devices: dict[int, "SimDevice"] = {}
 
     def receive(self, frame: bytes) -> None:
-        try:
-            _, type_value, device_id, seq, _ = peek_header(frame)
-            kind = FrameType(type_value).name
-        except ProtocolError:
-            self.sim.emit("frame_reject", "host", -1, "truncated")
-            return
         result = self.gateway.step(self.sim.now, [frame])
         if result.rejects:
             for dev, code in result.rejects:
                 self.sim.emit("frame_reject", "host", dev, code)
         else:
-            self.sim.emit("frame_rx", "host", kind, device_id, seq)
+            # Named only once accepted: a damaged header is the gateway's to reject.
+            _, type_value, device_id, seq, _ = peek_header(frame)
+            self.sim.emit("frame_rx", "host", FrameType(type_value).name, device_id, seq)
         for obs in result.observations:
             self.sim.emit(
                 "observation", "host", obs.device_id, obs.corrected_t_ms,
@@ -227,20 +225,28 @@ class SimDevice:
         )
 
         self.blocks = self._tile_blocks(spec.schedule, scenario.duration_ms)
+        self.block_ends = [end for _, end, _ in self.blocks]
+        self.sample_offsets_ms = np.arange(self.window) * self.period_ms
         self.signals = config.synthetic[spec.app].signals
+        self.channels = 6 if next(iter(self.signals.values())).stretch_base is None else 7
 
         e = config.energy
-        self.energy = EnergyState(
+        energy = EnergyState(
             battery_mwh=e.battery_initial_mwh,
             capacity_mwh=e.battery_capacity_mwh,
-            harvest_power_mw=self._harvest_at,
+            harvest_power_mw=lambda t_ms: 0.0,  # only the battery figures are read below
             mppt_efficiency=e.mppt_efficiency,
             charge_efficiency=e.charge_efficiency,
         )
+        self.battery_mwh = energy.battery_mwh
+        self.capacity_mwh = energy.capacity_mwh
+        self.charge_efficiency = energy.charge_efficiency
+        self.harvest_mw = [energy.mppt_efficiency * h for h in e.harvest_profile_mw]  # post-MPPT, per hour slot
+        self.power_mw = {state: state_power_mw(self.profile, self.app, state) for state in PowerState}
         self.duty_plan: DutyPlan | None = None
         if scenario.use_duty_plan:
             self.duty_plan = plan_duty_cycle(
-                list(e.harvest_profile_mw), self.profile, self.app, self.energy, e.reserve_fraction
+                list(e.harvest_profile_mw), self.profile, self.app, energy, e.reserve_fraction
             )
 
         self.state = PowerState.Sleep
@@ -282,10 +288,9 @@ class SimDevice:
         return blocks
 
     def start(self) -> None:
-        cap = self.energy.capacity_mwh
         self.sim.emit(
             "device_init", self.name, self.app,
-            f"{self.energy.battery_mwh:.9f}", f"{cap:.9f}", self.spec.clock_offset_ms,
+            f"{self.battery_mwh:.9f}", f"{self.capacity_mwh:.9f}", self.spec.clock_offset_ms,
         )
         if self.duty_plan is not None:
             self.sim.emit(
@@ -315,57 +320,49 @@ class SimDevice:
     def device_clock(self, t_ms: int) -> int:
         return max(0, t_ms + self.spec.clock_offset_ms)
 
-    def _harvest_at(self, t_ms: int) -> float:
-        profile = self.config.energy.harvest_profile_mw
-        return profile[(t_ms // SLOT_MS) % 24]
+    def _block_runs(self, t_ms: np.ndarray) -> list[tuple[int, int, Label]]:
+        """Split sample times into runs of one schedule block: (i, j, label).
 
-    def _block_at(self, t_ms: int):
-        lo, hi = 0, len(self.blocks) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.blocks[mid][0] <= t_ms:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.blocks[lo]
+        A sample belongs to the block whose [start, end) holds its integer
+        millisecond. A sample at or past the scenario end is a run of its
+        own, labelled as the last block.
+        """
+        ends = self.block_ends
+        first = bisect_right(ends, int(t_ms[0]))
+        if first < len(ends) and int(t_ms[-1]) < ends[first]:  # most windows: one block
+            return [(0, len(t_ms), self.blocks[first][2])]
+        keys = np.searchsorted(ends, t_ms.astype(np.int64), side="right")
+        last = len(self.blocks) - 1
+        if keys[-1] > last:
+            keys = keys + np.cumsum(keys > last)
+        bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+        return [
+            (i, j, self.blocks[min(int(keys[i]), last)][2]) for i, j in zip(bounds[:-1], bounds[1:])
+        ]
 
-    def _window_samples(self, start_ms: int):
+    def _window_samples(self, start_ms: int, columns: int | None = None):
         """Synthesize the W samples of the window beginning at start_ms.
 
         Seeded by (scenario seed, device, window start) so the stream does
         not depend on event ordering. Windows may span schedule blocks;
-        samples are drawn per block run in time order. Returns the (W, C)
-        sample matrix and the per-code label counts majority_label takes.
+        samples are drawn per block run in time order. Only the first
+        `columns` channels are synthesized (all by default): the last run
+        stops drawing there, earlier runs draw every channel so that later
+        runs see the same stream. Returns the (W, columns) sample matrix and
+        the per-code label counts majority_label takes.
         """
         rng = _window_rng(self.sim.seed, self.spec.device_id, start_ms)
-        idx = np.arange(self.window)
-        t_ms = start_ms + idx * self.period_ms
+        t_ms = start_ms + self.sample_offsets_ms
         t_s = t_ms / 1000.0
+        columns = columns or self.channels
         counts = [0] * (len(self.label_set) + 1)
-        accel = np.empty((self.window, 3))
-        gyro = np.empty((self.window, 3))
-        stretch_parts: list[np.ndarray | None] = []
-        i = 0
-        while i < self.window:
-            block = self._block_at(min(int(t_ms[i]), self.scenario.duration_ms - 1))
-            j = i
-            while j < self.window and int(t_ms[j]) < block[1]:
-                j += 1
-            j = max(j, i + 1)
-            label = block[2]
-            sig = self.signals[label]
-            a, g, s = synthesize_signal(sig, t_s[i:j], rng)
-            accel[i:j] = a
-            gyro[i:j] = g
-            stretch_parts.append(s)
+        runs = self._block_runs(t_ms)
+        matrix = np.empty((self.window, columns if len(runs) == 1 else self.channels))
+        for k, (i, j, label) in enumerate(runs):
+            width = columns if k == len(runs) - 1 else self.channels
+            synthesize_signal(self.signals[label], t_s[i:j], rng, matrix[i:j, :width])
             counts[label.value] += j - i
-            i = j
-        if stretch_parts[0] is not None:
-            stretch = np.concatenate(stretch_parts)
-            matrix = np.hstack([accel, gyro, stretch[:, None]])
-        else:
-            matrix = np.hstack([accel, gyro])
-        return matrix, counts
+        return matrix[:, :columns], counts
 
     def _classify(self, matrix: np.ndarray, counts: list[int]) -> tuple[Label, float]:
         if self.model is None:
@@ -389,22 +386,22 @@ class SimDevice:
         """Integrate energy in the current state up to to_ms, split per hour slot."""
         t = self.last_account_ms
         while t < to_ms:
-            slot_end = (t // SLOT_MS + 1) * SLOT_MS
-            piece_end = min(slot_end, to_ms)
+            slot = t // SLOT_MS
+            piece_end = min((slot + 1) * SLOT_MS, to_ms)
             dt = piece_end - t
-            self.energy, delta, depleted = account_energy(
-                {self.state: 1.0}, self.profile, self.app, self.energy, t, dt
+            self.battery_mwh, net, curtailed, shortfall, harvest, consumed = energy_step(
+                self.battery_mwh, self.capacity_mwh, self.charge_efficiency,
+                self.harvest_mw[slot % SLOTS_PER_DAY], self.power_mw[self.state], dt,
             )
-            self.net_cum += delta.net_mwh
-            self.curtailed_cum += delta.curtailed_mwh
-            self.shortfall_cum += delta.shortfall_mwh
-            self.harvest_cum += delta.harvest_mwh
-            self.consumed_cum += delta.consumed_mwh
+            self.net_cum += net
+            self.curtailed_cum += curtailed
+            self.shortfall_cum += shortfall
+            self.harvest_cum += harvest
+            self.consumed_cum += consumed
             if self.state is not PowerState.Sleep:
-                slot = t // SLOT_MS
                 self.slot_active_ms[slot] = self.slot_active_ms.get(slot, 0.0) + dt
             t = piece_end
-            if depleted and not self.depleted:
+            if self.battery_mwh <= 0.0 and not self.depleted:
                 self.depleted = True
                 self.last_account_ms = t
                 self.sim.emit("battery_depleted", self.name)
@@ -413,13 +410,12 @@ class SimDevice:
 
     def _consume_impulse(self, mwh: float) -> None:
         """One-off transmit burst outside the cycle dwell accounting."""
-        raw = self.energy.battery_mwh - mwh
-        new_level = max(raw, 0.0)
+        raw = self.battery_mwh - mwh
+        self.battery_mwh = max(raw, 0.0)
         self.shortfall_cum += max(0.0, -raw)
         self.net_cum -= mwh
         self.consumed_cum += mwh
-        self.energy = dc_replace(self.energy, battery_mwh=new_level)
-        if new_level <= 0.0 and not self.depleted:
+        if self.battery_mwh <= 0.0 and not self.depleted:
             self.depleted = True
             self.sim.emit("battery_depleted", self.name)
             self._force_sleep()
@@ -427,7 +423,7 @@ class SimDevice:
     def _emit_energy(self) -> None:
         self.sim.emit(
             "energy", self.name,
-            f"{self.energy.battery_mwh:.9f}", f"{self.net_cum:.9f}",
+            f"{self.battery_mwh:.9f}", f"{self.net_cum:.9f}",
             f"{self.curtailed_cum:.9f}", f"{self.shortfall_cum:.9f}",
             f"{self.harvest_cum:.9f}", f"{self.consumed_cum:.9f}",
         )
@@ -438,7 +434,7 @@ class SimDevice:
         self._emit_energy()
 
     def _maybe_recover(self) -> None:
-        if self.depleted and self.energy.battery_mwh >= BATTERY_RECOVERY_FRACTION * self.energy.capacity_mwh:
+        if self.depleted and self.battery_mwh >= BATTERY_RECOVERY_FRACTION * self.capacity_mwh:
             self.depleted = False
             self.sim.emit("battery_recovered", self.name)
 
@@ -449,23 +445,19 @@ class SimDevice:
     # -- state machine ------------------------------------------------------------
 
     def _transition(self, event: DeviceEvent) -> bool:
-        result = step_state_machine(self.state, event)
-        if result.noop:
+        state = next_state(self.state, event)
+        if state is None:
             self.sim.emit("device_noop", self.name, self.state.value, event.value)
             return False
-        self.state = result.state
-        self.sim.emit(
-            "device_state", self.name, self.state.value, f"{self.energy.battery_mwh:.6f}"
-        )
+        self.state = state
+        self.sim.emit("device_state", self.name, state.value, f"{self.battery_mwh:.6f}")
         return True
 
     def _force_sleep(self) -> None:
         self.cycle_gen += 1
         if self.state is not PowerState.Sleep:
             self.state = PowerState.Sleep
-            self.sim.emit(
-                "device_state", self.name, self.state.value, f"{self.energy.battery_mwh:.6f}"
-            )
+            self.sim.emit("device_state", self.name, self.state.value, f"{self.battery_mwh:.6f}")
 
     # -- duty gating -----------------------------------------------------------------
 
@@ -495,7 +487,7 @@ class SimDevice:
             self.sim.schedule(self.sim.now + self.window_ms, lambda: self._window_done(gen))
 
     def _probe_motion(self) -> bool:
-        matrix, _ = self._window_samples(self.sim.now)
+        matrix, _ = self._window_samples(self.sim.now, columns=3)
         return motion_detector(matrix)
 
     def _window_done(self, gen: int) -> None:
@@ -505,7 +497,8 @@ class SimDevice:
         if self.depleted:
             return
         start_ms = self.sim.now - self.window_ms
-        matrix, counts = self._window_samples(start_ms)
+        # The oracle reads only the label counts, so it needs accel alone for motion.
+        matrix, counts = self._window_samples(start_ms, columns=3 if self.model is None else None)
         if motion_detector(matrix):
             self.last_motion_ms = self.sim.now
         label, confidence = self._classify(matrix, counts)
@@ -796,8 +789,10 @@ def trace_metrics(lines: list[str]) -> dict:
 
     for line in lines:
         parts = line.split("\t")
-        t = int(parts[0])
         kind, entity = parts[1], parts[2]
+        if kind == "device_state":  # most lines; nothing here counts them
+            continue
+        t = int(parts[0])
         if kind == "scenario":
             duration = int(parts[3])
             seed = int(parts[5])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from openhealth.config import load_config, parse_config
@@ -276,6 +277,82 @@ def test_oracle_names_top_label_for_gesture_window_without_majority():
     assert majority_label(counts, GestureLabel) is None
     # ... but the oracle must name one: the top count, the lowest code on ties.
     assert device._classify(matrix, counts) == (GestureLabel.Up, 0.5)
+
+
+def test_host_rejects_unassigned_frame_type_without_raising():
+    from openhealth.netproto import FrameType, HostGateway, encode_frame
+    from openhealth.simengine import SimChannel, SimHost
+
+    config = small_config()
+    key = config.protocol.key
+    sim = Simulator(seed=0)
+    sim.emit("trace_version", "sim", TRACE_VERSION)
+    host = SimHost(sim, HostGateway({1: key}, clock=lambda: sim.now), SimChannel(sim, config.channel))
+    frame = bytearray(encode_frame(FrameType.DATA, 1, 1, b"\x00" * 12, key))
+    frame[1] = 0x03 ^ 0x80  # a flipped type bit: no FrameType has this value
+    host.receive(bytes(frame))
+    assert sim.lines[1].split("\t")[1:5] == ["frame_reject", "host", "1", "auth_failure"]
+    assert len(sim.lines) == 2
+    assert replay(sim.lines).passed
+
+
+def _window_device(app="har", rate_hz=100, schedule=None, duration_ms=60_000):
+    from openhealth.simengine import SimChannel, SimDevice
+
+    raw = small_raw(duration_ms=duration_ms)
+    raw["device_profile"]["sample_rate_hz"] = rate_hz
+    if schedule is not None:
+        raw["scenario"]["devices"][0].update(app=app, schedule=schedule, alert_schedule=[])
+    config = parse_config(raw)
+    sim = Simulator(seed=5)
+    return SimDevice(sim, config.scenario.devices[0], config, config.scenario, SimChannel(sim, config.channel), None)
+
+
+def _scalar_block_runs(device, start_ms):
+    """The per-sample scan that _block_runs replaces, kept as its reference."""
+    t_ms = start_ms + np.arange(device.window) * device.period_ms
+    last_ms = device.scenario.duration_ms - 1
+    runs, i = [], 0
+    while i < device.window:
+        block = [b for b in device.blocks if b[0] <= min(int(t_ms[i]), last_ms)][-1]
+        j = i
+        while j < device.window and int(t_ms[j]) < block[1]:
+            j += 1
+        j = max(j, i + 1)
+        runs.append((i, j, block[2]))
+        i = j
+    return runs
+
+
+@pytest.mark.parametrize("rate_hz", [100, 30])  # 30 Hz: a non-integer sample period
+def test_block_runs_and_counts_match_scalar_scan(rate_hz):
+    schedule = [["Walk", 1_000], ["Sit", 2_500], ["Jump", 700], ["Walk", 3_000], ["LieDown", 2_800]]
+    device = _window_device(rate_hz=rate_hz, schedule=schedule, duration_ms=15_000)
+    straddled = {"boundary": 0, "end": 0}
+    for start_ms in range(0, 15_000, 97):  # windows reach up to ~4 s past the scenario end
+        t_ms = start_ms + np.arange(device.window) * device.period_ms
+        expected = _scalar_block_runs(device, start_ms)
+        assert device._block_runs(t_ms) == expected, start_ms
+        counts = [0] * (len(device.label_set) + 1)
+        for i, j, label in expected:
+            counts[label.value] += j - i
+        assert device._window_samples(start_ms, columns=3)[1] == counts
+        straddled["boundary"] += len({label for _, _, label in expected}) > 1
+        straddled["end"] += t_ms[-1] >= 15_000
+    assert straddled["boundary"] > 10 and straddled["end"] > 10
+
+
+# (window start, block runs): single-run windows, one spanning three blocks,
+# and one whose last 68 samples lie past the scenario end (a run each).
+@pytest.mark.parametrize("start_ms, n_runs", [(0, 1), (5_000, 1), (9_900, 3), (19_400, 69)])
+def test_accel_only_window_matches_full_synthesis(start_ms, n_runs):
+    device = _window_device(schedule=[["Walk", 10_000], ["Jump", 500], ["Sit", 9_500]], duration_ms=20_000)
+    assert len(device._block_runs(start_ms + device.sample_offsets_ms)) == n_runs
+    full, full_counts = device._window_samples(start_ms)
+    accel, counts = device._window_samples(start_ms, columns=3)
+    assert full.shape == (128, 7) and accel.shape == (128, 3)
+    assert accel.tobytes() == np.ascontiguousarray(full[:, :3]).tobytes()
+    assert counts == full_counts
 
 
 def test_sync_times_out_after_three_attempts():

@@ -441,14 +441,13 @@ def _unpack_header(buf: bytes, magic: bytes, kind: str) -> tuple[int, int, int]:
     return _unpack(">3I", buf, 6, "layer sizes")
 
 
-def _unpack_stats(buf: bytes, offset: int, d: int) -> tuple[FeatureStats | None, int]:
+def _unpack_stats(buf: bytes, offset: int, d: int) -> FeatureStats | None:
     (has_stats,) = _unpack(">B", buf, offset, "stats flag")
-    offset += 1
     if not has_stats:
-        return None, offset
-    mean, offset = _unpack_f64(buf, offset, d, "feature means")
-    std, offset = _unpack_f64(buf, offset, d, "feature deviations")
-    return FeatureStats(mean=mean, std=std), offset
+        return None
+    mean, offset = _unpack_f64(buf, offset + 1, d, "feature means")
+    std, _ = _unpack_f64(buf, offset, d, "feature deviations")
+    return FeatureStats(mean=mean, std=std)
 
 
 def model_to_bytes(model: MlpModel) -> bytes:
@@ -474,7 +473,7 @@ def model_from_bytes(buf: bytes) -> MlpModel:
     b1, off = _unpack_f64(buf, off, h, "layer 1 biases")
     w2, off = _unpack_f64(buf, off, h * c, "layer 2 weights")
     b2, off = _unpack_f64(buf, off, c, "layer 2 biases")
-    stats, _ = _unpack_stats(buf, off, d)
+    stats = _unpack_stats(buf, off, d)
     model = MlpModel(w1=w1.reshape(d, h), b1=b1, w2=w2.reshape(h, c), b2=b2, stats=stats)
     try:
         model.validate()
@@ -506,7 +505,7 @@ def quantized_from_bytes(buf: bytes) -> QuantizedModel:
         q = np.frombuffer(buf[off:end], dtype=">i1").astype(np.int8)
         off = end
         tensors.append(QuantizedTensor(q=q, scale=float(scale), zero_point=int(zp)))
-    stats, _ = _unpack_stats(buf, off, d)
+    stats = _unpack_stats(buf, off, d)
     return QuantizedModel(layer_sizes=(d, h, c), tensors=tensors, stats=stats)
 
 

@@ -244,7 +244,10 @@ def cmd_simulate(args) -> int:
     if config.scenario is None:
         raise CliError("config has no scenario section", EXIT_CONFIG)
     seed = _resolve_seed(args.seed)
-    trace = run_scenario(config, seed)
+    try:
+        trace = run_scenario(config, seed)
+    except (FileNotFoundError, ModelFormatError) as exc:  # scenario.model_path
+        raise CliError(f"model error: {exc}", EXIT_DATA) from None
     write_trace(trace, args.trace)
     metrics_path = args.metrics or (str(Path(args.trace).with_suffix("")) + "_metrics.json")
     write_metrics(trace, metrics_path)

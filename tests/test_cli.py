@@ -158,6 +158,22 @@ def test_eval_truncated_model_exits_3(tmp_path, capsys, cut):
     assert err.startswith("model error: byte ") and "blob ends inside" in err
 
 
+@pytest.mark.parametrize("blob", [b"OHM1\x01\x03\x00", None])  # truncated; missing file
+def test_simulate_bad_model_path_exits_3(tmp_path, capsys, blob):
+    model = tmp_path / "scenario.ohm"
+    if blob is not None:
+        model.write_bytes(blob)
+
+    def use_model(raw):
+        raw["scenario"].update(duration_ms=60_000, model_path=str(model))
+
+    config = write_config(tmp_path, mutate=use_model)
+    code = main(["simulate", "--config", str(config), "--trace", str(tmp_path / "t.trace")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("model error: ")
+    assert not (tmp_path / "t.trace").exists()
+
+
 def test_budget_default_and_storage_claim(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["budget", "--config", str(config)]) == 0

@@ -296,13 +296,12 @@ def test_host_rejects_unassigned_frame_type_without_raising():
     assert replay(sim.lines).passed
 
 
-def _window_device(app="har", rate_hz=100, schedule=None, duration_ms=60_000):
+def _window_device(schedule, duration_ms, rate_hz=100):
     from openhealth.simengine import SimChannel, SimDevice
 
     raw = small_raw(duration_ms=duration_ms)
     raw["device_profile"]["sample_rate_hz"] = rate_hz
-    if schedule is not None:
-        raw["scenario"]["devices"][0].update(app=app, schedule=schedule, alert_schedule=[])
+    raw["scenario"]["devices"][0].update(schedule=schedule, alert_schedule=[])
     config = parse_config(raw)
     sim = Simulator(seed=5)
     return SimDevice(sim, config.scenario.devices[0], config, config.scenario, SimChannel(sim, config.channel), None)
@@ -327,7 +326,7 @@ def _scalar_block_runs(device, start_ms):
 @pytest.mark.parametrize("rate_hz", [100, 30])  # 30 Hz: a non-integer sample period
 def test_block_runs_and_counts_match_scalar_scan(rate_hz):
     schedule = [["Walk", 1_000], ["Sit", 2_500], ["Jump", 700], ["Walk", 3_000], ["LieDown", 2_800]]
-    device = _window_device(rate_hz=rate_hz, schedule=schedule, duration_ms=15_000)
+    device = _window_device(schedule, 15_000, rate_hz)
     straddled = {"boundary": 0, "end": 0}
     for start_ms in range(0, 15_000, 97):  # windows reach up to ~4 s past the scenario end
         t_ms = start_ms + np.arange(device.window) * device.period_ms
@@ -346,7 +345,7 @@ def test_block_runs_and_counts_match_scalar_scan(rate_hz):
 # and one whose last 68 samples lie past the scenario end (a run each).
 @pytest.mark.parametrize("start_ms, n_runs", [(0, 1), (5_000, 1), (9_900, 3), (19_400, 69)])
 def test_accel_only_window_matches_full_synthesis(start_ms, n_runs):
-    device = _window_device(schedule=[["Walk", 10_000], ["Jump", 500], ["Sit", 9_500]], duration_ms=20_000)
+    device = _window_device([["Walk", 10_000], ["Jump", 500], ["Sit", 9_500]], 20_000)
     assert len(device._block_runs(start_ms + device.sample_offsets_ms)) == n_runs
     full, full_counts = device._window_samples(start_ms)
     accel, counts = device._window_samples(start_ms, columns=3)

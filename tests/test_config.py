@@ -111,3 +111,187 @@ def test_scenario_optional():
     del raw["scenario"]
     config = parse_config(raw)
     assert config.scenario is None
+
+
+# --- pinned parse behaviour --------------------------------------------------
+
+_DELETE = object()
+_HAR = ("synthetic_models", "har")
+_WALK = _HAR + ("labels", "Walk")
+_DEV = ("scenario", "devices", 0)
+
+# Each case: edits to the reference document, then the exact sorted error list.
+MALFORMED = [
+    ([(("devicez",), {})], ["devicez: unknown key"]),
+    ([(("train",), [])], ["train: expected an object"]),
+    ([(("device_profile", "cpu_ghz"), 1)], ["device_profile.cpu_ghz: unknown key"]),
+    ([(("device_profile", "sram_bytes"), "20K")], ["device_profile.sram_bytes: expected a number, got str"]),
+    ([(("device_profile", "flash_bytes"), 1.5)], ["device_profile.flash_bytes: expected an integer"]),
+    ([(("device_profile", "p_sleep_mw"), 0)], ["device_profile.p_sleep_mw: must be >= 1e-09"]),
+    ([(("pipeline", "stride"), 64)], ["pipeline.stride: unknown key"]),
+    ([(("pipeline", "channels"), "ax")], ["pipeline.channels: expected a list of channel names"]),
+    ([(("pipeline", "window"), None)], ["pipeline.window: expected a number, got NoneType"]),
+    ([(("pipeline", "window"), 8)], ["pipeline.window: must be >= 16"]),
+    ([(("pipeline", "overlap"), 1.0)], ["pipeline.overlap: must be <= 0.999"]),
+    ([(("train", "learning_rat"), 0.1)], ["train.learning_rat: unknown key"]),
+    ([(("train", "patience"), "5")], ["train.patience: expected a number, got str"]),
+    ([(("train", "patience"), 0)], ["train.patience: must be >= 1"]),
+    ([(("train", "momentum"), -0.1)], ["train.momentum: must be >= 0.0"]),
+    ([(("train", "split_fraction"), 1.0)], ["train.split_fraction: must be <= 0.99"]),
+    ([(("train", "hidden"), 0)], ["train.hidden: must be >= 1"]),
+    ([(("synthetic_models", "ecg"), {})], ["synthetic_models.ecg: unknown key"]),
+    ([(_HAR, "har")], ["synthetic_models.har: expected an object"]),
+    ([(_HAR + ("labelz",), {})], ["synthetic_models.har.labelz: unknown key"]),
+    ([(_HAR + ("labels",), _DELETE)], ["synthetic_models.har.labels: expected a non-empty label map"]),
+    (
+        [(_HAR + ("labels", "Flying"), {})],
+        ["synthetic_models.har.labels.Flying: unknown label 'Flying' for this application"],
+    ),
+    (
+        [(_WALK, 2.0)],
+        [
+            "synthetic_models.har.labels.Walk: expected a parameter object",
+            "synthetic_models.har.schedule: labels without signal models: ['Walk']",
+        ],
+    ),
+    ([(_HAR + ("repeat",), "11")], ["synthetic_models.har.repeat: expected a number, got str"]),
+    ([(_HAR + ("repeat",), 0)], ["synthetic_models.har.repeat: must be >= 1"]),
+    (
+        [(_HAR + ("schedule", 0, 1), 0)],
+        ["synthetic_models.har.schedule[0]: duration_ms must be a positive integer"],
+    ),
+    ([(_HAR + ("schedule", 0), ["Walk"])], ["synthetic_models.har.schedule[0]: expected [label, duration_ms]"]),
+    ([(_WALK + ("phase",), 0.0)], ["synthetic_models.har.labels.Walk.phase: unknown key"]),
+    ([(_WALK + ("orientation",), [0, 1])], ["synthetic_models.har.labels.Walk.orientation: expected a 3-number list"]),
+    ([(_WALK + ("orientation",), _DELETE)], ["synthetic_models.har.labels.Walk.orientation: expected a 3-number list"]),
+    ([(_WALK + ("freq_hz",), -1)], ["synthetic_models.har.labels.Walk.freq_hz: must be >= 0.0"]),
+    ([(_WALK + ("amp_g",), "big")], ["synthetic_models.har.labels.Walk.amp_g: expected a number, got str"]),
+    (
+        [(_WALK + ("stretch_base",), 1.5)],
+        [
+            "synthetic_models.har.labels.Walk.stretch_base: must be <= 1.0",
+            "synthetic_models.har.labels: stretch channel must be present for all labels or none",
+        ],
+    ),
+    (
+        [(_WALK + ("orientation",), [0, 0, 1]), (_WALK + ("freq_hz",), 3.9), (_WALK + ("amp_g",), 0.8)],
+        ["synthetic_models.har.labels: labels Jump and Walk share signal signature (3.9, 0.8, (0.0, 0.0, 1.0))"],
+    ),
+    (  # invalid values fall back to the defaults, which then collide with Sit
+        [(_WALK + ("orientation",), [0.35, 0.1, 0.93]), (_WALK + ("freq_hz",), -1), (_WALK + ("amp_g",), "x")],
+        [
+            "synthetic_models.har.labels.Walk.amp_g: expected a number, got str",
+            "synthetic_models.har.labels.Walk.freq_hz: must be >= 0.0",
+            "synthetic_models.har.labels: labels Sit and Walk share signal signature (0.0, 0.0, (0.35, 0.1, 0.93))",
+        ],
+    ),
+    ([(("energy", "battery_voltage"), 3.7)], ["energy.battery_voltage: unknown key"]),
+    ([(("energy", "mppt_efficiency"), "high")], ["energy.mppt_efficiency: expected a number, got str"]),
+    ([(("energy", "charge_efficiency"), 0)], ["energy.charge_efficiency: must be >= 1e-09"]),
+    ([(("energy", "reserve_fraction"), 0.95)], ["energy.reserve_fraction: must be <= 0.9"]),
+    ([(("energy", "battery_initial_mwh"), 50.0)], ["energy.battery_initial_mwh: must not exceed battery_capacity_mwh"]),
+    (  # an invalid capacity falls back to its default of 40
+        [(("energy", "battery_capacity_mwh"), 0), (("energy", "battery_initial_mwh"), 41)],
+        [
+            "energy.battery_capacity_mwh: must be >= 1e-09",
+            "energy.battery_initial_mwh: must not exceed battery_capacity_mwh",
+        ],
+    ),
+    ([(("energy", "harvest_profile_mw"), [1.0] * 23)], ["energy.harvest_profile_mw: expected 24 nonnegative numbers"]),
+    ([(("energy", "harvest_profile_mw", 3), -1.0)], ["energy.harvest_profile_mw: expected 24 nonnegative numbers"]),
+    ([(("channel", "jitter_ms"), 5)], ["channel.jitter_ms: unknown key"]),
+    ([(("channel", "latency_ms"), "20")], ["channel.latency_ms: expected a nonnegative integer or [lo, hi] range"]),
+    ([(("channel", "latency_ms"), [40, 10])], ["channel.latency_ms: expected a nonnegative integer or [lo, hi] range"]),
+    ([(("channel", "loss_probability"), 2.0)], ["channel.loss_probability: must be <= 1.0"]),
+    ([(("channel", "corruption_probability"), 1.0)], ["channel.corruption_probability: must be <= 0.999"]),
+    ([(("protocol", "cipher"), "aes")], ["protocol.cipher: unknown key"]),
+    ([(("protocol", "key_hex"), 16)], ["protocol.key_hex: expected a hex string"]),
+    ([(("protocol", "key_hex"), "zz")], ["protocol.key_hex: not valid hex"]),
+    ([(("protocol", "key_hex"), "deadbeef")], ["protocol.key_hex: must encode exactly 16 bytes"]),
+    ([(("protocol", "retry"), 3)], ["protocol.retry: expected an object"]),
+    ([(("protocol", "retry", "backoff"), 2)], ["protocol.retry.backoff: unknown key"]),
+    ([(("protocol", "retry", "max_attempts"), 0)], ["protocol.retry.max_attempts: must be >= 1"]),
+    ([(("protocol", "sync_timeout_ms"), 0)], ["protocol.sync_timeout_ms: must be >= 1"]),
+    ([(("scenario", "speed"), 1)], ["scenario.speed: unknown key"]),
+    ([(("scenario", "use_duty_plan"), 1)], ["scenario.use_duty_plan: expected true/false"]),
+    ([(("scenario", "model_path"), 5)], ["scenario.model_path: expected a string"]),
+    ([(("scenario", "alert_labels"), "Jump")], ["scenario.alert_labels: expected a list of label names"]),
+    ([(("scenario", "duration_ms"), 0)], ["scenario.duration_ms: must be >= 1"]),
+    ([(("scenario", "tx_bitrate_kbps"), 0)], ["scenario.tx_bitrate_kbps: must be >= 1e-09"]),
+    (
+        [(("scenario", "local_processing"), False)],
+        [
+            "scenario.local_processing: raw-sample streaming is not supported; "
+            "only processed observations leave the device"
+        ],
+    ),
+    ([(("scenario", "local_processing"), "yes")], ["scenario.local_processing: expected true/false"]),
+    ([(("scenario", "devices"), [])], ["scenario.devices: expected a non-empty device list"]),
+    ([(("scenario", "devices", 1), "dev2")], ["scenario.devices[1]: expected an object"]),
+    ([(_DEV + ("name",), "wrist")], ["scenario.devices[0].name: unknown key"]),
+    ([(_DEV + ("app",), "ecg")], ["scenario.devices[0].app: must be one of ['gesture', 'har']"]),
+    ([(_DEV + ("id",), 70000)], ["scenario.devices[0].id: must be <= 65535"]),
+    ([(_DEV + ("id",), 2)], ["scenario.devices[1].id: duplicate device id 2"]),
+    ([(_DEV + ("clock_offset_ms",), 0.5)], ["scenario.devices[0].clock_offset_ms: expected an integer"]),
+    (
+        [(_DEV + ("schedule", 0, 0), "Flying")],
+        ["scenario.devices[0].schedule[0]: unknown label 'Flying' for this application"],
+    ),
+    ([(_DEV + ("alert_schedule",), {})], ["scenario.devices[0].alert_schedule: expected a list of [t_ms, label] pairs"]),
+    ([(_DEV + ("alert_schedule", 0), ["Jump", 5])], ["scenario.devices[0].alert_schedule[0]: expected [t_ms, label]"]),
+    (
+        [(_DEV + ("alert_schedule", 0, 1), "Up")],
+        ["scenario.devices[0].alert_schedule[0]: unknown label 'Up' for this application"],
+    ),
+]
+
+
+def apply_edits(raw, edits):
+    for path, value in edits:
+        obj = raw
+        for key in path[:-1]:
+            obj = obj[key]
+        if value is _DELETE:
+            del obj[path[-1]]
+        else:
+            obj[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize(
+    "edits,expected", MALFORMED, ids=[".".join(map(str, edits[0][0])) for edits, _ in MALFORMED]
+)
+def test_malformed_reference_variants_report_exact_errors(edits, expected):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(apply_edits(reference_raw(), edits))
+    assert sorted(exc.value.errors) == expected
+
+
+def test_minimal_document_yields_documented_defaults():
+    """Every default that docs/formats/config.md lists, from an almost empty document."""
+    config = parse_config({"scenario": {"devices": [{"schedule": [["Walk", 1000]]}]}})
+    p = config.profile
+    assert (p.cpu_mhz, p.sram_bytes, p.flash_bytes) == (47, 20480, 131072)
+    assert (p.p_active_har_mw, p.p_active_gesture_mw, p.p_sleep_mw, p.p_tx_mw) == (12.5, 10.0, 0.3, 15.0)
+    assert p.sample_rate_hz == 100
+    assert (config.pipeline.window, config.pipeline.overlap, config.pipeline.channels) == (128, 0.5, None)
+    t = config.train.config
+    assert (t.learning_rate, t.momentum, t.epochs, t.batch_size) == (0.05, 0.9, 200, 32)
+    assert (t.seed, t.split_fraction, t.patience, config.train.hidden) == (0, 0.8, None, 16)
+    assert config.synthetic == {}
+    e = config.energy
+    assert (e.battery_capacity_mwh, e.battery_initial_mwh) == (40, 8)
+    assert e.harvest_profile_mw == (0.0,) * 24
+    assert (e.mppt_efficiency, e.charge_efficiency, e.reserve_fraction) == (0.95, 1.0, 0.2)
+    c = config.channel
+    assert (c.latency_ms, c.loss_probability, c.corruption_probability) == (20, 0.0, 0.0)
+    pr = config.protocol
+    assert pr.key == bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+    assert (pr.retry.interval_ms, pr.retry.max_attempts) == (200, 10)
+    assert (pr.sync_interval_ms, pr.sync_timeout_ms, pr.sync_retries) == (21600000, 1000, 3)
+    s = config.scenario
+    assert (s.duration_ms, s.report_every_n_windows, s.idle_timeout_ms) == (3600000, 1, 3000)
+    assert (s.inference_latency_ms, s.tx_bitrate_kbps, s.alert_labels) == (5, 250, ())
+    assert (s.use_duty_plan, s.energy_log_interval_ms, s.model_path) == (False, 3600000, None)
+    (device,) = s.devices
+    assert (device.device_id, device.app, device.clock_offset_ms, device.alert_schedule) == (1, "har", 0, ())

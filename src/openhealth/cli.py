@@ -27,7 +27,7 @@ from .classifier import (
     train,
 )
 from .config import Config, ConfigError, load_config
-from .core import label_set_for
+from .core import ALL_CHANNELS, ActivityLabel, label_set_for
 from .dataio import (
     DatasetFormatError,
     generate_synthetic,
@@ -35,7 +35,7 @@ from .dataio import (
     storage_budget,
     write_dataset,
 )
-from .firmware import BudgetError, memory_footprint, plan_duty_cycle, EnergyState
+from .firmware import BudgetError, memory_footprint, plan_duty_cycle
 from .pipeline import (
     FEATURES_PER_CHANNEL,
     extract_feature_matrix,
@@ -188,10 +188,10 @@ def cmd_budget(args) -> int:
     config = _load_config(args.config)
     profile = config.profile
     w = config.pipeline.window
-    channels = len(config.pipeline.channels) if config.pipeline.channels else 7
+    channels = len(config.pipeline.channels or ALL_CHANNELS)
     hidden = config.train.hidden
     d = channels * FEATURES_PER_CHANNEL
-    layer_sizes = (d, hidden, 7)
+    layer_sizes = (d, hidden, len(ActivityLabel))
     qm = quantize_model(init_model(layer_sizes, seed=0))
     try:
         ledger = memory_footprint(w, channels, layer_sizes, qm.flash_bytes, profile)
@@ -221,14 +221,7 @@ def cmd_budget(args) -> int:
     )
 
     e = config.energy
-    energy_state = EnergyState(
-        battery_mwh=e.battery_initial_mwh,
-        capacity_mwh=e.battery_capacity_mwh,
-        harvest_power_mw=lambda t: 0.0,
-        mppt_efficiency=e.mppt_efficiency,
-        charge_efficiency=e.charge_efficiency,
-    )
-    plan = plan_duty_cycle(list(e.harvest_profile_mw), profile, "har", energy_state, e.reserve_fraction)
+    plan = plan_duty_cycle(profile, "har", e)
     harvest_day = sum(e.harvest_profile_mw) * e.mppt_efficiency
     sleep_floor = profile.p_sleep_mw * 24
     print(

@@ -1,22 +1,27 @@
 """JSON configuration document: schema validation, defaults, typed accessors.
 
 Validation collects every violation instead of stopping at the first, and
-rejects unknown keys at any nesting level. The shipped reference config
-spells out every default explicitly and doubles as the schema's
-documentation.
+rejects unknown keys at any nesting level. A section's defaults are those
+of the dataclass it builds, and its keys are those of its rule table
+below; an absent or invalid key leaves the dataclass default in place.
+The shipped reference config spells out every default explicitly and
+doubles as the schema's documentation.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
-from .classifier import TrainConfig
+from .classifier import DEFAULT_HIDDEN, TrainConfig
 from .core import DeviceProfile, Label, label_set_for
 from .dataio import LabelSignalModel, SyntheticActivityModel
-from .netproto import ChannelModel, RetryPolicy
+from .firmware import SLOTS_PER_DAY, EnergySettings
+from .netproto import KEY_LEN, ChannelModel, RetryPolicy
+
+APPS = ("har", "gesture")
 
 
 class ConfigError(ValueError):
@@ -37,7 +42,7 @@ class PipelineSettings:
 @dataclass(frozen=True)
 class TrainSettings:
     config: TrainConfig = field(default_factory=TrainConfig)
-    hidden: int = 16
+    hidden: int = DEFAULT_HIDDEN
 
 
 @dataclass(frozen=True)
@@ -57,18 +62,8 @@ class SyntheticSpec:
 
 
 @dataclass(frozen=True)
-class EnergySettings:
-    battery_capacity_mwh: float = 40.0
-    battery_initial_mwh: float = 8.0
-    harvest_profile_mw: tuple[float, ...] = (0.0,) * 24
-    mppt_efficiency: float = 0.95
-    charge_efficiency: float = 1.0
-    reserve_fraction: float = 0.2
-
-
-@dataclass(frozen=True)
 class ProtocolSettings:
-    key: bytes = bytes(range(16))
+    key: bytes = bytes(range(KEY_LEN))
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     sync_interval_ms: int = 21_600_000
     sync_timeout_ms: int = 1000
@@ -93,7 +88,6 @@ class ScenarioSettings:
     inference_latency_ms: int = 5
     tx_bitrate_kbps: float = 250.0
     alert_labels: tuple[str, ...] = ()
-    local_processing: bool = True
     use_duty_plan: bool = False
     energy_log_interval_ms: int = 3_600_000
     model_path: str | None = None
@@ -125,124 +119,188 @@ def _check_keys(obj: dict, allowed: Sequence[str], path: str, ctx: _Ctx) -> None
             ctx.error(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _num(obj, key, default, path, ctx, lo=None, hi=None, integer=False):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        ctx.error(f"{path}.{key}", f"expected a number, got {type(v).__name__}")
-        return default
-    if integer and not isinstance(v, int):
-        ctx.error(f"{path}.{key}", "expected an integer")
-        return default
-    if lo is not None and v < lo:
-        ctx.error(f"{path}.{key}", f"must be >= {lo}")
-        return default
-    if hi is not None and v > hi:
-        ctx.error(f"{path}.{key}", f"must be <= {hi}")
-        return default
-    return v
+# A rule takes (value, path, ctx) and returns the value to use, or _INVALID
+# after recording why the value was rejected.
+Rule = Callable[[Any, str, _Ctx], Any]
+_INVALID = object()
 
 
-def _str(obj, key, default, path, ctx, choices=None):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if not isinstance(v, str):
-        ctx.error(f"{path}.{key}", "expected a string")
-        return default
-    if choices and v not in choices:
-        ctx.error(f"{path}.{key}", f"must be one of {sorted(choices)}")
-        return default
-    return v
+def _num(lo: float | None = None, hi: float | None = None, integer: bool = False) -> Rule:
+    def check(v, where, ctx):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            ctx.error(where, f"expected a number, got {type(v).__name__}")
+        elif integer and not isinstance(v, int):
+            ctx.error(where, "expected an integer")
+        elif lo is not None and v < lo:
+            ctx.error(where, f"must be >= {lo}")
+        elif hi is not None and v > hi:
+            ctx.error(where, f"must be <= {hi}")
+        else:
+            return v
+        return _INVALID
+
+    return check
 
 
-def _bool(obj, key, default, path, ctx):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if not isinstance(v, bool):
-        ctx.error(f"{path}.{key}", "expected true/false")
-        return default
-    return v
+def _bool(v, where, ctx):
+    if isinstance(v, bool):
+        return v
+    ctx.error(where, "expected true/false")
+    return _INVALID
+
+
+def _str(v, where, ctx):
+    if isinstance(v, str):
+        return v
+    ctx.error(where, "expected a string")
+    return _INVALID
+
+
+def _one_of(*choices: str) -> Rule:
+    def check(v, where, ctx):
+        v = _str(v, where, ctx)
+        if v is _INVALID or v in choices:
+            return v
+        ctx.error(where, f"must be one of {sorted(choices)}")
+        return _INVALID
+
+    return check
+
+
+def _names(what: str) -> Rule:
+    def check(v, where, ctx):
+        if isinstance(v, list) and all(isinstance(x, str) for x in v):
+            return tuple(v)
+        ctx.error(where, f"expected a list of {what} names")
+        return _INVALID
+
+    return check
+
+
+def _vec3(v, where, ctx):
+    if isinstance(v, list) and len(v) == 3 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
+    ):
+        return (float(v[0]), float(v[1]), float(v[2]))
+    ctx.error(where, "expected a 3-number list")
+    return _INVALID
+
+
+_POSITIVE = _num(lo=1e-9)
+_COUNT = _num(lo=1, integer=True)
+_FRACTION = _num(lo=1e-9, hi=1.0)
+
+_PROFILE = {
+    "cpu_mhz": _POSITIVE,
+    "sram_bytes": _COUNT,
+    "flash_bytes": _COUNT,
+    "p_active_har_mw": _POSITIVE,
+    "p_active_gesture_mw": _POSITIVE,
+    "p_sleep_mw": _POSITIVE,
+    "p_tx_mw": _POSITIVE,
+    "sample_rate_hz": _POSITIVE,
+}
+_PIPELINE = {
+    "window": _num(lo=16, integer=True),
+    "overlap": _num(lo=0.0, hi=0.999),
+    "channels": _names("channel"),
+}
+_TRAIN = {
+    "learning_rate": _num(lo=1e-12),
+    "momentum": _num(lo=0.0, hi=0.999),
+    "epochs": _COUNT,
+    "batch_size": _COUNT,
+    "seed": _num(integer=True),
+    "split_fraction": _num(lo=0.01, hi=0.99),
+    "patience": _COUNT,
+    "hidden": _COUNT,  # of TrainSettings, not TrainConfig
+}
+_SYNTHETIC = {"repeat": _COUNT}
+_SIGNAL = {
+    "orientation": _vec3,
+    "freq_hz": _num(lo=0.0),
+    "amp_g": _num(lo=0.0),
+    "noise_sigma": _num(lo=0.0),
+    "stretch_base": _num(lo=0.0, hi=1.0),
+    "stretch_amp": _num(lo=0.0),
+}
+_ENERGY = {
+    "battery_capacity_mwh": _POSITIVE,
+    "battery_initial_mwh": _num(lo=0.0),
+    "mppt_efficiency": _FRACTION,
+    "charge_efficiency": _FRACTION,
+    "reserve_fraction": _num(lo=0.0, hi=0.9),
+}
+_CHANNEL = {
+    "loss_probability": _num(lo=0.0, hi=1.0),
+    "corruption_probability": _num(lo=0.0, hi=0.999),
+}
+_RETRY = {"interval_ms": _COUNT, "max_attempts": _COUNT}
+_PROTOCOL = {
+    "sync_interval_ms": _num(lo=0, integer=True),
+    "sync_timeout_ms": _COUNT,
+    "sync_retries": _COUNT,
+}
+_DEVICE = {
+    "id": _num(lo=0, hi=0xFFFF, integer=True),  # DeviceSpec.device_id
+    "app": _one_of(*APPS),
+    "clock_offset_ms": _num(integer=True),
+}
+_SCENARIO = {
+    "duration_ms": _COUNT,
+    "report_every_n_windows": _COUNT,
+    "idle_timeout_ms": _num(lo=0, integer=True),
+    "inference_latency_ms": _COUNT,
+    "tx_bitrate_kbps": _POSITIVE,
+    "alert_labels": _names("label"),
+    "use_duty_plan": _bool,
+    "energy_log_interval_ms": _COUNT,
+    "model_path": _str,
+}
+
+
+def _fields(obj: dict, cls: type, path: str, ctx: _Ctx, rules: dict[str, Rule], extra: Sequence[str] = ()) -> dict:
+    """Keyword arguments for cls from the keys of obj that pass their rule.
+
+    The allowed keys are the rule keys plus extra (parsed by the caller).
+    An absent or invalid key is left out so that cls's default applies,
+    and so is a null for a field whose default is None.
+    """
+    _check_keys(obj, [*rules, *extra], path, ctx)
+    optional = {f.name for f in fields(cls) if f.default is None}
+    kwargs = {}
+    for key, rule in rules.items():
+        if key not in obj or (obj[key] is None and key in optional):
+            continue
+        value = rule(obj[key], f"{path}.{key}", ctx)
+        if value is not _INVALID:
+            kwargs[key] = value
+    return kwargs
+
+
+def _build(cls: type, kwargs: dict, path: str, ctx: _Ctx):
+    """cls(**kwargs), or cls() after recording the ValueError it raised."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        ctx.error(path, str(exc))
+        return cls()
 
 
 def _parse_profile(obj: dict, ctx: _Ctx) -> DeviceProfile:
     path = "device_profile"
-    allowed = [
-        "cpu_mhz", "sram_bytes", "flash_bytes", "p_active_har_mw",
-        "p_active_gesture_mw", "p_sleep_mw", "p_tx_mw", "sample_rate_hz",
-    ]
-    _check_keys(obj, allowed, path, ctx)
-    d = DeviceProfile()
-    kwargs = dict(
-        cpu_mhz=_num(obj, "cpu_mhz", d.cpu_mhz, path, ctx, lo=1e-9),
-        sram_bytes=_num(obj, "sram_bytes", d.sram_bytes, path, ctx, lo=1, integer=True),
-        flash_bytes=_num(obj, "flash_bytes", d.flash_bytes, path, ctx, lo=1, integer=True),
-        p_active_har_mw=_num(obj, "p_active_har_mw", d.p_active_har_mw, path, ctx, lo=1e-9),
-        p_active_gesture_mw=_num(obj, "p_active_gesture_mw", d.p_active_gesture_mw, path, ctx, lo=1e-9),
-        p_sleep_mw=_num(obj, "p_sleep_mw", d.p_sleep_mw, path, ctx, lo=1e-9),
-        p_tx_mw=_num(obj, "p_tx_mw", d.p_tx_mw, path, ctx, lo=1e-9),
-        sample_rate_hz=_num(obj, "sample_rate_hz", d.sample_rate_hz, path, ctx, lo=1e-9),
-    )
-    try:
-        return DeviceProfile(**kwargs)
-    except ValueError as exc:
-        ctx.error(path, str(exc))
-        return d
+    return _build(DeviceProfile, _fields(obj, DeviceProfile, path, ctx, _PROFILE), path, ctx)
 
 
 def _parse_pipeline(obj: dict, ctx: _Ctx) -> PipelineSettings:
-    path = "pipeline"
-    _check_keys(obj, ["window", "overlap", "channels"], path, ctx)
-    channels = None
-    if obj.get("channels") is not None:
-        raw = obj["channels"]
-        if not isinstance(raw, list) or not all(isinstance(c, str) for c in raw):
-            ctx.error(f"{path}.channels", "expected a list of channel names")
-        else:
-            channels = tuple(raw)
-    return PipelineSettings(
-        window=_num(obj, "window", 128, path, ctx, lo=16, integer=True),
-        overlap=_num(obj, "overlap", 0.5, path, ctx, lo=0.0, hi=0.999),
-        channels=channels,
-    )
+    return PipelineSettings(**_fields(obj, PipelineSettings, "pipeline", ctx, _PIPELINE))
 
 
 def _parse_train(obj: dict, ctx: _Ctx) -> TrainSettings:
     path = "train"
-    allowed = [
-        "learning_rate", "momentum", "epochs", "batch_size", "seed",
-        "split_fraction", "patience", "hidden",
-    ]
-    _check_keys(obj, allowed, path, ctx)
-    patience = None
-    if obj.get("patience") is not None:
-        patience = _num(obj, "patience", None, path, ctx, lo=1, integer=True)
-    try:
-        config = TrainConfig(
-            learning_rate=_num(obj, "learning_rate", 0.05, path, ctx, lo=1e-12),
-            momentum=_num(obj, "momentum", 0.9, path, ctx, lo=0.0, hi=0.999),
-            epochs=_num(obj, "epochs", 200, path, ctx, lo=1, integer=True),
-            batch_size=_num(obj, "batch_size", 32, path, ctx, lo=1, integer=True),
-            seed=_num(obj, "seed", 0, path, ctx, integer=True),
-            split_fraction=_num(obj, "split_fraction", 0.8, path, ctx, lo=0.01, hi=0.99),
-            patience=patience,
-        )
-    except ValueError as exc:
-        ctx.error(path, str(exc))
-        config = TrainConfig()
-    return TrainSettings(config=config, hidden=_num(obj, "hidden", 16, path, ctx, lo=1, integer=True))
-
-
-def _parse_vec3(obj, key, path, ctx):
-    v = obj.get(key)
-    if not isinstance(v, list) or len(v) != 3 or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-    ):
-        ctx.error(f"{path}.{key}", "expected a 3-number list")
-        return (0.0, 0.0, 1.0)
-    return (float(v[0]), float(v[1]), float(v[2]))
+    kwargs = _fields(obj, TrainConfig, path, ctx, _TRAIN)
+    hidden = {"hidden": kwargs.pop("hidden")} if "hidden" in kwargs else {}
+    return TrainSettings(config=_build(TrainConfig, kwargs, path, ctx), **hidden)
 
 
 def _parse_label(name: Any, label_set: type, path: str, ctx: _Ctx) -> Label | None:
@@ -256,9 +314,15 @@ def _parse_label(name: Any, label_set: type, path: str, ctx: _Ctx) -> Label | No
         return None
 
 
+def _parse_signal(params: dict, path: str, ctx: _Ctx) -> LabelSignalModel:
+    if "orientation" not in params:
+        ctx.error(f"{path}.orientation", "expected a 3-number list")
+    return LabelSignalModel(**_fields(params, LabelSignalModel, path, ctx, _SIGNAL))
+
+
 def _parse_synthetic_app(app: str, obj: dict, ctx: _Ctx) -> SyntheticSpec | None:
     path = f"synthetic_models.{app}"
-    _check_keys(obj, ["labels", "schedule", "repeat"], path, ctx)
+    kwargs = _fields(obj, SyntheticSpec, path, ctx, _SYNTHETIC, extra=("labels", "schedule"))
     label_set = label_set_for(app)
     labels_obj = obj.get("labels")
     if not isinstance(labels_obj, dict) or not labels_obj:
@@ -266,27 +330,13 @@ def _parse_synthetic_app(app: str, obj: dict, ctx: _Ctx) -> SyntheticSpec | None
         return None
     signals: dict[Label, LabelSignalModel] = {}
     for name, params in labels_obj.items():
-        label = _parse_label(name, label_set, f"{path}.labels.{name}", ctx)
-        if label is None or not isinstance(params, dict):
-            if not isinstance(params, dict):
-                ctx.error(f"{path}.labels.{name}", "expected a parameter object")
-            continue
         ppath = f"{path}.labels.{name}"
-        allowed = ["orientation", "freq_hz", "amp_g", "noise_sigma", "stretch_base", "stretch_amp"]
-        _check_keys(params, allowed, ppath, ctx)
-        stretch_base = None
-        if params.get("stretch_base") is not None:
-            stretch_base = _num(params, "stretch_base", None, ppath, ctx, lo=0.0, hi=1.0)
-        signals[label] = LabelSignalModel(
-            orientation=_parse_vec3(params, "orientation", ppath, ctx),
-            freq_hz=_num(params, "freq_hz", 0.0, ppath, ctx, lo=0.0),
-            amp_g=_num(params, "amp_g", 0.0, ppath, ctx, lo=0.0),
-            noise_sigma=_num(params, "noise_sigma", 0.0, ppath, ctx, lo=0.0),
-            stretch_base=stretch_base,
-            stretch_amp=_num(params, "stretch_amp", 0.0, ppath, ctx, lo=0.0),
-        )
+        label = _parse_label(name, label_set, ppath, ctx)
+        if not isinstance(params, dict):
+            ctx.error(ppath, "expected a parameter object")
+        elif label is not None:
+            signals[label] = _parse_signal(params, ppath, ctx)
     schedule = _parse_schedule(obj.get("schedule"), label_set, f"{path}.schedule", ctx)
-    repeat = _num(obj, "repeat", 1, path, ctx, lo=1, integer=True)
     if not signals or schedule is None:
         return None
     missing = [l.name for l, _ in schedule if l not in signals]
@@ -298,7 +348,7 @@ def _parse_synthetic_app(app: str, obj: dict, ctx: _Ctx) -> SyntheticSpec | None
     except ValueError as exc:
         ctx.error(f"{path}.labels", str(exc))
         return None
-    return SyntheticSpec(app=app, signals=signals, schedule=tuple(schedule), repeat=repeat)
+    return SyntheticSpec(app=app, signals=signals, schedule=tuple(schedule), **kwargs)
 
 
 def _parse_schedule(raw: Any, label_set: type, path: str, ctx: _Ctx):
@@ -322,68 +372,45 @@ def _parse_schedule(raw: Any, label_set: type, path: str, ctx: _Ctx):
 
 def _parse_energy(obj: dict, ctx: _Ctx) -> EnergySettings:
     path = "energy"
-    allowed = [
-        "battery_capacity_mwh", "battery_initial_mwh", "harvest_profile_mw",
-        "mppt_efficiency", "charge_efficiency", "reserve_fraction",
-    ]
-    _check_keys(obj, allowed, path, ctx)
-    profile = (0.0,) * 24
+    kwargs = _fields(obj, EnergySettings, path, ctx, _ENERGY, extra=("harvest_profile_mw",))
     raw = obj.get("harvest_profile_mw")
     if raw is not None:
         if (
             not isinstance(raw, list)
-            or len(raw) != 24
+            or len(raw) != SLOTS_PER_DAY
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) and x >= 0 for x in raw)
         ):
-            ctx.error(f"{path}.harvest_profile_mw", "expected 24 nonnegative numbers")
+            ctx.error(f"{path}.harvest_profile_mw", f"expected {SLOTS_PER_DAY} nonnegative numbers")
         else:
-            profile = tuple(float(x) for x in raw)
-    capacity = _num(obj, "battery_capacity_mwh", 40.0, path, ctx, lo=1e-9)
-    initial = _num(obj, "battery_initial_mwh", 8.0, path, ctx, lo=0.0)
-    if initial > capacity:
+            kwargs["harvest_profile_mw"] = tuple(float(x) for x in raw)
+    capacity = kwargs.get("battery_capacity_mwh", EnergySettings.battery_capacity_mwh)
+    if kwargs.get("battery_initial_mwh", EnergySettings.battery_initial_mwh) > capacity:
         ctx.error(f"{path}.battery_initial_mwh", "must not exceed battery_capacity_mwh")
-        initial = capacity
-    return EnergySettings(
-        battery_capacity_mwh=capacity,
-        battery_initial_mwh=initial,
-        harvest_profile_mw=profile,
-        mppt_efficiency=_num(obj, "mppt_efficiency", 0.95, path, ctx, lo=1e-9, hi=1.0),
-        charge_efficiency=_num(obj, "charge_efficiency", 1.0, path, ctx, lo=1e-9, hi=1.0),
-        reserve_fraction=_num(obj, "reserve_fraction", 0.2, path, ctx, lo=0.0, hi=0.9),
-    )
+        kwargs["battery_initial_mwh"] = capacity
+    return _build(EnergySettings, kwargs, path, ctx)
 
 
 def _parse_channel(obj: dict, ctx: _Ctx) -> ChannelModel:
     path = "channel"
-    _check_keys(obj, ["latency_ms", "loss_probability", "corruption_probability"], path, ctx)
-    latency: int | tuple[int, int] = 20
+    kwargs = _fields(obj, ChannelModel, path, ctx, _CHANNEL, extra=("latency_ms",))
     raw = obj.get("latency_ms")
     if raw is not None:
         if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
-            latency = raw
+            kwargs["latency_ms"] = raw
         elif (
             isinstance(raw, list) and len(raw) == 2
             and all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
             and 0 <= raw[0] <= raw[1]
         ):
-            latency = (raw[0], raw[1])
+            kwargs["latency_ms"] = (raw[0], raw[1])
         else:
             ctx.error(f"{path}.latency_ms", "expected a nonnegative integer or [lo, hi] range")
-    try:
-        return ChannelModel(
-            latency_ms=latency,
-            loss_probability=_num(obj, "loss_probability", 0.0, path, ctx, lo=0.0, hi=1.0),
-            corruption_probability=_num(obj, "corruption_probability", 0.0, path, ctx, lo=0.0, hi=0.999),
-        )
-    except ValueError as exc:
-        ctx.error(path, str(exc))
-        return ChannelModel()
+    return _build(ChannelModel, kwargs, path, ctx)
 
 
 def _parse_protocol(obj: dict, ctx: _Ctx) -> ProtocolSettings:
     path = "protocol"
-    _check_keys(obj, ["key_hex", "retry", "sync_interval_ms", "sync_timeout_ms", "sync_retries"], path, ctx)
-    key = bytes(range(16))
+    kwargs = _fields(obj, ProtocolSettings, path, ctx, _PROTOCOL, extra=("key_hex", "retry"))
     raw = obj.get("key_hex")
     if raw is not None:
         if not isinstance(raw, str):
@@ -393,26 +420,17 @@ def _parse_protocol(obj: dict, ctx: _Ctx) -> ProtocolSettings:
                 key = bytes.fromhex(raw)
             except ValueError:
                 ctx.error(f"{path}.key_hex", "not valid hex")
-            if len(key) != 16:
-                ctx.error(f"{path}.key_hex", "must encode exactly 16 bytes")
-                key = bytes(range(16))
-    retry_obj = obj.get("retry", {})
-    retry = RetryPolicy()
-    if not isinstance(retry_obj, dict):
-        ctx.error(f"{path}.retry", "expected an object")
-    else:
-        _check_keys(retry_obj, ["interval_ms", "max_attempts"], f"{path}.retry", ctx)
-        retry = RetryPolicy(
-            interval_ms=_num(retry_obj, "interval_ms", 200, f"{path}.retry", ctx, lo=1, integer=True),
-            max_attempts=_num(retry_obj, "max_attempts", 10, f"{path}.retry", ctx, lo=1, integer=True),
-        )
-    return ProtocolSettings(
-        key=key,
-        retry=retry,
-        sync_interval_ms=_num(obj, "sync_interval_ms", 21_600_000, path, ctx, lo=0, integer=True),
-        sync_timeout_ms=_num(obj, "sync_timeout_ms", 1000, path, ctx, lo=1, integer=True),
-        sync_retries=_num(obj, "sync_retries", 3, path, ctx, lo=1, integer=True),
-    )
+            else:
+                if len(key) == KEY_LEN:
+                    kwargs["key"] = key
+                else:
+                    ctx.error(f"{path}.key_hex", f"must encode exactly {KEY_LEN} bytes")
+    if "retry" in obj:
+        if isinstance(obj["retry"], dict):
+            kwargs["retry"] = RetryPolicy(**_fields(obj["retry"], RetryPolicy, f"{path}.retry", ctx, _RETRY))
+        else:
+            ctx.error(f"{path}.retry", "expected an object")
+    return ProtocolSettings(**kwargs)
 
 
 def _parse_device(obj: Any, index: int, synthetic: dict[str, SyntheticSpec], ctx: _Ctx) -> DeviceSpec | None:
@@ -420,55 +438,42 @@ def _parse_device(obj: Any, index: int, synthetic: dict[str, SyntheticSpec], ctx
     if not isinstance(obj, dict):
         ctx.error(path, "expected an object")
         return None
-    allowed = ["id", "app", "clock_offset_ms", "schedule", "alert_schedule"]
-    _check_keys(obj, allowed, path, ctx)
-    device_id = _num(obj, "id", index + 1, path, ctx, lo=0, hi=0xFFFF, integer=True)
-    app = _str(obj, "app", "har", path, ctx, choices={"har", "gesture"})
+    kwargs = _fields(obj, DeviceSpec, path, ctx, _DEVICE, extra=("schedule", "alert_schedule"))
+    device_id = kwargs.pop("id", index + 1)
+    app = kwargs.get("app", DeviceSpec.app)
     label_set = label_set_for(app)
-    schedule = ()
-    if "schedule" in obj:
-        parsed = _parse_schedule(obj["schedule"], label_set, f"{path}.schedule", ctx)
-        schedule = tuple(parsed) if parsed else ()
-    if not schedule:
-        spec = synthetic.get(app)
-        if spec is not None:
-            schedule = tuple(spec.full_schedule())
-        else:
-            ctx.error(f"{path}.schedule", f"no schedule given and no synthetic_models.{app} to fall back on")
-    alerts = []
-    raw_alerts = obj.get("alert_schedule", [])
-    if not isinstance(raw_alerts, list):
-        ctx.error(f"{path}.alert_schedule", "expected a list of [t_ms, label] pairs")
+    schedule = _parse_schedule(obj["schedule"], label_set, f"{path}.schedule", ctx) if "schedule" in obj else None
+    if schedule:
+        kwargs["schedule"] = tuple(schedule)
+    elif app in synthetic:
+        kwargs["schedule"] = tuple(synthetic[app].full_schedule())
     else:
-        for i, entry in enumerate(raw_alerts):
-            if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[0], int):
-                ctx.error(f"{path}.alert_schedule[{i}]", "expected [t_ms, label]")
-                continue
-            label = _parse_label(entry[1], label_set, f"{path}.alert_schedule[{i}]", ctx)
-            if label is not None:
-                alerts.append((entry[0], label))
-    return DeviceSpec(
-        device_id=device_id,
-        app=app,
-        clock_offset_ms=_num(obj, "clock_offset_ms", 0, path, ctx, integer=True),
-        schedule=schedule,
-        alert_schedule=tuple(alerts),
-    )
+        ctx.error(f"{path}.schedule", f"no schedule given and no synthetic_models.{app} to fall back on")
+    if "alert_schedule" in obj:
+        raw_alerts = obj["alert_schedule"]
+        if not isinstance(raw_alerts, list):
+            ctx.error(f"{path}.alert_schedule", "expected a list of [t_ms, label] pairs")
+        else:
+            alerts = []
+            for i, entry in enumerate(raw_alerts):
+                if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[0], int):
+                    ctx.error(f"{path}.alert_schedule[{i}]", "expected [t_ms, label]")
+                    continue
+                label = _parse_label(entry[1], label_set, f"{path}.alert_schedule[{i}]", ctx)
+                if label is not None:
+                    alerts.append((entry[0], label))
+            kwargs["alert_schedule"] = tuple(alerts)
+    return DeviceSpec(device_id=device_id, **kwargs)
 
 
 def _parse_scenario(obj: dict, synthetic: dict[str, SyntheticSpec], ctx: _Ctx) -> ScenarioSettings:
     path = "scenario"
-    allowed = [
-        "duration_ms", "devices", "report_every_n_windows", "idle_timeout_ms",
-        "inference_latency_ms", "tx_bitrate_kbps", "alert_labels",
-        "local_processing", "use_duty_plan", "energy_log_interval_ms", "model_path",
-    ]
-    _check_keys(obj, allowed, path, ctx)
-    devices = []
+    kwargs = _fields(obj, ScenarioSettings, path, ctx, _SCENARIO, extra=("devices", "local_processing"))
     raw_devices = obj.get("devices")
     if not isinstance(raw_devices, list) or not raw_devices:
         ctx.error(f"{path}.devices", "expected a non-empty device list")
     else:
+        devices = []
         seen_ids = set()
         for i, d in enumerate(raw_devices):
             spec = _parse_device(d, i, synthetic, ctx)
@@ -477,34 +482,14 @@ def _parse_scenario(obj: dict, synthetic: dict[str, SyntheticSpec], ctx: _Ctx) -
                     ctx.error(f"{path}.devices[{i}].id", f"duplicate device id {spec.device_id}")
                 seen_ids.add(spec.device_id)
                 devices.append(spec)
-    alert_labels = ()
-    raw_al = obj.get("alert_labels", [])
-    if not isinstance(raw_al, list) or not all(isinstance(x, str) for x in raw_al):
-        ctx.error(f"{path}.alert_labels", "expected a list of label names")
-    else:
-        alert_labels = tuple(raw_al)
-    local = _bool(obj, "local_processing", True, path, ctx)
-    if local is False:
+        kwargs["devices"] = tuple(devices)
+    # The key exists only to refuse raw-sample streaming: true is the only value.
+    if "local_processing" in obj and _bool(obj["local_processing"], f"{path}.local_processing", ctx) is False:
         ctx.error(
             f"{path}.local_processing",
             "raw-sample streaming is not supported; only processed observations leave the device",
         )
-    model_path = None
-    if obj.get("model_path") is not None:
-        model_path = _str(obj, "model_path", None, path, ctx)
-    return ScenarioSettings(
-        duration_ms=_num(obj, "duration_ms", 3_600_000, path, ctx, lo=1, integer=True),
-        devices=tuple(devices),
-        report_every_n_windows=_num(obj, "report_every_n_windows", 1, path, ctx, lo=1, integer=True),
-        idle_timeout_ms=_num(obj, "idle_timeout_ms", 3000, path, ctx, lo=0, integer=True),
-        inference_latency_ms=_num(obj, "inference_latency_ms", 5, path, ctx, lo=1, integer=True),
-        tx_bitrate_kbps=_num(obj, "tx_bitrate_kbps", 250.0, path, ctx, lo=1e-9),
-        alert_labels=alert_labels,
-        local_processing=True,
-        use_duty_plan=_bool(obj, "use_duty_plan", False, path, ctx),
-        energy_log_interval_ms=_num(obj, "energy_log_interval_ms", 3_600_000, path, ctx, lo=1, integer=True),
-        model_path=model_path,
-    )
+    return ScenarioSettings(**kwargs)
 
 
 TOP_LEVEL_SECTIONS = [
@@ -533,8 +518,8 @@ def parse_config(raw: Any) -> Config:
 
     synthetic: dict[str, SyntheticSpec] = {}
     syn_obj = section("synthetic_models")
-    _check_keys(syn_obj, ["har", "gesture"], "synthetic_models", ctx)
-    for app in ("har", "gesture"):
+    _check_keys(syn_obj, APPS, "synthetic_models", ctx)
+    for app in APPS:
         if app in syn_obj:
             if not isinstance(syn_obj[app], dict):
                 ctx.error(f"synthetic_models.{app}", "expected an object")

@@ -149,10 +149,10 @@ class LabelSignalModel:
     without a stretch channel sets stretch_base to None.
     """
 
-    orientation: tuple[float, float, float]
-    freq_hz: float
-    amp_g: float
-    noise_sigma: float
+    orientation: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    freq_hz: float = 0.0
+    amp_g: float = 0.0
+    noise_sigma: float = 0.0
     stretch_base: float | None = None
     stretch_amp: float = 0.0
 

@@ -9,9 +9,9 @@ above reserve) can fund beyond the always-on sleep floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -105,24 +105,29 @@ def state_power_mw(profile: DeviceProfile, app: str, state: PowerState) -> float
 
 
 @dataclass(frozen=True)
-class EnergyState:
-    """Battery bookkeeping plus the harvest environment."""
+class EnergySettings:
+    """Battery size and start level, hourly harvest and conversion efficiencies."""
 
-    battery_mwh: float
-    capacity_mwh: float
-    harvest_power_mw: Callable[[int], float]
+    battery_capacity_mwh: float = 40.0
+    battery_initial_mwh: float = 8.0
+    harvest_profile_mw: tuple[float, ...] = (0.0,) * SLOTS_PER_DAY  # pre-MPPT, per hour slot
     mppt_efficiency: float = 0.95
     charge_efficiency: float = 1.0
+    reserve_fraction: float = 0.2  # of capacity, kept back by the duty plan
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mppt_efficiency <= 1.0:
             raise ValueError("mppt_efficiency must be in (0, 1]")
         if not 0.0 < self.charge_efficiency <= 1.0:
             raise ValueError("charge_efficiency must be in (0, 1]")
-        if self.capacity_mwh <= 0:
-            raise ValueError("capacity_mwh must be > 0")
-        if not 0.0 <= self.battery_mwh <= self.capacity_mwh:
-            raise ValueError("battery_mwh outside [0, capacity]")
+        if self.battery_capacity_mwh <= 0:
+            raise ValueError("battery_capacity_mwh must be > 0")
+        if not 0.0 <= self.battery_initial_mwh <= self.battery_capacity_mwh:
+            raise ValueError("battery_initial_mwh outside [0, battery_capacity_mwh]")
+        if len(self.harvest_profile_mw) != SLOTS_PER_DAY:
+            raise ValueError(f"harvest profile must have {SLOTS_PER_DAY} slots")
+        if any(h < 0 for h in self.harvest_profile_mw):
+            raise ValueError("harvest profile must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -146,13 +151,15 @@ def account_energy(
     dwell: Mapping[PowerState, float],
     profile: DeviceProfile,
     app: str,
-    energy: EnergyState,
+    battery_mwh: float,
+    energy: EnergySettings,
     t_ms: int,
     dt_ms: int,
-) -> tuple[EnergyState, EnergyDelta, bool]:
-    """Integrate harvest minus consumption over dt; returns (state, delta, depleted).
+) -> tuple[float, EnergyDelta, bool]:
+    """Integrate harvest minus consumption over dt; returns (level, delta, depleted).
 
-    Charging applies charge_efficiency; discharging is taken at face value.
+    The harvest is that of t_ms's hour slot, for all of dt. Charging
+    applies charge_efficiency; discharging is taken at face value.
     Depletion to zero is reported as a flag, not an exception.
     """
     if dt_ms <= 0:
@@ -160,23 +167,22 @@ def account_energy(
     share = sum(dwell.values())
     if not math.isclose(share, 1.0, abs_tol=1e-9):
         raise ValueError(f"dwell fractions must sum to 1, got {share}")
-    harvest_mw = energy.mppt_efficiency * energy.harvest_power_mw(t_ms)
+    harvest_mw = energy.mppt_efficiency * energy.harvest_profile_mw[t_ms // SLOT_MS % SLOTS_PER_DAY]
     consumption_mw = sum(
         state_power_mw(profile, app, state) * frac for state, frac in dwell.items()
     )
     new_level, net_mwh, curtailed, shortfall, harvest_mwh, consumed_mwh = energy_step(
-        energy.battery_mwh, energy.capacity_mwh, energy.charge_efficiency, harvest_mw, consumption_mw, dt_ms
+        battery_mwh, energy.battery_capacity_mwh, energy.charge_efficiency, harvest_mw, consumption_mw, dt_ms
     )
     delta = EnergyDelta(
         net_mwh=net_mwh,
-        applied_mwh=new_level - energy.battery_mwh,
+        applied_mwh=new_level - battery_mwh,
         curtailed_mwh=curtailed,
         shortfall_mwh=shortfall,
         harvest_mwh=harvest_mwh,
         consumed_mwh=consumed_mwh,
     )
-    depleted = new_level <= 0.0
-    return replace(energy, battery_mwh=new_level), delta, depleted
+    return new_level, delta, new_level <= 0.0
 
 
 def energy_step(
@@ -222,30 +228,21 @@ class DutyPlan:
             raise ValueError("planned energy exceeds projected available energy")
 
 
-def plan_duty_cycle(
-    forecast_mw: Sequence[float],
-    profile: DeviceProfile,
-    app: str,
-    energy: EnergyState,
-    reserve_fraction: float = 0.2,
-) -> DutyPlan:
-    """Energy-neutral day plan from a 24-slot harvest forecast.
+def plan_duty_cycle(profile: DeviceProfile, app: str, energy: EnergySettings) -> DutyPlan:
+    """Energy-neutral day plan from the settings' 24-slot harvest forecast.
 
     Each slot may spend its own post-MPPT harvest plus a uniform share of
-    the battery above reserve, on top of the unavoidable sleep floor. The
-    active cost rate is the worst-case active-state power so transmit
-    bursts stay funded.
+    the initial battery above reserve, on top of the unavoidable sleep
+    floor. The active cost rate is the worst-case active-state power so
+    transmit bursts stay funded.
     """
-    if len(forecast_mw) != SLOTS_PER_DAY:
-        raise ValueError(f"forecast must have {SLOTS_PER_DAY} slots")
-    if any(h < 0 for h in forecast_mw):
-        raise ValueError("forecast must be nonnegative")
     c_active = max(profile.active_power_mw(app), profile.p_tx_mw)  # mWh per full slot
     c_sleep = profile.p_sleep_mw
     if c_active <= c_sleep:
         raise ValueError("active power must exceed sleep power")
-    extra = max(0.0, energy.battery_mwh - reserve_fraction * energy.capacity_mwh)
+    extra = max(0.0, energy.battery_initial_mwh - energy.reserve_fraction * energy.battery_capacity_mwh)
     share = extra / SLOTS_PER_DAY
+    forecast_mw = energy.harvest_profile_mw
     fractions = []
     for h in forecast_mw:
         h_eff = energy.mppt_efficiency * h

@@ -34,7 +34,6 @@ from .firmware import (
     BATTERY_RECOVERY_FRACTION,
     DeviceEvent,
     DutyPlan,
-    EnergyState,
     PowerState,
     SLOT_MS,
     SLOTS_PER_DAY,
@@ -231,23 +230,14 @@ class SimDevice:
         self.channels = 6 if next(iter(self.signals.values())).stretch_base is None else 7
 
         e = config.energy
-        energy = EnergyState(
-            battery_mwh=e.battery_initial_mwh,
-            capacity_mwh=e.battery_capacity_mwh,
-            harvest_power_mw=lambda t_ms: 0.0,  # only the battery figures are read below
-            mppt_efficiency=e.mppt_efficiency,
-            charge_efficiency=e.charge_efficiency,
-        )
-        self.battery_mwh = energy.battery_mwh
-        self.capacity_mwh = energy.capacity_mwh
-        self.charge_efficiency = energy.charge_efficiency
-        self.harvest_mw = [energy.mppt_efficiency * h for h in e.harvest_profile_mw]  # post-MPPT, per hour slot
+        self.battery_mwh = e.battery_initial_mwh
+        self.capacity_mwh = e.battery_capacity_mwh
+        self.charge_efficiency = e.charge_efficiency
+        self.harvest_mw = [e.mppt_efficiency * h for h in e.harvest_profile_mw]  # post-MPPT, per hour slot
         self.power_mw = {state: state_power_mw(self.profile, self.app, state) for state in PowerState}
         self.duty_plan: DutyPlan | None = None
         if scenario.use_duty_plan:
-            self.duty_plan = plan_duty_cycle(
-                list(e.harvest_profile_mw), self.profile, self.app, energy, e.reserve_fraction
-            )
+            self.duty_plan = plan_duty_cycle(self.profile, self.app, e)
 
         self.state = PowerState.Sleep
         self.cycle_gen = 0
@@ -465,7 +455,7 @@ class SimDevice:
         if self.duty_plan is None:
             return True
         slot = self.sim.now // SLOT_MS
-        budget = self.duty_plan.fractions[slot % 24] * SLOT_MS
+        budget = self.duty_plan.fractions[slot % SLOTS_PER_DAY] * SLOT_MS
         return self.slot_active_ms.get(slot, 0.0) + extra_ms <= budget
 
     # -- the sampling/processing/transmitting cycle ------------------------------------

@@ -11,7 +11,7 @@ from openhealth.firmware import (
     DeviceAction,
     DeviceEvent,
     DutyPlan,
-    EnergyState,
+    EnergySettings,
     PowerState,
     account_energy,
     memory_footprint,
@@ -22,15 +22,11 @@ from openhealth.firmware import (
 )
 
 
-def flat_harvest(mw: float):
-    return lambda t_ms: mw
-
-
 def make_energy(battery=100.0, capacity=200.0, harvest=0.0, mppt=1.0, charge_eff=1.0):
-    return EnergyState(
-        battery_mwh=battery,
-        capacity_mwh=capacity,
-        harvest_power_mw=flat_harvest(harvest),
+    return EnergySettings(
+        battery_capacity_mwh=capacity,
+        battery_initial_mwh=battery,
+        harvest_profile_mw=(harvest,) * 24,
         mppt_efficiency=mppt,
         charge_efficiency=charge_eff,
     )
@@ -104,11 +100,10 @@ def test_motion_detector_needs_two_samples():
 
 def test_one_hour_processing_drains_exactly_har_power():
     profile = DeviceProfile()
-    energy = make_energy(battery=100.0)
     new, delta, depleted = account_energy(
-        {PowerState.Processing: 1.0}, profile, "har", energy, t_ms=0, dt_ms=3_600_000
+        {PowerState.Processing: 1.0}, profile, "har", 100.0, make_energy(), t_ms=0, dt_ms=3_600_000
     )
-    assert new.battery_mwh == pytest.approx(100.0 - 12.5, abs=1e-12)
+    assert new == pytest.approx(100.0 - 12.5, abs=1e-12)
     assert delta.consumed_mwh == pytest.approx(12.5, abs=1e-12)
     assert not depleted
 
@@ -116,52 +111,51 @@ def test_one_hour_processing_drains_exactly_har_power():
 def test_one_hour_processing_gesture_power():
     profile = DeviceProfile()
     new, _, _ = account_energy(
-        {PowerState.Processing: 1.0}, profile, "gesture", make_energy(), t_ms=0, dt_ms=3_600_000
+        {PowerState.Processing: 1.0}, profile, "gesture", 100.0, make_energy(), t_ms=0, dt_ms=3_600_000
     )
-    assert new.battery_mwh == pytest.approx(100.0 - 10.0, abs=1e-12)
+    assert new == pytest.approx(100.0 - 10.0, abs=1e-12)
 
 
 def test_harvest_consumption_balance():
     profile = DeviceProfile()
     energy = make_energy(harvest=12.5, mppt=1.0)
     new, delta, _ = account_energy(
-        {PowerState.Processing: 1.0}, profile, "har", energy, t_ms=0, dt_ms=3_600_000
+        {PowerState.Processing: 1.0}, profile, "har", 100.0, energy, t_ms=0, dt_ms=3_600_000
     )
-    assert new.battery_mwh == pytest.approx(100.0, abs=1e-12)
+    assert new == pytest.approx(100.0, abs=1e-12)
     assert delta.applied_mwh == pytest.approx(0.0, abs=1e-12)
 
 
 def test_battery_clamps_at_capacity():
     profile = DeviceProfile()
-    energy = make_energy(battery=199.9, capacity=200.0, harvest=100.0)
+    energy = make_energy(capacity=200.0, harvest=100.0)
     new, delta, _ = account_energy(
-        {PowerState.Sleep: 1.0}, profile, "har", energy, t_ms=0, dt_ms=3_600_000
+        {PowerState.Sleep: 1.0}, profile, "har", 199.9, energy, t_ms=0, dt_ms=3_600_000
     )
-    assert new.battery_mwh == 200.0
+    assert new == 200.0
     assert delta.curtailed_mwh > 0
     assert delta.applied_mwh == pytest.approx(0.1, abs=1e-9)
 
 
 def test_depletion_is_flag_not_exception():
     profile = DeviceProfile()
-    energy = make_energy(battery=1.0)
     new, delta, depleted = account_energy(
-        {PowerState.Processing: 1.0}, profile, "har", energy, t_ms=0, dt_ms=3_600_000
+        {PowerState.Processing: 1.0}, profile, "har", 1.0, make_energy(), t_ms=0, dt_ms=3_600_000
     )
-    assert depleted and new.battery_mwh == 0.0
+    assert depleted and new == 0.0
     assert delta.shortfall_mwh == pytest.approx(11.5, abs=1e-9)
 
 
 def test_dwell_fractions_must_sum_to_one():
     with pytest.raises(ValueError, match="sum to 1"):
-        account_energy({PowerState.Sleep: 0.5}, DeviceProfile(), "har", make_energy(), 0, 1000)
+        account_energy({PowerState.Sleep: 0.5}, DeviceProfile(), "har", 100.0, make_energy(), 0, 1000)
 
 
 def test_mixed_dwell_weights_power():
     profile = DeviceProfile()
     new, delta, _ = account_energy(
         {PowerState.Sleep: 0.5, PowerState.Processing: 0.25, PowerState.Transmitting: 0.25},
-        profile, "har", make_energy(), t_ms=0, dt_ms=3_600_000,
+        profile, "har", 100.0, make_energy(), t_ms=0, dt_ms=3_600_000,
     )
     expected = 0.5 * 0.3 + 0.25 * 12.5 + 0.25 * 15.0
     assert delta.consumed_mwh == pytest.approx(expected, abs=1e-12)
@@ -181,66 +175,67 @@ def test_mixed_dwell_weights_power():
 )
 def test_battery_bounds_hold_for_random_schedules(steps):
     profile = DeviceProfile()
-    energy = make_energy(battery=50.0, capacity=100.0)
+    level, capacity = 50.0, 100.0
     ledger_total = 0.0
     t = 0
     for state, dt_ms, harvest in steps:
-        energy = EnergyState(
-            battery_mwh=energy.battery_mwh,
-            capacity_mwh=energy.capacity_mwh,
-            harvest_power_mw=flat_harvest(harvest),
-            mppt_efficiency=energy.mppt_efficiency,
-            charge_efficiency=energy.charge_efficiency,
-        )
-        energy, delta, _ = account_energy({state: 1.0}, profile, "har", energy, t, dt_ms)
+        energy = make_energy(capacity=capacity, battery=level, harvest=harvest)
+        level, delta, _ = account_energy({state: 1.0}, profile, "har", level, energy, t, dt_ms)
         ledger_total += delta.applied_mwh
         t += dt_ms
-        assert 0.0 <= energy.battery_mwh <= energy.capacity_mwh
-    assert energy.battery_mwh == pytest.approx(50.0 + ledger_total, abs=1e-6)
+        assert 0.0 <= level <= capacity
+    assert level == pytest.approx(50.0 + ledger_total, abs=1e-6)
+
+
+def test_account_energy_reads_the_harvest_of_its_hour_slot():
+    profile = DeviceProfile()
+    forecast = tuple(float(h) for h in range(24))
+    energy = EnergySettings(battery_capacity_mwh=200.0, battery_initial_mwh=100.0, harvest_profile_mw=forecast)
+    for t_ms, slot in ((0, 0), (3_599_999, 0), (3_600_000, 1), (25 * 3_600_000 + 7, 1), (47 * 3_600_000, 23)):
+        _, delta, _ = account_energy({PowerState.Sleep: 1.0}, profile, "har", 100.0, energy, t_ms, 3_600_000)
+        assert delta.harvest_mwh == energy.mppt_efficiency * forecast[slot]
 
 
 # --- duty planning ---------------------------------------------------------
 
 def test_duty_plan_fully_funded_slots():
     profile = DeviceProfile(p_tx_mw=12.5)  # active cost = 12.5 mWh per slot
-    energy = make_energy(battery=40.0, capacity=200.0, mppt=1.0)
-    plan = plan_duty_cycle([12.5] * 24, profile, "har", energy, reserve_fraction=0.2)
+    energy = make_energy(battery=40.0, capacity=200.0, harvest=12.5, mppt=1.0)
+    plan = plan_duty_cycle(profile, "har", energy)
     assert plan.fractions == tuple([1.0] * 24)
 
 
 def test_duty_plan_zero_forecast_battery_at_reserve():
     profile = DeviceProfile()
     energy = make_energy(battery=40.0, capacity=200.0)
-    plan = plan_duty_cycle([0.0] * 24, profile, "har", energy, reserve_fraction=0.2)
+    plan = plan_duty_cycle(profile, "har", energy)
     assert plan.fractions == tuple([0.0] * 24)
 
 
 def test_duty_plan_zero_forecast_funded_by_battery():
     profile = DeviceProfile()
     energy = make_energy(battery=200.0, capacity=200.0, mppt=1.0)
-    plan = plan_duty_cycle([0.0] * 24, profile, "har", energy, reserve_fraction=0.2)
+    plan = plan_duty_cycle(profile, "har", energy)
     assert all(f > 0 for f in plan.fractions)
 
 
 def test_duty_plan_half_funded_slots_budget_inequality():
     profile = DeviceProfile(p_tx_mw=12.5)
-    energy = make_energy(battery=30.0, capacity=30.0, mppt=1.0)
-    forecast = [12.5 / 2] * 24
-    plan = plan_duty_cycle(forecast, profile, "har", energy, reserve_fraction=0.2)
+    energy = make_energy(battery=30.0, capacity=30.0, harvest=12.5 / 2, mppt=1.0)
+    plan = plan_duty_cycle(profile, "har", energy)
     assert all(0.0 < f < 1.0 for f in plan.fractions)
     # direct summation oracle for the funding inequality
     c_active, c_sleep = 12.5, profile.p_sleep_mw
     planned = sum(f * (c_active - c_sleep) for f in plan.fractions)
-    available = sum(forecast) + (30.0 - 0.2 * 30.0)
+    available = sum(energy.harvest_profile_mw) + (30.0 - 0.2 * 30.0)
     assert planned <= available + 1e-9
 
 
 def test_duty_plan_validation():
-    profile = DeviceProfile()
     with pytest.raises(ValueError, match="24"):
-        plan_duty_cycle([1.0] * 23, profile, "har", make_energy())
+        EnergySettings(harvest_profile_mw=(1.0,) * 23)
     with pytest.raises(ValueError, match="nonnegative"):
-        plan_duty_cycle([-1.0] + [0.0] * 23, profile, "har", make_energy())
+        EnergySettings(harvest_profile_mw=(-1.0,) + (0.0,) * 23)
 
 
 def test_duty_plan_invariant_enforced():

@@ -442,12 +442,16 @@ def _unpack_header(buf: bytes, magic: bytes, kind: str) -> tuple[int, int, int]:
 
 
 def _unpack_stats(buf: bytes, offset: int, d: int) -> FeatureStats | None:
+    """The stats section that ends the blob; ModelFormatError if bytes follow it."""
     (has_stats,) = _unpack(">B", buf, offset, "stats flag")
-    if not has_stats:
-        return None
-    mean, offset = _unpack_f64(buf, offset + 1, d, "feature means")
-    std, _ = _unpack_f64(buf, offset, d, "feature deviations")
-    return FeatureStats(mean=mean, std=std)
+    stats, end = None, offset + 1
+    if has_stats:
+        mean, end = _unpack_f64(buf, end, d, "feature means")
+        std, end = _unpack_f64(buf, end, d, "feature deviations")
+        stats = FeatureStats(mean=mean, std=std)
+    if end != len(buf):
+        raise ModelFormatError(f"byte {end}: {len(buf) - end} bytes after the end of the blob")
+    return stats
 
 
 def model_to_bytes(model: MlpModel) -> bytes:

@@ -11,6 +11,7 @@ doubles as the schema's documentation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -119,6 +120,20 @@ def _check_keys(obj: dict, allowed: Sequence[str], path: str, ctx: _Ctx) -> None
             ctx.error(f"{path}.{key}" if path else key, "unknown key")
 
 
+def _int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _finite(v: Any) -> bool:
+    """A number (not a bool) that converts to a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 # A rule takes (value, path, ctx) and returns the value to use, or _INVALID
 # after recording why the value was rejected.
 Rule = Callable[[Any, str, _Ctx], Any]
@@ -131,6 +146,8 @@ def _num(lo: float | None = None, hi: float | None = None, integer: bool = False
             ctx.error(where, f"expected a number, got {type(v).__name__}")
         elif integer and not isinstance(v, int):
             ctx.error(where, "expected an integer")
+        elif not integer and not _finite(v):
+            ctx.error(where, "expected a finite number")
         elif lo is not None and v < lo:
             ctx.error(where, f"must be >= {lo}")
         elif hi is not None and v > hi:
@@ -178,9 +195,7 @@ def _names(what: str) -> Rule:
 
 
 def _vec3(v, where, ctx):
-    if isinstance(v, list) and len(v) == 3 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-    ):
+    if isinstance(v, list) and len(v) == 3 and all(_finite(x) for x in v):
         return (float(v[0]), float(v[1]), float(v[2]))
     ctx.error(where, "expected a 3-number list")
     return _INVALID
@@ -210,7 +225,7 @@ _TRAIN = {
     "momentum": _num(lo=0.0, hi=0.999),
     "epochs": _COUNT,
     "batch_size": _COUNT,
-    "seed": _num(integer=True),
+    "seed": _num(lo=0, integer=True),
     "split_fraction": _num(lo=0.01, hi=0.99),
     "patience": _COUNT,
     "hidden": _COUNT,  # of TrainSettings, not TrainConfig
@@ -259,7 +274,9 @@ _SCENARIO = {
 }
 
 
-def _fields(obj: dict, cls: type, path: str, ctx: _Ctx, rules: dict[str, Rule], extra: Sequence[str] = ()) -> dict:
+def _fields(
+    obj: dict, cls: type, path: str, ctx: _Ctx, rules: dict[str, Rule], extra: Sequence[str] = ()
+) -> dict:
     """Keyword arguments for cls from the keys of obj that pass their rule.
 
     The allowed keys are the rule keys plus extra (parsed by the caller).
@@ -314,14 +331,11 @@ def _parse_label(name: Any, label_set: type, path: str, ctx: _Ctx) -> Label | No
         return None
 
 
-def _parse_signal(params: dict, path: str, ctx: _Ctx) -> LabelSignalModel:
-    if "orientation" not in params:
-        ctx.error(f"{path}.orientation", "expected a 3-number list")
-    return LabelSignalModel(**_fields(params, LabelSignalModel, path, ctx, _SIGNAL))
-
-
-def _parse_synthetic_app(app: str, obj: dict, ctx: _Ctx) -> SyntheticSpec | None:
+def _parse_synthetic_app(app: str, obj: Any, ctx: _Ctx) -> SyntheticSpec | None:
     path = f"synthetic_models.{app}"
+    if not isinstance(obj, dict):
+        ctx.error(path, "expected an object")
+        return None
     kwargs = _fields(obj, SyntheticSpec, path, ctx, _SYNTHETIC, extra=("labels", "schedule"))
     label_set = label_set_for(app)
     labels_obj = obj.get("labels")
@@ -335,7 +349,9 @@ def _parse_synthetic_app(app: str, obj: dict, ctx: _Ctx) -> SyntheticSpec | None
         if not isinstance(params, dict):
             ctx.error(ppath, "expected a parameter object")
         elif label is not None:
-            signals[label] = _parse_signal(params, ppath, ctx)
+            if "orientation" not in params:
+                ctx.error(f"{ppath}.orientation", "expected a 3-number list")
+            signals[label] = LabelSignalModel(**_fields(params, LabelSignalModel, ppath, ctx, _SIGNAL))
     schedule = _parse_schedule(obj.get("schedule"), label_set, f"{path}.schedule", ctx)
     if not signals or schedule is None:
         return None
@@ -363,7 +379,7 @@ def _parse_schedule(raw: Any, label_set: type, path: str, ctx: _Ctx):
         label = _parse_label(entry[0], label_set, f"{path}[{i}]", ctx)
         if label is None:
             continue
-        if not isinstance(entry[1], int) or entry[1] <= 0:
+        if not _int(entry[1]) or entry[1] <= 0:
             ctx.error(f"{path}[{i}]", "duration_ms must be a positive integer")
             continue
         out.append((label, entry[1]))
@@ -375,11 +391,7 @@ def _parse_energy(obj: dict, ctx: _Ctx) -> EnergySettings:
     kwargs = _fields(obj, EnergySettings, path, ctx, _ENERGY, extra=("harvest_profile_mw",))
     raw = obj.get("harvest_profile_mw")
     if raw is not None:
-        if (
-            not isinstance(raw, list)
-            or len(raw) != SLOTS_PER_DAY
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) and x >= 0 for x in raw)
-        ):
+        if not isinstance(raw, list) or len(raw) != SLOTS_PER_DAY or not all(_finite(x) and x >= 0 for x in raw):
             ctx.error(f"{path}.harvest_profile_mw", f"expected {SLOTS_PER_DAY} nonnegative numbers")
         else:
             kwargs["harvest_profile_mw"] = tuple(float(x) for x in raw)
@@ -395,13 +407,9 @@ def _parse_channel(obj: dict, ctx: _Ctx) -> ChannelModel:
     kwargs = _fields(obj, ChannelModel, path, ctx, _CHANNEL, extra=("latency_ms",))
     raw = obj.get("latency_ms")
     if raw is not None:
-        if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
+        if _int(raw) and raw >= 0:
             kwargs["latency_ms"] = raw
-        elif (
-            isinstance(raw, list) and len(raw) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
-            and 0 <= raw[0] <= raw[1]
-        ):
+        elif isinstance(raw, list) and len(raw) == 2 and all(_int(x) for x in raw) and 0 <= raw[0] <= raw[1]:
             kwargs["latency_ms"] = (raw[0], raw[1])
         else:
             ctx.error(f"{path}.latency_ms", "expected a nonnegative integer or [lo, hi] range")
@@ -442,7 +450,9 @@ def _parse_device(obj: Any, index: int, synthetic: dict[str, SyntheticSpec], ctx
     device_id = kwargs.pop("id", index + 1)
     app = kwargs.get("app", DeviceSpec.app)
     label_set = label_set_for(app)
-    schedule = _parse_schedule(obj["schedule"], label_set, f"{path}.schedule", ctx) if "schedule" in obj else None
+    schedule = None
+    if "schedule" in obj:
+        schedule = _parse_schedule(obj["schedule"], label_set, f"{path}.schedule", ctx)
     if schedule:
         kwargs["schedule"] = tuple(schedule)
     elif app in synthetic:
@@ -456,8 +466,11 @@ def _parse_device(obj: Any, index: int, synthetic: dict[str, SyntheticSpec], ctx
         else:
             alerts = []
             for i, entry in enumerate(raw_alerts):
-                if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[0], int):
+                if not isinstance(entry, list) or len(entry) != 2 or not _int(entry[0]):
                     ctx.error(f"{path}.alert_schedule[{i}]", "expected [t_ms, label]")
+                    continue
+                if entry[0] < 0:
+                    ctx.error(f"{path}.alert_schedule[{i}]", "t_ms must be >= 0")
                     continue
                 label = _parse_label(entry[1], label_set, f"{path}.alert_schedule[{i}]", ctx)
                 if label is not None:
@@ -520,13 +533,9 @@ def parse_config(raw: Any) -> Config:
     syn_obj = section("synthetic_models")
     _check_keys(syn_obj, APPS, "synthetic_models", ctx)
     for app in APPS:
-        if app in syn_obj:
-            if not isinstance(syn_obj[app], dict):
-                ctx.error(f"synthetic_models.{app}", "expected an object")
-                continue
-            spec = _parse_synthetic_app(app, syn_obj[app], ctx)
-            if spec is not None:
-                synthetic[app] = spec
+        spec = _parse_synthetic_app(app, syn_obj[app], ctx) if app in syn_obj else None
+        if spec is not None:
+            synthetic[app] = spec
 
     energy = _parse_energy(section("energy"), ctx)
     channel = _parse_channel(section("channel"), ctx)

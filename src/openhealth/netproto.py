@@ -20,6 +20,7 @@ Direction is implied by the frame type, so it needs no wire bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -90,6 +91,10 @@ class PayloadTooLong(ProtocolError):
 
 class UnknownDevice(ProtocolError):
     code = "unknown_device"
+
+
+class BadPayload(ProtocolError):
+    code = "bad_payload"
 
 
 def frame_nonce(device_id: int, seq: int, direction: int) -> bytes:
@@ -183,6 +188,7 @@ def decode_frame(data: bytes, key: bytes, replay: ReplayWindow | None = None) ->
 # Payload codecs
 
 _DATA_FMT = ">QBHB"  # timestamp_ms, label_index, confidence, app_id
+DATA_FRAME_LEN = HEADER_LEN + struct.calcsize(_DATA_FMT) + TAG_LEN
 
 
 @dataclass(frozen=True)
@@ -234,6 +240,8 @@ def unpack_sync_report(raw: bytes) -> tuple[float, int]:
     kind, offset, rtt = struct.unpack(">BdI", raw)
     if kind != SYNC_REPORT:
         raise ProtocolError("not a sync report")
+    if not math.isfinite(offset):
+        raise ProtocolError(f"sync report offset {offset} is not finite")
     return offset, rtt
 
 
@@ -378,16 +386,14 @@ class HostGateway:
                 continue
             try:
                 frame = decode_frame(raw, self.keys[device_id], self.replay[device_id])
+                self._dispatch(t_ms, frame, result)
             except ReplayRejected as exc:
                 # Retransmitted alerts still deserve an ACK so the sender stops.
                 if self._is_replayed_alert(raw, device_id, seq):
                     result.acks.append(self._ack(device_id, seq))
                 self._count_reject(result, device_id, exc.code)
-                continue
-            except ProtocolError as exc:
+            except ProtocolError as exc:  # including _dispatch's BadPayload
                 self._count_reject(result, device_id, exc.code)
-                continue
-            self._dispatch(t_ms, frame, result)
         return result
 
     def _is_replayed_alert(self, raw: bytes, device_id: int, seq: int) -> bool:
@@ -402,22 +408,22 @@ class HostGateway:
         self.reject_counts[code] = self.reject_counts.get(code, 0) + 1
 
     def _dispatch(self, t_ms: int, frame: DecodedFrame, result: GatewayResult) -> None:
+        """Act on an authenticated frame; BadPayload, before any effect, if its payload is malformed."""
         device_id = frame.device_id
         if frame.frame_type is FrameType.HELLO:
             result.acks.append(self._ack(device_id, frame.seq))
         elif frame.frame_type is FrameType.TIME_SYNC:
-            kind = frame.payload[0]
-            if kind == SYNC_REQUEST:
-                t1 = unpack_sync_request(frame.payload)
+            if frame.payload[:1] == bytes((SYNC_REQUEST,)):
+                t1 = _unpack_payload(unpack_sync_request, frame)
                 now = self.clock()
                 result.acks.append(
                     self._ack(device_id, frame.seq, pack_sync_reply(t1, now, now))
                 )
             else:
-                offset, _ = unpack_sync_report(frame.payload)
+                offset, _ = _unpack_payload(unpack_sync_report, frame)
                 self.offsets[device_id] = offset
         elif frame.frame_type is FrameType.DATA:
-            data = DataPayload.unpack(frame.payload)
+            data = _unpack_payload(DataPayload.unpack, frame)
             corrected = round(data.timestamp_ms + self.offsets[device_id])
             obs = Observation(
                 device_id=device_id,
@@ -429,7 +435,7 @@ class HostGateway:
             self._insert_ordered(device_id, obs)
             result.observations.append(obs)
         elif frame.frame_type is FrameType.ALERT:
-            data = DataPayload.unpack(frame.payload)
+            data = _unpack_payload(DataPayload.unpack, frame)
             note = AlertNotification(
                 device_id=device_id,
                 t_ms=t_ms,
@@ -451,3 +457,11 @@ class HostGateway:
             log.insert(i, obs)
         else:
             log.append(obs)
+
+
+def _unpack_payload(unpack, frame: DecodedFrame):
+    """unpack(frame.payload), raising BadPayload if the payload is malformed."""
+    try:
+        return unpack(frame.payload)
+    except (struct.error, ValueError) as exc:  # ProtocolError is a ValueError too
+        raise BadPayload(f"malformed {frame.frame_type.name} payload: {exc}") from None

@@ -44,6 +44,7 @@ from .firmware import (
     state_power_mw,
 )
 from .netproto import (
+    DATA_FRAME_LEN,
     AppId,
     DataPayload,
     FrameType,
@@ -220,7 +221,7 @@ class SimDevice:
         self.cycle_ms = (
             self.window_ms
             + scenario.inference_latency_ms
-            + self._tx_ms(self._data_frame_len())
+            + self._tx_ms(DATA_FRAME_LEN)
         )
 
         self.blocks = self._tile_blocks(spec.schedule, scenario.duration_ms)
@@ -543,9 +544,6 @@ class SimDevice:
     def _tx_ms(self, frame_len: int) -> int:
         bits = frame_len * 8
         return max(MIN_RADIO_MS, round(bits / self.scenario.tx_bitrate_kbps))
-
-    def _data_frame_len(self) -> int:
-        return 10 + 12 + 16
 
     def _build_data_frame(self, label: Label, conf_fp: int) -> bytes:
         payload = DataPayload(

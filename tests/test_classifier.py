@@ -324,6 +324,15 @@ def test_non_finite_parameter_is_format_error():
         model_from_bytes(bytes(blob))
 
 
+@pytest.mark.parametrize("index", range(4))
+def test_trailing_bytes_name_first_extra_byte(index):
+    blob = _valid_blobs()[index]
+    decode = model_from_bytes if index < 2 else quantized_from_bytes
+    for tail in (b"\x00", b"junk"):
+        with pytest.raises(ModelFormatError, match=rf"^byte {len(blob)}: {len(tail)} bytes after the end"):
+            decode(blob + tail)
+
+
 # Overwrites: raw bytes anywhere, or a big-endian float64 (NaN and infinities
 # included) on a parameter boundary (float64 parameters start at byte 18).
 _EDIT = st.one_of(

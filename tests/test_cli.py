@@ -243,6 +243,13 @@ def test_simulate_config_without_scenario_exits_2(tmp_path, capsys):
     assert "scenario" in capsys.readouterr().err
 
 
+def test_simulate_non_finite_setting_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, mutate=lambda raw: raw["scenario"].update(tx_bitrate_kbps=float("nan")))
+    code = main(["simulate", "--config", str(config), "--trace", str(tmp_path / "t")])
+    assert code == 2
+    assert "config error: scenario.tx_bitrate_kbps: expected a finite number" in capsys.readouterr().err
+
+
 def test_golden_eval_rendering():
     import numpy as np
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from openhealth.config import ConfigError, load_config, parse_config
 
@@ -295,3 +297,87 @@ def test_minimal_document_yields_documented_defaults():
     assert (s.use_duty_plan, s.energy_log_interval_ms, s.model_path) == (False, 3600000, None)
     (device,) = s.devices
     assert (device.device_id, device.app, device.clock_offset_ms, device.alert_schedule) == (1, "har", 0, ())
+
+
+# --- values that used to parse and then crash later ------------------------
+
+CRASHED_LATER = [
+    ([(("scenario", "tx_bitrate_kbps"), math.nan)], ["scenario.tx_bitrate_kbps: expected a finite number"]),
+    ([(("energy", "battery_capacity_mwh"), math.nan)], ["energy.battery_capacity_mwh: expected a finite number"]),
+    ([(("device_profile", "sample_rate_hz"), math.inf)], ["device_profile.sample_rate_hz: expected a finite number"]),
+    ([(_DEV + ("alert_schedule",), [[-5, "Jump"]])], ["scenario.devices[0].alert_schedule[0]: t_ms must be >= 0"]),
+    ([(_DEV + ("alert_schedule",), [[True, "Jump"]])], ["scenario.devices[0].alert_schedule[0]: expected [t_ms, label]"]),
+    (
+        [(_DEV + ("schedule", 0, 1), True)],
+        ["scenario.devices[0].schedule[0]: duration_ms must be a positive integer"],
+    ),
+    (
+        [(_HAR + ("schedule", 0, 1), True)],
+        ["synthetic_models.har.schedule[0]: duration_ms must be a positive integer"],
+    ),
+    (
+        [(_WALK + ("orientation",), [math.nan, 0.0, 1.0])],
+        ["synthetic_models.har.labels.Walk.orientation: expected a 3-number list"],
+    ),
+    (
+        [(_WALK + ("orientation",), [10**400, 0, 1])],
+        ["synthetic_models.har.labels.Walk.orientation: expected a 3-number list"],
+    ),
+    ([(("energy", "harvest_profile_mw", 3), math.inf)], ["energy.harvest_profile_mw: expected 24 nonnegative numbers"]),
+    ([(("train", "seed"), -1)], ["train.seed: must be >= 0"]),
+]
+
+
+@pytest.mark.parametrize(
+    "edits,expected", CRASHED_LATER, ids=[".".join(map(str, edits[0][0])) for edits, _ in CRASHED_LATER]
+)
+def test_values_that_crash_later_are_config_errors(edits, expected):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(apply_edits(reference_raw(), edits))
+    assert sorted(exc.value.errors) == expected
+
+
+def _node_paths(obj, path=()):
+    if path:
+        yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _node_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _node_paths(value, path + (i,))
+
+
+NODE_PATHS = list(_node_paths(reference_raw()))
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)]) | st.floats()
+    | st.text(max_size=8)
+)
+JSON_VALUES = (
+    JSON_LEAVES | st.lists(JSON_LEAVES, max_size=4) | st.dictionaries(st.text(max_size=8), JSON_LEAVES, max_size=3)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    path=st.sampled_from(NODE_PATHS),
+    kind=st.sampled_from(["replace", "delete", "sibling"]),
+    value=JSON_VALUES,
+)
+def test_single_node_mutations_parse_or_raise_config_error(path, kind, value):
+    raw = reference_raw()
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "replace":
+        parent[path[-1]] = value
+    elif isinstance(parent, dict):
+        parent["zz_unknown"] = value
+    else:
+        parent.append(value)
+    try:
+        parse_config(raw)
+    except ConfigError:
+        pass

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from openhealth.netproto import (
+    DATA_FRAME_LEN,
     AppId,
     AuthFailure,
     DataPayload,
@@ -19,6 +20,7 @@ from openhealth.netproto import (
     estimate_offset,
     pack_ack,
     pack_sync_reply,
+    pack_sync_report,
     pack_sync_request,
     peek_header,
     unpack_ack,
@@ -180,6 +182,10 @@ def data_frame(device, seq, ts, label=3, conf=9000):
     return encode_frame(FrameType.DATA, device, seq, payload, KEY)
 
 
+def test_data_frame_length_matches_encoded_frame():
+    assert DATA_FRAME_LEN == len(data_frame(1, 1, 100)) == 38
+
+
 def test_gateway_keeps_independent_ordered_logs():
     gw = gateway_with()
     frames = [
@@ -269,6 +275,39 @@ def test_gateway_host_seq_strictly_increases():
         result = gw.step(0, [alert])
         seqs.append(peek_header(result.acks[0])[3])
     assert seqs == sorted(seqs) and len(set(seqs)) == 3
+
+
+@pytest.mark.parametrize(
+    "ftype,payload",
+    [
+        (FrameType.DATA, b"\x01"),
+        (FrameType.TIME_SYNC, b""),
+        (FrameType.ALERT, DataPayload(777, 1, 10000, AppId.HAR).pack()[:-1] + b"\x09"),  # app_id 9
+        (FrameType.DATA, DataPayload(777, 1, 10000, AppId.HAR).pack()[:9] + b"\xff\xff\x01"),  # confidence 65535
+        (FrameType.TIME_SYNC, pack_sync_request(5)[:-1]),
+        (FrameType.TIME_SYNC, pack_sync_report(float("nan"), 40)),
+        (FrameType.TIME_SYNC, b"\x07" + bytes(12)),  # neither request nor report
+    ],
+)
+def test_gateway_rejects_malformed_authenticated_payload(ftype, payload):
+    gw = gateway_with()
+    result = gw.step(0, [encode_frame(ftype, 1, 1, payload, KEY)])
+    assert result.rejects == [(1, "bad_payload")]
+    assert (result.acks, result.observations, result.notifications) == ([], [], [])
+    assert gw.offsets[1] == 0.0 and gw.reject_counts == {"bad_payload": 1}
+    # the session goes on: the next well-formed frame is stored
+    assert len(gw.step(0, [data_frame(1, 2, 100)]).observations) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(ftype=st.sampled_from(list(FrameType)), payload=st.binary(max_size=40))
+def test_gateway_step_never_raises_on_authenticated_payloads(ftype, payload):
+    gw = gateway_with()
+    result = gw.step(0, [encode_frame(ftype, 1, 1, payload, KEY)])
+    assert result.rejects in ([], [(1, "bad_payload")])
+    # whatever a sync report set, later data frames still get a corrected time
+    (obs,) = gw.step(0, [data_frame(1, 2, 100)]).observations
+    assert isinstance(obs.corrected_t_ms, int)
 
 
 def test_observation_log_format(tmp_path):

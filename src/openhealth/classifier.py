@@ -18,9 +18,12 @@ import numpy as np
 
 from .core import (
     ACCEL_CHANNELS,
+    COUNT,
     GYRO_CHANNELS,
     STRETCH_CHANNEL,
     Label,
+    check_fields,
+    num,
 )
 from .pipeline import (
     FeatureStats,
@@ -87,13 +90,18 @@ class TrainConfig:
     split_fraction: float = 0.8
     patience: int | None = None
 
+    RULES = {
+        "learning_rate": num(lo=1e-12),
+        "momentum": num(lo=0.0, hi=0.999),
+        "epochs": COUNT,
+        "batch_size": COUNT,
+        "seed": num(lo=0, integer=True),
+        "split_fraction": num(lo=0.01, hi=0.99),
+        "patience": COUNT,
+    }
+
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split_fraction must be in (0, 1)")
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs and batch_size must be > 0")
+        check_fields(self)
 
 
 def init_model(layer_sizes: Sequence[int], seed: int = 0) -> MlpModel:
@@ -441,6 +449,13 @@ def _unpack_header(buf: bytes, magic: bytes, kind: str) -> tuple[int, int, int]:
     return _unpack(">3I", buf, 6, "layer sizes")
 
 
+def _pack_stats(stats: FeatureStats | None) -> bytes:
+    """The stats section that ends the blob: a flag, then means and deviations if set."""
+    if stats is None:
+        return struct.pack(">B", 0)
+    return struct.pack(">B", 1) + _pack_f64(stats.mean) + _pack_f64(stats.std)
+
+
 def _unpack_stats(buf: bytes, offset: int, d: int) -> FeatureStats | None:
     """The stats section that ends the blob; ModelFormatError if bytes follow it."""
     (has_stats,) = _unpack(">B", buf, offset, "stats flag")
@@ -460,12 +475,7 @@ def model_to_bytes(model: MlpModel) -> bytes:
     out = [MODEL_MAGIC, struct.pack(">BB", 1, 3), struct.pack(">3I", d, h, c)]
     for t in model.tensors():
         out.append(_pack_f64(t))
-    if model.stats is not None:
-        out.append(struct.pack(">B", 1))
-        out.append(_pack_f64(model.stats.mean))
-        out.append(_pack_f64(model.stats.std))
-    else:
-        out.append(struct.pack(">B", 0))
+    out.append(_pack_stats(model.stats))
     return b"".join(out)
 
 
@@ -487,14 +497,7 @@ def model_from_bytes(buf: bytes) -> MlpModel:
 
 
 def quantized_to_bytes(qm: QuantizedModel) -> bytes:
-    out = [qm.param_image()]
-    if qm.stats is not None:
-        out.append(struct.pack(">B", 1))
-        out.append(_pack_f64(qm.stats.mean))
-        out.append(_pack_f64(qm.stats.std))
-    else:
-        out.append(struct.pack(">B", 0))
-    return b"".join(out)
+    return qm.param_image() + _pack_stats(qm.stats)
 
 
 def quantized_from_bytes(buf: bytes) -> QuantizedModel:

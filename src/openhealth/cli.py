@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .classifier import (
@@ -27,9 +28,10 @@ from .classifier import (
     train,
 )
 from .config import Config, ConfigError, load_config
-from .core import ALL_CHANNELS, ActivityLabel, label_set_for
+from .core import ALL_CHANNELS, APPS, ActivityLabel, label_set_for
 from .dataio import (
     DatasetFormatError,
+    channel_count,
     generate_synthetic,
     read_dataset,
     storage_budget,
@@ -60,15 +62,18 @@ class CliError(Exception):
 
 
 def _resolve_seed(arg_seed: int | None, default: int = 0) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
+    seed, source = arg_seed, "--seed"
+    if seed is None:
+        env = os.environ.get(ENV_SEED)
+        if env is None:
+            return default
         try:
-            return int(env)
+            seed, source = int(env), ENV_SEED
         except ValueError:
             raise CliError(f"{ENV_SEED} must be an integer, got {env!r}", EXIT_CONFIG) from None
-    return default
+    if seed < 0:
+        raise CliError(f"{source} must be >= 0, got {seed}", EXIT_CONFIG)
+    return seed
 
 
 def _load_config(path: str) -> Config:
@@ -110,19 +115,14 @@ def cmd_datagen(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config) if args.config else Config()
+    seed = _resolve_seed(args.seed, default=config.train.config.seed)
+    train_config = replace(config.train.config, seed=seed)
     try:
         recording = read_dataset(args.data)
     except (DatasetFormatError, FileNotFoundError) as exc:
         raise CliError(f"data error: {exc}", EXIT_DATA) from None
     matrix, labels = _labeled_windows(recording, config, args.app)
     feats = extract_feature_matrix(matrix)
-
-    train_config = config.train.config
-    seed = _resolve_seed(args.seed, default=train_config.seed)
-    if seed != train_config.seed:
-        from dataclasses import replace
-
-        train_config = replace(train_config, seed=seed)
 
     train_idx, test_idx = split_dataset(len(labels), train_config.split_fraction, seed)
     x_train, stats = normalize_features(feats[train_idx])
@@ -163,9 +163,11 @@ def cmd_eval(args) -> int:
         raise CliError(f"data error: {exc}", EXIT_DATA) from None
 
     n_classes = model.layer_sizes[2]
-    app = {7: "har", 4: "gesture"}.get(n_classes)
-    if app is None:
-        raise CliError(f"model has {n_classes} classes; expected 7 (har) or 4 (gesture)", EXIT_DATA)
+    apps = {len(label_set): name for name, label_set in APPS.items()}
+    if n_classes not in apps:
+        expected = " or ".join(f"{n} ({name})" for n, name in apps.items())
+        raise CliError(f"model has {n_classes} classes; expected {expected}", EXIT_DATA)
+    app = apps[n_classes]
     config = _load_config(args.config) if args.config else Config()
     matrix, labels = _labeled_windows(recording, config, app)
     feats = extract_feature_matrix(matrix)
@@ -188,7 +190,8 @@ def cmd_budget(args) -> int:
     config = _load_config(args.config)
     profile = config.profile
     w = config.pipeline.window
-    channels = len(config.pipeline.channels or ALL_CHANNELS)
+    har = config.synthetic.get("har")
+    channels = channel_count(har.signals) if har else len(ALL_CHANNELS)
     hidden = config.train.hidden
     d = channels * FEATURES_PER_CHANNEL
     layer_sizes = (d, hidden, len(ActivityLabel))
@@ -277,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("datagen", help="generate a synthetic dataset CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--app", choices=("har", "gesture"), default="har")
+    p.add_argument("--app", choices=tuple(APPS), default="har")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_datagen)
 
     p = sub.add_parser("train", help="train a classifier on a dataset CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--app", choices=("har", "gesture"), default="har")
+    p.add_argument("--app", choices=tuple(APPS), default="har")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)

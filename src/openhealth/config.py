@@ -2,8 +2,9 @@
 
 Validation collects every violation instead of stopping at the first, and
 rejects unknown keys at any nesting level. A section's defaults are those
-of the dataclass it builds, and its keys are those of its rule table
-below; an absent or invalid key leaves the dataclass default in place.
+of the dataclass it builds, and its keys are those of its rule table: the
+dataclass's own RULES where it checks its fields, else a table below. An
+absent or invalid key leaves the dataclass default in place.
 The shipped reference config spells out every default explicitly and
 doubles as the schema's documentation.
 """
@@ -11,18 +12,15 @@ doubles as the schema's documentation.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .classifier import DEFAULT_HIDDEN, TrainConfig
-from .core import DeviceProfile, Label, label_set_for
+from .core import APPS, COUNT, POSITIVE, DeviceProfile, FieldError, Label, Rule, finite, is_int, label_set_for, num
 from .dataio import LabelSignalModel, SyntheticActivityModel
-from .firmware import SLOTS_PER_DAY, EnergySettings
+from .firmware import EnergySettings
 from .netproto import KEY_LEN, ChannelModel, RetryPolicy
-
-APPS = ("har", "gesture")
 
 
 class ConfigError(ValueError):
@@ -37,7 +35,6 @@ class ConfigError(ValueError):
 class PipelineSettings:
     window: int = 128
     overlap: float = 0.5
-    channels: tuple[str, ...] | None = None  # None = all channels in the data
 
 
 @dataclass(frozen=True)
@@ -120,193 +117,111 @@ def _check_keys(obj: dict, allowed: Sequence[str], path: str, ctx: _Ctx) -> None
             ctx.error(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _finite(v: Any) -> bool:
-    """A number (not a bool) that converts to a finite float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-# A rule takes (value, path, ctx) and returns the value to use, or _INVALID
-# after recording why the value was rejected.
-Rule = Callable[[Any, str, _Ctx], Any]
-_INVALID = object()
-
-
-def _num(lo: float | None = None, hi: float | None = None, integer: bool = False) -> Rule:
-    def check(v, where, ctx):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            ctx.error(where, f"expected a number, got {type(v).__name__}")
-        elif integer and not isinstance(v, int):
-            ctx.error(where, "expected an integer")
-        elif not integer and not _finite(v):
-            ctx.error(where, "expected a finite number")
-        elif lo is not None and v < lo:
-            ctx.error(where, f"must be >= {lo}")
-        elif hi is not None and v > hi:
-            ctx.error(where, f"must be <= {hi}")
-        else:
-            return v
-        return _INVALID
-
-    return check
-
-
-def _bool(v, where, ctx):
+def _bool(v):
     if isinstance(v, bool):
         return v
-    ctx.error(where, "expected true/false")
-    return _INVALID
+    raise ValueError("expected true/false")
 
 
-def _str(v, where, ctx):
+def _str(v):
     if isinstance(v, str):
         return v
-    ctx.error(where, "expected a string")
-    return _INVALID
+    raise ValueError("expected a string")
 
 
-def _one_of(*choices: str) -> Rule:
-    def check(v, where, ctx):
-        v = _str(v, where, ctx)
-        if v is _INVALID or v in choices:
-            return v
-        ctx.error(where, f"must be one of {sorted(choices)}")
-        return _INVALID
-
-    return check
+def _app(v):
+    if _str(v) in APPS:
+        return v
+    raise ValueError(f"must be one of {sorted(APPS)}")
 
 
-def _names(what: str) -> Rule:
-    def check(v, where, ctx):
-        if isinstance(v, list) and all(isinstance(x, str) for x in v):
-            return tuple(v)
-        ctx.error(where, f"expected a list of {what} names")
-        return _INVALID
-
-    return check
+def _label_names(v):
+    if isinstance(v, list) and all(isinstance(x, str) for x in v):
+        return tuple(v)
+    raise ValueError("expected a list of label names")
 
 
-def _vec3(v, where, ctx):
-    if isinstance(v, list) and len(v) == 3 and all(_finite(x) for x in v):
+def _local_processing(v):
+    """The key exists only to refuse raw-sample streaming: true is the only value."""
+    if _bool(v):
+        return v
+    raise ValueError("raw-sample streaming is not supported; only processed observations leave the device")
+
+
+def _vec3(v):
+    if isinstance(v, list) and len(v) == 3 and all(finite(x) for x in v):
         return (float(v[0]), float(v[1]), float(v[2]))
-    ctx.error(where, "expected a 3-number list")
-    return _INVALID
+    raise ValueError("expected a 3-number list")
 
 
-_POSITIVE = _num(lo=1e-9)
-_COUNT = _num(lo=1, integer=True)
-_FRACTION = _num(lo=1e-9, hi=1.0)
-
-_PROFILE = {
-    "cpu_mhz": _POSITIVE,
-    "sram_bytes": _COUNT,
-    "flash_bytes": _COUNT,
-    "p_active_har_mw": _POSITIVE,
-    "p_active_gesture_mw": _POSITIVE,
-    "p_sleep_mw": _POSITIVE,
-    "p_tx_mw": _POSITIVE,
-    "sample_rate_hz": _POSITIVE,
-}
+# Rules of the sections whose dataclasses check nothing themselves; the
+# others are the RULES tables of DeviceProfile, TrainConfig, EnergySettings
+# and ChannelModel.
 _PIPELINE = {
-    "window": _num(lo=16, integer=True),
-    "overlap": _num(lo=0.0, hi=0.999),
-    "channels": _names("channel"),
+    "window": num(lo=16, integer=True),
+    "overlap": num(lo=0.0, hi=0.999),
 }
-_TRAIN = {
-    "learning_rate": _num(lo=1e-12),
-    "momentum": _num(lo=0.0, hi=0.999),
-    "epochs": _COUNT,
-    "batch_size": _COUNT,
-    "seed": _num(lo=0, integer=True),
-    "split_fraction": _num(lo=0.01, hi=0.99),
-    "patience": _COUNT,
-    "hidden": _COUNT,  # of TrainSettings, not TrainConfig
-}
-_SYNTHETIC = {"repeat": _COUNT}
+_TRAIN = {**TrainConfig.RULES, "hidden": COUNT}  # hidden is TrainSettings'
+_SYNTHETIC = {"repeat": COUNT}
 _SIGNAL = {
     "orientation": _vec3,
-    "freq_hz": _num(lo=0.0),
-    "amp_g": _num(lo=0.0),
-    "noise_sigma": _num(lo=0.0),
-    "stretch_base": _num(lo=0.0, hi=1.0),
-    "stretch_amp": _num(lo=0.0),
+    "freq_hz": num(lo=0.0),
+    "amp_g": num(lo=0.0),
+    "noise_sigma": num(lo=0.0),
+    "stretch_base": num(lo=0.0, hi=1.0),
+    "stretch_amp": num(lo=0.0),
 }
-_ENERGY = {
-    "battery_capacity_mwh": _POSITIVE,
-    "battery_initial_mwh": _num(lo=0.0),
-    "mppt_efficiency": _FRACTION,
-    "charge_efficiency": _FRACTION,
-    "reserve_fraction": _num(lo=0.0, hi=0.9),
-}
-_CHANNEL = {
-    "loss_probability": _num(lo=0.0, hi=1.0),
-    "corruption_probability": _num(lo=0.0, hi=0.999),
-}
-_RETRY = {"interval_ms": _COUNT, "max_attempts": _COUNT}
+_RETRY = {"interval_ms": COUNT, "max_attempts": COUNT}
 _PROTOCOL = {
-    "sync_interval_ms": _num(lo=0, integer=True),
-    "sync_timeout_ms": _COUNT,
-    "sync_retries": _COUNT,
+    "sync_interval_ms": num(lo=0, integer=True),
+    "sync_timeout_ms": COUNT,
+    "sync_retries": COUNT,
 }
 _DEVICE = {
-    "id": _num(lo=0, hi=0xFFFF, integer=True),  # DeviceSpec.device_id
-    "app": _one_of(*APPS),
-    "clock_offset_ms": _num(integer=True),
+    "id": num(lo=0, hi=0xFFFF, integer=True),  # DeviceSpec.device_id
+    "app": _app,
+    "clock_offset_ms": num(integer=True),
 }
 _SCENARIO = {
-    "duration_ms": _COUNT,
-    "report_every_n_windows": _COUNT,
-    "idle_timeout_ms": _num(lo=0, integer=True),
-    "inference_latency_ms": _COUNT,
-    "tx_bitrate_kbps": _POSITIVE,
-    "alert_labels": _names("label"),
+    "duration_ms": COUNT,
+    "report_every_n_windows": COUNT,
+    "idle_timeout_ms": num(lo=0, integer=True),
+    "inference_latency_ms": COUNT,
+    "tx_bitrate_kbps": POSITIVE,
+    "alert_labels": _label_names,
     "use_duty_plan": _bool,
-    "energy_log_interval_ms": _COUNT,
+    "energy_log_interval_ms": COUNT,
     "model_path": _str,
+    "local_processing": _local_processing,  # checked only, not a ScenarioSettings field
 }
 
 
 def _fields(
-    obj: dict, cls: type, path: str, ctx: _Ctx, rules: dict[str, Rule], extra: Sequence[str] = ()
+    obj: dict, cls: type, path: str, ctx: _Ctx, rules: dict[str, Rule],
+    extra: Sequence[str] = (), nullable: Sequence[str] = (),
 ) -> dict:
     """Keyword arguments for cls from the keys of obj that pass their rule.
 
     The allowed keys are the rule keys plus extra (parsed by the caller).
     An absent or invalid key is left out so that cls's default applies,
-    and so is a null for a field whose default is None.
+    and so is a null for a field whose default is None or that is listed
+    in nullable.
     """
     _check_keys(obj, [*rules, *extra], path, ctx)
-    optional = {f.name for f in fields(cls) if f.default is None}
+    skip_null = {f.name for f in fields(cls) if f.default is None}.union(nullable)
     kwargs = {}
     for key, rule in rules.items():
-        if key not in obj or (obj[key] is None and key in optional):
+        if key not in obj or (obj[key] is None and key in skip_null):
             continue
-        value = rule(obj[key], f"{path}.{key}", ctx)
-        if value is not _INVALID:
-            kwargs[key] = value
+        try:
+            kwargs[key] = rule(obj[key])
+        except ValueError as exc:
+            ctx.error(f"{path}.{key}", str(exc))
     return kwargs
 
 
-def _build(cls: type, kwargs: dict, path: str, ctx: _Ctx):
-    """cls(**kwargs), or cls() after recording the ValueError it raised."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        ctx.error(path, str(exc))
-        return cls()
-
-
 def _parse_profile(obj: dict, ctx: _Ctx) -> DeviceProfile:
-    path = "device_profile"
-    return _build(DeviceProfile, _fields(obj, DeviceProfile, path, ctx, _PROFILE), path, ctx)
+    return DeviceProfile(**_fields(obj, DeviceProfile, "device_profile", ctx, DeviceProfile.RULES))
 
 
 def _parse_pipeline(obj: dict, ctx: _Ctx) -> PipelineSettings:
@@ -314,10 +229,9 @@ def _parse_pipeline(obj: dict, ctx: _Ctx) -> PipelineSettings:
 
 
 def _parse_train(obj: dict, ctx: _Ctx) -> TrainSettings:
-    path = "train"
-    kwargs = _fields(obj, TrainConfig, path, ctx, _TRAIN)
+    kwargs = _fields(obj, TrainConfig, "train", ctx, _TRAIN)
     hidden = {"hidden": kwargs.pop("hidden")} if "hidden" in kwargs else {}
-    return TrainSettings(config=_build(TrainConfig, kwargs, path, ctx), **hidden)
+    return TrainSettings(config=TrainConfig(**kwargs), **hidden)
 
 
 def _parse_label(name: Any, label_set: type, path: str, ctx: _Ctx) -> Label | None:
@@ -379,7 +293,7 @@ def _parse_schedule(raw: Any, label_set: type, path: str, ctx: _Ctx):
         label = _parse_label(entry[0], label_set, f"{path}[{i}]", ctx)
         if label is None:
             continue
-        if not _int(entry[1]) or entry[1] <= 0:
+        if not is_int(entry[1]) or entry[1] <= 0:
             ctx.error(f"{path}[{i}]", "duration_ms must be a positive integer")
             continue
         out.append((label, entry[1]))
@@ -388,32 +302,17 @@ def _parse_schedule(raw: Any, label_set: type, path: str, ctx: _Ctx):
 
 def _parse_energy(obj: dict, ctx: _Ctx) -> EnergySettings:
     path = "energy"
-    kwargs = _fields(obj, EnergySettings, path, ctx, _ENERGY, extra=("harvest_profile_mw",))
-    raw = obj.get("harvest_profile_mw")
-    if raw is not None:
-        if not isinstance(raw, list) or len(raw) != SLOTS_PER_DAY or not all(_finite(x) and x >= 0 for x in raw):
-            ctx.error(f"{path}.harvest_profile_mw", f"expected {SLOTS_PER_DAY} nonnegative numbers")
-        else:
-            kwargs["harvest_profile_mw"] = tuple(float(x) for x in raw)
-    capacity = kwargs.get("battery_capacity_mwh", EnergySettings.battery_capacity_mwh)
-    if kwargs.get("battery_initial_mwh", EnergySettings.battery_initial_mwh) > capacity:
-        ctx.error(f"{path}.battery_initial_mwh", "must not exceed battery_capacity_mwh")
-        kwargs["battery_initial_mwh"] = capacity
-    return _build(EnergySettings, kwargs, path, ctx)
+    kwargs = _fields(obj, EnergySettings, path, ctx, EnergySettings.RULES, nullable=("harvest_profile_mw",))
+    try:
+        return EnergySettings(**kwargs)
+    except FieldError as exc:  # a rule across fields: the initial level exceeds the capacity
+        ctx.error(f"{path}.{exc.field}", exc.reason)
+        return EnergySettings()
 
 
 def _parse_channel(obj: dict, ctx: _Ctx) -> ChannelModel:
-    path = "channel"
-    kwargs = _fields(obj, ChannelModel, path, ctx, _CHANNEL, extra=("latency_ms",))
-    raw = obj.get("latency_ms")
-    if raw is not None:
-        if _int(raw) and raw >= 0:
-            kwargs["latency_ms"] = raw
-        elif isinstance(raw, list) and len(raw) == 2 and all(_int(x) for x in raw) and 0 <= raw[0] <= raw[1]:
-            kwargs["latency_ms"] = (raw[0], raw[1])
-        else:
-            ctx.error(f"{path}.latency_ms", "expected a nonnegative integer or [lo, hi] range")
-    return _build(ChannelModel, kwargs, path, ctx)
+    kwargs = _fields(obj, ChannelModel, "channel", ctx, ChannelModel.RULES, nullable=("latency_ms",))
+    return ChannelModel(**kwargs)
 
 
 def _parse_protocol(obj: dict, ctx: _Ctx) -> ProtocolSettings:
@@ -466,7 +365,7 @@ def _parse_device(obj: Any, index: int, synthetic: dict[str, SyntheticSpec], ctx
         else:
             alerts = []
             for i, entry in enumerate(raw_alerts):
-                if not isinstance(entry, list) or len(entry) != 2 or not _int(entry[0]):
+                if not isinstance(entry, list) or len(entry) != 2 or not is_int(entry[0]):
                     ctx.error(f"{path}.alert_schedule[{i}]", "expected [t_ms, label]")
                     continue
                 if entry[0] < 0:
@@ -481,7 +380,7 @@ def _parse_device(obj: Any, index: int, synthetic: dict[str, SyntheticSpec], ctx
 
 def _parse_scenario(obj: dict, synthetic: dict[str, SyntheticSpec], ctx: _Ctx) -> ScenarioSettings:
     path = "scenario"
-    kwargs = _fields(obj, ScenarioSettings, path, ctx, _SCENARIO, extra=("devices", "local_processing"))
+    kwargs = _fields(obj, ScenarioSettings, path, ctx, _SCENARIO, extra=("devices",))
     raw_devices = obj.get("devices")
     if not isinstance(raw_devices, list) or not raw_devices:
         ctx.error(f"{path}.devices", "expected a non-empty device list")
@@ -497,11 +396,7 @@ def _parse_scenario(obj: dict, synthetic: dict[str, SyntheticSpec], ctx: _Ctx) -
                 devices.append(spec)
         kwargs["devices"] = tuple(devices)
     # The key exists only to refuse raw-sample streaming: true is the only value.
-    if "local_processing" in obj and _bool(obj["local_processing"], f"{path}.local_processing", ctx) is False:
-        ctx.error(
-            f"{path}.local_processing",
-            "raw-sample streaming is not supported; only processed observations leave the device",
-        )
+    kwargs.pop("local_processing", None)
     return ScenarioSettings(**kwargs)
 
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
@@ -61,38 +62,92 @@ class GestureLabel(Enum):
 Label = Union[ActivityLabel, GestureLabel]
 
 
-def encode_label(label: Label) -> int:
-    """Stable integer class index of a label."""
-    if not isinstance(label, (ActivityLabel, GestureLabel)):
-        raise TypeError(f"not a label: {label!r}")
-    return label.value
-
-
-def decode_label(label_set: type, index: int) -> Label:
-    """Inverse of encode_label for the given label enumeration."""
-    try:
-        return label_set(index)
-    except ValueError:
-        raise ValueError(f"no {label_set.__name__} with index {index}") from None
+APPS = {"har": ActivityLabel, "gesture": GestureLabel}  # application name -> its label set
 
 
 def label_set_for(name: str) -> type:
-    """Label enumeration for an application name ('har' or 'gesture')."""
-    if name == "har":
-        return ActivityLabel
-    if name == "gesture":
-        return GestureLabel
-    raise ValueError(f"unknown application {name!r} (expected 'har' or 'gesture')")
+    """Label enumeration of an application name (a key of APPS)."""
+    try:
+        return APPS[name]
+    except KeyError:
+        raise ValueError(f"unknown application {name!r} (expected one of {sorted(APPS)})") from None
 
 
 def parse_label(text: str) -> Label:
-    """Resolve a label name from either enumeration. Activity names win ties (none exist)."""
-    for enum_cls in (ActivityLabel, GestureLabel):
+    """Resolve a label name from any application's label set."""
+    for label_set in APPS.values():
         try:
-            return enum_cls[text]
+            return label_set[text]
         except KeyError:
             continue
     raise ValueError(f"unknown label name {text!r}")
+
+
+# A rule takes a setting's value and returns the value to store, or raises
+# ValueError saying what is wrong with it. A settings dataclass lists its
+# rules in a RULES table (field -> rule) that __post_init__ runs through
+# check_fields; the config parser runs the same table key by key, so that
+# each error names the offending key.
+Rule = Callable[[Any], Any]
+
+
+def is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def finite(v: Any) -> bool:
+    """A number (not a bool) that converts to a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def num(lo: float | None = None, hi: float | None = None, integer: bool = False) -> Rule:
+    """Rule for a number within [lo, hi]: an integer if integer is set, else any finite number."""
+    def check(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"expected a number, got {type(v).__name__}")
+        if integer and not isinstance(v, int):
+            raise ValueError("expected an integer")
+        if not integer and not finite(v):
+            raise ValueError("expected a finite number")
+        if lo is not None and v < lo:
+            raise ValueError(f"must be >= {lo}")
+        if hi is not None and v > hi:
+            raise ValueError(f"must be <= {hi}")
+        return v
+
+    return check
+
+
+POSITIVE = num(lo=1e-9)
+COUNT = num(lo=1, integer=True)
+FRACTION = num(lo=1e-9, hi=1.0)
+
+
+class FieldError(ValueError):
+    """A settings field breaks a rule; .field names it and .reason says why."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
+
+
+def check_fields(settings) -> None:
+    """Run a settings dataclass's RULES; FieldError at the first break (None passes where it is the default)."""
+    for f in fields(settings):
+        rule = settings.RULES.get(f.name)
+        value = getattr(settings, f.name)
+        if rule is None or (value is None and f.default is None):
+            continue
+        try:
+            rule(value)
+        except ValueError as exc:
+            raise FieldError(f.name, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -114,13 +169,19 @@ class DeviceProfile:
     p_tx_mw: float = 15.0
     sample_rate_hz: float = 100.0
 
+    RULES = {
+        "cpu_mhz": POSITIVE,
+        "sram_bytes": COUNT,
+        "flash_bytes": COUNT,
+        "p_active_har_mw": POSITIVE,
+        "p_active_gesture_mw": POSITIVE,
+        "p_sleep_mw": POSITIVE,
+        "p_tx_mw": POSITIVE,
+        "sample_rate_hz": POSITIVE,
+    }
+
     def __post_init__(self) -> None:
-        for name in ("cpu_mhz", "p_active_har_mw", "p_active_gesture_mw",
-                     "p_sleep_mw", "p_tx_mw", "sample_rate_hz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.sram_bytes <= 0 or self.flash_bytes <= 0:
-            raise ValueError("memory budgets must be > 0")
+        check_fields(self)
 
     def active_power_mw(self, app: str) -> float:
         if app == "har":

@@ -193,9 +193,10 @@ class SyntheticActivityModel:
         if len(stretch_flags) > 1:
             raise ValueError("stretch channel must be present for all labels or none")
 
-    @property
-    def has_stretch(self) -> bool:
-        return next(iter(self.signals.values())).stretch_base is not None
+
+def channel_count(signals: Mapping[Label, LabelSignalModel]) -> int:
+    """Channels synthesized from these label models: 7 with stretch, 6 without."""
+    return 6 if next(iter(signals.values())).stretch_base is None else 7
 
 
 def synthesize_signal(
@@ -270,7 +271,7 @@ def generate_synthetic(
     rng = np.random.default_rng(model.seed)
     sizes = [round(duration_ms * rate_hz / 1000.0) for _, duration_ms in schedule]
     k = np.arange(sum(sizes))
-    values = np.empty((len(k), 7 if model.has_stretch else 6))
+    values = np.empty((len(k), channel_count(model.signals)))
     codes = np.empty(len(k), dtype=np.int64)
     index = 0
     for (label, _), n in zip(schedule, sizes):

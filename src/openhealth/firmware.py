@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DeviceProfile
+from .core import FRACTION, POSITIVE, DeviceProfile, FieldError, check_fields, finite, num
 from .pipeline import FEATURES_PER_CHANNEL
 
 MOTION_THRESHOLD_G = 0.05
@@ -104,6 +104,12 @@ def state_power_mw(profile: DeviceProfile, app: str, state: PowerState) -> float
     return profile.active_power_mw(app)
 
 
+def _harvest_profile(v):
+    if isinstance(v, (list, tuple)) and len(v) == SLOTS_PER_DAY and all(finite(x) and x >= 0 for x in v):
+        return tuple(float(x) for x in v)
+    raise ValueError(f"expected {SLOTS_PER_DAY} nonnegative numbers")
+
+
 @dataclass(frozen=True)
 class EnergySettings:
     """Battery size and start level, hourly harvest and conversion efficiencies."""
@@ -115,19 +121,19 @@ class EnergySettings:
     charge_efficiency: float = 1.0
     reserve_fraction: float = 0.2  # of capacity, kept back by the duty plan
 
+    RULES = {
+        "battery_capacity_mwh": POSITIVE,
+        "battery_initial_mwh": num(lo=0.0),
+        "harvest_profile_mw": _harvest_profile,
+        "mppt_efficiency": FRACTION,
+        "charge_efficiency": FRACTION,
+        "reserve_fraction": num(lo=0.0, hi=0.9),
+    }
+
     def __post_init__(self) -> None:
-        if not 0.0 < self.mppt_efficiency <= 1.0:
-            raise ValueError("mppt_efficiency must be in (0, 1]")
-        if not 0.0 < self.charge_efficiency <= 1.0:
-            raise ValueError("charge_efficiency must be in (0, 1]")
-        if self.battery_capacity_mwh <= 0:
-            raise ValueError("battery_capacity_mwh must be > 0")
-        if not 0.0 <= self.battery_initial_mwh <= self.battery_capacity_mwh:
-            raise ValueError("battery_initial_mwh outside [0, battery_capacity_mwh]")
-        if len(self.harvest_profile_mw) != SLOTS_PER_DAY:
-            raise ValueError(f"harvest profile must have {SLOTS_PER_DAY} slots")
-        if any(h < 0 for h in self.harvest_profile_mw):
-            raise ValueError("harvest profile must be nonnegative")
+        check_fields(self)
+        if self.battery_initial_mwh > self.battery_capacity_mwh:
+            raise FieldError("battery_initial_mwh", "must not exceed battery_capacity_mwh")
 
 
 @dataclass(frozen=True)

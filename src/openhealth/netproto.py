@@ -29,6 +29,8 @@ from pathlib import Path
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from .core import check_fields, is_int, num
+
 PROTOCOL_VERSION = 1
 HEADER_LEN = 10
 TAG_LEN = 16
@@ -279,6 +281,15 @@ class RetryPolicy:
     max_attempts: int = 10
 
 
+def _latency(v):
+    """A fixed nonnegative latency, or a [lo, hi] range drawn from uniformly."""
+    if is_int(v) and v >= 0:
+        return v
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(is_int(x) for x in v) and 0 <= v[0] <= v[1]:
+        return (v[0], v[1])
+    raise ValueError("expected a nonnegative integer or [lo, hi] range")
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     """Simulated link parameters; randomness comes from the simulator seed."""
@@ -287,16 +298,15 @@ class ChannelModel:
     loss_probability: float = 0.0
     corruption_probability: float = 0.0
 
-    def __post_init__(self) -> None:
+    RULES = {
+        "latency_ms": _latency,
         # loss may be exactly 1.0 (dead link) so delivery exhaustion is testable
-        if not 0.0 <= self.loss_probability <= 1.0 or not 0.0 <= self.corruption_probability < 1.0:
-            raise ValueError("loss must lie in [0, 1], corruption in [0, 1)")
-        lat = self.latency_ms
-        if isinstance(lat, tuple):
-            if len(lat) != 2 or lat[0] < 0 or lat[1] < lat[0]:
-                raise ValueError("latency range must be (lo, hi) with 0 <= lo <= hi")
-        elif lat < 0:
-            raise ValueError("latency must be >= 0")
+        "loss_probability": num(lo=0.0, hi=1.0),
+        "corruption_probability": num(lo=0.0, hi=0.999),
+    }
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass(frozen=True)

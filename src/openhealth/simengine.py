@@ -29,7 +29,7 @@ import numpy as np
 from .classifier import MlpModel, forward, load_model
 from .config import Config, DeviceSpec, ScenarioSettings
 from .core import Label, label_set_for
-from .dataio import synthesize_signal
+from .dataio import channel_count, synthesize_signal
 from .firmware import (
     BATTERY_RECOVERY_FRACTION,
     DeviceEvent,
@@ -66,7 +66,15 @@ TRACE_VERSION = 1
 MIN_RADIO_MS = 1
 
 
-class VersionMismatch(ValueError):
+class TraceFormatError(ValueError):
+    """A trace line that does not parse; .line is its 1-based number."""
+
+    def __init__(self, line: int, detail: str):
+        super().__init__(f"line {line}: {detail}")
+        self.line = line
+
+
+class VersionMismatch(TraceFormatError):
     pass
 
 
@@ -173,9 +181,9 @@ class SimHost:
 
 @dataclass
 class _PendingAlert:
-    seq: int
-    frame: bytes
-    label: Label
+    payload: bytes
+    seq: int = 0  # taken, with the frame, when first sent
+    frame: bytes = b""
     first_sent_ms: int = 0
     attempts: int = 0
     delivered: bool = False
@@ -208,7 +216,7 @@ class SimDevice:
         self.model = model
         self.name = f"dev{spec.device_id}"
         self.app = spec.app
-        self.app_id = AppId.HAR if spec.app == "har" else AppId.GESTURE
+        self.app_id = AppId[spec.app.upper()]
         self.label_set = label_set_for(spec.app)
         self.profile = config.profile
         self.key = config.protocol.key
@@ -228,7 +236,7 @@ class SimDevice:
         self.block_ends = [end for _, end, _ in self.blocks]
         self.sample_offsets_ms = np.arange(self.window) * self.period_ms
         self.signals = config.synthetic[spec.app].signals
-        self.channels = 6 if next(iter(self.signals.values())).stretch_base is None else 7
+        self.channels = channel_count(self.signals)
 
         e = config.energy
         self.battery_mwh = e.battery_initial_mwh
@@ -604,9 +612,7 @@ class SimDevice:
             confidence=10000,
             app_id=self.app_id,
         ).pack()
-        seq = self._next_seq()
-        frame = encode_frame(FrameType.ALERT, self.spec.device_id, seq, payload, self.key)
-        alert = _PendingAlert(seq=seq, frame=frame, label=label)
+        alert = _PendingAlert(payload)
         self.alert_queue.append(alert)
         if len(self.alert_queue) == 1:
             self._send_alert_attempt(alert)
@@ -621,7 +627,11 @@ class SimDevice:
             return
         alert.attempts += 1
         if alert.attempts == 1:
+            # Numbered only now: the data frames sent while it was queued
+            # took lower seqs, so the seqs on the air keep rising.
             alert.first_sent_ms = self.sim.now
+            alert.seq = self._next_seq()
+            alert.frame = encode_frame(FrameType.ALERT, self.spec.device_id, alert.seq, alert.payload, self.key)
         self._consume_impulse(self.profile.p_tx_mw * self._tx_ms(len(alert.frame)) / 3_600_000.0)
         self.sim.emit("alert_sent", self.name, alert.seq, alert.attempts)
         self.channel.send(self.name, alert.frame, self.host)
@@ -775,80 +785,83 @@ def trace_metrics(lines: list[str]) -> dict:
             },
         )
 
-    for line in lines:
-        parts = line.split("\t")
-        kind, entity = parts[1], parts[2]
-        if kind == "device_state":  # most lines; nothing here counts them
-            continue
-        t = int(parts[0])
-        if kind == "scenario":
-            duration = int(parts[3])
-            seed = int(parts[5])
-        elif kind == "device_init":
-            d = dev(entity)
-            d["app"] = parts[3]
-            d["battery_mwh"]["start"] = float(parts[4])
-            d["battery_mwh"]["capacity"] = float(parts[5])
-        elif kind == "frame_tx":
-            channel["transmitted"] += 1
-            if entity != "host":
-                dev(entity)["frames_sent"] += 1
-        elif kind == "frame_lost":
-            channel["lost"] += 1
-        elif kind == "frame_corrupt":
-            channel["corrupted"] += 1
-        elif kind == "frame_rx" and entity == "host":
-            host["frames_received"] += 1
-        elif kind == "frame_reject" and entity == "host":
-            code = parts[4]
-            host["frames_rejected"][code] = host["frames_rejected"].get(code, 0) + 1
-        elif kind == "observation":
-            key = parts[3]
-            host["observations"][key] = host["observations"].get(key, 0) + 1
-        elif kind == "alert_notified":
-            host["alerts_notified"] += 1
-        elif kind == "classify":
-            d = dev(entity)
-            label = parts[4]
-            d["classifications"][label] = d["classifications"].get(label, 0) + 1
-        elif kind == "alert_sent":
-            a = dev(entity)["alerts"]
-            seq = parts[3]
-            if parts[4] == "1":
-                a["sent"] += 1
-            a["attempts"][seq] = int(parts[4])
-        elif kind == "alert_delivered":
-            a = dev(entity)["alerts"]
-            a["delivered"] += 1
-            a["attempts"][parts[3]] = int(parts[4])
-            a["latency_ms"][parts[3]] = int(parts[5])
-        elif kind == "alert_undelivered":
-            a = dev(entity)["alerts"]
-            a["undelivered"] += 1
-            a["attempts"][parts[3]] = int(parts[4])
-        elif kind == "sync":
-            s = dev(entity)["sync"]
-            s["offset_est_ms"] = float(parts[3])
-            s["rtt_ms"] = int(parts[4])
-        elif kind == "sync_timeout":
-            dev(entity)["sync"]["timeouts"] += 1
-        elif kind == "device_noop":
-            dev(entity)["noops"] += 1
-        elif kind == "battery_depleted":
-            dev(entity)["depletions"] += 1
-        elif kind == "energy":
-            d = dev(entity)
-            battery = float(parts[3])
-            d["battery_series"].append([t, battery])
-            d["battery_mwh"]["end"] = battery
-            d["battery_mwh"]["min"] = min(d["battery_mwh"].get("min", battery), battery)
-            d["energy_mwh"] = {
-                "net": float(parts[4]),
-                "curtailed": float(parts[5]),
-                "shortfall": float(parts[6]),
-                "harvested": float(parts[7]),
-                "consumed": float(parts[8]),
-            }
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            parts = line.split("\t")
+            kind, entity = parts[1], parts[2]
+            if kind == "device_state":  # most lines; nothing here counts them
+                continue
+            t = int(parts[0])
+            if kind == "scenario":
+                duration = int(parts[3])
+                seed = int(parts[5])
+            elif kind == "device_init":
+                d = dev(entity)
+                d["app"] = parts[3]
+                d["battery_mwh"]["start"] = float(parts[4])
+                d["battery_mwh"]["capacity"] = float(parts[5])
+            elif kind == "frame_tx":
+                channel["transmitted"] += 1
+                if entity != "host":
+                    dev(entity)["frames_sent"] += 1
+            elif kind == "frame_lost":
+                channel["lost"] += 1
+            elif kind == "frame_corrupt":
+                channel["corrupted"] += 1
+            elif kind == "frame_rx" and entity == "host":
+                host["frames_received"] += 1
+            elif kind == "frame_reject" and entity == "host":
+                code = parts[4]
+                host["frames_rejected"][code] = host["frames_rejected"].get(code, 0) + 1
+            elif kind == "observation":
+                key = parts[3]
+                host["observations"][key] = host["observations"].get(key, 0) + 1
+            elif kind == "alert_notified":
+                host["alerts_notified"] += 1
+            elif kind == "classify":
+                d = dev(entity)
+                label = parts[4]
+                d["classifications"][label] = d["classifications"].get(label, 0) + 1
+            elif kind == "alert_sent":
+                a = dev(entity)["alerts"]
+                seq = parts[3]
+                if parts[4] == "1":
+                    a["sent"] += 1
+                a["attempts"][seq] = int(parts[4])
+            elif kind == "alert_delivered":
+                a = dev(entity)["alerts"]
+                a["delivered"] += 1
+                a["attempts"][parts[3]] = int(parts[4])
+                a["latency_ms"][parts[3]] = int(parts[5])
+            elif kind == "alert_undelivered":
+                a = dev(entity)["alerts"]
+                a["undelivered"] += 1
+                a["attempts"][parts[3]] = int(parts[4])
+            elif kind == "sync":
+                s = dev(entity)["sync"]
+                s["offset_est_ms"] = float(parts[3])
+                s["rtt_ms"] = int(parts[4])
+            elif kind == "sync_timeout":
+                dev(entity)["sync"]["timeouts"] += 1
+            elif kind == "device_noop":
+                dev(entity)["noops"] += 1
+            elif kind == "battery_depleted":
+                dev(entity)["depletions"] += 1
+            elif kind == "energy":
+                d = dev(entity)
+                battery = float(parts[3])
+                d["battery_series"].append([t, battery])
+                d["battery_mwh"]["end"] = battery
+                d["battery_mwh"]["min"] = min(d["battery_mwh"].get("min", battery), battery)
+                d["energy_mwh"] = {
+                    "net": float(parts[4]),
+                    "curtailed": float(parts[5]),
+                    "shortfall": float(parts[6]),
+                    "harvested": float(parts[7]),
+                    "consumed": float(parts[8]),
+                }
+    except (IndexError, ValueError) as exc:
+        raise TraceFormatError(lineno, f"cannot parse ({type(exc).__name__}: {exc})") from None
 
     for d in devices.values():
         series = d.pop("battery_series")
@@ -891,9 +904,9 @@ def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
         return report
     first = lines[0].split("\t")
     if len(first) < 4 or first[1] != "trace_version":
-        raise VersionMismatch("trace has no version line")
-    if int(first[3]) != TRACE_VERSION:
-        raise VersionMismatch(f"trace version {first[3]} != supported {TRACE_VERSION}")
+        raise VersionMismatch(1, "trace has no version line")
+    if first[3] != str(TRACE_VERSION):
+        raise VersionMismatch(1, f"trace version {first[3]} != supported {TRACE_VERSION}")
 
     initial: dict[str, float] = {}
     capacity: dict[str, float] = {}
@@ -902,64 +915,67 @@ def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
     tx_keys: set[tuple[str, int, int, int]] = set()
     event_lines = 0
 
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split("\t")
-        kind, entity = parts[1], parts[2]
-        if kind in ("trace_version", "scenario", "scenario_end"):
-            continue
-        event_lines += 1
-        if kind == "device_init":
-            initial[entity] = float(parts[4])
-            capacity[entity] = float(parts[5])
-        elif kind == "energy":
-            report.checks_run += 1
-            battery, net, curtailed, shortfall = (
-                float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6]),
-            )
-            expected = initial.get(entity, battery) + net - curtailed + shortfall
-            if abs(battery - expected) > 1e-6:
-                report.failures.append(
-                    f"line {lineno}: energy ledger mismatch for {entity}: "
-                    f"battery {battery} != {expected:.9f}"
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            parts = line.split("\t")
+            kind, entity = parts[1], parts[2]
+            if kind in ("trace_version", "scenario", "scenario_end"):
+                continue
+            event_lines += 1
+            if kind == "device_init":
+                initial[entity] = float(parts[4])
+                capacity[entity] = float(parts[5])
+            elif kind == "energy":
+                report.checks_run += 1
+                battery, net, curtailed, shortfall = (
+                    float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6]),
                 )
-            if battery < -1e-9 or battery > capacity.get(entity, float("inf")) + 1e-9:
-                report.failures.append(f"line {lineno}: battery {battery} outside [0, capacity]")
-        elif kind == "frame_tx":
-            report.checks_run += 1
-            ftype, device_id, seq, hexes = parts[3], int(parts[4]), int(parts[5]), parts[7]
-            direction = 1 if entity == "host" else 0
-            tx_keys.add((ftype, device_id, seq, direction))
-            if entity != "host":
-                key = (entity, seq)
-                if key in seen_frames:
-                    if seen_frames[key] != hexes:
-                        report.failures.append(
-                            f"line {lineno}: device {entity} reused seq {seq} for different bytes"
-                        )
-                else:
-                    top = highest_seq.get(entity, -1)
-                    if seq <= top:
-                        report.failures.append(
-                            f"line {lineno}: device {entity} seq {seq} not above {top}"
-                        )
-                    highest_seq[entity] = max(top, seq)
-                    seen_frames[key] = hexes
-            if canaries:
-                raw = bytes.fromhex(hexes)
-                for canary in canaries:
-                    if canary in raw:
-                        report.failures.append(
-                            f"line {lineno}: canary bytes {canary.hex()} leaked on the air"
-                        )
-        elif kind == "frame_rx":
-            report.checks_run += 1
-            ftype, device_id, seq = parts[3], int(parts[4]), int(parts[5])
-            direction = 0 if entity == "host" else 1
-            if (ftype, device_id, seq, direction) not in tx_keys:
-                report.failures.append(
-                    f"line {lineno}: received frame ({ftype}, dev {device_id}, seq {seq}) "
-                    "was never transmitted"
-                )
+                expected = initial.get(entity, battery) + net - curtailed + shortfall
+                if abs(battery - expected) > 1e-6:
+                    report.failures.append(
+                        f"line {lineno}: energy ledger mismatch for {entity}: "
+                        f"battery {battery} != {expected:.9f}"
+                    )
+                if battery < -1e-9 or battery > capacity.get(entity, float("inf")) + 1e-9:
+                    report.failures.append(f"line {lineno}: battery {battery} outside [0, capacity]")
+            elif kind == "frame_tx":
+                report.checks_run += 1
+                ftype, device_id, seq, hexes = parts[3], int(parts[4]), int(parts[5]), parts[7]
+                direction = 1 if entity == "host" else 0
+                tx_keys.add((ftype, device_id, seq, direction))
+                if entity != "host":
+                    key = (entity, seq)
+                    if key in seen_frames:
+                        if seen_frames[key] != hexes:
+                            report.failures.append(
+                                f"line {lineno}: device {entity} reused seq {seq} for different bytes"
+                            )
+                    else:
+                        top = highest_seq.get(entity, -1)
+                        if seq <= top:
+                            report.failures.append(
+                                f"line {lineno}: device {entity} seq {seq} not above {top}"
+                            )
+                        highest_seq[entity] = max(top, seq)
+                        seen_frames[key] = hexes
+                if canaries:
+                    raw = bytes.fromhex(hexes)
+                    for canary in canaries:
+                        if canary in raw:
+                            report.failures.append(
+                                f"line {lineno}: canary bytes {canary.hex()} leaked on the air"
+                            )
+            elif kind == "frame_rx":
+                report.checks_run += 1
+                ftype, device_id, seq = parts[3], int(parts[4]), int(parts[5])
+                direction = 0 if entity == "host" else 1
+                if (ftype, device_id, seq, direction) not in tx_keys:
+                    report.failures.append(
+                        f"line {lineno}: received frame ({ftype}, dev {device_id}, seq {seq}) "
+                        "was never transmitted"
+                    )
+    except (IndexError, ValueError) as exc:
+        raise TraceFormatError(lineno, f"cannot parse ({type(exc).__name__}: {exc})") from None
 
     if event_lines == 0:
         report.warnings.append("trace has no events: vacuous pass")

@@ -49,6 +49,29 @@ def test_datagen_env_seed_fallback(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", ["datagen", "train", "simulate"])
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, command, source):
+    config = write_config(tmp_path)
+    data = tmp_path / "data.csv"
+    assert main(["datagen", "--config", str(config), "--out", str(data), "--seed", "1"]) == 0
+    argv = {
+        "datagen": ["datagen", "--config", str(config), "--out", str(tmp_path / "x.csv")],
+        "train": ["train", "--data", str(data), "--out", str(tmp_path / "x.ohm"), "--config", str(config)],
+        "simulate": ["simulate", "--config", str(config), "--trace", str(tmp_path / "x.trace")],
+    }[command]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+        expected = "--seed must be >= 0, got -1"
+    else:
+        monkeypatch.setenv("OPENHEALTH_SIM_SEED", "-1")
+        expected = "OPENHEALTH_SIM_SEED must be >= 0, got -1"
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == expected
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_datagen_unknown_key_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, mutate=lambda raw: raw.update({"pipelinez": {}}))
     code = main(["datagen", "--config", str(config), "--out", str(tmp_path / "x.csv")])
@@ -189,6 +212,23 @@ def test_budget_default_and_storage_claim(tmp_path, capsys):
     assert main(["budget", "--config", str(config250)]) == 0
     out = capsys.readouterr().out
     assert "5,400,000 bytes/hour" in out
+
+
+@pytest.mark.parametrize(
+    "har, layers",
+    [("stretch", "[84, 16, 7]"), ("no stretch", "[72, 16, 7]"), ("absent", "[84, 16, 7]")],
+)
+def test_budget_channels_follow_the_har_model(tmp_path, capsys, har, layers):
+    def edit(raw):
+        if har == "absent":
+            del raw["synthetic_models"]["har"]
+            del raw["scenario"]
+        elif har == "no stretch":
+            for params in raw["synthetic_models"]["har"]["labels"].values():
+                params["stretch_base"] = None
+
+    assert main(["budget", "--config", str(write_config(tmp_path, mutate=edit))]) == 0
+    assert f"Model: layers {layers}," in capsys.readouterr().out
 
 
 def test_budget_sram_overflow_exits_2(tmp_path, capsys):

@@ -6,7 +6,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from openhealth.classifier import TrainConfig
 from openhealth.config import ConfigError, load_config, parse_config
+from openhealth.core import DeviceProfile, FieldError
+from openhealth.firmware import EnergySettings
+from openhealth.netproto import ChannelModel
 
 REFERENCE = "configs/reference.json"
 
@@ -131,7 +135,7 @@ MALFORMED = [
     ([(("device_profile", "flash_bytes"), 1.5)], ["device_profile.flash_bytes: expected an integer"]),
     ([(("device_profile", "p_sleep_mw"), 0)], ["device_profile.p_sleep_mw: must be >= 1e-09"]),
     ([(("pipeline", "stride"), 64)], ["pipeline.stride: unknown key"]),
-    ([(("pipeline", "channels"), "ax")], ["pipeline.channels: expected a list of channel names"]),
+    ([(("pipeline", "channels"), "ax")], ["pipeline.channels: unknown key"]),
     ([(("pipeline", "window"), None)], ["pipeline.window: expected a number, got NoneType"]),
     ([(("pipeline", "window"), 8)], ["pipeline.window: must be >= 16"]),
     ([(("pipeline", "overlap"), 1.0)], ["pipeline.overlap: must be <= 0.999"]),
@@ -276,7 +280,7 @@ def test_minimal_document_yields_documented_defaults():
     assert (p.cpu_mhz, p.sram_bytes, p.flash_bytes) == (47, 20480, 131072)
     assert (p.p_active_har_mw, p.p_active_gesture_mw, p.p_sleep_mw, p.p_tx_mw) == (12.5, 10.0, 0.3, 15.0)
     assert p.sample_rate_hz == 100
-    assert (config.pipeline.window, config.pipeline.overlap, config.pipeline.channels) == (128, 0.5, None)
+    assert (config.pipeline.window, config.pipeline.overlap) == (128, 0.5)
     t = config.train.config
     assert (t.learning_rate, t.momentum, t.epochs, t.batch_size) == (0.05, 0.9, 200, 32)
     assert (t.seed, t.split_fraction, t.patience, config.train.hidden) == (0, 0.8, None, 16)
@@ -335,6 +339,32 @@ def test_values_that_crash_later_are_config_errors(edits, expected):
     with pytest.raises(ConfigError) as exc:
         parse_config(apply_edits(reference_raw(), edits))
     assert sorted(exc.value.errors) == expected
+
+
+# Direct construction enforces the parser's ranges, with the parser's reasons.
+CONSTRUCTED = [
+    (DeviceProfile, "cpu_mhz", 1e-10, "must be >= 1e-09"),
+    (DeviceProfile, "sample_rate_hz", math.nan, "expected a finite number"),
+    (DeviceProfile, "sram_bytes", 1.5, "expected an integer"),
+    (TrainConfig, "momentum", 1.0, "must be <= 0.999"),
+    (TrainConfig, "seed", -1, "must be >= 0"),
+    (TrainConfig, "split_fraction", 0.995, "must be <= 0.99"),
+    (TrainConfig, "patience", 0, "must be >= 1"),
+    (ChannelModel, "corruption_probability", 0.9995, "must be <= 0.999"),
+    (ChannelModel, "latency_ms", (40, 10), "expected a nonnegative integer or [lo, hi] range"),
+    (EnergySettings, "reserve_fraction", 0.95, "must be <= 0.9"),
+    (EnergySettings, "mppt_efficiency", math.nan, "expected a finite number"),
+    (EnergySettings, "battery_initial_mwh", 50.0, "must not exceed battery_capacity_mwh"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,name,value,reason", CONSTRUCTED, ids=[f"{c.__name__}.{n}" for c, n, _, _ in CONSTRUCTED]
+)
+def test_direct_construction_enforces_parser_ranges(cls, name, value, reason):
+    with pytest.raises(FieldError) as exc:
+        cls(**{name: value})
+    assert (exc.value.field, exc.value.reason) == (name, reason)
 
 
 def _node_paths(obj, path=()):

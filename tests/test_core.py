@@ -10,8 +10,6 @@ from openhealth.core import (
     GestureLabel,
     InvalidSample,
     LabeledRecording,
-    decode_label,
-    encode_label,
     label_set_for,
     parse_label,
 )
@@ -20,22 +18,10 @@ from conftest import make_recording, make_values
 
 
 def test_activity_label_encoding_order():
-    assert encode_label(ActivityLabel.Drive) == 0
-    assert encode_label(ActivityLabel.Transition) == 6
+    assert ActivityLabel.Drive.value == 0
+    assert ActivityLabel.Transition.value == 6
     assert [l.value for l in ActivityLabel] == list(range(7))
     assert [l.value for l in GestureLabel] == list(range(4))
-
-
-@pytest.mark.parametrize("label", list(ActivityLabel) + list(GestureLabel))
-def test_label_round_trip(label):
-    assert decode_label(type(label), encode_label(label)) is label
-
-
-def test_decode_label_rejects_bad_index():
-    with pytest.raises(ValueError):
-        decode_label(ActivityLabel, 7)
-    with pytest.raises(ValueError):
-        decode_label(GestureLabel, -1)
 
 
 def test_parse_label_and_app_mapping():
@@ -45,6 +31,8 @@ def test_parse_label_and_app_mapping():
         parse_label("Fly")
     assert label_set_for("har") is ActivityLabel
     assert label_set_for("gesture") is GestureLabel
+    with pytest.raises(ValueError, match=r"'ecg' \(expected one of \['gesture', 'har'\]\)"):
+        label_set_for("ecg")
 
 
 def test_default_profile_matches_cited_part():

@@ -5,12 +5,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from openhealth.config import load_config, parse_config
 from openhealth.netproto import frame_nonce, peek_header
 from openhealth.simengine import (
     TRACE_VERSION,
     Simulator,
+    TraceFormatError,
     VersionMismatch,
     replay,
     run_scenario,
@@ -127,6 +129,20 @@ def test_alert_undelivered_after_exactly_max_attempts():
     assert alerts["undelivered"] == 1 and alerts["delivered"] == 0
     assert list(alerts["attempts"].values()) == [10]
     assert trace.metrics["host"]["frames_received"] == 0
+
+
+def test_queued_alert_takes_its_seq_when_first_sent():
+    # The second alert waits behind the first for all ten attempts, while
+    # data frames go out every window; its frame must not number below theirs.
+    raw = small_raw(duration_ms=120_000)
+    raw["channel"]["loss_probability"] = 1.0
+    device = raw["scenario"]["devices"][0]
+    device["schedule"] = [["Walk", 120_000]]
+    device["alert_schedule"] = [[10_000, "Jump"], [10_050, "Jump"]]
+    trace = run_scenario(parse_config(raw), seed=5)
+    report = replay(trace.lines)
+    assert report.passed, report.failures
+    assert trace.metrics["devices"]["dev1"]["alerts"]["undelivered"] == 2
 
 
 def test_alert_attempts_reproducible_at_half_loss():
@@ -376,6 +392,37 @@ def test_replay_version_mismatch():
         replay(["0\ttrace_version\tsim\t99"])
     with pytest.raises(VersionMismatch):
         replay(["0\tscenario\tsim\t1\t1\t0"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_trace_readers_raise_only_format_errors(small_trace, data):
+    """replay and trace_metrics on one truncated or garbled line: a result or a TraceFormatError naming it."""
+    lines = list(small_trace.lines)
+    index = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[index]
+    if data.draw(st.booleans()):
+        lines[index] = line[: data.draw(st.integers(0, len(line)))]
+    else:
+        parts = line.split("\t")
+        k = data.draw(st.integers(0, len(parts) - 1))
+        parts[k] = data.draw(st.text(alphabet="0123456789abcdef-.xnaN\t ", max_size=12))
+        lines[index] = "\t".join(parts)
+    for reader in (replay, trace_metrics):
+        try:
+            reader(lines)
+        except TraceFormatError as exc:
+            assert exc.line == index + 1
+            assert str(exc).startswith(f"line {index + 1}: ")
+
+
+def test_truncated_line_names_its_line(small_trace):
+    lines = list(small_trace.lines)
+    index = next(i for i, line in enumerate(lines) if line.split("\t")[1] == "energy")
+    lines[index] = lines[index].rsplit("\t", 3)[0]
+    for reader in (replay, trace_metrics):
+        with pytest.raises(TraceFormatError, match=f"^line {index + 1}: cannot parse \\(IndexError"):
+            reader(lines)
 
 
 def test_replay_empty_trace_vacuous():

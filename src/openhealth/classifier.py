@@ -2,9 +2,10 @@
 
 Architecture is a single rectifier hidden layer with a softmax output,
 sized [D, H, C]. Training is plain SGD with momentum, fully deterministic
-given (seed, data, config). Model files are versioned binary blobs:
-``OHM1`` for float64 models, ``OHQ1`` for int8-quantized ones (both
-big-endian, row-major).
+given (seed, data, config). Model files are versioned ``OHM1`` binary
+blobs of float64 parameters (big-endian, row-major). An int8-quantized
+model is not stored; its ``OHQ1`` parameter image only sizes the flash
+a device needs.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class DegenerateDatasetError(ValueError):
 
 
 class ModelFormatError(ValueError):
-    """Malformed OHM1/OHQ1 model blob; the message names the byte offset."""
+    """Malformed OHM1 model blob; the message names the byte offset."""
 
 
 @dataclass
@@ -374,7 +375,7 @@ class QuantizedModel:
 
     flash_bytes counts only the flash-resident parameter image (int8
     payload, per-tensor scale/offset, header). Normalization stats are
-    carried alongside for the simulator; on-device they fold into the
+    carried alongside for dequantized(); on-device they fold into the
     first layer, so they add no flash.
     """
 
@@ -439,13 +440,13 @@ def _unpack_f64(buf: bytes, offset: int, count: int, what: str) -> tuple[np.ndar
     return np.frombuffer(buf[offset:end], dtype=">f8").astype(float), end
 
 
-def _unpack_header(buf: bytes, magic: bytes, kind: str) -> tuple[int, int, int]:
-    """Layer sizes (d, h, c) from the 18-byte header shared by both blobs."""
-    if buf[:4] != magic:
-        raise ModelFormatError(f"byte 0: not a {kind} blob (bad magic)")
+def _unpack_header(buf: bytes) -> tuple[int, int, int]:
+    """Layer sizes (d, h, c) from the 18-byte OHM1 header."""
+    if buf[:4] != MODEL_MAGIC:
+        raise ModelFormatError("byte 0: not a model blob (bad magic)")
     version, n_sizes = _unpack(">BB", buf, 4, "header")
     if version != 1 or n_sizes != 3:
-        raise ModelFormatError(f"byte 4: unsupported {kind} blob version {version}")
+        raise ModelFormatError(f"byte 4: unsupported model blob version {version}")
     return _unpack(">3I", buf, 6, "layer sizes")
 
 
@@ -481,7 +482,7 @@ def model_to_bytes(model: MlpModel) -> bytes:
 
 def model_from_bytes(buf: bytes) -> MlpModel:
     """Decode an OHM1 blob; raises only ModelFormatError."""
-    d, h, c = _unpack_header(buf, MODEL_MAGIC, "model")
+    d, h, c = _unpack_header(buf)
     off = 18
     w1, off = _unpack_f64(buf, off, d * h, "layer 1 weights")
     b1, off = _unpack_f64(buf, off, h, "layer 1 biases")
@@ -494,26 +495,6 @@ def model_from_bytes(buf: bytes) -> MlpModel:
     except ValueError as exc:
         raise ModelFormatError(f"byte 18: {exc}") from None
     return model
-
-
-def quantized_to_bytes(qm: QuantizedModel) -> bytes:
-    return qm.param_image() + _pack_stats(qm.stats)
-
-
-def quantized_from_bytes(buf: bytes) -> QuantizedModel:
-    """Decode an OHQ1 blob; raises only ModelFormatError."""
-    d, h, c = _unpack_header(buf, QUANT_MAGIC, "quantized model")
-    off = 18
-    tensors = []
-    for k, count in enumerate((d * h, h, h * c, c), start=1):
-        scale, zp = _unpack(">fi", buf, off, f"tensor {k} scale and zero point")
-        off += 8
-        end = _take(buf, off, count, f"tensor {k} values")
-        q = np.frombuffer(buf[off:end], dtype=">i1").astype(np.int8)
-        off = end
-        tensors.append(QuantizedTensor(q=q, scale=float(scale), zero_point=int(zp)))
-    stats = _unpack_stats(buf, off, d)
-    return QuantizedModel(layer_sizes=(d, h, c), tensors=tensors, stats=stats)
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:

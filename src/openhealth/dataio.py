@@ -290,23 +290,6 @@ def generate_synthetic(
     )
 
 
-def quantize_recording(recording: LabeledRecording) -> LabeledRecording:
-    """Round all channel values to the CSV precision (6 fractional digits).
-
-    Rounds through the same ``%.6f`` text the CSV holds, so recordings
-    quantized this way round-trip bit-exactly through
-    write_dataset/read_dataset.
-    """
-    values = recording.values
-    rounded = [float(f"{v:.{FLOAT_DIGITS}f}") for v in values.ravel().tolist()]
-    return LabeledRecording(
-        t_ms=recording.t_ms.copy(),
-        values=np.array(rounded).reshape(values.shape),
-        codes=recording.codes.copy(),
-        label_set=recording.label_set,
-    )
-
-
 def storage_budget(rate_hz, channels, bytes_per_scalar, duration_s):
     """Raw-sample storage in bytes: rate * channels * bytes_per_scalar * duration."""
     for name, v in (

@@ -8,10 +8,8 @@ above reserve) can fund beyond the always-on sleep floor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 import numpy as np
 
@@ -43,44 +41,19 @@ class DeviceEvent(Enum):
     IdleTimeout = "IdleTimeout"
 
 
-class DeviceAction(Enum):
-    StartSampling = "start_sampling"
-    RunInference = "run_inference"
-    EnqueueDataFrame = "enqueue_data_frame"
-    ResumeSampling = "resume_sampling"
-    EnterLowPower = "enter_low_power"
-
-
 # Legal transitions; every other (state, event) pair is a logged no-op.
-_TRANSITIONS: dict[tuple[PowerState, DeviceEvent], tuple[PowerState, DeviceAction]] = {
-    (PowerState.Sleep, DeviceEvent.MotionDetected): (PowerState.Sampling, DeviceAction.StartSampling),
-    (PowerState.Sampling, DeviceEvent.WindowFull): (PowerState.Processing, DeviceAction.RunInference),
-    (PowerState.Processing, DeviceEvent.InferenceDone): (PowerState.Transmitting, DeviceAction.EnqueueDataFrame),
-    (PowerState.Transmitting, DeviceEvent.TxDone): (PowerState.Sampling, DeviceAction.ResumeSampling),
-    (PowerState.Sampling, DeviceEvent.IdleTimeout): (PowerState.Sleep, DeviceAction.EnterLowPower),
+_TRANSITIONS: dict[tuple[PowerState, DeviceEvent], PowerState] = {
+    (PowerState.Sleep, DeviceEvent.MotionDetected): PowerState.Sampling,
+    (PowerState.Sampling, DeviceEvent.WindowFull): PowerState.Processing,
+    (PowerState.Processing, DeviceEvent.InferenceDone): PowerState.Transmitting,
+    (PowerState.Transmitting, DeviceEvent.TxDone): PowerState.Sampling,
+    (PowerState.Sampling, DeviceEvent.IdleTimeout): PowerState.Sleep,
 }
 
 
-@dataclass(frozen=True)
-class StepResult:
-    state: PowerState
-    actions: tuple[DeviceAction, ...]
-    noop: bool
-
-
-def step_state_machine(state: PowerState, event: DeviceEvent) -> StepResult:
-    """Advance the power-state machine; undefined pairs are recorded no-ops."""
-    hit = _TRANSITIONS.get((state, event))
-    if hit is None:
-        return StepResult(state=state, actions=(), noop=True)
-    new_state, action = hit
-    return StepResult(state=new_state, actions=(action,), noop=False)
-
-
-def next_state(state: PowerState, event: DeviceEvent) -> PowerState | None:
-    """The state step_state_machine moves to, or None for a no-op."""
-    hit = _TRANSITIONS.get((state, event))
-    return None if hit is None else hit[0]
+def step_state_machine(state: PowerState, event: DeviceEvent) -> PowerState | None:
+    """The state the power-state machine moves to, or None for a no-op."""
+    return _TRANSITIONS.get((state, event))
 
 
 def motion_detector(values: np.ndarray, threshold_g: float = MOTION_THRESHOLD_G) -> bool:
@@ -136,62 +109,7 @@ class EnergySettings:
             raise FieldError("battery_initial_mwh", "must not exceed battery_capacity_mwh")
 
 
-@dataclass(frozen=True)
-class EnergyDelta:
-    """Ledger entry for one accounting step (all values in mWh).
-
-    applied_mwh is the actual battery change; net_mwh the unclamped flow;
-    curtailed (battery full) and shortfall (battery empty) make clamping
-    explicit so trace sums reconcile exactly.
-    """
-
-    net_mwh: float
-    applied_mwh: float
-    curtailed_mwh: float
-    shortfall_mwh: float
-    harvest_mwh: float
-    consumed_mwh: float
-
-
 def account_energy(
-    dwell: Mapping[PowerState, float],
-    profile: DeviceProfile,
-    app: str,
-    battery_mwh: float,
-    energy: EnergySettings,
-    t_ms: int,
-    dt_ms: int,
-) -> tuple[float, EnergyDelta, bool]:
-    """Integrate harvest minus consumption over dt; returns (level, delta, depleted).
-
-    The harvest is that of t_ms's hour slot, for all of dt. Charging
-    applies charge_efficiency; discharging is taken at face value.
-    Depletion to zero is reported as a flag, not an exception.
-    """
-    if dt_ms <= 0:
-        raise ValueError("dt_ms must be > 0")
-    share = sum(dwell.values())
-    if not math.isclose(share, 1.0, abs_tol=1e-9):
-        raise ValueError(f"dwell fractions must sum to 1, got {share}")
-    harvest_mw = energy.mppt_efficiency * energy.harvest_profile_mw[t_ms // SLOT_MS % SLOTS_PER_DAY]
-    consumption_mw = sum(
-        state_power_mw(profile, app, state) * frac for state, frac in dwell.items()
-    )
-    new_level, net_mwh, curtailed, shortfall, harvest_mwh, consumed_mwh = energy_step(
-        battery_mwh, energy.battery_capacity_mwh, energy.charge_efficiency, harvest_mw, consumption_mw, dt_ms
-    )
-    delta = EnergyDelta(
-        net_mwh=net_mwh,
-        applied_mwh=new_level - battery_mwh,
-        curtailed_mwh=curtailed,
-        shortfall_mwh=shortfall,
-        harvest_mwh=harvest_mwh,
-        consumed_mwh=consumed_mwh,
-    )
-    return new_level, delta, new_level <= 0.0
-
-
-def energy_step(
     battery_mwh: float,
     capacity_mwh: float,
     charge_efficiency: float,
@@ -261,24 +179,6 @@ def plan_duty_cycle(profile: DeviceProfile, app: str, energy: EnergySettings) ->
         planned_active_mwh=planned,
         available_mwh=available,
     )
-
-
-def sinusoidal_daylight_profile(
-    peak_mw: float,
-    sunrise_hour: float = 6.0,
-    sunset_hour: float = 18.0,
-    night_floor_mw: float = 0.0,
-) -> list[float]:
-    """Default 24-slot harvest curve: half-sine daylight bump over a night floor."""
-    slots = []
-    for slot in range(SLOTS_PER_DAY):
-        mid = slot + 0.5
-        if sunrise_hour <= mid <= sunset_hour:
-            phase = (mid - sunrise_hour) / (sunset_hour - sunrise_hour)
-            slots.append(night_floor_mw + peak_mw * math.sin(math.pi * phase))
-        else:
-            slots.append(night_floor_mw)
-    return slots
 
 
 class BudgetError(ValueError):

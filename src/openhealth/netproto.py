@@ -134,16 +134,11 @@ class ReplayWindow:
     def __init__(self) -> None:
         self._highest: dict[int, int] = {}
 
-    def check(self, direction: int, seq: int) -> bool:
-        return seq > self._highest.get(direction, -1)
-
     def accept(self, direction: int, seq: int) -> None:
-        if not self.check(direction, seq):
-            raise ReplayRejected(f"seq {seq} not above window")
+        """Advance the window to seq; ReplayRejected unless seq is above it."""
+        if seq <= self._highest.get(direction, -1):
+            raise ReplayRejected(f"seq {seq} already seen for direction {direction}")
         self._highest[direction] = seq
-
-    def highest(self, direction: int) -> int:
-        return self._highest.get(direction, -1)
 
 
 def peek_header(data: bytes) -> tuple[int, int, int, int, int]:
@@ -178,8 +173,6 @@ def decode_frame(data: bytes, key: bytes, replay: ReplayWindow | None = None) ->
     except InvalidTag:
         raise AuthFailure("authentication tag mismatch") from None
     if replay is not None:
-        if not replay.check(direction, seq):
-            raise ReplayRejected(f"seq {seq} already seen for direction {direction}")
         replay.accept(direction, seq)
     return DecodedFrame(
         frame_type=frame_type, device_id=device_id, seq=seq, payload=payload, direction=direction

@@ -37,11 +37,11 @@ from .firmware import (
     PowerState,
     SLOT_MS,
     SLOTS_PER_DAY,
-    energy_step,
+    account_energy,
     motion_detector,
-    next_state,
     plan_duty_cycle,
     state_power_mw,
+    step_state_machine,
 )
 from .netproto import (
     DATA_FRAME_LEN,
@@ -49,6 +49,7 @@ from .netproto import (
     DataPayload,
     FrameType,
     HostGateway,
+    Observation,
     ProtocolError,
     ReplayWindow,
     decode_frame,
@@ -388,7 +389,7 @@ class SimDevice:
             slot = t // SLOT_MS
             piece_end = min((slot + 1) * SLOT_MS, to_ms)
             dt = piece_end - t
-            self.battery_mwh, net, curtailed, shortfall, harvest, consumed = energy_step(
+            self.battery_mwh, net, curtailed, shortfall, harvest, consumed = account_energy(
                 self.battery_mwh, self.capacity_mwh, self.charge_efficiency,
                 self.harvest_mw[slot % SLOTS_PER_DAY], self.power_mw[self.state], dt,
             )
@@ -444,7 +445,7 @@ class SimDevice:
     # -- state machine ------------------------------------------------------------
 
     def _transition(self, event: DeviceEvent) -> bool:
-        state = next_state(self.state, event)
+        state = step_state_machine(self.state, event)
         if state is None:
             self.sim.emit("device_noop", self.name, self.state.value, event.value)
             return False
@@ -736,24 +737,25 @@ def read_trace(path: str | Path) -> list[str]:
     return Path(path).read_text(encoding="utf-8").splitlines()
 
 
-def trace_observations(lines: list[str]):
-    """Host observation log entries recovered from the trace."""
-    from .netproto import Observation
-
+def trace_observations(lines: list[str]) -> list[Observation]:
+    """Host observation log entries recovered from the trace; raises only TraceFormatError."""
     out = []
-    for line in lines:
-        parts = line.split("\t")
-        if parts[1] != "observation":
-            continue
-        out.append(
-            Observation(
-                device_id=int(parts[3]),
-                corrected_t_ms=int(parts[4]),
-                app_id=AppId(int(parts[5])),
-                label_index=int(parts[6]),
-                confidence=int(parts[7]),
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            parts = line.split("\t")
+            if parts[1] != "observation":
+                continue
+            out.append(
+                Observation(
+                    device_id=int(parts[3]),
+                    corrected_t_ms=int(parts[4]),
+                    app_id=AppId(int(parts[5])),
+                    label_index=int(parts[6]),
+                    confidence=int(parts[7]),
+                )
             )
-        )
+    except (IndexError, ValueError) as exc:
+        raise TraceFormatError(lineno, f"cannot parse ({type(exc).__name__}: {exc})") from None
     return out
 
 

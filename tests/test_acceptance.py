@@ -32,10 +32,10 @@ from openhealth.config import load_config, parse_config
 from openhealth.core import ActivityLabel, DeviceProfile
 from openhealth.dataio import generate_synthetic, storage_budget
 from openhealth.firmware import (
-    EnergySettings,
     PowerState,
     account_energy,
     memory_footprint,
+    state_power_mw,
 )
 from openhealth.netproto import (
     FrameType,
@@ -210,17 +210,11 @@ def test_c06_energy_neutrality(reference_trace):
 
 def test_c07_power_arithmetic():
     profile = DeviceProfile()
-    energy = EnergySettings(
-        battery_capacity_mwh=200.0, battery_initial_mwh=100.0,
-        mppt_efficiency=1.0, charge_efficiency=1.0,
-    )
-    after_har, _, _ = account_energy(
-        {PowerState.Processing: 1.0}, profile, "har", 100.0, energy, 0, 3_600_000
-    )
+    har_mw = state_power_mw(profile, "har", PowerState.Processing)
+    after_har = account_energy(100.0, 200.0, 1.0, 0.0, har_mw, 3_600_000)[0]
     assert after_har == pytest.approx(100.0 - 12.5, abs=0)
-    after_gesture, _, _ = account_energy(
-        {PowerState.Processing: 1.0}, profile, "gesture", 100.0, energy, 0, 3_600_000
-    )
+    gesture_mw = state_power_mw(profile, "gesture", PowerState.Processing)
+    after_gesture = account_energy(100.0, 200.0, 1.0, 0.0, gesture_mw, 3_600_000)[0]
     assert after_gesture == pytest.approx(100.0 - 10.0, abs=0)
     ok(7, "1 h Processing drains exactly 12.5 mWh (HAR) and 10.0 mWh (gesture)")
 

@@ -23,8 +23,6 @@ from openhealth.classifier import (
     predict,
     quantize_model,
     quantize_tensor,
-    quantized_from_bytes,
-    quantized_to_bytes,
     render_report,
     save_model,
     split_dataset,
@@ -281,40 +279,23 @@ def test_model_blob_round_trip(tmp_path):
     assert path.read_bytes()[:4] == b"OHM1"
 
 
-def test_quantized_blob_round_trip():
-    m = init_model((12, 5, 4), seed=8)
-    qm = quantize_model(m)
-    back = quantized_from_bytes(quantized_to_bytes(qm))
-    assert back.layer_sizes == qm.layer_sizes
-    for a, b in zip(qm.tensors, back.tensors):
-        assert np.array_equal(a.q, b.q)
-        assert a.scale == pytest.approx(b.scale, rel=1e-6)
-        assert a.zero_point == b.zero_point
-
-
 def test_blob_bad_magic():
     with pytest.raises(ValueError, match="magic"):
         model_from_bytes(b"XXXX" + b"\x00" * 40)
-    with pytest.raises(ValueError, match="magic"):
-        quantized_from_bytes(b"YYYY" + b"\x00" * 40)
 
 
 def _valid_blobs() -> list[bytes]:
     m = init_model((6, 3, 4), seed=2)
     with_stats = init_model((6, 3, 4), seed=2)
     with_stats.stats = FeatureStats(mean=np.arange(6.0), std=np.ones(6))
-    return [
-        model_to_bytes(m), model_to_bytes(with_stats),
-        quantized_to_bytes(quantize_model(m)), quantized_to_bytes(quantize_model(with_stats)),
-    ]
+    return [model_to_bytes(m), model_to_bytes(with_stats)]
 
 
-@pytest.mark.parametrize("decode", [model_from_bytes, quantized_from_bytes])
-def test_truncated_blob_names_byte_offset(decode):
-    blob = _valid_blobs()[1 if decode is model_from_bytes else 3]
+def test_truncated_blob_names_byte_offset():
+    blob = _valid_blobs()[1]
     for cut in range(len(blob)):
         with pytest.raises(ModelFormatError, match=r"^byte \d+: "):
-            decode(blob[:cut])
+            model_from_bytes(blob[:cut])
 
 
 def test_non_finite_parameter_is_format_error():
@@ -324,13 +305,12 @@ def test_non_finite_parameter_is_format_error():
         model_from_bytes(bytes(blob))
 
 
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", range(2))
 def test_trailing_bytes_name_first_extra_byte(index):
     blob = _valid_blobs()[index]
-    decode = model_from_bytes if index < 2 else quantized_from_bytes
     for tail in (b"\x00", b"junk"):
         with pytest.raises(ModelFormatError, match=rf"^byte {len(blob)}: {len(tail)} bytes after the end"):
-            decode(blob + tail)
+            model_from_bytes(blob + tail)
 
 
 # Overwrites: raw bytes anywhere, or a big-endian float64 (NaN and infinities
@@ -353,11 +333,10 @@ def test_blob_decoders_raise_only_format_errors(blob, cut, edits, tail):
     for pos, chunk in edits:
         data[pos : pos + len(chunk)] = chunk[: max(0, len(data) - pos)]
     data += tail
-    for decode in (model_from_bytes, quantized_from_bytes):
-        try:
-            decode(bytes(data))
-        except ModelFormatError:
-            pass
+    try:
+        model_from_bytes(bytes(data))
+    except ModelFormatError:
+        pass
 
 
 def test_split_dataset_deterministic():

@@ -8,7 +8,6 @@ from openhealth.classifier import init_model, quantize_model
 from openhealth.core import DeviceProfile
 from openhealth.firmware import (
     BudgetError,
-    DeviceAction,
     DeviceEvent,
     DutyPlan,
     EnergySettings,
@@ -17,7 +16,7 @@ from openhealth.firmware import (
     memory_footprint,
     motion_detector,
     plan_duty_cycle,
-    sinusoidal_daylight_profile,
+    state_power_mw,
     step_state_machine,
 )
 
@@ -36,17 +35,14 @@ def make_energy(battery=100.0, capacity=200.0, harvest=0.0, mppt=1.0, charge_eff
 
 def test_legal_transitions():
     cases = [
-        (PowerState.Sleep, DeviceEvent.MotionDetected, PowerState.Sampling, DeviceAction.StartSampling),
-        (PowerState.Sampling, DeviceEvent.WindowFull, PowerState.Processing, DeviceAction.RunInference),
-        (PowerState.Processing, DeviceEvent.InferenceDone, PowerState.Transmitting, DeviceAction.EnqueueDataFrame),
-        (PowerState.Transmitting, DeviceEvent.TxDone, PowerState.Sampling, DeviceAction.ResumeSampling),
-        (PowerState.Sampling, DeviceEvent.IdleTimeout, PowerState.Sleep, DeviceAction.EnterLowPower),
+        (PowerState.Sleep, DeviceEvent.MotionDetected, PowerState.Sampling),
+        (PowerState.Sampling, DeviceEvent.WindowFull, PowerState.Processing),
+        (PowerState.Processing, DeviceEvent.InferenceDone, PowerState.Transmitting),
+        (PowerState.Transmitting, DeviceEvent.TxDone, PowerState.Sampling),
+        (PowerState.Sampling, DeviceEvent.IdleTimeout, PowerState.Sleep),
     ]
-    for state, event, expected_state, expected_action in cases:
-        result = step_state_machine(state, event)
-        assert not result.noop
-        assert result.state is expected_state
-        assert result.actions == (expected_action,)
+    for state, event, expected_state in cases:
+        assert step_state_machine(state, event) is expected_state
 
 
 def test_all_other_pairs_are_noops():
@@ -59,12 +55,8 @@ def test_all_other_pairs_are_noops():
     }
     for state in PowerState:
         for event in DeviceEvent:
-            result = step_state_machine(state, event)
-            if (state, event) in legal:
-                continue
-            assert result.noop
-            assert result.state is state
-            assert result.actions == ()
+            if (state, event) not in legal:
+                assert step_state_machine(state, event) is None
 
 
 # --- motion detection ------------------------------------------------------
@@ -98,67 +90,52 @@ def test_motion_detector_needs_two_samples():
 
 # --- energy accounting -----------------------------------------------------
 
+HOUR_MS = 3_600_000
+
+
 def test_one_hour_processing_drains_exactly_har_power():
-    profile = DeviceProfile()
-    new, delta, depleted = account_energy(
-        {PowerState.Processing: 1.0}, profile, "har", 100.0, make_energy(), t_ms=0, dt_ms=3_600_000
-    )
+    power = state_power_mw(DeviceProfile(), "har", PowerState.Processing)
+    new, _, _, _, _, consumed = account_energy(100.0, 200.0, 1.0, 0.0, power, HOUR_MS)
     assert new == pytest.approx(100.0 - 12.5, abs=1e-12)
-    assert delta.consumed_mwh == pytest.approx(12.5, abs=1e-12)
-    assert not depleted
+    assert consumed == pytest.approx(12.5, abs=1e-12)
+    assert new > 0.0  # not depleted
 
 
 def test_one_hour_processing_gesture_power():
-    profile = DeviceProfile()
-    new, _, _ = account_energy(
-        {PowerState.Processing: 1.0}, profile, "gesture", 100.0, make_energy(), t_ms=0, dt_ms=3_600_000
-    )
+    power = state_power_mw(DeviceProfile(), "gesture", PowerState.Processing)
+    new = account_energy(100.0, 200.0, 1.0, 0.0, power, HOUR_MS)[0]
     assert new == pytest.approx(100.0 - 10.0, abs=1e-12)
 
 
 def test_harvest_consumption_balance():
-    profile = DeviceProfile()
-    energy = make_energy(harvest=12.5, mppt=1.0)
-    new, delta, _ = account_energy(
-        {PowerState.Processing: 1.0}, profile, "har", 100.0, energy, t_ms=0, dt_ms=3_600_000
-    )
+    power = state_power_mw(DeviceProfile(), "har", PowerState.Processing)
+    new, net, _, _, _, _ = account_energy(100.0, 200.0, 1.0, 12.5, power, HOUR_MS)
     assert new == pytest.approx(100.0, abs=1e-12)
-    assert delta.applied_mwh == pytest.approx(0.0, abs=1e-12)
+    assert net == pytest.approx(0.0, abs=1e-12)
 
 
 def test_battery_clamps_at_capacity():
-    profile = DeviceProfile()
-    energy = make_energy(capacity=200.0, harvest=100.0)
-    new, delta, _ = account_energy(
-        {PowerState.Sleep: 1.0}, profile, "har", 199.9, energy, t_ms=0, dt_ms=3_600_000
-    )
+    power = state_power_mw(DeviceProfile(), "har", PowerState.Sleep)
+    new, _, curtailed, _, _, _ = account_energy(199.9, 200.0, 1.0, 100.0, power, HOUR_MS)
     assert new == 200.0
-    assert delta.curtailed_mwh > 0
-    assert delta.applied_mwh == pytest.approx(0.1, abs=1e-9)
+    assert curtailed > 0
+    assert new - 199.9 == pytest.approx(0.1, abs=1e-9)
 
 
-def test_depletion_is_flag_not_exception():
-    profile = DeviceProfile()
-    new, delta, depleted = account_energy(
-        {PowerState.Processing: 1.0}, profile, "har", 1.0, make_energy(), t_ms=0, dt_ms=3_600_000
-    )
-    assert depleted and new == 0.0
-    assert delta.shortfall_mwh == pytest.approx(11.5, abs=1e-9)
-
-
-def test_dwell_fractions_must_sum_to_one():
-    with pytest.raises(ValueError, match="sum to 1"):
-        account_energy({PowerState.Sleep: 0.5}, DeviceProfile(), "har", 100.0, make_energy(), 0, 1000)
+def test_depletion_is_new_level_zero_not_exception():
+    power = state_power_mw(DeviceProfile(), "har", PowerState.Processing)
+    new, _, _, shortfall, _, _ = account_energy(1.0, 200.0, 1.0, 0.0, power, HOUR_MS)
+    assert new == 0.0  # depleted
+    assert shortfall == pytest.approx(11.5, abs=1e-9)
 
 
 def test_mixed_dwell_weights_power():
     profile = DeviceProfile()
-    new, delta, _ = account_energy(
-        {PowerState.Sleep: 0.5, PowerState.Processing: 0.25, PowerState.Transmitting: 0.25},
-        profile, "har", 100.0, make_energy(), t_ms=0, dt_ms=3_600_000,
-    )
+    dwell = {PowerState.Sleep: 0.5, PowerState.Processing: 0.25, PowerState.Transmitting: 0.25}
+    power = sum(state_power_mw(profile, "har", state) * frac for state, frac in dwell.items())
+    consumed = account_energy(100.0, 200.0, 1.0, 0.0, power, HOUR_MS)[5]
     expected = 0.5 * 0.3 + 0.25 * 12.5 + 0.25 * 15.0
-    assert delta.consumed_mwh == pytest.approx(expected, abs=1e-12)
+    assert consumed == pytest.approx(expected, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,23 +154,12 @@ def test_battery_bounds_hold_for_random_schedules(steps):
     profile = DeviceProfile()
     level, capacity = 50.0, 100.0
     ledger_total = 0.0
-    t = 0
     for state, dt_ms, harvest in steps:
-        energy = make_energy(capacity=capacity, battery=level, harvest=harvest)
-        level, delta, _ = account_energy({state: 1.0}, profile, "har", level, energy, t, dt_ms)
-        ledger_total += delta.applied_mwh
-        t += dt_ms
+        power = state_power_mw(profile, "har", state)
+        level, net, curtailed, shortfall, _, _ = account_energy(level, capacity, 1.0, harvest, power, dt_ms)
+        ledger_total += net - curtailed + shortfall
         assert 0.0 <= level <= capacity
     assert level == pytest.approx(50.0 + ledger_total, abs=1e-6)
-
-
-def test_account_energy_reads_the_harvest_of_its_hour_slot():
-    profile = DeviceProfile()
-    forecast = tuple(float(h) for h in range(24))
-    energy = EnergySettings(battery_capacity_mwh=200.0, battery_initial_mwh=100.0, harvest_profile_mw=forecast)
-    for t_ms, slot in ((0, 0), (3_599_999, 0), (3_600_000, 1), (25 * 3_600_000 + 7, 1), (47 * 3_600_000, 23)):
-        _, delta, _ = account_energy({PowerState.Sleep: 1.0}, profile, "har", 100.0, energy, t_ms, 3_600_000)
-        assert delta.harvest_mwh == energy.mppt_efficiency * forecast[slot]
 
 
 # --- duty planning ---------------------------------------------------------
@@ -241,14 +207,6 @@ def test_duty_plan_validation():
 def test_duty_plan_invariant_enforced():
     with pytest.raises(ValueError, match="exceeds"):
         DutyPlan(fractions=tuple([1.0] * 24), planned_active_mwh=100.0, available_mwh=50.0)
-
-
-def test_sinusoidal_profile_shape():
-    slots = sinusoidal_daylight_profile(60.0, night_floor_mw=2.0)
-    assert len(slots) == 24
-    assert slots[0] == 2.0 and slots[23] == 2.0
-    assert max(slots) <= 62.0
-    assert slots[12] > slots[7] > slots[5]
 
 
 # --- memory budgets --------------------------------------------------------

@@ -1,10 +1,14 @@
-"""The benchmark's tracer wraps package functions by name: every name must resolve."""
+"""The benchmark's tracer wraps package functions by name: every name must resolve and be called."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from openhealth import simengine
+
+from test_simengine import small_config
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -28,3 +32,17 @@ def test_every_traced_target_resolves():
                 if not callable(vars(owner).get(fn_name)):
                     missing.append(f"{layer}.{attr}")
     assert missing == []
+
+
+def test_simulator_runs_the_spanned_firmware_rules():
+    """The firmware spans count the rules the simulator calls, so they cannot read 0."""
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        simengine.run_scenario(small_config(), seed=11)  # the wrapped module attribute
+    finally:
+        tracer.remove()
+    spans = module.SpanTable(tracer)
+    for name in ("firmware.account_energy", "firmware.step_state_machine"):
+        assert spans.calls(name, ("simengine.run_scenario",)) > 0, name

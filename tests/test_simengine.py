@@ -17,6 +17,7 @@ from openhealth.simengine import (
     replay,
     run_scenario,
     trace_metrics,
+    trace_observations,
 )
 
 REFERENCE = "configs/reference.json"
@@ -397,7 +398,7 @@ def test_replay_version_mismatch():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_trace_readers_raise_only_format_errors(small_trace, data):
-    """replay and trace_metrics on one truncated or garbled line: a result or a TraceFormatError naming it."""
+    """Each trace reader on one truncated or garbled line: a result or a TraceFormatError naming it."""
     lines = list(small_trace.lines)
     index = data.draw(st.integers(0, len(lines) - 1))
     line = lines[index]
@@ -408,7 +409,7 @@ def test_trace_readers_raise_only_format_errors(small_trace, data):
         k = data.draw(st.integers(0, len(parts) - 1))
         parts[k] = data.draw(st.text(alphabet="0123456789abcdef-.xnaN\t ", max_size=12))
         lines[index] = "\t".join(parts)
-    for reader in (replay, trace_metrics):
+    for reader in (replay, trace_metrics, trace_observations):
         try:
             reader(lines)
         except TraceFormatError as exc:
@@ -417,12 +418,22 @@ def test_trace_readers_raise_only_format_errors(small_trace, data):
 
 
 def test_truncated_line_names_its_line(small_trace):
-    lines = list(small_trace.lines)
-    index = next(i for i, line in enumerate(lines) if line.split("\t")[1] == "energy")
-    lines[index] = lines[index].rsplit("\t", 3)[0]
-    for reader in (replay, trace_metrics):
+    for reader, kind in ((replay, "energy"), (trace_metrics, "energy"), (trace_observations, "observation")):
+        lines = list(small_trace.lines)
+        index = next(i for i, line in enumerate(lines) if line.split("\t")[1] == kind)
+        lines[index] = lines[index].rsplit("\t", 3)[0]
         with pytest.raises(TraceFormatError, match=f"^line {index + 1}: cannot parse \\(IndexError"):
             reader(lines)
+
+
+def test_unknown_app_id_is_format_error(small_trace):
+    lines = list(small_trace.lines)
+    index = next(i for i, line in enumerate(lines) if line.split("\t")[1] == "observation")
+    parts = lines[index].split("\t")
+    parts[5] = "9"
+    lines[index] = "\t".join(parts)
+    with pytest.raises(TraceFormatError, match=f"^line {index + 1}: cannot parse \\(ValueError: 9 is not a valid AppId"):
+        trace_observations(lines)
 
 
 def test_replay_empty_trace_vacuous():

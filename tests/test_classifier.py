@@ -234,6 +234,22 @@ def test_quantize_flash_arithmetic():
     assert qm.flash_bytes < 2048 < 131072
 
 
+
+def test_param_image_follows_the_documented_layout():
+    qm = quantize_model(init_model((12, 5, 4), seed=8))
+    image = qm.param_image()
+    assert image[:4] == b"OHQ1"
+    assert struct.unpack_from(">BB3I", image, 4) == (1, 3, 12, 5, 4)
+    pos = 18
+    for t in qm.tensors:
+        scale, zero_point = struct.unpack_from(">fi", image, pos)
+        assert scale == pytest.approx(t.scale, rel=1e-6)
+        assert zero_point == t.zero_point
+        payload = np.frombuffer(image, dtype="i1", count=t.q.size, offset=pos + 8)
+        assert np.array_equal(payload, t.q)
+        pos += 8 + t.q.size
+    assert pos == len(image) == qm.flash_bytes
+
 def test_quantize_zero_model_round_trips_exactly():
     m = zero_model()
     qm = quantize_model(m)

@@ -138,6 +138,39 @@ def test_mixed_dwell_weights_power():
     assert consumed == pytest.approx(expected, abs=1e-12)
 
 
+
+def test_charge_efficiency_applies_only_when_charging():
+    new, net, _, _, _, _ = account_energy(100.0, 200.0, 0.8, 30.0, 10.0, HOUR_MS)
+    assert net == pytest.approx(0.8 * 20.0, abs=1e-12)
+    assert new == pytest.approx(116.0, abs=1e-12)
+    new, net, _, _, _, _ = account_energy(100.0, 200.0, 0.8, 10.0, 30.0, HOUR_MS)
+    assert net == pytest.approx(-20.0, abs=1e-12)
+    assert new == pytest.approx(80.0, abs=1e-12)
+
+
+def test_harvested_and_consumed_are_gross():
+    # Reported before charge efficiency and clamping at either end.
+    new, _, curtailed, _, harvested, consumed = account_energy(199.0, 200.0, 0.5, 40.0, 10.0, HOUR_MS)
+    assert new == 200.0
+    assert curtailed == pytest.approx(199.0 + 0.5 * 30.0 - 200.0, abs=1e-12)
+    assert (harvested, consumed) == (40.0, 10.0)
+    new, _, _, shortfall, harvested, consumed = account_energy(1.0, 200.0, 1.0, 0.0, 12.5, HOUR_MS)
+    assert new == 0.0
+    assert shortfall == pytest.approx(11.5, abs=1e-12)
+    assert (harvested, consumed) == (0.0, 12.5)
+
+
+def test_split_step_matches_one_step():
+    # The simulator splits a dwell at hour-slot boundaries; inside the
+    # battery's range the pieces must add up to the unsplit step.
+    whole = account_energy(100.0, 200.0, 0.9, 7.0, 3.0, HOUR_MS)
+    level, totals = 100.0, [0.0] * 5
+    for dt_ms in (1_234_567, HOUR_MS - 1_234_567):
+        level, *parts = account_energy(level, 200.0, 0.9, 7.0, 3.0, dt_ms)
+        totals = [a + b for a, b in zip(totals, parts)]
+    assert level == pytest.approx(whole[0], abs=1e-12)
+    assert totals == pytest.approx(list(whole[1:]), abs=1e-12)
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(

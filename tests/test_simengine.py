@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from openhealth.config import load_config, parse_config
-from openhealth.netproto import frame_nonce, peek_header
+from openhealth.core import ActivityLabel
+from openhealth.netproto import AppId, frame_nonce, peek_header
 from openhealth.simengine import (
     TRACE_VERSION,
     Simulator,
@@ -208,6 +210,19 @@ def test_battery_depletes_and_recovers():
     assert d["battery_mwh"]["min"] == 0.0
     assert d["battery_mwh"]["end"] > 0.0
 
+
+
+def test_simulator_reads_the_harvest_of_its_hour_slot():
+    # 25.5 h: every slot once, then slot 0 again and half of slot 1.
+    duration_ms = 25 * 3_600_000 + 1_800_000
+    raw = small_raw(duration_ms=duration_ms)
+    raw["energy"]["harvest_profile_mw"] = [float(slot + 1) for slot in range(24)]
+    raw["energy"]["mppt_efficiency"] = 0.5
+    raw["scenario"]["devices"][0]["schedule"] = [["LieDown", duration_ms]]
+    raw["scenario"]["devices"][0]["alert_schedule"] = []
+    trace = run_scenario(parse_config(raw), seed=3)
+    harvested = trace.metrics["devices"]["dev1"]["energy_mwh"]["harvested"]
+    assert harvested == pytest.approx(0.5 * (sum(range(1, 25)) + 1.0 + 2.0 * 0.5), abs=1e-6)
 
 def test_duty_plan_limits_activity():
     raw = small_raw(duration_ms=7_200_000)  # 2 h of continuous walking
@@ -435,6 +450,16 @@ def test_unknown_app_id_is_format_error(small_trace):
     with pytest.raises(TraceFormatError, match=f"^line {index + 1}: cannot parse \\(ValueError: 9 is not a valid AppId"):
         trace_observations(lines)
 
+
+
+def test_trace_observations_recover_the_host_log(small_trace):
+    obs = trace_observations(small_trace.lines)
+    m = small_trace.metrics
+    assert len(obs) == m["host"]["observations"]["1"] > 0
+    assert {(o.device_id, o.app_id) for o in obs} == {(1, AppId.HAR)}
+    # Lossless channel, one window per report: every classification arrives.
+    by_label = Counter(ActivityLabel(o.label_index).name for o in obs)
+    assert by_label == Counter(m["devices"]["dev1"]["classifications"])
 
 def test_replay_empty_trace_vacuous():
     report = replay([])

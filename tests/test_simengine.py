@@ -567,3 +567,58 @@ def test_lossy_model_trace_digest_pinned(trained_model_path):
     assert replay(trace.lines).passed
     digest = hashlib.sha256(trace.text().encode("utf-8")).hexdigest()
     assert digest == LOSSY_MODEL_TRACE_SHA256, "model-driven lossy trace bytes changed"
+
+
+# SHA-256 of the seed-0 trace of depletion_raw() below. A deliberate change to
+# the trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
+DEPLETION_TRACE_SHA256 = "da06a06317c8e9f485c29810c9547ea67c1573557450cd957d3a01422b58bd12"
+
+
+def depletion_raw():
+    """One device for an hour on a near-empty battery, alerting on every Walk
+    and Jump window over a lossy, corrupting link: it depletes and recovers."""
+    with open(REFERENCE) as f:
+        raw = json.load(f)
+    raw["channel"].update(loss_probability=0.5, corruption_probability=0.05)
+    raw["energy"]["battery_initial_mwh"] = 0.05
+    raw["energy"]["harvest_profile_mw"] = [3.0, 0.0, 20.0] * 8
+    raw["scenario"].update(
+        duration_ms=3_600_000, report_every_n_windows=1, alert_labels=["Walk", "Jump"],
+        use_duty_plan=False,
+    )
+    raw["scenario"]["devices"] = [
+        {"id": 1, "app": "har", "clock_offset_ms": 500,
+         "schedule": [["Walk", 600_000], ["Jump", 60_000], ["Sit", 60_000]], "alert_schedule": []},
+    ]
+    return raw
+
+
+def test_depletion_trace_digest_pinned():
+    assert TRACE_VERSION == 1
+    trace = run_scenario(parse_config(depletion_raw()), seed=0)
+    kinds = [line.split("\t")[1] for line in trace.lines]
+    for kind in ("battery_depleted", "battery_recovered", "alert_sent"):
+        assert kind in kinds, f"scenario no longer exercises {kind}"
+    assert replay(trace.lines).passed
+    digest = hashlib.sha256(trace.text().encode("utf-8")).hexdigest()
+    assert digest == DEPLETION_TRACE_SHA256, "depletion trace bytes changed"
+
+
+def test_alert_burst_depleting_the_battery_ends_the_cycle():
+    # The alert raised as the device enters Transmitting drains the battery:
+    # the device sleeps at once, and the cycle's pending TxDone must not
+    # move it on.
+    raw = small_raw(duration_ms=600_000, alert_labels=["Walk"], report_every_n_windows=1000)
+    raw["device_profile"]["p_tx_mw"] = 100_000.0
+    raw["energy"]["battery_initial_mwh"] = 1.0
+    raw["scenario"]["devices"][0].update(schedule=[["Walk", 600_000]], alert_schedule=[])
+    trace = run_scenario(parse_config(raw), seed=0)
+    rows = [line.split("\t") for line in trace.lines]
+    at = next(i for i, parts in enumerate(rows) if parts[1] == "battery_depleted")
+    assert rows[at][0] == "20575"
+    assert [parts[1] for parts in rows[at - 1:at + 3]] == [
+        "device_state", "battery_depleted", "device_state", "alert_sent",
+    ]
+    assert rows[at - 1][3] == "Transmitting" and rows[at + 1][3] == "Sleep"
+    assert not any(parts[1] == "device_state" and parts[2] == "dev1" for parts in rows[at + 2:])
+    assert replay(trace.lines).passed

@@ -41,7 +41,7 @@ class DeviceEvent(Enum):
     IdleTimeout = "IdleTimeout"
 
 
-# Legal transitions; every other (state, event) pair is a logged no-op.
+# Legal transitions; step_state_machine returns None for every other (state, event) pair.
 _TRANSITIONS: dict[tuple[PowerState, DeviceEvent], PowerState] = {
     (PowerState.Sleep, DeviceEvent.MotionDetected): PowerState.Sampling,
     (PowerState.Sampling, DeviceEvent.WindowFull): PowerState.Processing,
@@ -52,7 +52,7 @@ _TRANSITIONS: dict[tuple[PowerState, DeviceEvent], PowerState] = {
 
 
 def step_state_machine(state: PowerState, event: DeviceEvent) -> PowerState | None:
-    """The state the power-state machine moves to, or None for a no-op."""
+    """The state the power-state machine moves to, or None if the pair is not legal."""
     return _TRANSITIONS.get((state, event))
 
 

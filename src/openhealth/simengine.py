@@ -12,6 +12,10 @@ The first line is always ``0  trace_version  sim  1``. Device lines carry
 state and battery so the firmware view (event, device, state, battery) is
 embedded in every transition record. Frame lines carry the full frame hex,
 which doubles as the channel byte log for privacy and nonce audits.
+
+A device books all its energy, state dwell and transmit bursts alike,
+through ``firmware.account_energy``, and moves its power-state cycle only
+through ``firmware.step_state_machine``.
 """
 
 from __future__ import annotations
@@ -114,9 +118,6 @@ class Simulator:
             fn()
         self.now = until_ms
 
-    def rng_for(self, name: str) -> np.random.Generator:
-        return _entity_rng(self.seed, name)
-
 
 class SimChannel:
     """Lossy, latent, seeded bit-flipping link between devices and the host."""
@@ -125,7 +126,7 @@ class SimChannel:
         self.sim = sim
         self.model = model
         self.name = name
-        self.rng = sim.rng_for(name)
+        self.rng = _entity_rng(sim.seed, name)
 
     def _latency(self) -> int:
         lat = self.model.latency_ms
@@ -187,14 +188,6 @@ class _PendingAlert:
     frame: bytes = b""
     first_sent_ms: int = 0
     attempts: int = 0
-    delivered: bool = False
-
-
-@dataclass
-class _PendingSync:
-    seq: int
-    t1: int
-    attempt: int
 
 
 class SimDevice:
@@ -264,7 +257,7 @@ class SimDevice:
 
         self.seq = 0
         self.replay = ReplayWindow()
-        self.pending_sync: _PendingSync | None = None
+        self.sync_seq: int | None = None  # of the sync request awaiting its reply
         self.alert_queue: list[_PendingAlert] = []
         self.alert_labels = {
             name for name in scenario.alert_labels if name in self.label_set.__members__
@@ -302,15 +295,11 @@ class SimDevice:
         self._start_sync(attempt=1)
         for start_ms, _, _ in self.blocks:
             self.sim.schedule(start_ms, self._wake_check)
-        slot = SLOT_MS
-        while slot < self.scenario.duration_ms:
-            self.sim.schedule(slot, self._wake_check)
-            slot += SLOT_MS
+        for t in range(SLOT_MS, self.scenario.duration_ms, SLOT_MS):
+            self.sim.schedule(t, self._wake_check)
         tick = self.scenario.energy_log_interval_ms
-        t = tick
-        while t < self.scenario.duration_ms:
+        for t in range(tick, self.scenario.duration_ms, tick):
             self.sim.schedule(t, self._energy_tick)
-            t += tick
         for t_ms, label in self.spec.alert_schedule:
             if t_ms < self.scenario.duration_ms:
                 self.sim.schedule(t_ms, lambda lbl=label: self._trigger_alert(lbl))
@@ -383,42 +372,38 @@ class SimDevice:
     # -- energy ------------------------------------------------------------------
 
     def _advance(self, to_ms: int) -> None:
-        """Integrate energy in the current state up to to_ms, split per hour slot."""
+        """Book the current state's dwell up to to_ms, split per hour slot."""
         t = self.last_account_ms
         while t < to_ms:
             slot = t // SLOT_MS
             piece_end = min((slot + 1) * SLOT_MS, to_ms)
             dt = piece_end - t
-            self.battery_mwh, net, curtailed, shortfall, harvest, consumed = account_energy(
-                self.battery_mwh, self.capacity_mwh, self.charge_efficiency,
-                self.harvest_mw[slot % SLOTS_PER_DAY], self.power_mw[self.state], dt,
-            )
-            self.net_cum += net
-            self.curtailed_cum += curtailed
-            self.shortfall_cum += shortfall
-            self.harvest_cum += harvest
-            self.consumed_cum += consumed
             if self.state is not PowerState.Sleep:
                 self.slot_active_ms[slot] = self.slot_active_ms.get(slot, 0.0) + dt
+            self._book(self.harvest_mw[slot % SLOTS_PER_DAY], self.power_mw[self.state], dt)
             t = piece_end
-            if self.battery_mwh <= 0.0 and not self.depleted:
-                self.depleted = True
-                self.last_account_ms = t
-                self.sim.emit("battery_depleted", self.name)
-                self._force_sleep()
         self.last_account_ms = to_ms
 
-    def _consume_impulse(self, mwh: float) -> None:
-        """One-off transmit burst outside the cycle dwell accounting."""
-        raw = self.battery_mwh - mwh
-        self.battery_mwh = max(raw, 0.0)
-        self.shortfall_cum += max(0.0, -raw)
-        self.net_cum -= mwh
-        self.consumed_cum += mwh
+    def _burst(self, frame: bytes) -> None:
+        """A frame sent outside the cycle: its air time at p_tx, on top of the dwell, unharvested."""
+        self._book(0.0, self.profile.p_tx_mw, self._tx_ms(len(frame)))
+
+    def _book(self, harvest_mw: float, consumption_mw: float, dt_ms: int) -> None:
+        """Add dt_ms of account_energy to the ledger; a battery that first runs dry forces sleep."""
+        self.battery_mwh, net, curtailed, shortfall, harvest, consumed = account_energy(
+            self.battery_mwh, self.capacity_mwh, self.charge_efficiency, harvest_mw, consumption_mw, dt_ms,
+        )
+        self.net_cum += net
+        self.curtailed_cum += curtailed
+        self.shortfall_cum += shortfall
+        self.harvest_cum += harvest
+        self.consumed_cum += consumed
         if self.battery_mwh <= 0.0 and not self.depleted:
             self.depleted = True
             self.sim.emit("battery_depleted", self.name)
-            self._force_sleep()
+            self.cycle_gen += 1  # the cycle's pending dwell end now finds a newer cycle
+            if self.state is not PowerState.Sleep:
+                self._set_state(PowerState.Sleep)
 
     def _emit_energy(self) -> None:
         self.sim.emit(
@@ -442,107 +427,87 @@ class SimDevice:
         self._advance(self.scenario.duration_ms)
         self._emit_energy()
 
-    # -- state machine ------------------------------------------------------------
+    # -- the sleep/sampling/processing/transmitting cycle ------------------------------
 
-    def _transition(self, event: DeviceEvent) -> bool:
-        state = step_state_machine(self.state, event)
-        if state is None:
-            self.sim.emit("device_noop", self.name, self.state.value, event.value)
-            return False
+    def _set_state(self, state: PowerState) -> None:
         self.state = state
         self.sim.emit("device_state", self.name, state.value, f"{self.battery_mwh:.6f}")
-        return True
 
-    def _force_sleep(self) -> None:
-        self.cycle_gen += 1
-        if self.state is not PowerState.Sleep:
-            self.state = PowerState.Sleep
-            self.sim.emit("device_state", self.name, self.state.value, f"{self.battery_mwh:.6f}")
+    def _transition(self, event: DeviceEvent) -> tuple[int, PowerState]:
+        """Take a cycle event the current state allows; returns the (cycle, state) entered."""
+        self._set_state(step_state_machine(self.state, event))
+        return self.cycle_gen, self.state
 
-    # -- duty gating -----------------------------------------------------------------
+    def _end_dwell_after(
+        self, dwell_ms: int, entered: tuple[int, PowerState], action: Callable[[], None]
+    ) -> None:
+        """After dwell_ms, book the dwell and run action, unless by then the
+        device left the state entered (a forced sleep) or its battery is empty."""
+        def end() -> None:
+            if (self.cycle_gen, self.state) != entered:
+                return
+            self._advance(self.sim.now)
+            if not self.depleted:
+                action()
 
-    def _duty_allows(self, extra_ms: float) -> bool:
+        self.sim.schedule(self.sim.now + dwell_ms, end)
+
+    def _cycle_fits(self) -> bool:
+        """Whether one more full cycle ends in the scenario and in its hour slot's duty budget."""
+        if self.sim.now + self.cycle_ms > self.scenario.duration_ms:
+            return False
         if self.duty_plan is None:
             return True
         slot = self.sim.now // SLOT_MS
         budget = self.duty_plan.fractions[slot % SLOTS_PER_DAY] * SLOT_MS
-        return self.slot_active_ms.get(slot, 0.0) + extra_ms <= budget
-
-    # -- the sampling/processing/transmitting cycle ------------------------------------
+        return self.slot_active_ms.get(slot, 0.0) + self.cycle_ms <= budget
 
     def _wake_check(self) -> None:
         self._advance(self.sim.now)
         self._maybe_recover()
-        if self.depleted or self.state is not PowerState.Sleep:
+        if self.depleted or self.state is not PowerState.Sleep or not self._cycle_fits():
             return
-        if self.sim.now + self.cycle_ms > self.scenario.duration_ms:
-            return
-        if not self._duty_allows(self.cycle_ms):
-            return
-        if not self._probe_motion():
+        matrix, _ = self._window_samples(self.sim.now, columns=3)
+        if not motion_detector(matrix):
             return
         self.last_motion_ms = self.sim.now
-        if self._transition(DeviceEvent.MotionDetected):
-            gen = self.cycle_gen
-            self.sim.schedule(self.sim.now + self.window_ms, lambda: self._window_done(gen))
+        entered = self._transition(DeviceEvent.MotionDetected)
+        self._end_dwell_after(self.window_ms, entered, self._window_done)
 
-    def _probe_motion(self) -> bool:
-        matrix, _ = self._window_samples(self.sim.now, columns=3)
-        return motion_detector(matrix)
-
-    def _window_done(self, gen: int) -> None:
-        if gen != self.cycle_gen or self.state is not PowerState.Sampling:
-            return
-        self._advance(self.sim.now)
-        if self.depleted:
-            return
+    def _window_done(self) -> None:
         start_ms = self.sim.now - self.window_ms
         # The oracle reads only the label counts, so it needs accel alone for motion.
         matrix, counts = self._window_samples(start_ms, columns=3 if self.model is None else None)
         if motion_detector(matrix):
             self.last_motion_ms = self.sim.now
         label, confidence = self._classify(matrix, counts)
-        if self._transition(DeviceEvent.WindowFull):
-            conf_fp = min(10000, round(confidence * 10000))
-            self.sim.emit("classify", self.name, self.window_index, label.name, conf_fp)
-            self.sim.schedule(
-                self.sim.now + self.scenario.inference_latency_ms,
-                lambda: self._inference_done(gen, label, conf_fp),
-            )
+        entered = self._transition(DeviceEvent.WindowFull)
+        conf_fp = min(10000, round(confidence * 10000))
+        self.sim.emit("classify", self.name, self.window_index, label.name, conf_fp)
+        self._end_dwell_after(
+            self.scenario.inference_latency_ms, entered, lambda: self._inference_done(label, conf_fp)
+        )
 
-    def _inference_done(self, gen: int, label: Label, conf_fp: int) -> None:
-        if gen != self.cycle_gen or self.state is not PowerState.Processing:
-            return
-        self._advance(self.sim.now)
-        if self.depleted:
-            return
-        if self._transition(DeviceEvent.InferenceDone):
-            self.window_index += 1
-            tx_ms = MIN_RADIO_MS
-            if self.window_index % self.scenario.report_every_n_windows == 0:
-                frame = self._build_data_frame(label, conf_fp)
-                self.channel.send(self.name, frame, self.host)
-                tx_ms = self._tx_ms(len(frame))
-            if label.name in self.alert_labels:
-                self._trigger_alert(label)
-            self.sim.schedule(self.sim.now + tx_ms, lambda: self._tx_done(gen))
+    def _inference_done(self, label: Label, conf_fp: int) -> None:
+        entered = self._transition(DeviceEvent.InferenceDone)
+        self.window_index += 1
+        tx_ms = MIN_RADIO_MS
+        if self.window_index % self.scenario.report_every_n_windows == 0:
+            payload = self._payload(label, conf_fp)
+            frame = encode_frame(FrameType.DATA, self.spec.device_id, self._next_seq(), payload, self.key)
+            self.channel.send(self.name, frame, self.host)
+            tx_ms = self._tx_ms(len(frame))
+        if label.name in self.alert_labels:
+            self._trigger_alert(label)  # its burst may empty the battery and cut this cycle short
+        self._end_dwell_after(tx_ms, entered, self._tx_done)
 
-    def _tx_done(self, gen: int) -> None:
-        if gen != self.cycle_gen or self.state is not PowerState.Transmitting:
-            return
-        self._advance(self.sim.now)
-        if self.depleted:
-            return
-        if not self._transition(DeviceEvent.TxDone):
-            return
+    def _tx_done(self) -> None:
+        entered = self._transition(DeviceEvent.TxDone)
         idle = self.sim.now - self.last_motion_ms >= self.scenario.idle_timeout_ms
-        out_of_time = self.sim.now + self.cycle_ms > self.scenario.duration_ms
-        if idle or out_of_time or not self._duty_allows(self.cycle_ms):
+        if idle or not self._cycle_fits():
             self._transition(DeviceEvent.IdleTimeout)
-            self.cycle_gen += 1
             return
-        next_gen = self.cycle_gen
-        self.sim.schedule(self.sim.now + self.window_ms, lambda: self._window_done(next_gen))
+        self._end_dwell_after(self.window_ms, entered, self._window_done)
 
     # -- frames -------------------------------------------------------------------------
 
@@ -554,19 +519,19 @@ class SimDevice:
         bits = frame_len * 8
         return max(MIN_RADIO_MS, round(bits / self.scenario.tx_bitrate_kbps))
 
-    def _build_data_frame(self, label: Label, conf_fp: int) -> bytes:
-        payload = DataPayload(
+    def _payload(self, label: Label, conf_fp: int) -> bytes:
+        """A DATA or ALERT payload stamped with the device clock now."""
+        return DataPayload(
             timestamp_ms=self.device_clock(self.sim.now),
             label_index=label.value,
             confidence=conf_fp,
             app_id=self.app_id,
         ).pack()
-        return encode_frame(FrameType.DATA, self.spec.device_id, self._next_seq(), payload, self.key)
 
     def _send_management_frame(self, ftype: FrameType, payload: bytes) -> int:
         seq = self._next_seq()
         frame = encode_frame(ftype, self.spec.device_id, seq, payload, self.key)
-        self._consume_impulse(self.profile.p_tx_mw * self._tx_ms(len(frame)) / 3_600_000.0)
+        self._burst(frame)
         self.channel.send(self.name, frame, self.host)
         return seq
 
@@ -576,18 +541,17 @@ class SimDevice:
         if self.sim.now >= self.scenario.duration_ms:
             return
         t1 = self.device_clock(self.sim.now)
-        seq = self._send_management_frame(FrameType.TIME_SYNC, pack_sync_request(t1))
-        self.pending_sync = _PendingSync(seq=seq, t1=t1, attempt=attempt)
+        seq = self.sync_seq = self._send_management_frame(FrameType.TIME_SYNC, pack_sync_request(t1))
         timeout = self.config.protocol.sync_timeout_ms
         self.sim.schedule(self.sim.now + timeout, lambda: self._sync_timeout(seq, attempt))
 
     def _sync_timeout(self, seq: int, attempt: int) -> None:
-        if self.pending_sync is None or self.pending_sync.seq != seq:
+        if self.sync_seq != seq:
             return
         if attempt < self.config.protocol.sync_retries:
             self._start_sync(attempt + 1)
         else:
-            self.pending_sync = None
+            self.sync_seq = None
             self.sim.emit("sync_timeout", self.name, attempt)
             self._schedule_next_sync()
 
@@ -599,7 +563,7 @@ class SimDevice:
     def _complete_sync(self, t1: int, t2: int, t3: int) -> None:
         t4 = self.device_clock(self.sim.now)
         offset, rtt = estimate_offset(t1, t2, t3, t4)
-        self.pending_sync = None
+        self.sync_seq = None
         self.sim.emit("sync", self.name, f"{offset:.3f}", rtt)
         self._send_management_frame(FrameType.TIME_SYNC, pack_sync_report(offset, max(0, rtt)))
         self._schedule_next_sync()
@@ -607,24 +571,17 @@ class SimDevice:
     # -- alerts ------------------------------------------------------------------------------
 
     def _trigger_alert(self, label: Label) -> None:
-        payload = DataPayload(
-            timestamp_ms=self.device_clock(self.sim.now),
-            label_index=label.value,
-            confidence=10000,
-            app_id=self.app_id,
-        ).pack()
-        alert = _PendingAlert(payload)
-        self.alert_queue.append(alert)
+        self.alert_queue.append(_PendingAlert(self._payload(label, 10000)))
         if len(self.alert_queue) == 1:
-            self._send_alert_attempt(alert)
+            self._send_alert_attempt()
 
-    def _send_alert_attempt(self, alert: _PendingAlert) -> None:
-        if alert.delivered:
-            return
+    def _send_alert_attempt(self) -> None:
+        """Send the head of the alert queue again, or give it up after max_attempts."""
+        alert = self.alert_queue[0]
         retry = self.config.protocol.retry
         if alert.attempts >= retry.max_attempts:
             self.sim.emit("alert_undelivered", self.name, alert.seq, alert.attempts)
-            self._pop_alert(alert)
+            self._pop_alert()
             return
         alert.attempts += 1
         if alert.attempts == 1:
@@ -633,7 +590,7 @@ class SimDevice:
             alert.first_sent_ms = self.sim.now
             alert.seq = self._next_seq()
             alert.frame = encode_frame(FrameType.ALERT, self.spec.device_id, alert.seq, alert.payload, self.key)
-        self._consume_impulse(self.profile.p_tx_mw * self._tx_ms(len(alert.frame)) / 3_600_000.0)
+        self._burst(alert.frame)
         self.sim.emit("alert_sent", self.name, alert.seq, alert.attempts)
         self.channel.send(self.name, alert.frame, self.host)
         self.sim.schedule(
@@ -641,15 +598,13 @@ class SimDevice:
         )
 
     def _alert_retry(self, seq: int) -> None:
-        if not self.alert_queue or self.alert_queue[0].seq != seq:
-            return
-        self._send_alert_attempt(self.alert_queue[0])
+        if self.alert_queue and self.alert_queue[0].seq == seq:
+            self._send_alert_attempt()
 
-    def _pop_alert(self, alert: _PendingAlert) -> None:
-        if self.alert_queue and self.alert_queue[0] is alert:
-            self.alert_queue.pop(0)
+    def _pop_alert(self) -> None:
+        self.alert_queue.pop(0)
         if self.alert_queue:
-            self._send_alert_attempt(self.alert_queue[0])
+            self._send_alert_attempt()
 
     # -- receive path ----------------------------------------------------------------------------
 
@@ -663,16 +618,14 @@ class SimDevice:
         if decoded.frame_type is not FrameType.ACK:
             return
         acked_seq, data = unpack_ack(decoded.payload)
-        if self.pending_sync is not None and acked_seq == self.pending_sync.seq and data:
-            t1, t2, t3 = unpack_sync_reply(data)
-            self._complete_sync(t1, t2, t3)
+        if acked_seq == self.sync_seq and data:
+            self._complete_sync(*unpack_sync_reply(data))
             return
         if self.alert_queue and self.alert_queue[0].seq == acked_seq:
             alert = self.alert_queue[0]
-            alert.delivered = True
             latency = self.sim.now - alert.first_sent_ms
             self.sim.emit("alert_delivered", self.name, alert.seq, alert.attempts, latency)
-            self._pop_alert(alert)
+            self._pop_alert()
 
 
 @dataclass
@@ -782,7 +735,6 @@ def trace_metrics(lines: list[str]) -> dict:
                 "battery_series": [],
                 "energy_mwh": {},
                 "sync": {"offset_est_ms": None, "rtt_ms": None, "timeouts": 0},
-                "noops": 0,
                 "depletions": 0,
             },
         )
@@ -845,8 +797,6 @@ def trace_metrics(lines: list[str]) -> dict:
                 s["rtt_ms"] = int(parts[4])
             elif kind == "sync_timeout":
                 dev(entity)["sync"]["timeouts"] += 1
-            elif kind == "device_noop":
-                dev(entity)["noops"] += 1
             elif kind == "battery_depleted":
                 dev(entity)["depletions"] += 1
             elif kind == "energy":

@@ -622,3 +622,33 @@ def test_alert_burst_depleting_the_battery_ends_the_cycle():
     assert rows[at - 1][3] == "Transmitting" and rows[at + 1][3] == "Sleep"
     assert not any(parts[1] == "device_state" and parts[2] == "dev1" for parts in rows[at + 2:])
     assert replay(trace.lines).passed
+
+
+def test_cycle_cut_short_stays_ended_after_the_battery_recovers():
+    # At 0.05 kbit/s a 38-byte frame takes 6080 ms on the air. The alert
+    # burst on entering Transmitting at 61285 ms empties the 0.1 mWh battery;
+    # 40 mW of harvest recovers it by the 62000 ms energy tick, before the
+    # cut cycle's TxDone falls due at 67365 ms. That TxDone must find a newer
+    # cycle: the device stays asleep until the next wake check, at 120000 ms.
+    raw = small_raw(
+        duration_ms=130_000, alert_labels=["Walk"], report_every_n_windows=1,
+        tx_bitrate_kbps=0.05, energy_log_interval_ms=500,
+    )
+    raw["device_profile"]["p_tx_mw"] = 100.0
+    raw["energy"].update(battery_capacity_mwh=0.1, battery_initial_mwh=0.1, harvest_profile_mw=[40.0] * 24)
+    raw["scenario"]["devices"][0].update(schedule=[["Walk", 60_000]], alert_schedule=[])
+    trace = run_scenario(parse_config(raw), seed=0)
+    rows = [line.split("\t") for line in trace.lines]
+    events = [
+        (int(parts[0]), parts[1], parts[3] if parts[1] == "device_state" else None)
+        for parts in rows
+        if parts[1] in ("device_state", "battery_depleted", "battery_recovered") and 61_285 <= int(parts[0])
+    ]
+    assert events[:5] == [
+        (61_285, "device_state", "Transmitting"),
+        (61_285, "battery_depleted", None),
+        (61_285, "device_state", "Sleep"),
+        (62_000, "battery_recovered", None),
+        (120_000, "device_state", "Sampling"),
+    ]
+    assert replay(trace.lines).passed

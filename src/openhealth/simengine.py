@@ -14,8 +14,8 @@ embedded in every transition record. Frame lines carry the full frame hex,
 which doubles as the channel byte log for privacy and nonce audits.
 
 A device books all its energy, state dwell and transmit bursts alike,
-through ``firmware.account_energy``, and moves its power-state cycle only
-through ``firmware.step_state_machine``.
+through ``firmware.account_energy``. Its cycle moves only through
+``firmware.step_state_machine``, except that an empty battery forces sleep.
 """
 
 from __future__ import annotations

@@ -8,10 +8,8 @@ Trace format (UTF-8, tab-separated, one event per line):
 
     t_ms <TAB> kind <TAB> entity <TAB> detail...
 
-The first line is always ``0  trace_version  sim  1``. Device lines carry
-state and battery so the firmware view (event, device, state, battery) is
-embedded in every transition record. Frame lines carry the full frame hex,
-which doubles as the channel byte log for privacy and nonce audits.
+The first line gives the trace version. Frame lines carry the full frame
+hex, which doubles as the channel byte log for privacy and nonce audits.
 
 A device books all its energy, state dwell and transmit bursts alike,
 through ``firmware.account_energy``. Its cycle moves only through
@@ -67,7 +65,7 @@ from .netproto import (
 )
 from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 MIN_RADIO_MS = 1
 
 
@@ -249,6 +247,7 @@ class SimDevice:
         self.last_account_ms = 0
         self.depleted = False
         self.slot_active_ms: dict[int, float] = {}
+        self.dwell_ms = dict.fromkeys(PowerState, 0)
         self.net_cum = 0.0
         self.curtailed_cum = 0.0
         self.shortfall_cum = 0.0
@@ -378,6 +377,7 @@ class SimDevice:
             slot = t // SLOT_MS
             piece_end = min((slot + 1) * SLOT_MS, to_ms)
             dt = piece_end - t
+            self.dwell_ms[self.state] += dt
             if self.state is not PowerState.Sleep:
                 self.slot_active_ms[slot] = self.slot_active_ms.get(slot, 0.0) + dt
             self._book(self.harvest_mw[slot % SLOTS_PER_DAY], self.power_mw[self.state], dt)
@@ -402,8 +402,7 @@ class SimDevice:
             self.depleted = True
             self.sim.emit("battery_depleted", self.name)
             self.cycle_gen += 1  # the cycle's pending dwell end now finds a newer cycle
-            if self.state is not PowerState.Sleep:
-                self._set_state(PowerState.Sleep)
+            self.state = PowerState.Sleep
 
     def _emit_energy(self) -> None:
         self.sim.emit(
@@ -411,6 +410,7 @@ class SimDevice:
             f"{self.battery_mwh:.9f}", f"{self.net_cum:.9f}",
             f"{self.curtailed_cum:.9f}", f"{self.shortfall_cum:.9f}",
             f"{self.harvest_cum:.9f}", f"{self.consumed_cum:.9f}",
+            *self.dwell_ms.values(),
         )
 
     def _energy_tick(self) -> None:
@@ -429,13 +429,9 @@ class SimDevice:
 
     # -- the sleep/sampling/processing/transmitting cycle ------------------------------
 
-    def _set_state(self, state: PowerState) -> None:
-        self.state = state
-        self.sim.emit("device_state", self.name, state.value, f"{self.battery_mwh:.6f}")
-
     def _transition(self, event: DeviceEvent) -> tuple[int, PowerState]:
         """Take a cycle event the current state allows; returns the (cycle, state) entered."""
-        self._set_state(step_state_machine(self.state, event))
+        self.state = step_state_machine(self.state, event)
         return self.cycle_gen, self.state
 
     def _end_dwell_after(
@@ -734,6 +730,7 @@ def trace_metrics(lines: list[str]) -> dict:
                 "battery_mwh": {},
                 "battery_series": [],
                 "energy_mwh": {},
+                "dwell_ms": {},
                 "sync": {"offset_est_ms": None, "rtt_ms": None, "timeouts": 0},
                 "depletions": 0,
             },
@@ -743,8 +740,6 @@ def trace_metrics(lines: list[str]) -> dict:
         for lineno, line in enumerate(lines, start=1):
             parts = line.split("\t")
             kind, entity = parts[1], parts[2]
-            if kind == "device_state":  # most lines; nothing here counts them
-                continue
             t = int(parts[0])
             if kind == "scenario":
                 duration = int(parts[3])
@@ -812,6 +807,7 @@ def trace_metrics(lines: list[str]) -> dict:
                     "harvested": float(parts[7]),
                     "consumed": float(parts[8]),
                 }
+                d["dwell_ms"] = {state.value: int(parts[9 + i]) for i, state in enumerate(PowerState)}
     except (IndexError, ValueError) as exc:
         raise TraceFormatError(lineno, f"cannot parse ({type(exc).__name__}: {exc})") from None
 
@@ -848,8 +844,8 @@ class ReplayReport:
 
 
 def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
-    """Re-check trace invariants: version, energy ledger, seq monotonicity,
-    frame causality and canary absence. Line numbers are 1-based."""
+    """Re-check trace invariants: version, energy ledger, state dwell, seq
+    monotonicity, frame causality and canary absence. Line numbers are 1-based."""
     report = ReplayReport(passed=True)
     if not lines:
         report.warnings.append("empty trace: vacuous pass")
@@ -882,6 +878,9 @@ def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
                 battery, net, curtailed, shortfall = (
                     float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6]),
                 )
+                dwell = sum(int(parts[i]) for i in range(9, 13))
+                if dwell != int(parts[0]):
+                    report.failures.append(f"line {lineno}: {entity} dwell sums to {dwell} ms, not t_ms")
                 expected = initial.get(entity, battery) + net - curtailed + shortfall
                 if abs(battery - expected) > 1e-6:
                     report.failures.append(

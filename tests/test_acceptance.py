@@ -58,7 +58,7 @@ from openhealth.simengine import TRACE_VERSION, replay, run_scenario
 REFERENCE = Path("configs/reference.json")
 # SHA-256 of the seed-0 reference trace text. A deliberate change to the
 # trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-REFERENCE_TRACE_SHA256 = "eb6b2708edc8cf1a267f2006baf739fd4a400809afcb904a70a47017b7bc065a"
+REFERENCE_TRACE_SHA256 = "d2ffd09f9395957e2b5b60ac67f1425c53f54efbd79963913ec318aec254921c"
 
 
 def ok(criterion: int, message: str) -> None:
@@ -73,7 +73,7 @@ def reference_trace():
 
 
 def test_reference_trace_digest_pinned(reference_trace):
-    assert TRACE_VERSION == 1
+    assert TRACE_VERSION == 2
     digest = hashlib.sha256(reference_trace.text().encode("utf-8")).hexdigest()
     assert digest == REFERENCE_TRACE_SHA256, "reference trace bytes changed"
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -501,20 +503,31 @@ def test_simulator_rejects_past_events():
 
 
 def test_state_machine_cycle_appears_in_trace(small_trace):
-    states = [
-        l.split("\t")[3]
-        for l in small_trace.lines
-        if l.split("\t")[1] == "device_state"
-    ]
-    text = ",".join(states)
-    assert "Sampling,Processing,Transmitting,Sampling" in text
-    assert "Sleep" in states
+    # Each classified window spends inference_latency_ms in Processing, then
+    # one DATA frame's air time in Transmitting: 38 bytes at 250 kbit/s is 1 ms.
+    dwell = small_trace.metrics["devices"]["dev1"]["dwell_ms"]
+    windows = sum(1 for line in small_trace.lines if line.split("\t")[1] == "classify")
+    assert list(dwell) == ["Sleep", "Sampling", "Processing", "Transmitting"]
+    assert all(ms > 0 for ms in dwell.values())
+    assert dwell["Processing"] == small_config().scenario.inference_latency_ms * windows
+    assert dwell["Transmitting"] == windows
+
+
+@pytest.mark.parametrize("field", [9, 10, 11, 12])
+def test_replay_detects_a_changed_dwell_figure(small_trace, field):
+    lines = list(small_trace.lines)
+    index = [i for i, line in enumerate(lines) if line.split("\t")[1] == "energy"][-1]
+    parts = lines[index].split("\t")
+    parts[field] = str(int(parts[field]) + 1)
+    lines[index] = "\t".join(parts)
+    report = replay(lines)
+    assert report.failures == [f"line {index + 1}: dev1 dwell sums to {int(parts[0]) + 1} ms, not t_ms"]
 
 
 # SHA-256 of the seed-0 trace of lossy_model_raw() below, driven by the model
 # that trained_model_path trains. A deliberate change to the trace bytes bumps
 # TRACE_VERSION and re-pins this digest in the same change.
-LOSSY_MODEL_TRACE_SHA256 = "36d44ef367d6105a4486cc45c0d4962ace7aec93012bf9e63843a33bf5b2240e"
+LOSSY_MODEL_TRACE_SHA256 = "3a44cfc60950756640c9bbc8f24e3585a2ca113049fb5c9fc6c6afc2e062b606"
 LOSSY_MODEL_SHA256 = "290a22919954a96f98b2d7f7a418057099f22ecb2771555cc244604bd9f2095b"
 
 
@@ -556,11 +569,16 @@ def lossy_model_raw(model_path):
     return raw
 
 
-def test_lossy_model_trace_digest_pinned(trained_model_path):
-    assert TRACE_VERSION == 1
+@pytest.fixture(scope="module")
+def lossy_model_trace(trained_model_path):
+    return run_scenario(parse_config(lossy_model_raw(trained_model_path)), seed=0)
+
+
+def test_lossy_model_trace_digest_pinned(trained_model_path, lossy_model_trace):
+    assert TRACE_VERSION == 2
     model_digest = hashlib.sha256(trained_model_path.read_bytes()).hexdigest()
     assert model_digest == LOSSY_MODEL_SHA256, "trained model bytes changed"
-    trace = run_scenario(parse_config(lossy_model_raw(trained_model_path)), seed=0)
+    trace = lossy_model_trace
     kinds = [line.split("\t")[1] for line in trace.lines]
     for kind in ("frame_lost", "frame_corrupt", "frame_reject", "classify", "alert_sent"):
         assert kind in kinds, f"scenario no longer exercises {kind}"
@@ -571,7 +589,7 @@ def test_lossy_model_trace_digest_pinned(trained_model_path):
 
 # SHA-256 of the seed-0 trace of depletion_raw() below. A deliberate change to
 # the trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-DEPLETION_TRACE_SHA256 = "da06a06317c8e9f485c29810c9547ea67c1573557450cd957d3a01422b58bd12"
+DEPLETION_TRACE_SHA256 = "078d1044b26f63056d2013dc5ef8a7dcfe4ed6bb4eb99b0b3b48c3726be15f2b"
 
 
 def depletion_raw():
@@ -593,9 +611,14 @@ def depletion_raw():
     return raw
 
 
-def test_depletion_trace_digest_pinned():
-    assert TRACE_VERSION == 1
-    trace = run_scenario(parse_config(depletion_raw()), seed=0)
+@pytest.fixture(scope="module")
+def depletion_trace():
+    return run_scenario(parse_config(depletion_raw()), seed=0)
+
+
+def test_depletion_trace_digest_pinned(depletion_trace):
+    assert TRACE_VERSION == 2
+    trace = depletion_trace
     kinds = [line.split("\t")[1] for line in trace.lines]
     for kind in ("battery_depleted", "battery_recovered", "alert_sent"):
         assert kind in kinds, f"scenario no longer exercises {kind}"
@@ -604,11 +627,27 @@ def test_depletion_trace_digest_pinned():
     assert digest == DEPLETION_TRACE_SHA256, "depletion trace bytes changed"
 
 
+def test_trace_doc_names_every_kind_and_the_version(small_trace, lossy_model_trace, depletion_trace):
+    doc = Path("docs/formats/trace.md").read_text(encoding="utf-8")
+    assert re.search(r"^# .*\(version (\d+)\)$", doc, re.M).group(1) == str(TRACE_VERSION)
+    documented = set(re.findall(r"^\| (\w+) +\|", doc, re.M))
+    for trace in (small_trace, lossy_model_trace, depletion_trace):
+        kinds = {line.split("\t")[1] for line in trace.lines}
+        assert kinds <= documented, f"kinds missing from the trace doc: {kinds - documented}"
+
+
+def _active_ms(energy_parts: list[str]) -> int:
+    """Dwell outside Sleep on an energy line: Sampling + Processing + Transmitting."""
+    return sum(int(field) for field in energy_parts[10:13])
+
+
 def test_alert_burst_depleting_the_battery_ends_the_cycle():
     # The alert raised as the device enters Transmitting drains the battery:
     # the device sleeps at once, and the cycle's pending TxDone must not
     # move it on.
-    raw = small_raw(duration_ms=600_000, alert_labels=["Walk"], report_every_n_windows=1000)
+    raw = small_raw(
+        duration_ms=600_000, alert_labels=["Walk"], report_every_n_windows=1000, energy_log_interval_ms=1000,
+    )
     raw["device_profile"]["p_tx_mw"] = 100_000.0
     raw["energy"]["battery_initial_mwh"] = 1.0
     raw["scenario"]["devices"][0].update(schedule=[["Walk", 600_000]], alert_schedule=[])
@@ -616,11 +655,12 @@ def test_alert_burst_depleting_the_battery_ends_the_cycle():
     rows = [line.split("\t") for line in trace.lines]
     at = next(i for i, parts in enumerate(rows) if parts[1] == "battery_depleted")
     assert rows[at][0] == "20575"
-    assert [parts[1] for parts in rows[at - 1:at + 3]] == [
-        "device_state", "battery_depleted", "device_state", "alert_sent",
-    ]
-    assert rows[at - 1][3] == "Transmitting" and rows[at + 1][3] == "Sleep"
-    assert not any(parts[1] == "device_state" and parts[2] == "dev1" for parts in rows[at + 2:])
+    assert not any(parts[1] == "classify" for parts in rows[at:])
+    active = {_active_ms(parts) for parts in rows[at:] if parts[1] == "energy"}
+    assert len(active) == 1
+    # The cut cycle entered Transmitting and left it in the same millisecond.
+    windows = sum(1 for parts in rows if parts[1] == "classify")
+    assert trace.metrics["devices"]["dev1"]["dwell_ms"]["Transmitting"] == windows - 1
     assert replay(trace.lines).passed
 
 
@@ -640,15 +680,15 @@ def test_cycle_cut_short_stays_ended_after_the_battery_recovers():
     trace = run_scenario(parse_config(raw), seed=0)
     rows = [line.split("\t") for line in trace.lines]
     events = [
-        (int(parts[0]), parts[1], parts[3] if parts[1] == "device_state" else None)
+        (int(parts[0]), parts[1])
         for parts in rows
-        if parts[1] in ("device_state", "battery_depleted", "battery_recovered") and 61_285 <= int(parts[0])
+        if parts[1] in ("battery_depleted", "battery_recovered") and 61_285 <= int(parts[0])
     ]
-    assert events[:5] == [
-        (61_285, "device_state", "Transmitting"),
-        (61_285, "battery_depleted", None),
-        (61_285, "device_state", "Sleep"),
-        (62_000, "battery_recovered", None),
-        (120_000, "device_state", "Sampling"),
-    ]
+    assert events[:2] == [(61_285, "battery_depleted"), (62_000, "battery_recovered")]
+    energy = [(int(parts[0]), int(parts[9]), _active_ms(parts)) for parts in rows if parts[1] == "energy"]
+    t0, sleep0, active0 = next(e for e in energy if e[0] == 61_500)
+    for t, sleep, active in energy:
+        if t0 <= t <= 120_000:
+            assert (sleep - sleep0, active) == (t - t0, active0), t
+    assert next(active for t, _, active in energy if t > 120_000) > active0
     assert replay(trace.lines).passed

@@ -881,13 +881,16 @@ def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
                 dwell = sum(int(parts[i]) for i in range(9, 13))
                 if dwell != int(parts[0]):
                     report.failures.append(f"line {lineno}: {entity} dwell sums to {dwell} ms, not t_ms")
-                expected = initial.get(entity, battery) + net - curtailed + shortfall
+                if entity not in initial:
+                    report.failures.append(f"line {lineno}: energy line for {entity} before its device_init")
+                    continue
+                expected = initial[entity] + net - curtailed + shortfall
                 if abs(battery - expected) > 1e-6:
                     report.failures.append(
                         f"line {lineno}: energy ledger mismatch for {entity}: "
                         f"battery {battery} != {expected:.9f}"
                     )
-                if battery < -1e-9 or battery > capacity.get(entity, float("inf")) + 1e-9:
+                if battery < -1e-9 or battery > capacity[entity] + 1e-9:
                     report.failures.append(f"line {lineno}: battery {battery} outside [0, capacity]")
             elif kind == "frame_tx":
                 report.checks_run += 1

@@ -483,6 +483,14 @@ def test_replay_detects_corrupted_battery_line(small_trace):
     assert any(f"line {broken_line}" in f for f in report.failures)
 
 
+def test_replay_rejects_energy_without_device_init(small_trace):
+    lines = [line for line in small_trace.lines if line.split("\t")[1] != "device_init"]
+    first = next(i for i, line in enumerate(lines) if line.split("\t")[1] == "energy")
+    report = replay(lines)
+    assert not report.passed
+    assert report.failures[0] == f"line {first + 1}: energy line for dev1 before its device_init"
+
+
 def test_replay_detects_rx_without_tx(small_trace):
     lines = list(small_trace.lines)
     lines.append("999999\tframe_rx\thost\tDATA\t1\t424242")

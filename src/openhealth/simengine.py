@@ -385,7 +385,8 @@ class SimDevice:
         self.last_account_ms = to_ms
 
     def _burst(self, frame: bytes) -> None:
-        """A frame sent outside the cycle: its air time at p_tx, on top of the dwell, unharvested."""
+        """A frame sent outside the cycle: its air time at p_tx, on top of the dwell, unharvested.
+        Booked after the send: a frame whose burst empties the battery was already on the air."""
         self._book(0.0, self.profile.p_tx_mw, self._tx_ms(len(frame)))
 
     def _book(self, harvest_mw: float, consumption_mw: float, dt_ms: int) -> None:
@@ -422,6 +423,8 @@ class SimDevice:
         if self.depleted and self.battery_mwh >= BATTERY_RECOVERY_FRACTION * self.capacity_mwh:
             self.depleted = False
             self.sim.emit("battery_recovered", self.name)
+            if self.alert_queue:
+                self._send_alert_attempt()  # the head's retries stopped while depleted
 
     def finalize(self) -> None:
         self._advance(self.scenario.duration_ms)
@@ -527,14 +530,18 @@ class SimDevice:
     def _send_management_frame(self, ftype: FrameType, payload: bytes) -> int:
         seq = self._next_seq()
         frame = encode_frame(ftype, self.spec.device_id, seq, payload, self.key)
-        self._burst(frame)
         self.channel.send(self.name, frame, self.host)
+        self._burst(frame)
         return seq
 
     # -- time sync -------------------------------------------------------------------------
 
     def _start_sync(self, attempt: int) -> None:
         if self.sim.now >= self.scenario.duration_ms:
+            return
+        if self.depleted:  # a depleted device sends nothing: this round is skipped
+            self.sync_seq = None
+            self._schedule_next_sync()
             return
         t1 = self.device_clock(self.sim.now)
         seq = self.sync_seq = self._send_management_frame(FrameType.TIME_SYNC, pack_sync_request(t1))
@@ -561,7 +568,8 @@ class SimDevice:
         offset, rtt = estimate_offset(t1, t2, t3, t4)
         self.sync_seq = None
         self.sim.emit("sync", self.name, f"{offset:.3f}", rtt)
-        self._send_management_frame(FrameType.TIME_SYNC, pack_sync_report(offset, max(0, rtt)))
+        if not self.depleted:
+            self._send_management_frame(FrameType.TIME_SYNC, pack_sync_report(offset, max(0, rtt)))
         self._schedule_next_sync()
 
     # -- alerts ------------------------------------------------------------------------------
@@ -572,7 +580,10 @@ class SimDevice:
             self._send_alert_attempt()
 
     def _send_alert_attempt(self) -> None:
-        """Send the head of the alert queue again, or give it up after max_attempts."""
+        """Send the head of the alert queue again, or give it up after max_attempts.
+        A depleted device sends nothing and counts no attempt; recovery resumes the head."""
+        if self.depleted:
+            return
         alert = self.alert_queue[0]
         retry = self.config.protocol.retry
         if alert.attempts >= retry.max_attempts:
@@ -586,15 +597,17 @@ class SimDevice:
             alert.first_sent_ms = self.sim.now
             alert.seq = self._next_seq()
             alert.frame = encode_frame(FrameType.ALERT, self.spec.device_id, alert.seq, alert.payload, self.key)
-        self._burst(alert.frame)
         self.sim.emit("alert_sent", self.name, alert.seq, alert.attempts)
         self.channel.send(self.name, alert.frame, self.host)
+        self._burst(alert.frame)
+        seq, attempts = alert.seq, alert.attempts
         self.sim.schedule(
-            self.sim.now + retry.interval_ms, lambda: self._alert_retry(alert.seq)
+            self.sim.now + retry.interval_ms, lambda: self._alert_retry(seq, attempts)
         )
 
-    def _alert_retry(self, seq: int) -> None:
-        if self.alert_queue and self.alert_queue[0].seq == seq:
+    def _alert_retry(self, seq: int, attempts: int) -> None:
+        """Retry the head unless it was acked or a recovery already sent its next attempt."""
+        if self.alert_queue and (self.alert_queue[0].seq, self.alert_queue[0].attempts) == (seq, attempts):
             self._send_alert_attempt()
 
     def _pop_alert(self) -> None:
@@ -844,8 +857,9 @@ class ReplayReport:
 
 
 def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
-    """Re-check trace invariants: version, energy ledger, state dwell, seq
-    monotonicity, frame causality and canary absence. Line numbers are 1-based."""
+    """Re-check trace invariants: version, energy ledger, state dwell, silence
+    while depleted, seq monotonicity, frame causality and canary absence.
+    Line numbers are 1-based."""
     report = ReplayReport(passed=True)
     if not lines:
         report.warnings.append("empty trace: vacuous pass")
@@ -861,6 +875,7 @@ def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
     highest_seq: dict[str, int] = {}
     seen_frames: dict[tuple[str, int], str] = {}
     tx_keys: set[tuple[str, int, int, int]] = set()
+    depleted: set[str] = set()
     event_lines = 0
 
     try:
@@ -892,11 +907,17 @@ def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
                     )
                 if battery < -1e-9 or battery > capacity[entity] + 1e-9:
                     report.failures.append(f"line {lineno}: battery {battery} outside [0, capacity]")
+            elif kind == "battery_depleted":
+                depleted.add(entity)
+            elif kind == "battery_recovered":
+                depleted.discard(entity)
             elif kind == "frame_tx":
                 report.checks_run += 1
                 ftype, device_id, seq, hexes = parts[3], int(parts[4]), int(parts[5]), parts[7]
                 direction = 1 if entity == "host" else 0
                 tx_keys.add((ftype, device_id, seq, direction))
+                if entity in depleted:
+                    report.failures.append(f"line {lineno}: device {entity} transmitted while depleted")
                 if entity != "host":
                     key = (entity, seq)
                     if key in seen_frames:

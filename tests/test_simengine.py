@@ -597,7 +597,7 @@ def test_lossy_model_trace_digest_pinned(trained_model_path, lossy_model_trace):
 
 # SHA-256 of the seed-0 trace of depletion_raw() below. A deliberate change to
 # the trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-DEPLETION_TRACE_SHA256 = "078d1044b26f63056d2013dc5ef8a7dcfe4ed6bb4eb99b0b3b48c3726be15f2b"
+DEPLETION_TRACE_SHA256 = "c7bb9d2de2c211201d277bd2f580fc4c0dacca2d9a577fc6936df29903b5b135"
 
 
 def depletion_raw():
@@ -663,6 +663,8 @@ def test_alert_burst_depleting_the_battery_ends_the_cycle():
     rows = [line.split("\t") for line in trace.lines]
     at = next(i for i, parts in enumerate(rows) if parts[1] == "battery_depleted")
     assert rows[at][0] == "20575"
+    # The alert frame was on the air before its own burst emptied the battery.
+    assert [parts[1] for parts in rows[at - 2:at]] == ["alert_sent", "frame_tx"]
     assert not any(parts[1] == "classify" for parts in rows[at:])
     active = {_active_ms(parts) for parts in rows[at:] if parts[1] == "energy"}
     assert len(active) == 1
@@ -699,4 +701,63 @@ def test_cycle_cut_short_stays_ended_after_the_battery_recovers():
         if t0 <= t <= 120_000:
             assert (sleep - sleep0, active) == (t - t0, active0), t
     assert next(active for t, _, active in energy if t > 120_000) > active0
+    assert replay(trace.lines).passed
+
+
+def test_depleted_device_sends_nothing_until_it_recovers(depletion_trace):
+    # The battery empties while alert seq 32 awaits its 8th attempt: the
+    # attempts that fall due while depleted are not made, and recovery
+    # resumes the alert with its 8th.
+    rows = [line.split("\t") for line in depletion_trace.lines]
+    kinds = [parts[1] for parts in rows]
+    down, up = kinds.index("battery_depleted"), kinds.index("battery_recovered")
+    assert (rows[down][0], rows[up][0]) == ("19284", "2880000")
+    assert not any(parts[1] == "frame_tx" and parts[2] == "dev1" for parts in rows[down:up])
+    attempts = [(int(parts[0]), int(parts[4])) for parts in rows if parts[1] == "alert_sent" and parts[3] == "32"]
+    assert attempts[6:8] == [(19_203, 7), (2_880_000, 8)]
+    # replay names a frame sent in between.
+    lines = list(depletion_trace.lines)
+    lines.insert(down + 1, next(line for line in lines[up:] if line.split("\t")[1:3] == ["frame_tx", "dev1"]))
+    report = replay(lines)
+    assert report.failures == [f"line {down + 2}: device dev1 transmitted while depleted"]
+
+
+def test_recovery_within_a_retry_interval_resumes_one_retry_chain():
+    # Sampling at 2 W empties the 0.02 mWh battery by the 50 ms energy tick,
+    # 40 ms after the alert's first attempt. 57 mW of harvest recovers it at
+    # 150 ms, before that attempt's retry falls due at 210 ms: recovery sends
+    # attempt 2 at once, and the stale retry at 210 ms must not start a second
+    # chain. The link loses every frame, so the alert runs all ten attempts.
+    raw = small_raw(duration_ms=300_000, energy_log_interval_ms=50)
+    raw["channel"]["loss_probability"] = 1.0
+    raw["device_profile"]["p_active_har_mw"] = 2000.0
+    raw["energy"].update(battery_capacity_mwh=0.02, battery_initial_mwh=0.02, harvest_profile_mw=[60.0] * 24)
+    raw["scenario"]["devices"][0].update(schedule=[["Walk", 300_000]], alert_schedule=[[10, "Jump"]])
+    trace = run_scenario(parse_config(raw), seed=0)
+    rows = [line.split("\t") for line in trace.lines]
+    events = [(int(parts[0]), parts[1]) for parts in rows if parts[1] in ("battery_depleted", "battery_recovered")]
+    assert events == [(50, "battery_depleted"), (150, "battery_recovered")]
+    attempts = [(int(parts[0]), int(parts[4])) for parts in rows if parts[1] == "alert_sent"]
+    assert attempts == [(10, 1)] + [(150 + 200 * k, k + 2) for k in range(9)]
+    assert replay(trace.lines).passed
+
+
+def test_depleted_device_skips_its_sync_rounds():
+    # Sampling at 2 W empties the battery as the first window ends at 1280 ms,
+    # and hour 0 has no harvest. The sync reply, 2 s each way, arrives at
+    # 4000 ms: the device takes the estimate but sends no report. The rounds
+    # due every 400 s while it is depleted are skipped, not made up at the
+    # recovery at 3660000 ms: the next request goes out at 4004000 ms.
+    raw = small_raw(duration_ms=4_200_000, energy_log_interval_ms=60_000)
+    raw["channel"]["latency_ms"] = 2_000
+    raw["protocol"].update(sync_interval_ms=400_000, sync_timeout_ms=5_000)
+    raw["device_profile"]["p_active_har_mw"] = 2000.0
+    raw["energy"].update(battery_capacity_mwh=0.02, battery_initial_mwh=0.02, harvest_profile_mw=[0.0] + [60.0] * 23)
+    raw["scenario"]["devices"][0].update(schedule=[["Walk", 4_200_000]], alert_schedule=[])
+    trace = run_scenario(parse_config(raw), seed=0)
+    rows = [line.split("\t") for line in trace.lines]
+    events = [(int(parts[0]), parts[1]) for parts in rows if parts[1] in ("battery_depleted", "battery_recovered", "sync")]
+    assert events == [(1_280, "battery_depleted"), (4_000, "sync"), (3_660_000, "battery_recovered"), (4_008_000, "sync")]
+    sent = [int(parts[0]) for parts in rows if parts[1:4] == ["frame_tx", "dev1", "TIME_SYNC"]]
+    assert sent == [0, 4_004_000, 4_008_000]
     assert replay(trace.lines).passed

@@ -568,8 +568,7 @@ class SimDevice:
         offset, rtt = estimate_offset(t1, t2, t3, t4)
         self.sync_seq = None
         self.sim.emit("sync", self.name, f"{offset:.3f}", rtt)
-        if not self.depleted:
-            self._send_management_frame(FrameType.TIME_SYNC, pack_sync_report(offset, max(0, rtt)))
+        self._send_management_frame(FrameType.TIME_SYNC, pack_sync_report(offset, max(0, rtt)))
         self._schedule_next_sync()
 
     # -- alerts ------------------------------------------------------------------------------
@@ -618,6 +617,8 @@ class SimDevice:
     # -- receive path ----------------------------------------------------------------------------
 
     def receive(self, frame: bytes) -> None:
+        if self.depleted:  # the radio is off: the frame goes unheard, the replay window untouched
+            return
         try:
             decoded = decode_frame(frame, self.key, self.replay)
         except ProtocolError as exc:
@@ -856,9 +857,13 @@ class ReplayReport:
     checks_run: int = 0
 
 
+# What a device logs only after hearing a frame, which it cannot while depleted.
+_RECEIPT_KINDS = ("frame_rx", "frame_reject", "alert_delivered", "sync")
+
+
 def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
-    """Re-check trace invariants: version, energy ledger, state dwell, silence
-    while depleted, seq monotonicity, frame causality and canary absence.
+    """Re-check trace invariants: version, energy ledger, state dwell, radio
+    silence while depleted, seq monotonicity, frame causality and canary absence.
     Line numbers are 1-based."""
     report = ReplayReport(passed=True)
     if not lines:
@@ -885,6 +890,8 @@ def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
             if kind in ("trace_version", "scenario", "scenario_end"):
                 continue
             event_lines += 1
+            if entity in depleted and kind in _RECEIPT_KINDS:
+                report.failures.append(f"line {lineno}: device {entity} logged {kind} while depleted")
             if kind == "device_init":
                 initial[entity] = float(parts[4])
                 capacity[entity] = float(parts[5])

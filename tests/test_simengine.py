@@ -649,17 +649,22 @@ def _active_ms(energy_parts: list[str]) -> int:
     return sum(int(field) for field in energy_parts[10:13])
 
 
-def test_alert_burst_depleting_the_battery_ends_the_cycle():
-    # The alert raised as the device enters Transmitting drains the battery:
-    # the device sleeps at once, and the cycle's pending TxDone must not
-    # move it on.
+def burst_cut_raw():
+    """An alert burst on entering Transmitting empties the battery for good."""
     raw = small_raw(
         duration_ms=600_000, alert_labels=["Walk"], report_every_n_windows=1000, energy_log_interval_ms=1000,
     )
     raw["device_profile"]["p_tx_mw"] = 100_000.0
     raw["energy"]["battery_initial_mwh"] = 1.0
     raw["scenario"]["devices"][0].update(schedule=[["Walk", 600_000]], alert_schedule=[])
-    trace = run_scenario(parse_config(raw), seed=0)
+    return raw
+
+
+def test_alert_burst_depleting_the_battery_ends_the_cycle():
+    # The alert raised as the device enters Transmitting drains the battery:
+    # the device sleeps at once, and the cycle's pending TxDone must not
+    # move it on.
+    trace = run_scenario(parse_config(burst_cut_raw()), seed=0)
     rows = [line.split("\t") for line in trace.lines]
     at = next(i for i, parts in enumerate(rows) if parts[1] == "battery_depleted")
     assert rows[at][0] == "20575"
@@ -672,6 +677,30 @@ def test_alert_burst_depleting_the_battery_ends_the_cycle():
     windows = sum(1 for parts in rows if parts[1] == "classify")
     assert trace.metrics["devices"]["dev1"]["dwell_ms"]["Transmitting"] == windows - 1
     assert replay(trace.lines).passed
+
+
+def test_depleted_device_hears_nothing():
+    # The host acks the alert whose burst emptied the battery, but the ack
+    # lands while the radio is off: the alert is never marked delivered.
+    trace = run_scenario(parse_config(burst_cut_raw()), seed=0)
+    rows = [line.split("\t") for line in trace.lines]
+    at = next(i for i, parts in enumerate(rows) if parts[1] == "battery_depleted")
+    assert not any(parts[1] == "battery_recovered" for parts in rows)
+    assert any(parts[1:4] == ["frame_tx", "host", "ACK"] for parts in rows[at:])
+    assert not any(parts[1] in ("frame_rx", "alert_delivered") and parts[2] == "dev1" for parts in rows[at:])
+    assert replay(trace.lines).passed
+
+
+@pytest.mark.parametrize("kind", ["frame_rx", "frame_reject", "alert_delivered", "sync"])
+def test_replay_detects_a_device_hearing_while_depleted(depletion_trace, small_trace, kind):
+    lines = list(depletion_trace.lines)
+    kinds = [line.split("\t")[1] for line in lines]
+    down = kinds.index("battery_depleted")
+    # The depletion pin has no sync line; the small trace's is for dev1 too.
+    heard = next(line for line in lines + small_trace.lines if line.split("\t")[1:3] == [kind, "dev1"])
+    lines.insert(down + 1, heard)
+    report = replay(lines)
+    assert report.failures == [f"line {down + 2}: device dev1 logged {kind} while depleted"]
 
 
 def test_cycle_cut_short_stays_ended_after_the_battery_recovers():
@@ -745,9 +774,11 @@ def test_recovery_within_a_retry_interval_resumes_one_retry_chain():
 def test_depleted_device_skips_its_sync_rounds():
     # Sampling at 2 W empties the battery as the first window ends at 1280 ms,
     # and hour 0 has no harvest. The sync reply, 2 s each way, arrives at
-    # 4000 ms: the device takes the estimate but sends no report. The rounds
-    # due every 400 s while it is depleted are skipped, not made up at the
-    # recovery at 3660000 ms: the next request goes out at 4004000 ms.
+    # 4000 ms, while the radio is off: the device never hears it, so the
+    # request times out at 5000 ms and its retry, being due while depleted,
+    # skips the round. The rounds due every 400 s while it is depleted are
+    # skipped, not made up at the recovery at 3660000 ms: the next request
+    # goes out at 4005000 ms.
     raw = small_raw(duration_ms=4_200_000, energy_log_interval_ms=60_000)
     raw["channel"]["latency_ms"] = 2_000
     raw["protocol"].update(sync_interval_ms=400_000, sync_timeout_ms=5_000)
@@ -757,7 +788,10 @@ def test_depleted_device_skips_its_sync_rounds():
     trace = run_scenario(parse_config(raw), seed=0)
     rows = [line.split("\t") for line in trace.lines]
     events = [(int(parts[0]), parts[1]) for parts in rows if parts[1] in ("battery_depleted", "battery_recovered", "sync")]
-    assert events == [(1_280, "battery_depleted"), (4_000, "sync"), (3_660_000, "battery_recovered"), (4_008_000, "sync")]
+    assert events == [(1_280, "battery_depleted"), (3_660_000, "battery_recovered"), (4_009_000, "sync")]
     sent = [int(parts[0]) for parts in rows if parts[1:4] == ["frame_tx", "dev1", "TIME_SYNC"]]
-    assert sent == [0, 4_004_000, 4_008_000]
+    assert sent == [0, 4_005_000, 4_009_000]
+    # The host's reply went out at 2000 ms; nothing is logged when it lands.
+    assert ["2000", "frame_tx", "host", "ACK"] in [parts[:4] for parts in rows]
+    assert not any(2_000 < int(parts[0]) < 60_000 for parts in rows)
     assert replay(trace.lines).passed

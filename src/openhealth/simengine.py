@@ -1,8 +1,12 @@
 """Deterministic discrete-event simulation of devices, channel and host.
 
-One seeded RNG drives everything through per-entity substreams derived by
-hashing (entity name, seed), so event handling order can never change the
-randomness an entity sees. Simulated time is integer milliseconds.
+Every entity draws from its own seeded stream, so event handling order can
+never change the randomness an entity sees. The channel's generator is
+seeded by (seed, hash of its name). A device's sensor noise comes from one
+Philox counter-based generator keyed by (seed, device id): the window that
+starts at t ms draws from block counter (0, t, 0, 0) on, so each window owns
+2^64 blocks and its samples depend only on (seed, device, t). Simulated
+time is integer milliseconds.
 
 Trace format (UTF-8, tab-separated, one event per line):
 
@@ -65,7 +69,7 @@ from .netproto import (
 )
 from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 MIN_RADIO_MS = 1
 
 
@@ -84,10 +88,6 @@ class VersionMismatch(TraceFormatError):
 def _entity_rng(seed: int, name: str) -> np.random.Generator:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     return np.random.default_rng([seed, int.from_bytes(digest[:8], "big")])
-
-
-def _window_rng(seed: int, device_id: int, window_start_ms: int) -> np.random.Generator:
-    return np.random.default_rng([seed, device_id, window_start_ms])
 
 
 class Simulator:
@@ -229,6 +229,10 @@ class SimDevice:
         self.sample_offsets_ms = np.arange(self.window) * self.period_ms
         self.signals = config.synthetic[spec.app].signals
         self.channels = channel_count(self.signals)
+        # The key takes any seed size; noise_reset is a fresh state: counter 0, buffer empty.
+        key = np.random.SeedSequence([sim.seed, spec.device_id]).generate_state(2, np.uint64)
+        self.noise = np.random.Generator(np.random.Philox(key=key))
+        self.noise_reset = self.noise.bit_generator.state
 
         e = config.energy
         self.battery_mwh = e.battery_initial_mwh
@@ -331,15 +335,17 @@ class SimDevice:
     def _window_samples(self, start_ms: int, columns: int | None = None):
         """Synthesize the W samples of the window beginning at start_ms.
 
-        Seeded by (scenario seed, device, window start) so the stream does
-        not depend on event ordering. Windows may span schedule blocks;
-        samples are drawn per block run in time order. Only the first
-        `columns` channels are synthesized (all by default): the last run
-        stops drawing there, earlier runs draw every channel so that later
-        runs see the same stream. Returns the (W, columns) sample matrix and
-        the per-code label counts majority_label takes.
+        The noise is the device's Philox stream from block counter
+        (0, start_ms, 0, 0), with the whole generator state reset first, so
+        it does not depend on which windows were drawn before. Windows may
+        span schedule blocks; samples are drawn per block run in time order.
+        Only the first `columns` channels are synthesized (all by default):
+        the last run stops drawing there, earlier runs draw every channel so
+        that later runs see the same stream. Returns the (W, columns) sample
+        matrix and the per-code label counts majority_label takes.
         """
-        rng = _window_rng(self.sim.seed, self.spec.device_id, start_ms)
+        self.noise_reset["state"]["counter"][1] = start_ms
+        self.noise.bit_generator.state = self.noise_reset
         t_ms = start_ms + self.sample_offsets_ms
         t_s = t_ms / 1000.0
         columns = columns or self.channels
@@ -348,7 +354,7 @@ class SimDevice:
         matrix = np.empty((self.window, columns if len(runs) == 1 else self.channels))
         for k, (i, j, label) in enumerate(runs):
             width = columns if k == len(runs) - 1 else self.channels
-            synthesize_signal(self.signals[label], t_s[i:j], rng, matrix[i:j, :width])
+            synthesize_signal(self.signals[label], t_s[i:j], self.noise, matrix[i:j, :width])
             counts[label.value] += j - i
         return matrix[:, :columns], counts
 

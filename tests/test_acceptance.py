@@ -58,7 +58,7 @@ from openhealth.simengine import TRACE_VERSION, replay, run_scenario
 REFERENCE = Path("configs/reference.json")
 # SHA-256 of the seed-0 reference trace text. A deliberate change to the
 # trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-REFERENCE_TRACE_SHA256 = "d2ffd09f9395957e2b5b60ac67f1425c53f54efbd79963913ec318aec254921c"
+REFERENCE_TRACE_SHA256 = "a1287a0c08ec5c5dba4885d87fd83467c8134b7de8e13bde41737aa26604d873"
 
 
 def ok(criterion: int, message: str) -> None:
@@ -73,7 +73,7 @@ def reference_trace():
 
 
 def test_reference_trace_digest_pinned(reference_trace):
-    assert TRACE_VERSION == 2
+    assert TRACE_VERSION == 3
     digest = hashlib.sha256(reference_trace.text().encode("utf-8")).hexdigest()
     assert digest == REFERENCE_TRACE_SHA256, "reference trace bytes changed"
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed as hypothesis_seed, settings, strategies as st
 
 from openhealth.config import load_config, parse_config
 from openhealth.core import ActivityLabel
@@ -330,14 +330,14 @@ def test_host_rejects_unassigned_frame_type_without_raising():
     assert replay(sim.lines).passed
 
 
-def _window_device(schedule, duration_ms, rate_hz=100):
+def _window_device(schedule, duration_ms, rate_hz=100, seed=5, device_id=1):
     from openhealth.simengine import SimChannel, SimDevice
 
     raw = small_raw(duration_ms=duration_ms)
     raw["device_profile"]["sample_rate_hz"] = rate_hz
-    raw["scenario"]["devices"][0].update(schedule=schedule, alert_schedule=[])
+    raw["scenario"]["devices"][0].update(id=device_id, schedule=schedule, alert_schedule=[])
     config = parse_config(raw)
-    sim = Simulator(seed=5)
+    sim = Simulator(seed=seed)
     return SimDevice(sim, config.scenario.devices[0], config, config.scenario, SimChannel(sim, config.channel), None)
 
 
@@ -386,6 +386,60 @@ def test_accel_only_window_matches_full_synthesis(start_ms, n_runs):
     assert full.shape == (128, 7) and accel.shape == (128, 3)
     assert accel.tobytes() == np.ascontiguousarray(full[:, :3]).tobytes()
     assert counts == full_counts
+
+
+NOISE_SCHEDULE = [["Walk", 10_000], ["Jump", 500], ["Sit", 9_500]]
+_noise_device = _window_device(NOISE_SCHEDULE, 20_000)  # shared: examples leave its stream anywhere
+_starts = st.integers(0, 20_000)
+
+
+@hypothesis_seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(start_ms=_starts, others=st.lists(_starts, max_size=4), probe=_starts, data=st.data())
+def test_window_samples_depend_only_on_seed_device_and_start(start_ms, others, probe, data):
+    # Windows of one block, of three, and past the scenario end alike.
+    device = _noise_device
+    drawn_first = _window_device(NOISE_SCHEDULE, 20_000)._window_samples(start_ms)[0].tobytes()
+    seen = {}
+    for order in (others, data.draw(st.permutations(others))):
+        for other in order:
+            samples = device._window_samples(other)[0].tobytes()
+            assert seen.setdefault(other, samples) == samples
+        assert device._window_samples(start_ms)[0].tobytes() == drawn_first
+    device._window_samples(probe, columns=3)  # stops part-way through the stream
+    assert device._window_samples(start_ms)[0].tobytes() == drawn_first
+    for other_seed, other_device in ((6, 1), (5, 2)):
+        other = _window_device(NOISE_SCHEDULE, 20_000, seed=other_seed, device_id=other_device)
+        assert other._window_samples(start_ms)[0].tobytes() != drawn_first
+
+
+def test_seed_beyond_64_bits_runs_reproducibly():
+    first = run_scenario(small_config(), seed=2**70)
+    assert first.lines == run_scenario(small_config(), seed=2**70).lines
+    assert replay(first.lines).passed
+    assert first.lines[1].split("\t")[5] == str(2**70)
+    # A key cut to 64 bits would give seed 0's noise (2**70 mod 2**64).
+    wide, zero = (_window_device(NOISE_SCHEDULE, 20_000, seed=s)._window_samples(0)[0] for s in (2**70, 0))
+    assert wide.tobytes() != zero.tobytes()
+
+
+def test_run_seeds_one_generator_per_entity(monkeypatch):
+    # Seeding a generator per window cost more than the window's draws.
+    seeded = Counter()
+
+    def counted(real):
+        def seed(*args, **kwargs):
+            seeded[real.__name__] += 1
+            return real(*args, **kwargs)
+        return seed
+
+    for name in ("SeedSequence", "default_rng"):
+        monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
+    raw = small_raw(duration_ms=120_000)
+    raw["scenario"]["devices"].append(dict(raw["scenario"]["devices"][0], id=2, alert_schedule=[]))
+    trace = run_scenario(parse_config(raw), seed=3)
+    assert sum(line.split("\t")[1] == "classify" for line in trace.lines) > 50
+    assert sum(seeded.values()) <= 3, seeded  # the channel and each of the two devices
 
 
 def test_sync_times_out_after_three_attempts():
@@ -535,7 +589,7 @@ def test_replay_detects_a_changed_dwell_figure(small_trace, field):
 # SHA-256 of the seed-0 trace of lossy_model_raw() below, driven by the model
 # that trained_model_path trains. A deliberate change to the trace bytes bumps
 # TRACE_VERSION and re-pins this digest in the same change.
-LOSSY_MODEL_TRACE_SHA256 = "3a44cfc60950756640c9bbc8f24e3585a2ca113049fb5c9fc6c6afc2e062b606"
+LOSSY_MODEL_TRACE_SHA256 = "8569ff0c73f5c5f12beddfe6776910510de25a7da1b17c6a637050985bc2035d"
 LOSSY_MODEL_SHA256 = "290a22919954a96f98b2d7f7a418057099f22ecb2771555cc244604bd9f2095b"
 
 
@@ -583,7 +637,7 @@ def lossy_model_trace(trained_model_path):
 
 
 def test_lossy_model_trace_digest_pinned(trained_model_path, lossy_model_trace):
-    assert TRACE_VERSION == 2
+    assert TRACE_VERSION == 3
     model_digest = hashlib.sha256(trained_model_path.read_bytes()).hexdigest()
     assert model_digest == LOSSY_MODEL_SHA256, "trained model bytes changed"
     trace = lossy_model_trace
@@ -597,7 +651,7 @@ def test_lossy_model_trace_digest_pinned(trained_model_path, lossy_model_trace):
 
 # SHA-256 of the seed-0 trace of depletion_raw() below. A deliberate change to
 # the trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-DEPLETION_TRACE_SHA256 = "c7bb9d2de2c211201d277bd2f580fc4c0dacca2d9a577fc6936df29903b5b135"
+DEPLETION_TRACE_SHA256 = "cdd6d1875e62e764e8d35e9cb16ee10698568f2baca20f552946ef755868e6f7"
 
 
 def depletion_raw():
@@ -625,7 +679,7 @@ def depletion_trace():
 
 
 def test_depletion_trace_digest_pinned(depletion_trace):
-    assert TRACE_VERSION == 2
+    assert TRACE_VERSION == 3
     trace = depletion_trace
     kinds = [line.split("\t")[1] for line in trace.lines]
     for kind in ("battery_depleted", "battery_recovered", "alert_sent"):
@@ -638,6 +692,7 @@ def test_depletion_trace_digest_pinned(depletion_trace):
 def test_trace_doc_names_every_kind_and_the_version(small_trace, lossy_model_trace, depletion_trace):
     doc = Path("docs/formats/trace.md").read_text(encoding="utf-8")
     assert re.search(r"^# .*\(version (\d+)\)$", doc, re.M).group(1) == str(TRACE_VERSION)
+    assert re.findall(r"`0  trace_version  sim  (\d+)`", doc) == [str(TRACE_VERSION)]
     documented = set(re.findall(r"^\| (\w+) +\|", doc, re.M))
     for trace in (small_trace, lossy_model_trace, depletion_trace):
         kinds = {line.split("\t")[1] for line in trace.lines}

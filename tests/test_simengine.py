@@ -389,16 +389,21 @@ def test_accel_only_window_matches_full_synthesis(start_ms, n_runs):
 
 
 NOISE_SCHEDULE = [["Walk", 10_000], ["Jump", 500], ["Sit", 9_500]]
-_noise_device = _window_device(NOISE_SCHEDULE, 20_000)  # shared: examples leave its stream anywhere
 _starts = st.integers(0, 20_000)
+
+
+@pytest.fixture(scope="module")
+def noise_device():
+    """Shared by every example, so each finds its stream where the last left it."""
+    return _window_device(NOISE_SCHEDULE, 20_000)
 
 
 @hypothesis_seed(20261018)
 @settings(max_examples=40, deadline=None)
 @given(start_ms=_starts, others=st.lists(_starts, max_size=4), probe=_starts, data=st.data())
-def test_window_samples_depend_only_on_seed_device_and_start(start_ms, others, probe, data):
+def test_window_samples_depend_only_on_seed_device_and_start(noise_device, start_ms, others, probe, data):
     # Windows of one block, of three, and past the scenario end alike.
-    device = _noise_device
+    device = noise_device
     drawn_first = _window_device(NOISE_SCHEDULE, 20_000)._window_samples(start_ms)[0].tobytes()
     seen = {}
     for order in (others, data.draw(st.permutations(others))):

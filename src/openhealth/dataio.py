@@ -199,42 +199,52 @@ def channel_count(signals: Mapping[Label, LabelSignalModel]) -> int:
     return 6 if next(iter(signals.values())).stretch_base is None else 7
 
 
-def synthesize_signal(
-    sig: LabelSignalModel, t_s: np.ndarray, rng: np.random.Generator, out: np.ndarray
-) -> np.ndarray:
+def synthesize_signal(sig: LabelSignalModel, t_s: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Evaluate one label's signal model at the given times (seconds) into out.
 
-    out is an (n, 3), (n, 6) or (n, 7) block, filled in place with the
-    canonical channels it holds: accel (g), gyro (deg/s), stretch. The RNG
-    is drawn in that order -- accel noise (n, 3), gyro noise (n, 3),
-    stretch noise (n,) -- and drawing stops after the block's last column,
-    so a 3-column block draws accel noise only and leaves the stream where
-    a full draw would have reached after accel. A 7-column block needs a
-    label with a stretch channel. Values are clipped to sensor full scale.
-    Returns out.
+    t_s holds (..., n) times: any leading axes are a batch of windows, each
+    evaluated alike. out is an (..., n, 3), (..., n, 6) or (..., n, 7) block,
+    filled in place with the canonical channels it holds: accel (g), gyro
+    (deg/s), stretch. z holds each window's standard-normal draws, (..., m)
+    with m at least n times out's width, in the order the channels take them:
+    accel noise (n, 3), gyro noise (n, 3), stretch noise (n,). A block of c
+    columns reads only the first n*c draws, so a 3-column block uses accel
+    noise alone and sees the same draws a full block would. Each draw is
+    scaled as ``Generator.normal(0.0, sigma)`` scales it. A 7-column block
+    needs a label with a stretch channel. Values are clipped to sensor full
+    scale. Returns out.
     """
     # Each channel group is built in a contiguous temporary and copied in
     # once: arithmetic on column slices of a wide block is several times slower.
+    n = t_s.shape[-1]
     orient, omega, swing_amp = sig.waveform
     phase = omega * t_s
-    accel = orient * (1.0 + sig.amp_g * np.sin(phase))[:, None]
-    accel += rng.normal(0.0, sig.noise_sigma, accel.shape)
-    out[:, :3] = _clip(accel, -16.0, 16.0)
-    if out.shape[1] == 3:
+    accel = orient * (1.0 + sig.amp_g * np.sin(phase))[..., None]
+    accel += _normal(z[..., : 3 * n], sig.noise_sigma).reshape(accel.shape)
+    out[..., :3] = _clip(accel, -16.0, 16.0)
+    if out.shape[-1] == 3:
         return out
 
-    gyro = (swing_amp * np.cos(phase))[:, None] * _GYRO_AXIS_WEIGHTS
-    gyro += rng.normal(0.0, _GYRO_NOISE_SCALE * sig.noise_sigma, gyro.shape)
-    out[:, 3:6] = _clip(gyro, -2000.0, 2000.0)
-    if out.shape[1] == 6:
+    gyro = (swing_amp * np.cos(phase))[..., None] * _GYRO_AXIS_WEIGHTS
+    gyro += _normal(z[..., 3 * n : 6 * n], _GYRO_NOISE_SCALE * sig.noise_sigma).reshape(gyro.shape)
+    out[..., 3:6] = _clip(gyro, -2000.0, 2000.0)
+    if out.shape[-1] == 6:
         return out
 
     if sig.stretch_base is None:
         raise ValueError("a 7-column block needs a label with a stretch channel")
     stretch = sig.stretch_base + sig.stretch_amp * np.sin(phase + np.pi / 4)
-    stretch += rng.normal(0.0, sig.noise_sigma / 2.0, len(stretch))
-    out[:, 6] = _clip(stretch, 0.0, 1.0)
+    stretch += _normal(z[..., 6 * n : 7 * n], sig.noise_sigma / 2.0)
+    out[..., 6] = _clip(stretch, 0.0, 1.0)
     return out
+
+
+def _normal(z: np.ndarray, sigma: float) -> np.ndarray:
+    """Standard-normal draws as Generator.normal(0.0, sigma) returns them:
+    0.0 + sigma * z, so a -0.0 product reads +0.0, bit for bit."""
+    noise = z * sigma
+    noise += 0.0
+    return noise
 
 
 def _clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -269,16 +279,17 @@ def generate_synthetic(
         raise ValueError("schedule mixes activity and gesture labels")
 
     rng = np.random.default_rng(model.seed)
+    width = channel_count(model.signals)
     sizes = [round(duration_ms * rate_hz / 1000.0) for _, duration_ms in schedule]
     k = np.arange(sum(sizes))
-    values = np.empty((len(k), channel_count(model.signals)))
+    values = np.empty((len(k), width))
     codes = np.empty(len(k), dtype=np.int64)
     index = 0
     for (label, _), n in zip(schedule, sizes):
         if n == 0:
             continue
         run = slice(index, index + n)
-        synthesize_signal(model.signals[label], k[run] / rate_hz, rng, values[run])
+        synthesize_signal(model.signals[label], k[run] / rate_hz, rng.standard_normal(n * width), values[run])
         codes[run] = label.value
         index += n
 

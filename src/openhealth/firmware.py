@@ -26,11 +26,17 @@ SLOT_MS = 3_600_000
 SLOTS_PER_DAY = 24
 
 
+# PowerState and DeviceEvent hash by identity, in C: the simulator looks a
+# state up on every dwell and a (state, event) pair on every transition, and
+# Enum's own __hash__ is a Python-level call. No code iterates a set of them.
+
 class PowerState(Enum):
     Sleep = "Sleep"
     Sampling = "Sampling"
     Processing = "Processing"
     Transmitting = "Transmitting"
+
+    __hash__ = object.__hash__
 
 
 class DeviceEvent(Enum):
@@ -39,6 +45,8 @@ class DeviceEvent(Enum):
     InferenceDone = "InferenceDone"
     TxDone = "TxDone"
     IdleTimeout = "IdleTimeout"
+
+    __hash__ = object.__hash__
 
 
 # Legal transitions; step_state_machine returns None for every other (state, event) pair.
@@ -56,17 +64,20 @@ def step_state_machine(state: PowerState, event: DeviceEvent) -> PowerState | No
     return _TRANSITIONS.get((state, event))
 
 
-def motion_detector(values: np.ndarray, threshold_g: float = MOTION_THRESHOLD_G) -> bool:
-    """True iff |accel| deviates from 1 g by more than the threshold anywhere.
+def motion_detector(values: np.ndarray, threshold_g: float = MOTION_THRESHOLD_G) -> bool | np.ndarray:
+    """True iff |accel| deviates from 1 g by more than the threshold anywhere in a window.
 
-    values is an (n, >=3) sample matrix whose first three columns are
-    accel in g, in canonical channel order.
+    values is an (..., n, >=3) sample array whose first three columns are
+    accel in g, in canonical channel order; leading axes are a batch of
+    windows. Returns one flag per window: a bool for one (n, >=3) window,
+    else a bool array of the batch shape.
     """
-    if len(values) < 2:
+    if values.shape[-2] < 2:
         raise ValueError("motion detection needs at least 2 samples")
-    accel = values[:, :3]
-    mags = np.sqrt(np.add.reduce(accel * accel, axis=1))  # np.linalg.norm's own arithmetic
-    return bool(np.abs(mags - 1.0).max() > threshold_g)
+    accel = values[..., :3]
+    mags = np.sqrt(np.add.reduce(accel * accel, axis=-1))  # np.linalg.norm's own arithmetic
+    flags = np.abs(mags - 1.0).max(axis=-1) > threshold_g
+    return bool(flags) if flags.ndim == 0 else flags
 
 
 def state_power_mw(profile: DeviceProfile, app: str, state: PowerState) -> float:

@@ -5,8 +5,10 @@ never change the randomness an entity sees. The channel's generator is
 seeded by (seed, hash of its name). A device's sensor noise comes from one
 Philox counter-based generator keyed by (seed, device id): the window that
 starts at t ms draws from block counter (0, t, 0, 0) on, so each window owns
-2^64 blocks and its samples depend only on (seed, device, t). Simulated
-time is integer milliseconds.
+2^64 blocks and its samples depend only on (seed, device, t). A device
+synthesizes the windows it expects next ahead of time, in batches, but each
+from its own reset stream, so neither the batch size nor a wrong guess can
+change a sample. Simulated time is integer milliseconds.
 
 Trace format (UTF-8, tab-separated, one event per line):
 
@@ -71,6 +73,7 @@ from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
 TRACE_VERSION = 3
 MIN_RADIO_MS = 1
+WINDOWS_AHEAD_MAX = 32  # the largest batch synthesized ahead: 230 KB for 32 windows of 128 x 7 float64
 
 
 class TraceFormatError(ValueError):
@@ -233,6 +236,10 @@ class SimDevice:
         key = np.random.SeedSequence([sim.seed, spec.device_id]).generate_state(2, np.uint64)
         self.noise = np.random.Generator(np.random.Philox(key=key))
         self.noise_reset = self.noise.bit_generator.state
+        # The oracle reads only the label counts, so it needs accel alone for motion.
+        self.window_columns = 3 if model is None else self.channels
+        self.ahead: dict[int, tuple[bool, list[int], np.ndarray]] = {}  # see _window
+        self.ahead_next: int | None = None  # the start that would follow the last batch
 
         e = config.energy
         self.battery_mwh = e.battery_initial_mwh
@@ -332,31 +339,63 @@ class SimDevice:
             (i, j, self.blocks[min(int(keys[i]), last)][2]) for i, j in zip(bounds[:-1], bounds[1:])
         ]
 
-    def _window_samples(self, start_ms: int, columns: int | None = None):
-        """Synthesize the W samples of the window beginning at start_ms.
+    def _window_samples(self, starts: list[int], columns: int | None = None):
+        """Synthesize together the W-sample windows beginning at starts.
 
-        The noise is the device's Philox stream from block counter
-        (0, start_ms, 0, 0), with the whole generator state reset first, so
-        it does not depend on which windows were drawn before. Windows may
-        span schedule blocks; samples are drawn per block run in time order.
-        Only the first `columns` channels are synthesized (all by default):
-        the last run stops drawing there, earlier runs draw every channel so
-        that later runs see the same stream. Returns the (W, columns) sample
-        matrix and the per-code label counts majority_label takes.
+        Each window's noise is the device's Philox stream from block counter
+        (0, start, 0, 0), with the whole generator state reset first, so it
+        does not depend on which windows were drawn before or beside it; the
+        waveform and clipping then run once over the batch. Windows may span
+        schedule blocks; samples are drawn per block run in time order. A
+        batch of more than one window must lie inside the block that holds
+        starts[0]. Only the first `columns` channels are synthesized (all by
+        default): the last run stops drawing there, earlier runs draw every
+        channel so that later runs see the same stream. Returns the
+        (k, W, columns) samples and the per-code label counts majority_label
+        takes, which every window of the batch shares.
         """
-        self.noise_reset["state"]["counter"][1] = start_ms
-        self.noise.bit_generator.state = self.noise_reset
-        t_ms = start_ms + self.sample_offsets_ms
-        t_s = t_ms / 1000.0
         columns = columns or self.channels
+        runs = self._block_runs(starts[0] + self.sample_offsets_ms)
+        widths = [self.channels] * (len(runs) - 1) + [columns]
+        z = np.empty((len(starts), sum((j - i) * w for (i, j, _), w in zip(runs, widths))))
+        reset, bit_generator = self.noise_reset, self.noise.bit_generator
+        for start_ms, draws in zip(starts, z):
+            reset["state"]["counter"][1] = start_ms
+            bit_generator.state = reset
+            self.noise.standard_normal(out=draws)
+        t_s = (np.array(starts)[:, None] + self.sample_offsets_ms) / 1000.0
+        matrix = np.empty((len(starts), self.window, widths[0]))
         counts = [0] * (len(self.label_set) + 1)
-        runs = self._block_runs(t_ms)
-        matrix = np.empty((self.window, columns if len(runs) == 1 else self.channels))
-        for k, (i, j, label) in enumerate(runs):
-            width = columns if k == len(runs) - 1 else self.channels
-            synthesize_signal(self.signals[label], t_s[i:j], self.noise, matrix[i:j, :width])
+        drawn = 0
+        for (i, j, label), width in zip(runs, widths):
+            used = (j - i) * width
+            synthesize_signal(self.signals[label], t_s[:, i:j], z[:, drawn : drawn + used], matrix[:, i:j, :width])
+            drawn += used
             counts[label.value] += j - i
-        return matrix[:, :columns], counts
+        return matrix[..., :columns], counts
+
+    def _window(self, start_ms: int) -> tuple[bool, list[int], np.ndarray]:
+        """The window beginning at start_ms: its motion flag, its label counts
+        and its (W, window_columns) samples. Served from the windows
+        synthesized ahead; a miss synthesizes start_ms and the starts
+        predicted to follow it, one cycle apart, each wholly inside the same
+        schedule block. The batch doubles on each miss that lands where the
+        last batch predicted, up to WINDOWS_AHEAD_MAX, and is one window
+        otherwise, so a short wake wastes little."""
+        window = self.ahead.get(start_ms)
+        if window is not None:
+            return window
+        n = min(2 * len(self.ahead), WINDOWS_AHEAD_MAX) if start_ms == self.ahead_next else 1
+        # A window lies in one block iff its last sample time, summed as _block_runs sums it, is before the end.
+        block = bisect_right(self.block_ends, start_ms)
+        end = self.block_ends[block] if block < len(self.block_ends) else 0
+        starts = [start_ms]
+        while len(starts) < n and starts[-1] + self.cycle_ms + self.sample_offsets_ms[-1] < end:
+            starts.append(starts[-1] + self.cycle_ms)
+        matrix, counts = self._window_samples(starts, self.window_columns)
+        self.ahead = dict(zip(starts, zip(motion_detector(matrix).tolist(), [counts] * len(starts), matrix)))
+        self.ahead_next = starts[-1] + self.cycle_ms
+        return self.ahead[start_ms]
 
     def _classify(self, matrix: np.ndarray, counts: list[int]) -> tuple[Label, float]:
         if self.model is None:
@@ -472,18 +511,16 @@ class SimDevice:
         self._maybe_recover()
         if self.depleted or self.state is not PowerState.Sleep or not self._cycle_fits():
             return
-        matrix, _ = self._window_samples(self.sim.now, columns=3)
-        if not motion_detector(matrix):
+        moving, _, _ = self._window(self.sim.now)  # the first window's, if the wake goes on
+        if not moving:
             return
         self.last_motion_ms = self.sim.now
         entered = self._transition(DeviceEvent.MotionDetected)
         self._end_dwell_after(self.window_ms, entered, self._window_done)
 
     def _window_done(self) -> None:
-        start_ms = self.sim.now - self.window_ms
-        # The oracle reads only the label counts, so it needs accel alone for motion.
-        matrix, counts = self._window_samples(start_ms, columns=3 if self.model is None else None)
-        if motion_detector(matrix):
+        moving, counts, matrix = self._window(self.sim.now - self.window_ms)
+        if moving:
             self.last_motion_ms = self.sim.now
         label, confidence = self._classify(matrix, counts)
         entered = self._transition(DeviceEvent.WindowFull)

@@ -179,15 +179,16 @@ def test_read_dataset_raises_only_format_errors(tmp_path, data):
 def test_synthesize_signal_narrow_block_matches_leading_columns(tiny_har_model, width):
     sig = tiny_har_model.signals[ActivityLabel.Walk]
     t_s = np.arange(50) / 30.0
-    full = synthesize_signal(sig, t_s, np.random.default_rng(3), np.empty((50, 7)))
-    narrow = synthesize_signal(sig, t_s, np.random.default_rng(3), np.empty((50, width)))
+    z = np.random.default_rng(3).standard_normal(50 * 7)
+    full = synthesize_signal(sig, t_s, z, np.empty((50, 7)))
+    narrow = synthesize_signal(sig, t_s, z, np.empty((50, width)))
     assert narrow.tobytes() == np.ascontiguousarray(full[:, :width]).tobytes()
 
 
 def test_synthesize_signal_stretch_column_needs_stretch_label():
     sig = LabelSignalModel(orientation=(0.0, 0.0, 1.0), freq_hz=1.0, amp_g=0.1, noise_sigma=0.01)
     with pytest.raises(ValueError, match="stretch"):
-        synthesize_signal(sig, np.zeros(4), np.random.default_rng(0), np.empty((4, 7)))
+        synthesize_signal(sig, np.zeros(4), np.zeros(28), np.empty((4, 7)))
 
 
 def test_generate_synthetic_is_deterministic(tiny_har_model):

@@ -86,6 +86,27 @@ def test_motion_detector_zero_threshold():
 def test_motion_detector_needs_two_samples():
     with pytest.raises(ValueError):
         motion_detector(_samples([1.0]))
+    with pytest.raises(ValueError):
+        motion_detector(np.stack([_samples([1.0])] * 3))
+
+
+def test_motion_detector_batch_flags_equal_per_window_calls():
+    rng = np.random.default_rng(4)
+    windows = [
+        _samples([1.0] * 20),
+        _samples([1.0] * 10 + [1.2] + [1.0] * 9),
+        _samples([1.0] * 19 + [0.94]),
+        _samples(1.0 + rng.normal(0.0, 0.01, 20)),
+        _samples(1.0 + rng.normal(0.0, 0.05, 20)),
+    ]
+    batch = np.stack(windows)
+    for threshold in (0.0, 0.05, 0.2):
+        flags = motion_detector(batch, threshold_g=threshold)
+        assert flags.shape == (len(windows),)
+        assert flags.tolist() == [motion_detector(w, threshold_g=threshold) for w in windows]
+    assert motion_detector(batch).tolist() == [False, True, True, False, True]
+    # two batch axes: one flag per window
+    assert motion_detector(batch.reshape(1, 5, 20, 6)).tolist() == [motion_detector(batch).tolist()]
 
 
 # --- energy accounting -----------------------------------------------------

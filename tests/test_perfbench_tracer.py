@@ -46,3 +46,15 @@ def test_simulator_runs_the_spanned_firmware_rules():
     spans = module.SpanTable(tracer)
     for name in ("firmware.account_energy", "firmware.step_state_machine"):
         assert spans.calls(name, ("simengine.run_scenario",)) > 0, name
+
+
+def test_simulator_runs_the_spanned_synthesis_rule():
+    """The simulator synthesizes its windows through dataio.synthesize_signal, so its span cannot read 0."""
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        simengine.run_scenario(small_config(), seed=11)
+    finally:
+        tracer.remove()
+    assert module.SpanTable(tracer).calls("dataio.synthesize_signal", ("simengine.run_scenario",)) > 0

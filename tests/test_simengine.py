@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, seed as hypothesis_seed, settings, strategies as st
 
+from openhealth.classifier import load_model
 from openhealth.config import load_config, parse_config
 from openhealth.core import ActivityLabel
+from openhealth.firmware import motion_detector
 from openhealth.netproto import AppId, frame_nonce, peek_header
 from openhealth.simengine import (
     TRACE_VERSION,
@@ -304,7 +306,7 @@ def test_oracle_names_top_label_for_gesture_window_without_majority():
     device = SimDevice(
         sim, config.scenario.devices[0], config, config.scenario, SimChannel(sim, config.channel), None
     )
-    matrix, counts = device._window_samples(0)  # 64 Down samples, then 64 Up
+    (matrix,), counts = device._window_samples([0])  # 64 Down samples, then 64 Up
     assert matrix.shape[0] == 128
     assert counts == [64, 64, 0, 0, 0]  # per code (Up, Down, Left, Right), unlabeled last
     # No 75% majority: training and evaluation drop such a window ...
@@ -330,15 +332,16 @@ def test_host_rejects_unassigned_frame_type_without_raising():
     assert replay(sim.lines).passed
 
 
-def _window_device(schedule, duration_ms, rate_hz=100, seed=5, device_id=1):
+def _window_device(schedule, duration_ms, rate_hz=100, seed=5, device_id=1, model=None, labels=None):
     from openhealth.simengine import SimChannel, SimDevice
 
     raw = small_raw(duration_ms=duration_ms)
+    raw["synthetic_models"]["har"]["labels"].update(labels or {})
     raw["device_profile"]["sample_rate_hz"] = rate_hz
     raw["scenario"]["devices"][0].update(id=device_id, schedule=schedule, alert_schedule=[])
     config = parse_config(raw)
     sim = Simulator(seed=seed)
-    return SimDevice(sim, config.scenario.devices[0], config, config.scenario, SimChannel(sim, config.channel), None)
+    return SimDevice(sim, config.scenario.devices[0], config, config.scenario, SimChannel(sim, config.channel), model)
 
 
 def _scalar_block_runs(device, start_ms):
@@ -369,7 +372,7 @@ def test_block_runs_and_counts_match_scalar_scan(rate_hz):
         counts = [0] * (len(device.label_set) + 1)
         for i, j, label in expected:
             counts[label.value] += j - i
-        assert device._window_samples(start_ms, columns=3)[1] == counts
+        assert device._window_samples([start_ms], columns=3)[1] == counts
         straddled["boundary"] += len({label for _, _, label in expected}) > 1
         straddled["end"] += t_ms[-1] >= 15_000
     assert straddled["boundary"] > 10 and straddled["end"] > 10
@@ -381,8 +384,8 @@ def test_block_runs_and_counts_match_scalar_scan(rate_hz):
 def test_accel_only_window_matches_full_synthesis(start_ms, n_runs):
     device = _window_device([["Walk", 10_000], ["Jump", 500], ["Sit", 9_500]], 20_000)
     assert len(device._block_runs(start_ms + device.sample_offsets_ms)) == n_runs
-    full, full_counts = device._window_samples(start_ms)
-    accel, counts = device._window_samples(start_ms, columns=3)
+    (full,), full_counts = device._window_samples([start_ms])
+    (accel,), counts = device._window_samples([start_ms], columns=3)
     assert full.shape == (128, 7) and accel.shape == (128, 3)
     assert accel.tobytes() == np.ascontiguousarray(full[:, :3]).tobytes()
     assert counts == full_counts
@@ -404,18 +407,18 @@ def noise_device():
 def test_window_samples_depend_only_on_seed_device_and_start(noise_device, start_ms, others, probe, data):
     # Windows of one block, of three, and past the scenario end alike.
     device = noise_device
-    drawn_first = _window_device(NOISE_SCHEDULE, 20_000)._window_samples(start_ms)[0].tobytes()
+    drawn_first = _window_device(NOISE_SCHEDULE, 20_000)._window_samples([start_ms])[0].tobytes()
     seen = {}
     for order in (others, data.draw(st.permutations(others))):
         for other in order:
-            samples = device._window_samples(other)[0].tobytes()
+            samples = device._window_samples([other])[0].tobytes()
             assert seen.setdefault(other, samples) == samples
-        assert device._window_samples(start_ms)[0].tobytes() == drawn_first
-    device._window_samples(probe, columns=3)  # stops part-way through the stream
-    assert device._window_samples(start_ms)[0].tobytes() == drawn_first
+        assert device._window_samples([start_ms])[0].tobytes() == drawn_first
+    device._window_samples([probe], columns=3)  # stops part-way through the stream
+    assert device._window_samples([start_ms])[0].tobytes() == drawn_first
     for other_seed, other_device in ((6, 1), (5, 2)):
         other = _window_device(NOISE_SCHEDULE, 20_000, seed=other_seed, device_id=other_device)
-        assert other._window_samples(start_ms)[0].tobytes() != drawn_first
+        assert other._window_samples([start_ms])[0].tobytes() != drawn_first
 
 
 def test_seed_beyond_64_bits_runs_reproducibly():
@@ -424,7 +427,7 @@ def test_seed_beyond_64_bits_runs_reproducibly():
     assert replay(first.lines).passed
     assert first.lines[1].split("\t")[5] == str(2**70)
     # A key cut to 64 bits would give seed 0's noise (2**70 mod 2**64).
-    wide, zero = (_window_device(NOISE_SCHEDULE, 20_000, seed=s)._window_samples(0)[0] for s in (2**70, 0))
+    wide, zero = (_window_device(NOISE_SCHEDULE, 20_000, seed=s)._window_samples([0])[0] for s in (2**70, 0))
     assert wide.tobytes() != zero.tobytes()
 
 
@@ -445,6 +448,105 @@ def test_run_seeds_one_generator_per_entity(monkeypatch):
     trace = run_scenario(parse_config(raw), seed=3)
     assert sum(line.split("\t")[1] == "classify" for line in trace.lines) > 50
     assert sum(seeded.values()) <= 3, seeded  # the channel and each of the two devices
+
+
+def _window_drawn_alone(device, start_ms, columns):
+    """The per-window rule that windows synthesized ahead must reproduce: a
+    fresh Philox at counter (0, start, 0, 0), then Generator.normal draws run
+    by run and channel group by channel group, each clipped after its noise."""
+    from openhealth.dataio import _GYRO_AXIS_WEIGHTS, _GYRO_NOISE_SCALE
+
+    key = np.random.SeedSequence([device.sim.seed, device.spec.device_id]).generate_state(2, np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key, counter=[0, start_ms, 0, 0]))
+    t_ms = start_ms + device.sample_offsets_ms
+    t_s = t_ms / 1000.0
+    runs = device._block_runs(t_ms)
+    matrix = np.empty((device.window, device.channels))
+    for k, (i, j, label) in enumerate(runs):
+        sig = device.signals[label]
+        orient, omega, swing_amp = sig.waveform
+        phase = omega * t_s[i:j]
+        groups = [
+            (orient * (1.0 + sig.amp_g * np.sin(phase))[:, None], sig.noise_sigma, -16.0, 16.0),
+            ((swing_amp * np.cos(phase))[:, None] * _GYRO_AXIS_WEIGHTS, _GYRO_NOISE_SCALE * sig.noise_sigma, -2000.0, 2000.0),
+        ]
+        if sig.stretch_base is not None:
+            stretch = sig.stretch_base + sig.stretch_amp * np.sin(phase + np.pi / 4)
+            groups.append((stretch[:, None], sig.noise_sigma / 2.0, 0.0, 1.0))
+        width = columns if k == len(runs) - 1 else device.channels
+        for column, (clean, sigma, lo, hi) in zip(range(0, width, 3), groups):
+            noisy = clean + rng.normal(0.0, sigma, clean.shape)
+            matrix[i:j, column : column + clean.shape[1]] = np.clip(noisy, lo, hi)
+    return matrix[:, :columns]
+
+
+AHEAD_SCHEDULE = [["Walk", 30_000], ["Jump", 700], ["Sit", 19_300]]
+# A Walk that swings past every sensor bound, so that clipping shows in the samples.
+FULL_SCALE_WALK = {
+    "Walk": {"orientation": [0.0, 0.0, 1.0], "freq_hz": 2.0, "amp_g": 16.0,
+             "noise_sigma": 0.5, "stretch_base": 0.9, "stretch_amp": 0.3},
+}
+
+
+@hypothesis_seed(20261019)
+@settings(max_examples=30, deadline=None)
+@given(
+    rate_hz=st.sampled_from([100, 30]),  # 30 Hz: a non-integer sample period
+    use_model=st.booleans(),
+    origin=st.integers(0, 50_000),
+    steps=st.integers(1, 12),
+    wrong_ms=st.integers(1, 900),
+    data=st.data(),
+)
+def test_windows_synthesized_ahead_equal_the_window_drawn_alone(
+    trained_model_path, rate_hz, use_model, origin, steps, wrong_ms, data
+):
+    # Along the predicted grid the batches grow; an off-grid start is a miss
+    # after a wrong prediction. The fixed starts span three blocks, end at the
+    # scenario end, and run past it.
+    model = load_model(trained_model_path) if use_model else None
+    device = _window_device(AHEAD_SCHEDULE, 50_000, rate_hz, model=model, labels=FULL_SCALE_WALK)
+    cycle = device.cycle_ms
+    grid = [origin + k * cycle for k in range(steps)]
+    off_grid = grid[-1] + cycle + wrong_ms
+    fixed = [29_900, 50_000 - device.window_ms, 49_400]
+    requests = grid + [off_grid + k * cycle for k in range(steps)] + fixed
+    columns = device.channels if use_model else 3
+    expected = {start: _window_drawn_alone(device, start, columns) for start in requests}
+    for order in (requests, data.draw(st.permutations(requests))):
+        for start in order:
+            moving, counts, samples = device._window(start)
+            alone = expected[start]
+            assert samples.tobytes() == alone.tobytes(), start
+            assert moving == motion_detector(alone), start
+            assert counts == device._window_samples([start], columns)[1], start
+    # A batch holds only windows of one block, each drawn from its own reset.
+    inside = [start for start in grid if start + device.sample_offsets_ms[-1] < 30_000]
+    if len(inside) > 1:
+        batch, _ = device._window_samples(inside, columns)
+        for start, samples in zip(inside, batch):
+            assert samples.tobytes() == expected[start].tobytes(), start
+
+
+def test_each_window_start_is_synthesized_once(monkeypatch):
+    """A wake's probe window is its first window: no start is drawn twice."""
+    from openhealth.simengine import SimDevice
+
+    drawn, batches = Counter(), []
+    real = SimDevice._window_samples
+
+    def counted(self, starts, columns=None):
+        drawn.update((self.name, start) for start in starts)
+        batches.append(len(starts))
+        return real(self, starts, columns)
+
+    monkeypatch.setattr(SimDevice, "_window_samples", counted)
+    trace = run_scenario(small_config(), seed=11)
+    classified = sum(line.split("\t")[1] == "classify" for line in trace.lines)
+    assert classified > 50
+    assert max(drawn.values()) == 1
+    assert max(batches) > 1  # windows were synthesized ahead
+    assert classified <= len(drawn) < 1.25 * classified
 
 
 def test_sync_times_out_after_three_attempts():

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -314,9 +314,7 @@ class Observation:
 @dataclass(frozen=True)
 class AlertNotification:
     device_id: int
-    t_ms: int
     label_index: int
-    app_id: AppId
     seq: int
 
 
@@ -334,132 +332,97 @@ def write_observation_log(observations, path: str | Path) -> None:
 
 @dataclass
 class GatewayResult:
-    """Outcome of feeding one batch of frames to the host gateway."""
+    """What the host gateway made of one frame.
 
-    acks: list[bytes] = field(default_factory=list)
-    observations: list[Observation] = field(default_factory=list)
-    notifications: list[AlertNotification] = field(default_factory=list)
-    rejects: list[tuple[int, str]] = field(default_factory=list)  # (device_id, error code)
+    device_id is the id the frame's header claims (-1 if the frame is too
+    short for a header); frame is the decoded frame once it authenticates;
+    reject is the error code of a rejected frame, None for an accepted one.
+    An accepted frame may yield an observation or an alert notification,
+    and an ACK for the frame's own device. A replayed ALERT is rejected and
+    still acked, so a sender whose first ACK was lost can stop retrying.
+    """
+
+    device_id: int
+    frame: DecodedFrame | None = None
+    reject: str | None = None
+    ack: bytes | None = None
+    observation: Observation | None = None
+    notification: AlertNotification | None = None
 
 
 class HostGateway:
-    """Receives device frames, stores corrected observations, raises alerts.
+    """Receives device frames: corrects observation timestamps, acks, raises alerts.
 
-    One gateway instance serves many devices; each device session has its
-    own key, replay window, clock-offset estimate and ordered observation
-    log. Duplicate sequence numbers are never stored twice; replayed ALERT
-    frames are re-acknowledged so retransmissions can terminate.
+    One gateway instance serves many devices. It keeps only the per-device
+    session state the protocol needs: the key, the replay window, the clock
+    offset the device last reported, the host's send seq and the seqs of
+    the alerts it acked. Everything it learns from a frame leaves through
+    step's result; the caller keeps the log.
     """
 
-    def __init__(self, keys: dict[int, bytes], clock=lambda: 0):
+    def __init__(self, keys: dict[int, bytes]):
         self.keys = dict(keys)
-        self.clock = clock
         self.replay: dict[int, ReplayWindow] = {d: ReplayWindow() for d in keys}
         self.offsets: dict[int, float] = {d: 0.0 for d in keys}
-        self.logs: dict[int, list[Observation]] = {d: [] for d in keys}
-        self.notifications: list[AlertNotification] = []
         self.acked_alerts: dict[int, set[int]] = {d: set() for d in keys}
         self._send_seq: dict[int, int] = {d: 0 for d in keys}
-        self.reject_counts: dict[str, int] = {}
-
-    def _next_seq(self, device_id: int) -> int:
-        self._send_seq[device_id] += 1
-        return self._send_seq[device_id]
 
     def _ack(self, device_id: int, acked_seq: int, data: bytes = b"") -> bytes:
+        self._send_seq[device_id] += 1
         return encode_frame(
             FrameType.ACK,
             device_id,
-            self._next_seq(device_id),
+            self._send_seq[device_id],
             pack_ack(acked_seq, data),
             self.keys[device_id],
         )
 
-    def step(self, t_ms: int, frames) -> GatewayResult:
-        """Process incoming frames; returns ACKs and anything newly stored."""
-        result = GatewayResult()
-        for raw in frames:
-            try:
-                _, _, device_id, seq, _ = peek_header(raw)
-            except TruncatedFrame as exc:
-                self._count_reject(result, -1, exc.code)
-                continue
-            if device_id not in self.keys:
-                self._count_reject(result, device_id, UnknownDevice.code)
-                continue
-            try:
-                frame = decode_frame(raw, self.keys[device_id], self.replay[device_id])
-                self._dispatch(t_ms, frame, result)
-            except ReplayRejected as exc:
-                # Retransmitted alerts still deserve an ACK so the sender stops.
-                if self._is_replayed_alert(raw, device_id, seq):
-                    result.acks.append(self._ack(device_id, seq))
-                self._count_reject(result, device_id, exc.code)
-            except ProtocolError as exc:  # including _dispatch's BadPayload
-                self._count_reject(result, device_id, exc.code)
-        return result
-
-    def _is_replayed_alert(self, raw: bytes, device_id: int, seq: int) -> bool:
+    def step(self, t_ms: int, raw: bytes) -> GatewayResult:
+        """Process one frame received at host time t_ms; never raises on frame bytes."""
         try:
-            frame = decode_frame(raw, self.keys[device_id], replay=None)
-        except ProtocolError:
-            return False
-        return frame.frame_type is FrameType.ALERT and seq in self.acked_alerts[device_id]
-
-    def _count_reject(self, result: GatewayResult, device_id: int, code: str) -> None:
-        result.rejects.append((device_id, code))
-        self.reject_counts[code] = self.reject_counts.get(code, 0) + 1
+            device_id = peek_header(raw)[2]
+        except TruncatedFrame as exc:
+            return GatewayResult(-1, reject=exc.code)
+        if device_id not in self.keys:
+            return GatewayResult(device_id, reject=UnknownDevice.code)
+        result = GatewayResult(device_id)
+        try:
+            frame = result.frame = decode_frame(raw, self.keys[device_id])
+            if frame.frame_type is FrameType.ALERT and frame.seq in self.acked_alerts[device_id]:
+                # A retransmission, whose first ACK may have been lost; the replay window rejects it next.
+                result.ack = self._ack(device_id, frame.seq)
+            self.replay[device_id].accept(frame.direction, frame.seq)
+            self._dispatch(t_ms, frame, result)
+        except ProtocolError as exc:  # including _dispatch's BadPayload
+            result.reject = exc.code
+        return result
 
     def _dispatch(self, t_ms: int, frame: DecodedFrame, result: GatewayResult) -> None:
         """Act on an authenticated frame; BadPayload, before any effect, if its payload is malformed."""
         device_id = frame.device_id
         if frame.frame_type is FrameType.HELLO:
-            result.acks.append(self._ack(device_id, frame.seq))
+            result.ack = self._ack(device_id, frame.seq)
         elif frame.frame_type is FrameType.TIME_SYNC:
             if frame.payload[:1] == bytes((SYNC_REQUEST,)):
                 t1 = _unpack_payload(unpack_sync_request, frame)
-                now = self.clock()
-                result.acks.append(
-                    self._ack(device_id, frame.seq, pack_sync_reply(t1, now, now))
-                )
+                result.ack = self._ack(device_id, frame.seq, pack_sync_reply(t1, t_ms, t_ms))
             else:
                 offset, _ = _unpack_payload(unpack_sync_report, frame)
                 self.offsets[device_id] = offset
         elif frame.frame_type is FrameType.DATA:
             data = _unpack_payload(DataPayload.unpack, frame)
-            corrected = round(data.timestamp_ms + self.offsets[device_id])
-            obs = Observation(
+            result.observation = Observation(
                 device_id=device_id,
-                corrected_t_ms=corrected,
+                corrected_t_ms=round(data.timestamp_ms + self.offsets[device_id]),
                 app_id=data.app_id,
                 label_index=data.label_index,
                 confidence=data.confidence,
             )
-            self._insert_ordered(device_id, obs)
-            result.observations.append(obs)
         elif frame.frame_type is FrameType.ALERT:
             data = _unpack_payload(DataPayload.unpack, frame)
-            note = AlertNotification(
-                device_id=device_id,
-                t_ms=t_ms,
-                label_index=data.label_index,
-                app_id=data.app_id,
-                seq=frame.seq,
-            )
-            self.notifications.append(note)
-            result.notifications.append(note)
+            result.notification = AlertNotification(device_id, data.label_index, frame.seq)
             self.acked_alerts[device_id].add(frame.seq)
-            result.acks.append(self._ack(device_id, frame.seq))
-
-    def _insert_ordered(self, device_id: int, obs: Observation) -> None:
-        log = self.logs[device_id]
-        if log and obs.corrected_t_ms < log[-1].corrected_t_ms:
-            i = len(log)
-            while i > 0 and log[i - 1].corrected_t_ms > obs.corrected_t_ms:
-                i -= 1
-            log.insert(i, obs)
-        else:
-            log.append(obs)
+            result.ack = self._ack(device_id, frame.seq)
 
 
 def _unpack_payload(unpack, frame: DecodedFrame):

@@ -173,8 +173,8 @@ def test_offset_estimate_asymmetric_error_is_half_asymmetry():
     assert offset == -10.0  # error is exactly (down-up)/2 = 10 ms
 
 
-def gateway_with(devices=(1, 2), clock=lambda: 5000):
-    return HostGateway({d: KEY for d in devices}, clock=clock)
+def gateway_with(devices=(1, 2)):
+    return HostGateway({d: KEY for d in devices})
 
 
 def data_frame(device, seq, ts, label=3, conf=9000):
@@ -182,98 +182,107 @@ def data_frame(device, seq, ts, label=3, conf=9000):
     return encode_frame(FrameType.DATA, device, seq, payload, KEY)
 
 
+def alert_frame(device, seq):
+    return encode_frame(FrameType.ALERT, device, seq, DataPayload(777, 1, 10000, AppId.HAR).pack(), KEY)
+
+
+def acked_seq(result):
+    ack = decode_frame(result.ack, KEY)
+    assert ack.frame_type is FrameType.ACK
+    return unpack_ack(ack.payload)[0]
+
+
 def test_data_frame_length_matches_encoded_frame():
     assert DATA_FRAME_LEN == len(data_frame(1, 1, 100)) == 38
 
 
-def test_gateway_keeps_independent_ordered_logs():
+def test_gateway_keeps_independent_sessions():
     gw = gateway_with()
-    frames = [
-        data_frame(1, 1, 100),
-        data_frame(2, 1, 50),
-        data_frame(1, 2, 200),
-        data_frame(2, 2, 150),
-    ]
-    result = gw.step(0, frames)
-    assert len(result.observations) == 4
-    assert [o.corrected_t_ms for o in gw.logs[1]] == [100, 200]
-    assert [o.corrected_t_ms for o in gw.logs[2]] == [50, 150]
+    frames = [data_frame(1, 1, 100), data_frame(2, 1, 50), data_frame(1, 2, 200), data_frame(2, 2, 150)]
+    results = [gw.step(0, frame) for frame in frames]
+    # each device has its own replay window, so both seq 1s are accepted
+    assert [(r.device_id, r.reject, r.frame.seq) for r in results] == [(1, None, 1), (2, None, 1), (1, None, 2), (2, None, 2)]
+    observed = [(r.observation.device_id, r.observation.corrected_t_ms) for r in results]
+    assert observed == [(1, 100), (2, 50), (1, 200), (2, 150)]
 
 
 def test_gateway_stores_replayed_data_once():
     gw = gateway_with()
     frame = data_frame(1, 1, 100)
-    gw.step(0, [frame])
-    result = gw.step(10, [frame])
-    assert result.observations == []
-    assert len(gw.logs[1]) == 1
-    assert gw.reject_counts.get("replay") == 1
+    assert gw.step(0, frame).observation is not None
+    result = gw.step(10, frame)
+    assert (result.device_id, result.reject) == (1, "replay")
+    assert (result.observation, result.ack) == (None, None)
 
 
 def test_gateway_applies_offset_correction():
     gw = gateway_with()
     # device reports its measured offset (host - device = -500)
-    from openhealth.netproto import pack_sync_report
-
     report = encode_frame(FrameType.TIME_SYNC, 1, 1, pack_sync_report(-500.0, 40), KEY)
-    gw.step(0, [report])
-    gw.step(0, [data_frame(1, 2, 10_000)])
+    result = gw.step(0, report)
+    assert (result.reject, result.ack, result.observation) == (None, None, None)
     uncorrected = 10_000
-    assert gw.logs[1][0].corrected_t_ms == uncorrected - 500
+    assert gw.step(0, data_frame(1, 2, uncorrected)).observation.corrected_t_ms == uncorrected - 500
+    assert gw.step(0, data_frame(2, 1, uncorrected)).observation.corrected_t_ms == uncorrected  # per device
 
 
 def test_gateway_drops_unknown_device():
     gw = gateway_with(devices=(1,))
-    frame = data_frame(9, 1, 100)
-    result = gw.step(0, [frame])
-    assert result.observations == []
-    assert result.rejects == [(9, "unknown_device")]
+    result = gw.step(0, data_frame(9, 1, 100))
+    assert (result.device_id, result.reject) == (9, "unknown_device")
+    assert (result.frame, result.observation, result.ack) == (None, None, None)
 
 
 def test_gateway_acks_and_notifies_alerts():
     gw = gateway_with()
-    payload = DataPayload(777, 1, 10000, AppId.HAR).pack()
-    alert = encode_frame(FrameType.ALERT, 1, 3, payload, KEY)
-    result = gw.step(123, [alert])
-    assert len(result.notifications) == 1
-    assert result.notifications[0].seq == 3
-    assert len(result.acks) == 1
-    ack = decode_frame(result.acks[0], KEY)
-    assert ack.frame_type is FrameType.ACK
-    acked_seq, _ = unpack_ack(ack.payload)
-    assert acked_seq == 3
+    result = gw.step(123, alert_frame(1, 3))
+    assert result.reject is None and result.frame.frame_type is FrameType.ALERT
+    assert (result.notification.device_id, result.notification.seq, result.notification.label_index) == (1, 3, 1)
+    assert acked_seq(result) == 3
 
 
 def test_gateway_reacks_replayed_alert_without_duplicate_notification():
     gw = gateway_with()
-    payload = DataPayload(777, 1, 10000, AppId.HAR).pack()
-    alert = encode_frame(FrameType.ALERT, 1, 3, payload, KEY)
-    gw.step(0, [alert])
-    result = gw.step(200, [alert])  # retransmission of the same frame
-    assert result.notifications == []
-    assert len(gw.notifications) == 1
-    assert len(result.acks) == 1  # re-ACK so the sender can stop
+    alert = alert_frame(1, 3)
+    assert gw.step(0, alert).notification is not None
+    result = gw.step(200, alert)  # retransmission of the same frame
+    assert (result.reject, result.notification) == ("replay", None)
+    assert acked_seq(result) == 3  # re-ACK so the sender can stop
+
+
+def test_gateway_authenticates_a_replayed_alert_once(monkeypatch):
+    from openhealth import netproto
+
+    gw = gateway_with()
+    alert = alert_frame(1, 3)
+    gw.step(0, alert)
+    calls = []
+    real = netproto.decode_frame
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(netproto, "decode_frame", counted)
+    result = gw.step(200, alert)
+    assert calls == [alert]
+    assert result.reject == "replay" and acked_seq(result) == 3
 
 
 def test_gateway_sync_request_reply():
-    gw = gateway_with(clock=lambda: 9999)
+    gw = gateway_with()
     req = encode_frame(FrameType.TIME_SYNC, 1, 1, pack_sync_request(1234), KEY)
-    result = gw.step(0, [req])
-    assert len(result.acks) == 1
-    ack = decode_frame(result.acks[0], KEY)
-    acked_seq, data = unpack_ack(ack.payload)
-    assert acked_seq == 1
-    assert unpack_sync_reply(data) == (1234, 9999, 9999)
+    result = gw.step(9999, req)
+    assert result.reject is None
+    ack = decode_frame(result.ack, KEY)
+    acked, data = unpack_ack(ack.payload)
+    assert acked == 1
+    assert unpack_sync_reply(data) == (1234, 9999, 9999)  # t2 = t3 = the host time of the step
 
 
 def test_gateway_host_seq_strictly_increases():
     gw = gateway_with()
-    seqs = []
-    for i in range(1, 4):
-        payload = DataPayload(0, 1, 0, AppId.HAR).pack()
-        alert = encode_frame(FrameType.ALERT, 1, i, payload, KEY)
-        result = gw.step(0, [alert])
-        seqs.append(peek_header(result.acks[0])[3])
+    seqs = [peek_header(gw.step(0, alert_frame(1, i)).ack)[3] for i in range(1, 4)]
     assert seqs == sorted(seqs) and len(set(seqs)) == 3
 
 
@@ -291,22 +300,23 @@ def test_gateway_host_seq_strictly_increases():
 )
 def test_gateway_rejects_malformed_authenticated_payload(ftype, payload):
     gw = gateway_with()
-    result = gw.step(0, [encode_frame(ftype, 1, 1, payload, KEY)])
-    assert result.rejects == [(1, "bad_payload")]
-    assert (result.acks, result.observations, result.notifications) == ([], [], [])
-    assert gw.offsets[1] == 0.0 and gw.reject_counts == {"bad_payload": 1}
+    result = gw.step(0, encode_frame(ftype, 1, 1, payload, KEY))
+    assert (result.device_id, result.reject) == (1, "bad_payload")
+    assert (result.ack, result.observation, result.notification) == (None, None, None)
+    assert gw.offsets[1] == 0.0 and gw.acked_alerts[1] == set()
     # the session goes on: the next well-formed frame is stored
-    assert len(gw.step(0, [data_frame(1, 2, 100)]).observations) == 1
+    assert gw.step(0, data_frame(1, 2, 100)).observation is not None
 
 
 @settings(max_examples=40, deadline=None)
-@given(ftype=st.sampled_from(list(FrameType)), payload=st.binary(max_size=40))
-def test_gateway_step_never_raises_on_authenticated_payloads(ftype, payload):
+@given(ftype=st.sampled_from(list(FrameType)), payload=st.binary(max_size=40), junk=st.binary(max_size=60))
+def test_gateway_step_never_raises_on_authenticated_payloads(ftype, payload, junk):
     gw = gateway_with()
-    result = gw.step(0, [encode_frame(ftype, 1, 1, payload, KEY)])
-    assert result.rejects in ([], [(1, "bad_payload")])
+    assert isinstance(gw.step(0, junk).reject, str)  # unauthenticated bytes: rejected, never raised
+    result = gw.step(0, encode_frame(ftype, 1, 1, payload, KEY))
+    assert result.reject in (None, "bad_payload")
     # whatever a sync report set, later data frames still get a corrected time
-    (obs,) = gw.step(0, [data_frame(1, 2, 100)]).observations
+    obs = gw.step(0, data_frame(1, 2, 100)).observation
     assert isinstance(obs.corrected_t_ms, int)
 
 

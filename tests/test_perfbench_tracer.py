@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from openhealth import simengine
+from openhealth.config import parse_config
 
-from test_simengine import small_config
+from test_simengine import depletion_raw, small_config
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -58,3 +60,18 @@ def test_simulator_runs_the_spanned_synthesis_rule():
     finally:
         tracer.remove()
     assert module.SpanTable(tracer).calls("dataio.synthesize_signal", ("simengine.run_scenario",)) > 0
+
+
+def test_gateway_span_counts_one_call_per_frame_the_host_hears():
+    """netproto.gateway_calls means one HostGateway.step per delivered frame, replays and rejects included."""
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        trace = simengine.run_scenario(parse_config(depletion_raw()), seed=0)  # lossy and corrupting
+    finally:
+        tracer.remove()
+    heard = Counter(parts[1] for parts in (line.split("\t") for line in trace.lines) if parts[2] == "host")
+    assert heard["frame_reject"] > 0
+    calls = module.SpanTable(tracer).calls("netproto.HostGateway.step", ("simengine.run_scenario",))
+    assert calls == heard["frame_rx"] + heard["frame_reject"]

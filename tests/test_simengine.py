@@ -312,7 +312,7 @@ def test_oracle_names_top_label_for_gesture_window_without_majority():
     # No 75% majority: training and evaluation drop such a window ...
     assert majority_label(counts, GestureLabel) is None
     # ... but the oracle must name one: the top count, the lowest code on ties.
-    assert device._classify(matrix, counts) == (GestureLabel.Up, 0.5)
+    assert device._oracle(counts) == (GestureLabel.Up, 0.5)
 
 
 def test_host_rejects_unassigned_frame_type_without_raising():
@@ -323,9 +323,12 @@ def test_host_rejects_unassigned_frame_type_without_raising():
     key = config.protocol.key
     sim = Simulator(seed=0)
     sim.emit("trace_version", "sim", TRACE_VERSION)
-    host = SimHost(sim, HostGateway({1: key}, clock=lambda: sim.now), SimChannel(sim, config.channel))
+    gateway = HostGateway({1: key})
+    host = SimHost(sim, gateway, SimChannel(sim, config.channel))
     frame = bytearray(encode_frame(FrameType.DATA, 1, 1, b"\x00" * 12, key))
     frame[1] = 0x03 ^ 0x80  # a flipped type bit: no FrameType has this value
+    result = gateway.step(sim.now, bytes(frame))
+    assert (result.device_id, result.reject, result.frame, result.ack) == (1, "auth_failure", None, None)
     host.receive(bytes(frame))
     assert sim.lines[1].split("\t")[1:5] == ["frame_reject", "host", "1", "auth_failure"]
     assert len(sim.lines) == 2
@@ -515,11 +518,12 @@ def test_windows_synthesized_ahead_equal_the_window_drawn_alone(
     expected = {start: _window_drawn_alone(device, start, columns) for start in requests}
     for order in (requests, data.draw(st.permutations(requests))):
         for start in order:
-            moving, counts, samples = device._window(start)
+            moving, oracle, samples = device._window(start)
             alone = expected[start]
             assert samples.tobytes() == alone.tobytes(), start
             assert moving == motion_detector(alone), start
-            assert counts == device._window_samples([start], columns)[1], start
+            counts = device._window_samples([start], columns)[1]
+            assert oracle == (None if use_model else device._oracle(counts)), start
     # A batch holds only windows of one block, each drawn from its own reset.
     inside = [start for start in grid if start + device.sample_offsets_ms[-1] < 30_000]
     if len(inside) > 1:
@@ -547,6 +551,53 @@ def test_each_window_start_is_synthesized_once(monkeypatch):
     assert max(drawn.values()) == 1
     assert max(batches) > 1  # windows were synthesized ahead
     assert classified <= len(drawn) < 1.25 * classified
+
+
+def _count_batches(monkeypatch, raw):
+    """Run raw with seed 11; returns the trace and the size of each batch passed to _window_samples."""
+    from openhealth.simengine import SimDevice
+
+    batches = []
+    real = SimDevice._window_samples
+
+    def counted(self, starts, columns=None):
+        batches.append(len(starts))
+        return real(self, starts, columns)
+
+    monkeypatch.setattr(SimDevice, "_window_samples", counted)
+    return run_scenario(parse_config(raw), seed=11), batches
+
+
+def _motion_raw(**scenario_overrides):
+    """Two minutes of unbroken motion."""
+    raw = small_raw(duration_ms=120_000, **scenario_overrides)
+    raw["scenario"]["devices"][0]["schedule"] = [["Walk", 60_000], ["Jump", 30_000]]
+    return raw
+
+
+def test_next_window_start_is_predicted_exactly(monkeypatch):
+    """Only a reporting window's cycle sends a data frame; the look-ahead must follow that.
+    At 2 kbps a data frame is on the air ~150 ms, so a cycle that reports is that much longer."""
+    trace, batches = _count_batches(monkeypatch, _motion_raw(tx_bitrate_kbps=2, report_every_n_windows=3))
+    classified = sum(line.split("\t")[1] == "classify" for line in trace.lines)
+    assert classified > 50 and max(batches) > 1
+    assert sum(batches) <= 1.01 * classified
+
+
+def test_oracle_labels_each_batch_once(monkeypatch):
+    from openhealth import simengine
+
+    calls = []
+    real = simengine.majority_label
+
+    def counted(counts, label_set):
+        calls.append(counts)
+        return real(counts, label_set)
+
+    monkeypatch.setattr(simengine, "majority_label", counted)
+    trace, batches = _count_batches(monkeypatch, _motion_raw())
+    assert max(batches) > 1
+    assert len(calls) == len(batches) < sum(line.split("\t")[1] == "classify" for line in trace.lines)
 
 
 def test_sync_times_out_after_three_attempts():

@@ -126,28 +126,18 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Class probability vector(s) for normalized feature input.
-
-    Accepts a single (D,) vector or an (n, D) batch; probabilities sum
-    to 1 along the class axis.
-    """
+    """Class probabilities for an (n, D) batch of normalized features: one
+    row per input row, each summing to 1."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.shape[1] != model.w1.shape[0]:
         raise ValueError(f"input dimension {x.shape[1]} != model dimension {model.w1.shape[0]}")
     hidden = np.maximum(x @ model.w1 + model.b1, 0.0)
-    probs = _softmax(hidden @ model.w2 + model.b2)
-    return probs[0] if single else probs
+    return _softmax(hidden @ model.w2 + model.b2)
 
 
 def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Argmax class indices; ties break toward the lowest class index."""
-    probs = forward(model, x)
-    if probs.ndim == 1:
-        return np.argmax(probs)
-    return np.argmax(probs, axis=1)
+    """Argmax class index per row of an (n, D) batch; ties break toward the lowest index."""
+    return np.argmax(forward(model, x), axis=1)
 
 
 @dataclass

@@ -148,12 +148,12 @@ def peek_header(data: bytes) -> tuple[int, int, int, int, int]:
     return struct.unpack(">BBHIH", data[:HEADER_LEN])
 
 
-def decode_frame(data: bytes, key: bytes, replay: ReplayWindow | None = None) -> DecodedFrame:
-    """Verify, decrypt and replay-check a frame.
+def decode_frame(data: bytes, key: bytes) -> DecodedFrame:
+    """Verify and decrypt a frame.
 
-    Raises TruncatedFrame, VersionError, AuthFailure or ReplayRejected;
-    each carries a distinct error code. Acceptance advances the replay
-    window when one is supplied.
+    Raises TruncatedFrame, VersionError or AuthFailure; each carries a
+    distinct error code. The seq is not checked here: the receiver passes
+    the frame's direction and seq to its ReplayWindow.accept.
     """
     version, type_value, device_id, seq, payload_len = peek_header(data)
     if len(data) != HEADER_LEN + payload_len + TAG_LEN:
@@ -172,8 +172,6 @@ def decode_frame(data: bytes, key: bytes, replay: ReplayWindow | None = None) ->
         payload = AESGCM(key).decrypt(nonce, data[HEADER_LEN:], data[:HEADER_LEN])
     except InvalidTag:
         raise AuthFailure("authentication tag mismatch") from None
-    if replay is not None:
-        replay.accept(direction, seq)
     return DecodedFrame(
         frame_type=frame_type, device_id=device_id, seq=seq, payload=payload, direction=direction
     )

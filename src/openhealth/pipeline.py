@@ -127,14 +127,12 @@ def extract_feature_matrix(windows: np.ndarray) -> np.ndarray:
 def normalize_features(
     vectors: np.ndarray, stats: FeatureStats | None = None
 ) -> tuple[np.ndarray, FeatureStats]:
-    """Z-score vectors per dimension, computing stats when not supplied.
+    """Z-score an (n, D) array of vectors per dimension, computing stats when not supplied.
 
     The standard deviation is floored at 1e-8 so constant dimensions map
     to zero instead of blowing up.
     """
     vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim == 1:
-        vectors = vectors[None, :]
     if stats is None:
         if vectors.shape[0] == 0:
             raise ValueError("cannot compute stats from an empty feature set")

@@ -52,6 +52,7 @@ from .firmware import (
     step_state_machine,
 )
 from .netproto import (
+    CONFIDENCE_SCALE,
     DATA_FRAME_LEN,
     AppId,
     DataPayload,
@@ -74,6 +75,7 @@ from .pipeline import extract_feature_matrix, majority_label, normalize_features
 TRACE_VERSION = 3
 MIN_RADIO_MS = 1
 WINDOWS_AHEAD_MAX = 32  # the largest batch synthesized ahead: 230 KB for 32 windows of 128 x 7 float64
+DAY_MS = SLOT_MS * SLOTS_PER_DAY
 
 
 class TraceFormatError(ValueError):
@@ -340,32 +342,29 @@ class SimDevice:
         Each window's noise is the device's Philox stream from block counter
         (0, start, 0, 0), with the whole generator state reset first, so it
         does not depend on which windows were drawn before or beside it; the
-        waveform and clipping then run once over the batch. Windows may span
-        schedule blocks; samples are drawn per block run in time order. A
-        batch of more than one window must lie inside the block that holds
-        starts[0]. Only the first `columns` channels are synthesized (all by
-        default): the last run stops drawing there, earlier runs draw every
-        channel so that later runs see the same stream. Returns the
-        (k, W, columns) samples and the per-code label counts majority_label
-        takes, which every window of the batch shares.
+        waveform and clipping then run once over the batch. A batch of more
+        than one window must lie inside the block that holds starts[0]; a
+        window that spans blocks comes alone. A one-block batch synthesizes
+        only the first `columns` channels (all by default); a spanning window
+        synthesizes every channel, block run by block run in time order, so
+        each run's draws follow the last run's, then keeps the first `columns`.
+        Returns the (k, W, columns) samples and the per-code label counts
+        majority_label takes, which every window of the batch shares.
         """
         columns = columns or self.channels
         runs = self._block_runs(starts[0] + self.sample_offsets_ms)
-        widths = [self.channels] * (len(runs) - 1) + [columns]
-        z = np.empty((len(starts), sum((j - i) * w for (i, j, _), w in zip(runs, widths))))
+        width = columns if len(runs) == 1 else self.channels
+        z = np.empty((len(starts), self.window * width))
         reset, bit_generator = self.noise_reset, self.noise.bit_generator
         for start_ms, draws in zip(starts, z):
             reset["state"]["counter"][1] = start_ms
             bit_generator.state = reset
             self.noise.standard_normal(out=draws)
         t_s = (np.array(starts)[:, None] + self.sample_offsets_ms) / 1000.0
-        matrix = np.empty((len(starts), self.window, widths[0]))
+        matrix = np.empty((len(starts), self.window, width))
         counts = [0] * (len(self.label_set) + 1)
-        drawn = 0
-        for (i, j, label), width in zip(runs, widths):
-            used = (j - i) * width
-            synthesize_signal(self.signals[label], t_s[:, i:j], z[:, drawn : drawn + used], matrix[:, i:j, :width])
-            drawn += used
+        for i, j, label in runs:
+            synthesize_signal(self.signals[label], t_s[:, i:j], z[:, i * width : j * width], matrix[:, i:j])
             counts[label.value] += j - i
         return matrix[..., :columns], counts
 
@@ -377,7 +376,8 @@ class SimDevice:
         predicted to follow it, each wholly inside the same schedule block.
         The batch doubles on each miss that lands where the last batch
         predicted, up to WINDOWS_AHEAD_MAX, and is one window otherwise, so
-        a short wake wastes little. The windows of a batch share their
+        a short wake wastes little; a batch predicts no start past its block,
+        since the next block may be still. The windows of a batch share their
         label counts, so the oracle labels the batch once."""
         window = self.ahead.get(start_ms)
         if window is not None:
@@ -386,23 +386,26 @@ class SimDevice:
         # A window lies in one block iff its last sample time, summed as _block_runs sums it, is before the end.
         block = bisect_right(self.block_ends, start_ms)
         end = self.block_ends[block] if block < len(self.block_ends) else 0
+        last_ms = self.sample_offsets_ms[-1]
         starts = [start_ms]
         following = self._next_start(start_ms, self.window_index)
-        while len(starts) < n and following + self.sample_offsets_ms[-1] < end:
+        while len(starts) < n and following + last_ms < end:
             starts.append(following)
             following = self._next_start(following, self.window_index + len(starts) - 1)
         matrix, counts = self._window_samples(starts, self.window_columns)
         oracle = self._oracle(counts) if self.model is None else None
         self.ahead = dict(zip(starts, zip(motion_detector(matrix).tolist(), [oracle] * len(starts), matrix)))
-        self.ahead_next = following
+        self.ahead_next = following if following + last_ms < end else None
         return self.ahead[start_ms]
+
+    def _reports(self, index: int) -> bool:
+        """Whether window number index (from 0) sends a data frame, on the air for data_tx_ms."""
+        return (index + 1) % self.scenario.report_every_n_windows == 0
 
     def _next_start(self, start_ms: int, index: int) -> int:
         """Where the window after window number index, which begins at
-        start_ms, begins if the cycle goes on: only a reporting window's
-        cycle sends a data frame."""
-        reports = (index + 1) % self.scenario.report_every_n_windows == 0
-        tx_ms = self.data_tx_ms if reports else MIN_RADIO_MS
+        start_ms, begins if the cycle goes on."""
+        tx_ms = self.data_tx_ms if self._reports(index) else MIN_RADIO_MS
         return start_ms + self.window_ms + self.scenario.inference_latency_ms + tx_ms
 
     def _oracle(self, counts: list[int]) -> tuple[Label, float]:
@@ -420,7 +423,7 @@ class SimDevice:
         """The model's label for a window and its probability."""
         feats = extract_feature_matrix(matrix[None, :, :])
         normed, _ = normalize_features(feats, self.model.stats)
-        probs = forward(self.model, normed[0])
+        probs = forward(self.model, normed)[0]
         idx = int(np.argmax(probs))
         return self.label_set(idx), float(probs[idx])
 
@@ -535,7 +538,7 @@ class SimDevice:
             self.last_motion_ms = self.sim.now
         label, confidence = oracle or self._classify(matrix)
         entered = self._transition(DeviceEvent.WindowFull)
-        conf_fp = min(10000, round(confidence * 10000))
+        conf_fp = min(CONFIDENCE_SCALE, round(confidence * CONFIDENCE_SCALE))
         self.sim.emit("classify", self.name, self.window_index, label.name, conf_fp)
         self._end_dwell_after(
             self.scenario.inference_latency_ms, entered, lambda: self._inference_done(label, conf_fp)
@@ -543,16 +546,15 @@ class SimDevice:
 
     def _inference_done(self, label: Label, conf_fp: int) -> None:
         entered = self._transition(DeviceEvent.InferenceDone)
+        reports = self._reports(self.window_index)
         self.window_index += 1
-        tx_ms = MIN_RADIO_MS
-        if self.window_index % self.scenario.report_every_n_windows == 0:
+        if reports:
             payload = self._payload(label, conf_fp)
             frame = encode_frame(FrameType.DATA, self.spec.device_id, self._next_seq(), payload, self.key)
             self.channel.send(self.name, frame, self.host)
-            tx_ms = self._tx_ms(len(frame))
         if label.name in self.alert_labels:
             self._trigger_alert(label)  # its burst may empty the battery and cut this cycle short
-        self._end_dwell_after(tx_ms, entered, self._tx_done)
+        self._end_dwell_after(self.data_tx_ms if reports else MIN_RADIO_MS, entered, self._tx_done)
 
     def _tx_done(self) -> None:
         entered = self._transition(DeviceEvent.TxDone)
@@ -628,7 +630,7 @@ class SimDevice:
     # -- alerts ------------------------------------------------------------------------------
 
     def _trigger_alert(self, label: Label) -> None:
-        self.alert_queue.append(_PendingAlert(self._payload(label, 10000)))
+        self.alert_queue.append(_PendingAlert(self._payload(label, CONFIDENCE_SCALE)))
         if len(self.alert_queue) == 1:
             self._send_alert_attempt()
 
@@ -674,7 +676,8 @@ class SimDevice:
         if self.depleted:  # the radio is off: the frame goes unheard, the replay window untouched
             return
         try:
-            decoded = decode_frame(frame, self.key, self.replay)
+            decoded = decode_frame(frame, self.key)
+            self.replay.accept(decoded.direction, decoded.seq)
         except ProtocolError as exc:
             self.sim.emit("frame_reject", self.name, self.spec.device_id, exc.code)
             return
@@ -881,13 +884,13 @@ def trace_metrics(lines: list[str]) -> dict:
         daily = []
         by_t = {t: b for t, b in series}
         day = 0
-        while day * 86_400_000 <= duration:
-            t = day * 86_400_000
+        while day * DAY_MS <= duration:
+            t = day * DAY_MS
             if t in by_t:
                 daily.append([day, by_t[t]])
             day += 1
-        if duration in by_t and (not daily or daily[-1][0] * 86_400_000 != duration):
-            daily.append([duration / 86_400_000, by_t[duration]])
+        if duration in by_t and (not daily or daily[-1][0] * DAY_MS != duration):
+            daily.append([duration / DAY_MS, by_t[duration]])
         d["battery_daily"] = daily
 
     return {

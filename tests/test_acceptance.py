@@ -246,9 +246,11 @@ def test_c08_protocol_suite(reference_trace):
     assert rejected == 100
 
     window = ReplayWindow()
-    decode_frame(frame, key, window)
+    decoded = decode_frame(frame, key)
+    window.accept(decoded.direction, decoded.seq)
+    replayed = decode_frame(frame, key)
     with pytest.raises(ReplayRejected):
-        decode_frame(frame, key, window)
+        window.accept(replayed.direction, replayed.seq)
 
     nonces: dict[bytes, str] = {}
     frames_seen = 0

@@ -56,7 +56,7 @@ def finite_difference_grad(model, x, y, flat_index, h=1e-4):
 
 def test_forward_zero_model_uniform():
     m = zero_model(c=3)
-    p = forward(m, np.ones(6))
+    p = forward(m, np.ones((1, 6)))
     assert np.allclose(p, 1.0 / 3.0)
 
 
@@ -80,7 +80,7 @@ def test_forward_argmax_invariant_to_bias_shift():
 def test_forward_dimension_mismatch():
     m = zero_model(d=6)
     with pytest.raises(ValueError, match="dimension"):
-        forward(m, np.ones(7))
+        forward(m, np.ones((1, 7)))
 
 
 def test_loss_near_zero_for_confident_correct_model():

@@ -98,24 +98,31 @@ def test_unknown_version_rejected():
         decode_frame(bytes(frame), KEY)
 
 
+def receive(frame: bytes, replay: ReplayWindow):
+    """What a receiver does with a frame: verify and decrypt it, then replay-check its seq."""
+    decoded = decode_frame(frame, KEY)
+    replay.accept(decoded.direction, decoded.seq)
+    return decoded
+
+
 def test_replay_rejected_and_window_advances():
     replay = ReplayWindow()
     f1 = encode_frame(FrameType.DATA, 3, 1, b"a", KEY)
     f2 = encode_frame(FrameType.DATA, 3, 2, b"b", KEY)
-    decode_frame(f1, KEY, replay)
-    decode_frame(f2, KEY, replay)
+    receive(f1, replay)
+    receive(f2, replay)
     with pytest.raises(ReplayRejected):
-        decode_frame(f1, KEY, replay)
+        receive(f1, replay)
     with pytest.raises(ReplayRejected):
-        decode_frame(f2, KEY, replay)
-    assert decode_frame(encode_frame(FrameType.DATA, 3, 3, b"c", KEY), KEY, replay).seq == 3
+        receive(f2, replay)
+    assert receive(encode_frame(FrameType.DATA, 3, 3, b"c", KEY), replay).seq == 3
 
 
 def test_stale_seq_rejected_even_if_unseen():
     replay = ReplayWindow()
-    decode_frame(encode_frame(FrameType.DATA, 3, 10, b"a", KEY), KEY, replay)
+    receive(encode_frame(FrameType.DATA, 3, 10, b"a", KEY), replay)
     with pytest.raises(ReplayRejected):
-        decode_frame(encode_frame(FrameType.DATA, 3, 9, b"b", KEY), KEY, replay)
+        receive(encode_frame(FrameType.DATA, 3, 9, b"b", KEY), replay)
 
 
 def test_payload_too_long():

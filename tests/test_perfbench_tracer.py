@@ -75,3 +75,21 @@ def test_gateway_span_counts_one_call_per_frame_the_host_hears():
     assert heard["frame_reject"] > 0
     calls = module.SpanTable(tracer).calls("netproto.HostGateway.step", ("simengine.run_scenario",))
     assert calls == heard["frame_rx"] + heard["frame_reject"]
+
+
+def test_decode_frame_raises_only_on_a_frame_that_fails_to_verify():
+    """netproto.decode_rejects counts decode_frame calls that raise: frames
+    truncated, of an unknown version or failing authentication, at the host
+    and at a device alike. A replay is rejected by the receiver's window after
+    decode_frame returns, so it is not counted."""
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        trace = simengine.run_scenario(parse_config(depletion_raw()), seed=0)  # lossy and corrupting
+    finally:
+        tracer.remove()
+    codes = Counter(parts[-1] for parts in (line.split("\t") for line in trace.lines) if parts[1] == "frame_reject")
+    assert codes["replay"] > 0
+    raised = module.SpanTable(tracer).raised("netproto.decode_frame", ("simengine.run_scenario",))
+    assert raised == codes["truncated"] + codes["bad_version"] + codes["auth_failure"] > 0

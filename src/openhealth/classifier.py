@@ -156,22 +156,22 @@ def loss_and_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float,
         raise ValueError("batch must be a nonempty (n, D) array")
     if x.shape[1] != model.w1.shape[0]:
         raise ValueError("input dimension mismatch")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite feature input")
-    c = model.w2.shape[1]
-    if np.any(y < 0) or np.any(y >= c):
+    if y.min() < 0 or y.max() >= model.w2.shape[1]:
         raise ValueError("label index outside model classes")
 
     n = x.shape[0]
+    rows = np.arange(n)
     z1 = x @ model.w1 + model.b1
     h = np.maximum(z1, 0.0)
     z2 = h @ model.w2 + model.b2
-    zmax = z2.max(axis=1, keepdims=True)
-    log_probs = z2 - zmax - np.log(np.exp(z2 - zmax).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[np.arange(n), y].mean())
+    shifted = z2 - z2.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-log_probs[rows, y].sum() / n)  # np.mean's own arithmetic
 
     dz2 = np.exp(log_probs)
-    dz2[np.arange(n), y] -= 1.0
+    dz2[rows, y] -= 1.0
     dz2 /= n
     dw2 = h.T @ dz2
     db2 = dz2.sum(axis=0)
@@ -208,15 +208,16 @@ def train(
     n = x.shape[0]
     for _ in range(config.epochs):
         order = rng.permutation(n)
+        xs, ys = x[order], y[order]  # each batch is then a contiguous slice
         losses = []
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, g = loss_and_grad(m, x[idx], y[idx])
+            batch = slice(start, start + config.batch_size)
+            loss, g = loss_and_grad(m, xs[batch], ys[batch])
             losses.append(loss)
-            grads = [g.w1, g.b1, g.w2, g.b2]
-            for i, (t, dt) in enumerate(zip(m.tensors(), grads)):
-                vel[i] = config.momentum * vel[i] - config.learning_rate * dt
-                t += vel[i]
+            for t, v, dt in zip(m.tensors(), vel, (g.w1, g.b1, g.w2, g.b2)):
+                v *= config.momentum
+                v -= config.learning_rate * dt
+                t += v
         epoch_loss = float(np.mean(losses))
         history.append(epoch_loss)
         if config.patience is not None:

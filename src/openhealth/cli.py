@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -84,6 +85,15 @@ def _load_config(path: str) -> Config:
         raise CliError(lines, EXIT_CONFIG) from None
 
 
+@contextmanager
+def _writing():
+    """An output file that cannot be written is a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"output error: {exc}", EXIT_CONFIG) from None
+
+
 def _labeled_windows(recording, config: Config, app: str):
     if recording.label_set not in (None, label_set_for(app)):
         raise CliError(
@@ -105,7 +115,8 @@ def cmd_datagen(args) -> int:
     seed = _resolve_seed(args.seed)
     model = spec.make_model(seed)
     recording = generate_synthetic(model, spec.full_schedule(), config.profile.sample_rate_hz)
-    write_dataset(recording, args.out)
+    with _writing():
+        write_dataset(recording, args.out)
     print(
         f"wrote {args.out}: {len(recording)} samples, "
         f"{len(recording.annotations)} annotations, seed {seed}"
@@ -119,7 +130,7 @@ def cmd_train(args) -> int:
     train_config = replace(config.train.config, seed=seed)
     try:
         recording = read_dataset(args.data)
-    except (DatasetFormatError, FileNotFoundError) as exc:
+    except (DatasetFormatError, OSError) as exc:
         raise CliError(f"data error: {exc}", EXIT_DATA) from None
     matrix, labels = _labeled_windows(recording, config, args.app)
     feats = extract_feature_matrix(matrix)
@@ -141,7 +152,8 @@ def cmd_train(args) -> int:
     if (len(history) - 1) % step != 0:
         print(f"epoch {len(history):4d}  loss {history[-1]:.6f}")
 
-    save_model(trained, args.out)
+    with _writing():
+        save_model(trained, args.out)
     print(f"wrote {args.out}: layers {list(layer_sizes)}, {trained.n_params} parameters")
 
     if len(test_idx):
@@ -155,11 +167,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     try:
         model = load_model(args.model)
-    except (FileNotFoundError, ModelFormatError) as exc:
+    except (OSError, ModelFormatError) as exc:
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
     try:
         recording = read_dataset(args.data)
-    except (DatasetFormatError, FileNotFoundError) as exc:
+    except (DatasetFormatError, OSError) as exc:
         raise CliError(f"data error: {exc}", EXIT_DATA) from None
 
     n_classes = model.layer_sizes[2]
@@ -181,7 +193,8 @@ def cmd_eval(args) -> int:
     print(render_report(report), end="")
 
     json_path = args.json or (str(Path(args.data).with_suffix("")) + "_report.json")
-    Path(json_path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+    with _writing():
+        Path(json_path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"\nwrote {json_path}")
     return EXIT_OK
 
@@ -242,15 +255,16 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     try:
         trace = run_scenario(config, seed)
-    except (FileNotFoundError, ModelFormatError) as exc:  # scenario.model_path
+    except (OSError, ModelFormatError) as exc:  # scenario.model_path
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
-    write_trace(trace, args.trace)
     metrics_path = args.metrics or (str(Path(args.trace).with_suffix("")) + "_metrics.json")
-    write_metrics(trace, metrics_path)
     observations_path = args.observations or (
         str(Path(args.trace).with_suffix("")) + "_observations.csv"
     )
-    write_observation_log(trace_observations(trace.lines), observations_path)
+    with _writing():
+        write_trace(trace, args.trace)
+        write_metrics(trace, metrics_path)
+        write_observation_log(trace_observations(trace.lines), observations_path)
 
     m = trace.metrics
     print(

@@ -459,6 +459,10 @@ def load_config(path: str | Path) -> Config:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"]) from None
+    except OSError as exc:
+        raise ConfigError([f"cannot read config file {path}: {exc.strerror}"]) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config file {path} is not UTF-8 text (byte {exc.start})"]) from None
     except json.JSONDecodeError as exc:
         raise ConfigError([f"invalid JSON in {path}: {exc}"]) from None
     return parse_config(raw)

@@ -256,7 +256,7 @@ class LabeledRecording:
             raise ValueError("t_ms and codes must be (N,) arrays of equal length")
         if values.ndim != 2 or values.shape[0] != n or values.shape[1] not in (6, 7):
             raise ValueError("values must be (N, 6) without stretch or (N, 7) with stretch")
-        steps = np.flatnonzero(np.diff(t) <= 0)
+        steps = np.flatnonzero(t[1:] <= t[:-1])  # np.diff would wrap across the int64 range
         if steps.size:
             i = int(steps[0]) + 1
             raise InvalidSample(i, f"t_ms {t[i]} not strictly increasing after {t[i - 1]}")

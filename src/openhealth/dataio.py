@@ -11,17 +11,16 @@ runs of equal labels, with the interval convention
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import InvalidSample, Label, LabeledRecording, parse_label
+from .core import APPS, InvalidSample, Label, LabeledRecording, parse_label
 
 DATASET_HEADER = "t_ms,ax,ay,az,gx,gy,gz,stretch,label"
-FLOAT_DIGITS = 6
 
 # Fixed mixing weights for the synthesized angular-rate channels: limb swing
 # mostly about one axis, smaller components on the others.
@@ -35,18 +34,112 @@ class DatasetFormatError(ValueError):
 
 
 def write_dataset(recording: LabeledRecording, path: str | Path) -> None:
-    """Write a recording as dataset CSV. Invariants are re-checked first."""
+    """Write a recording as dataset CSV. Invariants are re-checked first.
+
+    Each row is byte for byte what ``"%d" + ",%.6f" * c + ",%s"`` formats
+    (with an empty stretch field when c = 6). The rows are built a chunk at
+    a time from digit bytes, not by one format call per row.
+    """
     recording.validate()
-    field = f",%.{FLOAT_DIGITS}f"
-    row = "%d" + field * 6 + (field if recording.has_stretch else ",") + ",%s"
     names = [label.name for label in recording.label_set or ()] + [""]  # code -1 is last
-    rows = zip(
-        recording.t_ms.tolist(),
-        *recording.values.T.tolist(),
-        map(names.__getitem__, recording.codes.tolist()),
-    )
-    body = "\n".join([DATASET_HEADER, *map(row.__mod__, rows)])
-    Path(path).write_text(body + "\n", encoding="utf-8")
+    stretch = b"" if recording.has_stretch else b","  # the empty stretch field
+    tails = [stretch + b"," + name.encode() + b"\n" for name in names]
+    width = max(map(len, tails))
+    tail_table = np.array([list(tail.ljust(width, b"\0")) for tail in tails], np.uint8)
+    with open(path, "wb") as f:
+        f.write(DATASET_HEADER.encode() + b"\n")
+        for lo in range(0, len(recording), _WRITE_ROWS):
+            rows = slice(lo, lo + _WRITE_ROWS)
+            fields = [
+                _int_fields(recording.t_ms[rows]),
+                _fixed6_fields(recording.values[rows]),
+                tail_table[recording.codes[rows]],
+            ]
+            buf = np.concatenate(fields, axis=1)
+            f.write(buf[buf != 0].tobytes())  # 0 bytes are padding
+
+
+_WRITE_ROWS = 32768  # rows formatted at once; bounds the transient byte buffers
+_DIGITS3 = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)  # "000".."999"
+
+
+def _int_fields(t: np.ndarray) -> np.ndarray:
+    """(n, k) bytes of each int64 as ``%d`` formats it, padded with 0 bytes."""
+    u = t.view(np.uint64)
+    u = np.where(t < 0, -u, u)  # modulo 2**64, so int64 min gives 2**63
+    groups = []  # base-1000 digits, least significant first
+    while True:
+        high = u // 1000
+        groups.append(u - high * 1000)
+        if not high.any():
+            break
+        u = high
+    digits = _DIGITS3.take(np.stack(groups[::-1], axis=1), axis=0).reshape(len(t), -1)
+    lead = np.logical_and.accumulate(digits == ord("0"), axis=1)
+    lead[:, -1] = False  # zero itself keeps its one digit
+    digits[lead] = 0
+    return np.concatenate([((t < 0) * np.uint8(ord("-")))[:, None], digits], axis=1)
+
+
+# A ",%.6f" field: comma, sign and integer digits ("head", padded with 0
+# bytes), then the fraction digits in two groups of three.
+_FIXED6 = np.dtype([("head", "V7"), ("high", "V3"), ("low", "V3")])
+_HEAD_RANGE = 10_000  # integer parts the head table holds
+_TRIPLES = _DIGITS3.view("V3").ravel()
+
+
+@cache
+def _head_table() -> np.ndarray:
+    """The head bytes of integer part q at q (positive) and q + _HEAD_RANGE
+    (negative). Built on first use, not at import."""
+    digits = _int_fields(np.arange(_HEAD_RANGE))[:, -4:]  # q >= 0 has no sign byte
+    heads = np.empty((2, _HEAD_RANGE, 7), np.uint8)
+    heads[..., 0] = ord(",")
+    heads[..., 1] = [[0], [ord("-")]]
+    heads[..., 2:6] = digits
+    heads[..., 6] = ord(".")
+    heads.flags.writeable = False  # shared by every caller
+    return heads.reshape(-1, 7).view("V7").ravel()
+
+
+def _fixed6_fields(x: np.ndarray) -> np.ndarray:
+    """(n, 13 * c) bytes of an (n, c) block as ``",%.6f" * c`` formats it,
+    padded with 0 bytes. Every value must be finite with |x| < 10000.
+
+    ``%.6f`` rounds the exact binary value half to even, and keeps the
+    sign of a negative value that rounds to zero (``-0.000000``).
+    """
+    r = _round6(np.abs(x))
+    q = r // 1_000_000
+    frac = r - q * 1_000_000
+    high = frac // 1000
+    out = np.empty(x.shape, _FIXED6)
+    out["head"] = _head_table().take(q + np.signbit(x) * _HEAD_RANGE)
+    out["high"] = _TRIPLES.take(high)
+    out["low"] = _TRIPLES.take(frac - high * 1000)
+    return out.view(np.uint8)
+
+
+def _round6(a: np.ndarray) -> np.ndarray:
+    """a * 10**6 rounded half to even on the exact product, for finite a >= 0.
+
+    rint rounds the float product p, which differs from the exact product
+    by its rounding error e. The two round alike except where p is a tie
+    (p - rint(p) = +-0.5); there e breaks the tie toward its own sign. e is
+    computed exactly by Dekker's TwoProduct with a Veltkamp split of a
+    (10**6 has 14 significant bits, so it splits as itself).
+    """
+    p = a * 1e6
+    r = np.rint(p)
+    d = p - r
+    tie = np.abs(d) == 0.5
+    if tie.any():
+        at, pt, dt = a[tie], p[tie], d[tie]
+        split = at * 134217729.0  # 2**27 + 1
+        hi = split - (split - at)
+        e = (hi * 1e6 - pt) + (at - hi) * 1e6
+        r[tie] += np.where(np.sign(e) == np.sign(dt), 2.0 * dt, 0.0)
+    return r.astype(np.int64)
 
 
 _CHUNK_ROWS = 8192  # rows split at once; bounds the transient field strings
@@ -83,6 +176,50 @@ def read_dataset(path: str | Path) -> LabeledRecording:
         raise DatasetFormatError(f"line 1: bad header {got!r}, expected {DATASET_HEADER!r}")
 
     rows = list(filter(str.strip, lines[1:]))  # blank lines are skipped
+    try:
+        recording = _load_rows(text, rows)
+    except ValueError:  # the exact parser below names the line
+        recording = None
+    return _parse_rows(lines, rows) if recording is None else recording
+
+
+# A label field wider than every label name cannot be cut down to one.
+_LABEL_FIELD = f"U{1 + max(len(label.name) for labels in APPS.values() for label in labels)}"
+
+
+def _load_rows(text: str, rows: list[str]) -> LabeledRecording | None:
+    """The data rows of a file's text parsed by np.loadtxt's C parser, or None.
+
+    loadtxt parses each number it accepts to the same bits as int() and
+    float(), but it refuses some that they accept (``1_0``, full-width
+    digits). So None, or a ValueError, means only that _parse_rows must
+    judge the rows.
+    """
+    if not rows or "\0" in text:  # loadtxt drops a string field's trailing NULs
+        return None
+    has_stretch = rows[0].split(",")[7:8] != [""]
+    c = 7 if has_stretch else 6
+    fields = [("t", np.int64), ("v", np.float64, (c,))] + [("stretch", "U1")] * (not has_stretch)
+    table = np.loadtxt(  # 9 columns on every row, or ValueError
+        rows, dtype=fields + [("label", _LABEL_FIELD)], delimiter=",", comments=None, ndmin=1
+    )
+    if not has_stretch and (table["stretch"] != "").any():
+        return None
+    label_column = table["label"]
+    starts = np.flatnonzero(np.append(True, label_column[1:] != label_column[:-1]))
+    names = label_column[starts].tolist()  # one per run of equal labels
+    labels = {name: parse_label(name) for name in set(names) - {""}}
+    label_sets = {type(label) for label in labels.values()}
+    if len(label_sets) > 1:
+        return None
+    lookup = {"": -1} | {name: label.value for name, label in labels.items()}
+    codes = np.repeat([lookup[name] for name in names], np.diff(np.append(starts, len(rows))))
+    return LabeledRecording(table["t"].copy(), table["v"], codes, label_sets.pop() if label_sets else None)
+
+
+def _parse_rows(lines: list[str], rows: list[str]) -> LabeledRecording:
+    """The data rows parsed field by field with int() and float(); every
+    DatasetFormatError names the line of the first row that breaks a rule."""
     n = len(rows)
     t_ms = np.empty(n, dtype=np.int64)
     values = np.empty((n, 7))

@@ -179,6 +179,96 @@ def test_train_early_stop_patience():
     assert len(history) < 500
 
 
+def reference_loss_and_grad(model, x, y):
+    """loss_and_grad as it stood before its checks and loss took cheaper forms."""
+    n = x.shape[0]
+    z1 = x @ model.w1 + model.b1
+    h = np.maximum(z1, 0.0)
+    z2 = h @ model.w2 + model.b2
+    zmax = z2.max(axis=1, keepdims=True)
+    log_probs = z2 - zmax - np.log(np.exp(z2 - zmax).sum(axis=1, keepdims=True))
+    loss = float(-log_probs[np.arange(n), y].mean())
+    dz2 = np.exp(log_probs)
+    dz2[np.arange(n), y] -= 1.0
+    dz2 /= n
+    dh = dz2 @ model.w2.T
+    dz1 = dh * (z1 > 0.0)
+    return loss, [x.T @ dz1, dz1.sum(axis=0), h.T @ dz2, dz2.sum(axis=0)]
+
+
+def reference_train(model, x, y, config):
+    """The training loop as it stood before batches became contiguous slices
+    of a permuted copy: fancy-indexed batches, velocity rebuilt each step."""
+    m = MlpModel(w1=model.w1.copy(), b1=model.b1.copy(), w2=model.w2.copy(), b2=model.b2.copy())
+    vel = [np.zeros_like(t) for t in m.tensors()]
+    rng = np.random.default_rng(config.seed)
+    history, best, stale = [], np.inf, 0
+    for _ in range(config.epochs):
+        order = rng.permutation(len(x))
+        losses = []
+        for start in range(0, len(x), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            loss, grads = reference_loss_and_grad(m, x[idx], y[idx])
+            losses.append(loss)
+            for i, (t, dt) in enumerate(zip(m.tensors(), grads)):
+                vel[i] = config.momentum * vel[i] - config.learning_rate * dt
+                t += vel[i]
+        history.append(float(np.mean(losses)))
+        if config.patience is not None:
+            if history[-1] < best - 1e-9:
+                best, stale = history[-1], 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
+    return m, history
+
+
+@pytest.mark.parametrize(
+    "batch_size, momentum, learning_rate, patience",
+    [
+        (32, 0.9, 0.05, None),  # 103 rows: a ragged last batch of 7
+        (10, 0.9, 0.05, None),
+        (1, 0.5, 0.05, None),
+        (200, 0.9, 0.05, None),  # one batch per epoch
+        (16, 0.0, 0.05, None),
+        (8, 0.9, 2.0, 2),  # stops early
+    ],
+)
+def test_train_matches_the_fancy_indexed_loop(batch_size, momentum, learning_rate, patience):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(103, 12))
+    y = rng.integers(0, 3, 103)
+    config = TrainConfig(
+        epochs=12, batch_size=batch_size, momentum=momentum, learning_rate=learning_rate, patience=patience, seed=4
+    )
+    model = init_model((12, 8, 3), seed=4)
+    got, got_history = train(model, x, y, config)
+    want, want_history = reference_train(model, x, y, config)
+    assert got_history == want_history
+    assert model_to_bytes(got) == model_to_bytes(want)
+    assert (len(got_history) < config.epochs) == (patience is not None)
+
+
+def test_train_checks_every_batch():
+    x, y = separable_two_class_set(seed=4)
+    model = init_model((2, 4, 2), seed=0)
+    config = TrainConfig(epochs=1)
+    bad_x = x.copy()
+    bad_x[60, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite feature input"):
+        train(model, bad_x, y, config)
+    for label in (-1, 2):
+        bad_y = y.copy()
+        bad_y[70] = label
+        with pytest.raises(ValueError, match="label index outside model classes"):
+            train(model, x, bad_y, config)
+    with pytest.raises(DegenerateDatasetError):  # checked before any batch
+        train(model, np.full((5, 2), np.nan), np.zeros(5, dtype=int), config)
+    with pytest.raises(DegenerateDatasetError):
+        train(model, np.empty((0, 2)), np.empty(0, dtype=int), config)
+
+
 def test_evaluate_always_class_zero():
     m = zero_model(d=2, h=2, c=2)
     m.b2[:] = (10.0, -10.0)

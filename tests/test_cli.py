@@ -276,6 +276,52 @@ def test_simulate_missing_config_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_train_data_directory_exits_3(tmp_path, capsys):
+    code = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.ohm")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error: [Errno 21] Is a directory")
+    assert not (tmp_path / "m.ohm").exists()
+
+
+def test_eval_model_directory_exits_3(tmp_path, capsys):
+    code = main(["eval", "--data", str(tmp_path / "unused.csv"), "--model", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("model error: [Errno 21] Is a directory")
+
+
+def test_budget_config_directory_exits_2(tmp_path, capsys):
+    code = main(["budget", "--config", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == f"config error: cannot read config file {tmp_path}: Is a directory"
+
+
+def test_budget_config_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"profile": "\xff"}')
+    code = main(["budget", "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == f"config error: config file {config} is not UTF-8 text (byte 13)"
+
+
+def test_datagen_unwritable_out_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["datagen", "--config", str(config), "--out", str(out), "--seed", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("output error: [Errno 2] No such file or directory")
+
+
+def test_train_unwritable_out_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, mutate=lambda raw: raw["train"].update(epochs=2))
+    data = tmp_path / "har.csv"
+    assert main(["datagen", "--config", str(config), "--out", str(data), "--seed", "1"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "missing" / "x.ohm"
+    code = main(["train", "--data", str(data), "--out", str(out), "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("output error: [Errno 2] No such file or directory")
+
+
 def test_simulate_config_without_scenario_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, mutate=lambda raw: raw.pop("scenario"))
     code = main(["simulate", "--config", str(config), "--trace", str(tmp_path / "t")])

@@ -72,6 +72,12 @@ def test_recording_requires_increasing_timestamps():
         LabeledRecording([0, 10, 10], make_values(3))
 
 
+def test_recording_timestamps_may_span_the_int64_range():
+    assert len(LabeledRecording([-(2**63), 2**63 - 1], make_values(2))) == 2
+    with pytest.raises(InvalidSample, match="sample 1: t_ms -9223372036854775808 not strictly increasing"):
+        LabeledRecording([2**63 - 1, -(2**63)], make_values(2))
+
+
 def test_recording_requires_consistent_stretch():
     # stretch is a column: present on every sample or on none
     with pytest.raises(ValueError, match="stretch"):

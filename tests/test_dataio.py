@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from openhealth.core import ActivityLabel, Annotation, InvalidSample
+from openhealth import dataio
+from openhealth.core import ActivityLabel, Annotation, GestureLabel, InvalidSample, LabeledRecording
 from openhealth.dataio import (
     DATASET_HEADER,
     DatasetFormatError,
@@ -275,3 +276,166 @@ def test_storage_budget_rejects_nonpositive():
 def test_storage_budget_monotone(r, c, b, d, dr, dc, db, dd):
     base = storage_budget(r, c, b, d)
     assert storage_budget(r + dr, c + dc, b + db, d + dd) >= base
+
+
+# --- the writer against the per-row %-format it replaced -----------------------
+
+
+def percent_format(rec) -> bytes:
+    """The dataset CSV as the per-row ``%`` format writes it: the reference
+    for write_dataset's vectorized rows."""
+    field = ",%.6f"
+    row = "%d" + field * 6 + (field if rec.has_stretch else ",") + ",%s"
+    names = [label.name for label in rec.label_set or ()] + [""]
+    rows = zip(rec.t_ms.tolist(), *rec.values.T.tolist(), map(names.__getitem__, rec.codes.tolist()))
+    return ("\n".join([DATASET_HEADER, *map(row.__mod__, rows)]) + "\n").encode()
+
+
+def full_scale_values(lo: float, hi: float):
+    """Floats in [lo, hi]: the edges, signed zeros, the exact ties of %.6f
+    (odd multiples of 1/128) and decimal near-ties (j + 0.5)/1e6."""
+    special = [0.0, -0.0, lo, hi, 5e-7, -5e-7, 2.5e-6, 1e-300, -1e-300, 5e-324, -5e-324]
+    return st.one_of(
+        st.sampled_from([v for v in special if lo <= v <= hi]),
+        st.floats(lo, hi),
+        st.integers(int(lo * 128), int(hi * 128)).map(lambda k: k / 128),
+        st.integers(int(lo * 1e6), int(hi * 1e6) - 1).map(lambda j: (j + 0.5) / 1e6),
+    )
+
+
+_CHANNEL_VALUES = [full_scale_values(-16.0, 16.0)] * 3 + [full_scale_values(-2000.0, 2000.0)] * 3 + [
+    full_scale_values(0.0, 1.0)
+]
+_T_MS = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, -1, 0, 10**18]), st.integers(-(2**63), 2**63 - 1))
+
+
+@st.composite
+def recordings(draw, max_rows: int = 12):
+    """Recordings with 6 or 7 channels, activity, gesture or no labels."""
+    n = draw(st.integers(0, max_rows))
+    c = draw(st.sampled_from([6, 7]))
+    t_ms = sorted(draw(st.lists(_T_MS, min_size=n, max_size=n, unique=True)))
+    values = [[draw(_CHANNEL_VALUES[ch]) for ch in range(c)] for _ in range(n)]
+    label_set = draw(st.sampled_from([ActivityLabel, GestureLabel, None]))
+    top = len(label_set) - 1 if label_set else -1
+    codes = draw(st.lists(st.integers(-1, top), min_size=n, max_size=n))
+    return LabeledRecording(
+        np.array(t_ms, dtype=np.int64), np.array(values).reshape(n, c), np.array(codes, dtype=np.int64), label_set
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rec=recordings())
+def test_write_matches_percent_format(tmp_path, rec):
+    path = tmp_path / "w.csv"
+    write_dataset(rec, path)
+    assert path.read_bytes() == percent_format(rec)
+
+
+@pytest.mark.parametrize("c", [6, 7])
+def test_write_matches_percent_format_across_chunks(tmp_path, c):
+    """More rows than one formatting chunk (32,768), each kind of value on every column."""
+    rng = np.random.default_rng(c)
+    n = 40_000
+    scale = np.array([16.0] * 3 + [2000.0] * 3 + [1.0])[:c]
+    values = rng.uniform(-1.0, 1.0, (n, c)) * scale
+    values[::7] = np.round(values[::7] * 128) / 128  # binary ties of %.6f
+    values[1::7] = (np.round(values[1::7] * 1e6) + 0.5) / 1e6  # decimal near-ties
+    values[2::7] = rng.choice([0.0, -0.0, 5e-7, -5e-7, 1e-300], (len(values[2::7]), c))
+    values[:, 6:] = np.abs(values[:, 6:])
+    values[3::11, 6:] = -0.0
+    t_ms = np.cumsum(rng.integers(1, 10**14, n)) - 2**62
+    codes = rng.integers(-1, len(ActivityLabel), n)
+    rec = LabeledRecording(t_ms, values, codes, ActivityLabel)
+    path = tmp_path / "big.csv"
+    write_dataset(rec, path)
+    assert path.read_bytes() == percent_format(rec)
+
+
+# --- the reader's loadtxt path against the exact field-by-field parser -------
+
+# Fields that int()/float() and np.loadtxt judge differently, or that break
+# a rule only the exact parser names; plus valid ones, so that edited rows
+# also stay valid in new ways. The stretch and label columns get their own.
+_NUMBER_EDITS = [
+    "1_0", "１", " 1.5", "1.5 ", "\t2", "+5", "1.0", "nan", "-nan", "1e400", "1e-400", "0x1p3",
+    "#", "#1", '"1"', "", " ", "\x1c", "\x00", "0.5", "-0.000000",
+]
+_STRETCH_EDITS = ["", " ", "0.5", "1_0", "nan"]
+_LABEL_EDITS = ["", "Walk", "Sit", "Up", "Fly", " Walk", "Walk ", "Walk\0", "\0", "Transitions", '"Walk"']
+_COLUMN_EDITS = [_NUMBER_EDITS] * 7 + [_STRETCH_EDITS, _LABEL_EDITS]
+
+
+@st.composite
+def dataset_texts(draw):
+    """(text, edited): a written dataset CSV, with up to three rows edited:
+    a field swapped, dropped (7 commas) or added (9 commas), or a blank line."""
+    lines = percent_format(draw(recordings(max_rows=6))).decode().splitlines()
+    edits = draw(st.integers(0, 3)) if len(lines) > 1 else 0
+    for _ in range(edits):
+        k = draw(st.integers(1, len(lines) - 1))
+        fields = lines[k].split(",")
+        column = draw(st.sampled_from([0, 1, 4, 7, 7, 8, 8, 8]))  # mostly stretch and label
+        edit = draw(st.sampled_from(_COLUMN_EDITS[column]))
+        column = min(column, len(fields) - 1)  # the row may have lost a field already
+        action = draw(st.sampled_from(["swap", "swap", "swap", "drop", "add", "blank"]))
+        if action == "swap":
+            fields[column] = edit
+        elif action == "drop":
+            del fields[column]
+        elif action == "add":
+            fields.insert(column, edit)
+        lines[k] = ",".join(fields)
+        if action == "blank":
+            lines.insert(k, draw(st.sampled_from(["", " ", "\t"])))
+    return "\n".join(lines) + "\n", edits > 0
+
+
+def read_outcome(read):
+    """The recording's bytes and label set, or the DatasetFormatError message."""
+    try:
+        rec = read()
+    except DatasetFormatError as exc:
+        return str(exc)
+    return rec.t_ms.tobytes(), rec.values.shape, rec.values.tobytes(), rec.codes.tobytes(), rec.label_set
+
+
+def assert_read_as_exact_parser(tmp_path, text: str) -> None:
+    """read_dataset gives what the exact parser gives: the same recording bit
+    for bit, or the same DatasetFormatError message."""
+    path = tmp_path / "r.csv"
+    path.write_bytes(text.encode("utf-8"))
+    lines = text.splitlines()
+    rows = list(filter(str.strip, lines[1:]))
+    assert read_outcome(lambda: read_dataset(path)) == read_outcome(lambda: dataio._parse_rows(lines, rows))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=dataset_texts())
+def test_read_fast_path_agrees_with_exact_parser(tmp_path, case):
+    text, edited = case
+    assert_read_as_exact_parser(tmp_path, text)
+    rows = list(filter(str.strip, text.splitlines()[1:]))
+    if not edited and rows:  # whatever write_dataset writes takes the fast path
+        assert dataio._load_rows(text, rows) is not None
+
+
+_ROW_EDITS = [(ActivityLabel.Walk, column, edit) for column in (0, 3, 7, 8) for edit in _COLUMN_EDITS[column]] + [
+    (GestureLabel.Up, 8, edit) for edit in _LABEL_EDITS
+]
+
+
+@pytest.mark.parametrize("stretch", [0.5, None])
+@pytest.mark.parametrize("label, column, edit", _ROW_EDITS)
+@pytest.mark.parametrize("action", ["swap", "add"])
+def test_read_edited_row_agrees_with_exact_parser(tmp_path, stretch, label, column, edit, action):
+    """Each edit of the fuzz test to the time, an accel, the stretch or the
+    label column, swapped in or added on the third row of a four-row file."""
+    lines = percent_format(make_recording(4, label=label, stretch=stretch)).decode().splitlines()
+    fields = lines[3].split(",")
+    if action == "swap":
+        fields[column] = edit
+    else:  # 9 commas
+        fields.insert(column, edit)
+    lines[3] = ",".join(fields)
+    assert_read_as_exact_parser(tmp_path, "\n".join(lines) + "\n")

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import math
 from collections import Counter
 from pathlib import Path
 
-from openhealth import simengine
+import numpy as np
+
+from openhealth import classifier, simengine
 from openhealth.config import parse_config
 
 from test_simengine import depletion_raw, small_config
@@ -93,3 +96,20 @@ def test_decode_frame_raises_only_on_a_frame_that_fails_to_verify():
     assert codes["replay"] > 0
     raised = module.SpanTable(tracer).raised("netproto.decode_frame", ("simengine.run_scenario",))
     assert raised == codes["truncated"] + codes["bad_version"] + codes["auth_failure"] > 0
+
+
+def test_train_batches_count_one_loss_and_grad_per_batch():
+    """classifier.train_batches means one loss_and_grad span per batch:
+    epochs run x ceil(n / batch_size), the ragged last batch included."""
+    rng = np.random.default_rng(1)
+    x, y = rng.normal(size=(103, 6)), rng.integers(0, 3, 103)
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        config = classifier.TrainConfig(epochs=7, batch_size=32)
+        _, history = classifier.train(classifier.init_model((6, 4, 3)), x, y, config)  # the wrapped attribute
+    finally:
+        tracer.remove()
+    assert len(history) == 7
+    assert module.SpanTable(tracer).calls("classifier.loss_and_grad", ("classifier.train",)) == 7 * math.ceil(103 / 32)

@@ -34,7 +34,6 @@ from .pipeline import (
 
 MODEL_MAGIC = b"OHM1"
 QUANT_MAGIC = b"OHQ1"
-DEFAULT_HIDDEN = 16
 
 CHANNEL_GROUPS: Mapping[str, tuple[str, ...]] = {
     "accel": ACCEL_CHANNELS,
@@ -51,31 +50,47 @@ class ModelFormatError(ValueError):
     """Malformed OHM1 model blob; the message names the byte offset."""
 
 
+class ModelFitError(ValueError):
+    """A well-formed model that does not fit the data it is to classify."""
+
+
+def param_count(layer_sizes: Sequence[int]) -> int:
+    """Length of MlpModel.params, and of the OHM1 parameter block, for (D, H, C)."""
+    d, h, c = layer_sizes
+    return d * h + h + h * c + c
+
+
 @dataclass
 class MlpModel:
-    """Weights for a [D, H, C] rectifier network with softmax output."""
+    """Weights for a [D, H, C] rectifier network with softmax output.
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    params holds every weight in OHM1 order, each tensor row-major: w1
+    (D x H), b1 (H), w2 (H x C), b2 (C). The w1, b1, w2 and b2 attributes
+    are views of it, so a write through either is seen by the other.
+    """
+
+    params: np.ndarray
+    layer_sizes: tuple[int, int, int]
     stats: FeatureStats | None = None
 
-    @property
-    def layer_sizes(self) -> tuple[int, int, int]:
-        return (self.w1.shape[0], self.w1.shape[1], self.w2.shape[1])
+    def __post_init__(self) -> None:
+        self.params = np.ascontiguousarray(self.params, dtype=float)  # the views below must not be copies
+        self.layer_sizes = d, h, c = tuple(self.layer_sizes)
+        if self.params.shape != (param_count(self.layer_sizes),):
+            raise ValueError("inconsistent layer shapes")
+        a, b, e = d * h, d * h + h, d * h + h + h * c
+        self.w1 = self.params[:a].reshape(d, h)
+        self.b1 = self.params[a:b]
+        self.w2 = self.params[b:e].reshape(h, c)
+        self.b2 = self.params[e:]
 
     @property
     def n_params(self) -> int:
-        return self.w1.size + self.b1.size + self.w2.size + self.b2.size
+        return self.params.size
 
     def validate(self) -> None:
-        d, h, c = self.layer_sizes
-        if self.b1.shape != (h,) or self.w2.shape != (h, c) or self.b2.shape != (c,):
-            raise ValueError("inconsistent layer shapes")
-        for t in (self.w1, self.b1, self.w2, self.b2):
-            if not np.all(np.isfinite(t)):
-                raise ValueError("non-finite model parameter")
+        if not np.isfinite(self.params).all():
+            raise ValueError("non-finite model parameter")
 
     def tensors(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -90,6 +105,7 @@ class TrainConfig:
     seed: int = 0
     split_fraction: float = 0.8
     patience: int | None = None
+    hidden: int = 16  # units in the hidden layer
 
     RULES = {
         "learning_rate": num(lo=1e-12),
@@ -99,6 +115,7 @@ class TrainConfig:
         "seed": num(lo=0, integer=True),
         "split_fraction": num(lo=0.01, hi=0.99),
         "patience": COUNT,
+        "hidden": COUNT,
     }
 
     def __post_init__(self) -> None:
@@ -111,12 +128,10 @@ def init_model(layer_sizes: Sequence[int], seed: int = 0) -> MlpModel:
     rng = np.random.default_rng(seed)
     lim1 = np.sqrt(6.0 / d)
     lim2 = np.sqrt(6.0 / h)
-    return MlpModel(
-        w1=rng.uniform(-lim1, lim1, (d, h)),
-        b1=np.zeros(h),
-        w2=rng.uniform(-lim2, lim2, (h, c)),
-        b2=np.zeros(c),
-    )
+    model = MlpModel(np.zeros(param_count(layer_sizes)), layer_sizes)
+    model.w1[:] = rng.uniform(-lim1, lim1, (d, h))
+    model.w2[:] = rng.uniform(-lim2, lim2, (h, c))
+    return model
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -140,16 +155,9 @@ def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return np.argmax(forward(model, x), axis=1)
 
 
-@dataclass
-class Gradients:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
-def loss_and_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float, Gradients]:
-    """Mean cross-entropy over the batch and its analytic gradient."""
+def loss_and_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float, MlpModel]:
+    """Mean cross-entropy over the batch and its analytic gradient, in the
+    model's own layout: the gradient's params line up with model.params."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -173,13 +181,9 @@ def loss_and_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float,
     dz2 = np.exp(log_probs)
     dz2[rows, y] -= 1.0
     dz2 /= n
-    dw2 = h.T @ dz2
-    db2 = dz2.sum(axis=0)
-    dh = dz2 @ model.w2.T
-    dz1 = dh * (z1 > 0.0)
-    dw1 = x.T @ dz1
-    db1 = dz1.sum(axis=0)
-    return loss, Gradients(w1=dw1, b1=db1, w2=dw2, b2=db2)
+    dz1 = (dz2 @ model.w2.T) * (z1 > 0.0)
+    grad = np.concatenate((x.T @ dz1, dz1.sum(axis=0), h.T @ dz2, dz2.sum(axis=0)), axis=None)
+    return loss, MlpModel(grad, model.layer_sizes)
 
 
 def train(
@@ -195,12 +199,8 @@ def train(
     if len(np.unique(y)) < 2:
         raise DegenerateDatasetError("training data must contain at least 2 classes")
 
-    m = MlpModel(
-        w1=model.w1.copy(), b1=model.b1.copy(),
-        w2=model.w2.copy(), b2=model.b2.copy(),
-        stats=model.stats,
-    )
-    vel = [np.zeros_like(t) for t in m.tensors()]
+    m = MlpModel(model.params.copy(), model.layer_sizes, model.stats)
+    vel = np.zeros_like(m.params)
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
     best = np.inf
@@ -214,10 +214,9 @@ def train(
             batch = slice(start, start + config.batch_size)
             loss, g = loss_and_grad(m, xs[batch], ys[batch])
             losses.append(loss)
-            for t, v, dt in zip(m.tensors(), vel, (g.w1, g.b1, g.w2, g.b2)):
-                v *= config.momentum
-                v -= config.learning_rate * dt
-                t += v
+            vel *= config.momentum
+            vel -= config.learning_rate * g.params
+            m.params += vel
         epoch_loss = float(np.mean(losses))
         history.append(epoch_loss)
         if config.patience is not None:
@@ -387,11 +386,8 @@ class QuantizedModel:
         return b"".join(out)
 
     def dequantized(self) -> MlpModel:
-        w1, b1, w2, b2 = [t.dequantize() for t in self.tensors]
-        d, h, c = self.layer_sizes
-        return MlpModel(
-            w1=w1.reshape(d, h), b1=b1, w2=w2.reshape(h, c), b2=b2, stats=self.stats
-        )
+        params = np.concatenate([t.dequantize() for t in self.tensors])
+        return MlpModel(params, self.layer_sizes, self.stats)
 
 
 def quantize_model(model: MlpModel) -> QuantizedModel:
@@ -464,23 +460,15 @@ def _unpack_stats(buf: bytes, offset: int, d: int) -> FeatureStats | None:
 def model_to_bytes(model: MlpModel) -> bytes:
     model.validate()
     d, h, c = model.layer_sizes
-    out = [MODEL_MAGIC, struct.pack(">BB", 1, 3), struct.pack(">3I", d, h, c)]
-    for t in model.tensors():
-        out.append(_pack_f64(t))
-    out.append(_pack_stats(model.stats))
-    return b"".join(out)
+    header = MODEL_MAGIC + struct.pack(">BB3I", 1, 3, d, h, c)
+    return header + _pack_f64(model.params) + _pack_stats(model.stats)
 
 
 def model_from_bytes(buf: bytes) -> MlpModel:
     """Decode an OHM1 blob; raises only ModelFormatError."""
     d, h, c = _unpack_header(buf)
-    off = 18
-    w1, off = _unpack_f64(buf, off, d * h, "layer 1 weights")
-    b1, off = _unpack_f64(buf, off, h, "layer 1 biases")
-    w2, off = _unpack_f64(buf, off, h * c, "layer 2 weights")
-    b2, off = _unpack_f64(buf, off, c, "layer 2 biases")
-    stats = _unpack_stats(buf, off, d)
-    model = MlpModel(w1=w1.reshape(d, h), b1=b1, w2=w2.reshape(h, c), b2=b2, stats=stats)
+    params, off = _unpack_f64(buf, 18, param_count((d, h, c)), "parameters")
+    model = MlpModel(params, (d, h, c), _unpack_stats(buf, off, d))
     try:
         model.validate()
     except ValueError as exc:
@@ -520,7 +508,6 @@ def ablation_compare(
     channel_names: Sequence[str],
     channel_subsets: Sequence[Sequence[str]],
     config: TrainConfig,
-    hidden: int = DEFAULT_HIDDEN,
     n_classes: int | None = None,
 ) -> dict[tuple[str, ...], float]:
     """Train one model per channel subset with a shared seed and split.
@@ -538,7 +525,7 @@ def ablation_compare(
         feats = extract_feature_matrix(windows[:, :, cols])
         x_train, stats = normalize_features(feats[train_idx])
         x_test, _ = normalize_features(feats[test_idx], stats)
-        model = init_model((feats.shape[1], hidden, n_classes), seed=config.seed)
+        model = init_model((feats.shape[1], config.hidden, n_classes), seed=config.seed)
         model.stats = stats
         trained, _ = train(model, x_train, labels[train_idx], config)
         pred = predict(trained, x_test)

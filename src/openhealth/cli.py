@@ -9,6 +9,7 @@ not given.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 
 from .classifier import (
     DegenerateDatasetError,
+    ModelFitError,
     ModelFormatError,
     evaluate,
     init_model,
@@ -77,12 +79,15 @@ def _resolve_seed(arg_seed: int | None, default: int = 0) -> int:
     return seed
 
 
+def _config_error(exc: ConfigError) -> CliError:
+    return CliError("\n".join(f"config error: {e}" for e in exc.errors), EXIT_CONFIG)
+
+
 def _load_config(path: str) -> Config:
     try:
         return load_config(path)
     except ConfigError as exc:
-        lines = "\n".join(f"config error: {e}" for e in exc.errors)
-        raise CliError(lines, EXIT_CONFIG) from None
+        raise _config_error(exc) from None
 
 
 @contextmanager
@@ -92,6 +97,19 @@ def _writing():
         yield
     except OSError as exc:
         raise CliError(f"output error: {exc}", EXIT_CONFIG) from None
+
+
+def _check_output(path: str) -> None:
+    """Raise the OSError that writing path would raise, where it is known
+    before writing: path names a directory, or its parent is not one."""
+    out = Path(path)
+    if out.is_dir():
+        code = errno.EISDIR
+    elif not out.parent.is_dir():
+        code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _labeled_windows(recording, config: Config, app: str):
@@ -126,8 +144,10 @@ def cmd_datagen(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config) if args.config else Config()
-    seed = _resolve_seed(args.seed, default=config.train.config.seed)
-    train_config = replace(config.train.config, seed=seed)
+    seed = _resolve_seed(args.seed, default=config.train.seed)
+    train_config = replace(config.train, seed=seed)
+    with _writing():  # before any epoch is spent; the save below is guarded too
+        _check_output(args.out)
     try:
         recording = read_dataset(args.data)
     except (DatasetFormatError, OSError) as exc:
@@ -255,7 +275,9 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     try:
         trace = run_scenario(config, seed)
-    except (OSError, ModelFormatError) as exc:  # scenario.model_path
+    except ConfigError as exc:  # a device app without synthetic_models in a document that names none
+        raise _config_error(exc) from None
+    except (OSError, ModelFormatError, ModelFitError) as exc:  # scenario.model_path
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
     metrics_path = args.metrics or (str(Path(args.trace).with_suffix("")) + "_metrics.json")
     observations_path = args.observations or (

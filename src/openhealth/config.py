@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
-from .classifier import DEFAULT_HIDDEN, TrainConfig
+from .classifier import TrainConfig
 from .core import APPS, COUNT, POSITIVE, DeviceProfile, FieldError, Label, Rule, finite, is_int, label_set_for, num
 from .dataio import LabelSignalModel, SyntheticActivityModel
 from .firmware import EnergySettings
@@ -35,12 +35,6 @@ class ConfigError(ValueError):
 class PipelineSettings:
     window: int = 128
     overlap: float = 0.5
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    config: TrainConfig = field(default_factory=TrainConfig)
-    hidden: int = DEFAULT_HIDDEN
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,7 @@ class ScenarioSettings:
 class Config:
     profile: DeviceProfile = field(default_factory=DeviceProfile)
     pipeline: PipelineSettings = field(default_factory=PipelineSettings)
-    train: TrainSettings = field(default_factory=TrainSettings)
+    train: TrainConfig = field(default_factory=TrainConfig)
     synthetic: dict[str, SyntheticSpec] = field(default_factory=dict)
     energy: EnergySettings = field(default_factory=EnergySettings)
     channel: ChannelModel = field(default_factory=ChannelModel)
@@ -161,7 +155,6 @@ _PIPELINE = {
     "window": num(lo=16, integer=True),
     "overlap": num(lo=0.0, hi=0.999),
 }
-_TRAIN = {**TrainConfig.RULES, "hidden": COUNT}  # hidden is TrainSettings'
 _SYNTHETIC = {"repeat": COUNT}
 _SIGNAL = {
     "orientation": _vec3,
@@ -228,10 +221,8 @@ def _parse_pipeline(obj: dict, ctx: _Ctx) -> PipelineSettings:
     return PipelineSettings(**_fields(obj, PipelineSettings, "pipeline", ctx, _PIPELINE))
 
 
-def _parse_train(obj: dict, ctx: _Ctx) -> TrainSettings:
-    kwargs = _fields(obj, TrainConfig, "train", ctx, _TRAIN)
-    hidden = {"hidden": kwargs.pop("hidden")} if "hidden" in kwargs else {}
-    return TrainSettings(config=TrainConfig(**kwargs), **hidden)
+def _parse_train(obj: dict, ctx: _Ctx) -> TrainConfig:
+    return TrainConfig(**_fields(obj, TrainConfig, "train", ctx, TrainConfig.RULES))
 
 
 def _parse_label(name: Any, label_set: type, path: str, ctx: _Ctx) -> Label | None:
@@ -340,7 +331,11 @@ def _parse_protocol(obj: dict, ctx: _Ctx) -> ProtocolSettings:
     return ProtocolSettings(**kwargs)
 
 
-def _parse_device(obj: Any, index: int, synthetic: dict[str, SyntheticSpec], ctx: _Ctx) -> DeviceSpec | None:
+def _parse_device(
+    obj: Any, index: int, synthetic: dict[str, SyntheticSpec], declared: Collection[str] | None, ctx: _Ctx
+) -> DeviceSpec | None:
+    """declared names the apps under synthetic_models, valid or not; None if
+    the document has no synthetic_models section."""
     path = f"scenario.devices[{index}]"
     if not isinstance(obj, dict):
         ctx.error(path, "expected an object")
@@ -354,6 +349,8 @@ def _parse_device(obj: Any, index: int, synthetic: dict[str, SyntheticSpec], ctx
         schedule = _parse_schedule(obj["schedule"], label_set, f"{path}.schedule", ctx)
     if schedule:
         kwargs["schedule"] = tuple(schedule)
+        if declared is not None and app not in declared:  # the simulator synthesizes its signals from one
+            ctx.error(f"{path}.app", f"no synthetic_models.{app} section to synthesize its signals from")
     elif app in synthetic:
         kwargs["schedule"] = tuple(synthetic[app].full_schedule())
     else:
@@ -378,7 +375,9 @@ def _parse_device(obj: Any, index: int, synthetic: dict[str, SyntheticSpec], ctx
     return DeviceSpec(device_id=device_id, **kwargs)
 
 
-def _parse_scenario(obj: dict, synthetic: dict[str, SyntheticSpec], ctx: _Ctx) -> ScenarioSettings:
+def _parse_scenario(
+    obj: dict, synthetic: dict[str, SyntheticSpec], declared: Collection[str] | None, ctx: _Ctx
+) -> ScenarioSettings:
     path = "scenario"
     kwargs = _fields(obj, ScenarioSettings, path, ctx, _SCENARIO, extra=("devices",))
     raw_devices = obj.get("devices")
@@ -388,7 +387,7 @@ def _parse_scenario(obj: dict, synthetic: dict[str, SyntheticSpec], ctx: _Ctx) -
         devices = []
         seen_ids = set()
         for i, d in enumerate(raw_devices):
-            spec = _parse_device(d, i, synthetic, ctx)
+            spec = _parse_device(d, i, synthetic, declared, ctx)
             if spec is not None:
                 if spec.device_id in seen_ids:
                     ctx.error(f"{path}.devices[{i}].id", f"duplicate device id {spec.device_id}")
@@ -437,7 +436,8 @@ def parse_config(raw: Any) -> Config:
     protocol = _parse_protocol(section("protocol"), ctx)
     scenario = None
     if "scenario" in raw:
-        scenario = _parse_scenario(section("scenario"), synthetic, ctx)
+        declared = syn_obj.keys() if "synthetic_models" in raw else None
+        scenario = _parse_scenario(section("scenario"), synthetic, declared, ctx)
 
     if ctx.errors:
         raise ConfigError(ctx.errors)

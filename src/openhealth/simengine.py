@@ -34,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .classifier import MlpModel, forward, load_model
-from .config import Config, DeviceSpec, ScenarioSettings
+from .classifier import MlpModel, ModelFitError, forward, load_model
+from .config import Config, ConfigError, DeviceSpec, ScenarioSettings
 from .core import Label, label_set_for
 from .dataio import channel_count, synthesize_signal
 from .firmware import (
@@ -70,7 +70,7 @@ from .netproto import (
     unpack_ack,
     unpack_sync_reply,
 )
-from .pipeline import extract_feature_matrix, majority_label, normalize_features
+from .pipeline import FEATURES_PER_CHANNEL, extract_feature_matrix, majority_label, normalize_features
 
 TRACE_VERSION = 3
 MIN_RADIO_MS = 1
@@ -704,14 +704,39 @@ class SimTrace:
         return "\n".join(self.lines) + "\n"
 
 
+def _check_model_fit(model: MlpModel, config: Config) -> None:
+    """ModelFitError naming the first scenario device that the model cannot
+    classify for: it must take the features of the device's channels, score
+    the labels of its app, and carry the training set's feature stats (one
+    window cannot be normalized by its own)."""
+    d, _, c = model.layer_sizes
+    for spec in config.scenario.devices:
+        channels = channel_count(config.synthetic[spec.app].signals)
+        labels = len(label_set_for(spec.app))
+        if d != channels * FEATURES_PER_CHANNEL:
+            problem = f"model input {d} != {channels} channels x {FEATURES_PER_CHANNEL} features"
+        elif c != labels:
+            problem = f"model has {c} classes, the {spec.app} app has {labels} labels"
+        elif model.stats is None:
+            problem = "model has no feature stats"
+        else:
+            continue
+        raise ModelFitError(f"device {spec.device_id}: {problem}")
+
+
 def run_scenario(config: Config, seed: int = 0) -> SimTrace:
     """Execute the configured scenario; returns the trace and derived metrics."""
     scenario = config.scenario
     if scenario is None:
         raise ValueError("config has no scenario section")
-    for spec in scenario.devices:
+    for i, spec in enumerate(scenario.devices):
         if spec.app not in config.synthetic:
-            raise ValueError(f"device {spec.device_id}: no synthetic_models.{spec.app} section")
+            path = f"scenario.devices[{i}].app"
+            raise ConfigError([f"{path}: no synthetic_models.{spec.app} section to synthesize its signals from"])
+    model = None
+    if scenario.model_path is not None:
+        model = load_model(scenario.model_path)
+        _check_model_fit(model, config)
 
     sim = Simulator(seed)
     sim.emit("trace_version", "sim", TRACE_VERSION)
@@ -720,10 +745,6 @@ def run_scenario(config: Config, seed: int = 0) -> SimTrace:
     channel = SimChannel(sim, config.channel)
     gateway = HostGateway({spec.device_id: config.protocol.key for spec in scenario.devices})
     host = SimHost(sim, gateway, channel)
-
-    model = None
-    if scenario.model_path is not None:
-        model = load_model(scenario.model_path)
 
     devices = []
     for spec in scenario.devices:

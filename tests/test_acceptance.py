@@ -91,7 +91,7 @@ def test_c01_synthetic_corpus_accuracy_all_classes():
     assert 2500 <= len(starts) <= 3500, "shipped corpus should be ~3000 windows"
     feats = extract_feature_matrix(windows_to_matrix(recording, starts, w))
 
-    tc = config.train.config
+    tc = config.train
     train_idx, test_idx = split_dataset(len(labels), tc.split_fraction, tc.seed)
     x_train, stats = normalize_features(feats[train_idx])
     x_test, _ = normalize_features(feats[test_idx], stats)

@@ -33,7 +33,7 @@ from openhealth.pipeline import FeatureStats
 
 
 def zero_model(d=6, h=4, c=3):
-    return MlpModel(w1=np.zeros((d, h)), b1=np.zeros(h), w2=np.zeros((h, c)), b2=np.zeros(c))
+    return MlpModel(np.zeros(d * h + h + h * c + c), (d, h, c))
 
 
 def finite_difference_grad(model, x, y, flat_index, h=1e-4):
@@ -199,7 +199,7 @@ def reference_loss_and_grad(model, x, y):
 def reference_train(model, x, y, config):
     """The training loop as it stood before batches became contiguous slices
     of a permuted copy: fancy-indexed batches, velocity rebuilt each step."""
-    m = MlpModel(w1=model.w1.copy(), b1=model.b1.copy(), w2=model.w2.copy(), b2=model.b2.copy())
+    m = MlpModel(model.params.copy(), model.layer_sizes)
     vel = [np.zeros_like(t) for t in m.tensors()]
     rng = np.random.default_rng(config.seed)
     history, best, stale = [], np.inf, 0
@@ -222,6 +222,18 @@ def reference_train(model, x, y, config):
                 if stale >= config.patience:
                     break
     return m, history
+
+
+def test_gradient_is_the_concatenated_reference_gradients():
+    rng = np.random.default_rng(3)
+    model = init_model((12, 8, 3), seed=3)
+    x = rng.normal(size=(32, 12))
+    y = rng.integers(0, 3, 32)
+    _, g = loss_and_grad(model, x, y)
+    _, grads = reference_loss_and_grad(model, x, y)
+    want = np.concatenate([t.ravel() for t in grads])
+    assert g.layer_sizes == model.layer_sizes
+    assert g.params.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -383,6 +395,57 @@ def test_model_blob_round_trip(tmp_path):
     save_model(m, path)
     assert load_model(path).layer_sizes == (12, 5, 4)
     assert path.read_bytes()[:4] == b"OHM1"
+
+
+def test_model_rejects_params_that_do_not_fit_its_layer_sizes():
+    with pytest.raises(ValueError, match="inconsistent layer shapes"):
+        MlpModel(np.zeros(6 * 4 + 4 + 4 * 3 + 3 - 1), (6, 4, 3))
+    with pytest.raises(ValueError, match="inconsistent layer shapes"):
+        MlpModel(np.zeros((1, 6 * 4 + 4 + 4 * 3 + 3)), (6, 4, 3))
+
+
+def per_tensor_blob(model):
+    """The OHM1 layout of docs/formats/model_blob.md, written field by field."""
+    out = [b"OHM1", struct.pack(">BB", 1, 3), struct.pack(">3I", *model.layer_sizes)]
+    out += [t.astype(">f8").tobytes() for t in (model.w1, model.b1, model.w2, model.b2)]
+    if model.stats is None:
+        out.append(b"\x00")
+    else:
+        out += [b"\x01", model.stats.mean.astype(">f8").tobytes(), model.stats.std.astype(">f8").tobytes()]
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("with_stats", [False, True])
+def test_model_to_bytes_is_the_documented_per_tensor_layout(with_stats):
+    m = init_model((12, 5, 4), seed=6)
+    if with_stats:
+        m.stats = FeatureStats(mean=np.linspace(-1.0, 1.0, 12), std=np.full(12, 0.5))
+    assert model_to_bytes(m) == per_tensor_blob(m)
+
+
+def _trained():
+    rng = np.random.default_rng(1)
+    model, _ = train(init_model((6, 4, 3), seed=1), rng.normal(size=(40, 6)), rng.integers(0, 3, 40), TrainConfig(epochs=2))
+    return model
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: init_model((6, 4, 3), seed=1),
+        _trained,
+        lambda: model_from_bytes(model_to_bytes(init_model((6, 4, 3), seed=1))),
+        lambda: quantize_model(init_model((6, 4, 3), seed=1)).dequantized(),
+    ],
+    ids=["init_model", "train", "model_from_bytes", "dequantized"],
+)
+def test_layer_tensors_are_views_of_params(make):
+    m = make()
+    assert [t.shape for t in m.tensors()] == [(6, 4), (4,), (4, 3), (3,)]
+    for t in m.tensors():
+        assert np.shares_memory(t, m.params)
+    m.params[:] = np.arange(m.n_params)
+    assert np.concatenate([t.ravel() for t in m.tensors()]).tolist() == list(range(m.n_params))
 
 
 def test_blob_bad_magic():

@@ -4,8 +4,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from openhealth import cli
 from openhealth.cli import main
 from openhealth.dataio import read_dataset
 
@@ -197,6 +199,47 @@ def test_simulate_bad_model_path_exits_3(tmp_path, capsys, blob):
     assert not (tmp_path / "t.trace").exists()
 
 
+@pytest.mark.parametrize(
+    "app, layer_sizes, stats, problem",
+    [
+        ("har", (72, 16, 7), True, "model input 72 != 7 channels x 12 features"),
+        ("gesture", (72, 16, 7), True, "model has 7 classes, the gesture app has 4 labels"),
+        ("har", (84, 16, 4), True, "model has 4 classes, the har app has 7 labels"),
+        ("har", (84, 16, 7), False, "model has no feature stats"),
+    ],
+    ids=["har-input", "gesture-classes", "har-classes", "no-stats"],
+)
+def test_simulate_model_that_does_not_fit_a_device_exits_3(tmp_path, capsys, app, layer_sizes, stats, problem):
+    from openhealth.classifier import init_model, save_model
+    from openhealth.pipeline import FeatureStats
+
+    model = init_model(layer_sizes, seed=0)
+    if stats:
+        model.stats = FeatureStats(mean=np.zeros(layer_sizes[0]), std=np.ones(layer_sizes[0]))
+    save_model(model, tmp_path / "m.ohm")
+
+    def use_model(raw):
+        label = "Up" if app == "gesture" else "Walk"
+        raw["scenario"].update(duration_ms=60_000, model_path=str(tmp_path / "m.ohm"))
+        raw["scenario"]["devices"] = [{"id": 1, "app": app, "schedule": [[label, 60_000]]}]
+
+    config = write_config(tmp_path, mutate=use_model)
+    code = main(["simulate", "--config", str(config), "--trace", str(tmp_path / "t.trace")])
+    assert code == 3
+    assert capsys.readouterr().err.strip() == f"model error: device 1: {problem}"
+    assert not (tmp_path / "t.trace").exists()
+
+
+def test_simulate_device_app_without_synthetic_models_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenario": {"duration_ms": 60_000, "devices": [{"schedule": [["Walk", 1000]]}]}}))
+    code = main(["simulate", "--config", str(config), "--trace", str(tmp_path / "t.trace")])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: scenario.devices[0].app: no synthetic_models.har section to synthesize its signals from"
+    )
+
+
 def test_budget_default_and_storage_claim(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["budget", "--config", str(config)]) == 0
@@ -320,6 +363,23 @@ def test_train_unwritable_out_exits_2(tmp_path, capsys):
     code = main(["train", "--data", str(data), "--out", str(out), "--config", str(config)])
     assert code == 2
     assert capsys.readouterr().err.startswith("output error: [Errno 2] No such file or directory")
+
+
+@pytest.mark.parametrize(
+    "out, reason",
+    [("missing/x.ohm", "No such file or directory"), (".", "Is a directory"), ("har.csv/x.ohm", "Not a directory")],
+    ids=["no-parent", "directory", "file-parent"],
+)
+def test_train_unwritable_out_exits_2_before_training(tmp_path, capsys, monkeypatch, out, reason):
+    config = write_config(tmp_path)
+    data = tmp_path / "har.csv"
+    assert main(["datagen", "--config", str(config), "--out", str(data), "--seed", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train ran before --out was checked"))
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / out), "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("output error: [Errno ") and err.endswith(f"] {reason}: {str(tmp_path / out)!r}")
 
 
 def test_simulate_config_without_scenario_exits_2(tmp_path, capsys):

@@ -281,7 +281,7 @@ def test_minimal_document_yields_documented_defaults():
     assert (p.p_active_har_mw, p.p_active_gesture_mw, p.p_sleep_mw, p.p_tx_mw) == (12.5, 10.0, 0.3, 15.0)
     assert p.sample_rate_hz == 100
     assert (config.pipeline.window, config.pipeline.overlap) == (128, 0.5)
-    t = config.train.config
+    t = config.train
     assert (t.learning_rate, t.momentum, t.epochs, t.batch_size) == (0.05, 0.9, 200, 32)
     assert (t.seed, t.split_fraction, t.patience, config.train.hidden) == (0, 0.8, None, 16)
     assert config.synthetic == {}
@@ -329,6 +329,10 @@ CRASHED_LATER = [
     ),
     ([(("energy", "harvest_profile_mw", 3), math.inf)], ["energy.harvest_profile_mw: expected 24 nonnegative numbers"]),
     ([(("train", "seed"), -1)], ["train.seed: must be >= 0"]),
+    (
+        [(("synthetic_models", "gesture"), _DELETE), (_DEV, {"app": "gesture", "schedule": [["Up", 60_000]]})],
+        ["scenario.devices[0].app: no synthetic_models.gesture section to synthesize its signals from"],
+    ),
 ]
 
 

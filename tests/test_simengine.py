@@ -263,7 +263,7 @@ def test_model_driven_classification(tmp_path):
     x, stats = normalize_features(feats)
     from dataclasses import replace
 
-    tc = replace(cfg.train.config, epochs=60)
+    tc = replace(cfg.train, epochs=60)
     model = init_model((feats.shape[1], 16, 7), seed=0)
     model.stats = stats
     trained, _ = train(model, x, labels, tc)
@@ -792,7 +792,7 @@ def trained_model_path(tmp_path_factory):
     x, stats = normalize_features(feats)
     model = init_model((feats.shape[1], 16, 7), seed=0)
     model.stats = stats
-    trained, _ = train(model, x, codes[labeled], replace(cfg.train.config, epochs=60))
+    trained, _ = train(model, x, codes[labeled], replace(cfg.train, epochs=60))
     path = tmp_path_factory.mktemp("model") / "har.ohm"
     save_model(trained, path)
     return path

@@ -53,12 +53,14 @@ from openhealth.pipeline import (
     segment,
     windows_to_matrix,
 )
-from openhealth.simengine import TRACE_VERSION, replay, run_scenario
+from openhealth.simengine import TRACE_VERSION, replay, run_scenario, write_metrics
 
 REFERENCE = Path("configs/reference.json")
 # SHA-256 of the seed-0 reference trace text. A deliberate change to the
 # trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
 REFERENCE_TRACE_SHA256 = "a1287a0c08ec5c5dba4885d87fd83467c8134b7de8e13bde41737aa26604d873"
+# SHA-256 of the metrics file write_metrics writes for that trace.
+REFERENCE_METRICS_SHA256 = "669c760afee9ee9b9c56aa4692fe14ba2c3b36fa74b1285f0f7f0eb677cfe72b"
 
 
 def ok(criterion: int, message: str) -> None:
@@ -72,10 +74,13 @@ def reference_trace():
     return run_scenario(config, seed=0)
 
 
-def test_reference_trace_digest_pinned(reference_trace):
+def test_reference_trace_digest_pinned(reference_trace, tmp_path):
     assert TRACE_VERSION == 3
     digest = hashlib.sha256(reference_trace.text().encode("utf-8")).hexdigest()
     assert digest == REFERENCE_TRACE_SHA256, "reference trace bytes changed"
+    write_metrics(reference_trace, tmp_path / "metrics.json")
+    digest = hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest()
+    assert digest == REFERENCE_METRICS_SHA256, "reference metrics bytes changed"
 
 
 def test_c01_synthetic_corpus_accuracy_all_classes():

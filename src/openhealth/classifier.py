@@ -24,9 +24,11 @@ from .core import (
     STRETCH_CHANNEL,
     Label,
     check_fields,
+    label_set_for,
     num,
 )
 from .pipeline import (
+    FEATURES_PER_CHANNEL,
     FeatureStats,
     extract_feature_matrix,
     normalize_features,
@@ -482,6 +484,21 @@ def save_model(model: MlpModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> MlpModel:
     return model_from_bytes(Path(path).read_bytes())
+
+
+def check_fit(model: MlpModel, channels: int, app: str) -> None:
+    """ModelFitError unless the model can classify windows of `channels`
+    columns for app: it must take their features, score the app's labels,
+    and carry the training set's feature stats (one window cannot be
+    normalized by its own)."""
+    d, _, c = model.layer_sizes
+    labels = len(label_set_for(app))
+    if d != channels * FEATURES_PER_CHANNEL:
+        raise ModelFitError(f"model input {d} != {channels} channels x {FEATURES_PER_CHANNEL} features")
+    if c != labels:
+        raise ModelFitError(f"model has {c} classes, the {app} app has {labels} labels")
+    if model.stats is None:
+        raise ModelFitError("model has no feature stats")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .classifier import (
     DegenerateDatasetError,
     ModelFitError,
     ModelFormatError,
+    check_fit,
     evaluate,
     init_model,
     load_model,
@@ -198,17 +199,15 @@ def cmd_eval(args) -> int:
     apps = {len(label_set): name for name, label_set in APPS.items()}
     if n_classes not in apps:
         expected = " or ".join(f"{n} ({name})" for n, name in apps.items())
-        raise CliError(f"model has {n_classes} classes; expected {expected}", EXIT_DATA)
+        raise CliError(f"model error: model has {n_classes} classes; expected {expected}", EXIT_DATA)
     app = apps[n_classes]
     config = _load_config(args.config) if args.config else Config()
+    try:
+        check_fit(model, recording.values.shape[1], app)
+    except ModelFitError as exc:
+        raise CliError(f"model error: {exc}", EXIT_DATA) from None
     matrix, labels = _labeled_windows(recording, config, app)
-    feats = extract_feature_matrix(matrix)
-    if feats.shape[1] != model.layer_sizes[0]:
-        raise CliError(
-            f"feature dimension {feats.shape[1]} does not match model input {model.layer_sizes[0]}",
-            EXIT_DATA,
-        )
-    normed, _ = normalize_features(feats, model.stats)
+    normed, _ = normalize_features(extract_feature_matrix(matrix), model.stats)
     report = evaluate(model, normed, labels, label_set_for(app))
     print(render_report(report), end="")
 
@@ -270,12 +269,10 @@ def cmd_budget(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    if config.scenario is None:
-        raise CliError("config has no scenario section", EXIT_CONFIG)
     seed = _resolve_seed(args.seed)
     try:
         trace = run_scenario(config, seed)
-    except ConfigError as exc:  # a device app without synthetic_models in a document that names none
+    except ConfigError as exc:  # no scenario section, or a device the parser did not build
         raise _config_error(exc) from None
     except (OSError, ModelFormatError, ModelFitError) as exc:  # scenario.model_path
         raise CliError(f"model error: {exc}", EXIT_DATA) from None

@@ -213,16 +213,18 @@ def _fields(
     return kwargs
 
 
-def _parse_profile(obj: dict, ctx: _Ctx) -> DeviceProfile:
-    return DeviceProfile(**_fields(obj, DeviceProfile, "device_profile", ctx, DeviceProfile.RULES))
+def _settings(obj: dict, cls: type, path: str, ctx: _Ctx, rules: dict[str, Rule], nullable: Sequence[str] = ()):
+    """cls built from the keys of obj that pass their rule (see _fields).
 
-
-def _parse_pipeline(obj: dict, ctx: _Ctx) -> PipelineSettings:
-    return PipelineSettings(**_fields(obj, PipelineSettings, "pipeline", ctx, _PIPELINE))
-
-
-def _parse_train(obj: dict, ctx: _Ctx) -> TrainConfig:
-    return TrainConfig(**_fields(obj, TrainConfig, "train", ctx, TrainConfig.RULES))
+    A rule across fields that cls itself checks, such as the initial
+    battery level not exceeding the capacity, raises FieldError: it is
+    reported at that field's key and cls's defaults apply.
+    """
+    try:
+        return cls(**_fields(obj, cls, path, ctx, rules, nullable=nullable))
+    except FieldError as exc:
+        ctx.error(f"{path}.{exc.field}", exc.reason)
+        return cls()
 
 
 def _parse_label(name: Any, label_set: type, path: str, ctx: _Ctx) -> Label | None:
@@ -256,7 +258,7 @@ def _parse_synthetic_app(app: str, obj: Any, ctx: _Ctx) -> SyntheticSpec | None:
         elif label is not None:
             if "orientation" not in params:
                 ctx.error(f"{ppath}.orientation", "expected a 3-number list")
-            signals[label] = LabelSignalModel(**_fields(params, LabelSignalModel, ppath, ctx, _SIGNAL))
+            signals[label] = _settings(params, LabelSignalModel, ppath, ctx, _SIGNAL)
     schedule = _parse_schedule(obj.get("schedule"), label_set, f"{path}.schedule", ctx)
     if not signals or schedule is None:
         return None
@@ -291,21 +293,6 @@ def _parse_schedule(raw: Any, label_set: type, path: str, ctx: _Ctx):
     return out if out else None
 
 
-def _parse_energy(obj: dict, ctx: _Ctx) -> EnergySettings:
-    path = "energy"
-    kwargs = _fields(obj, EnergySettings, path, ctx, EnergySettings.RULES, nullable=("harvest_profile_mw",))
-    try:
-        return EnergySettings(**kwargs)
-    except FieldError as exc:  # a rule across fields: the initial level exceeds the capacity
-        ctx.error(f"{path}.{exc.field}", exc.reason)
-        return EnergySettings()
-
-
-def _parse_channel(obj: dict, ctx: _Ctx) -> ChannelModel:
-    kwargs = _fields(obj, ChannelModel, "channel", ctx, ChannelModel.RULES, nullable=("latency_ms",))
-    return ChannelModel(**kwargs)
-
-
 def _parse_protocol(obj: dict, ctx: _Ctx) -> ProtocolSettings:
     path = "protocol"
     kwargs = _fields(obj, ProtocolSettings, path, ctx, _PROTOCOL, extra=("key_hex", "retry"))
@@ -325,7 +312,7 @@ def _parse_protocol(obj: dict, ctx: _Ctx) -> ProtocolSettings:
                     ctx.error(f"{path}.key_hex", f"must encode exactly {KEY_LEN} bytes")
     if "retry" in obj:
         if isinstance(obj["retry"], dict):
-            kwargs["retry"] = RetryPolicy(**_fields(obj["retry"], RetryPolicy, f"{path}.retry", ctx, _RETRY))
+            kwargs["retry"] = _settings(obj["retry"], RetryPolicy, f"{path}.retry", ctx, _RETRY)
         else:
             ctx.error(f"{path}.retry", "expected an object")
     return ProtocolSettings(**kwargs)
@@ -419,9 +406,9 @@ def parse_config(raw: Any) -> Config:
             return {}
         return v
 
-    profile = _parse_profile(section("device_profile"), ctx)
-    pipeline = _parse_pipeline(section("pipeline"), ctx)
-    train = _parse_train(section("train"), ctx)
+    profile = _settings(section("device_profile"), DeviceProfile, "device_profile", ctx, DeviceProfile.RULES)
+    pipeline = _settings(section("pipeline"), PipelineSettings, "pipeline", ctx, _PIPELINE)
+    train = _settings(section("train"), TrainConfig, "train", ctx, TrainConfig.RULES)
 
     synthetic: dict[str, SyntheticSpec] = {}
     syn_obj = section("synthetic_models")
@@ -431,8 +418,10 @@ def parse_config(raw: Any) -> Config:
         if spec is not None:
             synthetic[app] = spec
 
-    energy = _parse_energy(section("energy"), ctx)
-    channel = _parse_channel(section("channel"), ctx)
+    energy = _settings(
+        section("energy"), EnergySettings, "energy", ctx, EnergySettings.RULES, nullable=("harvest_profile_mw",)
+    )
+    channel = _settings(section("channel"), ChannelModel, "channel", ctx, ChannelModel.RULES, nullable=("latency_ms",))
     protocol = _parse_protocol(section("protocol"), ctx)
     scenario = None
     if "scenario" in raw:

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classifier import MlpModel, ModelFitError, forward, load_model
+from .classifier import MlpModel, ModelFitError, check_fit, forward, load_model
 from .config import Config, ConfigError, DeviceSpec, ScenarioSettings
 from .core import Label, label_set_for
 from .dataio import channel_count, synthesize_signal
@@ -70,7 +70,7 @@ from .netproto import (
     unpack_ack,
     unpack_sync_reply,
 )
-from .pipeline import FEATURES_PER_CHANNEL, extract_feature_matrix, majority_label, normalize_features
+from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
 TRACE_VERSION = 3
 MIN_RADIO_MS = 1
@@ -704,31 +704,11 @@ class SimTrace:
         return "\n".join(self.lines) + "\n"
 
 
-def _check_model_fit(model: MlpModel, config: Config) -> None:
-    """ModelFitError naming the first scenario device that the model cannot
-    classify for: it must take the features of the device's channels, score
-    the labels of its app, and carry the training set's feature stats (one
-    window cannot be normalized by its own)."""
-    d, _, c = model.layer_sizes
-    for spec in config.scenario.devices:
-        channels = channel_count(config.synthetic[spec.app].signals)
-        labels = len(label_set_for(spec.app))
-        if d != channels * FEATURES_PER_CHANNEL:
-            problem = f"model input {d} != {channels} channels x {FEATURES_PER_CHANNEL} features"
-        elif c != labels:
-            problem = f"model has {c} classes, the {spec.app} app has {labels} labels"
-        elif model.stats is None:
-            problem = "model has no feature stats"
-        else:
-            continue
-        raise ModelFitError(f"device {spec.device_id}: {problem}")
-
-
 def run_scenario(config: Config, seed: int = 0) -> SimTrace:
     """Execute the configured scenario; returns the trace and derived metrics."""
     scenario = config.scenario
     if scenario is None:
-        raise ValueError("config has no scenario section")
+        raise ConfigError(["config has no scenario section"])
     for i, spec in enumerate(scenario.devices):
         if spec.app not in config.synthetic:
             path = f"scenario.devices[{i}].app"
@@ -736,7 +716,11 @@ def run_scenario(config: Config, seed: int = 0) -> SimTrace:
     model = None
     if scenario.model_path is not None:
         model = load_model(scenario.model_path)
-        _check_model_fit(model, config)
+        for spec in scenario.devices:
+            try:
+                check_fit(model, channel_count(config.synthetic[spec.app].signals), spec.app)
+            except ModelFitError as exc:
+                raise ModelFitError(f"device {spec.device_id}: {exc}") from None
 
     sim = Simulator(seed)
     sim.emit("trace_version", "sim", TRACE_VERSION)

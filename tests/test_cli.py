@@ -200,16 +200,23 @@ def test_simulate_bad_model_path_exits_3(tmp_path, capsys, blob):
 
 
 @pytest.mark.parametrize(
-    "app, layer_sizes, stats, problem",
+    "command, app, layer_sizes, stats, problem",
     [
-        ("har", (72, 16, 7), True, "model input 72 != 7 channels x 12 features"),
-        ("gesture", (72, 16, 7), True, "model has 7 classes, the gesture app has 4 labels"),
-        ("har", (84, 16, 4), True, "model has 4 classes, the har app has 7 labels"),
-        ("har", (84, 16, 7), False, "model has no feature stats"),
+        ("simulate", "har", (72, 16, 7), True, "model input 72 != 7 channels x 12 features"),
+        ("simulate", "gesture", (72, 16, 7), True, "model has 7 classes, the gesture app has 4 labels"),
+        ("simulate", "har", (84, 16, 4), True, "model has 4 classes, the har app has 7 labels"),
+        ("simulate", "har", (84, 16, 7), False, "model has no feature stats"),
+        ("eval", "har", (72, 16, 7), True, "model input 72 != 7 channels x 12 features"),
+        ("eval", "har", (84, 16, 5), True, "model has 5 classes; expected 7 (har) or 4 (gesture)"),
+        ("eval", "har", (84, 16, 7), False, "model has no feature stats"),
     ],
-    ids=["har-input", "gesture-classes", "har-classes", "no-stats"],
+    ids=["har-input", "gesture-classes", "har-classes", "no-stats", "eval-input", "eval-classes", "eval-no-stats"],
 )
-def test_simulate_model_that_does_not_fit_a_device_exits_3(tmp_path, capsys, app, layer_sizes, stats, problem):
+def test_simulate_model_that_does_not_fit_a_device_exits_3(
+    tmp_path, capsys, command, app, layer_sizes, stats, problem
+):
+    """simulate checks the model against each device; eval against the app
+    its class count names and the data's channels."""
     from openhealth.classifier import init_model, save_model
     from openhealth.pipeline import FeatureStats
 
@@ -224,10 +231,19 @@ def test_simulate_model_that_does_not_fit_a_device_exits_3(tmp_path, capsys, app
         raw["scenario"]["devices"] = [{"id": 1, "app": app, "schedule": [[label, 60_000]]}]
 
     config = write_config(tmp_path, mutate=use_model)
-    code = main(["simulate", "--config", str(config), "--trace", str(tmp_path / "t.trace")])
+    if command == "simulate":
+        prefix = "device 1: "
+        code = main(["simulate", "--config", str(config), "--trace", str(tmp_path / "t.trace")])
+    else:
+        prefix = ""
+        data = tmp_path / "d.csv"
+        assert main(["datagen", "--config", str(config), "--app", app, "--out", str(data), "--seed", "7"]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--data", str(data), "--model", str(tmp_path / "m.ohm")])
     assert code == 3
-    assert capsys.readouterr().err.strip() == f"model error: device 1: {problem}"
+    assert capsys.readouterr().err.strip() == f"model error: {prefix}{problem}"
     assert not (tmp_path / "t.trace").exists()
+    assert not (tmp_path / "d_report.json").exists()
 
 
 def test_simulate_device_app_without_synthetic_models_exits_2(tmp_path, capsys):

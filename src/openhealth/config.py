@@ -274,9 +274,14 @@ def _parse_synthetic_app(app: str, obj: Any, ctx: _Ctx) -> SyntheticSpec | None:
     return SyntheticSpec(app=app, signals=signals, schedule=tuple(schedule), **kwargs)
 
 
+# A schedule's two rules, which run_scenario also applies to a Config built in code.
+EMPTY_SCHEDULE = "expected a non-empty list of [label, duration_ms] pairs"
+BAD_DURATION = "duration_ms must be a positive integer"
+
+
 def _parse_schedule(raw: Any, label_set: type, path: str, ctx: _Ctx):
     if not isinstance(raw, list) or not raw:
-        ctx.error(path, "expected a non-empty list of [label, duration_ms] pairs")
+        ctx.error(path, EMPTY_SCHEDULE)
         return None
     out = []
     for i, entry in enumerate(raw):
@@ -287,7 +292,7 @@ def _parse_schedule(raw: Any, label_set: type, path: str, ctx: _Ctx):
         if label is None:
             continue
         if not is_int(entry[1]) or entry[1] <= 0:
-            ctx.error(f"{path}[{i}]", "duration_ms must be a positive integer")
+            ctx.error(f"{path}[{i}]", BAD_DURATION)
             continue
         out.append((label, entry[1]))
     return out if out else None

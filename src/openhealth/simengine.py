@@ -35,8 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .classifier import MlpModel, ModelFitError, check_fit, forward, load_model
-from .config import Config, ConfigError, DeviceSpec, ScenarioSettings
-from .core import Label, label_set_for
+from .config import BAD_DURATION, EMPTY_SCHEDULE, Config, ConfigError, DeviceSpec, ScenarioSettings
+from .core import Label, is_int, label_set_for
 from .dataio import channel_count, synthesize_signal
 from .firmware import (
     BATTERY_RECOVERY_FRACTION,
@@ -276,8 +276,6 @@ class SimDevice:
     def _tile_blocks(schedule, duration_ms: int):
         blocks = []
         t = 0
-        if not schedule:
-            return [(0, duration_ms, None)]
         while t < duration_ms:
             for label, dur in schedule:
                 if t >= duration_ms:
@@ -710,9 +708,14 @@ def run_scenario(config: Config, seed: int = 0) -> SimTrace:
     if scenario is None:
         raise ConfigError(["config has no scenario section"])
     for i, spec in enumerate(scenario.devices):
+        path = f"scenario.devices[{i}]"
         if spec.app not in config.synthetic:
-            path = f"scenario.devices[{i}].app"
-            raise ConfigError([f"{path}: no synthetic_models.{spec.app} section to synthesize its signals from"])
+            raise ConfigError([f"{path}.app: no synthetic_models.{spec.app} section to synthesize its signals from"])
+        if not spec.schedule:
+            raise ConfigError([f"{path}.schedule: {EMPTY_SCHEDULE}"])
+        for j, (_, duration_ms) in enumerate(spec.schedule):
+            if not is_int(duration_ms) or duration_ms <= 0:
+                raise ConfigError([f"{path}.schedule[{j}]: {BAD_DURATION}"])
     model = None
     if scenario.model_path is not None:
         model = load_model(scenario.model_path)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, seed as hypothesis_seed, settings, strategies as st
 
 from openhealth.classifier import load_model
-from openhealth.config import load_config, parse_config
+from openhealth.config import Config, ConfigError, DeviceSpec, load_config, parse_config
 from openhealth.core import ActivityLabel
 from openhealth.firmware import motion_detector
 from openhealth.netproto import AppId, frame_nonce, peek_header
@@ -638,6 +639,34 @@ def test_sync_times_out_after_three_attempts():
     ]
     assert len(sync_requests) == 3
     assert trace.metrics["devices"]["dev1"]["sync"]["offset_est_ms"] is None
+
+
+def test_run_scenario_refuses_a_config_without_scenario():
+    with pytest.raises(ConfigError) as exc:
+        run_scenario(Config())
+    assert exc.value.errors == ["config has no scenario section"]
+
+
+@pytest.mark.parametrize(
+    "schedule, error",
+    [
+        ((), "scenario.devices[1].schedule: expected a non-empty list of [label, duration_ms] pairs"),
+        (
+            ((ActivityLabel.Walk, 1000), (ActivityLabel.Sit, 0)),
+            "scenario.devices[1].schedule[1]: duration_ms must be a positive integer",
+        ),
+        (((ActivityLabel.Walk, -5),), "scenario.devices[1].schedule[0]: duration_ms must be a positive integer"),
+    ],
+    ids=["empty", "zero-block", "negative-block"],
+)
+def test_run_scenario_refuses_a_schedule_built_in_code(schedule, error):
+    """The parser never builds these schedules; a Config built in code can."""
+    config = small_config(duration_ms=60_000)
+    devices = (config.scenario.devices[0], DeviceSpec(2, schedule=schedule))
+    config = replace(config, scenario=replace(config.scenario, devices=devices))
+    with pytest.raises(ConfigError) as exc:
+        run_scenario(config)
+    assert exc.value.errors == [error]
 
 
 def test_replay_version_mismatch():

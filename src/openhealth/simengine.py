@@ -762,8 +762,21 @@ def read_trace(path: str | Path) -> list[str]:
     return Path(path).read_text(encoding="utf-8").splitlines()
 
 
+def _check_version(lines: list[str]) -> None:
+    """VersionMismatch at line 1 unless the trace is empty or opens with
+    the version line of TRACE_VERSION; every trace reader runs it first."""
+    if not lines:
+        return
+    first = lines[0].split("\t")
+    if len(first) < 4 or first[1] != "trace_version":
+        raise VersionMismatch(1, "trace has no version line")
+    if first[3] != str(TRACE_VERSION):
+        raise VersionMismatch(1, f"trace version {first[3]} != supported {TRACE_VERSION}")
+
+
 def trace_observations(lines: list[str]) -> list[Observation]:
     """Host observation log entries recovered from the trace; raises only TraceFormatError."""
+    _check_version(lines)
     out = []
     try:
         for lineno, line in enumerate(lines, start=1):
@@ -789,6 +802,7 @@ def trace_observations(lines: list[str]) -> list[Observation]:
 
 def trace_metrics(lines: list[str]) -> dict:
     """Aggregate a trace into summary metrics (re-derivable from the file alone)."""
+    _check_version(lines)
     devices: dict[str, dict] = {}
     host = {"frames_received": 0, "frames_rejected": {}, "observations": {}, "alerts_notified": 0}
     channel = {"transmitted": 0, "lost": 0, "corrupted": 0}
@@ -927,14 +941,10 @@ def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
     silence while depleted, seq monotonicity, frame causality and canary absence.
     Line numbers are 1-based."""
     report = ReplayReport(passed=True)
+    _check_version(lines)
     if not lines:
         report.warnings.append("empty trace: vacuous pass")
         return report
-    first = lines[0].split("\t")
-    if len(first) < 4 or first[1] != "trace_version":
-        raise VersionMismatch(1, "trace has no version line")
-    if first[3] != str(TRACE_VERSION):
-        raise VersionMismatch(1, f"trace version {first[3]} != supported {TRACE_VERSION}")
 
     initial: dict[str, float] = {}
     capacity: dict[str, float] = {}

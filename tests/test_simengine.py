@@ -676,6 +676,35 @@ def test_replay_version_mismatch():
         replay(["0\tscenario\tsim\t1\t1\t0"])
 
 
+@pytest.mark.parametrize("reader", [replay, trace_metrics, trace_observations])
+@pytest.mark.parametrize(
+    "first, detail",
+    [("0\ttrace_version\tsim\t2", "trace version 2 != supported 3"), (None, "trace has no version line")],
+    ids=["version-2", "no-version-line"],
+)
+def test_trace_readers_refuse_another_version(small_trace, reader, first, detail):
+    lines = list(small_trace.lines)
+    if first is None:
+        del lines[0]
+    else:
+        lines[0] = first
+    with pytest.raises(VersionMismatch, match=f"^line 1: {re.escape(detail)}$"):
+        reader(lines)
+
+
+def test_trace_readers_on_empty_input():
+    assert replay([]).passed
+    assert trace_observations([]) == []
+    assert trace_metrics([]) == {
+        "trace_version": TRACE_VERSION,
+        "duration_ms": 0,
+        "seed": None,
+        "devices": {},
+        "host": {"frames_received": 0, "frames_rejected": {}, "observations": {}, "alerts_notified": 0},
+        "channel": {"transmitted": 0, "lost": 0, "corrupted": 0},
+    }
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_trace_readers_raise_only_format_errors(small_trace, data):

@@ -818,7 +818,7 @@ def trace_metrics(lines: list[str]) -> dict:
                 "classifications": {},
                 "alerts": {"sent": 0, "delivered": 0, "undelivered": 0, "attempts": {}, "latency_ms": {}},
                 "battery_mwh": {},
-                "battery_series": [],
+                "battery_daily": [],  # [day, mWh] at each day boundary, then at the end
                 "energy_mwh": {},
                 "dwell_ms": {},
                 "sync": {"offset_est_ms": None, "rtt_ms": None, "timeouts": 0},
@@ -887,7 +887,15 @@ def trace_metrics(lines: list[str]) -> dict:
             elif kind == "energy":
                 d = dev(entity)
                 battery = float(parts[3])
-                d["battery_series"].append([t, battery])
+                # A trace is in time order, so its day-boundary lines and the
+                # final one arrive in order; the last line at a time counts.
+                if t == duration or (0 <= t < duration and t % DAY_MS == 0):
+                    day = t // DAY_MS if t >= 0 and t % DAY_MS == 0 else t / DAY_MS
+                    daily = d["battery_daily"]
+                    if daily and daily[-1][0] == day:
+                        daily[-1][1] = battery
+                    else:
+                        daily.append([day, battery])
                 d["battery_mwh"]["end"] = battery
                 d["battery_mwh"]["min"] = min(d["battery_mwh"].get("min", battery), battery)
                 d["energy_mwh"] = {
@@ -900,20 +908,6 @@ def trace_metrics(lines: list[str]) -> dict:
                 d["dwell_ms"] = {state.value: int(parts[9 + i]) for i, state in enumerate(PowerState)}
     except (IndexError, ValueError) as exc:
         raise TraceFormatError(lineno, f"cannot parse ({type(exc).__name__}: {exc})") from None
-
-    for d in devices.values():
-        series = d.pop("battery_series")
-        daily = []
-        by_t = {t: b for t, b in series}
-        day = 0
-        while day * DAY_MS <= duration:
-            t = day * DAY_MS
-            if t in by_t:
-                daily.append([day, by_t[t]])
-            day += 1
-        if duration in by_t and (not daily or daily[-1][0] * DAY_MS != duration):
-            daily.append([duration / DAY_MS, by_t[duration]])
-        d["battery_daily"] = daily
 
     return {
         "trace_version": TRACE_VERSION,

@@ -2,9 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from openhealth.core import ActivityLabel, LabeledRecording
 from openhealth.dataio import LabelSignalModel, SyntheticActivityModel
+
+# Every @given test draws the same examples on every run, and no example
+# database is written; each test's own max_examples still applies.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def make_values(n: int, stretch: float | None = 0.5) -> np.ndarray:

@@ -107,21 +107,10 @@ def extract_feature_matrix(windows: np.ndarray) -> np.ndarray:
     if w < MIN_WINDOW:
         raise ValueError(f"window length {w} too short for {FFT_BINS} FFT bins (need >= {MIN_WINDOW})")
     mean = windows.mean(axis=1)
-    std = windows.std(axis=1)
-    mn = windows.min(axis=1)
-    mx = windows.max(axis=1)
-    centered = windows - mean[:, None, :]
-    spectrum = np.abs(np.fft.rfft(centered, axis=1))[:, 1 : FFT_BINS + 1, :] * (2.0 / w)
-
-    feats = np.empty((n, c * FEATURES_PER_CHANNEL), dtype=float)
-    for ch in range(c):
-        base = ch * FEATURES_PER_CHANNEL
-        feats[:, base + 0] = mean[:, ch]
-        feats[:, base + 1] = std[:, ch]
-        feats[:, base + 2] = mn[:, ch]
-        feats[:, base + 3] = mx[:, ch]
-        feats[:, base + 4 : base + 4 + FFT_BINS] = spectrum[:, :, ch]
-    return feats
+    spectrum = np.abs(np.fft.rfft(windows - mean[:, None, :], axis=1))[:, 1 : FFT_BINS + 1, :] * (2.0 / w)
+    moments = np.stack([mean, windows.std(axis=1), windows.min(axis=1), windows.max(axis=1)], axis=1)
+    # (n, 12, c): one column of features per channel; the transposed reshape lays them out channel by channel.
+    return np.concatenate([moments, spectrum], axis=1).transpose(0, 2, 1).reshape(n, c * FEATURES_PER_CHANNEL)
 
 
 def normalize_features(

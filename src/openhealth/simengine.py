@@ -74,7 +74,10 @@ from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
 TRACE_VERSION = 3
 MIN_RADIO_MS = 1
-WINDOWS_AHEAD_MAX = 32  # the largest batch synthesized ahead: 230 KB for 32 windows of 128 x 7 float64
+# The largest batch synthesized and labelled ahead. The cache keeps each window's
+# motion flag and label, not its samples: a batch's 230 KB (32 windows of 128 x 7
+# float64) lives only until it is labelled.
+WINDOWS_AHEAD_MAX = 32
 DAY_MS = SLOT_MS * SLOTS_PER_DAY
 
 
@@ -235,7 +238,7 @@ class SimDevice:
         self.noise_reset = self.noise.bit_generator.state
         # The oracle reads only the label counts, so it needs accel alone for motion.
         self.window_columns = 3 if model is None else self.channels
-        self.ahead: dict[int, tuple[bool, tuple[Label, float] | None, np.ndarray]] = {}  # see _window
+        self.ahead: dict[int, tuple[bool, tuple[Label, float]]] = {}  # see _window
         self.ahead_next: int | None = None  # the start that would follow the last batch
 
         e = config.energy
@@ -366,17 +369,18 @@ class SimDevice:
             counts[label.value] += j - i
         return matrix[..., :columns], counts
 
-    def _window(self, start_ms: int) -> tuple[bool, tuple[Label, float] | None, np.ndarray]:
+    def _window(self, start_ms: int) -> tuple[bool, tuple[Label, float]]:
         """The window beginning at start_ms, window number window_index: its
-        motion flag, the oracle's (label, confidence) if the device has no
-        model, and its (W, window_columns) samples. Served from the windows
-        synthesized ahead; a miss synthesizes start_ms and the starts
-        predicted to follow it, each wholly inside the same schedule block.
-        The batch doubles on each miss that lands where the last batch
-        predicted, up to WINDOWS_AHEAD_MAX, and is one window otherwise, so
-        a short wake wastes little; a batch predicts no start past its block,
-        since the next block may be still. The windows of a batch share their
-        label counts, so the oracle labels the batch once."""
+        motion flag and its (label, confidence), the model's or, on a device
+        without one, the oracle's. Served from the windows synthesized and
+        labelled ahead; a miss synthesizes start_ms and the starts predicted
+        to follow it, each wholly inside the same schedule block, and labels
+        them all. The batch doubles on each miss that lands where the last
+        batch predicted, up to WINDOWS_AHEAD_MAX, and is one window
+        otherwise, so a short wake wastes little; a batch predicts no start
+        past its block, since the next block may be still. The windows of a
+        batch share their label counts, so the oracle labels the batch once;
+        the model classifies the batch in one _classify call."""
         window = self.ahead.get(start_ms)
         if window is not None:
             return window
@@ -391,8 +395,8 @@ class SimDevice:
             starts.append(following)
             following = self._next_start(following, self.window_index + len(starts) - 1)
         matrix, counts = self._window_samples(starts, self.window_columns)
-        oracle = self._oracle(counts) if self.model is None else None
-        self.ahead = dict(zip(starts, zip(motion_detector(matrix).tolist(), [oracle] * len(starts), matrix)))
+        labels = [self._oracle(counts)] * len(starts) if self.model is None else self._classify(matrix)
+        self.ahead = dict(zip(starts, zip(motion_detector(matrix).tolist(), labels)))
         self.ahead_next = following if following + last_ms < end else None
         return self.ahead[start_ms]
 
@@ -417,13 +421,18 @@ class SimDevice:
             label = self.label_set(counts.index(top))
         return label, top / self.window
 
-    def _classify(self, matrix: np.ndarray) -> tuple[Label, float]:
-        """The model's label for a window and its probability."""
-        feats = extract_feature_matrix(matrix[None, :, :])
-        normed, _ = normalize_features(feats, self.model.stats)
-        probs = forward(self.model, normed)[0]
-        idx = int(np.argmax(probs))
-        return self.label_set(idx), float(probs[idx])
+    def _classify(self, matrix: np.ndarray) -> list[tuple[Label, float]]:
+        """The model's label and its probability for each window of a (k, W, c) batch.
+        Features and their normalization give each row the same bytes in a
+        batch as alone, so they run once over the batch. forward runs row by
+        row: a batched matmul may differ from it in the last bits."""
+        normed, _ = normalize_features(extract_feature_matrix(matrix), self.model.stats)
+        labels = []
+        for row in normed:
+            probs = forward(self.model, row[None, :])[0]
+            idx = int(np.argmax(probs))
+            labels.append((self.label_set(idx), float(probs[idx])))
+        return labels
 
     # -- energy ------------------------------------------------------------------
 
@@ -523,7 +532,7 @@ class SimDevice:
         self._maybe_recover()
         if self.depleted or self.state is not PowerState.Sleep or not self._cycle_fits():
             return
-        moving, _, _ = self._window(self.sim.now)  # the first window's, if the wake goes on
+        moving, _ = self._window(self.sim.now)  # the first window's, if the wake goes on
         if not moving:
             return
         self.last_motion_ms = self.sim.now
@@ -531,10 +540,9 @@ class SimDevice:
         self._end_dwell_after(self.window_ms, entered, self._window_done)
 
     def _window_done(self) -> None:
-        moving, oracle, matrix = self._window(self.sim.now - self.window_ms)
+        moving, (label, confidence) = self._window(self.sim.now - self.window_ms)
         if moving:
             self.last_motion_ms = self.sim.now
-        label, confidence = oracle or self._classify(matrix)
         entered = self._transition(DeviceEvent.WindowFull)
         conf_fp = min(CONFIDENCE_SCALE, round(confidence * CONFIDENCE_SCALE))
         self.sim.emit("classify", self.name, self.window_index, label.name, conf_fp)
@@ -931,9 +939,9 @@ _RECEIPT_KINDS = ("frame_rx", "frame_reject", "alert_delivered", "sync")
 
 
 def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
-    """Re-check trace invariants: version, energy ledger, state dwell, radio
-    silence while depleted, seq monotonicity, frame causality and canary absence.
-    Line numbers are 1-based."""
+    """Re-check trace invariants: version, time order, energy ledger, state
+    dwell, radio silence while depleted, seq monotonicity, frame causality and
+    canary absence. Line numbers are 1-based."""
     report = ReplayReport(passed=True)
     _check_version(lines)
     if not lines:
@@ -947,11 +955,16 @@ def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
     tx_keys: set[tuple[str, int, int, int]] = set()
     depleted: set[str] = set()
     event_lines = 0
+    last_ms = 0
 
     try:
         for lineno, line in enumerate(lines, start=1):
             parts = line.split("\t")
             kind, entity = parts[1], parts[2]
+            t_ms = int(parts[0])
+            if t_ms < last_ms:
+                report.failures.append(f"line {lineno}: t_ms {t_ms} before the previous line's {last_ms}")
+            last_ms = t_ms
             if kind in ("trace_version", "scenario", "scenario_end"):
                 continue
             event_lines += 1

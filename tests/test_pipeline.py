@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from openhealth.core import ActivityLabel, GestureLabel, LabeledRecording
 from openhealth.pipeline import (
     FEATURES_PER_CHANNEL,
     FFT_BINS,
+    FeatureStats,
     extract_feature_matrix,
     majority_label,
     normalize_features,
@@ -165,6 +167,62 @@ def test_feature_matrix_matches_single_window_path(tiny_har_model):
     stacked = np.stack([rec.values[s : s + 128] for s in starts])
     assert np.array_equal(windows_to_matrix(rec, starts, 128), stacked)
     assert np.allclose(batch, singles, atol=0, rtol=0)
+
+
+def _random_windows(data):
+    """A (k, W, c) batch of 1-32 random windows, W in {16, 128}, c in {3, 7}:
+    each channel noise about its own offset, at a scale from constant to
+    gyro-sized."""
+    k = data.draw(st.integers(1, 32), label="k")
+    w = data.draw(st.sampled_from([16, 128]), label="W")
+    c = data.draw(st.sampled_from([3, 7]), label="c")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    return rng.normal(rng.normal(0.0, 5.0, c), rng.choice([0.0, 0.01, 1.0, 300.0], c), (k, w, c))
+
+
+def _features_by_channel_loop(windows):
+    """The per-channel loop that extract_feature_matrix replaced, kept as its reference."""
+    n, w, c = windows.shape
+    mean = windows.mean(axis=1)
+    std = windows.std(axis=1)
+    mn = windows.min(axis=1)
+    mx = windows.max(axis=1)
+    centered = windows - mean[:, None, :]
+    spectrum = np.abs(np.fft.rfft(centered, axis=1))[:, 1 : FFT_BINS + 1, :] * (2.0 / w)
+    feats = np.empty((n, c * FEATURES_PER_CHANNEL), dtype=float)
+    for ch in range(c):
+        base = ch * FEATURES_PER_CHANNEL
+        feats[:, base + 0] = mean[:, ch]
+        feats[:, base + 1] = std[:, ch]
+        feats[:, base + 2] = mn[:, ch]
+        feats[:, base + 3] = mx[:, ch]
+        feats[:, base + 4 : base + 4 + FFT_BINS] = spectrum[:, :, ch]
+    return feats
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_feature_matrix_equals_the_per_channel_loop(data):
+    windows = _random_windows(data)
+    feats = extract_feature_matrix(windows)
+    reference = _features_by_channel_loop(windows)
+    assert feats.shape == reference.shape
+    assert feats.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_normalized_features_equal_each_window_alone(data):
+    """The simulator featurizes and normalizes a device's windows a batch at
+    a time; each row must have the bytes its window gets alone."""
+    windows = _random_windows(data)
+    dim = windows.shape[2] * FEATURES_PER_CHANNEL
+    rng = np.random.default_rng(windows.shape[0])
+    stats = FeatureStats(mean=rng.normal(0.0, 3.0, dim), std=rng.uniform(1e-3, 50.0, dim))
+    batch, _ = normalize_features(extract_feature_matrix(windows), stats)
+    for window, row in zip(windows, batch):
+        alone, _ = normalize_features(extract_feature_matrix(window[None, :, :]), stats)
+        assert row.tobytes() == alone[0].tobytes()
 
 
 def test_window_too_short_for_fft_bins():

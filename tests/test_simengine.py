@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, seed as hypothesis_seed, settings, strategies as st
 
-from openhealth.classifier import load_model
+from openhealth.classifier import forward, load_model
 from openhealth.config import Config, ConfigError, DeviceSpec, load_config, parse_config
 from openhealth.core import ActivityLabel
 from openhealth.firmware import motion_detector
 from openhealth.netproto import AppId, frame_nonce, peek_header
+from openhealth.pipeline import extract_feature_matrix, normalize_features
 from openhealth.simengine import (
     TRACE_VERSION,
     Simulator,
@@ -503,6 +504,15 @@ def _window_drawn_alone(device, start_ms, columns):
     return matrix[:, :columns]
 
 
+def _classified_alone(device, samples):
+    """The per-window rule that a batch classified at once must reproduce:
+    the one window alone through features, normalization and forward."""
+    normed, _ = normalize_features(extract_feature_matrix(samples[None, :, :]), device.model.stats)
+    probs = forward(device.model, normed)[0]
+    idx = int(np.argmax(probs))
+    return device.label_set(idx), float(probs[idx])
+
+
 AHEAD_SCHEDULE = [["Walk", 30_000], ["Jump", 700], ["Sit", 19_300]]
 # A Walk that swings past every sensor bound, so that clipping shows in the samples.
 FULL_SCALE_WALK = {
@@ -536,41 +546,66 @@ def test_windows_synthesized_ahead_equal_the_window_drawn_alone(
     requests = grid + [off_grid + k * cycle for k in range(steps)] + fixed
     columns = device.channels if use_model else 3
     expected = {start: _window_drawn_alone(device, start, columns) for start in requests}
+    # The samples each start was last synthesized with: those its cached entry was labelled from.
+    drawn, real = {}, device._window_samples
+
+    def recorded(starts, columns=None):
+        matrix, counts = real(starts, columns)
+        drawn.update(zip(starts, matrix))
+        return matrix, counts
+
+    device._window_samples = recorded
     for order in (requests, data.draw(st.permutations(requests))):
         for start in order:
-            moving, oracle, samples = device._window(start)
+            moving, labelled = device._window(start)
             alone = expected[start]
-            assert samples.tobytes() == alone.tobytes(), start
+            assert drawn[start].tobytes() == alone.tobytes(), start
             assert moving == motion_detector(alone), start
-            counts = device._window_samples([start], columns)[1]
-            assert oracle == (None if use_model else device._oracle(counts)), start
+            if use_model:
+                assert labelled == _classified_alone(device, alone), start
+            else:
+                assert labelled == device._oracle(real([start], columns)[1]), start
     # A batch holds only windows of one block, each drawn from its own reset.
     inside = [start for start in grid if start + device.sample_offsets_ms[-1] < 30_000]
     if len(inside) > 1:
-        batch, _ = device._window_samples(inside, columns)
+        batch, _ = real(inside, columns)
         for start, samples in zip(inside, batch):
             assert samples.tobytes() == expected[start].tobytes(), start
 
 
-def test_each_window_start_is_synthesized_once(monkeypatch):
-    """A wake's probe window is its first window: no start is drawn twice."""
+@pytest.mark.parametrize("use_model", [False, True], ids=["oracle", "model"])
+def test_each_window_start_is_synthesized_once(monkeypatch, trained_model_path, use_model):
+    """A wake's probe window is its first window: no start is drawn twice. A
+    model device featurizes each batch in one call as it draws it, so no
+    window is featurized twice either."""
+    from openhealth import simengine
     from openhealth.simengine import SimDevice
 
-    drawn, batches = Counter(), []
+    drawn, batches, featurized = Counter(), [], []
     real = SimDevice._window_samples
+    real_features = simengine.extract_feature_matrix
 
     def counted(self, starts, columns=None):
         drawn.update((self.name, start) for start in starts)
         batches.append(len(starts))
         return real(self, starts, columns)
 
+    def counted_features(windows):
+        featurized.append(len(windows))
+        return real_features(windows)
+
     monkeypatch.setattr(SimDevice, "_window_samples", counted)
-    trace = run_scenario(small_config(), seed=11)
+    monkeypatch.setattr(simengine, "extract_feature_matrix", counted_features)
+    raw = small_raw()
+    if use_model:
+        raw["scenario"]["model_path"] = str(trained_model_path)
+    trace = run_scenario(parse_config(raw), seed=11)
     classified = sum(line.split("\t")[1] == "classify" for line in trace.lines)
     assert classified > 50
     assert max(drawn.values()) == 1
     assert max(batches) > 1  # windows were synthesized ahead
     assert classified <= len(drawn) < 1.25 * classified
+    assert featurized == (batches if use_model else [])
 
 
 def _count_batches(monkeypatch, raw):
@@ -784,6 +819,18 @@ def test_replay_rejects_energy_without_device_init(small_trace):
     assert report.failures[0] == f"line {first + 1}: energy line for dev1 before its device_init"
 
 
+def test_replay_detects_lines_out_of_time_order(small_trace):
+    lines = list(small_trace.lines)
+    first, second = [i for i, line in enumerate(lines) if line.split("\t")[1:3] == ["energy", "dev1"]][:2]
+    lines[first], lines[second] = lines[second], lines[first]
+    t_ms = [int(line.split("\t")[0]) for line in lines]
+    report = replay(lines)
+    assert report.failures == [
+        f"line {first + 2}: t_ms {t_ms[first + 1]} before the previous line's {t_ms[first]}",
+        f"line {second + 1}: t_ms {t_ms[second]} before the previous line's {t_ms[second - 1]}",
+    ]
+
+
 def test_replay_detects_rx_without_tx(small_trace):
     lines = list(small_trace.lines)
     lines.append("999999\tframe_rx\thost\tDATA\t1\t424242")
@@ -992,7 +1039,8 @@ def test_replay_detects_a_device_hearing_while_depleted(depletion_trace, small_t
     down = kinds.index("battery_depleted")
     # The depletion pin has no sync line; the small trace's is for dev1 too.
     heard = next(line for line in lines + small_trace.lines if line.split("\t")[1:3] == [kind, "dev1"])
-    lines.insert(down + 1, heard)
+    # At the depletion's own time, so that the line is in time order and its only fault is being heard.
+    lines.insert(down + 1, "\t".join([lines[down].split("\t")[0], *heard.split("\t")[1:]]))
     report = replay(lines)
     assert report.failures == [f"line {down + 2}: device dev1 logged {kind} while depleted"]
 

@@ -1,14 +1,21 @@
 """Deterministic discrete-event simulation of devices, channel and host.
 
-Every entity draws from its own seeded stream, so event handling order can
-never change the randomness an entity sees. The channel's generator is
-seeded by (seed, hash of its name). A device's sensor noise comes from one
-Philox counter-based generator keyed by (seed, device id): the window that
-starts at t ms draws from block counter (0, t, 0, 0) on, so each window owns
-2^64 blocks and its samples depend only on (seed, device, t). A device
-synthesizes the windows it expects next ahead of time, in batches, but each
-from its own reset stream, so neither the batch size nor a wrong guess can
-change a sample. Simulated time is integer milliseconds.
+Each device runs as its own shard: an event kernel, a channel and a host
+that serve that device alone. Devices share no state, so shards can run in
+any order or in parallel, and the trace merges their lines in one canonical
+order (see run_scenario). Simulated time is integer milliseconds.
+
+A device draws from two streams, both keyed by (seed, device id), so neither
+the event order nor another device can change what it sees. Its sensor noise
+comes from a Philox counter-based generator keyed by the root of that seed:
+the window that starts at t ms draws from block counter (0, t, 0, 0) on, so
+each window owns 2^64 blocks and its samples depend only on (seed, device,
+t). A device synthesizes the windows it expects next ahead of time, in
+batches, but each from its own reset stream, so neither the batch size nor a
+wrong guess can change a sample. Its channel draws every fate of the device's
+frames, and of the host's ACKs to it, in the shard's send order from a
+generator seeded by the same (seed, device id) under spawn key
+CHANNEL_STREAM, which keeps it apart from the noise key.
 
 Trace format (UTF-8, tab-separated, one event per line):
 
@@ -24,9 +31,9 @@ through ``firmware.account_energy``. Its cycle moves only through
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,13 +79,15 @@ from .netproto import (
 )
 from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
-TRACE_VERSION = 3
+TRACE_VERSION = 4
 MIN_RADIO_MS = 1
 # The largest batch synthesized and labelled ahead. The cache keeps each window's
 # motion flag and label, not its samples: a batch's 230 KB (32 windows of 128 x 7
 # float64) lives only until it is labelled.
 WINDOWS_AHEAD_MAX = 32
 DAY_MS = SLOT_MS * SLOTS_PER_DAY
+# The spawn key of a device's channel stream; its noise key is the root of the same (seed, device id).
+CHANNEL_STREAM = 1
 
 
 class TraceFormatError(ValueError):
@@ -91,11 +100,6 @@ class TraceFormatError(ValueError):
 
 class VersionMismatch(TraceFormatError):
     pass
-
-
-def _entity_rng(seed: int, name: str) -> np.random.Generator:
-    digest = hashlib.sha256(name.encode("utf-8")).digest()
-    return np.random.default_rng([seed, int.from_bytes(digest[:8], "big")])
 
 
 class Simulator:
@@ -126,13 +130,14 @@ class Simulator:
 
 
 class SimChannel:
-    """Lossy, latent, seeded bit-flipping link between devices and the host."""
+    """Lossy, latent, seeded bit-flipping link between one device and the host."""
 
-    def __init__(self, sim: Simulator, model, name: str = "channel"):
+    def __init__(self, sim: Simulator, model, device_id: int, name: str = "channel"):
         self.sim = sim
         self.model = model
         self.name = name
-        self.rng = _entity_rng(sim.seed, name)
+        entropy = np.random.SeedSequence([sim.seed, device_id], spawn_key=(CHANNEL_STREAM,))
+        self.rng = np.random.Generator(np.random.PCG64(entropy))
 
     def _latency(self) -> int:
         lat = self.model.latency_ms
@@ -711,7 +716,13 @@ class SimTrace:
 
 
 def run_scenario(config: Config, seed: int = 0) -> SimTrace:
-    """Execute the configured scenario; returns the trace and derived metrics."""
+    """Execute the configured scenario; returns the trace and derived metrics.
+
+    Each device's shard runs apart (_shard_lines), in up to min(devices,
+    usable CPUs) processes. The trace is the trace_version and scenario
+    lines, then the shards' lines merged by (t_ms, the device's index in
+    scenario.devices), each shard keeping its own order, then scenario_end.
+    """
     scenario = config.scenario
     if scenario is None:
         raise ConfigError(["config has no scenario section"])
@@ -733,29 +744,99 @@ def run_scenario(config: Config, seed: int = 0) -> SimTrace:
             except ModelFitError as exc:
                 raise ModelFitError(f"device {spec.device_id}: {exc}") from None
 
+    shards = _run_shards(len(scenario.devices), lambda index: _shard_lines(config, model, seed, index))
+    lines = [
+        f"0\ttrace_version\tsim\t{TRACE_VERSION}",
+        f"0\tscenario\tsim\t{scenario.duration_ms}\t{len(scenario.devices)}\t{seed}",
+        *heapq.merge(*shards, key=lambda line: int(line[: line.index("\t")])),
+        f"{scenario.duration_ms}\tscenario_end\tsim",
+    ]
+    return SimTrace(lines=lines, metrics=trace_metrics(lines))
+
+
+def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int) -> list[str]:
+    """The trace lines of the shard of scenario.devices[index], in its kernel's order.
+
+    A shard is one device with its own kernel, channel and host. Its host's
+    gateway knows every device's key, so a frame whose device-id byte was
+    corrupted into another device's id fails authentication as it would at
+    a shared host; it stays in its sender's shard.
+    """
+    scenario = config.scenario
+    spec = scenario.devices[index]
     sim = Simulator(seed)
-    sim.emit("trace_version", "sim", TRACE_VERSION)
-    sim.emit("scenario", "sim", scenario.duration_ms, len(scenario.devices), seed)
-
-    channel = SimChannel(sim, config.channel)
-    gateway = HostGateway({spec.device_id: config.protocol.key for spec in scenario.devices})
+    channel = SimChannel(sim, config.channel, spec.device_id)
+    gateway = HostGateway({other.device_id: config.protocol.key for other in scenario.devices})
     host = SimHost(sim, gateway, channel)
-
-    devices = []
-    for spec in scenario.devices:
-        device = SimDevice(sim, spec, config, scenario, channel, model)
-        device.host = host
-        host.devices[spec.device_id] = device
-        devices.append(device)
-
-    for device in devices:
-        device.start()
+    device = SimDevice(sim, spec, config, scenario, channel, model)
+    device.host = host
+    host.devices[spec.device_id] = device
+    device.start()
     sim.run(scenario.duration_ms)
-    for device in devices:
-        device.finalize()
-    sim.emit("scenario_end", "sim")
+    device.finalize()
+    return sim.lines
 
-    return SimTrace(lines=sim.lines, metrics=trace_metrics(sim.lines))
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_shards(count: int, shard: Callable[[int], list[str]]) -> list[list[str]]:
+    """shard(i) for i in range(count), in up to min(count, usable CPUs) processes.
+
+    Where the platform can fork, the parent forks one child per extra
+    process; worker w of n runs shards w, w + n, ... (the parent is worker
+    0) and each child sends its lines back over a pipe. A shard that raises
+    in a child raises the same exception here. Every child is joined, and a
+    child whose result was not read is terminated first.
+    """
+    workers = min(count, _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork"):
+        return [shard(i) for i in range(count)]
+    import multiprocessing  # only where it forks: the import alone takes milliseconds
+
+    context = multiprocessing.get_context("fork")
+    shards: list[list[str]] = [[] for _ in range(count)]
+    children = []
+    try:
+        for w in range(1, workers):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_shard_child, args=(sender, shard, range(w, count, workers)), daemon=True)
+            child.start()
+            children.append((child, receiver))
+            sender.close()
+        for i in range(0, count, workers):
+            shards[i] = shard(i)
+        for w, (child, receiver) in enumerate(children, start=1):
+            try:
+                error, lines = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"shard process exited with code {child.exitcode} and sent no lines") from None
+            receiver.close()
+            if error is not None:
+                raise error
+            shards[w::workers] = lines
+    finally:
+        for child, receiver in children:
+            if not receiver.closed:
+                receiver.close()
+                child.terminate()
+            child.join()
+    return shards
+
+
+def _shard_child(sender, shard: Callable[[int], list[str]], indices: range) -> None:
+    """Send the parent (None, [shard(i) for i in indices]), or (the exception, None)."""
+    try:
+        result = None, [shard(i) for i in indices]
+    except Exception as exc:
+        result = exc, None
+    sender.send(result)
+    sender.close()
 
 
 def write_trace(trace: SimTrace, path: str | Path) -> None:

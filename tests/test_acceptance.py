@@ -58,9 +58,13 @@ from openhealth.simengine import TRACE_VERSION, replay, run_scenario, write_metr
 REFERENCE = Path("configs/reference.json")
 # SHA-256 of the seed-0 reference trace text. A deliberate change to the
 # trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-REFERENCE_TRACE_SHA256 = "a1287a0c08ec5c5dba4885d87fd83467c8134b7de8e13bde41737aa26604d873"
+REFERENCE_TRACE_SHA256 = "15d57630db794a868bb14751f0d36fc2d7596d33b87fcc8b014af8911bcb40a5"
 # SHA-256 of the metrics file write_metrics writes for that trace.
-REFERENCE_METRICS_SHA256 = "669c760afee9ee9b9c56aa4692fe14ba2c3b36fa74b1285f0f7f0eb677cfe72b"
+REFERENCE_METRICS_SHA256 = "be1373ae3979b3de48e2866ae2baaaf3e5cc6a6aa96a67475b0e4f87abf60903"
+# SHA-256 of that trace's lines without its trace_version line, sorted, as
+# trace version 3 wrote them. The reference link loses and corrupts nothing
+# and has a fixed latency, so version 4 only reorders version 3's lines.
+REFERENCE_SORTED_LINES_SHA256 = "2b7a51b98e8dce7185d15d662f93f7d8728bb0fcd90d9c5b9fbde2884fbe3ead"
 
 
 def ok(criterion: int, message: str) -> None:
@@ -75,12 +79,18 @@ def reference_trace():
 
 
 def test_reference_trace_digest_pinned(reference_trace, tmp_path):
-    assert TRACE_VERSION == 3
+    assert TRACE_VERSION == 4
     digest = hashlib.sha256(reference_trace.text().encode("utf-8")).hexdigest()
     assert digest == REFERENCE_TRACE_SHA256, "reference trace bytes changed"
     write_metrics(reference_trace, tmp_path / "metrics.json")
     digest = hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest()
     assert digest == REFERENCE_METRICS_SHA256, "reference metrics bytes changed"
+
+
+def test_reference_trace_reorders_the_version_3_lines(reference_trace):
+    lines = sorted(line for line in reference_trace.lines if line.split("\t")[1] != "trace_version")
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
+    assert digest == REFERENCE_SORTED_LINES_SHA256, "reference trace holds other lines than version 3's"
 
 
 def test_c01_synthetic_corpus_accuracy_all_classes():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import replace
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed as hypothesis_seed, settings, strategies as st
 
+from openhealth import simengine
 from openhealth.classifier import forward, load_model
 from openhealth.config import Config, ConfigError, DeviceSpec, load_config, parse_config
 from openhealth.core import ActivityLabel
@@ -18,7 +21,10 @@ from openhealth.firmware import motion_detector
 from openhealth.netproto import AppId, frame_nonce, peek_header
 from openhealth.pipeline import extract_feature_matrix, normalize_features
 from openhealth.simengine import (
+    DAY_MS,
     TRACE_VERSION,
+    SimChannel,
+    SimDevice,
     Simulator,
     TraceFormatError,
     VersionMismatch,
@@ -306,7 +312,7 @@ def test_oracle_names_top_label_for_gesture_window_without_majority():
     config = parse_config(raw)
     sim = Simulator(seed=0)
     device = SimDevice(
-        sim, config.scenario.devices[0], config, config.scenario, SimChannel(sim, config.channel), None
+        sim, config.scenario.devices[0], config, config.scenario, SimChannel(sim, config.channel, 3), None
     )
     (matrix,), counts = device._window_samples([0])  # 64 Down samples, then 64 Up
     assert matrix.shape[0] == 128
@@ -326,7 +332,7 @@ def test_host_rejects_unassigned_frame_type_without_raising():
     sim = Simulator(seed=0)
     sim.emit("trace_version", "sim", TRACE_VERSION)
     gateway = HostGateway({1: key})
-    host = SimHost(sim, gateway, SimChannel(sim, config.channel))
+    host = SimHost(sim, gateway, SimChannel(sim, config.channel, 1))
     frame = bytearray(encode_frame(FrameType.DATA, 1, 1, b"\x00" * 12, key))
     frame[1] = 0x03 ^ 0x80  # a flipped type bit: no FrameType has this value
     result = gateway.step(sim.now, bytes(frame))
@@ -365,7 +371,8 @@ def _window_device(schedule, duration_ms, rate_hz=100, seed=5, device_id=1, mode
     raw["scenario"]["devices"][0].update(id=device_id, schedule=schedule, alert_schedule=[])
     config = parse_config(raw)
     sim = Simulator(seed=seed)
-    return SimDevice(sim, config.scenario.devices[0], config, config.scenario, SimChannel(sim, config.channel), model)
+    channel = SimChannel(sim, config.channel, device_id)
+    return SimDevice(sim, config.scenario.devices[0], config, config.scenario, channel, model)
 
 
 def _scalar_block_runs(device, start_ms):
@@ -469,9 +476,10 @@ def test_run_seeds_one_generator_per_entity(monkeypatch):
         monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
     raw = small_raw(duration_ms=120_000)
     raw["scenario"]["devices"].append(dict(raw["scenario"]["devices"][0], id=2, alert_schedule=[]))
+    _on_cpus(monkeypatch, 1)  # every shard seeds in this process, where the counter sees it
     trace = run_scenario(parse_config(raw), seed=3)
     assert sum(line.split("\t")[1] == "classify" for line in trace.lines) > 50
-    assert sum(seeded.values()) <= 3, seeded  # the channel and each of the two devices
+    assert sum(seeded.values()) <= 4, seeded  # each of the two devices' noise and channel streams
 
 
 def _window_drawn_alone(device, start_ms, columns):
@@ -714,7 +722,7 @@ def test_replay_version_mismatch():
 @pytest.mark.parametrize("reader", [replay, trace_metrics, trace_observations])
 @pytest.mark.parametrize(
     "first, detail",
-    [("0\ttrace_version\tsim\t2", "trace version 2 != supported 3"), (None, "trace has no version line")],
+    [("0\ttrace_version\tsim\t2", "trace version 2 != supported 4"), (None, "trace has no version line")],
     ids=["version-2", "no-version-line"],
 )
 def test_trace_readers_refuse_another_version(small_trace, reader, first, detail):
@@ -875,7 +883,7 @@ def test_replay_detects_a_changed_dwell_figure(small_trace, field):
 # SHA-256 of the seed-0 trace of lossy_model_raw() below, driven by the model
 # that trained_model_path trains. A deliberate change to the trace bytes bumps
 # TRACE_VERSION and re-pins this digest in the same change.
-LOSSY_MODEL_TRACE_SHA256 = "8569ff0c73f5c5f12beddfe6776910510de25a7da1b17c6a637050985bc2035d"
+LOSSY_MODEL_TRACE_SHA256 = "e3da2ee7c0ceb5ee7261a07227ef6a789b113f66bf1cc735b34799792618152b"
 LOSSY_MODEL_SHA256 = "290a22919954a96f98b2d7f7a418057099f22ecb2771555cc244604bd9f2095b"
 
 
@@ -923,7 +931,7 @@ def lossy_model_trace(trained_model_path):
 
 
 def test_lossy_model_trace_digest_pinned(trained_model_path, lossy_model_trace):
-    assert TRACE_VERSION == 3
+    assert TRACE_VERSION == 4
     model_digest = hashlib.sha256(trained_model_path.read_bytes()).hexdigest()
     assert model_digest == LOSSY_MODEL_SHA256, "trained model bytes changed"
     trace = lossy_model_trace
@@ -937,7 +945,7 @@ def test_lossy_model_trace_digest_pinned(trained_model_path, lossy_model_trace):
 
 # SHA-256 of the seed-0 trace of depletion_raw() below. A deliberate change to
 # the trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-DEPLETION_TRACE_SHA256 = "cdd6d1875e62e764e8d35e9cb16ee10698568f2baca20f552946ef755868e6f7"
+DEPLETION_TRACE_SHA256 = "d8b87af691667419f8ac85dbf396cb5b4057ab9621565c100db40ea4a5209308"
 
 
 def depletion_raw():
@@ -965,7 +973,7 @@ def depletion_trace():
 
 
 def test_depletion_trace_digest_pinned(depletion_trace):
-    assert TRACE_VERSION == 3
+    assert TRACE_VERSION == 4
     trace = depletion_trace
     kinds = [line.split("\t")[1] for line in trace.lines]
     for kind in ("battery_depleted", "battery_recovered", "alert_sent"):
@@ -1076,16 +1084,16 @@ def test_cycle_cut_short_stays_ended_after_the_battery_recovers():
 
 
 def test_depleted_device_sends_nothing_until_it_recovers(depletion_trace):
-    # The battery empties while alert seq 32 awaits its 8th attempt: the
+    # The battery empties while alert seq 30 awaits its 2nd attempt: the
     # attempts that fall due while depleted are not made, and recovery
-    # resumes the alert with its 8th.
+    # resumes the alert with its 2nd.
     rows = [line.split("\t") for line in depletion_trace.lines]
     kinds = [parts[1] for parts in rows]
     down, up = kinds.index("battery_depleted"), kinds.index("battery_recovered")
     assert (rows[down][0], rows[up][0]) == ("19284", "2880000")
     assert not any(parts[1] == "frame_tx" and parts[2] == "dev1" for parts in rows[down:up])
-    attempts = [(int(parts[0]), int(parts[4])) for parts in rows if parts[1] == "alert_sent" and parts[3] == "32"]
-    assert attempts[6:8] == [(19_203, 7), (2_880_000, 8)]
+    attempts = [(int(parts[0]), int(parts[4])) for parts in rows if parts[1] == "alert_sent" and parts[3] == "30"]
+    assert attempts == [(19_143, 1), (2_880_000, 2)]
     # replay names a frame sent in between.
     lines = list(depletion_trace.lines)
     lines.insert(down + 1, next(line for line in lines[up:] if line.split("\t")[1:3] == ["frame_tx", "dev1"]))
@@ -1137,3 +1145,255 @@ def test_depleted_device_skips_its_sync_rounds():
     assert ["2000", "frame_tx", "host", "ACK"] in [parts[:4] for parts in rows]
     assert not any(2_000 < int(parts[0]) < 60_000 for parts in rows)
     assert replay(trace.lines).passed
+
+
+# -- shards ----------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
+
+
+def _on_cpus(monkeypatch, cpus: int) -> None:
+    """Make run_scenario see `cpus` usable CPUs (never more than 4 here)."""
+    assert 1 <= cpus <= 4
+    monkeypatch.setattr(simengine, "_usable_cpus", lambda: cpus)
+
+
+def _count_forks(monkeypatch) -> list:
+    """The processes run_scenario forks from now on, each still started."""
+    import multiprocessing.context
+
+    started = []
+    real_start = multiprocessing.context.ForkProcess.start
+    monkeypatch.setattr(
+        multiprocessing.context.ForkProcess, "start", lambda process: (started.append(process), real_start(process))[1]
+    )
+    return started
+
+
+def _forked_and_in_process(monkeypatch, config, seed, cpus):
+    """The trace text of config forked over `cpus` CPUs, and run in one process."""
+    started = _count_forks(monkeypatch)
+    _on_cpus(monkeypatch, cpus)
+    forked = run_scenario(config, seed).text()
+    assert len(started) == min(cpus, len(config.scenario.devices)) - 1
+    _on_cpus(monkeypatch, 1)
+    return forked, run_scenario(config, seed).text()
+
+
+def three_device_raw():
+    """The reference devices for an hour, and a third with its own schedule, on a lossy link."""
+    raw = small_raw(duration_ms=3_600_000, alert_labels=["Jump"])
+    raw["channel"] = {"latency_ms": [5, 60], "loss_probability": 0.2, "corruption_probability": 0.1}
+    with open(REFERENCE) as f:
+        raw["scenario"]["devices"] = json.load(f)["scenario"]["devices"]
+    raw["scenario"]["devices"].append(
+        {"id": 7, "app": "har", "clock_offset_ms": 90,
+         "schedule": [["Jump", 30_000], ["Walk", 90_000], ["Sit", 60_000]], "alert_schedule": [[1_000, "Walk"]]},
+    )
+    return raw
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forked_reference_day_equals_the_in_process_run(monkeypatch, seed):
+    with open(REFERENCE) as f:
+        raw = json.load(f)
+    raw["scenario"]["duration_ms"] = DAY_MS
+    forked, alone = _forked_and_in_process(monkeypatch, parse_config(raw), seed, cpus=2)
+    assert forked == alone
+
+
+@needs_fork
+def test_forked_lossy_model_run_equals_the_in_process_run(monkeypatch, trained_model_path, lossy_model_trace):
+    forked, alone = _forked_and_in_process(monkeypatch, parse_config(lossy_model_raw(trained_model_path)), 0, cpus=2)
+    assert forked == alone == lossy_model_trace.text()
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_forked_three_device_run_equals_the_in_process_run(monkeypatch, cpus):
+    forked, alone = _forked_and_in_process(monkeypatch, parse_config(three_device_raw()), 4, cpus)
+    assert forked == alone
+    kinds = {line.split("\t")[1] for line in alone.splitlines()}
+    assert {"frame_lost", "frame_corrupt", "alert_delivered"} <= kinds
+
+
+def _reference_hour():
+    with open(REFERENCE) as f:
+        raw = json.load(f)
+    raw["scenario"]["duration_ms"] = 3_600_000
+    return parse_config(raw)
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", [2, 1], ids=["in-child", "in-parent"])
+def test_a_failing_shard_raises_its_error_and_leaves_no_child(monkeypatch, capfd, failing):
+    import multiprocessing
+
+    real_start = SimDevice.start
+
+    def start(device):
+        if device.spec.device_id == failing:
+            raise ValueError(f"device {failing} cannot start")
+        real_start(device)
+
+    monkeypatch.setattr(SimDevice, "start", start)
+    _on_cpus(monkeypatch, 2)  # the parent runs device 1's shard, one child device 2's
+    with pytest.raises(ValueError, match=f"^device {failing} cannot start$"):
+        run_scenario(_reference_hour(), seed=0)
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""
+
+
+@needs_fork
+def test_a_child_that_dies_unheard_is_an_error(monkeypatch):
+    import multiprocessing
+
+    parent, real_start = os.getpid(), SimDevice.start
+
+    def start(device):
+        if device.spec.device_id == 2 and os.getpid() != parent:
+            os._exit(3)
+        real_start(device)
+
+    monkeypatch.setattr(SimDevice, "start", start)
+    _on_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="^shard process exited with code 3 and sent no lines$"):
+        run_scenario(_reference_hour(), seed=0)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "devices, cpus, can_fork, children",
+    [(1, 4, True, 0), (2, 4, True, 1), (3, 2, True, 1), (3, 4, True, 2), (3, 4, False, 0)],
+)
+def test_processes_are_at_most_devices_and_cpus(monkeypatch, devices, cpus, can_fork, children):
+    """The parent and its children number min(devices, CPUs), or one where the platform cannot fork."""
+    raw = three_device_raw()
+    raw["scenario"].update(duration_ms=60_000, devices=raw["scenario"]["devices"][:devices])
+    config = parse_config(raw)
+    expected = run_scenario(config, seed=0).text()
+    started = _count_forks(monkeypatch)
+    _on_cpus(monkeypatch, cpus)
+    if not can_fork:
+        monkeypatch.delattr(os, "fork")
+    assert run_scenario(config, seed=0).text() == expected
+    assert len(started) == children
+
+
+_HAR_LABELS = ["Walk", "Sit", "Jump", "LieDown", "Stand", "Drive"]
+
+
+@st.composite
+def shard_configs(draw):
+    """1-3 oracle devices for 1-10 minutes on a lossy, corrupting link with a latency range."""
+    duration_ms = draw(st.integers(1, 10)) * 60_000
+    raw = small_raw(duration_ms=duration_ms, alert_labels=draw(st.sampled_from([[], ["Jump"]])))
+    low = draw(st.integers(1, 50))
+    raw["channel"] = {
+        "latency_ms": [low, draw(st.integers(low, 120))],
+        "loss_probability": draw(st.floats(0.0, 0.5)),
+        "corruption_probability": draw(st.floats(0.05, 0.5)),
+    }
+    ids = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+    block = st.tuples(st.sampled_from(_HAR_LABELS), st.integers(1_000, 90_000)).map(list)
+    raw["scenario"]["devices"] = [
+        {
+            "id": device_id, "app": "har", "clock_offset_ms": draw(st.integers(-1_000, 1_000)),
+            "schedule": draw(st.lists(block, min_size=1, max_size=4)),
+            "alert_schedule": [[draw(st.integers(0, duration_ms - 1)), "Jump"]],
+        }
+        for device_id in ids
+    ]
+    return raw
+
+
+def _body(raw, seed):
+    """The trace lines between the scenario line and scenario_end."""
+    return run_scenario(parse_config(raw), seed).lines[2:-1]
+
+
+def _merged_as_heard_by(shards, ids):
+    """Shards, each run alone, merged in the canonical order and logged as a
+    host that knows every id in ids logs them: a frame whose corrupted
+    device-id byte names one of those ids fails authentication there, where
+    the host of a device run alone knows no such device."""
+    merged = []
+    for line in heapq.merge(*shards, key=lambda line: int(line.split("\t")[0])):
+        parts = line.split("\t")
+        if parts[1:3] == ["frame_reject", "host"] and parts[4] == "unknown_device" and int(parts[3]) in ids:
+            line = "\t".join([*parts[:4], "auth_failure"])
+        merged.append(line)
+    return merged
+
+
+@settings(max_examples=15, deadline=None)
+@given(raw=shard_configs(), seed=st.integers(0, 2**32), data=st.data())
+def test_a_device_shard_is_the_same_alone_beside_others_and_renumbered(raw, seed, data):
+    devices = raw["scenario"]["devices"]
+    ids = [device["id"] for device in devices]
+
+    def alone(device):
+        return _body(dict(raw, scenario=dict(raw["scenario"], devices=[device])), seed)
+
+    shards = [alone(device) for device in devices]
+    assert _body(raw, seed) == _merged_as_heard_by(shards, ids)
+    # Renumber every device but one; the one kept gives the same shard.
+    kept = data.draw(st.integers(0, len(devices) - 1))
+    free = st.integers(1, 12).filter(lambda i: i != ids[kept])
+    new_ids = data.draw(st.lists(free, min_size=len(devices) - 1, max_size=len(devices) - 1, unique=True))
+    renumbered = [dict(device, id=new_ids.pop()) if i != kept else device for i, device in enumerate(devices)]
+    shards = [shard if i == kept else alone(device) for i, (shard, device) in enumerate(zip(shards, renumbered))]
+    raw = dict(raw, scenario=dict(raw["scenario"], devices=renumbered))
+    assert _body(raw, seed) == _merged_as_heard_by(shards, [device["id"] for device in renumbered])
+
+
+def test_a_frame_corrupted_into_another_device_id_stays_in_its_sender_shard():
+    """At seed 3, dev1's frame sent at 516429 ms has its id flipped from 1 to
+    3. It stays in dev1's shard; the host, which knows dev3, logs an
+    authentication failure, where dev1's host alone knows no device 3."""
+    raw = small_raw(duration_ms=600_000)
+    raw["channel"] = {"latency_ms": [5, 30], "loss_probability": 0.0, "corruption_probability": 0.5}
+    dev1 = raw["scenario"]["devices"][0]
+    raw["scenario"]["devices"] = [dev1, dict(dev1, id=3, alert_schedule=[])]
+    dev1_alone = _body(dict(raw, scenario=dict(raw["scenario"], devices=[dev1])), 3)
+    corrupt = next(line.split("\t") for line in dev1_alone if line.startswith("516429\tframe_corrupt\tchannel\tdev1"))
+    assert peek_header(bytes.fromhex(corrupt[-1]))[2] == 3
+    heard_alone = [line for line in dev1_alone if "\tframe_reject\thost\t3\t" in line]
+    assert len(heard_alone) == 1 and heard_alone[0].endswith("\tunknown_device")
+    dev3_alone = _body(dict(raw, scenario=dict(raw["scenario"], devices=raw["scenario"]["devices"][1:])), 3)
+    both = _body(raw, 3)
+    assert both == _merged_as_heard_by([dev1_alone, dev3_alone], [1, 3])
+    assert heard_alone[0].replace("unknown_device", "auth_failure") in both
+
+
+# SHA-256 of the float64 (label code, confidence) rows that SimDevice._classify
+# returns, unrounded, for batches of the first lossy-model device's windows:
+# each batch of CLASSIFY_BATCHES, then one batch of the windows at
+# CLASSIFY_SPANNING_STARTS, which straddle a block boundary and are each
+# synthesized alone. On those the model is unsure, so forward's last bits reach
+# the confidence. The trace rounds confidence to CONFIDENCE_SCALE, so the trace
+# pins cannot see a change in forward below that resolution; this pin can.
+CLASSIFY_SHA256 = "37cca02d719c1716e4baf0f63d5f7e9fb1dd0979c652ce6718a7b06df74760c1"
+CLASSIFY_BATCHES = (
+    list(range(0, 16_000, 2_000)), list(range(20_000, 33_000, 2_600)),
+    list(range(35_000, 48_000, 3_200)), list(range(50_000, 63_000, 1_600)),
+)
+CLASSIFY_SPANNING_STARTS = (18_900, 19_300, 19_700, 33_900, 34_300, 34_700, 48_800, 49_200, 49_600, 63_800)
+
+
+def test_classify_confidences_pinned(trained_model_path):
+    config = parse_config(lossy_model_raw(trained_model_path))
+    spec = config.scenario.devices[0]
+    sim = Simulator(seed=0)
+    device = SimDevice(
+        sim, spec, config, config.scenario, SimChannel(sim, config.channel, spec.device_id), load_model(trained_model_path)
+    )
+    batches = [device._window_samples(starts)[0] for starts in CLASSIFY_BATCHES]
+    batches.append(np.concatenate([device._window_samples([start])[0] for start in CLASSIFY_SPANNING_STARTS]))
+    rows = [(label.value, confidence) for batch in batches for label, confidence in device._classify(batch)]
+    assert len({label for label, _ in rows}) >= 3
+    assert min(confidence for _, confidence in rows) < 0.9
+    digest = hashlib.sha256(np.array(rows, dtype=np.float64).tobytes()).hexdigest()
+    assert digest == CLASSIFY_SHA256, "unrounded classify confidences changed"

@@ -42,13 +42,7 @@ from .dataio import (
     write_dataset,
 )
 from .firmware import BudgetError, memory_footprint, plan_duty_cycle
-from .pipeline import (
-    FEATURES_PER_CHANNEL,
-    extract_feature_matrix,
-    normalize_features,
-    segment,
-    windows_to_matrix,
-)
+from .pipeline import FEATURES_PER_CHANNEL, normalize_features, segment, window_features
 from .netproto import write_observation_log
 from .simengine import run_scenario, trace_observations, write_metrics, write_trace
 
@@ -113,7 +107,8 @@ def _check_output(path: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-def _labeled_windows(recording, config: Config, app: str):
+def _labeled_features(recording, config: Config, app: str):
+    """Features and label codes of the recording's windows that have a label."""
     if recording.label_set not in (None, label_set_for(app)):
         raise CliError(
             f"dataset labels do not belong to the {app!r} label set", EXIT_DATA
@@ -123,7 +118,7 @@ def _labeled_windows(recording, config: Config, app: str):
     labeled = codes >= 0
     if not labeled.any():
         raise CliError("dataset yields no labeled windows", EXIT_DATA)
-    return windows_to_matrix(recording, starts[labeled], w), codes[labeled]
+    return window_features(recording, starts[labeled], w), codes[labeled]
 
 
 def cmd_datagen(args) -> int:
@@ -153,8 +148,7 @@ def cmd_train(args) -> int:
         recording = read_dataset(args.data)
     except (DatasetFormatError, OSError) as exc:
         raise CliError(f"data error: {exc}", EXIT_DATA) from None
-    matrix, labels = _labeled_windows(recording, config, args.app)
-    feats = extract_feature_matrix(matrix)
+    feats, labels = _labeled_features(recording, config, args.app)
 
     train_idx, test_idx = split_dataset(len(labels), train_config.split_fraction, seed)
     x_train, stats = normalize_features(feats[train_idx])
@@ -206,8 +200,8 @@ def cmd_eval(args) -> int:
         check_fit(model, recording.values.shape[1], app)
     except ModelFitError as exc:
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
-    matrix, labels = _labeled_windows(recording, config, app)
-    normed, _ = normalize_features(extract_feature_matrix(matrix), model.stats)
+    feats, labels = _labeled_features(recording, config, app)
+    normed, _ = normalize_features(feats, model.stats)
     report = evaluate(model, normed, labels, label_set_for(app))
     print(render_report(report), end="")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import BinaryIO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -59,7 +59,7 @@ def write_dataset(recording: LabeledRecording, path: str | Path) -> None:
             f.write(buf[buf != 0].tobytes())  # 0 bytes are padding
 
 
-_WRITE_ROWS = 32768  # rows formatted at once; bounds the transient byte buffers
+_WRITE_ROWS = 8192  # rows formatted at once; bounds the transient byte buffers
 _DIGITS3 = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)  # "000".."999"
 
 
@@ -167,6 +167,12 @@ def read_dataset(path: str | Path) -> LabeledRecording:
     both label sets, or non-increasing timestamps.
     """
     try:
+        recording = _load_rows(path)
+    except ValueError:  # the exact parser below names the line
+        recording = None
+    if recording is not None:
+        return recording
+    try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"byte {exc.start}: not UTF-8 text") from None
@@ -174,47 +180,80 @@ def read_dataset(path: str | Path) -> LabeledRecording:
     if not lines or lines[0] != DATASET_HEADER:
         got = lines[0] if lines else "<empty file>"
         raise DatasetFormatError(f"line 1: bad header {got!r}, expected {DATASET_HEADER!r}")
-
-    rows = list(filter(str.strip, lines[1:]))  # blank lines are skipped
-    try:
-        recording = _load_rows(text, rows)
-    except ValueError:  # the exact parser below names the line
-        recording = None
-    return _parse_rows(lines, rows) if recording is None else recording
+    return _parse_rows(lines, list(filter(str.strip, lines[1:])))  # blank lines are skipped
 
 
+_READ_BYTES = 1 << 18  # bytes parsed at once; bounds the transient lines and table
 # A label field wider than every label name cannot be cut down to one.
 _LABEL_FIELD = f"U{1 + max(len(label.name) for labels in APPS.values() for label in labels)}"
 
 
-def _load_rows(text: str, rows: list[str]) -> LabeledRecording | None:
-    """The data rows of a file's text parsed by np.loadtxt's C parser, or None.
+def _load_rows(path: str | Path) -> LabeledRecording | None:
+    """The file's rows parsed a block at a time by np.loadtxt's C parser, or None.
 
     loadtxt parses each number it accepts to the same bits as int() and
     float(), but it refuses some that they accept (``1_0``, full-width
     digits). So None, or a ValueError, means only that _parse_rows must
     judge the rows.
     """
-    if not rows or "\0" in text:  # loadtxt drops a string field's trailing NULs
+    with open(path, "rb") as f:
+        # The header ends with a newline and so does every row but the last.
+        capacity = sum(block.count(b"\n") for block in iter(lambda: f.read(_READ_BYTES), b""))
+        f.seek(0)
+        n = 0
+        lookup: dict[str, int] = {"": -1}  # label name -> code, across blocks
+        label_sets: set[type] = set()
+        for rows in _row_blocks(f):
+            m = len(rows)
+            if not m:
+                continue
+            if n + m > capacity:  # lines also broken at other line boundaries
+                return None
+            if n == 0:
+                has_stretch = rows[0].split(",")[7:8] != [""]
+                c = 7 if has_stretch else 6
+                fields = [("t", np.int64), ("v", np.float64, (c,))] + [("stretch", "U1")] * (not has_stretch)
+                t_ms, codes = np.empty(capacity, np.int64), np.empty(capacity, np.int64)
+                values = np.empty((capacity, c))
+            table = np.loadtxt(  # 9 columns on every row, or ValueError
+                rows, dtype=fields + [("label", _LABEL_FIELD)], delimiter=",", comments=None, ndmin=1
+            )
+            if not has_stretch and (table["stretch"] != "").any():
+                return None
+            label_column = table["label"]
+            starts = np.flatnonzero(np.append(True, label_column[1:] != label_column[:-1]))
+            names = label_column[starts].tolist()  # one per run of equal labels
+            for name in set(names) - lookup.keys():
+                label = parse_label(name)
+                label_sets.add(type(label))
+                lookup[name] = label.value
+            if len(label_sets) > 1:
+                return None
+            t_ms[n : n + m] = table["t"]
+            values[n : n + m] = table["v"]
+            codes[n : n + m] = np.repeat([lookup[name] for name in names], np.diff(np.append(starts, m)))
+            n += m
+    if n == 0:
         return None
-    has_stretch = rows[0].split(",")[7:8] != [""]
-    c = 7 if has_stretch else 6
-    fields = [("t", np.int64), ("v", np.float64, (c,))] + [("stretch", "U1")] * (not has_stretch)
-    table = np.loadtxt(  # 9 columns on every row, or ValueError
-        rows, dtype=fields + [("label", _LABEL_FIELD)], delimiter=",", comments=None, ndmin=1
-    )
-    if not has_stretch and (table["stretch"] != "").any():
-        return None
-    label_column = table["label"]
-    starts = np.flatnonzero(np.append(True, label_column[1:] != label_column[:-1]))
-    names = label_column[starts].tolist()  # one per run of equal labels
-    labels = {name: parse_label(name) for name in set(names) - {""}}
-    label_sets = {type(label) for label in labels.values()}
-    if len(label_sets) > 1:
-        return None
-    lookup = {"": -1} | {name: label.value for name, label in labels.items()}
-    codes = np.repeat([lookup[name] for name in names], np.diff(np.append(starts, len(rows))))
-    return LabeledRecording(table["t"].copy(), table["v"], codes, label_sets.pop() if label_sets else None)
+    return LabeledRecording(t_ms[:n], values[:n], codes[:n], label_sets.pop() if label_sets else None)
+
+
+def _row_blocks(f: BinaryIO) -> Iterator[list[str]]:
+    """The non-blank data rows of an open dataset file, about _READ_BYTES at a time.
+
+    Each block ends right after a newline, so it splits into the lines the
+    whole text would. Raises ValueError on a bad header, on text that is
+    not UTF-8, and on a NUL, which loadtxt drops from the end of a string field.
+    """
+    for k, block in enumerate(iter(lambda: f.read(_READ_BYTES) + f.readline(), b"")):
+        if b"\0" in block:
+            raise ValueError("NUL byte")
+        lines = block.decode("utf-8").splitlines()
+        if k == 0:
+            if lines[0] != DATASET_HEADER:
+                raise ValueError("bad header")
+            del lines[0]
+        yield list(filter(str.strip, lines))  # blank lines are skipped
 
 
 def _parse_rows(lines: list[str], rows: list[str]) -> LabeledRecording:

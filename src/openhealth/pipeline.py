@@ -83,10 +83,13 @@ def segment(
     label_set = recording.label_set
     if label_set is None:
         return starts, np.full(len(starts), -1, dtype=np.int64)
-    # Per-window counts of every code from prefix sums; code -1 maps to the last column.
-    prefix = np.zeros((n + 1, len(label_set) + 1), dtype=np.int64)
-    np.cumsum(np.eye(len(label_set) + 1, dtype=np.int64)[recording.codes], axis=0, out=prefix[1:])
-    labels = [majority_label(c, label_set) for c in (prefix[starts + w] - prefix[starts]).tolist()]
+    # Per-window counts of every code from one prefix sum per code; code -1 takes the last column.
+    counts = np.empty((len(starts), len(label_set) + 1), dtype=np.int64)
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    for column, code in enumerate([*range(len(label_set)), -1]):
+        np.cumsum(recording.codes == code, out=prefix[1:])
+        counts[:, column] = prefix[starts + w] - prefix[starts]
+    labels = [majority_label(c, label_set) for c in counts.tolist()]
     codes = np.array([-1 if label is None else label.value for label in labels], dtype=np.int64)
     return starts, codes
 
@@ -97,6 +100,26 @@ def windows_to_matrix(recording: LabeledRecording, starts: np.ndarray, w: int) -
     if not len(starts):
         raise ValueError("no windows")
     return recording.values[starts[:, None] + np.arange(w)]
+
+
+_FEATURE_WINDOWS = 128  # windows featurized at once; bounds the transient window stack
+
+
+def window_features(recording: LabeledRecording, starts: np.ndarray, w: int) -> np.ndarray:
+    """(n, D) features of the windows of length w beginning at the given
+    sample indices, gathered and featurized _FEATURE_WINDOWS windows at a time.
+
+    Bit for bit extract_feature_matrix(windows_to_matrix(recording, starts, w)),
+    without ever holding the whole window stack.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    if not len(starts):
+        raise ValueError("no windows")
+    out = np.empty((len(starts), recording.values.shape[1] * FEATURES_PER_CHANNEL))
+    for lo in range(0, len(starts), _FEATURE_WINDOWS):
+        block = starts[lo : lo + _FEATURE_WINDOWS]
+        out[lo : lo + len(block)] = extract_feature_matrix(windows_to_matrix(recording, block, w))
+    return out
 
 
 def extract_feature_matrix(windows: np.ndarray) -> np.ndarray:

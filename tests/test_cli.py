@@ -170,6 +170,29 @@ def test_eval_unlabeled_data_exits_3(tmp_path, capsys):
     assert "labeled" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_no_labeled_windows_exits_3(tmp_path, capsys, command):
+    from openhealth.classifier import init_model, save_model
+    from openhealth.core import LabeledRecording
+    from openhealth.dataio import write_dataset
+    from openhealth.pipeline import FeatureStats
+
+    from conftest import make_values
+
+    data = tmp_path / "bare.csv"
+    write_dataset(LabeledRecording(np.arange(600) * 10, make_values(600)), data)
+    model = init_model((84, 16, 7), seed=0)
+    model.stats = FeatureStats(np.zeros(84), np.ones(84))
+    save_model(model, tmp_path / "m.ohm")
+    argv = {
+        "train": ["train", "--data", str(data), "--out", str(tmp_path / "new.ohm")],
+        "eval": ["eval", "--data", str(data), "--model", str(tmp_path / "m.ohm"), "--json", str(tmp_path / "r.json")],
+    }[command]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip() == "dataset yields no labeled windows"
+    assert not (tmp_path / "new.ohm").exists() and not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("cut", [10, -1])  # inside the layer sizes; at the stats flag
 def test_eval_truncated_model_exits_3(tmp_path, capsys, cut):
     from openhealth.classifier import init_model, model_to_bytes

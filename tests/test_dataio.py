@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,7 +20,7 @@ from openhealth.dataio import (
     write_dataset,
 )
 
-from conftest import make_recording
+from conftest import make_recording, make_values
 
 
 def _round_trip(rec, tmp_path):
@@ -334,7 +336,7 @@ def test_write_matches_percent_format(tmp_path, rec):
 
 @pytest.mark.parametrize("c", [6, 7])
 def test_write_matches_percent_format_across_chunks(tmp_path, c):
-    """More rows than one formatting chunk (32,768), each kind of value on every column."""
+    """More rows than one formatting chunk (8,192), each kind of value on every column."""
     rng = np.random.default_rng(c)
     n = 40_000
     scale = np.array([16.0] * 3 + [2000.0] * 3 + [1.0])[:c]
@@ -417,7 +419,7 @@ def test_read_fast_path_agrees_with_exact_parser(tmp_path, case):
     assert_read_as_exact_parser(tmp_path, text)
     rows = list(filter(str.strip, text.splitlines()[1:]))
     if not edited and rows:  # whatever write_dataset writes takes the fast path
-        assert dataio._load_rows(text, rows) is not None
+        assert dataio._load_rows(tmp_path / "r.csv") is not None
 
 
 _ROW_EDITS = [(ActivityLabel.Walk, column, edit) for column in (0, 3, 7, 8) for edit in _COLUMN_EDITS[column]] + [
@@ -439,3 +441,105 @@ def test_read_edited_row_agrees_with_exact_parser(tmp_path, stretch, label, colu
         fields.insert(column, edit)
     lines[3] = ",".join(fields)
     assert_read_as_exact_parser(tmp_path, "\n".join(lines) + "\n")
+
+
+# --- the loadtxt path a block at a time ----------------------------------------
+
+_SMALL_BLOCK = 150  # bytes: two or three rows a block
+_WALK = [(ActivityLabel.Walk, 20)]
+
+
+def small_block_text(runs, stretch=0.5, edits=()) -> str:
+    """A dataset CSV whose rows carry the labels of runs (label or None, length),
+    with each edit (row, column, field) swapped in, 1-based data row."""
+    codes = np.concatenate([np.full(k, -1 if label is None else label.value) for label, k in runs])
+    label_set = next((type(label) for label, _ in runs if label is not None), None)
+    recording = LabeledRecording(np.arange(len(codes)) * 10, make_values(len(codes), stretch), codes, label_set)
+    lines = percent_format(recording).decode().splitlines()
+    for row, column, field in edits:
+        fields = lines[row].split(",")
+        fields[column] = field
+        lines[row] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a label run across several block boundaries
+        (
+            small_block_text([(ActivityLabel.Walk, 3), (ActivityLabel.Sit, 9), (None, 4), (ActivityLabel.Sit, 4)]),
+            None,
+        ),
+        (small_block_text([(GestureLabel.Up, 20)], stretch=None), None),
+        (small_block_text([(None, 20)]), None),
+        # a bad row in a later block
+        (small_block_text(_WALK, edits=[(15, 1, "abc")]), "line 16: unparseable value 'abc'"),
+        (small_block_text(_WALK, edits=[(15, 0, "0")]), "line 16: t_ms 0 not strictly"),
+        (small_block_text(_WALK, edits=[(15, 8, "Fly")]), "line 16: unknown label name 'Fly'"),
+        (small_block_text(_WALK, edits=[(15, 8, "Walk,")]), "line 16: expected 9 columns"),
+        (small_block_text(_WALK, edits=[(15, 3, "20.0")]), "line 16: az value 20.0 outside"),
+        # stretch present only from a later block, or missing from one
+        (small_block_text(_WALK, stretch=None, edits=[(15, 7, "0.5")]), "line 16: stretch present"),
+        (small_block_text(_WALK, edits=[(15, 7, "")]), "line 16: stretch present"),
+        # a second label set starting in a later block
+        (small_block_text(_WALK, edits=[(15, 8, "Up")]), "line 16: label 'Up' is not a ActivityLabel"),
+        (
+            small_block_text([(None, 12), (GestureLabel.Up, 8)], edits=[(18, 8, "Walk")]),
+            "line 19: label 'Walk' is not a GestureLabel",
+        ),
+        (
+            small_block_text([(ActivityLabel.Sit, 5), (None, 15)], edits=[(20, 8, "Up")]),  # Sit's code is Right's
+            "line 21: label 'Up' is not a ActivityLabel",
+        ),
+    ],
+)
+def test_read_in_small_blocks_agrees_with_exact_parser(tmp_path, monkeypatch, text, message):
+    monkeypatch.setattr(dataio, "_READ_BYTES", _SMALL_BLOCK)
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    with open(path, "rb") as f:
+        assert len(list(dataio._row_blocks(f))) >= 5
+    assert_read_as_exact_parser(tmp_path, text)
+    if message is None:  # a valid file takes the loadtxt path, whatever its blocks
+        assert dataio._load_rows(path) is not None
+    else:
+        with pytest.raises(DatasetFormatError, match=message):
+            read_dataset(path)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r", "\x1c", "\n\n"])
+def test_read_in_small_blocks_keeps_every_line_break(tmp_path, monkeypatch, newline):
+    """Rows broken by other line boundaries than a lone newline read as they
+    do whole, by the loadtxt path or, where it refuses them, the exact one."""
+    monkeypatch.setattr(dataio, "_READ_BYTES", _SMALL_BLOCK)
+    text = small_block_text([(ActivityLabel.Walk, 7), (ActivityLabel.Sit, 13)])
+    assert_read_as_exact_parser(tmp_path, text.replace("\n", newline))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=dataset_texts())
+def test_read_in_row_sized_blocks_agrees_with_exact_parser(tmp_path, monkeypatch, case):
+    """The fuzz cases again, with blocks shorter than one row."""
+    monkeypatch.setattr(dataio, "_READ_BYTES", 32)
+    assert_read_as_exact_parser(tmp_path, case[0])
+
+
+def test_read_memory_stays_near_the_recording(tmp_path):
+    """Reading holds no whole-file transients: the tracemalloc peak of a
+    20,000-row read stays under 3x the recording it returns."""
+    rng = np.random.default_rng(5)
+    n = 20_000
+    values = rng.uniform(-1.0, 1.0, (n, 7)) * ([16.0] * 3 + [2000.0] * 3 + [0.5])
+    values[:, 6] += 0.5
+    codes = np.repeat(rng.integers(-1, len(ActivityLabel), n // 500), 500)
+    path = tmp_path / "big.csv"
+    write_dataset(LabeledRecording(np.arange(n) * 10, values, codes, ActivityLabel), path)
+    tracemalloc.start()
+    try:
+        back = read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.codes.tolist() == codes.tolist()
+    assert peak < 3 * (back.t_ms.nbytes + back.values.nbytes + back.codes.nbytes)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from openhealth import pipeline
 from openhealth.core import ActivityLabel, GestureLabel, LabeledRecording
 from openhealth.pipeline import (
     FEATURES_PER_CHANNEL,
@@ -13,6 +14,7 @@ from openhealth.pipeline import (
     majority_label,
     normalize_features,
     segment,
+    window_features,
     window_stride,
     windows_to_matrix,
 )
@@ -167,6 +169,46 @@ def test_feature_matrix_matches_single_window_path(tiny_har_model):
     stacked = np.stack([rec.values[s : s + 128] for s in starts])
     assert np.array_equal(windows_to_matrix(rec, starts, 128), stacked)
     assert np.allclose(batch, singles, atol=0, rtol=0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 8, 10])  # below, equal to, a multiple of and not a multiple of 4
+def test_window_features_equal_the_whole_stack(tiny_har_model, monkeypatch, n):
+    """Blocks of 4 windows give the bytes of one stack featurized at once."""
+    from openhealth.dataio import generate_synthetic
+
+    monkeypatch.setattr(pipeline, "_FEATURE_WINDOWS", 4)
+    rec = generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 3000), (ActivityLabel.Sit, 3000)], 100.0)
+    starts = np.linspace(0, len(rec) - 128, n).astype(np.int64)
+    feats = window_features(rec, starts, 128)
+    assert feats.tobytes() == extract_feature_matrix(windows_to_matrix(rec, starts, 128)).tobytes()
+
+
+def test_window_features_need_a_window():
+    with pytest.raises(ValueError, match="no windows"):
+        window_features(make_recording(256), np.array([], dtype=np.int64), 128)
+
+
+def _one_hot_segment_codes(recording, starts, w):
+    """Window codes from per-code counts read off one prefix sum of a one-hot
+    matrix: the reference for segment's count per code."""
+    label_set = recording.label_set
+    prefix = np.zeros((len(recording) + 1, len(label_set) + 1), dtype=np.int64)
+    np.cumsum(np.eye(len(label_set) + 1, dtype=np.int64)[recording.codes], axis=0, out=prefix[1:])
+    labels = [majority_label(c, label_set) for c in (prefix[starts + w] - prefix[starts]).tolist()]
+    return np.array([-1 if label is None else label.value for label in labels], dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_segment_codes_equal_the_one_hot_reference(data):
+    label_set = data.draw(st.sampled_from([ActivityLabel, GestureLabel]))
+    sizes = data.draw(st.lists(st.integers(1, 80), min_size=1, max_size=12))
+    runs = [(data.draw(st.sampled_from([None, *label_set])), k) for k in sizes]
+    rec = labeled(runs, label_set)
+    w = data.draw(st.sampled_from([8, 16, 32]))
+    overlap = data.draw(st.sampled_from([0.0, 0.5, 0.75]))
+    starts, codes = segment(rec, w, overlap)
+    assert codes.tolist() == _one_hot_segment_codes(rec, starts, w).tolist()
 
 
 def _random_windows(data):

@@ -266,7 +266,7 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     try:
         trace = run_scenario(config, seed)
-    except ConfigError as exc:  # no scenario section, or a device the parser did not build
+    except ConfigError as exc:  # no scenario section, or a device app without synthetic_models
         raise _config_error(exc) from None
     except (OSError, ModelFormatError, ModelFitError) as exc:  # scenario.model_path
         raise CliError(f"model error: {exc}", EXIT_DATA) from None

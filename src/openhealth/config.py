@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import Any, Collection, Sequence
 
 from .classifier import TrainConfig
-from .core import APPS, COUNT, POSITIVE, DeviceProfile, FieldError, Label, Rule, finite, is_int, label_set_for, num
+from .core import APPS, COUNT, POSITIVE, DeviceProfile, FieldError, Label, Rule, check_fields, finite, is_int, num
+from .core import label_set_for, parse_label
 from .dataio import LabelSignalModel, SyntheticActivityModel
 from .firmware import EnergySettings
 from .netproto import KEY_LEN, ChannelModel, RetryPolicy
@@ -62,17 +63,111 @@ class ProtocolSettings:
     sync_retries: int = 3
 
 
+def _bool(v):
+    if isinstance(v, bool):
+        return v
+    raise ValueError("expected true/false")
+
+
+def _str(v):
+    if isinstance(v, str):
+        return v
+    raise ValueError("expected a string")
+
+
+def _app(v):
+    if _str(v) in APPS:
+        return v
+    raise ValueError(f"must be one of {sorted(APPS)}")
+
+
+def _local_processing(v):
+    """The key exists only to refuse raw-sample streaming: true is the only value."""
+    if _bool(v):
+        return v
+    raise ValueError("raw-sample streaming is not supported; only processed observations leave the device")
+
+
+def _vec3(v):
+    if isinstance(v, list) and len(v) == 3 and all(finite(x) for x in v):
+        return (float(v[0]), float(v[1]), float(v[2]))
+    raise ValueError("expected a 3-number list")
+
+
+def _label_names(v):
+    if isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v):
+        return tuple(parse_label(x).name for x in v)  # each names a label of some app
+    raise ValueError("expected a list of label names")
+
+
+def _schedule(v):  # _block_ms checks each block
+    if isinstance(v, (list, tuple)) and v:
+        return v
+    raise ValueError("expected a non-empty list of [label, duration_ms] pairs")
+
+
+def _block_ms(v):
+    if is_int(v) and v > 0:
+        return v
+    raise ValueError("duration_ms must be a positive integer")
+
+
+def _alert_ms(v):
+    if not is_int(v):
+        raise ValueError("expected [t_ms, label]")
+    if v < 0:
+        raise ValueError("t_ms must be >= 0")
+    return v
+
+
+UNKNOWN_LABEL = "unknown label {!r} for this application"
+# The bound of duration_ms and of clock_offset_ms: the device clock t + clock_offset_ms,
+# t <= duration_ms, then fits the unsigned 64-bit timestamps of the data and sync frames.
+MAX_MS = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class DeviceSpec:
+    """A simulated device. Rule across fields: each label is one of its app's, else FieldError at
+    schedule[j] or alert_schedule[j]."""
+
     device_id: int
+    schedule: tuple[tuple[Label, int], ...]
     app: str = "har"
     clock_offset_ms: int = 0
-    schedule: tuple[tuple[Label, int], ...] = ()
     alert_schedule: tuple[tuple[int, Label], ...] = ()
+
+    RULES = {
+        "device_id": num(lo=0, hi=0xFFFF, integer=True),  # the key "id" of a config document
+        "schedule": _schedule,
+        "app": _app,
+        "clock_offset_ms": num(hi=MAX_MS, integer=True),  # the device clock is never below 0
+    }
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        entries = [(f"schedule[{j}]", _block_ms, ms, label) for j, (label, ms) in enumerate(self.schedule)]
+        entries += [(f"alert_schedule[{j}]", _alert_ms, t, label) for j, (t, label) in enumerate(self.alert_schedule)]
+        for key, rule, value, label in entries:
+            try:
+                rule(value)
+                if not isinstance(label, APPS[self.app]):
+                    raise ValueError(UNKNOWN_LABEL.format(getattr(label, "name", label)))
+            except ValueError as exc:
+                raise FieldError(key, str(exc)) from None
+
+
+def _duplicate_id(devices: Sequence[DeviceSpec]) -> str | None:
+    """Why the last of devices is refused, if an earlier device has its id."""
+    if devices[-1].device_id in {spec.device_id for spec in devices[:-1]}:
+        return f"duplicate device id {devices[-1].device_id}"
+    return None
 
 
 @dataclass(frozen=True)
 class ScenarioSettings:
+    """The simulated run. Rule across fields: device ids are unique, else FieldError at devices[i].id."""
+
     duration_ms: int = 3_600_000
     devices: tuple[DeviceSpec, ...] = ()
     report_every_n_windows: int = 1
@@ -83,6 +178,24 @@ class ScenarioSettings:
     use_duty_plan: bool = False
     energy_log_interval_ms: int = 3_600_000
     model_path: str | None = None
+
+    RULES = {
+        "duration_ms": num(lo=1, hi=MAX_MS, integer=True),
+        "report_every_n_windows": COUNT,
+        "idle_timeout_ms": num(lo=0, integer=True),
+        "inference_latency_ms": COUNT,
+        "tx_bitrate_kbps": POSITIVE,
+        "alert_labels": _label_names,
+        "use_duty_plan": _bool,
+        "energy_log_interval_ms": COUNT,
+        "model_path": _str,
+    }
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        for i in range(len(self.devices)):
+            if reason := _duplicate_id(self.devices[: i + 1]):
+                raise FieldError(f"devices[{i}].id", reason)
 
 
 @dataclass(frozen=True)
@@ -104,6 +217,14 @@ class _Ctx:
     def error(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
 
+    def check(self, path: str, rule: Rule, value: Any) -> Any:
+        """rule(value), or None after the rule's reason is recorded as an error at path."""
+        try:
+            return rule(value)
+        except ValueError as exc:
+            self.error(path, str(exc))
+            return None
+
 
 def _check_keys(obj: dict, allowed: Sequence[str], path: str, ctx: _Ctx) -> None:
     for key in obj:
@@ -111,46 +232,9 @@ def _check_keys(obj: dict, allowed: Sequence[str], path: str, ctx: _Ctx) -> None
             ctx.error(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _bool(v):
-    if isinstance(v, bool):
-        return v
-    raise ValueError("expected true/false")
-
-
-def _str(v):
-    if isinstance(v, str):
-        return v
-    raise ValueError("expected a string")
-
-
-def _app(v):
-    if _str(v) in APPS:
-        return v
-    raise ValueError(f"must be one of {sorted(APPS)}")
-
-
-def _label_names(v):
-    if isinstance(v, list) and all(isinstance(x, str) for x in v):
-        return tuple(v)
-    raise ValueError("expected a list of label names")
-
-
-def _local_processing(v):
-    """The key exists only to refuse raw-sample streaming: true is the only value."""
-    if _bool(v):
-        return v
-    raise ValueError("raw-sample streaming is not supported; only processed observations leave the device")
-
-
-def _vec3(v):
-    if isinstance(v, list) and len(v) == 3 and all(finite(x) for x in v):
-        return (float(v[0]), float(v[1]), float(v[2]))
-    raise ValueError("expected a 3-number list")
-
-
 # Rules of the sections whose dataclasses check nothing themselves; the
-# others are the RULES tables of DeviceProfile, TrainConfig, EnergySettings
-# and ChannelModel.
+# others are the RULES tables of DeviceProfile, TrainConfig, EnergySettings,
+# ChannelModel, ScenarioSettings and DeviceSpec.
 _PIPELINE = {
     "window": num(lo=16, integer=True),
     "overlap": num(lo=0.0, hi=0.999),
@@ -170,23 +254,6 @@ _PROTOCOL = {
     "sync_timeout_ms": COUNT,
     "sync_retries": COUNT,
 }
-_DEVICE = {
-    "id": num(lo=0, hi=0xFFFF, integer=True),  # DeviceSpec.device_id
-    "app": _app,
-    "clock_offset_ms": num(integer=True),
-}
-_SCENARIO = {
-    "duration_ms": COUNT,
-    "report_every_n_windows": COUNT,
-    "idle_timeout_ms": num(lo=0, integer=True),
-    "inference_latency_ms": COUNT,
-    "tx_bitrate_kbps": POSITIVE,
-    "alert_labels": _label_names,
-    "use_duty_plan": _bool,
-    "energy_log_interval_ms": COUNT,
-    "model_path": _str,
-    "local_processing": _local_processing,  # checked only, not a ScenarioSettings field
-}
 
 
 def _fields(
@@ -204,13 +271,9 @@ def _fields(
     skip_null = {f.name for f in fields(cls) if f.default is None}.union(nullable)
     kwargs = {}
     for key, rule in rules.items():
-        if key not in obj or (obj[key] is None and key in skip_null):
-            continue
-        try:
-            kwargs[key] = rule(obj[key])
-        except ValueError as exc:
-            ctx.error(f"{path}.{key}", str(exc))
-    return kwargs
+        if key in obj and not (obj[key] is None and key in skip_null):
+            kwargs[key] = ctx.check(f"{path}.{key}", rule, obj[key])
+    return {key: value for key, value in kwargs.items() if value is not None}
 
 
 def _settings(obj: dict, cls: type, path: str, ctx: _Ctx, rules: dict[str, Rule], nullable: Sequence[str] = ()):
@@ -234,7 +297,7 @@ def _parse_label(name: Any, label_set: type, path: str, ctx: _Ctx) -> Label | No
     try:
         return label_set[name]
     except KeyError:
-        ctx.error(path, f"unknown label {name!r} for this application")
+        ctx.error(path, UNKNOWN_LABEL.format(name))
         return None
 
 
@@ -266,22 +329,13 @@ def _parse_synthetic_app(app: str, obj: Any, ctx: _Ctx) -> SyntheticSpec | None:
     if missing:
         ctx.error(f"{path}.schedule", f"labels without signal models: {sorted(set(missing))}")
         return None
-    try:
-        SyntheticActivityModel(signals=signals, seed=0)  # invariant check
-    except ValueError as exc:
-        ctx.error(f"{path}.labels", str(exc))
-        return None
+    if ctx.check(f"{path}.labels", lambda models: SyntheticActivityModel(signals=models, seed=0), signals) is None:
+        return None  # the model checks that labels differ and that stretch is on all or none
     return SyntheticSpec(app=app, signals=signals, schedule=tuple(schedule), **kwargs)
 
 
-# A schedule's two rules, which run_scenario also applies to a Config built in code.
-EMPTY_SCHEDULE = "expected a non-empty list of [label, duration_ms] pairs"
-BAD_DURATION = "duration_ms must be a positive integer"
-
-
 def _parse_schedule(raw: Any, label_set: type, path: str, ctx: _Ctx):
-    if not isinstance(raw, list) or not raw:
-        ctx.error(path, EMPTY_SCHEDULE)
+    if ctx.check(path, _schedule, raw) is None:
         return None
     out = []
     for i, entry in enumerate(raw):
@@ -289,12 +343,8 @@ def _parse_schedule(raw: Any, label_set: type, path: str, ctx: _Ctx):
             ctx.error(f"{path}[{i}]", "expected [label, duration_ms]")
             continue
         label = _parse_label(entry[0], label_set, f"{path}[{i}]", ctx)
-        if label is None:
-            continue
-        if not is_int(entry[1]) or entry[1] <= 0:
-            ctx.error(f"{path}[{i}]", BAD_DURATION)
-            continue
-        out.append((label, entry[1]))
+        if label is not None and ctx.check(f"{path}[{i}]", _block_ms, entry[1]) is not None:
+            out.append((label, entry[1]))
     return out if out else None
 
 
@@ -326,69 +376,68 @@ def _parse_protocol(obj: dict, ctx: _Ctx) -> ProtocolSettings:
 def _parse_device(
     obj: Any, index: int, synthetic: dict[str, SyntheticSpec], declared: Collection[str] | None, ctx: _Ctx
 ) -> DeviceSpec | None:
-    """declared names the apps under synthetic_models, valid or not; None if
-    the document has no synthetic_models section."""
+    """The device, None without a valid id and schedule; an absent id is its 1-based position. declared
+    names the apps under synthetic_models, valid or not; None if the document has no such section."""
     path = f"scenario.devices[{index}]"
     if not isinstance(obj, dict):
         ctx.error(path, "expected an object")
         return None
-    kwargs = _fields(obj, DeviceSpec, path, ctx, _DEVICE, extra=("schedule", "alert_schedule"))
-    device_id = kwargs.pop("id", index + 1)
+    rules = DeviceSpec.RULES
+    kwargs = _fields(
+        {"id": index + 1, **obj}, DeviceSpec, path, ctx,
+        {"id": rules["device_id"], "app": rules["app"], "clock_offset_ms": rules["clock_offset_ms"]},
+        extra=("schedule", "alert_schedule"),
+    )
     app = kwargs.get("app", DeviceSpec.app)
     label_set = label_set_for(app)
     schedule = None
     if "schedule" in obj:
         schedule = _parse_schedule(obj["schedule"], label_set, f"{path}.schedule", ctx)
     if schedule:
-        kwargs["schedule"] = tuple(schedule)
         if declared is not None and app not in declared:  # the simulator synthesizes its signals from one
             ctx.error(f"{path}.app", f"no synthetic_models.{app} section to synthesize its signals from")
     elif app in synthetic:
-        kwargs["schedule"] = tuple(synthetic[app].full_schedule())
+        schedule = synthetic[app].full_schedule()
     else:
         ctx.error(f"{path}.schedule", f"no schedule given and no synthetic_models.{app} to fall back on")
-    if "alert_schedule" in obj:
-        raw_alerts = obj["alert_schedule"]
-        if not isinstance(raw_alerts, list):
-            ctx.error(f"{path}.alert_schedule", "expected a list of [t_ms, label] pairs")
-        else:
-            alerts = []
-            for i, entry in enumerate(raw_alerts):
-                if not isinstance(entry, list) or len(entry) != 2 or not is_int(entry[0]):
-                    ctx.error(f"{path}.alert_schedule[{i}]", "expected [t_ms, label]")
-                    continue
-                if entry[0] < 0:
-                    ctx.error(f"{path}.alert_schedule[{i}]", "t_ms must be >= 0")
-                    continue
+    raw_alerts = obj.get("alert_schedule", [])
+    if not isinstance(raw_alerts, list):
+        ctx.error(f"{path}.alert_schedule", "expected a list of [t_ms, label] pairs")
+    else:
+        alerts = []
+        for i, entry in enumerate(raw_alerts):
+            t_ms = entry[0] if isinstance(entry, list) and len(entry) == 2 else None  # None: not [t_ms, label]
+            if ctx.check(f"{path}.alert_schedule[{i}]", _alert_ms, t_ms) is not None:
                 label = _parse_label(entry[1], label_set, f"{path}.alert_schedule[{i}]", ctx)
                 if label is not None:
-                    alerts.append((entry[0], label))
-            kwargs["alert_schedule"] = tuple(alerts)
-    return DeviceSpec(device_id=device_id, **kwargs)
+                    alerts.append((t_ms, label))
+        kwargs["alert_schedule"] = tuple(alerts)
+    if "id" not in kwargs or not schedule:
+        return None
+    return DeviceSpec(kwargs.pop("id"), tuple(schedule), **kwargs)
 
 
 def _parse_scenario(
     obj: dict, synthetic: dict[str, SyntheticSpec], declared: Collection[str] | None, ctx: _Ctx
-) -> ScenarioSettings:
+) -> ScenarioSettings | None:
+    """The scenario section; None if the document has errors, in any section."""
     path = "scenario"
-    kwargs = _fields(obj, ScenarioSettings, path, ctx, _SCENARIO, extra=("devices",))
+    rules = dict(ScenarioSettings.RULES, local_processing=_local_processing)  # checked only, not a field
+    kwargs = _fields(obj, ScenarioSettings, path, ctx, rules, extra=("devices",))
+    kwargs.pop("local_processing", None)
     raw_devices = obj.get("devices")
     if not isinstance(raw_devices, list) or not raw_devices:
         ctx.error(f"{path}.devices", "expected a non-empty device list")
     else:
         devices = []
-        seen_ids = set()
         for i, d in enumerate(raw_devices):
             spec = _parse_device(d, i, synthetic, declared, ctx)
             if spec is not None:
-                if spec.device_id in seen_ids:
-                    ctx.error(f"{path}.devices[{i}].id", f"duplicate device id {spec.device_id}")
-                seen_ids.add(spec.device_id)
                 devices.append(spec)
+                if reason := _duplicate_id(devices):
+                    ctx.error(f"{path}.devices[{i}].id", reason)
         kwargs["devices"] = tuple(devices)
-    # The key exists only to refuse raw-sample streaming: true is the only value.
-    kwargs.pop("local_processing", None)
-    return ScenarioSettings(**kwargs)
+    return None if ctx.errors else ScenarioSettings(**kwargs)
 
 
 TOP_LEVEL_SECTIONS = [

@@ -36,14 +36,15 @@ import json
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import cycle
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .classifier import MlpModel, ModelFitError, check_fit, forward, load_model
-from .config import BAD_DURATION, EMPTY_SCHEDULE, Config, ConfigError, DeviceSpec, ScenarioSettings
-from .core import Label, is_int, label_set_for
+from .config import Config, ConfigError, DeviceSpec
+from .core import Label, label_set_for
 from .dataio import channel_count, synthesize_signal
 from .firmware import (
     BATTERY_RECOVERY_FRACTION,
@@ -132,10 +133,9 @@ class Simulator:
 class SimChannel:
     """Lossy, latent, seeded bit-flipping link between one device and the host."""
 
-    def __init__(self, sim: Simulator, model, device_id: int, name: str = "channel"):
+    def __init__(self, sim: Simulator, model, device_id: int):
         self.sim = sim
         self.model = model
-        self.name = name
         entropy = np.random.SeedSequence([sim.seed, device_id], spawn_key=(CHANNEL_STREAM,))
         self.rng = np.random.Generator(np.random.PCG64(entropy))
 
@@ -150,25 +150,25 @@ class SimChannel:
         kind = FrameType(type_value).name
         self.sim.emit("frame_tx", src, kind, device_id, seq, len(frame), frame.hex())
         if self.rng.random() < self.model.loss_probability:
-            self.sim.emit("frame_lost", self.name, src, kind, device_id, seq)
+            self.sim.emit("frame_lost", "channel", src, kind, device_id, seq)
             return
         if self.rng.random() < self.model.corruption_probability:
             flipped = bytearray(frame)
             bit = int(self.rng.integers(0, len(flipped) * 8))
             flipped[bit // 8] ^= 1 << (bit % 8)
             frame = bytes(flipped)
-            self.sim.emit("frame_corrupt", self.name, src, kind, device_id, seq, frame.hex())
+            self.sim.emit("frame_corrupt", "channel", src, kind, device_id, seq, frame.hex())
         self.sim.schedule(self.sim.now + self._latency(), lambda: receiver.receive(frame))
 
 
 class SimHost:
-    """Host gateway wrapper that routes ACKs back through the channel."""
+    """Host gateway wrapper that routes ACKs for its shard's device back through the channel."""
 
-    def __init__(self, sim: Simulator, gateway: HostGateway, channel: SimChannel):
+    def __init__(self, sim: Simulator, gateway: HostGateway, channel: SimChannel, device: "SimDevice"):
         self.sim = sim
         self.gateway = gateway
         self.channel = channel
-        self.devices: dict[int, "SimDevice"] = {}
+        self.device = device
 
     def receive(self, frame: bytes) -> None:
         result = self.gateway.step(self.sim.now, frame)
@@ -185,9 +185,8 @@ class SimHost:
         note = result.notification
         if note is not None:
             self.sim.emit("alert_notified", "host", note.device_id, note.seq, note.label_index)
-        target = self.devices.get(result.device_id)
-        if result.ack is not None and target is not None:
-            self.channel.send("host", result.ack, target)
+        if result.ack is not None and result.device_id == self.device.spec.device_id:
+            self.channel.send("host", result.ack, self.device)
 
 
 @dataclass
@@ -202,19 +201,11 @@ class _PendingAlert:
 class SimDevice:
     """Autonomous wearable node: wake-on-motion, classify, transmit, harvest."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        spec: DeviceSpec,
-        config: Config,
-        scenario: ScenarioSettings,
-        channel: SimChannel,
-        model: MlpModel | None,
-    ):
+    def __init__(self, sim: Simulator, spec: DeviceSpec, config: Config, channel: SimChannel, model: MlpModel | None):
         self.sim = sim
         self.spec = spec
         self.config = config
-        self.scenario = scenario
+        self.scenario = scenario = config.scenario
         self.channel = channel
         self.model = model
         self.name = f"dev{spec.device_id}"
@@ -282,16 +273,13 @@ class SimDevice:
 
     @staticmethod
     def _tile_blocks(schedule, duration_ms: int):
-        blocks = []
-        t = 0
-        while t < duration_ms:
-            for label, dur in schedule:
-                if t >= duration_ms:
-                    break
-                end = min(t + dur, duration_ms)
-                blocks.append((t, end, label))
-                t = end
-        return blocks
+        """The schedule repeated up to duration_ms as (start, end, label) blocks."""
+        blocks, t = [], 0
+        for label, dur in cycle(schedule):  # DeviceSpec holds a non-empty schedule of blocks > 0 ms
+            if t >= duration_ms:
+                return blocks
+            blocks.append((t, min(t + dur, duration_ms), label))
+            t += dur
 
     def start(self) -> None:
         self.sim.emit(
@@ -726,15 +714,10 @@ def run_scenario(config: Config, seed: int = 0) -> SimTrace:
     scenario = config.scenario
     if scenario is None:
         raise ConfigError(["config has no scenario section"])
-    for i, spec in enumerate(scenario.devices):
-        path = f"scenario.devices[{i}]"
+    for i, spec in enumerate(scenario.devices):  # a rule across sections, which a Config cannot check itself
         if spec.app not in config.synthetic:
-            raise ConfigError([f"{path}.app: no synthetic_models.{spec.app} section to synthesize its signals from"])
-        if not spec.schedule:
-            raise ConfigError([f"{path}.schedule: {EMPTY_SCHEDULE}"])
-        for j, (_, duration_ms) in enumerate(spec.schedule):
-            if not is_int(duration_ms) or duration_ms <= 0:
-                raise ConfigError([f"{path}.schedule[{j}]: {BAD_DURATION}"])
+            path = f"scenario.devices[{i}].app"
+            raise ConfigError([f"{path}: no synthetic_models.{spec.app} section to synthesize its signals from"])
     model = None
     if scenario.model_path is not None:
         model = load_model(scenario.model_path)
@@ -767,10 +750,8 @@ def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int) 
     sim = Simulator(seed)
     channel = SimChannel(sim, config.channel, spec.device_id)
     gateway = HostGateway({other.device_id: config.protocol.key for other in scenario.devices})
-    host = SimHost(sim, gateway, channel)
-    device = SimDevice(sim, spec, config, scenario, channel, model)
-    device.host = host
-    host.devices[spec.device_id] = device
+    device = SimDevice(sim, spec, config, channel, model)
+    device.host = SimHost(sim, gateway, channel, device)
     device.start()
     sim.run(scenario.duration_ms)
     device.finalize()

@@ -435,6 +435,17 @@ def test_simulate_non_finite_setting_exits_2(tmp_path, capsys):
     assert "config error: scenario.tx_bitrate_kbps: expected a finite number" in capsys.readouterr().err
 
 
+def test_simulate_clock_offset_beyond_the_64_bit_device_clock_exits_2(tmp_path, capsys):
+    """The device clock goes into unsigned 64-bit frame timestamps; an offset past them is a config error."""
+    config = write_config(tmp_path, mutate=lambda raw: raw["scenario"]["devices"][0].update(clock_offset_ms=2**64))
+    code = main(["simulate", "--config", str(config), "--trace", str(tmp_path / "t")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip() == "config error: scenario.devices[0].clock_offset_ms: must be <= 9223372036854775807"
+    assert "Traceback" not in err
+    assert not (tmp_path / "t").exists()
+
+
 def test_golden_eval_rendering():
     import numpy as np
 

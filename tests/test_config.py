@@ -6,9 +6,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from openhealth import config as config_module
 from openhealth.classifier import TrainConfig
-from openhealth.config import ConfigError, load_config, parse_config
-from openhealth.core import DeviceProfile, FieldError
+from openhealth.config import ConfigError, DeviceSpec, ScenarioSettings, load_config, parse_config
+from openhealth.core import APPS, ActivityLabel, DeviceProfile, FieldError, GestureLabel
 from openhealth.firmware import EnergySettings
 from openhealth.netproto import ChannelModel
 
@@ -249,6 +250,12 @@ MALFORMED = [
         [(_DEV + ("alert_schedule", 0, 1), "Up")],
         ["scenario.devices[0].alert_schedule[0]: unknown label 'Up' for this application"],
     ),
+    ([(("scenario", "alert_labels"), ["Jump", "Jmup"])], ["scenario.alert_labels: unknown label name 'Jmup'"]),
+    (
+        [(_DEV + ("clock_offset_ms",), 2**64)],
+        ["scenario.devices[0].clock_offset_ms: must be <= 9223372036854775807"],
+    ),
+    ([(("scenario", "duration_ms"), 2**63)], ["scenario.duration_ms: must be <= 9223372036854775807"]),
 ]
 
 
@@ -359,6 +366,16 @@ CONSTRUCTED = [
     (EnergySettings, "reserve_fraction", 0.95, "must be <= 0.9"),
     (EnergySettings, "mppt_efficiency", math.nan, "expected a finite number"),
     (EnergySettings, "battery_initial_mwh", 50.0, "must not exceed battery_capacity_mwh"),
+    (ScenarioSettings, "tx_bitrate_kbps", 0.0, "must be >= 1e-09"),
+    (ScenarioSettings, "tx_bitrate_kbps", -250.0, "must be >= 1e-09"),
+    (ScenarioSettings, "report_every_n_windows", 0, "must be >= 1"),
+    (ScenarioSettings, "report_every_n_windows", 2.5, "expected an integer"),
+    (ScenarioSettings, "energy_log_interval_ms", 0, "must be >= 1"),
+    (ScenarioSettings, "duration_ms", -5, "must be >= 1"),
+    (ScenarioSettings, "inference_latency_ms", -3, "must be >= 1"),
+    (ScenarioSettings, "idle_timeout_ms", -1, "must be >= 0"),
+    (ScenarioSettings, "alert_labels", ("Jmup",), "unknown label name 'Jmup'"),
+    (ScenarioSettings, "use_duty_plan", 1, "expected true/false"),
 ]
 
 
@@ -369,6 +386,76 @@ def test_direct_construction_enforces_parser_ranges(cls, name, value, reason):
     with pytest.raises(FieldError) as exc:
         cls(**{name: value})
     assert (exc.value.field, exc.value.reason) == (name, reason)
+
+
+WALK_1S = ((ActivityLabel.Walk, 1000),)
+# A device built in code: its fields beside device_id 1 and schedule WALK_1S, then the field and
+# reason the parser reports.
+DEVICE_CONSTRUCTED = {
+    "id-above-65535": ({"device_id": 70000}, "device_id", "must be <= 65535"),
+    "negative-id": ({"device_id": -1}, "device_id", "must be >= 0"),
+    "unknown-app": ({"app": "ecg"}, "app", "must be one of ['gesture', 'har']"),
+    "fractional-clock-offset": ({"clock_offset_ms": 0.5}, "clock_offset_ms", "expected an integer"),
+    "gesture-label-in-har-schedule": (
+        {"schedule": ((GestureLabel.Up, 1000),)}, "schedule[0]", "unknown label 'Up' for this application"
+    ),
+    "bool-block": (
+        {"schedule": WALK_1S * 2 + ((ActivityLabel.Sit, True),)},
+        "schedule[2]",
+        "duration_ms must be a positive integer",
+    ),
+    "alert-before-0": ({"alert_schedule": ((-5, ActivityLabel.Walk),)}, "alert_schedule[0]", "t_ms must be >= 0"),
+    "fractional-alert-time": (
+        {"alert_schedule": ((0, ActivityLabel.Walk), (1.5, ActivityLabel.Walk))},
+        "alert_schedule[1]",
+        "expected [t_ms, label]",
+    ),
+    "har-label-in-gesture-alert": (
+        {"app": "gesture", "schedule": ((GestureLabel.Up, 640),), "alert_schedule": ((0, ActivityLabel.Jump),)},
+        "alert_schedule[0]",
+        "unknown label 'Jump' for this application",
+    ),
+}
+
+
+@pytest.mark.parametrize("kwargs,name,reason", DEVICE_CONSTRUCTED.values(), ids=DEVICE_CONSTRUCTED.keys())
+def test_device_spec_construction_enforces_parser_rules(kwargs, name, reason):
+    with pytest.raises(FieldError) as exc:
+        DeviceSpec(**{"device_id": 1, "schedule": WALK_1S, **kwargs})
+    assert (exc.value.field, exc.value.reason) == (name, reason)
+
+
+def test_scenario_settings_refuse_two_devices_with_one_id():
+    devices = (DeviceSpec(1, WALK_1S), DeviceSpec(2, WALK_1S), DeviceSpec(1, WALK_1S))
+    with pytest.raises(FieldError) as exc:
+        ScenarioSettings(devices=devices)
+    assert (exc.value.field, exc.value.reason) == ("devices[2].id", "duplicate device id 1")
+
+
+def test_reference_config_spells_out_every_rule_key():
+    """The reference config lists every key of every section's rule table."""
+    raw = reference_raw()
+    synthetic = raw["synthetic_models"]
+    device_keys = ["id" if key == "device_id" else key for key in DeviceSpec.RULES]
+    sections = [
+        ("device_profile", raw["device_profile"], DeviceProfile.RULES),
+        ("pipeline", raw["pipeline"], config_module._PIPELINE),
+        ("train", raw["train"], TrainConfig.RULES),
+        ("energy", raw["energy"], EnergySettings.RULES),
+        ("channel", raw["channel"], ChannelModel.RULES),
+        ("protocol", raw["protocol"], config_module._PROTOCOL),
+        ("protocol.retry", raw["protocol"]["retry"], config_module._RETRY),
+        ("scenario", raw["scenario"], ScenarioSettings.RULES),
+        *((f"scenario.devices[{i}]", d, device_keys) for i, d in enumerate(raw["scenario"]["devices"])),
+        *((f"synthetic_models.{app}", synthetic[app], config_module._SYNTHETIC) for app in APPS),
+        *(
+            (f"synthetic_models.{app}.labels.{name}", params, config_module._SIGNAL)
+            for app in APPS
+            for name, params in synthetic[app]["labels"].items()
+        ),
+    ]
+    missing = {path: sorted(set(keys) - set(obj)) for path, obj, keys in sections if set(keys) - set(obj)}
+    assert missing == {}
 
 
 def _node_paths(obj, path=()):

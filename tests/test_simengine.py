@@ -16,7 +16,7 @@ from hypothesis import given, seed as hypothesis_seed, settings, strategies as s
 from openhealth import simengine
 from openhealth.classifier import forward, load_model
 from openhealth.config import Config, ConfigError, DeviceSpec, load_config, parse_config
-from openhealth.core import ActivityLabel
+from openhealth.core import ActivityLabel, FieldError
 from openhealth.firmware import motion_detector
 from openhealth.netproto import AppId, frame_nonce, peek_header
 from openhealth.pipeline import extract_feature_matrix, normalize_features
@@ -311,9 +311,7 @@ def test_oracle_names_top_label_for_gesture_window_without_majority():
     ]
     config = parse_config(raw)
     sim = Simulator(seed=0)
-    device = SimDevice(
-        sim, config.scenario.devices[0], config, config.scenario, SimChannel(sim, config.channel, 3), None
-    )
+    device = SimDevice(sim, config.scenario.devices[0], config, SimChannel(sim, config.channel, 3), None)
     (matrix,), counts = device._window_samples([0])  # 64 Down samples, then 64 Up
     assert matrix.shape[0] == 128
     assert counts == [64, 64, 0, 0, 0]  # per code (Up, Down, Left, Right), unlabeled last
@@ -325,14 +323,15 @@ def test_oracle_names_top_label_for_gesture_window_without_majority():
 
 def test_host_rejects_unassigned_frame_type_without_raising():
     from openhealth.netproto import FrameType, HostGateway, encode_frame
-    from openhealth.simengine import SimChannel, SimHost
+    from openhealth.simengine import SimChannel, SimDevice, SimHost
 
     config = small_config()
     key = config.protocol.key
     sim = Simulator(seed=0)
     sim.emit("trace_version", "sim", TRACE_VERSION)
     gateway = HostGateway({1: key})
-    host = SimHost(sim, gateway, SimChannel(sim, config.channel, 1))
+    channel = SimChannel(sim, config.channel, 1)
+    host = SimHost(sim, gateway, channel, SimDevice(sim, config.scenario.devices[0], config, channel, None))
     frame = bytearray(encode_frame(FrameType.DATA, 1, 1, b"\x00" * 12, key))
     frame[1] = 0x03 ^ 0x80  # a flipped type bit: no FrameType has this value
     result = gateway.step(sim.now, bytes(frame))
@@ -372,7 +371,7 @@ def _window_device(schedule, duration_ms, rate_hz=100, seed=5, device_id=1, mode
     config = parse_config(raw)
     sim = Simulator(seed=seed)
     channel = SimChannel(sim, config.channel, device_id)
-    return SimDevice(sim, config.scenario.devices[0], config, config.scenario, channel, model)
+    return SimDevice(sim, config.scenario.devices[0], config, channel, model)
 
 
 def _scalar_block_runs(device, start_ms):
@@ -691,25 +690,23 @@ def test_run_scenario_refuses_a_config_without_scenario():
 
 
 @pytest.mark.parametrize(
-    "schedule, error",
+    "schedule, field, reason",
     [
-        ((), "scenario.devices[1].schedule: expected a non-empty list of [label, duration_ms] pairs"),
+        ((), "schedule", "expected a non-empty list of [label, duration_ms] pairs"),
         (
             ((ActivityLabel.Walk, 1000), (ActivityLabel.Sit, 0)),
-            "scenario.devices[1].schedule[1]: duration_ms must be a positive integer",
+            "schedule[1]",
+            "duration_ms must be a positive integer",
         ),
-        (((ActivityLabel.Walk, -5),), "scenario.devices[1].schedule[0]: duration_ms must be a positive integer"),
+        (((ActivityLabel.Walk, -5),), "schedule[0]", "duration_ms must be a positive integer"),
     ],
     ids=["empty", "zero-block", "negative-block"],
 )
-def test_run_scenario_refuses_a_schedule_built_in_code(schedule, error):
-    """The parser never builds these schedules; a Config built in code can."""
-    config = small_config(duration_ms=60_000)
-    devices = (config.scenario.devices[0], DeviceSpec(2, schedule=schedule))
-    config = replace(config, scenario=replace(config.scenario, devices=devices))
-    with pytest.raises(ConfigError) as exc:
-        run_scenario(config)
-    assert exc.value.errors == [error]
+def test_run_scenario_refuses_a_schedule_built_in_code(schedule, field, reason):
+    """The parser never builds these schedules; built in code, DeviceSpec refuses them with the parser's reason."""
+    with pytest.raises(FieldError) as exc:
+        DeviceSpec(2, schedule=schedule)
+    assert (exc.value.field, exc.value.reason) == (field, reason)
 
 
 def test_replay_version_mismatch():
@@ -1387,9 +1384,8 @@ def test_classify_confidences_pinned(trained_model_path):
     config = parse_config(lossy_model_raw(trained_model_path))
     spec = config.scenario.devices[0]
     sim = Simulator(seed=0)
-    device = SimDevice(
-        sim, spec, config, config.scenario, SimChannel(sim, config.channel, spec.device_id), load_model(trained_model_path)
-    )
+    channel = SimChannel(sim, config.channel, spec.device_id)
+    device = SimDevice(sim, spec, config, channel, load_model(trained_model_path))
     batches = [device._window_samples(starts)[0] for starts in CLASSIFY_BATCHES]
     batches.append(np.concatenate([device._window_samples([start])[0] for start in CLASSIFY_SPANNING_STARTS]))
     rows = [(label.value, confidence) for batch in batches for label, confidence in device._classify(batch)]

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Any, Collection, Sequence
 
 from .classifier import TrainConfig
-from .core import APPS, COUNT, POSITIVE, DeviceProfile, FieldError, Label, Rule, check_fields, finite, is_int, num
-from .core import label_set_for, parse_label
+from .core import APPS, COUNT, MAX_MS, POSITIVE, DeviceProfile, FieldError, Label, Rule, check_fields, finite
+from .core import is_int, label_set_for, num, parse_label
 from .dataio import LabelSignalModel, SyntheticActivityModel
 from .firmware import EnergySettings
 from .netproto import KEY_LEN, ChannelModel, RetryPolicy
@@ -121,9 +121,6 @@ def _alert_ms(v):
 
 
 UNKNOWN_LABEL = "unknown label {!r} for this application"
-# The bound of duration_ms and of clock_offset_ms: the device clock t + clock_offset_ms,
-# t <= duration_ms, then fits the unsigned 64-bit timestamps of the data and sync frames.
-MAX_MS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -251,7 +248,7 @@ _SIGNAL = {
 _RETRY = {"interval_ms": COUNT, "max_attempts": COUNT}
 _PROTOCOL = {
     "sync_interval_ms": num(lo=0, integer=True),
-    "sync_timeout_ms": COUNT,
+    "sync_timeout_ms": num(lo=1, hi=2**32 - 1, integer=True),  # a reply counts only before it: rtt_ms fits u32
     "sync_retries": COUNT,
 }
 

@@ -126,6 +126,10 @@ def num(lo: float | None = None, hi: float | None = None, integer: bool = False)
 POSITIVE = num(lo=1e-9)
 COUNT = num(lo=1, integer=True)
 FRACTION = num(lo=1e-9, hi=1.0)
+# The bound of duration_ms, clock_offset_ms and channel.latency_ms: the device clock t + clock_offset_ms,
+# t <= duration_ms, then fits the unsigned 64-bit timestamps of the data and sync frames, and a
+# latency range fits the channel's int64 draws.
+MAX_MS = 2**63 - 1
 
 
 class FieldError(ValueError):

@@ -29,7 +29,7 @@ from pathlib import Path
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .core import check_fields, is_int, num
+from .core import MAX_MS, check_fields, is_int, num
 
 PROTOCOL_VERSION = 1
 HEADER_LEN = 10
@@ -273,12 +273,13 @@ class RetryPolicy:
 
 
 def _latency(v):
-    """A fixed nonnegative latency, or a [lo, hi] range drawn from uniformly."""
-    if is_int(v) and v >= 0:
-        return v
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(is_int(x) for x in v) and 0 <= v[0] <= v[1]:
-        return (v[0], v[1])
-    raise ValueError("expected a nonnegative integer or [lo, hi] range")
+    """A fixed nonnegative latency, or a [lo, hi] range drawn from uniformly; at most MAX_MS either way."""
+    pair = isinstance(v, (list, tuple)) and len(v) == 2 and all(is_int(x) for x in v) and 0 <= v[0] <= v[1]
+    if not pair and not (is_int(v) and v >= 0):
+        raise ValueError("expected a nonnegative integer or [lo, hi] range")
+    if (v[1] if pair else v) > MAX_MS:
+        raise ValueError(f"must be <= {MAX_MS}")
+    return (v[0], v[1]) if pair else v
 
 
 @dataclass(frozen=True)

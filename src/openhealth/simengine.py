@@ -17,12 +17,10 @@ frames, and of the host's ACKs to it, in the shard's send order from a
 generator seeded by the same (seed, device id) under spawn key
 CHANNEL_STREAM, which keeps it apart from the noise key.
 
-Trace format (UTF-8, tab-separated, one event per line):
-
-    t_ms <TAB> kind <TAB> entity <TAB> detail...
-
-The first line gives the trace version. Frame lines carry the full frame
-hex, which doubles as the channel byte log for privacy and nonce audits.
+Trace lines are UTF-8 and tab-separated, ``t_ms kind entity detail...``,
+after a first line that gives the trace version; TRACE_LINES is their
+grammar, which every reader checks through trace_records. Frame lines carry
+the full frame hex, the channel byte log for privacy and nonce audits.
 
 A device books all its energy, state dwell and transmit bursts alike,
 through ``firmware.account_energy``. Its cycle moves only through
@@ -34,11 +32,14 @@ from __future__ import annotations
 import heapq
 import json
 import os
+import re
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import cycle
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Collection, Iterator
 
 import numpy as np
 
@@ -142,7 +143,7 @@ class SimChannel:
     def _latency(self) -> int:
         lat = self.model.latency_ms
         if isinstance(lat, tuple):
-            return int(self.rng.integers(lat[0], lat[1] + 1))
+            return int(self.rng.integers(lat[0], lat[1], endpoint=True))
         return lat
 
     def send(self, src: str, frame: bytes, receiver) -> None:
@@ -832,158 +833,199 @@ def read_trace(path: str | Path) -> list[str]:
     return Path(path).read_text(encoding="utf-8").splitlines()
 
 
-def _check_version(lines: list[str]) -> None:
-    """VersionMismatch at line 1 unless the trace is empty or opens with
-    the version line of TRACE_VERSION; every trace reader runs it first."""
-    if not lines:
-        return
-    first = lines[0].split("\t")
-    if len(first) < 4 or first[1] != "trace_version":
+# ---------------------------------------------------------------------------
+# Trace grammar and readers
+
+ENERGY_MWH = ("net", "curtailed", "shortfall", "harvested", "consumed")
+DWELL_MS = tuple(state.value for state in PowerState)
+# Each kind of line: the entities that may log it (docs/formats/trace.md's entity
+# column; "dev" is any dev<N>), its details' names and the parser of each. The
+# energy names are trace_metrics' energy_mwh and dwell_ms keys.
+TRACE_LINES: dict[str, tuple[str, tuple[str, ...], tuple[Callable[[str], object], ...]]] = {
+    "trace_version": ("sim", ("version",), (int,)),
+    "scenario": ("sim", ("duration_ms", "n_devices", "seed"), (int, int, int)),
+    "scenario_end": ("sim", (), ()),
+    "device_init": ("dev", ("app", "battery_mwh", "capacity_mwh", "clock_offset_ms"), (str, float, float, int)),
+    "duty_plan": ("dev", ("hourly_fractions",), (lambda text: tuple(map(float, text.split(","))),)),
+    "classify": ("dev", ("window_index", "label", "confidence"), (int, str, int)),
+    "frame_tx": ("dev/host", ("type", "device_id", "seq", "length", "frame"), (str, int, int, int, bytes.fromhex)),
+    "frame_lost": ("channel", ("src", "type", "device_id", "seq"), (str, str, int, int)),
+    "frame_corrupt": ("channel", ("src", "type", "device_id", "seq", "frame"), (str, str, int, int, bytes.fromhex)),
+    "frame_rx": ("dev/host", ("type", "device_id", "seq"), (str, int, int)),
+    "frame_reject": ("dev/host", ("device_id", "code"), (int, str)),
+    "observation": ("host", ("device_id", "corrected_t_ms", "app_id", "label_index", "confidence"),
+                    (int, int, lambda text: AppId(int(text)), int, int)),
+    "alert_notified": ("host", ("device_id", "seq", "label_index"), (int, int, int)),
+    "alert_sent": ("dev", ("seq", "attempt"), (int, int)),
+    "alert_delivered": ("dev", ("seq", "attempts", "latency_ms"), (int, int, int)),
+    "alert_undelivered": ("dev", ("seq", "attempts"), (int, int)),
+    "sync": ("dev", ("offset_ms", "rtt_ms"), (float, int)),
+    "sync_timeout": ("dev", ("attempts",), (int,)),
+    "battery_depleted": ("dev", (), ()),
+    "battery_recovered": ("dev", (), ()),
+    "energy": ("dev", ("battery", *ENERGY_MWH, *DWELL_MS), (float,) * 6 + (int,) * 4),
+}
+_ENTITY = re.compile(r"(sim|channel|host)|dev[0-9]+")
+
+
+def _details_parser(parsers: tuple) -> Callable[[list[str]], tuple]:
+    """One function of a line's parts applying parsers[i] to detail i; a loop would cost twice as much."""
+    calls = "".join(f"f[{3 + i}], " if p is str else f"p{i}(f[{3 + i}]), " for i, p in enumerate(parsers))
+    return eval(f"lambda f: ({calls})", {f"p{i}": p for i, p in enumerate(parsers)})
+
+
+_PARSERS = {kind: _details_parser(parsers) for kind, (_, _, parsers) in TRACE_LINES.items()}
+
+
+def trace_records(lines: list[str], kinds: Collection[str] = TRACE_LINES, parse: Collection[str] | None = None
+                  ) -> Iterator[tuple]:
+    """(line number, t_ms, kind, entity, details) of each line of a kind in kinds.
+
+    Every line must fit its kind's row of TRACE_LINES (see _line_rule); a line
+    of kinds also needs an integer t_ms, and details its row parses if its kind
+    is in parse (by default kinds), else they stay strings. The first line that
+    breaks a rule raises TraceFormatError naming it.
+    """
+    rules: dict[str, tuple[int, set[str], Callable | None]] = {}  # kind -> (parts in a line, entities seen, details_of)
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split("\t")
+        try:
+            size, entities, details_of = rules[parts[1]]
+        except (IndexError, KeyError):
+            size, entities, details_of = rules[parts[1]] = _line_rule(lineno, parts, kinds, parse)
+        if len(parts) != size or parts[2] not in entities:
+            _line_rule(lineno, parts, kinds, parse)
+            entities.add(parts[2])
+        if details_of is not None:
+            try:
+                record = lineno, int(parts[0]), parts[1], parts[2], details_of(parts)
+            except ValueError as exc:
+                raise TraceFormatError(lineno, f"cannot parse ({type(exc).__name__}: {exc})") from None
+            yield record
+
+
+def _line_rule(lineno: int, parts: list[str], kinds: Collection[str], parse: Collection[str] | None) -> tuple:
+    """(parts, {entity}, details_of) of a line, where details_of(parts) gives the details
+    trace_records yields, or is None to skip the line. Line 1 must be the version line of
+    TRACE_VERSION, or VersionMismatch; a line whose kind, entity or number of details its
+    row refuses is a TraceFormatError."""
+    if lineno == 1 and (len(parts) < 4 or parts[1] != "trace_version"):
         raise VersionMismatch(1, "trace has no version line")
-    if first[3] != str(TRACE_VERSION):
-        raise VersionMismatch(1, f"trace version {first[3]} != supported {TRACE_VERSION}")
+    if lineno == 1 and parts[3] != str(TRACE_VERSION):
+        raise VersionMismatch(1, f"trace version {parts[3]} != supported {TRACE_VERSION}")
+    if len(parts) < 3:
+        raise TraceFormatError(lineno, "no kind and entity")
+    _, kind, entity, *details = parts
+    if kind not in TRACE_LINES:
+        raise TraceFormatError(lineno, f"unknown kind {kind!r}")
+    entities, names, _ = TRACE_LINES[kind]
+    match = _ENTITY.fullmatch(entity)
+    if match is None or (match[1] or "dev") not in entities.split("/"):
+        raise TraceFormatError(lineno, f"entity {entity!r} does not log {kind} lines")
+    if len(details) != len(names):
+        raise TraceFormatError(lineno, f"{kind} line has {len(details)} details, not {len(names)}")
+    details_of = _PARSERS[kind] if kind in (kinds if parse is None else parse) else itemgetter(slice(3, None))
+    return len(parts), {entity}, details_of if kind in kinds else None
 
 
 def trace_observations(lines: list[str]) -> list[Observation]:
     """Host observation log entries recovered from the trace; raises only TraceFormatError."""
-    _check_version(lines)
-    out = []
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            parts = line.split("\t")
-            if parts[1] != "observation":
-                continue
-            out.append(
-                Observation(
-                    device_id=int(parts[3]),
-                    corrected_t_ms=int(parts[4]),
-                    app_id=AppId(int(parts[5])),
-                    label_index=int(parts[6]),
-                    confidence=int(parts[7]),
-                )
-            )
-    except (IndexError, ValueError) as exc:
-        raise TraceFormatError(lineno, f"cannot parse ({type(exc).__name__}: {exc})") from None
-    return out
+    return [Observation(*details) for *_, details in trace_records(lines, ("observation",))]
 
-
-# ---------------------------------------------------------------------------
-# Trace-derived metrics and replay checking
 
 def trace_metrics(lines: list[str]) -> dict:
     """Aggregate a trace into summary metrics (re-derivable from the file alone)."""
-    _check_version(lines)
-    devices: dict[str, dict] = {}
+    devices: dict[str, dict] = defaultdict(
+        lambda: {
+            "app": None,
+            "frames_sent": 0,
+            "classifications": {},
+            "alerts": {"sent": 0, "delivered": 0, "undelivered": 0, "attempts": {}, "latency_ms": {}},
+            "battery_mwh": {},
+            "battery_daily": [],  # [day, mWh] at each day boundary, then at the end
+            "energy_mwh": {},
+            "dwell_ms": {},
+            "sync": {"offset_est_ms": None, "rtt_ms": None, "timeouts": 0},
+            "depletions": 0,
+        }
+    )
     host = {"frames_received": 0, "frames_rejected": {}, "observations": {}, "alerts_notified": 0}
     channel = {"transmitted": 0, "lost": 0, "corrupted": 0}
     duration = 0
     seed = None
-
-    def dev(name: str) -> dict:
-        return devices.setdefault(
-            name,
-            {
-                "app": None,
-                "frames_sent": 0,
-                "classifications": {},
-                "alerts": {"sent": 0, "delivered": 0, "undelivered": 0, "attempts": {}, "latency_ms": {}},
-                "battery_mwh": {},
-                "battery_daily": [],  # [day, mWh] at each day boundary, then at the end
-                "energy_mwh": {},
-                "dwell_ms": {},
-                "sync": {"offset_est_ms": None, "rtt_ms": None, "timeouts": 0},
-                "depletions": 0,
-            },
-        )
-
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            parts = line.split("\t")
-            kind, entity = parts[1], parts[2]
-            t = int(parts[0])
-            if kind == "scenario":
-                duration = int(parts[3])
-                seed = int(parts[5])
-            elif kind == "device_init":
-                d = dev(entity)
-                d["app"] = parts[3]
-                d["battery_mwh"]["start"] = float(parts[4])
-                d["battery_mwh"]["capacity"] = float(parts[5])
-            elif kind == "frame_tx":
-                channel["transmitted"] += 1
-                if entity != "host":
-                    dev(entity)["frames_sent"] += 1
-            elif kind == "frame_lost":
-                channel["lost"] += 1
-            elif kind == "frame_corrupt":
-                channel["corrupted"] += 1
-            elif kind == "frame_rx" and entity == "host":
-                host["frames_received"] += 1
-            elif kind == "frame_reject" and entity == "host":
-                code = parts[4]
-                host["frames_rejected"][code] = host["frames_rejected"].get(code, 0) + 1
-            elif kind == "observation":
-                key = parts[3]
-                host["observations"][key] = host["observations"].get(key, 0) + 1
-            elif kind == "alert_notified":
-                host["alerts_notified"] += 1
-            elif kind == "classify":
-                d = dev(entity)
-                label = parts[4]
-                d["classifications"][label] = d["classifications"].get(label, 0) + 1
-            elif kind == "alert_sent":
-                a = dev(entity)["alerts"]
-                seq = parts[3]
-                if parts[4] == "1":
-                    a["sent"] += 1
-                a["attempts"][seq] = int(parts[4])
-            elif kind == "alert_delivered":
-                a = dev(entity)["alerts"]
-                a["delivered"] += 1
-                a["attempts"][parts[3]] = int(parts[4])
-                a["latency_ms"][parts[3]] = int(parts[5])
-            elif kind == "alert_undelivered":
-                a = dev(entity)["alerts"]
-                a["undelivered"] += 1
-                a["attempts"][parts[3]] = int(parts[4])
-            elif kind == "sync":
-                s = dev(entity)["sync"]
-                s["offset_est_ms"] = float(parts[3])
-                s["rtt_ms"] = int(parts[4])
-            elif kind == "sync_timeout":
-                dev(entity)["sync"]["timeouts"] += 1
-            elif kind == "battery_depleted":
-                dev(entity)["depletions"] += 1
-            elif kind == "energy":
-                d = dev(entity)
-                battery = float(parts[3])
-                # A trace is in time order, so its day-boundary lines and the
-                # final one arrive in order; the last line at a time counts.
-                if t == duration or (0 <= t < duration and t % DAY_MS == 0):
-                    day = t // DAY_MS if t >= 0 and t % DAY_MS == 0 else t / DAY_MS
-                    daily = d["battery_daily"]
-                    if daily and daily[-1][0] == day:
-                        daily[-1][1] = battery
-                    else:
-                        daily.append([day, battery])
-                d["battery_mwh"]["end"] = battery
-                d["battery_mwh"]["min"] = min(d["battery_mwh"].get("min", battery), battery)
-                d["energy_mwh"] = {
-                    "net": float(parts[4]),
-                    "curtailed": float(parts[5]),
-                    "shortfall": float(parts[6]),
-                    "harvested": float(parts[7]),
-                    "consumed": float(parts[8]),
-                }
-                d["dwell_ms"] = {state.value: int(parts[9 + i]) for i, state in enumerate(PowerState)}
-    except (IndexError, ValueError) as exc:
-        raise TraceFormatError(lineno, f"cannot parse ({type(exc).__name__}: {exc})") from None
-
+    # The kinds whose numbers it reads: the others it counts, or reads as strings.
+    numeric = ("scenario", "device_init", "alert_sent", "alert_delivered", "alert_undelivered", "sync", "energy")
+    for _, t, kind, entity, details in trace_records(lines, parse=numeric):
+        if kind == "classify":
+            _, label, _ = details
+            counts = devices[entity]["classifications"]
+            counts[label] = counts.get(label, 0) + 1
+        elif kind == "scenario":
+            duration, _, seed = details
+        elif kind == "device_init":
+            d = devices[entity]
+            d["app"], d["battery_mwh"]["start"], d["battery_mwh"]["capacity"], _ = details
+        elif kind == "frame_tx":
+            channel["transmitted"] += 1
+            if entity != "host":
+                devices[entity]["frames_sent"] += 1
+        elif kind == "frame_lost":
+            channel["lost"] += 1
+        elif kind == "frame_corrupt":
+            channel["corrupted"] += 1
+        elif kind == "frame_rx" and entity == "host":
+            host["frames_received"] += 1
+        elif kind == "frame_reject" and entity == "host":
+            _, code = details
+            host["frames_rejected"][code] = host["frames_rejected"].get(code, 0) + 1
+        elif kind == "observation":
+            device_id, *_ = details
+            host["observations"][device_id] = host["observations"].get(device_id, 0) + 1
+        elif kind == "alert_notified":
+            host["alerts_notified"] += 1
+        elif kind == "alert_sent":
+            seq, attempt = details
+            a = devices[entity]["alerts"]
+            a["sent"] += attempt == 1
+            a["attempts"][str(seq)] = attempt
+        elif kind == "alert_delivered":
+            seq, attempts, latency_ms = details
+            a = devices[entity]["alerts"]
+            a["delivered"] += 1
+            a["attempts"][str(seq)], a["latency_ms"][str(seq)] = attempts, latency_ms
+        elif kind == "alert_undelivered":
+            seq, attempts = details
+            a = devices[entity]["alerts"]
+            a["undelivered"] += 1
+            a["attempts"][str(seq)] = attempts
+        elif kind == "sync":
+            s = devices[entity]["sync"]
+            s["offset_est_ms"], s["rtt_ms"] = details
+        elif kind == "sync_timeout":
+            devices[entity]["sync"]["timeouts"] += 1
+        elif kind == "battery_depleted":
+            devices[entity]["depletions"] += 1
+        elif kind == "energy":
+            d = devices[entity]
+            battery, *figures = details
+            # A trace is in time order, so its day-boundary lines and the
+            # final one arrive in order; the last line at a time counts.
+            if t == duration or (0 <= t < duration and t % DAY_MS == 0):
+                day = t // DAY_MS if t >= 0 and t % DAY_MS == 0 else t / DAY_MS
+                daily = d["battery_daily"]
+                if daily and daily[-1][0] == day:
+                    daily[-1][1] = battery
+                else:
+                    daily.append([day, battery])
+            d["battery_mwh"]["end"] = battery
+            d["battery_mwh"]["min"] = min(d["battery_mwh"].get("min", battery), battery)
+            d["energy_mwh"] = dict(zip(ENERGY_MWH, figures))
+            d["dwell_ms"] = dict(zip(DWELL_MS, figures[len(ENERGY_MWH):]))
     return {
         "trace_version": TRACE_VERSION,
         "duration_ms": duration,
         "seed": seed,
-        "devices": devices,
+        "devices": dict(devices),
         "host": host,
         "channel": channel,
     }
@@ -998,105 +1040,81 @@ class ReplayReport:
 
 # What a device logs only after hearing a frame, which it cannot while depleted.
 _RECEIPT_KINDS = ("frame_rx", "frame_reject", "alert_delivered", "sync")
+# The kinds whose details replay reads.
+_REPLAY_PARSE = ("device_init", "energy", "frame_tx", "frame_rx")
 
 
 def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
-    """Re-check trace invariants: version, time order, energy ledger, state
-    dwell, radio silence while depleted, seq monotonicity, frame causality and
-    canary absence. Line numbers are 1-based."""
+    """Re-check the rules across the lines that trace_records checks one by one:
+    time order, energy ledger, state dwell, radio silence while depleted, seq
+    monotonicity, frame causality and canary absence. Line numbers are 1-based."""
     report = ReplayReport(passed=True)
-    _check_version(lines)
-    if not lines:
-        report.warnings.append("empty trace: vacuous pass")
-        return report
-
     initial: dict[str, float] = {}
     capacity: dict[str, float] = {}
     highest_seq: dict[str, int] = {}
-    seen_frames: dict[tuple[str, int], str] = {}
+    seen_frames: dict[tuple[str, int], bytes] = {}
     tx_keys: set[tuple[str, int, int, int]] = set()
     depleted: set[str] = set()
-    event_lines = 0
+    sim_lines = 0
     last_ms = 0
 
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            parts = line.split("\t")
-            kind, entity = parts[1], parts[2]
-            t_ms = int(parts[0])
-            if t_ms < last_ms:
-                report.failures.append(f"line {lineno}: t_ms {t_ms} before the previous line's {last_ms}")
-            last_ms = t_ms
-            if kind in ("trace_version", "scenario", "scenario_end"):
+    for lineno, t_ms, kind, entity, details in trace_records(lines, parse=_REPLAY_PARSE):
+        if t_ms < last_ms:
+            report.failures.append(f"line {lineno}: t_ms {t_ms} before the previous line's {last_ms}")
+        last_ms = t_ms
+        if entity == "sim":
+            sim_lines += 1
+        elif entity in depleted and kind in _RECEIPT_KINDS:
+            report.failures.append(f"line {lineno}: device {entity} logged {kind} while depleted")
+        if kind == "device_init":
+            _, initial[entity], capacity[entity], _ = details
+        elif kind == "energy":
+            battery, net, curtailed, shortfall, _, _, *dwell = details
+            if sum(dwell) != t_ms:
+                report.failures.append(f"line {lineno}: {entity} dwell sums to {sum(dwell)} ms, not t_ms")
+            if entity not in initial:
+                report.failures.append(f"line {lineno}: energy line for {entity} before its device_init")
                 continue
-            event_lines += 1
-            if entity in depleted and kind in _RECEIPT_KINDS:
-                report.failures.append(f"line {lineno}: device {entity} logged {kind} while depleted")
-            if kind == "device_init":
-                initial[entity] = float(parts[4])
-                capacity[entity] = float(parts[5])
-            elif kind == "energy":
-                battery, net, curtailed, shortfall = (
-                    float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6]),
+            expected = initial[entity] + net - curtailed + shortfall
+            if abs(battery - expected) > 1e-6:
+                report.failures.append(
+                    f"line {lineno}: energy ledger mismatch for {entity}: battery {battery} != {expected:.9f}"
                 )
-                dwell = sum(int(parts[i]) for i in range(9, 13))
-                if dwell != int(parts[0]):
-                    report.failures.append(f"line {lineno}: {entity} dwell sums to {dwell} ms, not t_ms")
-                if entity not in initial:
-                    report.failures.append(f"line {lineno}: energy line for {entity} before its device_init")
-                    continue
-                expected = initial[entity] + net - curtailed + shortfall
-                if abs(battery - expected) > 1e-6:
-                    report.failures.append(
-                        f"line {lineno}: energy ledger mismatch for {entity}: "
-                        f"battery {battery} != {expected:.9f}"
-                    )
-                if battery < -1e-9 or battery > capacity[entity] + 1e-9:
-                    report.failures.append(f"line {lineno}: battery {battery} outside [0, capacity]")
-            elif kind == "battery_depleted":
-                depleted.add(entity)
-            elif kind == "battery_recovered":
-                depleted.discard(entity)
-            elif kind == "frame_tx":
-                ftype, device_id, seq, hexes = parts[3], int(parts[4]), int(parts[5]), parts[7]
-                direction = 1 if entity == "host" else 0
-                tx_keys.add((ftype, device_id, seq, direction))
-                if entity in depleted:
-                    report.failures.append(f"line {lineno}: device {entity} transmitted while depleted")
-                if entity != "host":
-                    key = (entity, seq)
-                    if key in seen_frames:
-                        if seen_frames[key] != hexes:
-                            report.failures.append(
-                                f"line {lineno}: device {entity} reused seq {seq} for different bytes"
-                            )
-                    else:
-                        top = highest_seq.get(entity, -1)
-                        if seq <= top:
-                            report.failures.append(
-                                f"line {lineno}: device {entity} seq {seq} not above {top}"
-                            )
-                        highest_seq[entity] = max(top, seq)
-                        seen_frames[key] = hexes
-                if canaries:
-                    raw = bytes.fromhex(hexes)
-                    for canary in canaries:
-                        if canary in raw:
-                            report.failures.append(
-                                f"line {lineno}: canary bytes {canary.hex()} leaked on the air"
-                            )
-            elif kind == "frame_rx":
-                ftype, device_id, seq = parts[3], int(parts[4]), int(parts[5])
-                direction = 0 if entity == "host" else 1
-                if (ftype, device_id, seq, direction) not in tx_keys:
-                    report.failures.append(
-                        f"line {lineno}: received frame ({ftype}, dev {device_id}, seq {seq}) "
-                        "was never transmitted"
-                    )
-    except (IndexError, ValueError) as exc:
-        raise TraceFormatError(lineno, f"cannot parse ({type(exc).__name__}: {exc})") from None
+            if battery < -1e-9 or battery > capacity[entity] + 1e-9:
+                report.failures.append(f"line {lineno}: battery {battery} outside [0, capacity]")
+        elif kind == "battery_depleted":
+            depleted.add(entity)
+        elif kind == "battery_recovered":
+            depleted.discard(entity)
+        elif kind == "frame_tx":
+            ftype, device_id, seq, _, frame = details
+            tx_keys.add((ftype, device_id, seq, 1 if entity == "host" else 0))
+            if entity in depleted:
+                report.failures.append(f"line {lineno}: device {entity} transmitted while depleted")
+            if entity != "host":
+                key = (entity, seq)
+                if key in seen_frames:
+                    if seen_frames[key] != frame:
+                        report.failures.append(f"line {lineno}: device {entity} reused seq {seq} for different bytes")
+                else:
+                    top = highest_seq.get(entity, -1)
+                    if seq <= top:
+                        report.failures.append(f"line {lineno}: device {entity} seq {seq} not above {top}")
+                    highest_seq[entity] = max(top, seq)
+                    seen_frames[key] = frame
+            for canary in canaries:
+                if canary in frame:
+                    report.failures.append(f"line {lineno}: canary bytes {canary.hex()} leaked on the air")
+        elif kind == "frame_rx":
+            ftype, device_id, seq = details
+            if (ftype, device_id, seq, 0 if entity == "host" else 1) not in tx_keys:
+                report.failures.append(
+                    f"line {lineno}: received frame ({ftype}, dev {device_id}, seq {seq}) was never transmitted"
+                )
 
-    if event_lines == 0:
+    if not lines:
+        report.warnings.append("empty trace: vacuous pass")
+    elif sim_lines == len(lines):
         report.warnings.append("trace has no events: vacuous pass")
     report.passed = not report.failures
     return report

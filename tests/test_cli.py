@@ -446,6 +446,38 @@ def test_simulate_clock_offset_beyond_the_64_bit_device_clock_exits_2(tmp_path, 
     assert not (tmp_path / "t").exists()
 
 
+def _latency_past_int64(raw):
+    raw["channel"]["latency_ms"] = [0, 2**64]
+    raw["scenario"]["duration_ms"] = 60_000
+
+
+def _sync_timeout_past_u32_rtt(raw):
+    """60 days of one LieDown device, whose one sync round trip, 2 * 2147484648 ms, beats the timeout."""
+    raw["channel"]["latency_ms"] = 2147484648
+    raw["protocol"].update(sync_timeout_ms=2**33, sync_interval_ms=0)
+    raw["scenario"]["duration_ms"] = 60 * 86_400_000
+    raw["scenario"]["devices"] = [{"id": 1, "app": "har", "schedule": [["LieDown", 60 * 86_400_000]]}]
+
+
+@pytest.mark.parametrize(
+    "mutate, error",
+    [
+        (_latency_past_int64, "channel.latency_ms: must be <= 9223372036854775807"),
+        (_sync_timeout_past_u32_rtt, "protocol.sync_timeout_ms: must be <= 4294967295"),
+    ],
+    ids=["latency-past-int64", "sync-timeout-past-u32-rtt"],
+)
+def test_simulate_setting_past_what_the_run_can_hold_exits_2(tmp_path, capsys, mutate, error):
+    """Each used to crash the run: numpy's int64 latency draw, or packing the sync report's u32 rtt_ms."""
+    config = write_config(tmp_path, mutate=mutate)
+    code = main(["simulate", "--config", str(config), "--trace", str(tmp_path / "t")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip() == f"config error: {error}"
+    assert "Traceback" not in err
+    assert not (tmp_path / "t").exists()
+
+
 def test_golden_eval_rendering():
     import numpy as np
 

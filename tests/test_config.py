@@ -209,6 +209,8 @@ MALFORMED = [
     ([(("channel", "jitter_ms"), 5)], ["channel.jitter_ms: unknown key"]),
     ([(("channel", "latency_ms"), "20")], ["channel.latency_ms: expected a nonnegative integer or [lo, hi] range"]),
     ([(("channel", "latency_ms"), [40, 10])], ["channel.latency_ms: expected a nonnegative integer or [lo, hi] range"]),
+    ([(("channel", "latency_ms"), [0, 2**64])], ["channel.latency_ms: must be <= 9223372036854775807"]),
+    ([(("channel", "latency_ms"), 2**63)], ["channel.latency_ms: must be <= 9223372036854775807"]),
     ([(("channel", "loss_probability"), 2.0)], ["channel.loss_probability: must be <= 1.0"]),
     ([(("channel", "corruption_probability"), 1.0)], ["channel.corruption_probability: must be <= 0.999"]),
     ([(("protocol", "cipher"), "aes")], ["protocol.cipher: unknown key"]),
@@ -219,6 +221,7 @@ MALFORMED = [
     ([(("protocol", "retry", "backoff"), 2)], ["protocol.retry.backoff: unknown key"]),
     ([(("protocol", "retry", "max_attempts"), 0)], ["protocol.retry.max_attempts: must be >= 1"]),
     ([(("protocol", "sync_timeout_ms"), 0)], ["protocol.sync_timeout_ms: must be >= 1"]),
+    ([(("protocol", "sync_timeout_ms"), 2**32)], ["protocol.sync_timeout_ms: must be <= 4294967295"]),
     ([(("scenario", "speed"), 1)], ["scenario.speed: unknown key"]),
     ([(("scenario", "use_duty_plan"), 1)], ["scenario.use_duty_plan: expected true/false"]),
     ([(("scenario", "model_path"), 5)], ["scenario.model_path: expected a string"]),
@@ -363,6 +366,8 @@ CONSTRUCTED = [
     (TrainConfig, "patience", 0, "must be >= 1"),
     (ChannelModel, "corruption_probability", 0.9995, "must be <= 0.999"),
     (ChannelModel, "latency_ms", (40, 10), "expected a nonnegative integer or [lo, hi] range"),
+    (ChannelModel, "latency_ms", (0, 2**64), "must be <= 9223372036854775807"),
+    (ChannelModel, "latency_ms", 2**63, "must be <= 9223372036854775807"),
     (EnergySettings, "reserve_fraction", 0.95, "must be <= 0.9"),
     (EnergySettings, "mppt_efficiency", math.nan, "expected a finite number"),
     (EnergySettings, "battery_initial_mwh", 50.0, "must not exceed battery_capacity_mwh"),

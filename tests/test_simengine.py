@@ -16,12 +16,13 @@ from hypothesis import given, seed as hypothesis_seed, settings, strategies as s
 from openhealth import simengine
 from openhealth.classifier import forward, load_model
 from openhealth.config import Config, ConfigError, DeviceSpec, load_config, parse_config
-from openhealth.core import ActivityLabel, FieldError
+from openhealth.core import MAX_MS, ActivityLabel, FieldError
 from openhealth.firmware import motion_detector
 from openhealth.netproto import AppId, frame_nonce, peek_header
 from openhealth.pipeline import extract_feature_matrix, normalize_features
 from openhealth.simengine import (
     DAY_MS,
+    TRACE_LINES,
     TRACE_VERSION,
     SimChannel,
     SimDevice,
@@ -32,6 +33,7 @@ from openhealth.simengine import (
     run_scenario,
     trace_metrics,
     trace_observations,
+    trace_records,
 )
 
 REFERENCE = "configs/reference.json"
@@ -772,7 +774,7 @@ def test_truncated_line_names_its_line(small_trace):
         lines = list(small_trace.lines)
         index = next(i for i, line in enumerate(lines) if line.split("\t")[1] == kind)
         lines[index] = lines[index].rsplit("\t", 3)[0]
-        with pytest.raises(TraceFormatError, match=f"^line {index + 1}: cannot parse \\(IndexError"):
+        with pytest.raises(TraceFormatError, match=f"^line {index + 1}: {kind} line has \\d+ details, not \\d+$"):
             reader(lines)
 
 
@@ -980,14 +982,125 @@ def test_depletion_trace_digest_pinned(depletion_trace):
     assert digest == DEPLETION_TRACE_SHA256, "depletion trace bytes changed"
 
 
-def test_trace_doc_names_every_kind_and_the_version(small_trace, lossy_model_trace, depletion_trace):
+def test_trace_doc_names_every_kind_and_the_version():
     doc = Path("docs/formats/trace.md").read_text(encoding="utf-8")
     assert re.search(r"^# .*\(version (\d+)\)$", doc, re.M).group(1) == str(TRACE_VERSION)
     assert re.findall(r"`0  trace_version  sim  (\d+)`", doc) == [str(TRACE_VERSION)]
-    documented = set(re.findall(r"^\| (\w+) +\|", doc, re.M))
-    for trace in (small_trace, lossy_model_trace, depletion_trace):
-        kinds = {line.split("\t")[1] for line in trace.lines}
-        assert kinds <= documented, f"kinds missing from the trace doc: {kinds - documented}"
+    # The doc's table, row by row: kind, entity column and the number of details
+    # (a parenthesis only explains the detail before it).
+    rows = re.findall(r"^\| (\w+) +\| ([\w/]+) *\| (.*?) *\|$", doc, re.M)[1:]
+    documented = [
+        (kind, entity, len([d for d in re.sub(r"\(.*?\)", "", details).split(",") if d.strip()]))
+        for kind, entity, details in rows
+    ]
+    assert documented == [(kind, entity, len(names)) for kind, (entity, names, _) in TRACE_LINES.items()]
+
+
+def dead_link_raw():
+    """The small scenario with a duty plan, on a link that loses every frame."""
+    raw = small_raw(use_duty_plan=True)
+    raw["channel"]["loss_probability"] = 1.0
+    return raw
+
+
+@pytest.fixture(scope="module")
+def dead_link_trace():
+    return run_scenario(parse_config(dead_link_raw()), seed=0)
+
+
+@pytest.fixture(scope="module")
+def fixture_traces(small_trace, lossy_model_trace, depletion_trace, dead_link_trace):
+    return small_trace, lossy_model_trace, depletion_trace, dead_link_trace
+
+
+def test_every_kind_is_written_by_a_fixture_trace_and_read_back(fixture_traces):
+    kinds = set()
+    for trace in fixture_traces:
+        assert replay(trace.lines).passed
+        records = list(trace_records(trace.lines))  # every detail of every line parsed
+        assert [lineno for lineno, *_ in records] == list(range(1, len(trace.lines) + 1))
+        kinds |= {kind for _, _, kind, _, _ in records}
+    assert kinds == set(TRACE_LINES)
+
+
+def _readers_refuse_line(lines, index, detail):
+    for reader in (replay, trace_metrics, trace_observations):
+        with pytest.raises(TraceFormatError, match=f"^line {index + 1}: {re.escape(detail)}$"):
+            reader(lines)
+
+
+@pytest.mark.parametrize("kind", list(TRACE_LINES))
+@pytest.mark.parametrize("change", [+1, -1], ids=["field-added", "field-dropped"])
+def test_a_line_with_a_field_added_or_dropped_is_refused_at_that_line(fixture_traces, kind, change):
+    """A copy of the kind's first line, one field longer or shorter, follows it."""
+    lines = next(list(t.lines) for t in fixture_traces if any(line.split("\t")[1] == kind for line in t.lines))
+    index = 1 + next(i for i, line in enumerate(lines) if line.split("\t")[1] == kind)
+    line = lines[index - 1]
+    lines.insert(index, line + "\t0" if change > 0 else line.rsplit("\t", 1)[0])
+    count = len(TRACE_LINES[kind][1])
+    if count + change < 0:  # a kind without details loses its entity
+        _readers_refuse_line(lines, index, "no kind and entity")
+    else:
+        _readers_refuse_line(lines, index, f"{kind} line has {count + change} details, not {count}")
+
+
+@pytest.mark.parametrize(
+    "line, detail",
+    [
+        ("{t}\tclassify_all\tdev1\t1\tWalk\t10000", "unknown kind 'classify_all'"),
+        ("{t}\tclassify\thost\t1\tWalk\t10000", "entity 'host' does not log classify lines"),
+        ("{t}\tobservation\tdev1\t1\t0\t1\t5\t10000", "entity 'dev1' does not log observation lines"),
+        ("{t}\tframe_lost\tdevice1\tdev1\tDATA\t1\t0", "entity 'device1' does not log frame_lost lines"),
+    ],
+    ids=["unknown-kind", "classify-from-host", "observation-from-a-device", "no-such-entity"],
+)
+def test_an_unknown_kind_or_a_wrong_entity_is_refused_at_that_line(small_trace, line, detail):
+    lines = list(small_trace.lines)
+    index = next(i for i, text in enumerate(lines) if text.split("\t")[1] == "classify")
+    lines.insert(index, line.format(t=lines[index].split("\t")[0]))
+    _readers_refuse_line(lines, index, detail)
+
+
+def test_trace_records_yield_and_parse_only_the_kinds_asked_for(small_trace):
+    observations = list(trace_records(small_trace.lines, ("observation",)))
+    assert observations and {kind for _, _, kind, _, _ in observations} == {"observation"}
+    assert all(isinstance(app_id, AppId) for *_, (_, _, app_id, _, _) in observations)
+    unparsed = {kind: details for _, _, kind, _, details in trace_records(small_trace.lines, parse=())}
+    assert unparsed.keys() == {line.split("\t")[1] for line in small_trace.lines}
+    assert all(isinstance(field, str) for details in unparsed.values() for field in details)
+
+
+def sync_bound_raw(latency_ms, sync_timeout_ms):
+    """One LieDown device for 60 days that syncs once, over a link whose round trip is 2 * latency_ms."""
+    raw = small_raw(duration_ms=60 * DAY_MS)
+    raw["channel"]["latency_ms"] = latency_ms
+    raw["protocol"].update(sync_timeout_ms=sync_timeout_ms, sync_interval_ms=0)
+    raw["scenario"]["devices"][0].update(schedule=[["LieDown", 60 * DAY_MS]], alert_schedule=[])
+    return raw
+
+
+def test_a_sync_timeout_past_the_32_bit_round_trip_is_refused():
+    # A reply counts only while its request is pending; with this timeout a
+    # round trip of 2 * 2147484648 ms = 2^32 + 2000 ms would count, and its
+    # rtt_ms does not fit the sync report's unsigned 32 bits.
+    with pytest.raises(ConfigError) as exc:
+        parse_config(sync_bound_raw(2147484648, 2**33))
+    assert exc.value.errors == ["protocol.sync_timeout_ms: must be <= 4294967295"]
+
+
+def test_a_sync_round_trip_just_inside_the_32_bit_timeout_is_reported():
+    trace = run_scenario(parse_config(sync_bound_raw(2**31 - 1, 2**32 - 1)), seed=0)
+    assert trace.metrics["devices"]["dev1"]["sync"]["rtt_ms"] == 2**32 - 2
+    assert replay(trace.lines).passed
+
+
+def test_a_latency_range_up_to_max_ms_runs():
+    # Drawn with the upper end included, so hi + 1 never leaves int64.
+    raw = small_raw(duration_ms=60_000)
+    raw["channel"]["latency_ms"] = [0, MAX_MS]
+    trace = run_scenario(parse_config(raw), seed=0)
+    assert trace.metrics["devices"]["dev1"]["frames_sent"] > 0
+    assert replay(trace.lines).passed
 
 
 def _active_ms(energy_parts: list[str]) -> int:

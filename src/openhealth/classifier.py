@@ -1,11 +1,11 @@
 """From-scratch MLP classifier: training, evaluation, quantization, model blobs.
 
 Architecture is a single rectifier hidden layer with a softmax output,
-sized [D, H, C]. Training is plain SGD with momentum, fully deterministic
-given (seed, data, config). Model files are versioned ``OHM1`` binary
-blobs of float64 parameters (big-endian, row-major). An int8-quantized
-model is not stored; its ``OHQ1`` parameter image only sizes the flash
-a device needs.
+sized [D, H, C]. Training is plain SGD with momentum at the fixed
+LEARNING_RATE, MOMENTUM and BATCH_SIZE, deterministic given (seed, data,
+config). Model files are versioned ``OHM1`` binary blobs of float64
+parameters (big-endian, row-major). An int8-quantized model is not
+stored; its ``OHQ1`` parameter image only sizes the flash a device needs.
 """
 
 from __future__ import annotations
@@ -98,25 +98,22 @@ class MlpModel:
         return [self.w1, self.b1, self.w2, self.b2]
 
 
+LEARNING_RATE = 0.05
+MOMENTUM = 0.9
+BATCH_SIZE = 32  # rows per SGD step; the last batch of an epoch holds the remainder
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.05
-    momentum: float = 0.9
     epochs: int = 200
-    batch_size: int = 32
     seed: int = 0
     split_fraction: float = 0.8
-    patience: int | None = None
     hidden: int = 16  # units in the hidden layer
 
     RULES = {
-        "learning_rate": num(lo=1e-12),
-        "momentum": num(lo=0.0, hi=0.999),
         "epochs": COUNT,
-        "batch_size": COUNT,
         "seed": num(lo=0, integer=True),
         "split_fraction": num(lo=0.01, hi=0.99),
-        "patience": COUNT,
         "hidden": COUNT,
     }
 
@@ -205,30 +202,19 @@ def train(
     vel = np.zeros_like(m.params)
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
-    best = np.inf
-    stale = 0
     n = x.shape[0]
     for _ in range(config.epochs):
         order = rng.permutation(n)
         xs, ys = x[order], y[order]  # each batch is then a contiguous slice
         losses = []
-        for start in range(0, n, config.batch_size):
-            batch = slice(start, start + config.batch_size)
+        for start in range(0, n, BATCH_SIZE):
+            batch = slice(start, start + BATCH_SIZE)
             loss, g = loss_and_grad(m, xs[batch], ys[batch])
             losses.append(loss)
-            vel *= config.momentum
-            vel -= config.learning_rate * g.params
+            vel *= MOMENTUM
+            vel -= LEARNING_RATE * g.params
             m.params += vel
-        epoch_loss = float(np.mean(losses))
-        history.append(epoch_loss)
-        if config.patience is not None:
-            if epoch_loss < best - 1e-9:
-                best = epoch_loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
+        history.append(float(np.mean(losses)))
     return m, history
 
 

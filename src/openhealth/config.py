@@ -2,9 +2,9 @@
 
 Validation collects every violation instead of stopping at the first, and
 rejects unknown keys at any nesting level. A section's defaults are those
-of the dataclass it builds, and its keys are those of its rule table: the
-dataclass's own RULES where it checks its fields, else a table below. An
-absent or invalid key leaves the dataclass default in place.
+of the dataclass it builds, and its keys and ranges are those of the
+dataclass's RULES table, which its __post_init__ also runs. An absent or
+invalid key leaves the dataclass default in place.
 The shipped reference config spells out every default explicitly and
 doubles as the schema's documentation.
 """
@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Any, Collection, Sequence
 
 from .classifier import TrainConfig
-from .core import APPS, COUNT, MAX_MS, POSITIVE, DeviceProfile, FieldError, Label, Rule, check_fields, finite
-from .core import is_int, label_set_for, num, parse_label
+from .core import APPS, COUNT, MAX_MS, POSITIVE, DeviceProfile, FieldError, Label, Rule, check_fields, is_int
+from .core import label_set_for, num, parse_label
 from .dataio import LabelSignalModel, SyntheticActivityModel
 from .firmware import EnergySettings
 from .netproto import KEY_LEN, ChannelModel, RetryPolicy
@@ -37,6 +37,11 @@ class PipelineSettings:
     window: int = 128
     overlap: float = 0.5
 
+    RULES = {"window": num(lo=16, integer=True), "overlap": num(lo=0.0, hi=0.999)}
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -47,6 +52,11 @@ class SyntheticSpec:
     schedule: tuple[tuple[Label, int], ...]
     repeat: int = 1
 
+    RULES = {"repeat": COUNT}
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+
     def make_model(self, seed: int) -> SyntheticActivityModel:
         return SyntheticActivityModel(signals=self.signals, seed=seed)
 
@@ -54,13 +64,29 @@ class SyntheticSpec:
         return list(self.schedule) * self.repeat
 
 
+def _key(v):
+    if isinstance(v, bytes) and len(v) == KEY_LEN:
+        return v
+    raise ValueError(f"must encode exactly {KEY_LEN} bytes")
+
+
 @dataclass(frozen=True)
 class ProtocolSettings:
-    key: bytes = bytes(range(KEY_LEN))
+    key: bytes = bytes(range(KEY_LEN))  # the key "key_hex" of a config document, as hex text
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     sync_interval_ms: int = 21_600_000
     sync_timeout_ms: int = 1000
     sync_retries: int = 3
+
+    RULES = {
+        "key": _key,
+        "sync_interval_ms": num(lo=0, integer=True),
+        "sync_timeout_ms": num(lo=1, hi=2**32 - 1, integer=True),  # a reply counts only before it: rtt_ms fits u32
+        "sync_retries": COUNT,
+    }
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def _bool(v):
@@ -86,12 +112,6 @@ def _local_processing(v):
     if _bool(v):
         return v
     raise ValueError("raw-sample streaming is not supported; only processed observations leave the device")
-
-
-def _vec3(v):
-    if isinstance(v, list) and len(v) == 3 and all(finite(x) for x in v):
-        return (float(v[0]), float(v[1]), float(v[2]))
-    raise ValueError("expected a 3-number list")
 
 
 def _label_names(v):
@@ -229,30 +249,6 @@ def _check_keys(obj: dict, allowed: Sequence[str], path: str, ctx: _Ctx) -> None
             ctx.error(f"{path}.{key}" if path else key, "unknown key")
 
 
-# Rules of the sections whose dataclasses check nothing themselves; the
-# others are the RULES tables of DeviceProfile, TrainConfig, EnergySettings,
-# ChannelModel, ScenarioSettings and DeviceSpec.
-_PIPELINE = {
-    "window": num(lo=16, integer=True),
-    "overlap": num(lo=0.0, hi=0.999),
-}
-_SYNTHETIC = {"repeat": COUNT}
-_SIGNAL = {
-    "orientation": _vec3,
-    "freq_hz": num(lo=0.0),
-    "amp_g": num(lo=0.0),
-    "noise_sigma": num(lo=0.0),
-    "stretch_base": num(lo=0.0, hi=1.0),
-    "stretch_amp": num(lo=0.0),
-}
-_RETRY = {"interval_ms": COUNT, "max_attempts": COUNT}
-_PROTOCOL = {
-    "sync_interval_ms": num(lo=0, integer=True),
-    "sync_timeout_ms": num(lo=1, hi=2**32 - 1, integer=True),  # a reply counts only before it: rtt_ms fits u32
-    "sync_retries": COUNT,
-}
-
-
 def _fields(
     obj: dict, cls: type, path: str, ctx: _Ctx, rules: dict[str, Rule],
     extra: Sequence[str] = (), nullable: Sequence[str] = (),
@@ -273,7 +269,7 @@ def _fields(
     return {key: value for key, value in kwargs.items() if value is not None}
 
 
-def _settings(obj: dict, cls: type, path: str, ctx: _Ctx, rules: dict[str, Rule], nullable: Sequence[str] = ()):
+def _settings(obj: dict, cls: type, path: str, ctx: _Ctx, nullable: Sequence[str] = ()):
     """cls built from the keys of obj that pass their rule (see _fields).
 
     A rule across fields that cls itself checks, such as the initial
@@ -281,7 +277,7 @@ def _settings(obj: dict, cls: type, path: str, ctx: _Ctx, rules: dict[str, Rule]
     reported at that field's key and cls's defaults apply.
     """
     try:
-        return cls(**_fields(obj, cls, path, ctx, rules, nullable=nullable))
+        return cls(**_fields(obj, cls, path, ctx, cls.RULES, nullable=nullable))
     except FieldError as exc:
         ctx.error(f"{path}.{exc.field}", exc.reason)
         return cls()
@@ -303,7 +299,7 @@ def _parse_synthetic_app(app: str, obj: Any, ctx: _Ctx) -> SyntheticSpec | None:
     if not isinstance(obj, dict):
         ctx.error(path, "expected an object")
         return None
-    kwargs = _fields(obj, SyntheticSpec, path, ctx, _SYNTHETIC, extra=("labels", "schedule"))
+    kwargs = _fields(obj, SyntheticSpec, path, ctx, SyntheticSpec.RULES, extra=("labels", "schedule"))
     label_set = label_set_for(app)
     labels_obj = obj.get("labels")
     if not isinstance(labels_obj, dict) or not labels_obj:
@@ -318,7 +314,7 @@ def _parse_synthetic_app(app: str, obj: Any, ctx: _Ctx) -> SyntheticSpec | None:
         elif label is not None:
             if "orientation" not in params:
                 ctx.error(f"{ppath}.orientation", "expected a 3-number list")
-            signals[label] = _settings(params, LabelSignalModel, ppath, ctx, _SIGNAL)
+            signals[label] = _settings(params, LabelSignalModel, ppath, ctx)
     schedule = _parse_schedule(obj.get("schedule"), label_set, f"{path}.schedule", ctx)
     if not signals or schedule is None:
         return None
@@ -345,26 +341,26 @@ def _parse_schedule(raw: Any, label_set: type, path: str, ctx: _Ctx):
     return out if out else None
 
 
+def _key_hex(v):
+    if not isinstance(v, str):
+        raise ValueError("expected a hex string")
+    try:
+        key = bytes.fromhex(v)
+    except ValueError:
+        raise ValueError("not valid hex") from None
+    return _key(key)
+
+
 def _parse_protocol(obj: dict, ctx: _Ctx) -> ProtocolSettings:
     path = "protocol"
-    kwargs = _fields(obj, ProtocolSettings, path, ctx, _PROTOCOL, extra=("key_hex", "retry"))
-    raw = obj.get("key_hex")
-    if raw is not None:
-        if not isinstance(raw, str):
-            ctx.error(f"{path}.key_hex", "expected a hex string")
-        else:
-            try:
-                key = bytes.fromhex(raw)
-            except ValueError:
-                ctx.error(f"{path}.key_hex", "not valid hex")
-            else:
-                if len(key) == KEY_LEN:
-                    kwargs["key"] = key
-                else:
-                    ctx.error(f"{path}.key_hex", f"must encode exactly {KEY_LEN} bytes")
+    rules = {key: rule for key, rule in ProtocolSettings.RULES.items() if key != "key"}
+    rules["key_hex"] = _key_hex
+    kwargs = _fields(obj, ProtocolSettings, path, ctx, rules, extra=("retry",), nullable=("key_hex",))
+    if "key_hex" in kwargs:
+        kwargs["key"] = kwargs.pop("key_hex")
     if "retry" in obj:
         if isinstance(obj["retry"], dict):
-            kwargs["retry"] = _settings(obj["retry"], RetryPolicy, f"{path}.retry", ctx, _RETRY)
+            kwargs["retry"] = _settings(obj["retry"], RetryPolicy, f"{path}.retry", ctx)
         else:
             ctx.error(f"{path}.retry", "expected an object")
     return ProtocolSettings(**kwargs)
@@ -379,12 +375,8 @@ def _parse_device(
     if not isinstance(obj, dict):
         ctx.error(path, "expected an object")
         return None
-    rules = DeviceSpec.RULES
-    kwargs = _fields(
-        {"id": index + 1, **obj}, DeviceSpec, path, ctx,
-        {"id": rules["device_id"], "app": rules["app"], "clock_offset_ms": rules["clock_offset_ms"]},
-        extra=("schedule", "alert_schedule"),
-    )
+    rules = {"id" if key == "device_id" else key: rule for key, rule in DeviceSpec.RULES.items() if key != "schedule"}
+    kwargs = _fields({"id": index + 1, **obj}, DeviceSpec, path, ctx, rules, extra=("schedule", "alert_schedule"))
     app = kwargs.get("app", DeviceSpec.app)
     label_set = label_set_for(app)
     schedule = None
@@ -457,9 +449,9 @@ def parse_config(raw: Any) -> Config:
             return {}
         return v
 
-    profile = _settings(section("device_profile"), DeviceProfile, "device_profile", ctx, DeviceProfile.RULES)
-    pipeline = _settings(section("pipeline"), PipelineSettings, "pipeline", ctx, _PIPELINE)
-    train = _settings(section("train"), TrainConfig, "train", ctx, TrainConfig.RULES)
+    profile = _settings(section("device_profile"), DeviceProfile, "device_profile", ctx)
+    pipeline = _settings(section("pipeline"), PipelineSettings, "pipeline", ctx)
+    train = _settings(section("train"), TrainConfig, "train", ctx)
 
     synthetic: dict[str, SyntheticSpec] = {}
     syn_obj = section("synthetic_models")
@@ -469,10 +461,8 @@ def parse_config(raw: Any) -> Config:
         if spec is not None:
             synthetic[app] = spec
 
-    energy = _settings(
-        section("energy"), EnergySettings, "energy", ctx, EnergySettings.RULES, nullable=("harvest_profile_mw",)
-    )
-    channel = _settings(section("channel"), ChannelModel, "channel", ctx, ChannelModel.RULES, nullable=("latency_ms",))
+    energy = _settings(section("energy"), EnergySettings, "energy", ctx, nullable=("harvest_profile_mw",))
+    channel = _settings(section("channel"), ChannelModel, "channel", ctx, nullable=("latency_ms",))
     protocol = _parse_protocol(section("protocol"), ctx)
     scenario = None
     if "scenario" in raw:

@@ -18,7 +18,7 @@ from typing import BinaryIO, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import APPS, InvalidSample, Label, LabeledRecording, parse_label
+from .core import APPS, InvalidSample, Label, LabeledRecording, check_fields, finite, num, parse_label
 
 DATASET_HEADER = "t_ms,ax,ay,az,gx,gy,gz,stretch,label"
 
@@ -315,6 +315,12 @@ def _line_number(lines: list[str], row: int) -> int:
     return [k for k in range(2, len(lines) + 1) if lines[k - 1].strip()][row]
 
 
+def _vec3(v):
+    if isinstance(v, (list, tuple)) and len(v) == 3 and all(finite(x) for x in v):
+        return (float(v[0]), float(v[1]), float(v[2]))
+    raise ValueError("expected a 3-number list")
+
+
 @dataclass(frozen=True)
 class LabelSignalModel:
     """Per-class signal generator parameters.
@@ -331,6 +337,18 @@ class LabelSignalModel:
     noise_sigma: float = 0.0
     stretch_base: float | None = None
     stretch_amp: float = 0.0
+
+    RULES = {
+        "orientation": _vec3,
+        "freq_hz": num(lo=0.0),
+        "amp_g": num(lo=0.0),
+        "noise_sigma": num(lo=0.0),
+        "stretch_base": num(lo=0.0, hi=1.0),
+        "stretch_amp": num(lo=0.0),
+    }
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     def signature(self) -> tuple:
         return (self.freq_hz, self.amp_g, self.orientation)

@@ -29,7 +29,7 @@ from pathlib import Path
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .core import MAX_MS, check_fields, is_int, num
+from .core import COUNT, MAX_MS, check_fields, is_int, num
 
 PROTOCOL_VERSION = 1
 HEADER_LEN = 10
@@ -270,6 +270,11 @@ def estimate_offset(t1: int, t2: int, t3: int, t4: int) -> tuple[float, int]:
 class RetryPolicy:
     interval_ms: int = 200
     max_attempts: int = 10
+
+    RULES = {"interval_ms": COUNT, "max_attempts": COUNT}
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def _latency(v):

@@ -6,12 +6,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from openhealth import config as config_module
 from openhealth.classifier import TrainConfig
-from openhealth.config import ConfigError, DeviceSpec, ScenarioSettings, load_config, parse_config
+from openhealth.config import ConfigError, DeviceSpec, PipelineSettings, ProtocolSettings, ScenarioSettings
+from openhealth.config import SyntheticSpec, load_config, parse_config
 from openhealth.core import APPS, ActivityLabel, DeviceProfile, FieldError, GestureLabel
+from openhealth.dataio import LabelSignalModel
 from openhealth.firmware import EnergySettings
-from openhealth.netproto import ChannelModel
+from openhealth.netproto import ChannelModel, RetryPolicy
 
 REFERENCE = "configs/reference.json"
 
@@ -127,6 +128,9 @@ _HAR = ("synthetic_models", "har")
 _WALK = _HAR + ("labels", "Walk")
 _DEV = ("scenario", "devices", 0)
 
+# Optimizer settings that are now classifier constants; a document naming one is refused.
+RETIRED_TRAIN_KEYS = {"learning_rate": 0.05, "momentum": 0.9, "batch_size": 32, "patience": None}
+
 # Each case: edits to the reference document, then the exact sorted error list.
 MALFORMED = [
     ([(("devicez",), {})], ["devicez: unknown key"]),
@@ -141,9 +145,7 @@ MALFORMED = [
     ([(("pipeline", "window"), 8)], ["pipeline.window: must be >= 16"]),
     ([(("pipeline", "overlap"), 1.0)], ["pipeline.overlap: must be <= 0.999"]),
     ([(("train", "learning_rat"), 0.1)], ["train.learning_rat: unknown key"]),
-    ([(("train", "patience"), "5")], ["train.patience: expected a number, got str"]),
-    ([(("train", "patience"), 0)], ["train.patience: must be >= 1"]),
-    ([(("train", "momentum"), -0.1)], ["train.momentum: must be >= 0.0"]),
+    *(([(("train", key), value)], [f"train.{key}: unknown key"]) for key, value in RETIRED_TRAIN_KEYS.items()),
     ([(("train", "split_fraction"), 1.0)], ["train.split_fraction: must be <= 0.99"]),
     ([(("train", "hidden"), 0)], ["train.hidden: must be >= 1"]),
     ([(("synthetic_models", "ecg"), {})], ["synthetic_models.ecg: unknown key"]),
@@ -292,8 +294,7 @@ def test_minimal_document_yields_documented_defaults():
     assert p.sample_rate_hz == 100
     assert (config.pipeline.window, config.pipeline.overlap) == (128, 0.5)
     t = config.train
-    assert (t.learning_rate, t.momentum, t.epochs, t.batch_size) == (0.05, 0.9, 200, 32)
-    assert (t.seed, t.split_fraction, t.patience, config.train.hidden) == (0, 0.8, None, 16)
+    assert (t.epochs, t.seed, t.split_fraction, t.hidden) == (200, 0, 0.8, 16)
     assert config.synthetic == {}
     e = config.energy
     assert (e.battery_capacity_mwh, e.battery_initial_mwh) == (40, 8)
@@ -360,10 +361,13 @@ CONSTRUCTED = [
     (DeviceProfile, "cpu_mhz", 1e-10, "must be >= 1e-09"),
     (DeviceProfile, "sample_rate_hz", math.nan, "expected a finite number"),
     (DeviceProfile, "sram_bytes", 1.5, "expected an integer"),
-    (TrainConfig, "momentum", 1.0, "must be <= 0.999"),
     (TrainConfig, "seed", -1, "must be >= 0"),
     (TrainConfig, "split_fraction", 0.995, "must be <= 0.99"),
-    (TrainConfig, "patience", 0, "must be >= 1"),
+    (PipelineSettings, "window", 0, "must be >= 16"),
+    (SyntheticSpec, "repeat", 0, "must be >= 1"),
+    (LabelSignalModel, "noise_sigma", -1.0, "must be >= 0.0"),
+    (RetryPolicy, "max_attempts", 0, "must be >= 1"),
+    (ProtocolSettings, "key", b"abc", "must encode exactly 16 bytes"),
     (ChannelModel, "corruption_probability", 0.9995, "must be <= 0.999"),
     (ChannelModel, "latency_ms", (40, 10), "expected a nonnegative integer or [lo, hi] range"),
     (ChannelModel, "latency_ms", (0, 2**64), "must be <= 9223372036854775807"),
@@ -384,12 +388,16 @@ CONSTRUCTED = [
 ]
 
 
+# The fields without a default, for the classes that have some.
+REQUIRED = {SyntheticSpec: {"app": "har", "signals": {}, "schedule": ()}}
+
+
 @pytest.mark.parametrize(
     "cls,name,value,reason", CONSTRUCTED, ids=[f"{c.__name__}.{n}" for c, n, _, _ in CONSTRUCTED]
 )
 def test_direct_construction_enforces_parser_ranges(cls, name, value, reason):
     with pytest.raises(FieldError) as exc:
-        cls(**{name: value})
+        cls(**REQUIRED.get(cls, {}), **{name: value})
     assert (exc.value.field, exc.value.reason) == (name, reason)
 
 
@@ -442,19 +450,20 @@ def test_reference_config_spells_out_every_rule_key():
     raw = reference_raw()
     synthetic = raw["synthetic_models"]
     device_keys = ["id" if key == "device_id" else key for key in DeviceSpec.RULES]
+    protocol_keys = ["key_hex" if key == "key" else key for key in ProtocolSettings.RULES]
     sections = [
         ("device_profile", raw["device_profile"], DeviceProfile.RULES),
-        ("pipeline", raw["pipeline"], config_module._PIPELINE),
+        ("pipeline", raw["pipeline"], PipelineSettings.RULES),
         ("train", raw["train"], TrainConfig.RULES),
         ("energy", raw["energy"], EnergySettings.RULES),
         ("channel", raw["channel"], ChannelModel.RULES),
-        ("protocol", raw["protocol"], config_module._PROTOCOL),
-        ("protocol.retry", raw["protocol"]["retry"], config_module._RETRY),
+        ("protocol", raw["protocol"], protocol_keys),
+        ("protocol.retry", raw["protocol"]["retry"], RetryPolicy.RULES),
         ("scenario", raw["scenario"], ScenarioSettings.RULES),
         *((f"scenario.devices[{i}]", d, device_keys) for i, d in enumerate(raw["scenario"]["devices"])),
-        *((f"synthetic_models.{app}", synthetic[app], config_module._SYNTHETIC) for app in APPS),
+        *((f"synthetic_models.{app}", synthetic[app], SyntheticSpec.RULES) for app in APPS),
         *(
-            (f"synthetic_models.{app}.labels.{name}", params, config_module._SIGNAL)
+            (f"synthetic_models.{app}.labels.{name}", params, LabelSignalModel.RULES)
             for app in APPS
             for name, params in synthetic[app]["labels"].items()
         ),

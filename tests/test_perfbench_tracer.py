@@ -107,7 +107,7 @@ def test_train_batches_count_one_loss_and_grad_per_batch():
     tracer = module.Tracer()
     tracer.install()
     try:
-        config = classifier.TrainConfig(epochs=7, batch_size=32)
+        config = classifier.TrainConfig(epochs=7)
         _, history = classifier.train(classifier.init_model((6, 4, 3)), x, y, config)  # the wrapped attribute
     finally:
         tracer.remove()

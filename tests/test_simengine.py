@@ -1088,6 +1088,13 @@ def test_a_sync_timeout_past_the_32_bit_round_trip_is_refused():
     assert exc.value.errors == ["protocol.sync_timeout_ms: must be <= 4294967295"]
 
 
+def test_a_sync_timeout_past_the_32_bit_round_trip_is_refused_in_code():
+    protocol = parse_config(sync_bound_raw(2147484648, 2**32 - 1)).protocol
+    with pytest.raises(FieldError) as exc:
+        replace(protocol, sync_timeout_ms=2**33)
+    assert (exc.value.field, exc.value.reason) == ("sync_timeout_ms", "must be <= 4294967295")
+
+
 def test_a_sync_round_trip_just_inside_the_32_bit_timeout_is_reported():
     trace = run_scenario(parse_config(sync_bound_raw(2**31 - 1, 2**32 - 1)), seed=0)
     assert trace.metrics["devices"]["dev1"]["sync"]["rtt_ms"] == 2**32 - 2

@@ -1,10 +1,10 @@
 """From-scratch MLP classifier: training, evaluation, quantization, model blobs.
 
 Architecture is a single rectifier hidden layer with a softmax output,
-sized [D, H, C]. Training is plain SGD with momentum at the fixed
-LEARNING_RATE, MOMENTUM and BATCH_SIZE, deterministic given (seed, data,
-config). Model files are versioned ``OHM1`` binary blobs of float64
-parameters (big-endian, row-major). An int8-quantized model is not
+sized [D, H, C]. Training is full-batch L-BFGS (Liu & Nocedal 1989) on
+the mean cross-entropy, deterministic given the data and the initial
+model, whatever the BLAS thread count. Model files are versioned ``OHM1``
+binary blobs of float64 parameters (big-endian, row-major). An int8-quantized model is not
 stored; its ``OHQ1`` parameter image only sizes the flash a device needs.
 """
 
@@ -98,20 +98,21 @@ class MlpModel:
         return [self.w1, self.b1, self.w2, self.b2]
 
 
-LEARNING_RATE = 0.05
-MOMENTUM = 0.9
-BATCH_SIZE = 32  # rows per SGD step; the last batch of an epoch holds the remainder
+BLOCK_ROWS = 256  # rows per loss_and_grad call; the last block holds the remainder
+MEMORY = 10  # (step, gradient change) pairs the L-BFGS direction is built from
+GRAD_TOL = 1e-5  # training stops once every gradient component is smaller
+MAX_ITERATIONS = 200
+ARMIJO = 1e-4  # the sufficient-decrease fraction of the line search
+MAX_HALVINGS = 30  # step halvings before the line search gives up
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 200
-    seed: int = 0
+    seed: int = 0  # drives the split and the initialization
     split_fraction: float = 0.8
     hidden: int = 16  # units in the hidden layer
 
     RULES = {
-        "epochs": COUNT,
         "seed": num(lo=0, integer=True),
         "split_fraction": num(lo=0.01, hi=0.99),
         "hidden": COUNT,
@@ -185,13 +186,33 @@ def loss_and_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float,
     return loss, MlpModel(grad, model.layer_sizes)
 
 
-def train(
-    model: MlpModel, x: np.ndarray, y: np.ndarray, config: TrainConfig
-) -> tuple[MlpModel, list[float]]:
-    """SGD-with-momentum training loop; returns the model and per-epoch mean loss.
+def blocked_loss_and_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over all rows and its gradient vector: loss_and_grad
+    on consecutive BLOCK_ROWS-row blocks, weighted by rows and added in order.
+    No product spans more than a block, so the bytes do not depend on the
+    BLAS thread count."""
+    n = x.shape[0]
+    loss, grad = 0.0, np.zeros_like(model.params)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        part, g = loss_and_grad(model, x[start:stop], y[start:stop])
+        weight = (stop - start) / n
+        loss += weight * part
+        grad += weight * g.params
+    return loss, grad
 
-    The input model is not mutated. Raises DegenerateDatasetError when the
-    data holds fewer than two distinct classes.
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float((a * b).sum())  # numpy's own pairwise sum: no BLAS threads
+
+
+def train(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[MlpModel, list[float]]:
+    """Full-batch L-BFGS with a backtracking Armijo line search; returns the
+    model and its loss before each iteration and after the last.
+
+    Stops once max |gradient| < GRAD_TOL, after MAX_ITERATIONS, or when the
+    line search finds no decrease. The input model is not mutated. Raises
+    DegenerateDatasetError when the data holds fewer than two distinct classes.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -199,22 +220,40 @@ def train(
         raise DegenerateDatasetError("training data must contain at least 2 classes")
 
     m = MlpModel(model.params.copy(), model.layer_sizes, model.stats)
-    vel = np.zeros_like(m.params)
-    rng = np.random.default_rng(config.seed)
-    history: list[float] = []
-    n = x.shape[0]
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        xs, ys = x[order], y[order]  # each batch is then a contiguous slice
-        losses = []
-        for start in range(0, n, BATCH_SIZE):
-            batch = slice(start, start + BATCH_SIZE)
-            loss, g = loss_and_grad(m, xs[batch], ys[batch])
-            losses.append(loss)
-            vel *= MOMENTUM
-            vel -= LEARNING_RATE * g.params
-            m.params += vel
-        history.append(float(np.mean(losses)))
+    loss, g = blocked_loss_and_grad(m, x, y)
+    history = [loss]
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, dg, 1 / s.dg), oldest first
+    for _ in range(MAX_ITERATIONS):
+        if np.abs(g).max() < GRAD_TOL:
+            break
+        d = -g  # the two-loop recursion turns -g into -H g
+        alphas = []
+        for s, dg, rho in reversed(pairs):
+            alphas.append(rho * _dot(s, d))
+            d -= alphas[-1] * dg
+        if pairs:
+            s, dg, _ = pairs[-1]
+            d *= _dot(s, dg) / _dot(dg, dg)
+        else:
+            d /= np.abs(g).sum()
+        for (s, dg, rho), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - rho * _dot(dg, d)) * s
+        slope, step = _dot(g, d), 1.0
+        if not slope < 0:  # rounding left d no descent direction
+            break
+        for _ in range(MAX_HALVINGS):
+            trial = MlpModel(m.params + step * d, m.layer_sizes, m.stats)
+            trial_loss, trial_g = blocked_loss_and_grad(trial, x, y)
+            if trial_loss <= loss + ARMIJO * step * slope:
+                break
+            step /= 2
+        else:
+            break  # no step along d decreases the loss enough
+        s, dg = trial.params - m.params, trial_g - g
+        if _dot(s, dg) > 0:  # else the pair would break the curvature condition
+            pairs = [*pairs[1 - MEMORY :], (s, dg, 1.0 / _dot(s, dg))]
+        m, loss, g = trial, trial_loss, trial_g
+        history.append(loss)
     return m, history
 
 
@@ -530,7 +569,7 @@ def ablation_compare(
         x_test, _ = normalize_features(feats[test_idx], stats)
         model = init_model((feats.shape[1], config.hidden, n_classes), seed=config.seed)
         model.stats = stats
-        trained, _ = train(model, x_train, labels[train_idx], config)
+        trained, _ = train(model, x_train, labels[train_idx])
         pred = predict(trained, x_test)
         results[tuple(subset)] = float(np.mean(pred == labels[test_idx]))
     return results

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 from .classifier import (
@@ -141,8 +140,7 @@ def cmd_datagen(args) -> int:
 def cmd_train(args) -> int:
     config = _load_config(args.config) if args.config else Config()
     seed = _resolve_seed(args.seed, default=config.train.seed)
-    train_config = replace(config.train, seed=seed)
-    with _writing():  # before any epoch is spent; the save below is guarded too
+    with _writing():  # before any training time is spent; the save below is guarded too
         _check_output(args.out)
     try:
         recording = read_dataset(args.data)
@@ -150,22 +148,22 @@ def cmd_train(args) -> int:
         raise CliError(f"data error: {exc}", EXIT_DATA) from None
     feats, labels = _labeled_features(recording, config, args.app)
 
-    train_idx, test_idx = split_dataset(len(labels), train_config.split_fraction, seed)
+    train_idx, test_idx = split_dataset(len(labels), config.train.split_fraction, seed)
     x_train, stats = normalize_features(feats[train_idx])
     label_set = label_set_for(args.app)
     layer_sizes = (feats.shape[1], config.train.hidden, len(label_set))
     model = init_model(layer_sizes, seed=seed)
     model.stats = stats
     try:
-        trained, history = train(model, x_train, labels[train_idx], train_config)
+        trained, history = train(model, x_train, labels[train_idx])
     except DegenerateDatasetError as exc:
         raise CliError(f"degenerate dataset: {exc}", EXIT_DATA) from None
 
     step = max(1, len(history) // 10)
-    for epoch in range(0, len(history), step):
-        print(f"epoch {epoch + 1:4d}  loss {history[epoch]:.6f}")
+    for i in range(0, len(history), step):
+        print(f"iter {i:4d}  loss {history[i]:.6f}")
     if (len(history) - 1) % step != 0:
-        print(f"epoch {len(history):4d}  loss {history[-1]:.6f}")
+        print(f"iter {len(history) - 1:4d}  loss {history[-1]:.6f}")
 
     with _writing():
         save_model(trained, args.out)

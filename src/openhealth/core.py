@@ -142,14 +142,15 @@ class FieldError(ValueError):
 
 
 def check_fields(settings) -> None:
-    """Run a settings dataclass's RULES; FieldError at the first break (None passes where it is the default)."""
+    """Run a settings dataclass's RULES and store the value each returns;
+    FieldError at the first break (None passes where it is the default)."""
     for f in fields(settings):
         rule = settings.RULES.get(f.name)
         value = getattr(settings, f.name)
         if rule is None or (value is None and f.default is None):
             continue
         try:
-            rule(value)
+            object.__setattr__(settings, f.name, rule(value))  # the settings classes are frozen
         except ValueError as exc:
             raise FieldError(f.name, str(exc)) from None
 

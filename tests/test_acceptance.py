@@ -111,7 +111,7 @@ def test_c01_synthetic_corpus_accuracy_all_classes():
     x_train, stats = normalize_features(feats[train_idx])
     x_test, _ = normalize_features(feats[test_idx], stats)
     model = init_model((feats.shape[1], config.train.hidden, 7), seed=tc.seed)
-    trained, history = train(model, x_train, labels[train_idx], tc)
+    trained, history = train(model, x_train, labels[train_idx])
     assert history[-1] <= history[0]
 
     report = evaluate(trained, x_test, labels[test_idx], ActivityLabel)
@@ -412,7 +412,7 @@ def test_c13_sensor_fusion_ordering():
     matrix = windows_to_matrix(recording, starts[keep], 128)
     labels = (codes[keep] == ActivityLabel.Stand.value).astype(int)
 
-    config = TrainConfig(epochs=80, seed=0)
+    config = TrainConfig(seed=0)
     results = ablation_compare(
         matrix, labels,
         channel_names=("ax", "ay", "az", "gx", "gy", "gz", "stretch"),

@@ -12,15 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 import openhealth
 from openhealth.classifier import (
-    BATCH_SIZE,
-    LEARNING_RATE,
-    MOMENTUM,
+    BLOCK_ROWS,
+    GRAD_TOL,
+    MAX_ITERATIONS,
     DegenerateDatasetError,
     EvalReport,
     MlpModel,
     ModelFormatError,
     TrainConfig,
     ablation_compare,
+    blocked_loss_and_grad,
     evaluate,
     forward,
     init_model,
@@ -156,18 +157,16 @@ def separable_two_class_set(n=100, seed=0):
 
 def test_train_reaches_full_accuracy_on_separable_set():
     x, y = separable_two_class_set()
-    config = TrainConfig(epochs=200, seed=0)
     model = init_model((2, 16, 2), seed=0)
-    trained, history = train(model, x, y, config)
+    trained, history = train(model, x, y)
     assert history[-1] <= history[0]
     assert np.mean(predict(trained, x) == y) == 1.0
 
 
 def test_train_is_deterministic():
     x, y = separable_two_class_set(seed=2)
-    config = TrainConfig(epochs=20, seed=9)
-    m1, h1 = train(init_model((2, 8, 2), seed=9), x, y, config)
-    m2, h2 = train(init_model((2, 8, 2), seed=9), x, y, config)
+    m1, h1 = train(init_model((2, 8, 2), seed=9), x, y)
+    m2, h2 = train(init_model((2, 8, 2), seed=9), x, y)
     assert h1 == h2
     for a, b in zip(m1.tensors(), m2.tensors()):
         assert np.array_equal(a, b)
@@ -177,7 +176,7 @@ def test_train_rejects_single_class():
     x = np.random.default_rng(0).normal(size=(10, 2))
     y = np.zeros(10, dtype=int)
     with pytest.raises(DegenerateDatasetError):
-        train(init_model((2, 4, 2), seed=0), x, y, TrainConfig())
+        train(init_model((2, 4, 2), seed=0), x, y)
 
 
 def reference_loss_and_grad(model, x, y):
@@ -197,27 +196,6 @@ def reference_loss_and_grad(model, x, y):
     return loss, [x.T @ dz1, dz1.sum(axis=0), h.T @ dz2, dz2.sum(axis=0)]
 
 
-def reference_train(model, x, y, config):
-    """The training loop as it stood before batches became contiguous slices
-    of a permuted copy: fancy-indexed batches, velocity rebuilt each step."""
-    m = MlpModel(model.params.copy(), model.layer_sizes)
-    vel = [np.zeros_like(t) for t in m.tensors()]
-    rng = np.random.default_rng(config.seed)
-    history = []
-    for _ in range(config.epochs):
-        order = rng.permutation(len(x))
-        losses = []
-        for start in range(0, len(x), BATCH_SIZE):
-            idx = order[start : start + BATCH_SIZE]
-            loss, grads = reference_loss_and_grad(m, x[idx], y[idx])
-            losses.append(loss)
-            for i, (t, dt) in enumerate(zip(m.tensors(), grads)):
-                vel[i] = MOMENTUM * vel[i] - LEARNING_RATE * dt
-                t += vel[i]
-        history.append(float(np.mean(losses)))
-    return m, history
-
-
 def test_gradient_is_the_concatenated_reference_gradients():
     rng = np.random.default_rng(3)
     model = init_model((12, 8, 3), seed=3)
@@ -230,17 +208,35 @@ def test_gradient_is_the_concatenated_reference_gradients():
     assert g.params.tobytes() == want.tobytes()
 
 
-def test_train_matches_the_fancy_indexed_loop():
+def test_train_history_never_increases_and_ends_on_the_tolerance():
+    x, y = separable_two_class_set(seed=5)
+    model = init_model((2, 8, 2), seed=4)
+    got, history = train(model, x, y)
+    assert all(b <= a for a, b in zip(history, history[1:]))
+    loss, grad = blocked_loss_and_grad(got, x, y)
+    assert history[-1] == loss
+    assert np.abs(grad).max() < GRAD_TOL
+    assert 1 < len(history) <= MAX_ITERATIONS
+
+
+def test_train_on_random_labels_stops_at_the_cap_with_finite_parameters():
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(103, 12))  # batches of 32: a ragged last batch of 7
-    y = rng.integers(0, 3, 103)
-    config = TrainConfig(epochs=12, seed=4)
-    model = init_model((12, 8, 3), seed=4)
-    got, got_history = train(model, x, y, config)
-    want, want_history = reference_train(model, x, y, config)
-    assert got_history == want_history
-    assert model_to_bytes(got) == model_to_bytes(want)
-    assert len(got_history) == config.epochs
+    x, y = rng.normal(size=(300, 4)), rng.integers(0, 3, 300)  # nothing to learn
+    got, history = train(init_model((4, 8, 3), seed=4), x, y)
+    assert len(history) == MAX_ITERATIONS + 1
+    assert all(b <= a for a, b in zip(history, history[1:]))
+    assert np.isfinite(got.params).all()
+
+
+def test_blocked_loss_and_grad_is_the_whole_batch_loss_and_grad():
+    rng = np.random.default_rng(6)
+    n = 2 * BLOCK_ROWS + 187  # a ragged last block
+    x, y = rng.normal(size=(n, 12)) * rng.uniform(0.1, 10.0, 12), rng.integers(0, 3, n)
+    model = init_model((12, 8, 3), seed=6)
+    loss, grad = blocked_loss_and_grad(model, x, y)
+    want_loss, want = loss_and_grad(model, x, y)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert np.abs(grad - want.params).max() <= 1e-12 * np.abs(want.params).max()
 
 
 # 1,913 x 84 is the size of a reference training split; on a row count
@@ -249,10 +245,10 @@ def test_train_matches_the_fancy_indexed_loop():
 TRAIN_DIGEST = """
 import hashlib
 import numpy as np
-from openhealth.classifier import TrainConfig, init_model, model_to_bytes, train
+from openhealth.classifier import init_model, model_to_bytes, train
 rng = np.random.default_rng(0)
 x, y = rng.normal(size=(1913, 84)) * rng.uniform(0.1, 10.0, 84), rng.integers(0, 4, 1913)
-model, _ = train(init_model((84, 16, 4), seed=0), x, y, TrainConfig(epochs=3))
+model, _ = train(init_model((84, 16, 4), seed=0), x, y)
 print(hashlib.sha256(model_to_bytes(model)).hexdigest())
 """
 
@@ -277,20 +273,19 @@ def test_trained_bytes_do_not_depend_on_the_blas_thread_count():
 def test_train_checks_every_batch():
     x, y = separable_two_class_set(seed=4)
     model = init_model((2, 4, 2), seed=0)
-    config = TrainConfig(epochs=1)
     bad_x = x.copy()
     bad_x[60, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite feature input"):
-        train(model, bad_x, y, config)
+        train(model, bad_x, y)
     for label in (-1, 2):
         bad_y = y.copy()
         bad_y[70] = label
         with pytest.raises(ValueError, match="label index outside model classes"):
-            train(model, x, bad_y, config)
+            train(model, x, bad_y)
     with pytest.raises(DegenerateDatasetError):  # checked before any batch
-        train(model, np.full((5, 2), np.nan), np.zeros(5, dtype=int), config)
+        train(model, np.full((5, 2), np.nan), np.zeros(5, dtype=int))
     with pytest.raises(DegenerateDatasetError):
-        train(model, np.empty((0, 2)), np.empty(0, dtype=int), config)
+        train(model, np.empty((0, 2)), np.empty(0, dtype=int))
 
 
 def test_evaluate_always_class_zero():
@@ -378,7 +373,7 @@ def test_quantized_argmax_agreement():
     y = rng.integers(0, 3, size=400)
     feats_shift = np.where(y[:, None] == 0, 1.5, np.where(y[:, None] == 1, -1.5, 0.0))
     x = x + feats_shift
-    model, _ = train(init_model((12, 16, 3), seed=0), x, y, TrainConfig(epochs=50, seed=0))
+    model, _ = train(init_model((12, 16, 3), seed=0), x, y)
     probe = rng.normal(size=(1000, 12))
     deq = quantize_model(model).dequantized()
     agreement = np.mean(predict(model, probe) == predict(deq, probe))
@@ -437,7 +432,7 @@ def test_model_to_bytes_is_the_documented_per_tensor_layout(with_stats):
 
 def _trained():
     rng = np.random.default_rng(1)
-    model, _ = train(init_model((6, 4, 3), seed=1), rng.normal(size=(40, 6)), rng.integers(0, 3, 40), TrainConfig(epochs=2))
+    model, _ = train(init_model((6, 4, 3), seed=1), rng.normal(size=(40, 6)), rng.integers(0, 3, 40))
     return model
 
 
@@ -545,7 +540,7 @@ def _ablation_windows(n_per_class=120, w=32, seed=0):
 
 def test_ablation_stretch_fusion_beats_accel_only():
     windows, labels = _ablation_windows()
-    config = TrainConfig(epochs=60, seed=0)
+    config = TrainConfig(seed=0)
     results = ablation_compare(
         windows, labels,
         channel_names=("ax", "ay", "az", "stretch"),
@@ -557,7 +552,7 @@ def test_ablation_stretch_fusion_beats_accel_only():
 
 def test_ablation_identical_subsets_identical_accuracy():
     windows, labels = _ablation_windows(n_per_class=60)
-    config = TrainConfig(epochs=30, seed=1)
+    config = TrainConfig(seed=1)
     results = ablation_compare(
         windows, labels,
         channel_names=("ax", "ay", "az", "stretch"),
@@ -575,7 +570,7 @@ def test_ablation_identical_subsets_identical_accuracy():
 
 def test_ablation_rejects_bad_subsets():
     windows, labels = _ablation_windows(n_per_class=30)
-    config = TrainConfig(epochs=5, seed=0)
+    config = TrainConfig(seed=0)
     with pytest.raises(ValueError, match="empty"):
         ablation_compare(windows, labels, ("ax", "ay", "az", "stretch"), [()], config)
     with pytest.raises(ValueError, match="not present"):

@@ -18,10 +18,9 @@ DATAGEN_SEED7_SHA256 = "ec268ec3af793c16c78f9ea310dff17e796ceffef2f7f94ebefc4869
 
 def write_config(tmp_path, mutate=None, name="config.json"):
     raw = json.loads(REFERENCE.read_text())
-    # small corpus and fast training for CLI tests
+    # small corpora for CLI tests
     raw["synthetic_models"]["har"]["repeat"] = 2
     raw["synthetic_models"]["gesture"]["repeat"] = 3
-    raw["train"]["epochs"] = 40
     if mutate:
         mutate(raw)
     path = tmp_path / name
@@ -394,7 +393,7 @@ def test_datagen_unwritable_out_exits_2(tmp_path, capsys):
 
 
 def test_train_unwritable_out_exits_2(tmp_path, capsys):
-    config = write_config(tmp_path, mutate=lambda raw: raw["train"].update(epochs=2))
+    config = write_config(tmp_path)
     data = tmp_path / "har.csv"
     assert main(["datagen", "--config", str(config), "--out", str(data), "--seed", "1"]) == 0
     capsys.readouterr()
@@ -402,6 +401,14 @@ def test_train_unwritable_out_exits_2(tmp_path, capsys):
     code = main(["train", "--data", str(data), "--out", str(out), "--config", str(config)])
     assert code == 2
     assert capsys.readouterr().err.startswith("output error: [Errno 2] No such file or directory")
+
+
+def test_train_config_naming_epochs_exits_2(tmp_path, capsys):
+    """train.epochs left with SGD: a config that still names it is refused before any work."""
+    config = write_config(tmp_path, mutate=lambda raw: raw["train"].update(epochs=200))
+    code = main(["train", "--data", str(tmp_path / "har.csv"), "--out", str(tmp_path / "x.ohm"), "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == "config error: train.epochs: unknown key"
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from openhealth.classifier import TrainConfig
 from openhealth.config import ConfigError, DeviceSpec, PipelineSettings, ProtocolSettings, ScenarioSettings
 from openhealth.config import SyntheticSpec, load_config, parse_config
 from openhealth.core import APPS, ActivityLabel, DeviceProfile, FieldError, GestureLabel
-from openhealth.dataio import LabelSignalModel
+from openhealth.dataio import LabelSignalModel, SyntheticActivityModel, generate_synthetic
 from openhealth.firmware import EnergySettings
 from openhealth.netproto import ChannelModel, RetryPolicy
 
@@ -48,13 +48,13 @@ def test_unknown_nested_key_rejected():
 
 def test_all_violations_reported():
     raw = reference_raw()
-    raw["train"]["epochs"] = -5
+    raw["train"]["hidden"] = -5
     raw["channel"]["loss_probability"] = 2.0
     raw["bogus"] = 1
     with pytest.raises(ConfigError) as exc:
         parse_config(raw)
     text = str(exc.value)
-    assert "train.epochs" in text
+    assert "train.hidden" in text
     assert "channel.loss_probability" in text
     assert "bogus" in text
     assert len(exc.value.errors) >= 3
@@ -128,8 +128,8 @@ _HAR = ("synthetic_models", "har")
 _WALK = _HAR + ("labels", "Walk")
 _DEV = ("scenario", "devices", 0)
 
-# Optimizer settings that are now classifier constants; a document naming one is refused.
-RETIRED_TRAIN_KEYS = {"learning_rate": 0.05, "momentum": 0.9, "batch_size": 32, "patience": None}
+# Optimizer settings that are now classifier constants or gone with SGD; a document naming one is refused.
+RETIRED_TRAIN_KEYS = {"learning_rate": 0.05, "momentum": 0.9, "batch_size": 32, "patience": None, "epochs": 200}
 
 # Each case: edits to the reference document, then the exact sorted error list.
 MALFORMED = [
@@ -294,7 +294,7 @@ def test_minimal_document_yields_documented_defaults():
     assert p.sample_rate_hz == 100
     assert (config.pipeline.window, config.pipeline.overlap) == (128, 0.5)
     t = config.train
-    assert (t.epochs, t.seed, t.split_fraction, t.hidden) == (200, 0, 0.8, 16)
+    assert (t.seed, t.split_fraction, t.hidden) == (0, 0.8, 16)
     assert config.synthetic == {}
     e = config.energy
     assert (e.battery_capacity_mwh, e.battery_initial_mwh) == (40, 8)
@@ -399,6 +399,29 @@ def test_direct_construction_enforces_parser_ranges(cls, name, value, reason):
     with pytest.raises(FieldError) as exc:
         cls(**REQUIRED.get(cls, {}), **{name: value})
     assert (exc.value.field, exc.value.reason) == (name, reason)
+
+
+# Direct construction stores the value the rule returns, as the parser does.
+NORMALIZED = [
+    (LabelSignalModel, "orientation", [0, 0, 1], (0.0, 0.0, 1.0)),
+    (ChannelModel, "latency_ms", [5, 40], (5, 40)),
+    (EnergySettings, "harvest_profile_mw", [1] * 24, (1.0,) * 24),
+    (ScenarioSettings, "alert_labels", ["Jump"], ("Jump",)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,name,value,want", NORMALIZED, ids=[f"{c.__name__}.{n}" for c, n, _, _ in NORMALIZED]
+)
+def test_direct_construction_stores_the_rule_value(cls, name, value, want):
+    got = getattr(cls(**REQUIRED.get(cls, {}), **{name: value}), name)
+    assert repr(got) == repr(want)  # the type of each element too
+
+
+def test_signal_model_built_with_a_list_orientation_synthesizes():
+    walk = LabelSignalModel(orientation=[0, 0, 1], freq_hz=1.0)
+    model = SyntheticActivityModel({ActivityLabel.Walk: walk})  # hashes each signature
+    assert generate_synthetic(model, [(ActivityLabel.Walk, 1000)], 100.0).annotations
 
 
 WALK_1S = ((ActivityLabel.Walk, 1000),)

@@ -98,18 +98,21 @@ def test_decode_frame_raises_only_on_a_frame_that_fails_to_verify():
     assert raised == codes["truncated"] + codes["bad_version"] + codes["auth_failure"] > 0
 
 
-def test_train_batches_count_one_loss_and_grad_per_batch():
-    """classifier.train_batches means one loss_and_grad span per batch:
-    epochs run x ceil(n / batch_size), the ragged last batch included."""
+def test_train_batches_count_one_loss_and_grad_per_batch(monkeypatch):
+    """classifier.train_batches means one loss_and_grad span per gradient block:
+    loss evaluations x ceil(n / BLOCK_ROWS), the ragged last block included."""
     rng = np.random.default_rng(1)
-    x, y = rng.normal(size=(103, 6)), rng.integers(0, 3, 103)
+    x, y = rng.normal(size=(600, 6)), rng.integers(0, 3, 600)
+    evaluations = []
+    blocked = classifier.blocked_loss_and_grad
+    monkeypatch.setattr(classifier, "blocked_loss_and_grad", lambda *args: evaluations.append(1) or blocked(*args))
     module = load_tracer()
     tracer = module.Tracer()
     tracer.install()
     try:
-        config = classifier.TrainConfig(epochs=7)
-        _, history = classifier.train(classifier.init_model((6, 4, 3)), x, y, config)  # the wrapped attribute
+        _, history = classifier.train(classifier.init_model((6, 4, 3)), x, y)  # the wrapped attribute
     finally:
         tracer.remove()
-    assert len(history) == 7
-    assert module.SpanTable(tracer).calls("classifier.loss_and_grad", ("classifier.train",)) == 7 * math.ceil(103 / 32)
+    assert len(evaluations) >= len(history) > 1
+    spans = module.SpanTable(tracer).calls("classifier.loss_and_grad", ("classifier.train",))
+    assert spans == len(evaluations) * math.ceil(600 / classifier.BLOCK_ROWS) == len(evaluations) * 3

@@ -22,7 +22,6 @@ from .core import (
     COUNT,
     GYRO_CHANNELS,
     STRETCH_CHANNEL,
-    Label,
     check_fields,
     label_set_for,
     num,
@@ -299,10 +298,6 @@ class EvalReport:
     @property
     def overall_accuracy(self) -> float:
         return self.correct / self.total if self.total else 0.0
-
-    def class_accuracy(self, label: Label) -> float | None:
-        t = int(self.totals[label.value])
-        return int(self.corrects[label.value]) / t if t else None
 
     def to_dict(self) -> dict:
         rows = {}

@@ -35,13 +35,13 @@ from .core import ALL_CHANNELS, APPS, ActivityLabel, label_set_for
 from .dataio import (
     DatasetFormatError,
     channel_count,
-    generate_synthetic,
-    read_dataset,
+    generate_blocks,
+    read_blocks,
     storage_budget,
     write_dataset,
 )
 from .firmware import BudgetError, memory_footprint, plan_duty_cycle
-from .pipeline import FEATURES_PER_CHANNEL, normalize_features, segment, window_features
+from .pipeline import FEATURES_PER_CHANNEL, Windows, normalize_features, scan_windows
 from .netproto import write_observation_log
 from .simengine import run_scenario, trace_observations, write_metrics, write_trace
 
@@ -106,18 +106,25 @@ def _check_output(path: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-def _labeled_features(recording, config: Config, app: str):
-    """Features and label codes of the recording's windows that have a label."""
-    if recording.label_set not in (None, label_set_for(app)):
+def _scan(path: str, config: Config) -> Windows:
+    """The dataset's windows and their features, read and scanned a block at a time."""
+    try:
+        return scan_windows(read_blocks(path), config.pipeline.window, config.pipeline.overlap)
+    except (DatasetFormatError, OSError) as exc:
+        raise CliError(f"data error: {exc}", EXIT_DATA) from None
+
+
+def _labeled_features(windows: Windows, app: str):
+    """Features and label codes of the windows that have a label."""
+    if windows.label_set not in (None, label_set_for(app)):
         raise CliError(
             f"dataset labels do not belong to the {app!r} label set", EXIT_DATA
         )
-    w = config.pipeline.window
-    starts, codes = segment(recording, w, config.pipeline.overlap)
-    labeled = codes >= 0
+    labeled = windows.codes >= 0
     if not labeled.any():
         raise CliError("dataset yields no labeled windows", EXIT_DATA)
-    return window_features(recording, starts[labeled], w), codes[labeled]
+    labeled = slice(None) if labeled.all() else labeled  # a view, not a copy, when every window has a label
+    return windows.features[labeled], windows.codes[labeled]
 
 
 def cmd_datagen(args) -> int:
@@ -127,13 +134,10 @@ def cmd_datagen(args) -> int:
         raise CliError(f"config has no synthetic_models.{args.app} section", EXIT_CONFIG)
     seed = _resolve_seed(args.seed)
     model = spec.make_model(seed)
-    recording = generate_synthetic(model, spec.full_schedule(), config.profile.sample_rate_hz)
+    blocks = generate_blocks(model, spec.full_schedule(), config.profile.sample_rate_hz)
     with _writing():
-        write_dataset(recording, args.out)
-    print(
-        f"wrote {args.out}: {len(recording)} samples, "
-        f"{len(recording.annotations)} annotations, seed {seed}"
-    )
+        samples, annotations = write_dataset(blocks, args.out)
+    print(f"wrote {args.out}: {samples} samples, {annotations} annotations, seed {seed}")
     return EXIT_OK
 
 
@@ -142,13 +146,13 @@ def cmd_train(args) -> int:
     seed = _resolve_seed(args.seed, default=config.train.seed)
     with _writing():  # before any training time is spent; the save below is guarded too
         _check_output(args.out)
-    try:
-        recording = read_dataset(args.data)
-    except (DatasetFormatError, OSError) as exc:
-        raise CliError(f"data error: {exc}", EXIT_DATA) from None
-    feats, labels = _labeled_features(recording, config, args.app)
+    feats, labels = _labeled_features(_scan(args.data, config), args.app)
 
     train_idx, test_idx = split_dataset(len(labels), config.train.split_fraction, seed)
+    if not len(train_idx):
+        raise CliError(
+            f"train.split_fraction {config.train.split_fraction} leaves no training windows of {len(labels)}", EXIT_DATA
+        )
     x_train, stats = normalize_features(feats[train_idx])
     label_set = label_set_for(args.app)
     layer_sizes = (feats.shape[1], config.train.hidden, len(label_set))
@@ -182,10 +186,6 @@ def cmd_eval(args) -> int:
         model = load_model(args.model)
     except (OSError, ModelFormatError) as exc:
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
-    try:
-        recording = read_dataset(args.data)
-    except (DatasetFormatError, OSError) as exc:
-        raise CliError(f"data error: {exc}", EXIT_DATA) from None
 
     n_classes = model.layer_sizes[2]
     apps = {len(label_set): name for name, label_set in APPS.items()}
@@ -194,11 +194,12 @@ def cmd_eval(args) -> int:
         raise CliError(f"model error: model has {n_classes} classes; expected {expected}", EXIT_DATA)
     app = apps[n_classes]
     config = _load_config(args.config) if args.config else Config()
+    windows = _scan(args.data, config)
     try:
-        check_fit(model, recording.values.shape[1], app)
+        check_fit(model, windows.channels, app)
     except ModelFitError as exc:
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
-    feats, labels = _labeled_features(recording, config, app)
+    feats, labels = _labeled_features(windows, app)
     normed, _ = normalize_features(feats, model.stats)
     report = evaluate(model, normed, labels, label_set_for(app))
     print(render_report(report), end="")

@@ -187,6 +187,8 @@ class DeviceProfile:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        if self.p_sleep_mw >= self.p_tx_mw:  # so every app's worst-case active power exceeds sleep power
+            raise FieldError("p_sleep_mw", "must be below p_tx_mw")
 
     def active_power_mw(self, app: str) -> float:
         if app == "har":
@@ -279,6 +281,12 @@ class LabeledRecording:
             i = int(wrong[0])
             kind = self.label_set.__name__ if self.label_set is not None else "an unlabeled recording"
             raise InvalidSample(i, f"label code {codes[i]} is not in {kind}")
+
+    @classmethod
+    def joined(cls, blocks: list[LabeledRecording]) -> LabeledRecording:
+        """One recording of one or more consecutive blocks, with the one label set they name (or None)."""
+        columns = (np.concatenate([getattr(block, name) for block in blocks]) for name in ("t_ms", "values", "codes"))
+        return cls(*columns, next((block.label_set for block in blocks if block.label_set is not None), None))
 
     def __len__(self) -> int:
         return len(self.t_ms)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from pathlib import Path
-from typing import BinaryIO, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,30 +33,54 @@ class DatasetFormatError(ValueError):
     """Malformed dataset file; message carries the offending line number."""
 
 
-def write_dataset(recording: LabeledRecording, path: str | Path) -> None:
-    """Write a recording as dataset CSV. Invariants are re-checked first.
+def write_dataset(blocks: LabeledRecording | Iterable[LabeledRecording], path: str | Path) -> tuple[int, int]:
+    """Write a recording, or its consecutive blocks one at a time, as dataset
+    CSV; returns the number of rows and of annotations written. Each block's
+    invariants are re-checked first, and so are the channels, label set and
+    first t_ms that continue the blocks before it; a block that breaks them
+    removes the file.
 
     Each row is byte for byte what ``"%d" + ",%.6f" * c + ",%s"`` formats
     (with an empty stretch field when c = 6). The rows are built a chunk at
     a time from digit bytes, not by one format call per row.
     """
-    recording.validate()
-    names = [label.name for label in recording.label_set or ()] + [""]  # code -1 is last
-    stretch = b"" if recording.has_stretch else b","  # the empty stretch field
-    tails = [stretch + b"," + name.encode() + b"\n" for name in names]
-    width = max(map(len, tails))
-    tail_table = np.array([list(tail.ljust(width, b"\0")) for tail in tails], np.uint8)
+    if isinstance(blocks, LabeledRecording):
+        blocks.validate()  # before the file is opened, so an invalid recording leaves any old file as it was
+        blocks = [blocks]
+    rows = annotations = 0
+    last = label_set = None  # the last non-empty block, and the label set of all
     with open(path, "wb") as f:
-        f.write(DATASET_HEADER.encode() + b"\n")
-        for lo in range(0, len(recording), _WRITE_ROWS):
-            rows = slice(lo, lo + _WRITE_ROWS)
-            fields = [
-                _int_fields(recording.t_ms[rows]),
-                _fixed6_fields(recording.values[rows]),
-                tail_table[recording.codes[rows]],
-            ]
-            buf = np.concatenate(fields, axis=1)
-            f.write(buf[buf != 0].tobytes())  # 0 bytes are padding
+        try:
+            f.write(DATASET_HEADER.encode() + b"\n")
+            for block in blocks:
+                block.validate()
+                label_set = block.label_set if label_set is None else label_set
+                if not len(block):
+                    continue
+                if last is not None and (
+                    block.values.shape[1] != last.values.shape[1]
+                    or block.label_set not in (None, label_set)
+                    or block.t_ms[0] <= last.t_ms[-1]
+                ):
+                    raise ValueError("a block's channels, label set or first t_ms do not continue the blocks before")
+                codes = block.codes
+                runs = np.flatnonzero(np.diff(codes, prepend=codes[0] - 1 if last is None else last.codes[-1]))
+                annotations += int((codes[runs] >= 0).sum())
+                names = [label.name for label in label_set or ()] + [""]  # code -1 is last
+                stretch = b"" if block.has_stretch else b","  # the empty stretch field
+                tails = [stretch + b"," + name.encode() + b"\n" for name in names]
+                tail_table = np.array([list(tail.ljust(max(map(len, tails)), b"\0")) for tail in tails], np.uint8)
+                for lo in range(0, len(block), _WRITE_ROWS):
+                    chunk = slice(lo, lo + _WRITE_ROWS)
+                    fields = [_int_fields(block.t_ms[chunk]), _fixed6_fields(block.values[chunk])]
+                    buf = np.concatenate([*fields, tail_table[codes[chunk]]], axis=1)
+                    f.write(buf[buf != 0].tobytes())  # 0 bytes are padding
+                rows, last = rows + len(block), block
+        except ValueError:
+            f.close()
+            Path(path).unlink()
+            raise
+    return rows, annotations
 
 
 _WRITE_ROWS = 8192  # rows formatted at once; bounds the transient byte buffers
@@ -159,19 +183,38 @@ def _column(fields: Sequence[str], convert, dtype) -> np.ndarray:
 
 
 def read_dataset(path: str | Path) -> LabeledRecording:
-    """Parse a dataset CSV back into a LabeledRecording.
+    """Parse a dataset CSV back into one LabeledRecording (read_blocks reads it a block at a time).
 
     Raises DatasetFormatError naming the 1-based line number on a bad
     header, a wrong column count, an unparseable or out-of-range value,
     a stretch value on only some rows, an unknown label name, labels from
     both label sets, or non-increasing timestamps.
     """
+    return _load_rows(path) or _parse_file(path)
+
+
+def read_blocks(path: str | Path) -> Iterator[LabeledRecording]:
+    """The rows of a dataset CSV as consecutive blocks of about _READ_BYTES of
+    text, at least one (empty for a file without rows). A file the block
+    parser refuses is judged whole by the exact parser: it raises
+    read_dataset's DatasetFormatError, or gives the rows not yet yielded as
+    one last block.
+    """
+    n = 0  # rows yielded
     try:
-        recording = _load_rows(path)
+        with open(path, "rb") as f:
+            for block in _loaded_blocks(f):
+                yield block
+                n += len(block)
+        if n:
+            return
     except ValueError:  # the exact parser below names the line
-        recording = None
-    if recording is not None:
-        return recording
+        pass
+    rest = _parse_file(path)
+    yield LabeledRecording(rest.t_ms[n:], rest.values[n:], rest.codes[n:], rest.label_set)
+
+
+def _parse_file(path: str | Path) -> LabeledRecording:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -189,53 +232,53 @@ _LABEL_FIELD = f"U{1 + max(len(label.name) for labels in APPS.values() for label
 
 
 def _load_rows(path: str | Path) -> LabeledRecording | None:
-    """The file's rows parsed a block at a time by np.loadtxt's C parser, or None.
+    """The joined blocks of _loaded_blocks; None where it refuses the rows or finds none."""
+    try:
+        with open(path, "rb") as f:
+            blocks = list(_loaded_blocks(f))
+    except ValueError:
+        return None
+    return LabeledRecording.joined(blocks) if blocks else None
+
+
+def _loaded_blocks(f: BinaryIO) -> Iterator[LabeledRecording]:
+    """The file's non-empty row blocks, each parsed by np.loadtxt's C parser.
 
     loadtxt parses each number it accepts to the same bits as int() and
     float(), but it refuses some that they accept (``1_0``, full-width
-    digits). So None, or a ValueError, means only that _parse_rows must
-    judge the rows.
+    digits). So a ValueError means only that _parse_rows must judge the rows.
     """
-    with open(path, "rb") as f:
-        # The header ends with a newline and so does every row but the last.
-        capacity = sum(block.count(b"\n") for block in iter(lambda: f.read(_READ_BYTES), b""))
-        f.seek(0)
-        n = 0
-        lookup: dict[str, int] = {"": -1}  # label name -> code, across blocks
-        label_sets: set[type] = set()
-        for rows in _row_blocks(f):
-            m = len(rows)
-            if not m:
-                continue
-            if n + m > capacity:  # lines also broken at other line boundaries
-                return None
-            if n == 0:
-                has_stretch = rows[0].split(",")[7:8] != [""]
-                c = 7 if has_stretch else 6
-                fields = [("t", np.int64), ("v", np.float64, (c,))] + [("stretch", "U1")] * (not has_stretch)
-                t_ms, codes = np.empty(capacity, np.int64), np.empty(capacity, np.int64)
-                values = np.empty((capacity, c))
-            table = np.loadtxt(  # 9 columns on every row, or ValueError
-                rows, dtype=fields + [("label", _LABEL_FIELD)], delimiter=",", comments=None, ndmin=1
-            )
-            if not has_stretch and (table["stretch"] != "").any():
-                return None
-            label_column = table["label"]
-            starts = np.flatnonzero(np.append(True, label_column[1:] != label_column[:-1]))
-            names = label_column[starts].tolist()  # one per run of equal labels
-            for name in set(names) - lookup.keys():
-                label = parse_label(name)
-                label_sets.add(type(label))
-                lookup[name] = label.value
-            if len(label_sets) > 1:
-                return None
-            t_ms[n : n + m] = table["t"]
-            values[n : n + m] = table["v"]
-            codes[n : n + m] = np.repeat([lookup[name] for name in names], np.diff(np.append(starts, m)))
-            n += m
-    if n == 0:
-        return None
-    return LabeledRecording(t_ms[:n], values[:n], codes[:n], label_sets.pop() if label_sets else None)
+    lookup: dict[str, int] = {"": -1}  # label name -> code, across blocks
+    label_sets: set[type] = set()
+    last_t = None
+    for rows in _row_blocks(f):
+        m = len(rows)
+        if not m:
+            continue
+        if last_t is None:
+            has_stretch = rows[0].split(",")[7:8] != [""]
+            c = 7 if has_stretch else 6
+            fields = [("t", np.int64), ("v", np.float64, (c,))] + [("stretch", "U1")] * (not has_stretch)
+        table = np.loadtxt(  # 9 columns on every row, or ValueError
+            rows, dtype=fields + [("label", _LABEL_FIELD)], delimiter=",", comments=None, ndmin=1
+        )
+        if not has_stretch and (table["stretch"] != "").any():
+            raise ValueError("stretch present on only some rows")
+        label_column = table["label"]
+        starts = np.flatnonzero(np.append(True, label_column[1:] != label_column[:-1]))
+        names = label_column[starts].tolist()  # one per run of equal labels
+        for name in set(names) - lookup.keys():
+            label = parse_label(name)
+            label_sets.add(type(label))
+            lookup[name] = label.value
+        if len(label_sets) > 1:
+            raise ValueError("labels mix label sets")
+        codes = np.repeat([lookup[name] for name in names], np.diff(np.append(starts, m)))
+        block = LabeledRecording(table["t"].copy(), table["v"], codes, next(iter(label_sets), None))
+        if last_t is not None and block.t_ms[0] <= last_t:
+            raise ValueError("t_ms not strictly increasing across blocks")
+        last_t = block.t_ms[-1]
+        yield block
 
 
 def _row_blocks(f: BinaryIO) -> Iterator[list[str]]:
@@ -450,15 +493,22 @@ def _clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def generate_synthetic(
-    model: SyntheticActivityModel,
-    schedule: Sequence[tuple[Label, int]],
-    rate_hz: float,
+    model: SyntheticActivityModel, schedule: Sequence[tuple[Label, int]], rate_hz: float
 ) -> LabeledRecording:
-    """Synthesize a labeled recording from a (label, duration_ms) schedule.
+    """The blocks of generate_blocks joined into one LabeledRecording."""
+    empty = LabeledRecording(np.empty(0, np.int64), np.empty((0, channel_count(model.signals))))
+    return LabeledRecording.joined([empty, *generate_blocks(model, schedule, rate_hz)])
+
+
+def generate_blocks(
+    model: SyntheticActivityModel, schedule: Sequence[tuple[Label, int]], rate_hz: float
+) -> Iterator[LabeledRecording]:
+    """Synthesize a labeled recording from a (label, duration_ms) schedule, in blocks of as many
+    whole entries as fit in _WRITE_ROWS rows (an entry longer than that is a block of its own).
 
     Pure function of (model, schedule, rate_hz): the RNG is seeded from the
-    model and consumed in a fixed per-block order, so equal inputs give
-    bit-identical recordings.
+    model and consumed in a fixed per-entry order, so equal inputs give
+    bit-identical blocks.
     """
     if rate_hz <= 0:
         raise ValueError("rate_hz must be > 0")
@@ -467,32 +517,32 @@ def generate_synthetic(
             raise ValueError(f"schedule duration for {label.name} must be > 0")
         if label not in model.signals:
             raise ValueError(f"no signal model for label {label.name}")
-
     label_sets = {type(label) for label, _ in schedule}
     if len(label_sets) > 1:
         raise ValueError("schedule mixes activity and gesture labels")
 
+    label_set = label_sets.pop() if label_sets else None
     rng = np.random.default_rng(model.seed)
     width = channel_count(model.signals)
     sizes = [round(duration_ms * rate_hz / 1000.0) for _, duration_ms in schedule]
-    k = np.arange(sum(sizes))
-    values = np.empty((len(k), width))
-    codes = np.empty(len(k), dtype=np.int64)
-    index = 0
-    for (label, _), n in zip(schedule, sizes):
-        if n == 0:
-            continue
-        run = slice(index, index + n)
-        synthesize_signal(model.signals[label], k[run] / rate_hz, rng.standard_normal(n * width), values[run])
-        codes[run] = label.value
-        index += n
-
-    return LabeledRecording(
-        t_ms=np.floor(k * 1000.0 / rate_hz).astype(np.int64),
-        values=values,
-        codes=codes,
-        label_set=label_sets.pop() if label_sets else None,
-    )
+    start = first = 0  # the block's first sample index and first schedule entry
+    for last, end in enumerate(accumulate(sizes)):
+        if last + 1 < len(schedule) and end + sizes[last + 1] - start <= _WRITE_ROWS:
+            continue  # the next entry fits in this block too
+        k = np.arange(start, end)
+        values = np.empty((len(k), width))
+        codes = np.empty(len(k), dtype=np.int64)
+        index = 0
+        for (label, _), n in zip(schedule[first : last + 1], sizes[first : last + 1]):
+            if n == 0:
+                continue
+            run = slice(index, index + n)
+            synthesize_signal(model.signals[label], k[run] / rate_hz, rng.standard_normal(n * width), values[run])
+            codes[run] = label.value
+            index += n
+        if len(k):
+            yield LabeledRecording(np.floor(k * 1000.0 / rate_hz).astype(np.int64), values, codes, label_set)
+        start, first = end, last + 1
 
 
 def storage_budget(rate_hz, channels, bytes_per_scalar, duration_s):

@@ -172,9 +172,7 @@ def plan_duty_cycle(profile: DeviceProfile, app: str, energy: EnergySettings) ->
     transmit bursts stay funded.
     """
     c_active = max(profile.active_power_mw(app), profile.p_tx_mw)  # mWh per full slot
-    c_sleep = profile.p_sleep_mw
-    if c_active <= c_sleep:
-        raise ValueError("active power must exceed sleep power")
+    c_sleep = profile.p_sleep_mw  # below p_tx_mw, a DeviceProfile rule, so below c_active
     extra = max(0.0, energy.battery_initial_mwh - energy.reserve_fraction * energy.battery_capacity_mwh)
     share = extra / SLOTS_PER_DAY
     forecast_mw = energy.harvest_profile_mw

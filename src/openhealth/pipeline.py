@@ -9,12 +9,14 @@ at bin k yields feature value a. Dimension D = channels * 12.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ActivityLabel, Label, LabeledRecording
+from .core import APPS, ActivityLabel, Label, LabeledRecording
 
 FFT_BINS = 8
 FEATURES_PER_CHANNEL = 4 + FFT_BINS
@@ -58,68 +60,103 @@ def majority_label(counts: Sequence[int], label_set: type) -> Label | None:
     return None
 
 
-def segment(
-    recording: LabeledRecording, w: int = 128, overlap_fraction: float = 0.5
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cut a recording into fixed-length windows with majority labels.
+class Windows(NamedTuple):
+    """The windows scan_windows keeps: first sample index, majority-label code (-1 for none) and features
+    (None unless asked for) of each; the recording's label set and channel count (None without a block)."""
 
-    Returns (starts, codes): the first sample index of each window and the
-    code of its majority_label, -1 for a window without one. Windows
-    containing a timing gap larger than 1.5 nominal sample periods are
-    dropped. A recording shorter than w yields no windows.
+    starts: np.ndarray
+    codes: np.ndarray
+    features: np.ndarray | None
+    label_set: type | None
+    channels: int | None
+
+
+_FEATURE_WINDOWS = 128  # windows featurized at once; bounds the transient window stack
+_CODE_ORDER = np.array([*range(max(map(len, APPS.values()))), -1])  # count columns: every label code, then -1
+
+
+def scan_windows(
+    blocks: Iterable[LabeledRecording], w: int = 128, overlap_fraction: float = 0.5, features: bool = True
+) -> Windows:
+    """Fixed-length windows with majority labels, in one pass over a recording's consecutive blocks.
+
+    A window starts every window_stride samples; one holding a timing gap above 1.5 median sample
+    periods is dropped. Fewer than w rows carry from block to block. Each complete window keeps its
+    largest timestamp step, its per-code sample counts and its features, featurized _FEATURE_WINDOWS
+    windows at a time across blocks. A histogram of the steps gives the median after the last block,
+    so nothing depends on where the blocks are cut.
     """
     if not 0.0 <= overlap_fraction < 1.0:
         raise ValueError("overlap_fraction must be in [0, 1)")
     if w < 8:
         raise ValueError("window length must be >= 8")
-    n = len(recording)
-    starts = np.arange(0, max(n - w + 1, 0), window_stride(w, overlap_fraction))
+    stride = window_stride(w, overlap_fraction)
+    histogram: Counter[int] = Counter()  # timestamp step -> how many
+    max_steps, counts = [np.empty(0, np.int64)], [np.empty((0, len(_CODE_ORDER)), np.int64)]
+    feats, stack, filled = [], None, 0  # feature rows; the window stack being filled, and how far
+    label_set = channels = carry = None
+    offset = 0  # the next window's first row, counted from the carry's first
+    for block in blocks:
+        label_set = block.label_set if label_set is None else label_set
+        channels = block.values.shape[1]
+        if not len(block):
+            continue
+        columns = (block.t_ms, block.values, block.codes)
+        t, v, c = columns if carry is None else (np.concatenate(pair) for pair in zip(carry, columns))
+        steps = np.diff(t)
+        seen, times = np.unique(steps if carry is None else steps[len(carry[0]) - 1 :], return_counts=True)
+        histogram.update(dict(zip(seen.tolist(), times.tolist())))
+        starts = np.arange(offset, len(t) - w + 1, stride)
+        if len(starts):
+            max_steps.append(sliding_window_view(steps, w - 1)[starts].max(axis=1))
+            prefix = np.zeros((len(t) + 1, len(_CODE_ORDER)), np.int64)
+            np.cumsum(c[:, None] == _CODE_ORDER, axis=0, out=prefix[1:])
+            counts.append(prefix[starts + w] - prefix[starts])
+            offset = int(starts[-1]) + stride
+            if features and stack is None:
+                stack = np.empty((_FEATURE_WINDOWS, w, channels))
+            while features and len(starts):
+                k = min(len(starts), _FEATURE_WINDOWS - filled)
+                np.take(v, starts[:k, None] + np.arange(w), axis=0, out=stack[filled : filled + k])
+                filled, starts = filled + k, starts[k:]
+                if filled == _FEATURE_WINDOWS:
+                    feats.append(extract_feature_matrix(stack))
+                    filled = 0
+        keep = min(offset, len(t) - 1)  # the last row stays for the step to the next block
+        carry, offset = tuple(column[keep:].copy() for column in (t, v, c)), offset - keep
+    if filled:
+        feats.append(extract_feature_matrix(stack[:filled]))
+    feats = np.concatenate(feats) if feats else None  # the list goes before any copy below
 
-    diffs = np.diff(recording.t_ms)
-    period = float(np.median(diffs)) if diffs.size else 0.0
-    gap_prefix = np.concatenate([[0], np.cumsum(diffs > MAX_GAP_PERIODS * period)])
-    starts = starts[gap_prefix[starts + w - 1] == gap_prefix[starts]]
-
-    label_set = recording.label_set
+    kept = ~(np.concatenate(max_steps) > MAX_GAP_PERIODS * _median(histogram))
+    counts = np.concatenate(counts)[kept]
     if label_set is None:
-        return starts, np.full(len(starts), -1, dtype=np.int64)
-    # Per-window counts of every code from one prefix sum per code; code -1 takes the last column.
-    counts = np.empty((len(starts), len(label_set) + 1), dtype=np.int64)
-    prefix = np.zeros(n + 1, dtype=np.int64)
-    for column, code in enumerate([*range(len(label_set)), -1]):
-        np.cumsum(recording.codes == code, out=prefix[1:])
-        counts[:, column] = prefix[starts + w] - prefix[starts]
-    labels = [majority_label(c, label_set) for c in counts.tolist()]
-    codes = np.array([-1 if label is None else label.value for label in labels], dtype=np.int64)
-    return starts, codes
+        codes = np.full(len(counts), -1, dtype=np.int64)
+    else:
+        labels = [majority_label(c, label_set) for c in counts[:, [*range(len(label_set)), -1]].tolist()]
+        codes = np.array([-1 if label is None else label.value for label in labels], dtype=np.int64)
+    features = feats if feats is None or kept.all() else feats[kept]
+    return Windows(np.flatnonzero(kept) * stride, codes, features, label_set, channels)
+
+
+def _median(histogram: Counter) -> float:
+    """np.median of the steps a histogram counts, 0.0 for none."""
+    if not histogram:
+        return 0.0
+    steps = sorted(histogram)
+    ends = np.cumsum([histogram[step] for step in steps])
+    middle = np.searchsorted(ends, [(ends[-1] - 1) // 2, ends[-1] // 2], side="right")  # equal for an odd count
+    return float(np.median(np.array(steps, dtype=np.int64)[middle]))
+
+
+def segment(recording: LabeledRecording, w: int = 128, overlap_fraction: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, codes) of scan_windows over the whole recording as one block."""
+    return scan_windows([recording], w, overlap_fraction, features=False)[:2]
 
 
 def windows_to_matrix(recording: LabeledRecording, starts: np.ndarray, w: int) -> np.ndarray:
     """(n, W, C) stack of the windows of length w beginning at the given sample indices."""
-    starts = np.asarray(starts, dtype=np.int64)
-    if not len(starts):
-        raise ValueError("no windows")
-    return recording.values[starts[:, None] + np.arange(w)]
-
-
-_FEATURE_WINDOWS = 128  # windows featurized at once; bounds the transient window stack
-
-
-def window_features(recording: LabeledRecording, starts: np.ndarray, w: int) -> np.ndarray:
-    """(n, D) features of the windows of length w beginning at the given
-    sample indices, gathered and featurized _FEATURE_WINDOWS windows at a time.
-
-    Bit for bit extract_feature_matrix(windows_to_matrix(recording, starts, w)),
-    without ever holding the whole window stack.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    if not len(starts):
-        raise ValueError("no windows")
-    out = np.empty((len(starts), recording.values.shape[1] * FEATURES_PER_CHANNEL))
-    for lo in range(0, len(starts), _FEATURE_WINDOWS):
-        block = starts[lo : lo + _FEATURE_WINDOWS]
-        out[lo : lo + len(block)] = extract_feature_matrix(windows_to_matrix(recording, block, w))
-    return out
+    return recording.values[np.asarray(starts, dtype=np.int64)[:, None] + np.arange(w)]
 
 
 def extract_feature_matrix(windows: np.ndarray) -> np.ndarray:
@@ -130,8 +167,11 @@ def extract_feature_matrix(windows: np.ndarray) -> np.ndarray:
     if w < MIN_WINDOW:
         raise ValueError(f"window length {w} too short for {FFT_BINS} FFT bins (need >= {MIN_WINDOW})")
     mean = windows.mean(axis=1)
-    spectrum = np.abs(np.fft.rfft(windows - mean[:, None, :], axis=1))[:, 1 : FFT_BINS + 1, :] * (2.0 / w)
-    moments = np.stack([mean, windows.std(axis=1), windows.min(axis=1), windows.max(axis=1)], axis=1)
+    centered = windows - mean[:, None, :]
+    spectrum = np.abs(np.fft.rfft(centered, axis=1)[:, 1 : FFT_BINS + 1, :]) * (2.0 / w)
+    # windows.std(axis=1), bit for bit: numpy's std squares these same deviations from the same mean.
+    centered *= centered
+    moments = np.stack([mean, np.sqrt(centered.sum(axis=1) / w), windows.min(axis=1), windows.max(axis=1)], axis=1)
     # (n, 12, c): one column of features per channel; the transposed reshape lays them out channel by channel.
     return np.concatenate([moments, spectrum], axis=1).transpose(0, 2, 1).reshape(n, c * FEATURES_PER_CHANNEL)
 
@@ -153,4 +193,6 @@ def normalize_features(
         stats = FeatureStats(mean=mean, std=std)
     if vectors.shape[1] != stats.dim:
         raise ValueError(f"dimension mismatch: vectors have {vectors.shape[1]}, stats have {stats.dim}")
-    return (vectors - stats.mean) / stats.std, stats
+    normed = vectors - stats.mean
+    normed /= stats.std  # in place: one (n, D) array, not two
+    return normed, stats

@@ -117,7 +117,8 @@ def test_c01_synthetic_corpus_accuracy_all_classes():
     report = evaluate(trained, x_test, labels[test_idx], ActivityLabel)
     per_class = {}
     for label in ActivityLabel:
-        acc = report.class_accuracy(label)
+        total = int(report.totals[label.value])
+        acc = int(report.corrects[label.value]) / total if total else None
         assert acc is not None, f"{label.name} missing from the test split"
         assert acc >= 0.90, f"{label.name} accuracy {acc:.3f} below 0.90"
         per_class[label.name] = round(100 * acc, 1)
@@ -285,11 +286,22 @@ def test_c08_protocol_suite(reference_trace):
           f"{len(nonces)} unique nonces over {frames_seen} frames")
 
 
-def test_c09_privacy_canary():
-    canary_stretch = 0.87654321
+CANARY_STRETCH = 0.87654321
+CANARIES = (
+    struct.pack("<d", CANARY_STRETCH),
+    struct.pack(">d", CANARY_STRETCH),
+    struct.pack("<f", CANARY_STRETCH),
+    struct.pack(">f", CANARY_STRETCH),
+    f"{CANARY_STRETCH:.6f}".encode(),
+)
+
+
+@pytest.fixture(scope="module")
+def canary_trace():
+    """Two minutes of one Walk device whose stretch channel is the constant CANARY_STRETCH."""
     raw = json.loads(REFERENCE.read_text())
     raw["synthetic_models"]["har"]["labels"]["Walk"].update(
-        {"noise_sigma": 0.0, "stretch_base": canary_stretch, "stretch_amp": 0.0}
+        {"noise_sigma": 0.0, "stretch_base": CANARY_STRETCH, "stretch_amp": 0.0}
     )
     raw["scenario"]["duration_ms"] = 120_000
     raw["scenario"]["devices"] = [
@@ -298,16 +310,11 @@ def test_c09_privacy_canary():
     ]
     raw["scenario"]["report_every_n_windows"] = 1
     raw["scenario"]["use_duty_plan"] = False
-    config = parse_config(raw)
-    trace = run_scenario(config, seed=13)
+    return run_scenario(parse_config(raw), seed=13)
 
-    canaries = (
-        struct.pack("<d", canary_stretch),
-        struct.pack(">d", canary_stretch),
-        struct.pack("<f", canary_stretch),
-        struct.pack(">f", canary_stretch),
-        f"{canary_stretch:.6f}".encode(),
-    )
+
+def test_c09_privacy_canary(canary_trace):
+    canary_stretch, canaries, trace = CANARY_STRETCH, CANARIES, canary_trace
     # positive control: the raw window matrices really do contain the pattern
     device_raw = np.full(8, canary_stretch).tobytes()
     assert canaries[0] in device_raw
@@ -322,6 +329,21 @@ def test_c09_privacy_canary():
     report = replay(trace.lines, canaries=canaries)
     assert report.passed
     ok(9, f"canary absent from all {len(frames)} transmitted frames (0 occurrences)")
+
+
+@pytest.mark.parametrize("canary", range(len(CANARIES)))
+def test_c09_catches_a_leaked_canary(canary_trace, canary):
+    """The counterpart of C09: one DATA frame edited to carry a canary fails
+    replay at that frame's line, and only there."""
+    lines = list(canary_trace.lines)
+    index = next(i for i, line in enumerate(lines) if line.split("\t")[1:4] == ["frame_tx", "dev1", "DATA"])
+    parts = lines[index].split("\t")
+    frame = bytes.fromhex(parts[7])
+    leaked = CANARIES[canary]
+    parts[7] = (frame[:12] + leaked + frame[12 + len(leaked) :]).hex()
+    lines[index] = "\t".join(parts)
+    report = replay(lines, canaries=CANARIES)
+    assert report.failures == [f"line {index + 1}: canary bytes {leaked.hex()} leaked on the air"]
 
 
 def test_c10_sync_accuracy(reference_trace):

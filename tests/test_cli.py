@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,20 @@ def test_train_out_of_range_row_exits_3(tmp_path, capsys):
     code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.ohm")])
     assert code == 3
     assert "line 3" in capsys.readouterr().err
+    assert not (tmp_path / "m.ohm").exists()
+
+
+def test_train_split_leaving_no_training_windows_exits_3(tmp_path, capsys):
+    """Two labeled windows at split_fraction 0.2 round to no training window;
+    this used to end in a traceback from normalize_features."""
+    config = write_config(tmp_path, mutate=lambda raw: raw["train"].update(split_fraction=0.2))
+    data, short = tmp_path / "har.csv", tmp_path / "short.csv"
+    assert main(["datagen", "--config", str(config), "--out", str(data), "--seed", "7"]) == 0
+    short.write_text("".join(data.read_text().splitlines(keepends=True)[:193]))  # the header and 192 rows
+    code = main(["train", "--data", str(short), "--out", str(tmp_path / "m.ohm"), "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.strip() == "train.split_fraction 0.2 leaves no training windows of 2"
     assert not (tmp_path / "m.ohm").exists()
 
 
@@ -428,6 +443,21 @@ def test_train_unwritable_out_exits_2_before_training(tmp_path, capsys, monkeypa
     assert err.startswith("output error: [Errno ") and err.endswith(f"] {reason}: {str(tmp_path / out)!r}")
 
 
+@pytest.mark.parametrize("command", ["budget", "simulate"])
+def test_sleep_power_not_below_transmit_power_exits_2(tmp_path, capsys, command):
+    """The parser used to accept it, and the duty planner of budget and of a
+    duty-planned simulate then ended in a traceback."""
+    config = write_config(tmp_path, mutate=lambda raw: raw["device_profile"].update(p_sleep_mw=20))
+    argv = {
+        "budget": ["budget", "--config", str(config)],
+        "simulate": ["simulate", "--config", str(config), "--trace", str(tmp_path / "t")],
+    }[command]
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.strip() == "config error: device_profile.p_sleep_mw: must be below p_tx_mw"
+    assert not (tmp_path / "t").exists()
+
+
 def test_simulate_config_without_scenario_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, mutate=lambda raw: raw.pop("scenario"))
     code = main(["simulate", "--config", str(config), "--trace", str(tmp_path / "t")])
@@ -483,6 +513,44 @@ def test_simulate_setting_past_what_the_run_can_hold_exits_2(tmp_path, capsys, m
     assert err.strip() == f"config error: {error}"
     assert "Traceback" not in err
     assert not (tmp_path / "t").exists()
+
+
+def _command_peaks(tmp_path, repeat: int) -> tuple[list[int], int]:
+    """tracemalloc peaks of datagen, train and eval on the reference har
+    corpus tiled repeat times, and the corpus's row count."""
+    raw = json.loads(REFERENCE.read_text())
+    raw["synthetic_models"]["har"]["repeat"] = repeat
+    config, data, model = tmp_path / f"c{repeat}.json", tmp_path / f"d{repeat}.csv", tmp_path / f"m{repeat}.ohm"
+    config.write_text(json.dumps(raw))
+    argvs = [
+        ["datagen", "--config", str(config), "--out", str(data), "--seed", "3"],
+        ["train", "--data", str(data), "--out", str(model), "--config", str(config)],
+        ["eval", "--data", str(data), "--model", str(model), "--config", str(config), "--json", str(tmp_path / "r")],
+    ]
+    peaks = []
+    for argv in argvs:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    with open(data, "rb") as f:
+        return peaks, sum(1 for _ in f) - 1
+
+
+def test_corpus_commands_hold_a_block_not_the_recording(tmp_path, capsys):
+    """Doubling the corpus leaves datagen's peak where it was, and grows the
+    peaks of train and eval by less than 60% of the rows added (72 bytes a
+    row with stretch: the time, seven values and the label code). What grows
+    there is one feature row per window."""
+    (datagen, train, evaluate), rows = _command_peaks(tmp_path, 11)
+    (datagen2, train2, evaluate2), rows2 = _command_peaks(tmp_path, 22)
+    added = 72 * (rows2 - rows)
+    assert rows2 == 2 * rows
+    assert datagen2 <= datagen + 64 * 1024
+    assert train2 - train < 0.6 * added
+    assert evaluate2 - evaluate < 0.6 * added
 
 
 def test_golden_eval_rendering():

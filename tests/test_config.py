@@ -139,6 +139,7 @@ MALFORMED = [
     ([(("device_profile", "sram_bytes"), "20K")], ["device_profile.sram_bytes: expected a number, got str"]),
     ([(("device_profile", "flash_bytes"), 1.5)], ["device_profile.flash_bytes: expected an integer"]),
     ([(("device_profile", "p_sleep_mw"), 0)], ["device_profile.p_sleep_mw: must be >= 1e-09"]),
+    ([(("device_profile", "p_sleep_mw"), 15.0)], ["device_profile.p_sleep_mw: must be below p_tx_mw"]),
     ([(("pipeline", "stride"), 64)], ["pipeline.stride: unknown key"]),
     ([(("pipeline", "channels"), "ax")], ["pipeline.channels: unknown key"]),
     ([(("pipeline", "window"), None)], ["pipeline.window: expected a number, got NoneType"]),

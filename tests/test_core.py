@@ -7,6 +7,7 @@ from openhealth.core import (
     ActivityLabel,
     Annotation,
     DeviceProfile,
+    FieldError,
     GestureLabel,
     InvalidSample,
     LabeledRecording,
@@ -49,6 +50,12 @@ def test_profile_rejects_nonpositive_power():
         DeviceProfile(p_sleep_mw=0.0)
     with pytest.raises(ValueError):
         DeviceProfile(sample_rate_hz=-1)
+
+
+def test_profile_sleep_power_must_be_below_transmit_power():
+    with pytest.raises(FieldError, match="^p_sleep_mw: must be below p_tx_mw$"):
+        DeviceProfile(p_sleep_mw=20.0)
+    assert DeviceProfile(p_sleep_mw=14.9).p_sleep_mw == 14.9
 
 
 def test_sample_range_validation():

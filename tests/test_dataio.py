@@ -13,7 +13,9 @@ from openhealth.dataio import (
     DatasetFormatError,
     LabelSignalModel,
     SyntheticActivityModel,
+    generate_blocks,
     generate_synthetic,
+    read_blocks,
     read_dataset,
     storage_budget,
     synthesize_signal,
@@ -201,6 +203,37 @@ def test_generate_synthetic_is_deterministic(tiny_har_model):
     assert np.array_equal(a.t_ms, b.t_ms)
     assert np.array_equal(a.values, b.values)
     assert a.annotations == b.annotations
+
+
+def test_generated_blocks_hold_whole_entries_and_the_bytes_of_one(tiny_har_model, tmp_path, monkeypatch):
+    """Blocks of as many whole schedule entries as fit in 350 rows write the
+    bytes of the recording made in one block; write_dataset counts its rows
+    and its annotations (two Walk entries in a row are one)."""
+    schedule = [(ActivityLabel.Walk, 3000), (ActivityLabel.Walk, 1000), (ActivityLabel.Sit, 2000),
+                (ActivityLabel.LieDown, 4000), (ActivityLabel.Walk, 500)]
+    whole = generate_synthetic(tiny_har_model, schedule, 100.0)
+    monkeypatch.setattr(dataio, "_WRITE_ROWS", 350)
+    blocks = list(generate_blocks(tiny_har_model, schedule, 100.0))
+    assert [len(block) for block in blocks] == [300, 300, 400, 50]
+    assert write_dataset(whole, tmp_path / "whole.csv") == (1050, 4) == (len(whole), len(whole.annotations))
+    assert write_dataset(iter(blocks), tmp_path / "blocks.csv") == (1050, 4)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda b: LabeledRecording(b.t_ms - 10, b.values, b.codes, b.label_set), "first t_ms"),
+        (lambda b: LabeledRecording(b.t_ms + 1000, b.values[:, :6], b.codes, b.label_set), "channels"),
+        (lambda b: LabeledRecording(b.t_ms + 1000, b.values, np.zeros(len(b), np.int64), GestureLabel), "label set"),
+    ],
+    ids=["overlapping-time", "other-channels", "other-label-set"],
+)
+def test_write_refuses_a_block_that_does_not_continue(tmp_path, edit, message):
+    first = make_recording(20)
+    with pytest.raises(ValueError, match=message):
+        write_dataset([first, edit(first)], tmp_path / "bad.csv")
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_generate_degenerate_model_constant_gravity():
@@ -506,6 +539,46 @@ def test_read_in_small_blocks_agrees_with_exact_parser(tmp_path, monkeypatch, te
     else:
         with pytest.raises(DatasetFormatError, match=message):
             read_dataset(path)
+
+
+def read_blocks_outcome(path):
+    """read_outcome of the blocks of read_blocks joined, and how many there were."""
+    blocks = []
+
+    def read():
+        blocks.extend(read_blocks(path))
+        return LabeledRecording.joined(blocks)
+
+    return read_outcome(read), len(blocks)
+
+
+@pytest.mark.parametrize(
+    "text, blocks",
+    [
+        (small_block_text([(ActivityLabel.Walk, 3), (ActivityLabel.Sit, 9), (None, 4), (ActivityLabel.Sit, 4)]), 5),
+        (small_block_text([(None, 12), (GestureLabel.Up, 8)]), 5),
+        (small_block_text(_WALK, edits=[(15, 3, "1_0")]), 5),  # loadtxt refuses it, int() and float() accept it
+        (small_block_text(_WALK, edits=[(1, 3, "1_0")]), 1),  # judged whole from the first block on
+        (DATASET_HEADER + "\n", 1),  # one empty block
+        (small_block_text(_WALK, edits=[(15, 1, "abc")]), 0),
+        (small_block_text(_WALK, edits=[(15, 0, "0")]), 0),
+        (small_block_text(_WALK, edits=[(15, 8, "Up")]), 0),
+        ("", 0),
+    ],
+    ids=["runs", "unlabeled-then-gesture", "late-1_0", "early-1_0", "header-only", "bad-value", "time-back",
+         "second-label-set", "empty"],
+)
+def test_read_blocks_join_to_read_dataset(tmp_path, monkeypatch, text, blocks):
+    """Read a few rows at a time, the blocks join to what read_dataset reads,
+    or raise its DatasetFormatError; a file the block parser refuses late
+    gives its rows in the blocks already read and one last block."""
+    monkeypatch.setattr(dataio, "_READ_BYTES", _SMALL_BLOCK)
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    outcome, read = read_blocks_outcome(path)
+    assert outcome == read_outcome(lambda: read_dataset(path))
+    assert isinstance(outcome, str) == (blocks == 0)
+    assert read >= blocks
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r", "\x1c", "\n\n"])

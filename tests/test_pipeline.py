@@ -13,8 +13,8 @@ from openhealth.pipeline import (
     extract_feature_matrix,
     majority_label,
     normalize_features,
+    scan_windows,
     segment,
-    window_features,
     window_stride,
     windows_to_matrix,
 )
@@ -171,21 +171,72 @@ def test_feature_matrix_matches_single_window_path(tiny_har_model):
     assert np.allclose(batch, singles, atol=0, rtol=0)
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 8, 10])  # below, equal to, a multiple of and not a multiple of 4
-def test_window_features_equal_the_whole_stack(tiny_har_model, monkeypatch, n):
-    """Blocks of 4 windows give the bytes of one stack featurized at once."""
-    from openhealth.dataio import generate_synthetic
+def _whole_segment(recording, w, overlap_fraction):
+    """segment as one pass over a whole recording computes it: the gap rule
+    from a prefix sum over the steps above 1.5 median periods, and the
+    reference for scan_windows over blocks."""
+    n = len(recording)
+    starts = np.arange(0, max(n - w + 1, 0), window_stride(w, overlap_fraction))
+    diffs = np.diff(recording.t_ms)
+    period = float(np.median(diffs)) if diffs.size else 0.0
+    gap_prefix = np.concatenate([[0], np.cumsum(diffs > pipeline.MAX_GAP_PERIODS * period)])
+    starts = starts[gap_prefix[starts + w - 1] == gap_prefix[starts]]
+    if recording.label_set is None:
+        return starts, np.full(len(starts), -1, dtype=np.int64)
+    return starts, _one_hot_segment_codes(recording, starts, w)
 
-    monkeypatch.setattr(pipeline, "_FEATURE_WINDOWS", 4)
-    rec = generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 3000), (ActivityLabel.Sit, 3000)], 100.0)
-    starts = np.linspace(0, len(rec) - 128, n).astype(np.int64)
-    feats = window_features(rec, starts, 128)
-    assert feats.tobytes() == extract_feature_matrix(windows_to_matrix(rec, starts, 128)).tobytes()
+
+def _blocks(recording, cuts):
+    """The recording cut at the given row indices into consecutive blocks (some may be empty)."""
+    bounds = [0, *sorted(cuts), len(recording)]
+    return [
+        LabeledRecording(recording.t_ms[a:b], recording.values[a:b], recording.codes[a:b], recording.label_set)
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
-def test_window_features_need_a_window():
-    with pytest.raises(ValueError, match="no windows"):
-        window_features(make_recording(256), np.array([], dtype=np.int64), 128)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_scan_windows_over_blocks_equal_the_whole_recording(data):
+    """Any cut into blocks gives the windows, codes and feature bytes of the
+    whole recording: gaps, the median period, labels and a feature stack
+    filled across blocks (4 windows a stack here) included."""
+    label_set = data.draw(st.sampled_from([ActivityLabel, GestureLabel, None]))
+    sizes = data.draw(st.lists(st.integers(1, 60), min_size=1, max_size=8))
+    labels = [None] if label_set is None else [None, *label_set]
+    runs = [(data.draw(st.sampled_from(labels)), k) for k in sizes]
+    codes = np.concatenate([np.full(k, -1 if label is None else label.value) for label, k in runs])
+    n = len(codes)
+    # Mostly regular steps with jitter and gaps; or two steps about as common, whose median sits on the gap rule's edge.
+    choices = data.draw(st.sampled_from([[10, 10, 10, 9, 11, 16, 40, 1], [10, 20], [10, 20, 31]]))
+    steps = data.draw(st.lists(st.sampled_from(choices), min_size=n, max_size=n))
+    rec = LabeledRecording(np.cumsum(steps), np.random.default_rng(n).uniform(0.0, 1.0, (n, 7)), codes, label_set)
+    w = data.draw(st.sampled_from([8, 16, 32]))
+    overlap = data.draw(st.sampled_from([0.0, 0.5, 0.75]))
+    cuts = data.draw(st.lists(st.integers(0, n), max_size=6))
+    blocks = _blocks(rec, cuts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_FEATURE_WINDOWS", 4)
+        windows = scan_windows(blocks, w, overlap, features=w >= 16)
+    starts, expected_codes = _whole_segment(rec, w, overlap)
+    assert windows.starts.tolist() == starts.tolist()
+    assert windows.codes.tolist() == expected_codes.tolist()
+    assert (windows.label_set, windows.channels) == (label_set, 7)
+    if w >= 16 and len(starts):
+        assert windows.features.tobytes() == extract_feature_matrix(windows_to_matrix(rec, starts, w)).tobytes()
+
+
+def test_scan_windows_median_period_over_blocks():
+    """Steps of 10 and 20 ms about equally common put the median on edge:
+    10, 15 or 20 ms, which makes the 20 and 25 ms steps gaps or not. So the
+    blocks' step histogram must count each step once, and take the mean of
+    the middle two of an even count, as np.median does."""
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        n = int(rng.integers(20, 300))
+        rec = LabeledRecording(np.cumsum(rng.choice([10, 20, 25], n, p=[0.45, 0.45, 0.1])), make_values(n))
+        blocks = _blocks(rec, rng.integers(0, n, 6).tolist())
+        assert scan_windows(blocks, 16, 0.5, features=False).starts.tolist() == _whole_segment(rec, 16, 0.5)[0].tolist()
 
 
 def _one_hot_segment_codes(recording, starts, w):

@@ -843,6 +843,56 @@ def test_replay_detects_rx_without_tx(small_trace):
     assert any("never transmitted" in f for f in report.failures)
 
 
+def _edited(lines, index, **fields):
+    """lines with the named fields of line index replaced (battery and net
+    of an energy line; seq and frame of a frame_tx line)."""
+    names = {"energy": ("battery", "net"), "frame_tx": ("type", "device_id", "seq", "length", "frame")}
+    parts = lines[index].split("\t")
+    for name, value in fields.items():
+        parts[3 + names[parts[1]].index(name)] = value
+    return [*lines[:index], "\t".join(parts), *lines[index + 1 :]]
+
+
+def _device_frames(lines):
+    """Indices of the device's own frame_tx lines, whose seq rises by one a frame."""
+    return [i for i, line in enumerate(lines) if line.split("\t")[1:3] == ["frame_tx", "dev1"]]
+
+
+@pytest.mark.parametrize("battery", [40.5, -0.5])  # the capacity is 40 mWh
+def test_replay_detects_a_battery_outside_the_capacity(small_trace, battery):
+    """The net figure moves with the battery, so that the ledger holds and
+    the range rule alone fails."""
+    lines = list(small_trace.lines)
+    index = [i for i, line in enumerate(lines) if line.split("\t")[1] == "energy"][-1]
+    old_battery, old_net = (float(v) for v in lines[index].split("\t")[3:5])
+    lines = _edited(lines, index, battery=f"{battery:.9f}", net=f"{old_net + battery - old_battery:.9f}")
+    assert replay(lines).failures == [f"line {index + 1}: battery {battery} outside [0, capacity]"]
+
+
+def test_replay_detects_a_seq_reused_for_other_bytes(small_trace):
+    first, later = _device_frames(small_trace.lines)[1:3]
+    seq = small_trace.lines[first].split("\t")[5]
+    lines = _edited(small_trace.lines, later, seq=seq)
+    assert f"line {later + 1}: device dev1 reused seq {seq} for different bytes" in replay(lines).failures
+
+
+def test_replay_detects_a_seq_not_above_the_last(small_trace):
+    index = _device_frames(small_trace.lines)[3]
+    top = int(small_trace.lines[index].split("\t")[5]) - 1
+    lines = _edited(small_trace.lines, index, seq="0")  # seqs count from 1, so 0 is new
+    assert f"line {index + 1}: device dev1 seq 0 not above {top}" in replay(lines).failures
+
+
+def test_replay_detects_canary_bytes_on_the_air(small_trace):
+    canary = bytes(range(0xA0, 0xA8))
+    index = next(i for i in _device_frames(small_trace.lines) if small_trace.lines[i].split("\t")[3] == "DATA")
+    frame = bytes.fromhex(small_trace.lines[index].split("\t")[7])
+    lines = _edited(small_trace.lines, index, frame=(frame[:12] + canary + frame[20:]).hex())
+    assert replay(small_trace.lines, canaries=(canary,)).passed
+    failures = replay(lines, canaries=(canary,)).failures
+    assert failures == [f"line {index + 1}: canary bytes {canary.hex()} leaked on the air"]
+
+
 def test_metrics_rederivable_from_trace(small_trace):
     assert trace_metrics(small_trace.lines) == small_trace.metrics
 

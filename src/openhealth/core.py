@@ -198,19 +198,6 @@ class DeviceProfile:
         raise ValueError(f"unknown application {app!r}")
 
 
-@dataclass(frozen=True)
-class Annotation:
-    """Half-open labeled interval [start_ms, end_ms) over a recording."""
-
-    start_ms: int
-    end_ms: int
-    label: Label
-
-    def __post_init__(self) -> None:
-        if self.end_ms <= self.start_ms:
-            raise ValueError(f"empty annotation interval [{self.start_ms}, {self.end_ms})")
-
-
 class InvalidSample(ValueError):
     """A recording row breaks an invariant; ``index`` is its 0-based position."""
 
@@ -294,17 +281,3 @@ class LabeledRecording:
     @property
     def has_stretch(self) -> bool:
         return self.values.shape[1] == 7
-
-    @property
-    def annotations(self) -> list[Annotation]:
-        """Runs of equal label codes as [first_t, last_t + 1) intervals (a read-only view)."""
-        codes = self.codes
-        if self.label_set is None or not len(codes):
-            return []
-        firsts = np.flatnonzero(np.diff(codes, prepend=codes[0] - 1))
-        lasts = np.append(firsts[1:], len(codes)) - 1
-        return [
-            Annotation(int(self.t_ms[a]), int(self.t_ms[b]) + 1, self.label_set(int(codes[a])))
-            for a, b in zip(firsts, lasts)
-            if codes[a] >= 0
-        ]

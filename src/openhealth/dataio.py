@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -166,64 +166,9 @@ def _round6(a: np.ndarray) -> np.ndarray:
     return r.astype(np.int64)
 
 
-_CHUNK_ROWS = 8192  # rows split at once; bounds the transient field strings
-
-
-def _column(fields: Sequence[str], convert, dtype) -> np.ndarray:
-    """Convert one column of field strings; a failure raises InvalidSample at its row."""
-    try:
-        return np.array(list(map(convert, fields)), dtype=dtype)
-    except (ValueError, OverflowError):
-        for k, text in enumerate(fields):
-            try:
-                np.array(convert(text), dtype=dtype)
-            except (ValueError, OverflowError) as exc:
-                raise InvalidSample(k, f"unparseable value {text!r} ({exc})") from None
-        raise
-
-
 def read_dataset(path: str | Path) -> LabeledRecording:
-    """Parse a dataset CSV back into one LabeledRecording (read_blocks reads it a block at a time).
-
-    Raises DatasetFormatError naming the 1-based line number on a bad
-    header, a wrong column count, an unparseable or out-of-range value,
-    a stretch value on only some rows, an unknown label name, labels from
-    both label sets, or non-increasing timestamps.
-    """
-    return _load_rows(path) or _parse_file(path)
-
-
-def read_blocks(path: str | Path) -> Iterator[LabeledRecording]:
-    """The rows of a dataset CSV as consecutive blocks of about _READ_BYTES of
-    text, at least one (empty for a file without rows). A file the block
-    parser refuses is judged whole by the exact parser: it raises
-    read_dataset's DatasetFormatError, or gives the rows not yet yielded as
-    one last block.
-    """
-    n = 0  # rows yielded
-    try:
-        with open(path, "rb") as f:
-            for block in _loaded_blocks(f):
-                yield block
-                n += len(block)
-        if n:
-            return
-    except ValueError:  # the exact parser below names the line
-        pass
-    rest = _parse_file(path)
-    yield LabeledRecording(rest.t_ms[n:], rest.values[n:], rest.codes[n:], rest.label_set)
-
-
-def _parse_file(path: str | Path) -> LabeledRecording:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"byte {exc.start}: not UTF-8 text") from None
-    lines = text.splitlines()
-    if not lines or lines[0] != DATASET_HEADER:
-        got = lines[0] if lines else "<empty file>"
-        raise DatasetFormatError(f"line 1: bad header {got!r}, expected {DATASET_HEADER!r}")
-    return _parse_rows(lines, list(filter(str.strip, lines[1:])))  # blank lines are skipped
+    """The blocks of read_blocks joined into one LabeledRecording."""
+    return LabeledRecording.joined(list(read_blocks(path)))
 
 
 _READ_BYTES = 1 << 18  # bytes parsed at once; bounds the transient lines and table
@@ -231,131 +176,98 @@ _READ_BYTES = 1 << 18  # bytes parsed at once; bounds the transient lines and ta
 _LABEL_FIELD = f"U{1 + max(len(label.name) for labels in APPS.values() for label in labels)}"
 
 
-def _load_rows(path: str | Path) -> LabeledRecording | None:
-    """The joined blocks of _loaded_blocks; None where it refuses the rows or finds none."""
-    try:
-        with open(path, "rb") as f:
-            blocks = list(_loaded_blocks(f))
-    except ValueError:
-        return None
-    return LabeledRecording.joined(blocks) if blocks else None
+def read_blocks(path: str | Path) -> Iterator[LabeledRecording]:
+    """The rows of a dataset CSV as consecutive blocks of about _READ_BYTES of
+    text, at least one (empty for a file without rows).
 
-
-def _loaded_blocks(f: BinaryIO) -> Iterator[LabeledRecording]:
-    """The file's non-empty row blocks, each parsed by np.loadtxt's C parser.
-
-    loadtxt parses each number it accepts to the same bits as int() and
-    float(), but it refuses some that they accept (``1_0``, full-width
-    digits). So a ValueError means only that _parse_rows must judge the rows.
+    Raises DatasetFormatError at the first row in file order that breaks a
+    rule, naming its 1-based line number: a wrong column count, an
+    unparseable or out-of-range value, a stretch value on only some rows, an
+    unknown label name, labels from both label sets, non-increasing
+    timestamps or a NUL character; and on a bad header (line 1) or a byte
+    that is not UTF-8 (its offset in the file). The error comes before any
+    block holding that row or byte is yielded.
     """
-    lookup: dict[str, int] = {"": -1}  # label name -> code, across blocks
-    label_sets: set[type] = set()
-    last_t = None
-    for rows in _row_blocks(f):
-        m = len(rows)
-        if not m:
-            continue
-        if last_t is None:
-            has_stretch = rows[0].split(",")[7:8] != [""]
-            c = 7 if has_stretch else 6
-            fields = [("t", np.int64), ("v", np.float64, (c,))] + [("stretch", "U1")] * (not has_stretch)
-        table = np.loadtxt(  # 9 columns on every row, or ValueError
-            rows, dtype=fields + [("label", _LABEL_FIELD)], delimiter=",", comments=None, ndmin=1
-        )
-        if not has_stretch and (table["stretch"] != "").any():
-            raise ValueError("stretch present on only some rows")
-        label_column = table["label"]
-        starts = np.flatnonzero(np.append(True, label_column[1:] != label_column[:-1]))
-        names = label_column[starts].tolist()  # one per run of equal labels
-        for name in set(names) - lookup.keys():
-            label = parse_label(name)
-            label_sets.add(type(label))
-            lookup[name] = label.value
-        if len(label_sets) > 1:
-            raise ValueError("labels mix label sets")
-        codes = np.repeat([lookup[name] for name in names], np.diff(np.append(starts, m)))
-        block = LabeledRecording(table["t"].copy(), table["v"], codes, next(iter(label_sets), None))
-        if last_t is not None and block.t_ms[0] <= last_t:
-            raise ValueError("t_ms not strictly increasing across blocks")
-        last_t = block.t_ms[-1]
-        yield block
-
-
-def _row_blocks(f: BinaryIO) -> Iterator[list[str]]:
-    """The non-blank data rows of an open dataset file, about _READ_BYTES at a time.
-
-    Each block ends right after a newline, so it splits into the lines the
-    whole text would. Raises ValueError on a bad header, on text that is
-    not UTF-8, and on a NUL, which loadtxt drops from the end of a string field.
-    """
-    for k, block in enumerate(iter(lambda: f.read(_READ_BYTES) + f.readline(), b"")):
-        if b"\0" in block:
-            raise ValueError("NUL byte")
-        lines = block.decode("utf-8").splitlines()
-        if k == 0:
-            if lines[0] != DATASET_HEADER:
-                raise ValueError("bad header")
-            del lines[0]
-        yield list(filter(str.strip, lines))  # blank lines are skipped
-
-
-def _parse_rows(lines: list[str], rows: list[str]) -> LabeledRecording:
-    """The data rows parsed field by field with int() and float(); every
-    DatasetFormatError names the line of the first row that breaks a rule."""
-    n = len(rows)
-    t_ms = np.empty(n, dtype=np.int64)
-    values = np.empty((n, 7))
-    codes = np.empty(n, dtype=np.int64)
-    lookup: dict[str, int] = {"": -1}
-    label_set: type | None = None
-    has_stretch = None
-    for lo in range(0, n, _CHUNK_ROWS):
-        chunk = rows[lo : lo + _CHUNK_ROWS]
-        m = len(chunk)
-        try:
-            commas = list(map(str.count, chunk, repeat(",")))
-            if commas.count(8) != m:
-                k = next(k for k, c in enumerate(commas) if c != 8)
-                raise InvalidSample(k, f"expected 9 columns, got {commas[k] + 1}")
-            fields = ",".join(chunk).split(",")
-            cols = [fields[j::9] for j in range(9)]
-            if has_stretch is None:
-                has_stretch = cols[7][0] != ""
-            if cols[7].count("") != (0 if has_stretch else m):
-                k = next(k for k, field in enumerate(cols[7]) if (field != "") != has_stretch)
-                raise InvalidSample(k, "stretch present on only some rows")
-            converters = [(int, np.int64)] + [(float, np.float64)] * (7 if has_stretch else 6)
-            parsed = [_column(col, *conv) for col, conv in zip(cols, converters)]
-            t_ms[lo : lo + m] = parsed[0]
-            values[lo : lo + m, : len(parsed) - 1] = np.array(parsed[1:]).T
-            names = cols[8]
-            for name in sorted(set(names) - lookup.keys(), key=names.index):
+    prev = None  # the last block yielded
+    lines_before, bytes_before = 1, 0  # the header is line 1
+    with open(path, "rb") as f:
+        # Each block ends right after a newline, so it splits into the lines the whole text would.
+        for raw in iter(lambda: f.read(_READ_BYTES) + f.readline(), b""):
+            try:
+                lines = raw.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                raise DatasetFormatError(f"byte {bytes_before + exc.start}: not UTF-8 text") from None
+            if not bytes_before:
+                _check_header(lines.pop(0))
+            rows = list(filter(str.strip, lines))  # blank lines are skipped
+            if rows:
                 try:
-                    label = parse_label(name)
+                    if b"\0" in raw:  # loadtxt drops a NUL from the end of a string field
+                        raise ValueError
+                    prev = _parsed_rows(rows, prev)
                 except ValueError:
-                    raise InvalidSample(names.index(name), f"unknown label name {name!r}") from None
-                if label_set is None:
-                    label_set = type(label)
-                elif not isinstance(label, label_set):
-                    raise InvalidSample(
-                        names.index(name), f"label {name!r} is not a {label_set.__name__}; labels mix label sets"
-                    )
-                lookup[name] = label.value
-            codes[lo : lo + m] = np.fromiter(map(lookup.__getitem__, names), np.int64, m)
-        except InvalidSample as exc:  # index counts from the chunk's first row
-            raise DatasetFormatError(f"line {_line_number(lines, lo + exc.index)}: {exc.detail}") from None
+                    raise _first_refusal(rows, lines, lines_before, prev) from None
+                yield prev
+            bytes_before += len(raw)
+            lines_before += len(lines)
+    if not bytes_before:
+        _check_header("<empty file>")
+    if prev is None:
+        yield LabeledRecording(np.empty(0, np.int64), np.empty((0, 6)))
 
+
+def _check_header(line: str) -> None:
+    if line != DATASET_HEADER:
+        raise DatasetFormatError(f"line 1: bad header {line!r}, expected {DATASET_HEADER!r}")
+
+
+def _parsed_rows(rows: list[str], prev: LabeledRecording | None) -> LabeledRecording:
+    """Data rows parsed by np.loadtxt's C parser as the block after prev (None
+    for the first): its label set, stretch channel and last t_ms continue.
+    Raises ValueError where a row breaks a rule."""
+    has_stretch = rows[0].split(",")[7:8] != [""] if prev is None else prev.has_stretch
+    label_set = None if prev is None else prev.label_set
+    fields = [("t", np.int64), ("v", np.float64, (7 if has_stretch else 6,))]
+    fields += [("stretch", "U1")] * (not has_stretch) + [("label", _LABEL_FIELD)]
     try:
-        return LabeledRecording(
-            t_ms=t_ms, values=values if has_stretch else values[:, :6], codes=codes, label_set=label_set
-        )
-    except InvalidSample as exc:
-        raise DatasetFormatError(f"line {_line_number(lines, exc.index)}: {exc.detail}") from None
+        table = np.loadtxt(rows, dtype=fields, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:  # cut the row loadtxt names, counted among these rows
+        raise ValueError(str(exc).rsplit(" at row ", 1)[0]) from None
+    if not has_stretch and (table["stretch"] != "").any():
+        raise ValueError("stretch present on only some rows")
+    label_column = table["label"]
+    starts = np.flatnonzero(np.append(True, label_column[1:] != label_column[:-1]))
+    names = label_column[starts].tolist()  # one per run of equal labels
+    lookup = {"": -1}
+    for name in set(names) - lookup.keys():
+        label = parse_label(name)
+        if label_set is None:
+            label_set = type(label)
+        elif not isinstance(label, label_set):
+            raise ValueError(f"label {name!r} is not a {label_set.__name__}; labels mix label sets")
+        lookup[name] = label.value
+    codes = np.repeat([lookup[name] for name in names], np.diff(np.append(starts, len(rows))))
+    block = LabeledRecording(table["t"].copy(), table["v"], codes, label_set)
+    if prev is not None and block.t_ms[0] <= prev.t_ms[-1]:
+        raise ValueError(f"t_ms {block.t_ms[0]} not strictly increasing after {prev.t_ms[-1]}")
+    return block
 
 
-def _line_number(lines: list[str], row: int) -> int:
-    """1-based file line of the row-th non-blank data row."""
-    return [k for k in range(2, len(lines) + 1) if lines[k - 1].strip()][row]
+def _first_refusal(
+    rows: list[str], lines: list[str], lines_before: int, prev: LabeledRecording | None
+) -> DatasetFormatError:
+    """The error of the first of a refused block's rows, parsed again one at a
+    time after prev. A block is refused only where one of its rows is, so
+    there is always one. lines are the block's, blank ones included."""
+    for k, row in enumerate(rows):
+        try:
+            if "\0" in row:
+                raise ValueError("NUL character")
+            prev = _parsed_rows([row], prev)
+        except ValueError as exc:
+            line = lines_before + [j for j, text in enumerate(lines, 1) if text.strip()][k]
+            reason = exc.detail if isinstance(exc, InvalidSample) else str(exc)
+            return DatasetFormatError(f"line {line}: {reason}")
 
 
 def _vec3(v):

@@ -422,7 +422,7 @@ def test_direct_construction_stores_the_rule_value(cls, name, value, want):
 def test_signal_model_built_with_a_list_orientation_synthesizes():
     walk = LabelSignalModel(orientation=[0, 0, 1], freq_hz=1.0)
     model = SyntheticActivityModel({ActivityLabel.Walk: walk})  # hashes each signature
-    assert generate_synthetic(model, [(ActivityLabel.Walk, 1000)], 100.0).annotations
+    assert (generate_synthetic(model, [(ActivityLabel.Walk, 1000)], 100.0).codes == ActivityLabel.Walk.value).all()
 
 
 WALK_1S = ((ActivityLabel.Walk, 1000),)

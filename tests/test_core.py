@@ -5,7 +5,6 @@ import pytest
 
 from openhealth.core import (
     ActivityLabel,
-    Annotation,
     DeviceProfile,
     FieldError,
     GestureLabel,
@@ -15,7 +14,7 @@ from openhealth.core import (
     parse_label,
 )
 
-from conftest import make_recording, make_values
+from conftest import make_values
 
 
 def test_activity_label_encoding_order():
@@ -43,6 +42,9 @@ def test_default_profile_matches_cited_part():
     assert p.flash_bytes == 131072
     assert p.p_active_har_mw == 12.5
     assert p.p_active_gesture_mw == 10.0
+    assert p.active_power_mw("har") == 12.5
+    with pytest.raises(ValueError, match="unknown application 'ecg'"):
+        p.active_power_mw("ecg")
 
 
 def test_profile_rejects_nonpositive_power():
@@ -56,6 +58,11 @@ def test_profile_sleep_power_must_be_below_transmit_power():
     with pytest.raises(FieldError, match="^p_sleep_mw: must be below p_tx_mw$"):
         DeviceProfile(p_sleep_mw=20.0)
     assert DeviceProfile(p_sleep_mw=14.9).p_sleep_mw == 14.9
+
+
+def test_recording_columns_must_be_of_equal_length():
+    with pytest.raises(ValueError, match="equal length"):
+        LabeledRecording([0, 10], make_values(2), np.array([-1]))
 
 
 def test_sample_range_validation():
@@ -101,18 +108,6 @@ def test_recording_rejects_codes_outside_label_set():
         LabeledRecording([0, 10], make_values(2), codes, GestureLabel)
     with pytest.raises(InvalidSample, match="unlabeled"):
         LabeledRecording([0, 10], make_values(2), np.array([-1, 0]))
-
-
-def test_annotations_are_half_open_runs():
-    walk, sit = ActivityLabel.Walk.value, ActivityLabel.Sit.value
-    codes = np.array([walk] * 5 + [sit] * 4 + [-1] + [walk])
-    rec = LabeledRecording(np.arange(11) * 10, make_values(11), codes, ActivityLabel)
-    assert rec.annotations == [
-        Annotation(0, 41, ActivityLabel.Walk),
-        Annotation(50, 81, ActivityLabel.Sit),
-        Annotation(100, 101, ActivityLabel.Walk),
-    ]
-    assert make_recording(4, label=None).annotations == []
 
 
 def test_display_names():

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from openhealth import dataio
-from openhealth.core import ActivityLabel, Annotation, GestureLabel, InvalidSample, LabeledRecording
+from openhealth.core import ActivityLabel, GestureLabel, InvalidSample, LabeledRecording, parse_label
 from openhealth.dataio import (
     DATASET_HEADER,
     DatasetFormatError,
@@ -33,7 +34,7 @@ def _round_trip(rec, tmp_path):
     write_dataset(back, second)
     assert second.read_bytes() == first.read_bytes()
     assert np.array_equal(back.t_ms, rec.t_ms)
-    assert back.annotations == rec.annotations
+    assert np.array_equal(back.codes, rec.codes) and back.label_set == rec.label_set
     assert np.abs(back.values - rec.values).max() <= 5e-7
     return back, first
 
@@ -64,7 +65,7 @@ def test_header_only_file_is_empty_recording(tmp_path):
     path.write_text(DATASET_HEADER + "\n")
     rec = read_dataset(path)
     assert len(rec) == 0
-    assert rec.annotations == []
+    assert rec.label_set is None
 
 
 def test_label_runs_become_annotations(tmp_path):
@@ -77,10 +78,9 @@ def test_label_runs_become_annotations(tmp_path):
     ]
     path.write_text("\n".join(rows) + "\n")
     rec = read_dataset(path)
-    assert rec.annotations == [
-        Annotation(0, 11, ActivityLabel.Walk),
-        Annotation(20, 21, ActivityLabel.Sit),
-    ]
+    assert rec.codes.tolist() == [ActivityLabel.Walk.value] * 2 + [ActivityLabel.Sit.value]
+    assert rec.label_set is ActivityLabel
+    assert write_dataset(rec, tmp_path / "again.csv") == (3, 2)
 
 
 def test_bad_header_names_line_one(tmp_path):
@@ -202,7 +202,7 @@ def test_generate_synthetic_is_deterministic(tiny_har_model):
     b = generate_synthetic(tiny_har_model, schedule, 100.0)
     assert np.array_equal(a.t_ms, b.t_ms)
     assert np.array_equal(a.values, b.values)
-    assert a.annotations == b.annotations
+    assert np.array_equal(a.codes, b.codes)
 
 
 def test_generated_blocks_hold_whole_entries_and_the_bytes_of_one(tiny_har_model, tmp_path, monkeypatch):
@@ -215,7 +215,8 @@ def test_generated_blocks_hold_whole_entries_and_the_bytes_of_one(tiny_har_model
     monkeypatch.setattr(dataio, "_WRITE_ROWS", 350)
     blocks = list(generate_blocks(tiny_har_model, schedule, 100.0))
     assert [len(block) for block in blocks] == [300, 300, 400, 50]
-    assert write_dataset(whole, tmp_path / "whole.csv") == (1050, 4) == (len(whole), len(whole.annotations))
+    runs = 1 + np.count_nonzero(np.diff(whole.codes))
+    assert write_dataset(whole, tmp_path / "whole.csv") == (1050, 4) == (len(whole), runs)
     assert write_dataset(iter(blocks), tmp_path / "blocks.csv") == (1050, 4)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
@@ -278,6 +279,26 @@ def test_model_rejects_mixed_stretch_presence():
             },
             seed=0,
         )
+
+
+def test_model_needs_a_label():
+    with pytest.raises(ValueError, match="at least one label"):
+        SyntheticActivityModel(signals={})
+
+
+def test_schedule_may_not_mix_label_sets():
+    walk = LabelSignalModel((0, 0, 1), 2.0, 0.3, 0.01)
+    up = LabelSignalModel((0, 1, 0), 1.0, 0.2, 0.01)
+    model = SyntheticActivityModel({ActivityLabel.Walk: walk, GestureLabel.Up: up})
+    with pytest.raises(ValueError, match="mixes activity and gesture"):
+        generate_synthetic(model, [(ActivityLabel.Walk, 100), (GestureLabel.Up, 100)], 100.0)
+
+
+def test_an_entry_shorter_than_half_a_sample_adds_no_rows(tiny_har_model):
+    schedule = [(ActivityLabel.Walk, 1000), (ActivityLabel.Sit, 1), (ActivityLabel.Walk, 500)]
+    rec = generate_synthetic(tiny_har_model, schedule, 100.0)
+    assert len(rec) == 150
+    assert (rec.codes == ActivityLabel.Walk.value).all()
 
 
 def test_schedule_validation(tiny_har_model):
@@ -387,7 +408,97 @@ def test_write_matches_percent_format_across_chunks(tmp_path, c):
     assert path.read_bytes() == percent_format(rec)
 
 
-# --- the reader's loadtxt path against the exact field-by-field parser -------
+# --- the reader against the exact field-by-field parser it replaced -----------
+
+_CHUNK_ROWS = 8192  # rows split at once; bounds the transient field strings
+
+
+def loadtxt_number(convert):
+    """int or float, refusing the two spellings they accept and np.loadtxt
+    does not: digit separators (``1_0``) and non-ASCII digits."""
+
+    def parse(text: str):
+        if "_" in text or any(ch.isdecimal() and not ch.isascii() for ch in text):
+            raise ValueError(f"not a loadtxt number: {text!r}")
+        return convert(text)
+
+    return parse
+
+
+def _column(fields, convert, dtype) -> np.ndarray:
+    """Convert one column of field strings; a failure raises InvalidSample at its row."""
+    try:
+        return np.array(list(map(convert, fields)), dtype=dtype)
+    except (ValueError, OverflowError):
+        for k, text in enumerate(fields):
+            try:
+                np.array(convert(text), dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise InvalidSample(k, f"unparseable value {text!r} ({exc})") from None
+        raise
+
+
+def exact_parse_rows(lines: list[str], rows: list[str]) -> LabeledRecording:
+    """The data rows parsed field by field with int() and float(), as the
+    reader did before it had one parser; every DatasetFormatError names the
+    line of the row that breaks a rule."""
+    n = len(rows)
+    t_ms = np.empty(n, dtype=np.int64)
+    values = np.empty((n, 7))
+    codes = np.empty(n, dtype=np.int64)
+    lookup: dict[str, int] = {"": -1}
+    label_set: type | None = None
+    has_stretch = None
+    for lo in range(0, n, _CHUNK_ROWS):
+        chunk = rows[lo : lo + _CHUNK_ROWS]
+        m = len(chunk)
+        try:
+            commas = list(map(str.count, chunk, repeat(",")))
+            if commas.count(8) != m:
+                k = next(k for k, c in enumerate(commas) if c != 8)
+                raise InvalidSample(k, f"expected 9 columns, got {commas[k] + 1}")
+            fields = ",".join(chunk).split(",")
+            cols = [fields[j::9] for j in range(9)]
+            if has_stretch is None:
+                has_stretch = cols[7][0] != ""
+            if cols[7].count("") != (0 if has_stretch else m):
+                k = next(k for k, field in enumerate(cols[7]) if (field != "") != has_stretch)
+                raise InvalidSample(k, "stretch present on only some rows")
+            converters = [(loadtxt_number(int), np.int64)] + [(loadtxt_number(float), np.float64)] * (
+                7 if has_stretch else 6
+            )
+            parsed = [_column(col, *conv) for col, conv in zip(cols, converters)]
+            t_ms[lo : lo + m] = parsed[0]
+            values[lo : lo + m, : len(parsed) - 1] = np.array(parsed[1:]).T
+            names = cols[8]
+            for name in sorted(set(names) - lookup.keys(), key=names.index):
+                try:
+                    label = parse_label(name)
+                except ValueError:
+                    raise InvalidSample(names.index(name), f"unknown label name {name!r}") from None
+                if label_set is None:
+                    label_set = type(label)
+                elif not isinstance(label, label_set):
+                    raise InvalidSample(
+                        names.index(name), f"label {name!r} is not a {label_set.__name__}; labels mix label sets"
+                    )
+                lookup[name] = label.value
+            codes[lo : lo + m] = np.fromiter(map(lookup.__getitem__, names), np.int64, m)
+        except InvalidSample as exc:  # index counts from the chunk's first row
+            raise DatasetFormatError(f"line {_line_number(lines, lo + exc.index)}: {exc.detail}") from None
+
+    try:
+        return LabeledRecording(
+            t_ms=t_ms, values=values if has_stretch else values[:, :6], codes=codes, label_set=label_set
+        )
+    except InvalidSample as exc:
+        raise DatasetFormatError(f"line {_line_number(lines, exc.index)}: {exc.detail}") from None
+
+
+def _line_number(lines: list[str], row: int) -> int:
+    """1-based file line of the row-th non-blank data row."""
+    return [k for k in range(2, len(lines) + 1) if lines[k - 1].strip()][row]
+
 
 # Fields that int()/float() and np.loadtxt judge differently, or that break
 # a rule only the exact parser names; plus valid ones, so that edited rows
@@ -427,32 +538,40 @@ def dataset_texts(draw):
 
 
 def read_outcome(read):
-    """The recording's bytes and label set, or the DatasetFormatError message."""
+    """The recording's bytes and label set, or the DatasetFormatError's ``line N``."""
     try:
         rec = read()
     except DatasetFormatError as exc:
-        return str(exc)
+        return str(exc).split(":")[0]
     return rec.t_ms.tobytes(), rec.values.shape, rec.values.tobytes(), rec.codes.tobytes(), rec.label_set
+
+
+def exact_outcome(text: str):
+    """read_outcome of the exact parser at the first row in file order that
+    breaks a rule: on the shortest prefix of the rows that it refuses, or on
+    all of them. (On a whole file it checks one rule at a time, so it may
+    name a later row.)"""
+    lines = text.splitlines()
+    rows = list(filter(str.strip, lines[1:]))
+    for k in range(len(rows) + 1):
+        outcome = read_outcome(lambda: exact_parse_rows(lines, rows[:k]))
+        if isinstance(outcome, str):
+            break
+    return outcome
 
 
 def assert_read_as_exact_parser(tmp_path, text: str) -> None:
     """read_dataset gives what the exact parser gives: the same recording bit
-    for bit, or the same DatasetFormatError message."""
+    for bit, or a DatasetFormatError at the same line."""
     path = tmp_path / "r.csv"
     path.write_bytes(text.encode("utf-8"))
-    lines = text.splitlines()
-    rows = list(filter(str.strip, lines[1:]))
-    assert read_outcome(lambda: read_dataset(path)) == read_outcome(lambda: dataio._parse_rows(lines, rows))
+    assert read_outcome(lambda: read_dataset(path)) == exact_outcome(text)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=dataset_texts())
-def test_read_fast_path_agrees_with_exact_parser(tmp_path, case):
-    text, edited = case
-    assert_read_as_exact_parser(tmp_path, text)
-    rows = list(filter(str.strip, text.splitlines()[1:]))
-    if not edited and rows:  # whatever write_dataset writes takes the fast path
-        assert dataio._load_rows(tmp_path / "r.csv") is not None
+def test_read_agrees_with_exact_parser(tmp_path, case):
+    assert_read_as_exact_parser(tmp_path, case[0])
 
 
 _ROW_EDITS = [(ActivityLabel.Walk, column, edit) for column in (0, 3, 7, 8) for edit in _COLUMN_EDITS[column]] + [
@@ -476,7 +595,7 @@ def test_read_edited_row_agrees_with_exact_parser(tmp_path, stretch, label, colu
     assert_read_as_exact_parser(tmp_path, "\n".join(lines) + "\n")
 
 
-# --- the loadtxt path a block at a time ----------------------------------------
+# --- the reader a block at a time ---------------------------------------------
 
 _SMALL_BLOCK = 150  # bytes: two or three rows a block
 _WALK = [(ActivityLabel.Walk, 20)]
@@ -496,6 +615,17 @@ def small_block_text(runs, stretch=0.5, edits=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_blocks_outcome(path):
+    """read_outcome of the blocks of read_blocks joined, and how many there were."""
+    blocks = []
+
+    def read():
+        blocks.extend(read_blocks(path))
+        return LabeledRecording.joined(blocks)
+
+    return read_outcome(read), len(blocks)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -507,14 +637,14 @@ def small_block_text(runs, stretch=0.5, edits=()) -> str:
         (small_block_text([(GestureLabel.Up, 20)], stretch=None), None),
         (small_block_text([(None, 20)]), None),
         # a bad row in a later block
-        (small_block_text(_WALK, edits=[(15, 1, "abc")]), "line 16: unparseable value 'abc'"),
+        (small_block_text(_WALK, edits=[(15, 1, "abc")]), "line 16: could not convert string 'abc' to float64$"),
         (small_block_text(_WALK, edits=[(15, 0, "0")]), "line 16: t_ms 0 not strictly"),
         (small_block_text(_WALK, edits=[(15, 8, "Fly")]), "line 16: unknown label name 'Fly'"),
-        (small_block_text(_WALK, edits=[(15, 8, "Walk,")]), "line 16: expected 9 columns"),
+        (small_block_text(_WALK, edits=[(15, 8, "Walk,")]), "line 16: the dtype passed requires 9 columns but 10"),
         (small_block_text(_WALK, edits=[(15, 3, "20.0")]), "line 16: az value 20.0 outside"),
         # stretch present only from a later block, or missing from one
         (small_block_text(_WALK, stretch=None, edits=[(15, 7, "0.5")]), "line 16: stretch present"),
-        (small_block_text(_WALK, edits=[(15, 7, "")]), "line 16: stretch present"),
+        (small_block_text(_WALK, edits=[(15, 7, "")]), "line 16: could not convert string '' to float64$"),
         # a second label set starting in a later block
         (small_block_text(_WALK, edits=[(15, 8, "Up")]), "line 16: label 'Up' is not a ActivityLabel"),
         (
@@ -531,25 +661,11 @@ def test_read_in_small_blocks_agrees_with_exact_parser(tmp_path, monkeypatch, te
     monkeypatch.setattr(dataio, "_READ_BYTES", _SMALL_BLOCK)
     path = tmp_path / "r.csv"
     path.write_text(text)
-    with open(path, "rb") as f:
-        assert len(list(dataio._row_blocks(f))) >= 5
+    assert read_blocks_outcome(path)[1] >= 5  # blocks read, before the error if there is one
     assert_read_as_exact_parser(tmp_path, text)
-    if message is None:  # a valid file takes the loadtxt path, whatever its blocks
-        assert dataio._load_rows(path) is not None
-    else:
+    if message is not None:
         with pytest.raises(DatasetFormatError, match=message):
             read_dataset(path)
-
-
-def read_blocks_outcome(path):
-    """read_outcome of the blocks of read_blocks joined, and how many there were."""
-    blocks = []
-
-    def read():
-        blocks.extend(read_blocks(path))
-        return LabeledRecording.joined(blocks)
-
-    return read_outcome(read), len(blocks)
 
 
 @pytest.mark.parametrize(
@@ -557,8 +673,8 @@ def read_blocks_outcome(path):
     [
         (small_block_text([(ActivityLabel.Walk, 3), (ActivityLabel.Sit, 9), (None, 4), (ActivityLabel.Sit, 4)]), 5),
         (small_block_text([(None, 12), (GestureLabel.Up, 8)]), 5),
-        (small_block_text(_WALK, edits=[(15, 3, "1_0")]), 5),  # loadtxt refuses it, int() and float() accept it
-        (small_block_text(_WALK, edits=[(1, 3, "1_0")]), 1),  # judged whole from the first block on
+        (small_block_text(_WALK, edits=[(15, 3, "1_0")]), 0),  # int() and float() accept it, loadtxt does not
+        (small_block_text(_WALK, edits=[(1, 3, "1_0")]), 0),
         (DATASET_HEADER + "\n", 1),  # one empty block
         (small_block_text(_WALK, edits=[(15, 1, "abc")]), 0),
         (small_block_text(_WALK, edits=[(15, 0, "0")]), 0),
@@ -568,11 +684,12 @@ def read_blocks_outcome(path):
     ids=["runs", "unlabeled-then-gesture", "late-1_0", "early-1_0", "header-only", "bad-value", "time-back",
          "second-label-set", "empty"],
 )
-def test_read_blocks_join_to_read_dataset(tmp_path, monkeypatch, text, blocks):
-    """Read a few rows at a time, the blocks join to what read_dataset reads,
-    or raise its DatasetFormatError; a file the block parser refuses late
-    gives its rows in the blocks already read and one last block."""
-    monkeypatch.setattr(dataio, "_READ_BYTES", _SMALL_BLOCK)
+@pytest.mark.parametrize("block_bytes", [32, _SMALL_BLOCK])
+def test_read_blocks_join_to_read_dataset(tmp_path, monkeypatch, text, blocks, block_bytes):
+    """Read a row or a few rows at a time, the blocks join to what
+    read_dataset reads, or raise its DatasetFormatError after the blocks
+    before the bad row."""
+    monkeypatch.setattr(dataio, "_READ_BYTES", block_bytes)
     path = tmp_path / "r.csv"
     path.write_text(text)
     outcome, read = read_blocks_outcome(path)
@@ -583,8 +700,8 @@ def test_read_blocks_join_to_read_dataset(tmp_path, monkeypatch, text, blocks):
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r", "\x1c", "\n\n"])
 def test_read_in_small_blocks_keeps_every_line_break(tmp_path, monkeypatch, newline):
-    """Rows broken by other line boundaries than a lone newline read as they
-    do whole, by the loadtxt path or, where it refuses them, the exact one."""
+    """Rows broken by other line boundaries than a lone newline read as the
+    exact parser reads them whole."""
     monkeypatch.setattr(dataio, "_READ_BYTES", _SMALL_BLOCK)
     text = small_block_text([(ActivityLabel.Walk, 7), (ActivityLabel.Sit, 13)])
     assert_read_as_exact_parser(tmp_path, text.replace("\n", newline))
@@ -616,3 +733,42 @@ def test_read_memory_stays_near_the_recording(tmp_path):
         tracemalloc.stop()
     assert back.codes.tolist() == codes.tolist()
     assert peak < 3 * (back.t_ms.nbytes + back.values.nbytes + back.codes.nbytes)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (b"abc", "^line 19992: could not convert string 'abc"),
+        (b"\xff", "^byte {}: not UTF-8 text$"),
+        (b"\0", "^line 19992: NUL character$"),
+    ],
+    ids=["unparseable", "not-utf8", "nul"],
+)
+def test_a_bad_row_in_the_last_block_is_read_in_bounded_memory(tmp_path, monkeypatch, bad, message):
+    """A bad field 10 rows from the end of a 20,000-row file of 32 KiB blocks
+    raises at its line (a byte that is not UTF-8 at its offset in the file)
+    after the blocks before it, with a tracemalloc peak of a few blocks, not
+    the file."""
+    monkeypatch.setattr(dataio, "_READ_BYTES", 1 << 15)
+    n = 20_000
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, (n, 7)) * ([16.0] * 3 + [2000.0] * 3 + [0.5])
+    values[:, 6] += 0.5
+    codes = np.full(n, ActivityLabel.Walk.value)
+    path = tmp_path / "big.csv"
+    write_dataset(LabeledRecording(np.arange(n) * 10, values, codes, ActivityLabel), path)
+    data = path.read_bytes()
+    line = data.split(b"\n")[n - 10 + 1]  # the file's line 19992, row 19990
+    offset = data.index(line) + line.index(b",") + 1  # the first value field
+    path.write_bytes(data[:offset] + bad + data[offset:])
+    assert offset > 50 * dataio._READ_BYTES
+    rows = 0
+    tracemalloc.start()
+    try:
+        with pytest.raises(DatasetFormatError, match=message.format(offset)):
+            for block in read_blocks(path):
+                rows += len(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < rows < n - 10
+    assert peak < 10 * dataio._READ_BYTES

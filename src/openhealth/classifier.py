@@ -274,11 +274,6 @@ class EvalReport:
     label_set: type
     confusion: np.ndarray  # rows = true class, cols = predicted class
 
-    def __post_init__(self) -> None:
-        c = len(self.label_set)
-        if self.confusion.shape != (c, c):
-            raise ValueError(f"confusion matrix must be {c}x{c}")
-
     @property
     def totals(self) -> np.ndarray:
         return self.confusion.sum(axis=1)

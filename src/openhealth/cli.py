@@ -42,8 +42,8 @@ from .dataio import (
 )
 from .firmware import BudgetError, memory_footprint, plan_duty_cycle
 from .pipeline import FEATURES_PER_CHANNEL, Windows, normalize_features, scan_windows
-from .netproto import write_observation_log
-from .simengine import run_scenario, trace_observations, write_metrics, write_trace
+from .netproto import OBSERVATION_HEADER, observation_row
+from .simengine import scenario_lines, trace_metrics, write_metrics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -264,25 +264,28 @@ def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     seed = _resolve_seed(args.seed)
     try:
-        trace = run_scenario(config, seed)
+        lines = scenario_lines(config, seed)
     except ConfigError as exc:  # no scenario section, or a device app without synthetic_models
         raise _config_error(exc) from None
     except (OSError, ModelFormatError, ModelFitError) as exc:  # scenario.model_path
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
-    metrics_path = args.metrics or (str(Path(args.trace).with_suffix("")) + "_metrics.json")
-    observations_path = args.observations or (
-        str(Path(args.trace).with_suffix("")) + "_observations.csv"
-    )
-    with _writing():
-        write_trace(trace, args.trace)
-        write_metrics(trace, metrics_path)
-        write_observation_log(trace_observations(trace.lines), observations_path)
+    stem = str(Path(args.trace).with_suffix(""))
+    metrics_path = args.metrics or stem + "_metrics.json"
+    log_path = args.observations or stem + "_observations.csv"
 
-    m = trace.metrics
-    print(
-        f"wrote {args.trace} ({len(trace.lines)} events), {metrics_path} "
-        f"and {observations_path}"
-    )
+    def written(line: str) -> str:  # one pass: the metrics fold reads each merged line as it goes to the trace
+        nonlocal count
+        count += 1
+        trace.write(line + "\n")
+        return line
+
+    count = 0
+    with _writing(), open(args.trace, "w", encoding="utf-8") as trace, open(log_path, "w", encoding="utf-8") as log:
+        log.write(OBSERVATION_HEADER + "\n")
+        m = trace_metrics(map(written, lines), lambda o: log.write(observation_row(o)))
+        write_metrics(m, metrics_path)
+
+    print(f"wrote {args.trace} ({count} events), {metrics_path} and {log_path}")
     print(
         f"host: {m['host']['frames_received']} frames received, "
         f"{sum(m['host']['frames_rejected'].values())} rejected, "

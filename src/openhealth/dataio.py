@@ -180,13 +180,13 @@ def read_blocks(path: str | Path) -> Iterator[LabeledRecording]:
     """The rows of a dataset CSV as consecutive blocks of about _READ_BYTES of
     text, at least one (empty for a file without rows).
 
-    Raises DatasetFormatError at the first row in file order that breaks a
+    Raises DatasetFormatError at the first line in file order that breaks a
     rule, naming its 1-based line number: a wrong column count, an
     unparseable or out-of-range value, a stretch value on only some rows, an
     unknown label name, labels from both label sets, non-increasing
-    timestamps or a NUL character; and on a bad header (line 1) or a byte
-    that is not UTF-8 (its offset in the file). The error comes before any
-    block holding that row or byte is yielded.
+    timestamps or a NUL character; a bad header (line 1); or a byte that is
+    not UTF-8, named by its offset in the file. The error comes before any
+    block holding that line is yielded.
     """
     prev = None  # the last block yielded
     lines_before, bytes_before = 1, 0  # the header is line 1
@@ -194,10 +194,12 @@ def read_blocks(path: str | Path) -> Iterator[LabeledRecording]:
         # Each block ends right after a newline, so it splits into the lines the whole text would.
         for raw in iter(lambda: f.read(_READ_BYTES) + f.readline(), b""):
             try:
+                lines, bad = raw.decode("utf-8").splitlines(), None
+            except UnicodeDecodeError as exc:  # the lines before the bad byte's are judged first
+                bad = DatasetFormatError(f"byte {bytes_before + exc.start}: not UTF-8 text")
+                raw = raw[: raw.rfind(b"\n", 0, exc.start) + 1]
                 lines = raw.decode("utf-8").splitlines()
-            except UnicodeDecodeError as exc:
-                raise DatasetFormatError(f"byte {bytes_before + exc.start}: not UTF-8 text") from None
-            if not bytes_before:
+            if not bytes_before and lines:
                 _check_header(lines.pop(0))
             rows = list(filter(str.strip, lines))  # blank lines are skipped
             if rows:
@@ -207,6 +209,9 @@ def read_blocks(path: str | Path) -> Iterator[LabeledRecording]:
                     prev = _parsed_rows(rows, prev)
                 except ValueError:
                     raise _first_refusal(rows, lines, lines_before, prev) from None
+            if bad:
+                raise bad
+            if rows:
                 yield prev
             bytes_before += len(raw)
             lines_before += len(lines)
@@ -240,7 +245,7 @@ def _parsed_rows(rows: list[str], prev: LabeledRecording | None) -> LabeledRecor
     names = label_column[starts].tolist()  # one per run of equal labels
     lookup = {"": -1}
     for name in set(names) - lookup.keys():
-        label = parse_label(name)
+        label = parse_label(rows[starts[names.index(name)]].rsplit(",", 1)[1])  # the whole field, not name cut to fit
         if label_set is None:
             label_set = type(label)
         elif not isinstance(label, label_set):

@@ -155,10 +155,6 @@ class DutyPlan:
     available_mwh: float
 
     def __post_init__(self) -> None:
-        if len(self.fractions) != SLOTS_PER_DAY:
-            raise ValueError(f"duty plan needs {SLOTS_PER_DAY} slots")
-        if any(not 0.0 <= f <= 1.0 for f in self.fractions):
-            raise ValueError("duty fractions must lie in [0, 1]")
         if self.planned_active_mwh > self.available_mwh + 1e-9:
             raise ValueError("planned energy exceeds projected available energy")
 

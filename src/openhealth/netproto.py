@@ -325,13 +325,12 @@ class AlertNotification:
 OBSERVATION_HEADER = "device_id,corrected_t_ms,app_id,label,confidence"
 
 
+def observation_row(o: Observation) -> str:
+    return f"{o.device_id},{o.corrected_t_ms},{o.app_id.value},{o.label_index},{o.confidence}\n"
+
+
 def write_observation_log(observations, path: str | Path) -> None:
-    lines = [OBSERVATION_HEADER]
-    for o in observations:
-        lines.append(
-            f"{o.device_id},{o.corrected_t_ms},{o.app_id.value},{o.label_index},{o.confidence}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(OBSERVATION_HEADER + "\n" + "".join(map(observation_row, observations)), encoding="utf-8")
 
 
 @dataclass

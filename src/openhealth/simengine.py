@@ -3,7 +3,7 @@
 Each device runs as its own shard: an event kernel, a channel and a host
 that serve that device alone. Devices share no state, so shards can run in
 any order or in parallel, and the trace merges their lines in one canonical
-order (see run_scenario). Simulated time is integer milliseconds.
+order (see scenario_lines). Simulated time is integer milliseconds.
 
 A device draws from two streams, both keyed by (seed, device id), so neither
 the event order nor another device can change what it sees. Its sensor noise
@@ -33,13 +33,15 @@ import heapq
 import json
 import os
 import re
+import tempfile
 from bisect import bisect_right
 from collections import defaultdict
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import cycle
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterator
+from typing import Callable, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -90,6 +92,7 @@ WINDOWS_AHEAD_MAX = 32
 DAY_MS = SLOT_MS * SLOTS_PER_DAY
 # The spawn key of a device's channel stream; its noise key is the root of the same (seed, device id).
 CHANNEL_STREAM = 1
+SPOOL_LINES = 1024  # the lines a shard holds before it writes them out; a write per line slowed sessions ~5%
 
 
 class TraceFormatError(ValueError):
@@ -107,12 +110,13 @@ class VersionMismatch(TraceFormatError):
 class Simulator:
     """Event kernel: time-ordered queue with an insertion-order tiebreaker."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, out: TextIO | None = None):
         self.seed = seed
         self.now = 0
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._tie = 0
-        self.lines: list[str] = []
+        self.lines: list[str] = []  # the emitted lines, less those spooled to the text file out if there is one
+        self.out = out
 
     def schedule(self, t_ms: int, fn: Callable[[], None]) -> None:
         if t_ms < self.now:
@@ -122,6 +126,13 @@ class Simulator:
 
     def emit(self, kind: str, entity: str, *details) -> None:
         self.lines.append("\t".join(map(str, (self.now, kind, entity, *details))))
+        if len(self.lines) >= SPOOL_LINES and self.out is not None:
+            self.spool()
+
+    def spool(self) -> None:
+        self.out.write("\n".join([*self.lines, ""]))  # each line ended by a newline
+        self.out.flush()  # a fork child leaves through os._exit, which flushes nothing
+        self.lines.clear()
 
     def run(self, until_ms: int) -> None:
         while self._heap and self._heap[0][0] <= until_ms:
@@ -235,7 +246,7 @@ class SimDevice:
         self.noise_reset = self.noise.bit_generator.state
         # The oracle reads only the label counts, so it needs accel alone for motion.
         self.window_columns = 3 if model is None else self.channels
-        self.ahead: dict[int, tuple[bool, tuple[Label, float]]] = {}  # see _window
+        self.ahead: dict[int, tuple[bool, tuple[Label, float] | None]] = {}  # see _window
         self.ahead_next: int | None = None  # the start that would follow the last batch
 
         e = config.energy
@@ -363,7 +374,7 @@ class SimDevice:
             counts[label.value] += j - i
         return matrix[..., :columns], counts
 
-    def _window(self, start_ms: int) -> tuple[bool, tuple[Label, float]]:
+    def _window(self, start_ms: int, labelled: bool = True) -> tuple[bool, tuple[Label, float] | None]:
         """The window beginning at start_ms, window number window_index: its
         motion flag and its (label, confidence), the model's or, on a device
         without one, the oracle's. Served from the windows synthesized and
@@ -374,9 +385,9 @@ class SimDevice:
         otherwise, so a short wake wastes little; a batch predicts no start
         past its block, since the next block may be still. The windows of a
         batch share their label counts, so the oracle labels the batch once;
-        the model classifies the batch in one _classify call."""
+        the model classifies it in one _classify call; a lone still window read with labelled false gets None."""
         window = self.ahead.get(start_ms)
-        if window is not None:
+        if window is not None and (window[1] is not None or not labelled):
             return window
         n = min(2 * len(self.ahead), WINDOWS_AHEAD_MAX) if start_ms == self.ahead_next else 1
         # A window lies in one block iff its last sample time, summed as _block_runs sums it, is before the end.
@@ -389,8 +400,10 @@ class SimDevice:
             starts.append(following)
             following = self._next_start(following, self.window_index + len(starts) - 1)
         matrix, counts = self._window_samples(starts, self.window_columns)
-        labels = [self._oracle(counts)] * len(starts) if self.model is None else self._classify(matrix)
-        self.ahead = dict(zip(starts, zip(motion_detector(matrix).tolist(), labels)))
+        moving = motion_detector(matrix).tolist()
+        labels = ([self._oracle(counts)] * len(starts) if self.model is None
+                  else [None] if not labelled and moving == [False] else self._classify(matrix))
+        self.ahead = dict(zip(starts, zip(moving, labels)))
         self.ahead_next = following if following + last_ms < end else None
         return self.ahead[start_ms]
 
@@ -526,7 +539,7 @@ class SimDevice:
         self._maybe_recover()
         if self.depleted or self.state is not PowerState.Sleep or not self._cycle_fits():
             return
-        moving, _ = self._window(self.sim.now)  # the first window's, if the wake goes on
+        moving, _ = self._window(self.sim.now, labelled=False)  # the first window's, if the wake goes on
         if not moving:
             return
         self.last_motion_ms = self.sim.now
@@ -705,13 +718,17 @@ class SimTrace:
 
 
 def run_scenario(config: Config, seed: int = 0) -> SimTrace:
-    """Execute the configured scenario; returns the trace and derived metrics.
+    """The lines of scenario_lines, and the metrics trace_metrics derives from them."""
+    lines = list(scenario_lines(config, seed))
+    return SimTrace(lines=lines, metrics=trace_metrics(lines))
 
-    Each device's shard runs apart (_shard_lines), in up to min(devices,
-    usable CPUs) processes. The trace is the trace_version and scenario
-    lines, then the shards' lines merged by (t_ms, the device's index in
-    scenario.devices), each shard keeping its own order, then scenario_end.
-    """
+
+def scenario_lines(config: Config, seed: int = 0) -> Iterator[str]:
+    """Check the config and its model; return an iterator over the scenario's trace lines.
+
+    Once the first line is asked for, each device's shard runs apart (_shard_lines), in up to min(devices,
+    usable CPUs) processes, and spools its lines to an anonymous temporary file. The trace is the
+    trace_version and scenario lines, the shards' lines merged by (t_ms, device index), then scenario_end."""
     scenario = config.scenario
     if scenario is None:
         raise ConfigError(["config has no scenario section"])
@@ -727,19 +744,26 @@ def run_scenario(config: Config, seed: int = 0) -> SimTrace:
                 check_fit(model, channel_count(config.synthetic[spec.app].signals), spec.app)
             except ModelFitError as exc:
                 raise ModelFitError(f"device {spec.device_id}: {exc}") from None
-
-    shards = _run_shards(len(scenario.devices), lambda index: _shard_lines(config, model, seed, index))
-    lines = [
-        f"0\ttrace_version\tsim\t{TRACE_VERSION}",
-        f"0\tscenario\tsim\t{scenario.duration_ms}\t{len(scenario.devices)}\t{seed}",
-        *heapq.merge(*shards, key=lambda line: int(line[: line.index("\t")])),
-        f"{scenario.duration_ms}\tscenario_end\tsim",
-    ]
-    return SimTrace(lines=lines, metrics=trace_metrics(lines))
+    return _merged_shards(config, model, seed)
 
 
-def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int) -> list[str]:
-    """The trace lines of the shard of scenario.devices[index], in its kernel's order.
+def _merged_shards(config: Config, model: MlpModel | None, seed: int) -> Iterator[str]:
+    """The lines of scenario_lines, which closes each spool file however it ends."""
+    scenario = config.scenario
+    with ExitStack() as stack:
+        files = [stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8")) for _ in scenario.devices]
+        _run_shards(len(files), lambda index: _shard_lines(config, model, seed, index, files[index]))
+        for out in files:
+            out.seek(0)
+        yield f"0\ttrace_version\tsim\t{TRACE_VERSION}"
+        yield f"0\tscenario\tsim\t{scenario.duration_ms}\t{len(scenario.devices)}\t{seed}"
+        for line in heapq.merge(*files, key=lambda line: int(line[: line.index("\t")])):
+            yield line[:-1]
+        yield f"{scenario.duration_ms}\tscenario_end\tsim"
+
+
+def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int, out: TextIO) -> None:
+    """Write the trace lines of the shard of scenario.devices[index] to out, in its kernel's order.
 
     A shard is one device with its own kernel, channel and host. Its host's
     gateway knows every device's key, so a frame whose device-id byte was
@@ -748,7 +772,7 @@ def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int) 
     """
     scenario = config.scenario
     spec = scenario.devices[index]
-    sim = Simulator(seed)
+    sim = Simulator(seed, out)
     channel = SimChannel(sim, config.channel, spec.device_id)
     gateway = HostGateway({other.device_id: config.protocol.key for other in scenario.devices})
     device = SimDevice(sim, spec, config, channel, model)
@@ -756,7 +780,7 @@ def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int) 
     device.start()
     sim.run(scenario.duration_ms)
     device.finalize()
-    return sim.lines
+    sim.spool()
 
 
 def _usable_cpus() -> int:
@@ -766,22 +790,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_shards(count: int, shard: Callable[[int], list[str]]) -> list[list[str]]:
+def _run_shards(count: int, shard: Callable[[int], None]) -> None:
     """shard(i) for i in range(count), in up to min(count, usable CPUs) processes.
 
     Where the platform can fork, the parent forks one child per extra
     process; worker w of n runs shards w, w + n, ... (the parent is worker
-    0) and each child sends its lines back over a pipe. A shard that raises
-    in a child raises the same exception here. Every child is joined, and a
-    child whose result was not read is terminated first.
-    """
-    workers = min(count, _usable_cpus())
-    if workers < 2 or not hasattr(os, "fork"):
-        return [shard(i) for i in range(count)]
-    import multiprocessing  # only where it forks: the import alone takes milliseconds
-
-    context = multiprocessing.get_context("fork")
-    shards: list[list[str]] = [[] for _ in range(count)]
+    0) and each child sends back over a pipe only None, or the exception a
+    shard raised, which raises here. Every child is joined, and a child
+    whose result was not read is terminated first."""
+    workers = max(1, min(count, _usable_cpus())) if hasattr(os, "fork") else 1
+    if workers > 1:
+        import multiprocessing  # only where it forks: the import alone takes milliseconds
+        context = multiprocessing.get_context("fork")
     children = []
     try:
         for w in range(1, workers):
@@ -791,33 +811,33 @@ def _run_shards(count: int, shard: Callable[[int], list[str]]) -> list[list[str]
             children.append((child, receiver))
             sender.close()
         for i in range(0, count, workers):
-            shards[i] = shard(i)
-        for w, (child, receiver) in enumerate(children, start=1):
+            shard(i)
+        for child, receiver in children:
             try:
-                error, lines = receiver.recv()
+                error = receiver.recv()
             except EOFError:
                 child.join()
                 raise RuntimeError(f"shard process exited with code {child.exitcode} and sent no lines") from None
             receiver.close()
             if error is not None:
                 raise error
-            shards[w::workers] = lines
     finally:
         for child, receiver in children:
             if not receiver.closed:
                 receiver.close()
                 child.terminate()
             child.join()
-    return shards
 
 
-def _shard_child(sender, shard: Callable[[int], list[str]], indices: range) -> None:
-    """Send the parent (None, [shard(i) for i in indices]), or (the exception, None)."""
+def _shard_child(sender, shard: Callable[[int], None], indices: range) -> None:
+    """Run shard(i) for i in indices, then send the parent None, or the exception it raised."""
+    error = None
     try:
-        result = None, [shard(i) for i in indices]
+        for i in indices:
+            shard(i)
     except Exception as exc:
-        result = exc, None
-    sender.send(result)
+        error = exc
+    sender.send(error)
     sender.close()
 
 
@@ -825,8 +845,8 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
     Path(path).write_text(trace.text(), encoding="utf-8")
 
 
-def write_metrics(trace: SimTrace, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(trace.metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def write_metrics(metrics: dict, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def read_trace(path: str | Path) -> list[str]:
@@ -877,7 +897,7 @@ def _details_parser(parsers: tuple) -> Callable[[list[str]], tuple]:
 _PARSERS = {kind: _details_parser(parsers) for kind, (_, _, parsers) in TRACE_LINES.items()}
 
 
-def trace_records(lines: list[str], kinds: Collection[str] = TRACE_LINES, parse: Collection[str] | None = None
+def trace_records(lines: Iterable[str], kinds: Collection[str] = TRACE_LINES, parse: Collection[str] | None = None
                   ) -> Iterator[tuple]:
     """(line number, t_ms, kind, entity, details) of each line of a kind in kinds.
 
@@ -933,8 +953,8 @@ def trace_observations(lines: list[str]) -> list[Observation]:
     return [Observation(*details) for *_, details in trace_records(lines, ("observation",))]
 
 
-def trace_metrics(lines: list[str]) -> dict:
-    """Aggregate a trace into summary metrics (re-derivable from the file alone)."""
+def trace_metrics(lines: Iterable[str], observe: Callable[[Observation], object] | None = None) -> dict:
+    """Summary metrics of a trace (re-derivable from the file alone); observe, if given, gets each Observation."""
     devices: dict[str, dict] = defaultdict(
         lambda: {
             "app": None,
@@ -953,9 +973,9 @@ def trace_metrics(lines: list[str]) -> dict:
     channel = {"transmitted": 0, "lost": 0, "corrupted": 0}
     duration = 0
     seed = None
-    # The kinds whose numbers it reads: the others it counts, or reads as strings.
+    # The kinds whose numbers it reads (and observation for observe): the others it counts, or reads as strings.
     numeric = ("scenario", "device_init", "alert_sent", "alert_delivered", "alert_undelivered", "sync", "energy")
-    for _, t, kind, entity, details in trace_records(lines, parse=numeric):
+    for _, t, kind, entity, details in trace_records(lines, parse=(*numeric, "observation") if observe else numeric):
         if kind == "classify":
             _, label, _ = details
             counts = devices[entity]["classifications"]
@@ -979,8 +999,10 @@ def trace_metrics(lines: list[str]) -> dict:
             _, code = details
             host["frames_rejected"][code] = host["frames_rejected"].get(code, 0) + 1
         elif kind == "observation":
-            device_id, *_ = details
+            device_id = str(details[0])
             host["observations"][device_id] = host["observations"].get(device_id, 0) + 1
+            if observe is not None:
+                observe(Observation(*details))
         elif kind == "alert_notified":
             host["alerts_notified"] += 1
         elif kind == "alert_sent":

@@ -82,7 +82,7 @@ def test_reference_trace_digest_pinned(reference_trace, tmp_path):
     assert TRACE_VERSION == 4
     digest = hashlib.sha256(reference_trace.text().encode("utf-8")).hexdigest()
     assert digest == REFERENCE_TRACE_SHA256, "reference trace bytes changed"
-    write_metrics(reference_trace, tmp_path / "metrics.json")
+    write_metrics(reference_trace.metrics, tmp_path / "metrics.json")
     digest = hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest()
     assert digest == REFERENCE_METRICS_SHA256, "reference metrics bytes changed"
 

@@ -707,6 +707,36 @@ def test_read_in_small_blocks_keeps_every_line_break(tmp_path, monkeypatch, newl
     assert_read_as_exact_parser(tmp_path, text.replace("\n", newline))
 
 
+@pytest.mark.parametrize("block_bytes", [dataio._READ_BYTES, 32])
+def test_an_unknown_label_longer_than_every_label_is_named_whole(tmp_path, monkeypatch, block_bytes):
+    """Labels are read into a field one wider than the longest label name;
+    the error names the whole field, not what fits."""
+    monkeypatch.setattr(dataio, "_READ_BYTES", block_bytes)
+    path = tmp_path / "r.csv"
+    path.write_text(small_block_text(_WALK, edits=[(2, 8, "Flyingsaucer")]))
+    with pytest.raises(DatasetFormatError, match="^line 3: unknown label name 'Flyingsaucer'$"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [(5, "^line 3: unknown label name 'Nolabel'$"), (2, "^byte {}: not UTF-8 text$"), (1, "^byte 0: not UTF-8 text$")],
+    ids=["row-before-byte", "byte-before-row", "byte-in-header"],
+)
+@pytest.mark.parametrize("block_bytes", [dataio._READ_BYTES, 32])
+def test_a_byte_that_is_not_utf8_is_reported_in_file_order(tmp_path, monkeypatch, block_bytes, bad_line, message):
+    """A file with an unknown label on line 3 and a byte that is not UTF-8
+    on bad_line raises for whichever comes first, whatever the block size."""
+    monkeypatch.setattr(dataio, "_READ_BYTES", block_bytes)
+    lines = small_block_text(_WALK, edits=[(2, 8, "Nolabel")]).encode().split(b"\n")
+    offset = sum(len(line) + 1 for line in lines[: bad_line - 1])
+    lines[bad_line - 1] = b"\xff" + lines[bad_line - 1][1:]
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(DatasetFormatError, match=message.format(offset)):
+        read_dataset(path)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=dataset_texts())
 def test_read_in_row_sized_blocks_agrees_with_exact_parser(tmp_path, monkeypatch, case):

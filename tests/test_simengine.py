@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 import json
 import os
 import re
+import tempfile
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -15,10 +18,11 @@ from hypothesis import given, seed as hypothesis_seed, settings, strategies as s
 
 from openhealth import simengine
 from openhealth.classifier import forward, load_model
+from openhealth.cli import main
 from openhealth.config import Config, ConfigError, DeviceSpec, load_config, parse_config
 from openhealth.core import MAX_MS, ActivityLabel, FieldError
 from openhealth.firmware import motion_detector
-from openhealth.netproto import AppId, frame_nonce, peek_header
+from openhealth.netproto import AppId, frame_nonce, peek_header, write_observation_log
 from openhealth.pipeline import extract_feature_matrix, normalize_features
 from openhealth.simengine import (
     DAY_MS,
@@ -34,6 +38,8 @@ from openhealth.simengine import (
     trace_metrics,
     trace_observations,
     trace_records,
+    write_metrics,
+    write_trace,
 )
 
 REFERENCE = "configs/reference.json"
@@ -371,6 +377,24 @@ def _window_device(schedule, duration_ms, rate_hz=100, seed=5, device_id=1, mode
     sim = Simulator(seed=seed)
     channel = SimChannel(sim, config.channel, device_id)
     return SimDevice(sim, config.scenario.devices[0], config, channel, model)
+
+
+def test_a_still_wake_probe_is_labelled_only_when_its_label_is_read(trained_model_path, monkeypatch):
+    """A wake's probe reads the window's motion flag alone, so a model device
+    leaves a lone still window unclassified; a labelled read of it later
+    classifies it then, to the same label and confidence."""
+    device = _window_device([["LieDown", 60_000]], 60_000, model=load_model(trained_model_path))
+    classified = []
+    real_classify = SimDevice._classify
+    monkeypatch.setattr(
+        SimDevice, "_classify", lambda self, matrix: classified.append(len(matrix)) or real_classify(self, matrix)
+    )
+    assert device._window(0, labelled=False) == (False, None)
+    assert classified == []
+    moving, label = device._window(0)
+    assert (moving, classified) == (False, [1])
+    assert label == real_classify(device, device._window_samples([0])[0])[0]
+    assert device._window(0) == (False, label) and classified == [1]
 
 
 def _scalar_block_runs(device, start_ms):
@@ -1443,6 +1467,140 @@ def test_processes_are_at_most_devices_and_cpus(monkeypatch, devices, cpus, can_
         monkeypatch.delattr(os, "fork")
     assert run_scenario(config, seed=0).text() == expected
     assert len(started) == children
+
+
+_WRITTEN = (".trace", "_metrics.json", "_observations.csv")  # the files simulate writes, after the trace's stem
+
+
+def _simulate(tmp_path, raw: dict, name: str) -> None:
+    """Run openhealth simulate on raw at seed 0, writing tmp_path/name + each suffix of _WRITTEN."""
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["simulate", "--config", str(config), "--seed", "0", "--trace", str(tmp_path / f"{name}.trace")]) == 0
+
+
+def _reference_day_raw():
+    with open(REFERENCE) as f:
+        raw = json.load(f)
+    raw["scenario"]["duration_ms"] = DAY_MS
+    return raw
+
+
+@pytest.fixture(scope="module")
+def reference_day_trace():
+    return run_scenario(parse_config(_reference_day_raw()), seed=0)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "case, cpus",
+    [("reference_day", 2), ("reference_day", 1), ("lossy_model", 2), ("lossy_model", 1), ("depletion", 1)],
+)
+def test_simulate_writes_the_files_of_run_scenario_and_the_writers(monkeypatch, request, tmp_path, capsys, case, cpus):
+    """The one streaming pass writes, byte for byte, what the whole-trace
+    path writes: run_scenario, then write_trace, write_metrics and
+    write_observation_log, forked and in process."""
+    trace = request.getfixturevalue(f"{case}_trace")
+    raw = {
+        "reference_day": _reference_day_raw,
+        "lossy_model": lambda: lossy_model_raw(request.getfixturevalue("trained_model_path")),
+        "depletion": depletion_raw,
+    }[case]()
+    write_trace(trace, tmp_path / "whole.trace")
+    write_metrics(trace.metrics, tmp_path / "whole_metrics.json")
+    write_observation_log(trace_observations(trace.lines), tmp_path / "whole_observations.csv")
+    _on_cpus(monkeypatch, cpus)
+    _simulate(tmp_path, raw, "streamed")
+    for suffix in _WRITTEN:
+        assert (tmp_path / f"streamed{suffix}").read_bytes() == (tmp_path / f"whole{suffix}").read_bytes(), suffix
+    assert f"({len(trace.lines)} events)" in capsys.readouterr().out
+
+
+def _simulate_peak(tmp_path, days: float) -> tuple[int, int]:
+    """simulate's tracemalloc peak on the reference config run for `days`
+    days, and the bytes of the trace it wrote."""
+    raw = _reference_day_raw()
+    raw["scenario"]["duration_ms"] = round(days * DAY_MS)
+    tracemalloc.start()
+    try:
+        _simulate(tmp_path, raw, "peak")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, (tmp_path / "peak.trace").stat().st_size
+
+
+def test_simulate_memory_does_not_grow_with_the_run(monkeypatch, tmp_path):
+    """Doubling the run grows simulate's peak by less than 5% of the trace
+    bytes it adds: the shards spool to files, and the merge, the writers and
+    the metrics fold hold a line at a time, never the trace."""
+    _on_cpus(monkeypatch, 2)  # the parent runs one shard, merges both and writes everything
+    _simulate_peak(tmp_path, 0.01)  # first-call allocations
+    day, day_bytes = _simulate_peak(tmp_path, 1)
+    two_days, two_days_bytes = _simulate_peak(tmp_path, 2)
+    added = two_days_bytes - day_bytes
+    assert added > 400_000
+    assert two_days - day < 0.05 * added
+
+
+@pytest.fixture
+def spool_dir(monkeypatch, tmp_path):
+    """The directory where tempfile makes the shards' spool files, for this test alone."""
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool))
+    return spool
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", [None, 2, 1, "dies"], ids=["none", "in-child", "in-parent", "child-dies"])
+def test_no_spool_file_is_left_behind(monkeypatch, spool_dir, failing):
+    """Neither a spool file nor its descriptor outlives the run, however it ends."""
+    parent, real_start = os.getpid(), SimDevice.start
+    open_fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+    def start(device):
+        if failing == "dies" and device.spec.device_id == 2 and os.getpid() != parent:
+            os._exit(3)
+        if device.spec.device_id == failing:
+            raise ValueError(f"device {failing} cannot start")
+        real_start(device)
+
+    monkeypatch.setattr(SimDevice, "start", start)
+    _on_cpus(monkeypatch, 2)
+    config = _reference_hour()
+    if failing is None:
+        assert run_scenario(config, seed=0).lines[-1] == "3600000\tscenario_end\tsim"
+    else:
+        with pytest.raises((ValueError, RuntimeError)):
+            run_scenario(config, seed=0)
+    assert list(spool_dir.iterdir()) == []
+    if open_fds is not None:
+        gc.collect()  # a raised error's traceback keeps the joined child's process object in a reference cycle
+        assert set(os.listdir("/proc/self/fd")) <= open_fds
+
+
+def test_a_shard_spools_flushed_lines_and_a_child_sends_only_its_error(small_trace):
+    """_shard_child, run here: the shard's lines are in its file, flushed
+    (a fork child leaves through os._exit), before the child reports; what
+    it sends is None, or the exception a shard raised, never the lines."""
+    import multiprocessing
+
+    config = small_config()
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
+        simengine._shard_child(sender, lambda index: simengine._shard_lines(config, None, 11, index, out), range(1))
+        assert receiver.recv() is None
+        spooled = os.pread(out.fileno(), 1 << 20, 0).decode("utf-8")
+    assert spooled == "".join(line + "\n" for line in small_trace.lines[2:-1])
+
+    def failing(index):
+        raise ValueError(f"shard {index} cannot run")
+
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    simengine._shard_child(sender, failing, range(3, 4))
+    error = receiver.recv()
+    assert isinstance(error, ValueError) and str(error) == "shard 3 cannot run"
 
 
 _HAR_LABELS = ["Walk", "Sit", "Jump", "LieDown", "Stand", "Drive"]

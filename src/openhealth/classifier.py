@@ -161,8 +161,6 @@ def loss_and_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float,
     y = np.asarray(y, dtype=int)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("batch must be a nonempty (n, D) array")
-    if x.shape[1] != model.w1.shape[0]:
-        raise ValueError("input dimension mismatch")
     if not np.isfinite(x).all():
         raise ValueError("non-finite feature input")
     if y.min() < 0 or y.max() >= model.w2.shape[1]:
@@ -238,8 +236,8 @@ def train(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[MlpModel, list
         for (s, dg, rho), alpha in zip(pairs, reversed(alphas)):
             d += (alpha - rho * _dot(dg, d)) * s
         slope, step = _dot(g, d), 1.0
-        if not slope < 0:  # rounding left d no descent direction
-            break
+        if not slope < 0:
+            break  # rounding left d no descent direction
         for _ in range(MAX_HALVINGS):
             trial = MlpModel(m.params + step * d, m.layer_sizes, m.stats)
             trial_loss, trial_g = blocked_loss_and_grad(trial, x, y)
@@ -259,9 +257,7 @@ def train(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[MlpModel, list
 def split_dataset(
     n: int, fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic shuffled train/test index split."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
+    """Deterministic shuffled train/test index split; fraction is in (0, 1), a TrainConfig rule."""
     order = np.random.default_rng(seed).permutation(n)
     cut = int(round(n * fraction))
     return order[:cut], order[cut:]
@@ -319,8 +315,6 @@ def evaluate(model: MlpModel, x: np.ndarray, y: np.ndarray, label_set: type) -> 
     """Confusion-matrix evaluation of normalized features against labels."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
-    if x.shape[0] == 0:
-        raise ValueError("empty test set")
     c = len(label_set)
     pred = predict(model, x)
     confusion = np.zeros((c, c), dtype=np.int64)
@@ -328,23 +322,21 @@ def evaluate(model: MlpModel, x: np.ndarray, y: np.ndarray, label_set: type) -> 
     return EvalReport(label_set=label_set, confusion=confusion)
 
 
-def _accuracy_text(pct: float) -> str:
+def _accuracy_text(pct: float | None) -> str:
+    if pct is None:
+        return "-"
     s = f"{pct:.1f}"
     return s[:-2] if s.endswith(".0") else s
 
 
 def render_report(report: EvalReport) -> str:
-    """Fixed-width per-class accuracy table (golden format, byte-stable)."""
+    """Fixed-width per-class accuracy table (golden format, byte-stable) of report.to_dict()."""
+    d = report.to_dict()
     lines = [f"{'Activity':<13}{'Correct / Total':>18}   {'Accuracy (%)':>12}"]
-    for label in report.label_set:
-        t = int(report.totals[label.value])
-        k = int(report.corrects[label.value])
-        counts = f"{k} / {t}"
-        acc = _accuracy_text(100.0 * k / t) if t else "-"
-        lines.append(f"{label.display_name:<13}{counts:>18}   {acc:>12}")
-    counts = f"{report.correct} / {report.total}"
-    acc = _accuracy_text(100.0 * report.overall_accuracy) if report.total else "-"
-    lines.append(f"{'Overall':<13}{counts:>18}   {acc:>12}")
+    rows = [(label.display_name, d["classes"][label.name]) for label in report.label_set]
+    for name, row in [*rows, ("Overall", d["overall"])]:
+        counts = f"{row['correct']} / {row['total']}"
+        lines.append(f"{name:<13}{counts:>18}   {_accuracy_text(row['accuracy_pct']):>12}")
     return "\n".join(lines) + "\n"
 
 

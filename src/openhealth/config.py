@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Collection, Sequence
+from typing import Any, Sequence
 
 from .classifier import TrainConfig
 from .core import APPS, COUNT, MAX_MS, POSITIVE, DeviceProfile, FieldError, Label, Rule, check_fields, is_int
@@ -318,13 +318,18 @@ def _parse_synthetic_app(app: str, obj: Any, ctx: _Ctx) -> SyntheticSpec | None:
     schedule = _parse_schedule(obj.get("schedule"), label_set, f"{path}.schedule", ctx)
     if not signals or schedule is None:
         return None
-    missing = [l.name for l, _ in schedule if l not in signals]
-    if missing:
-        ctx.error(f"{path}.schedule", f"labels without signal models: {sorted(set(missing))}")
+    if reason := _unmodeled(schedule, signals):
+        ctx.error(f"{path}.schedule", reason)
         return None
     if ctx.check(f"{path}.labels", lambda models: SyntheticActivityModel(signals=models, seed=0), signals) is None:
         return None  # the model checks that labels differ and that stretch is on all or none
     return SyntheticSpec(app=app, signals=signals, schedule=tuple(schedule), **kwargs)
+
+
+def _unmodeled(schedule, signals: dict[Label, LabelSignalModel]) -> str | None:
+    """Why a schedule cannot be synthesized from signals, or None if it can."""
+    missing = sorted({label.name for label, _ in schedule if label not in signals})
+    return f"labels without signal models: {missing}" if missing else None
 
 
 def _parse_schedule(raw: Any, label_set: type, path: str, ctx: _Ctx):
@@ -366,11 +371,8 @@ def _parse_protocol(obj: dict, ctx: _Ctx) -> ProtocolSettings:
     return ProtocolSettings(**kwargs)
 
 
-def _parse_device(
-    obj: Any, index: int, synthetic: dict[str, SyntheticSpec], declared: Collection[str] | None, ctx: _Ctx
-) -> DeviceSpec | None:
-    """The device, None without a valid id and schedule; an absent id is its 1-based position. declared
-    names the apps under synthetic_models, valid or not; None if the document has no such section."""
+def _parse_device(obj: Any, index: int, synthetic: dict[str, SyntheticSpec], ctx: _Ctx) -> DeviceSpec | None:
+    """The device, None without a valid id and schedule; an absent id is its 1-based position."""
     path = f"scenario.devices[{index}]"
     if not isinstance(obj, dict):
         ctx.error(path, "expected an object")
@@ -382,9 +384,6 @@ def _parse_device(
     schedule = None
     if "schedule" in obj:
         schedule = _parse_schedule(obj["schedule"], label_set, f"{path}.schedule", ctx)
-    if schedule:
-        if declared is not None and app not in declared:  # the simulator synthesizes its signals from one
-            ctx.error(f"{path}.app", f"no synthetic_models.{app} section to synthesize its signals from")
     elif app in synthetic:
         schedule = synthetic[app].full_schedule()
     else:
@@ -406,9 +405,7 @@ def _parse_device(
     return DeviceSpec(kwargs.pop("id"), tuple(schedule), **kwargs)
 
 
-def _parse_scenario(
-    obj: dict, synthetic: dict[str, SyntheticSpec], declared: Collection[str] | None, ctx: _Ctx
-) -> ScenarioSettings | None:
+def _parse_scenario(obj: dict, synthetic: dict[str, SyntheticSpec], ctx: _Ctx) -> ScenarioSettings | None:
     """The scenario section; None if the document has errors, in any section."""
     path = "scenario"
     rules = dict(ScenarioSettings.RULES, local_processing=_local_processing)  # checked only, not a field
@@ -420,7 +417,7 @@ def _parse_scenario(
     else:
         devices = []
         for i, d in enumerate(raw_devices):
-            spec = _parse_device(d, i, synthetic, declared, ctx)
+            spec = _parse_device(d, i, synthetic, ctx)
             if spec is not None:
                 devices.append(spec)
                 if reason := _duplicate_id(devices):
@@ -436,7 +433,8 @@ TOP_LEVEL_SECTIONS = [
 
 
 def parse_config(raw: Any) -> Config:
-    """Validate a parsed JSON document; raises ConfigError listing every problem."""
+    """Validate a parsed JSON document; raises ConfigError listing every problem, or, once every
+    section is valid, every break of scenario_errors' rules across sections."""
     ctx = _Ctx()
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a JSON object"])
@@ -466,12 +464,11 @@ def parse_config(raw: Any) -> Config:
     protocol = _parse_protocol(section("protocol"), ctx)
     scenario = None
     if "scenario" in raw:
-        declared = syn_obj.keys() if "synthetic_models" in raw else None
-        scenario = _parse_scenario(section("scenario"), synthetic, declared, ctx)
+        scenario = _parse_scenario(section("scenario"), synthetic, ctx)
 
     if ctx.errors:
         raise ConfigError(ctx.errors)
-    return Config(
+    config = Config(
         profile=profile,
         pipeline=pipeline,
         train=train,
@@ -481,6 +478,23 @@ def parse_config(raw: Any) -> Config:
         protocol=protocol,
         scenario=scenario,
     )
+    if scenario is not None and "synthetic_models" in raw and (errors := scenario_errors(config)):
+        raise ConfigError(errors)
+    return config
+
+
+def scenario_errors(config: Config) -> list[str]:
+    """The scenario rules that span sections: each device's app has a synthetic_models section, which
+    models every label of the device's schedule. parse_config checks them once every section is valid,
+    if the document has a synthetic_models section; simengine.scenario_lines checks them before a run."""
+    errors = []
+    for i, spec in enumerate(config.scenario.devices):
+        synthetic = config.synthetic.get(spec.app)
+        if synthetic is None:
+            errors.append(f"scenario.devices[{i}].app: no synthetic_models.{spec.app} section to synthesize its signals from")
+        elif reason := _unmodeled(spec.schedule, synthetic.signals):
+            errors.append(f"scenario.devices[{i}].schedule: {reason}")
+    return errors
 
 
 def load_config(path: str | Path) -> Config:

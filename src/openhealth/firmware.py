@@ -148,15 +148,10 @@ def account_energy(
 
 @dataclass(frozen=True)
 class DutyPlan:
-    """Per-hour active fractions for one day, plus the funding arithmetic."""
+    """Per-hour active fractions for one day and the active energy they plan."""
 
     fractions: tuple[float, ...]
     planned_active_mwh: float
-    available_mwh: float
-
-    def __post_init__(self) -> None:
-        if self.planned_active_mwh > self.available_mwh + 1e-9:
-            raise ValueError("planned energy exceeds projected available energy")
 
 
 def plan_duty_cycle(profile: DeviceProfile, app: str, energy: EnergySettings) -> DutyPlan:
@@ -177,13 +172,8 @@ def plan_duty_cycle(profile: DeviceProfile, app: str, energy: EnergySettings) ->
         h_eff = energy.mppt_efficiency * h
         f = (h_eff + share - c_sleep) / (c_active - c_sleep)
         fractions.append(min(1.0, max(0.0, f)))
-    planned = sum(f * (c_active - c_sleep) for f in fractions)
-    available = sum(energy.mppt_efficiency * h for h in forecast_mw) + extra
-    return DutyPlan(
-        fractions=tuple(fractions),
-        planned_active_mwh=planned,
-        available_mwh=available,
-    )
+    # Each slot plans at most its own harvest plus its battery share, so the day never plans more than it has.
+    return DutyPlan(fractions=tuple(fractions), planned_active_mwh=sum(f * (c_active - c_sleep) for f in fractions))
 
 
 class BudgetError(ValueError):

@@ -161,8 +161,6 @@ def windows_to_matrix(recording: LabeledRecording, starts: np.ndarray, w: int) -
 
 def extract_feature_matrix(windows: np.ndarray) -> np.ndarray:
     """Vectorized feature extraction over an (n, W, C) window stack."""
-    if windows.ndim != 3:
-        raise ValueError("expected (n_windows, W, channels) array")
     n, w, c = windows.shape
     if w < MIN_WINDOW:
         raise ValueError(f"window length {w} too short for {FFT_BINS} FFT bins (need >= {MIN_WINDOW})")

@@ -46,7 +46,7 @@ from typing import Callable, Collection, Iterable, Iterator, TextIO
 import numpy as np
 
 from .classifier import MlpModel, ModelFitError, check_fit, forward, load_model
-from .config import Config, ConfigError, DeviceSpec
+from .config import Config, ConfigError, DeviceSpec, scenario_errors
 from .core import Label, label_set_for
 from .dataio import channel_count, synthesize_signal
 from .firmware import (
@@ -695,9 +695,7 @@ class SimDevice:
             self.sim.emit("frame_reject", self.name, self.spec.device_id, exc.code)
             return
         self.sim.emit("frame_rx", self.name, decoded.frame_type.name, decoded.device_id, decoded.seq)
-        if decoded.frame_type is not FrameType.ACK:
-            return
-        acked_seq, data = unpack_ack(decoded.payload)
+        acked_seq, data = unpack_ack(decoded.payload)  # the host sends only ACKs, and GCM authenticates the type
         if acked_seq == self.sync_seq and data:
             self._complete_sync(*unpack_sync_reply(data))
             return
@@ -732,10 +730,8 @@ def scenario_lines(config: Config, seed: int = 0) -> Iterator[str]:
     scenario = config.scenario
     if scenario is None:
         raise ConfigError(["config has no scenario section"])
-    for i, spec in enumerate(scenario.devices):  # a rule across sections, which a Config cannot check itself
-        if spec.app not in config.synthetic:
-            path = f"scenario.devices[{i}].app"
-            raise ConfigError([f"{path}: no synthetic_models.{spec.app} section to synthesize its signals from"])
+    if errors := scenario_errors(config):  # rules across sections, which a Config cannot check itself
+        raise ConfigError(errors)
     model = None
     if scenario.model_path is not None:
         model = load_model(scenario.model_path)
@@ -827,6 +823,7 @@ def _run_shards(count: int, shard: Callable[[int], None]) -> None:
                 receiver.close()
                 child.terminate()
             child.join()
+            child.close()  # now, not when a failed run's traceback is collected
 
 
 def _shard_child(sender, shard: Callable[[int], None], indices: range) -> None:
@@ -897,38 +894,36 @@ def _details_parser(parsers: tuple) -> Callable[[list[str]], tuple]:
 _PARSERS = {kind: _details_parser(parsers) for kind, (_, _, parsers) in TRACE_LINES.items()}
 
 
-def trace_records(lines: Iterable[str], kinds: Collection[str] = TRACE_LINES, parse: Collection[str] | None = None
-                  ) -> Iterator[tuple]:
-    """(line number, t_ms, kind, entity, details) of each line of a kind in kinds.
+def trace_records(lines: Iterable[str], parse: Collection[str] = TRACE_LINES) -> Iterator[tuple]:
+    """(line number, t_ms, kind, entity, details) of each line.
 
-    Every line must fit its kind's row of TRACE_LINES (see _line_rule); a line
-    of kinds also needs an integer t_ms, and details its row parses if its kind
-    is in parse (by default kinds), else they stay strings. The first line that
-    breaks a rule raises TraceFormatError naming it.
+    Every line must fit its kind's row of TRACE_LINES (see _line_rule) and have
+    an integer t_ms; details are what its row parses if its kind is in parse,
+    else they stay strings. The first line that breaks a rule raises
+    TraceFormatError naming it.
     """
-    rules: dict[str, tuple[int, set[str], Callable | None]] = {}  # kind -> (parts in a line, entities seen, details_of)
+    rules: dict[str, tuple[int, set[str], Callable]] = {}  # kind -> (parts in a line, entities seen, details_of)
     for lineno, line in enumerate(lines, start=1):
         parts = line.split("\t")
         try:
             size, entities, details_of = rules[parts[1]]
         except (IndexError, KeyError):
-            size, entities, details_of = rules[parts[1]] = _line_rule(lineno, parts, kinds, parse)
+            size, entities, details_of = rules[parts[1]] = _line_rule(lineno, parts, parse)
         if len(parts) != size or parts[2] not in entities:
-            _line_rule(lineno, parts, kinds, parse)
+            _line_rule(lineno, parts, parse)
             entities.add(parts[2])
-        if details_of is not None:
-            try:
-                record = lineno, int(parts[0]), parts[1], parts[2], details_of(parts)
-            except ValueError as exc:
-                raise TraceFormatError(lineno, f"cannot parse ({type(exc).__name__}: {exc})") from None
-            yield record
+        try:
+            record = lineno, int(parts[0]), parts[1], parts[2], details_of(parts)
+        except ValueError as exc:
+            raise TraceFormatError(lineno, f"cannot parse ({type(exc).__name__}: {exc})") from None
+        yield record
 
 
-def _line_rule(lineno: int, parts: list[str], kinds: Collection[str], parse: Collection[str] | None) -> tuple:
+def _line_rule(lineno: int, parts: list[str], parse: Collection[str]) -> tuple:
     """(parts, {entity}, details_of) of a line, where details_of(parts) gives the details
-    trace_records yields, or is None to skip the line. Line 1 must be the version line of
-    TRACE_VERSION, or VersionMismatch; a line whose kind, entity or number of details its
-    row refuses is a TraceFormatError."""
+    trace_records yields. Line 1 must be the version line of TRACE_VERSION, or
+    VersionMismatch; a line whose kind, entity or number of details its row refuses is a
+    TraceFormatError."""
     if lineno == 1 and (len(parts) < 4 or parts[1] != "trace_version"):
         raise VersionMismatch(1, "trace has no version line")
     if lineno == 1 and parts[3] != str(TRACE_VERSION):
@@ -944,13 +939,13 @@ def _line_rule(lineno: int, parts: list[str], kinds: Collection[str], parse: Col
         raise TraceFormatError(lineno, f"entity {entity!r} does not log {kind} lines")
     if len(details) != len(names):
         raise TraceFormatError(lineno, f"{kind} line has {len(details)} details, not {len(names)}")
-    details_of = _PARSERS[kind] if kind in (kinds if parse is None else parse) else itemgetter(slice(3, None))
-    return len(parts), {entity}, details_of if kind in kinds else None
+    return len(parts), {entity}, _PARSERS[kind] if kind in parse else itemgetter(slice(3, None))
 
 
 def trace_observations(lines: list[str]) -> list[Observation]:
     """Host observation log entries recovered from the trace; raises only TraceFormatError."""
-    return [Observation(*details) for *_, details in trace_records(lines, ("observation",))]
+    records = trace_records(lines, parse=("observation",))
+    return [Observation(*details) for _, _, kind, _, details in records if kind == "observation"]
 
 
 def trace_metrics(lines: Iterable[str], observe: Callable[[Observation], object] | None = None) -> dict:

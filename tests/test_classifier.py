@@ -333,6 +333,18 @@ def test_report_accuracy_rendering_values():
     assert "98.5" in lines[6] and "794 / 806" in lines[6]
 
 
+def test_report_shows_a_class_without_windows_as_a_dash():
+    confusion = np.zeros((7, 7), dtype=np.int64)
+    confusion[0, 0] = 3
+    report = EvalReport(label_set=ActivityLabel, confusion=confusion)
+    assert report.to_dict()["classes"]["Jump"] == {"correct": 0, "total": 0, "accuracy_pct": None}
+    lines = render_report(report).splitlines()
+    assert lines[1].split()[-1] == lines[-1].split()[-1] == "100"
+    assert [line.split()[-1] for line in lines[2:-1]] == ["-"] * 6
+    empty = render_report(EvalReport(label_set=ActivityLabel, confusion=np.zeros((7, 7), dtype=np.int64)))
+    assert all(line.endswith("0 / 0              -") for line in empty.splitlines()[1:])
+
+
 def test_quantize_flash_arithmetic():
     m = init_model((84, 16, 7), seed=0)
     qm = quantize_model(m)
@@ -386,6 +398,14 @@ def test_quantize_tensor_range():
     assert qt.q.dtype == np.int8
     err = np.abs(qt.dequantize() - x).max()
     assert err <= qt.scale  # within one quantization step
+
+
+def test_quantize_tensor_of_one_negative_value():
+    x = np.full(5, -2.5)
+    qt = quantize_tensor(x)
+    assert (qt.scale, qt.zero_point) == (2.5 / 127.0, 0)
+    assert (qt.q == -127).all()
+    np.testing.assert_allclose(qt.dequantize(), x)
 
 
 def test_model_blob_round_trip(tmp_path):

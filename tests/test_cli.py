@@ -74,6 +74,20 @@ def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, command, source):
     assert not list(tmp_path.glob("x.*"))
 
 
+def test_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENHEALTH_SIM_SEED", "4x")
+    assert main(["datagen", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.strip() == "OPENHEALTH_SIM_SEED must be an integer, got '4x'"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_datagen_app_without_synthetic_models_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, mutate=lambda raw: raw["synthetic_models"].pop("gesture"))
+    assert main(["datagen", "--config", str(config), "--app", "gesture", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.strip() == "config has no synthetic_models.gesture section"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_datagen_unknown_key_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, mutate=lambda raw: raw.update({"pipelinez": {}}))
     code = main(["datagen", "--config", str(config), "--out", str(tmp_path / "x.csv")])
@@ -122,6 +136,17 @@ def test_train_gesture_model_shape(tmp_path, capsys):
         "--out", str(model), "--config", str(config), "--seed", "0",
     ]) == 0
     assert "[72, 16, 4]" in capsys.readouterr().out
+
+
+def test_train_on_a_corpus_of_another_app_exits_3(tmp_path, capsys):
+    config = write_config(tmp_path)
+    data = tmp_path / "har.csv"
+    assert main(["datagen", "--config", str(config), "--out", str(data), "--seed", "7"]) == 0
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--app", "gesture", "--out", str(tmp_path / "m.ohm"), "--config", str(config)])
+    assert code == 3
+    assert capsys.readouterr().err.strip() == "dataset labels do not belong to the 'gesture' label set"
+    assert not (tmp_path / "m.ohm").exists()
 
 
 def test_train_single_class_exits_3(tmp_path, capsys):
@@ -220,6 +245,18 @@ def test_eval_truncated_model_exits_3(tmp_path, capsys, cut):
     assert err.startswith("model error: byte ") and "blob ends inside" in err
 
 
+def test_eval_model_blob_of_another_version_exits_3(tmp_path, capsys):
+    from openhealth.classifier import init_model, model_to_bytes
+
+    blob = bytearray(model_to_bytes(init_model((84, 16, 7), seed=0)))
+    blob[4] = 2  # the version byte, after the 4-byte magic
+    model = tmp_path / "v2.ohm"
+    model.write_bytes(bytes(blob))
+    code = main(["eval", "--data", str(tmp_path / "unused.csv"), "--model", str(model)])
+    assert code == 3
+    assert capsys.readouterr().err.strip() == "model error: byte 4: unsupported model blob version 2"
+
+
 @pytest.mark.parametrize("blob", [b"OHM1\x01\x03\x00", None])  # truncated; missing file
 def test_simulate_bad_model_path_exits_3(tmp_path, capsys, blob):
     model = tmp_path / "scenario.ohm"
@@ -291,6 +328,23 @@ def test_simulate_device_app_without_synthetic_models_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == (
         "config error: scenario.devices[0].app: no synthetic_models.har section to synthesize its signals from"
     )
+
+
+def test_simulate_device_label_without_signal_model_exits_2(tmp_path, capsys):
+    def drop_walk(raw):
+        har = raw["synthetic_models"]["har"]
+        del har["labels"]["Walk"]
+        har["schedule"] = [entry for entry in har["schedule"] if entry[0] != "Walk"]
+        raw["scenario"]["devices"][0]["schedule"] = [["Walk", 60_000]]
+        raw["scenario"]["devices"][1]["schedule"] = [["Sit", 60_000]]
+
+    config = write_config(tmp_path, mutate=drop_walk)
+    code = main(["simulate", "--config", str(config), "--trace", str(tmp_path / "t.trace")])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: scenario.devices[0].schedule: labels without signal models: ['Walk']"
+    )
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_budget_default_and_storage_claim(tmp_path, capsys):

@@ -114,6 +114,15 @@ def test_invalid_json_reported(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("root", [[], "config", None])
+def test_config_root_must_be_an_object(tmp_path, root):
+    path = tmp_path / "root.json"
+    path.write_text(json.dumps(root))
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.errors == ["config root must be a JSON object"]
+
+
 def test_scenario_optional():
     raw = reference_raw()
     del raw["scenario"]
@@ -171,6 +180,12 @@ MALFORMED = [
         ["synthetic_models.har.schedule[0]: duration_ms must be a positive integer"],
     ),
     ([(_HAR + ("schedule", 0), ["Walk"])], ["synthetic_models.har.schedule[0]: expected [label, duration_ms]"]),
+    ([(_HAR + ("schedule",), [])], ["synthetic_models.har.schedule: expected a non-empty list of [label, duration_ms] pairs"]),
+    ([(_DEV + ("schedule",), "Walk")], ["scenario.devices[0].schedule: expected a non-empty list of [label, duration_ms] pairs"]),
+    (
+        [(_HAR, _DELETE), (("scenario", "devices"), [{}])],
+        ["scenario.devices[0].schedule: no schedule given and no synthetic_models.har to fall back on"],
+    ),
     ([(_WALK + ("phase",), 0.0)], ["synthetic_models.har.labels.Walk.phase: unknown key"]),
     ([(_WALK + ("orientation",), [0, 1])], ["synthetic_models.har.labels.Walk.orientation: expected a 3-number list"]),
     ([(_WALK + ("orientation",), _DELETE)], ["synthetic_models.har.labels.Walk.orientation: expected a 3-number list"]),
@@ -344,6 +359,14 @@ CRASHED_LATER = [
     (
         [(("synthetic_models", "gesture"), _DELETE), (_DEV, {"app": "gesture", "schedule": [["Up", 60_000]]})],
         ["scenario.devices[0].app: no synthetic_models.gesture section to synthesize its signals from"],
+    ),
+    (
+        [
+            (_WALK, _DELETE),
+            (_HAR + ("schedule",), [["Sit", 60_000], ["Jump", 60_000]]),
+            (("scenario", "devices"), [{"schedule": [["Walk", 60_000], ["Sit", 60_000]]}, {"id": 2}]),
+        ],
+        ["scenario.devices[0].schedule: labels without signal models: ['Walk']"],
     ),
 ]
 

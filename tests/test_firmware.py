@@ -9,7 +9,6 @@ from openhealth.core import DeviceProfile
 from openhealth.firmware import (
     BudgetError,
     DeviceEvent,
-    DutyPlan,
     EnergySettings,
     PowerState,
     account_energy,
@@ -251,16 +250,30 @@ def test_duty_plan_half_funded_slots_budget_inequality():
     assert planned <= available + 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 50.0), min_size=24, max_size=24),
+    st.floats(0.0, 200.0),
+    st.floats(0.01, 1.0),
+    st.floats(0.0, 0.9),
+    st.floats(0.01, 14.99),
+)
+def test_duty_plan_never_plans_more_than_the_day_has(harvest, battery, mppt, reserve, p_sleep):
+    """Each slot plans at most its own harvest plus its share of the battery above reserve."""
+    energy = EnergySettings(
+        battery_capacity_mwh=200.0, battery_initial_mwh=battery, harvest_profile_mw=tuple(harvest),
+        mppt_efficiency=mppt, reserve_fraction=reserve,
+    )
+    plan = plan_duty_cycle(DeviceProfile(p_sleep_mw=p_sleep), "har", energy)
+    available = sum(mppt * h for h in harvest) + max(0.0, battery - reserve * 200.0)
+    assert plan.planned_active_mwh <= available * (1 + 1e-12) + 1e-9
+
+
 def test_duty_plan_validation():
     with pytest.raises(ValueError, match="24"):
         EnergySettings(harvest_profile_mw=(1.0,) * 23)
     with pytest.raises(ValueError, match="nonnegative"):
         EnergySettings(harvest_profile_mw=(-1.0,) + (0.0,) * 23)
-
-
-def test_duty_plan_invariant_enforced():
-    with pytest.raises(ValueError, match="exceeds"):
-        DutyPlan(fractions=tuple([1.0] * 24), planned_active_mwh=100.0, available_mwh=50.0)
 
 
 # --- memory budgets --------------------------------------------------------

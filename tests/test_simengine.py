@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import hashlib
 import heapq
 import json
@@ -706,10 +705,31 @@ def test_sync_times_out_after_three_attempts():
     assert trace.metrics["devices"]["dev1"]["sync"]["offset_est_ms"] is None
 
 
+def test_a_sync_retry_due_at_the_end_of_the_run_is_not_sent():
+    raw = small_raw(duration_ms=1000)
+    raw["channel"]["loss_probability"] = 1.0
+    raw["protocol"]["sync_timeout_ms"] = 1000
+    raw["scenario"]["devices"][0].update(alert_schedule=[], schedule=[["LieDown", 1000]])
+    trace = run_scenario(parse_config(raw), seed=8)
+    sync_requests = [line.split("\t") for line in trace.lines if "\tframe_tx\t" in line and "\tTIME_SYNC\t" in line]
+    assert len(sync_requests) == 1 and int(sync_requests[0][0]) < 1000
+
+
 def test_run_scenario_refuses_a_config_without_scenario():
     with pytest.raises(ConfigError) as exc:
         run_scenario(Config())
     assert exc.value.errors == ["config has no scenario section"]
+
+
+def test_run_scenario_refuses_a_device_label_without_a_signal_model():
+    config = small_config()
+    har = config.synthetic["har"]
+    signals = {label: model for label, model in har.signals.items() if label is not ActivityLabel.Walk}
+    schedule = tuple(entry for entry in har.schedule if entry[0] is not ActivityLabel.Walk)
+    config = replace(config, synthetic={"har": replace(har, signals=signals, schedule=schedule)})
+    with pytest.raises(ConfigError) as exc:
+        simengine.scenario_lines(config)
+    assert exc.value.errors == ["scenario.devices[0].schedule: labels without signal models: ['Walk']"]
 
 
 @pytest.mark.parametrize(
@@ -823,6 +843,28 @@ def test_replay_empty_trace_vacuous():
     report = replay([])
     assert report.passed
     assert report.warnings
+
+
+def test_replay_of_a_trace_without_events_warns():
+    report = replay([f"0\ttrace_version\tsim\t{TRACE_VERSION}", "0\tscenario\tsim\t1000\t0\t0", "1000\tscenario_end\tsim"])
+    assert report.passed
+    assert report.warnings == ["trace has no events: vacuous pass"]
+
+
+def test_the_last_energy_line_at_a_day_boundary_counts():
+    def energy(t_ms, battery):
+        return f"{t_ms}\tenergy\tdev1\t{battery}" + "\t0.0" * 5 + "\t0" * 4
+
+    metrics = trace_metrics([
+        f"0\ttrace_version\tsim\t{TRACE_VERSION}",
+        f"0\tscenario\tsim\t{2 * DAY_MS}\t1\t0",
+        "0\tdevice_init\tdev1\thar\t8.0\t40.0\t0",
+        energy(DAY_MS, 7.5),
+        energy(DAY_MS, 7.25),
+        energy(2 * DAY_MS, 7.0),
+        f"{2 * DAY_MS}\tscenario_end\tsim",
+    ])
+    assert metrics["devices"]["dev1"]["battery_daily"] == [[1, 7.25], [2, 7.0]]
 
 
 def test_replay_detects_corrupted_battery_line(small_trace):
@@ -1132,9 +1174,10 @@ def test_an_unknown_kind_or_a_wrong_entity_is_refused_at_that_line(small_trace, 
 
 
 def test_trace_records_yield_and_parse_only_the_kinds_asked_for(small_trace):
-    observations = list(trace_records(small_trace.lines, ("observation",)))
-    assert observations and {kind for _, _, kind, _, _ in observations} == {"observation"}
-    assert all(isinstance(app_id, AppId) for *_, (_, _, app_id, _, _) in observations)
+    records = list(trace_records(small_trace.lines, parse=("observation",)))
+    observations = [details for _, _, kind, _, details in records if kind == "observation"]
+    assert observations and all(isinstance(app_id, AppId) for _, _, app_id, _, _ in observations)
+    assert all(isinstance(field, str) for _, _, kind, _, details in records if kind != "observation" for field in details)
     unparsed = {kind: details for _, _, kind, _, details in trace_records(small_trace.lines, parse=())}
     assert unparsed.keys() == {line.split("\t")[1] for line in small_trace.lines}
     assert all(isinstance(field, str) for details in unparsed.values() for field in details)
@@ -1576,7 +1619,6 @@ def test_no_spool_file_is_left_behind(monkeypatch, spool_dir, failing):
             run_scenario(config, seed=0)
     assert list(spool_dir.iterdir()) == []
     if open_fds is not None:
-        gc.collect()  # a raised error's traceback keeps the joined child's process object in a reference cycle
         assert set(os.listdir("/proc/self/fd")) <= open_fds
 
 

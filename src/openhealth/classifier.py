@@ -441,8 +441,10 @@ def _unpack_header(buf: bytes) -> tuple[int, int, int]:
     if buf[:4] != MODEL_MAGIC:
         raise ModelFormatError("byte 0: not a model blob (bad magic)")
     version, n_sizes = _unpack(">BB", buf, 4, "header")
-    if version != 1 or n_sizes != 3:
+    if version != 1:
         raise ModelFormatError(f"byte 4: unsupported model blob version {version}")
+    if n_sizes != 3:
+        raise ModelFormatError(f"byte 5: a version-1 model blob has 3 layer sizes, not {n_sizes}")
     return _unpack(">3I", buf, 6, "layer sizes")
 
 

@@ -1,9 +1,7 @@
 """Command-line entry point: datagen, train, eval, budget, simulate.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 data/validation
-error. All commands are pure functions of their inputs and the seed; the
-OPENHEALTH_SIM_SEED environment variable is the fallback when --seed is
-not given.
+error. All commands are pure functions of their arguments and input files.
 """
 
 from __future__ import annotations
@@ -49,9 +47,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
-ENV_SEED = "OPENHEALTH_SIM_SEED"
-
-
 class CliError(Exception):
     def __init__(self, message: str, exit_code: int):
         super().__init__(message)
@@ -59,18 +54,11 @@ class CliError(Exception):
 
 
 def _resolve_seed(arg_seed: int | None, default: int = 0) -> int:
-    seed, source = arg_seed, "--seed"
-    if seed is None:
-        env = os.environ.get(ENV_SEED)
-        if env is None:
-            return default
-        try:
-            seed, source = int(env), ENV_SEED
-        except ValueError:
-            raise CliError(f"{ENV_SEED} must be an integer, got {env!r}", EXIT_CONFIG) from None
-    if seed < 0:
-        raise CliError(f"{source} must be >= 0, got {seed}", EXIT_CONFIG)
-    return seed
+    if arg_seed is None:
+        return default
+    if arg_seed < 0:
+        raise CliError(f"--seed must be >= 0, got {arg_seed}", EXIT_CONFIG)
+    return arg_seed
 
 
 def _config_error(exc: ConfigError) -> CliError:
@@ -133,8 +121,7 @@ def cmd_datagen(args) -> int:
     if spec is None:
         raise CliError(f"config has no synthetic_models.{args.app} section", EXIT_CONFIG)
     seed = _resolve_seed(args.seed)
-    model = spec.make_model(seed)
-    blocks = generate_blocks(model, spec.full_schedule(), config.profile.sample_rate_hz)
+    blocks = generate_blocks(spec.signals, spec.full_schedule(), config.profile.sample_rate_hz, seed)
     with _writing():
         samples, annotations = write_dataset(blocks, args.out)
     print(f"wrote {args.out}: {samples} samples, {annotations} annotations, seed {seed}")

@@ -19,7 +19,7 @@ from typing import Any, Sequence
 from .classifier import TrainConfig
 from .core import APPS, COUNT, MAX_MS, POSITIVE, DeviceProfile, FieldError, Label, Rule, check_fields, is_int
 from .core import label_set_for, num, parse_label
-from .dataio import LabelSignalModel, SyntheticActivityModel
+from .dataio import LabelSignalModel
 from .firmware import EnergySettings
 from .netproto import KEY_LEN, ChannelModel, RetryPolicy
 
@@ -45,7 +45,9 @@ class PipelineSettings:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Per-app synthetic corpus description: label models plus a schedule."""
+    """Per-app synthetic corpus description: label models plus a schedule. Rule across labels: there
+    is at least one, no two share a signal signature, and stretch is on all or none, else FieldError
+    at signals."""
 
     app: str
     signals: dict[Label, LabelSignalModel]
@@ -56,9 +58,15 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         check_fields(self)
-
-    def make_model(self, seed: int) -> SyntheticActivityModel:
-        return SyntheticActivityModel(signals=self.signals, seed=seed)
+        if not self.signals:
+            raise FieldError("signals", "synthetic model needs at least one label")
+        seen: dict[tuple, Label] = {}
+        for label, sig in self.signals.items():
+            if (key := sig.signature()) in seen:
+                raise FieldError("signals", f"labels {seen[key].name} and {label.name} share signal signature {key}")
+            seen[key] = label
+        if len({sig.stretch_base is None for sig in self.signals.values()}) > 1:
+            raise FieldError("signals", "stretch channel must be present for all labels or none")
 
     def full_schedule(self) -> list[tuple[Label, int]]:
         return list(self.schedule) * self.repeat
@@ -105,13 +113,6 @@ def _app(v):
     if _str(v) in APPS:
         return v
     raise ValueError(f"must be one of {sorted(APPS)}")
-
-
-def _local_processing(v):
-    """The key exists only to refuse raw-sample streaming: true is the only value."""
-    if _bool(v):
-        return v
-    raise ValueError("raw-sample streaming is not supported; only processed observations leave the device")
 
 
 def _label_names(v):
@@ -249,19 +250,15 @@ def _check_keys(obj: dict, allowed: Sequence[str], path: str, ctx: _Ctx) -> None
             ctx.error(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _fields(
-    obj: dict, cls: type, path: str, ctx: _Ctx, rules: dict[str, Rule],
-    extra: Sequence[str] = (), nullable: Sequence[str] = (),
-) -> dict:
+def _fields(obj: dict, cls: type, path: str, ctx: _Ctx, rules: dict[str, Rule], extra: Sequence[str] = ()) -> dict:
     """Keyword arguments for cls from the keys of obj that pass their rule.
 
     The allowed keys are the rule keys plus extra (parsed by the caller).
     An absent or invalid key is left out so that cls's default applies,
-    and so is a null for a field whose default is None or that is listed
-    in nullable.
+    and so is a null for a field whose default is None.
     """
     _check_keys(obj, [*rules, *extra], path, ctx)
-    skip_null = {f.name for f in fields(cls) if f.default is None}.union(nullable)
+    skip_null = {f.name for f in fields(cls) if f.default is None}
     kwargs = {}
     for key, rule in rules.items():
         if key in obj and not (obj[key] is None and key in skip_null):
@@ -269,7 +266,7 @@ def _fields(
     return {key: value for key, value in kwargs.items() if value is not None}
 
 
-def _settings(obj: dict, cls: type, path: str, ctx: _Ctx, nullable: Sequence[str] = ()):
+def _settings(obj: dict, cls: type, path: str, ctx: _Ctx):
     """cls built from the keys of obj that pass their rule (see _fields).
 
     A rule across fields that cls itself checks, such as the initial
@@ -277,7 +274,7 @@ def _settings(obj: dict, cls: type, path: str, ctx: _Ctx, nullable: Sequence[str
     reported at that field's key and cls's defaults apply.
     """
     try:
-        return cls(**_fields(obj, cls, path, ctx, cls.RULES, nullable=nullable))
+        return cls(**_fields(obj, cls, path, ctx, cls.RULES))
     except FieldError as exc:
         ctx.error(f"{path}.{exc.field}", exc.reason)
         return cls()
@@ -321,9 +318,11 @@ def _parse_synthetic_app(app: str, obj: Any, ctx: _Ctx) -> SyntheticSpec | None:
     if reason := _unmodeled(schedule, signals):
         ctx.error(f"{path}.schedule", reason)
         return None
-    if ctx.check(f"{path}.labels", lambda models: SyntheticActivityModel(signals=models, seed=0), signals) is None:
-        return None  # the model checks that labels differ and that stretch is on all or none
-    return SyntheticSpec(app=app, signals=signals, schedule=tuple(schedule), **kwargs)
+    try:
+        return SyntheticSpec(app=app, signals=signals, schedule=tuple(schedule), **kwargs)
+    except FieldError as exc:  # at signals, the rule across the labels
+        ctx.error(f"{path}.labels", exc.reason)
+        return None
 
 
 def _unmodeled(schedule, signals: dict[Label, LabelSignalModel]) -> str | None:
@@ -360,7 +359,7 @@ def _parse_protocol(obj: dict, ctx: _Ctx) -> ProtocolSettings:
     path = "protocol"
     rules = {key: rule for key, rule in ProtocolSettings.RULES.items() if key != "key"}
     rules["key_hex"] = _key_hex
-    kwargs = _fields(obj, ProtocolSettings, path, ctx, rules, extra=("retry",), nullable=("key_hex",))
+    kwargs = _fields(obj, ProtocolSettings, path, ctx, rules, extra=("retry",))
     if "key_hex" in kwargs:
         kwargs["key"] = kwargs.pop("key_hex")
     if "retry" in obj:
@@ -408,9 +407,7 @@ def _parse_device(obj: Any, index: int, synthetic: dict[str, SyntheticSpec], ctx
 def _parse_scenario(obj: dict, synthetic: dict[str, SyntheticSpec], ctx: _Ctx) -> ScenarioSettings | None:
     """The scenario section; None if the document has errors, in any section."""
     path = "scenario"
-    rules = dict(ScenarioSettings.RULES, local_processing=_local_processing)  # checked only, not a field
-    kwargs = _fields(obj, ScenarioSettings, path, ctx, rules, extra=("devices",))
-    kwargs.pop("local_processing", None)
+    kwargs = _fields(obj, ScenarioSettings, path, ctx, ScenarioSettings.RULES, extra=("devices",))
     raw_devices = obj.get("devices")
     if not isinstance(raw_devices, list) or not raw_devices:
         ctx.error(f"{path}.devices", "expected a non-empty device list")
@@ -459,8 +456,8 @@ def parse_config(raw: Any) -> Config:
         if spec is not None:
             synthetic[app] = spec
 
-    energy = _settings(section("energy"), EnergySettings, "energy", ctx, nullable=("harvest_profile_mw",))
-    channel = _settings(section("channel"), ChannelModel, "channel", ctx, nullable=("latency_ms",))
+    energy = _settings(section("energy"), EnergySettings, "energy", ctx)
+    channel = _settings(section("channel"), ChannelModel, "channel", ctx)
     protocol = _parse_protocol(section("protocol"), ctx)
     scenario = None
     if "scenario" in raw:

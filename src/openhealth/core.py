@@ -159,13 +159,12 @@ def check_fields(settings) -> None:
 class DeviceProfile:
     """Hardware budget constants for the wearable node.
 
-    The default CPU, SRAM, flash and active-power numbers model the shipped
+    The default SRAM, flash and active-power numbers model the shipped
     47 MHz Cortex-M3 part with 20 KB SRAM / 128 KB flash; sleep and transmit
     power are order-of-magnitude defaults for that MCU class and are meant
     to be overridden from config when better numbers are known.
     """
 
-    cpu_mhz: float = 47.0
     sram_bytes: int = 20480
     flash_bytes: int = 131072
     p_active_har_mw: float = 12.5
@@ -175,7 +174,6 @@ class DeviceProfile:
     sample_rate_hz: float = 100.0
 
     RULES = {
-        "cpu_mhz": POSITIVE,
         "sram_bytes": COUNT,
         "flash_bytes": COUNT,
         "p_active_har_mw": POSITIVE,

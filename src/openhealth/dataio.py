@@ -324,30 +324,6 @@ class LabelSignalModel:
         return orient, 2.0 * np.pi * self.freq_hz, _GYRO_SWING_DPS_PER_G_HZ * self.amp_g * self.freq_hz
 
 
-@dataclass(frozen=True)
-class SyntheticActivityModel:
-    """Seeded family of per-label signal generators, separable by construction."""
-
-    signals: Mapping[Label, LabelSignalModel]
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.signals:
-            raise ValueError("synthetic model needs at least one label")
-        seen: dict[tuple, Label] = {}
-        stretch_flags = set()
-        for label, sig in self.signals.items():
-            key = sig.signature()
-            if key in seen:
-                raise ValueError(
-                    f"labels {seen[key].name} and {label.name} share signal signature {key}"
-                )
-            seen[key] = label
-            stretch_flags.add(sig.stretch_base is not None)
-        if len(stretch_flags) > 1:
-            raise ValueError("stretch channel must be present for all labels or none")
-
-
 def channel_count(signals: Mapping[Label, LabelSignalModel]) -> int:
     """Channels synthesized from these label models: 7 with stretch, 6 without."""
     return 6 if next(iter(signals.values())).stretch_base is None else 7
@@ -410,21 +386,21 @@ def _clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def generate_synthetic(
-    model: SyntheticActivityModel, schedule: Sequence[tuple[Label, int]], rate_hz: float
+    signals: Mapping[Label, LabelSignalModel], schedule: Sequence[tuple[Label, int]], rate_hz: float, seed: int
 ) -> LabeledRecording:
     """The blocks of generate_blocks joined into one LabeledRecording."""
-    empty = LabeledRecording(np.empty(0, np.int64), np.empty((0, channel_count(model.signals))))
-    return LabeledRecording.joined([empty, *generate_blocks(model, schedule, rate_hz)])
+    empty = LabeledRecording(np.empty(0, np.int64), np.empty((0, channel_count(signals))))
+    return LabeledRecording.joined([empty, *generate_blocks(signals, schedule, rate_hz, seed)])
 
 
 def generate_blocks(
-    model: SyntheticActivityModel, schedule: Sequence[tuple[Label, int]], rate_hz: float
+    signals: Mapping[Label, LabelSignalModel], schedule: Sequence[tuple[Label, int]], rate_hz: float, seed: int
 ) -> Iterator[LabeledRecording]:
     """Synthesize a labeled recording from a (label, duration_ms) schedule, in blocks of as many
     whole entries as fit in _WRITE_ROWS rows (an entry longer than that is a block of its own).
 
-    Pure function of (model, schedule, rate_hz): the RNG is seeded from the
-    model and consumed in a fixed per-entry order, so equal inputs give
+    Pure function of (signals, schedule, rate_hz, seed): the RNG is seeded
+    from seed and consumed in a fixed per-entry order, so equal inputs give
     bit-identical blocks.
     """
     if rate_hz <= 0:
@@ -432,15 +408,15 @@ def generate_blocks(
     for label, duration_ms in schedule:
         if duration_ms <= 0:
             raise ValueError(f"schedule duration for {label.name} must be > 0")
-        if label not in model.signals:
+        if label not in signals:
             raise ValueError(f"no signal model for label {label.name}")
     label_sets = {type(label) for label, _ in schedule}
     if len(label_sets) > 1:
         raise ValueError("schedule mixes activity and gesture labels")
 
     label_set = label_sets.pop() if label_sets else None
-    rng = np.random.default_rng(model.seed)
-    width = channel_count(model.signals)
+    rng = np.random.default_rng(seed)
+    width = channel_count(signals)
     sizes = [round(duration_ms * rate_hz / 1000.0) for _, duration_ms in schedule]
     start = first = 0  # the block's first sample index and first schedule entry
     for last, end in enumerate(accumulate(sizes)):
@@ -454,7 +430,7 @@ def generate_blocks(
             if n == 0:
                 continue
             run = slice(index, index + n)
-            synthesize_signal(model.signals[label], k[run] / rate_hz, rng.standard_normal(n * width), values[run])
+            synthesize_signal(signals[label], k[run] / rate_hz, rng.standard_normal(n * width), values[run])
             codes[run] = label.value
             index += n
         if len(k):

@@ -813,7 +813,7 @@ def _run_shards(count: int, shard: Callable[[int], None]) -> None:
                 error = receiver.recv()
             except EOFError:
                 child.join()
-                raise RuntimeError(f"shard process exited with code {child.exitcode} and sent no lines") from None
+                raise RuntimeError(f"shard process exited with code {child.exitcode} and sent no result") from None
             receiver.close()
             if error is not None:
                 raise error
@@ -1061,10 +1061,12 @@ _RECEIPT_KINDS = ("frame_rx", "frame_reject", "alert_delivered", "sync")
 _REPLAY_PARSE = ("device_init", "energy", "frame_tx", "frame_rx")
 
 
-def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
+def replay(lines: Iterable[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
     """Re-check the rules across the lines that trace_records checks one by one:
     time order, energy ledger, state dwell, radio silence while depleted, seq
-    monotonicity, frame causality and canary absence. Line numbers are 1-based."""
+    monotonicity, frame causality and canary absence. lines is read once and
+    may keep its line ends, so an open trace file will do. Line numbers are
+    1-based."""
     report = ReplayReport(passed=True)
     initial: dict[str, float] = {}
     capacity: dict[str, float] = {}
@@ -1072,10 +1074,11 @@ def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
     seen_frames: dict[tuple[str, int], bytes] = {}
     tx_keys: set[tuple[str, int, int, int]] = set()
     depleted: set[str] = set()
-    sim_lines = 0
+    sim_lines = lineno = 0
     last_ms = 0
 
-    for lineno, t_ms, kind, entity, details in trace_records(lines, parse=_REPLAY_PARSE):
+    stripped = (line.rstrip("\n") for line in lines)
+    for lineno, t_ms, kind, entity, details in trace_records(stripped, parse=_REPLAY_PARSE):
         if t_ms < last_ms:
             report.failures.append(f"line {lineno}: t_ms {t_ms} before the previous line's {last_ms}")
         last_ms = t_ms
@@ -1129,9 +1132,9 @@ def replay(lines: list[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
                     f"line {lineno}: received frame ({ftype}, dev {device_id}, seq {seq}) was never transmitted"
                 )
 
-    if not lines:
+    if not lineno:  # trace_records yields every line or raises, so lineno is the line count
         report.warnings.append("empty trace: vacuous pass")
-    elif sim_lines == len(lines):
+    elif sim_lines == lineno:
         report.warnings.append("trace has no events: vacuous pass")
     report.passed = not report.failures
     return report

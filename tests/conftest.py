@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from openhealth.core import ActivityLabel, LabeledRecording
-from openhealth.dataio import LabelSignalModel, SyntheticActivityModel
+from openhealth.dataio import LabelSignalModel
 
 # Every @given test draws the same examples on every run, and no example
 # database is written; each test's own max_examples still applies.
@@ -38,21 +38,18 @@ def sine_recording(n: int, freq_hz: float, amp: float, rate_hz: float = 100.0, a
 
 @pytest.fixture
 def tiny_har_model():
-    """Three-class synthetic model, cheap enough for per-test generation."""
-    return SyntheticActivityModel(
-        signals={
-            ActivityLabel.Walk: LabelSignalModel(
-                orientation=(0.0, 0.0, 1.0), freq_hz=2.0, amp_g=0.35,
-                noise_sigma=0.02, stretch_base=0.4, stretch_amp=0.25,
-            ),
-            ActivityLabel.Sit: LabelSignalModel(
-                orientation=(0.15, 0.0, 0.99), freq_hz=0.0, amp_g=0.0,
-                noise_sigma=0.01, stretch_base=0.7, stretch_amp=0.0,
-            ),
-            ActivityLabel.LieDown: LabelSignalModel(
-                orientation=(1.0, 0.0, 0.0), freq_hz=0.0, amp_g=0.0,
-                noise_sigma=0.01, stretch_base=0.05, stretch_amp=0.0,
-            ),
-        },
-        seed=7,
-    )
+    """Three-class synthetic label models, cheap enough for per-test generation."""
+    return {
+        ActivityLabel.Walk: LabelSignalModel(
+            orientation=(0.0, 0.0, 1.0), freq_hz=2.0, amp_g=0.35,
+            noise_sigma=0.02, stretch_base=0.4, stretch_amp=0.25,
+        ),
+        ActivityLabel.Sit: LabelSignalModel(
+            orientation=(0.15, 0.0, 0.99), freq_hz=0.0, amp_g=0.0,
+            noise_sigma=0.01, stretch_base=0.7, stretch_amp=0.0,
+        ),
+        ActivityLabel.LieDown: LabelSignalModel(
+            orientation=(1.0, 0.0, 0.0), freq_hz=0.0, amp_g=0.0,
+            noise_sigma=0.01, stretch_base=0.05, stretch_amp=0.0,
+        ),
+    }

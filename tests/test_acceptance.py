@@ -97,9 +97,7 @@ def test_c01_synthetic_corpus_accuracy_all_classes():
     t0 = time.perf_counter()
     config = load_config(REFERENCE)
     spec = config.synthetic["har"]
-    recording = generate_synthetic(
-        spec.make_model(seed=7), spec.full_schedule(), config.profile.sample_rate_hz
-    )
+    recording = generate_synthetic(spec.signals, spec.full_schedule(), config.profile.sample_rate_hz, 7)
     w = config.pipeline.window
     starts, codes = segment(recording, w, config.pipeline.overlap)
     starts, labels = starts[codes >= 0], codes[codes >= 0]
@@ -413,22 +411,19 @@ def test_c12_determinism(tmp_path):
 def test_c13_sensor_fusion_ordering():
     # Constructed corpus: Sit and Stand share the accel signal (orientation
     # delta far below the noise floor) and differ only in stretch level.
-    from openhealth.dataio import LabelSignalModel, SyntheticActivityModel
+    from openhealth.dataio import LabelSignalModel
 
     base = dict(freq_hz=0.0, amp_g=0.0, noise_sigma=0.04)
-    model = SyntheticActivityModel(
-        signals={
-            ActivityLabel.Sit: LabelSignalModel(
-                orientation=(0.35, 0.1, 0.93), stretch_base=0.72, **base
-            ),
-            ActivityLabel.Stand: LabelSignalModel(
-                orientation=(0.3501, 0.1, 0.93), stretch_base=0.08, **base
-            ),
-        },
-        seed=5,
-    )
+    signals = {
+        ActivityLabel.Sit: LabelSignalModel(
+            orientation=(0.35, 0.1, 0.93), stretch_base=0.72, **base
+        ),
+        ActivityLabel.Stand: LabelSignalModel(
+            orientation=(0.3501, 0.1, 0.93), stretch_base=0.08, **base
+        ),
+    }
     schedule = [(ActivityLabel.Sit, 20_000), (ActivityLabel.Stand, 20_000)] * 10
-    recording = generate_synthetic(model, schedule, 100.0)
+    recording = generate_synthetic(signals, schedule, 100.0, 5)
     starts, codes = segment(recording, 128, 0.5)
     keep = np.isin(codes, [ActivityLabel.Sit.value, ActivityLabel.Stand.value])
     matrix = windows_to_matrix(recording, starts[keep], 128)

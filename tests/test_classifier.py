@@ -480,6 +480,18 @@ def test_blob_bad_magic():
         model_from_bytes(b"XXXX" + b"\x00" * 40)
 
 
+@pytest.mark.parametrize("n_sizes", [2, 4])
+def test_blob_size_count_other_than_3_names_byte_5(tmp_path, n_sizes):
+    path = tmp_path / "m.ohm"
+    save_model(init_model((6, 3, 4), seed=2), path)
+    blob = bytearray(path.read_bytes())
+    blob[5] = n_sizes  # the size count, after the magic and the version byte
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"byte 5: a version-1 model blob has 3 layer sizes, not {n_sizes}"
+
+
 def _valid_blobs() -> list[bytes]:
     m = init_model((6, 3, 4), seed=2)
     with_stats = init_model((6, 3, 4), seed=2)

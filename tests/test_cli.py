@@ -41,19 +41,18 @@ def test_datagen_output_is_readable_and_deterministic(tmp_path, capsys):
     assert rec.has_stretch
 
 
-def test_datagen_env_seed_fallback(tmp_path, monkeypatch):
+def test_datagen_seed_comes_from_argv_alone(tmp_path, monkeypatch):
+    """The environment sets no seed: without --seed, datagen uses seed 0."""
     config = write_config(tmp_path)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     monkeypatch.setenv("OPENHEALTH_SIM_SEED", "41")
     assert main(["datagen", "--config", str(config), "--out", str(out1)]) == 0
-    monkeypatch.delenv("OPENHEALTH_SIM_SEED")
-    assert main(["datagen", "--config", str(config), "--out", str(out2), "--seed", "41"]) == 0
+    assert main(["datagen", "--config", str(config), "--out", str(out2), "--seed", "0"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
 @pytest.mark.parametrize("command", ["datagen", "train", "simulate"])
-def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, command, source):
+def test_negative_seed_exits_2(tmp_path, capsys, command):
     config = write_config(tmp_path)
     data = tmp_path / "data.csv"
     assert main(["datagen", "--config", str(config), "--out", str(data), "--seed", "1"]) == 0
@@ -62,23 +61,10 @@ def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, command, source):
         "train": ["train", "--data", str(data), "--out", str(tmp_path / "x.ohm"), "--config", str(config)],
         "simulate": ["simulate", "--config", str(config), "--trace", str(tmp_path / "x.trace")],
     }[command]
-    if source == "flag":
-        argv += ["--seed", "-1"]
-        expected = "--seed must be >= 0, got -1"
-    else:
-        monkeypatch.setenv("OPENHEALTH_SIM_SEED", "-1")
-        expected = "OPENHEALTH_SIM_SEED must be >= 0, got -1"
     capsys.readouterr()
-    assert main(argv) == 2
-    assert capsys.readouterr().err.strip() == expected
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert capsys.readouterr().err.strip() == "--seed must be >= 0, got -1"
     assert not list(tmp_path.glob("x.*"))
-
-
-def test_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OPENHEALTH_SIM_SEED", "4x")
-    assert main(["datagen", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "x.csv")]) == 2
-    assert capsys.readouterr().err.strip() == "OPENHEALTH_SIM_SEED must be an integer, got '4x'"
-    assert not (tmp_path / "x.csv").exists()
 
 
 def test_datagen_app_without_synthetic_models_exits_2(tmp_path, capsys):
@@ -478,6 +464,22 @@ def test_train_config_naming_epochs_exits_2(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "har.csv"), "--out", str(tmp_path / "x.ohm"), "--config", str(config)])
     assert code == 2
     assert capsys.readouterr().err.strip() == "config error: train.epochs: unknown key"
+
+
+def test_simulate_config_naming_retired_keys_exits_2(tmp_path, capsys):
+    """device_profile.cpu_mhz had no reader and scenario.local_processing no value but true."""
+
+    def mutate(raw):
+        raw["device_profile"]["cpu_mhz"] = 47
+        raw["scenario"]["local_processing"] = True
+
+    config = write_config(tmp_path, mutate=mutate)
+    assert main(["simulate", "--config", str(config), "--trace", str(tmp_path / "x.trace")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: device_profile.cpu_mhz: unknown key",
+        "config error: scenario.local_processing: unknown key",
+    ]
+    assert not (tmp_path / "x.trace").exists()
 
 
 @pytest.mark.parametrize(

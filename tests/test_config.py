@@ -10,7 +10,7 @@ from openhealth.classifier import TrainConfig
 from openhealth.config import ConfigError, DeviceSpec, PipelineSettings, ProtocolSettings, ScenarioSettings
 from openhealth.config import SyntheticSpec, load_config, parse_config
 from openhealth.core import APPS, ActivityLabel, DeviceProfile, FieldError, GestureLabel
-from openhealth.dataio import LabelSignalModel, SyntheticActivityModel, generate_synthetic
+from openhealth.dataio import LabelSignalModel, generate_synthetic
 from openhealth.firmware import EnergySettings
 from openhealth.netproto import ChannelModel, RetryPolicy
 
@@ -24,7 +24,6 @@ def reference_raw():
 
 def test_reference_config_loads():
     config = load_config(REFERENCE)
-    assert config.profile.cpu_mhz == 47
     assert config.pipeline.window == 128
     assert set(config.synthetic) == {"har", "gesture"}
     assert config.scenario is not None
@@ -88,13 +87,6 @@ def test_harvest_profile_needs_24_slots():
         parse_config(raw)
 
 
-def test_local_processing_cannot_be_disabled():
-    raw = reference_raw()
-    raw["scenario"]["local_processing"] = False
-    with pytest.raises(ConfigError, match="local_processing"):
-        parse_config(raw)
-
-
 def test_device_falls_back_to_synthetic_schedule():
     raw = reference_raw()
     del raw["scenario"]["devices"][0]["schedule"]
@@ -145,6 +137,7 @@ MALFORMED = [
     ([(("devicez",), {})], ["devicez: unknown key"]),
     ([(("train",), [])], ["train: expected an object"]),
     ([(("device_profile", "cpu_ghz"), 1)], ["device_profile.cpu_ghz: unknown key"]),
+    ([(("device_profile", "cpu_mhz"), 47)], ["device_profile.cpu_mhz: unknown key"]),
     ([(("device_profile", "sram_bytes"), "20K")], ["device_profile.sram_bytes: expected a number, got str"]),
     ([(("device_profile", "flash_bytes"), 1.5)], ["device_profile.flash_bytes: expected an integer"]),
     ([(("device_profile", "p_sleep_mw"), 0)], ["device_profile.p_sleep_mw: must be >= 1e-09"]),
@@ -224,17 +217,20 @@ MALFORMED = [
     ),
     ([(("energy", "harvest_profile_mw"), [1.0] * 23)], ["energy.harvest_profile_mw: expected 24 nonnegative numbers"]),
     ([(("energy", "harvest_profile_mw", 3), -1.0)], ["energy.harvest_profile_mw: expected 24 nonnegative numbers"]),
+    ([(("energy", "harvest_profile_mw"), None)], ["energy.harvest_profile_mw: expected 24 nonnegative numbers"]),
     ([(("channel", "jitter_ms"), 5)], ["channel.jitter_ms: unknown key"]),
     ([(("channel", "latency_ms"), "20")], ["channel.latency_ms: expected a nonnegative integer or [lo, hi] range"]),
     ([(("channel", "latency_ms"), [40, 10])], ["channel.latency_ms: expected a nonnegative integer or [lo, hi] range"]),
     ([(("channel", "latency_ms"), [0, 2**64])], ["channel.latency_ms: must be <= 9223372036854775807"]),
     ([(("channel", "latency_ms"), 2**63)], ["channel.latency_ms: must be <= 9223372036854775807"]),
+    ([(("channel", "latency_ms"), None)], ["channel.latency_ms: expected a nonnegative integer or [lo, hi] range"]),
     ([(("channel", "loss_probability"), 2.0)], ["channel.loss_probability: must be <= 1.0"]),
     ([(("channel", "corruption_probability"), 1.0)], ["channel.corruption_probability: must be <= 0.999"]),
     ([(("protocol", "cipher"), "aes")], ["protocol.cipher: unknown key"]),
     ([(("protocol", "key_hex"), 16)], ["protocol.key_hex: expected a hex string"]),
     ([(("protocol", "key_hex"), "zz")], ["protocol.key_hex: not valid hex"]),
     ([(("protocol", "key_hex"), "deadbeef")], ["protocol.key_hex: must encode exactly 16 bytes"]),
+    ([(("protocol", "key_hex"), None)], ["protocol.key_hex: expected a hex string"]),
     ([(("protocol", "retry"), 3)], ["protocol.retry: expected an object"]),
     ([(("protocol", "retry", "backoff"), 2)], ["protocol.retry.backoff: unknown key"]),
     ([(("protocol", "retry", "max_attempts"), 0)], ["protocol.retry.max_attempts: must be >= 1"]),
@@ -246,14 +242,7 @@ MALFORMED = [
     ([(("scenario", "alert_labels"), "Jump")], ["scenario.alert_labels: expected a list of label names"]),
     ([(("scenario", "duration_ms"), 0)], ["scenario.duration_ms: must be >= 1"]),
     ([(("scenario", "tx_bitrate_kbps"), 0)], ["scenario.tx_bitrate_kbps: must be >= 1e-09"]),
-    (
-        [(("scenario", "local_processing"), False)],
-        [
-            "scenario.local_processing: raw-sample streaming is not supported; "
-            "only processed observations leave the device"
-        ],
-    ),
-    ([(("scenario", "local_processing"), "yes")], ["scenario.local_processing: expected true/false"]),
+    ([(("scenario", "local_processing"), True)], ["scenario.local_processing: unknown key"]),
     ([(("scenario", "devices"), [])], ["scenario.devices: expected a non-empty device list"]),
     ([(("scenario", "devices", 1), "dev2")], ["scenario.devices[1]: expected an object"]),
     ([(_DEV + ("name",), "wrist")], ["scenario.devices[0].name: unknown key"]),
@@ -305,7 +294,7 @@ def test_minimal_document_yields_documented_defaults():
     """Every default that docs/formats/config.md lists, from an almost empty document."""
     config = parse_config({"scenario": {"devices": [{"schedule": [["Walk", 1000]]}]}})
     p = config.profile
-    assert (p.cpu_mhz, p.sram_bytes, p.flash_bytes) == (47, 20480, 131072)
+    assert (p.sram_bytes, p.flash_bytes) == (20480, 131072)
     assert (p.p_active_har_mw, p.p_active_gesture_mw, p.p_sleep_mw, p.p_tx_mw) == (12.5, 10.0, 0.3, 15.0)
     assert p.sample_rate_hz == 100
     assert (config.pipeline.window, config.pipeline.overlap) == (128, 0.5)
@@ -380,15 +369,31 @@ def test_values_that_crash_later_are_config_errors(edits, expected):
     assert sorted(exc.value.errors) == expected
 
 
+_WALK_1HZ = LabelSignalModel(orientation=(0, 0, 1), freq_hz=1.0, amp_g=0.2)
+_SIT_STRETCH = LabelSignalModel(orientation=(0, 1, 0), stretch_base=0.7)
+
 # Direct construction enforces the parser's ranges, with the parser's reasons.
 CONSTRUCTED = [
-    (DeviceProfile, "cpu_mhz", 1e-10, "must be >= 1e-09"),
+    (DeviceProfile, "p_active_har_mw", 1e-10, "must be >= 1e-09"),
     (DeviceProfile, "sample_rate_hz", math.nan, "expected a finite number"),
     (DeviceProfile, "sram_bytes", 1.5, "expected an integer"),
     (TrainConfig, "seed", -1, "must be >= 0"),
     (TrainConfig, "split_fraction", 0.995, "must be <= 0.99"),
     (PipelineSettings, "window", 0, "must be >= 16"),
     (SyntheticSpec, "repeat", 0, "must be >= 1"),
+    (SyntheticSpec, "signals", {}, "synthetic model needs at least one label"),
+    (
+        SyntheticSpec,
+        "signals",
+        {ActivityLabel.Walk: _WALK_1HZ, ActivityLabel.Jump: _WALK_1HZ},
+        "labels Walk and Jump share signal signature (1.0, 0.2, (0.0, 0.0, 1.0))",
+    ),
+    (
+        SyntheticSpec,
+        "signals",
+        {ActivityLabel.Walk: _WALK_1HZ, ActivityLabel.Sit: _SIT_STRETCH},
+        "stretch channel must be present for all labels or none",
+    ),
     (LabelSignalModel, "noise_sigma", -1.0, "must be >= 0.0"),
     (RetryPolicy, "max_attempts", 0, "must be >= 1"),
     (ProtocolSettings, "key", b"abc", "must encode exactly 16 bytes"),
@@ -421,7 +426,7 @@ REQUIRED = {SyntheticSpec: {"app": "har", "signals": {}, "schedule": ()}}
 )
 def test_direct_construction_enforces_parser_ranges(cls, name, value, reason):
     with pytest.raises(FieldError) as exc:
-        cls(**REQUIRED.get(cls, {}), **{name: value})
+        cls(**{**REQUIRED.get(cls, {}), name: value})
     assert (exc.value.field, exc.value.reason) == (name, reason)
 
 
@@ -444,8 +449,8 @@ def test_direct_construction_stores_the_rule_value(cls, name, value, want):
 
 def test_signal_model_built_with_a_list_orientation_synthesizes():
     walk = LabelSignalModel(orientation=[0, 0, 1], freq_hz=1.0)
-    model = SyntheticActivityModel({ActivityLabel.Walk: walk})  # hashes each signature
-    assert (generate_synthetic(model, [(ActivityLabel.Walk, 1000)], 100.0).codes == ActivityLabel.Walk.value).all()
+    spec = SyntheticSpec("har", {ActivityLabel.Walk: walk}, ((ActivityLabel.Walk, 1000),))  # hashes each signature
+    assert (generate_synthetic(spec.signals, spec.full_schedule(), 100.0, 0).codes == ActivityLabel.Walk.value).all()
 
 
 WALK_1S = ((ActivityLabel.Walk, 1000),)

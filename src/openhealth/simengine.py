@@ -12,10 +12,12 @@ the window that starts at t ms draws from block counter (0, t, 0, 0) on, so
 each window owns 2^64 blocks and its samples depend only on (seed, device,
 t). A device synthesizes the windows it expects next ahead of time, in
 batches, but each from its own reset stream, so neither the batch size nor a
-wrong guess can change a sample. Its channel draws every fate of the device's
-frames, and of the host's ACKs to it, in the shard's send order from a
-generator seeded by the same (seed, device id) under spawn key
-CHANNEL_STREAM, which keeps it apart from the noise key.
+wrong guess can change a sample; without a model it draws a one-block window's
+first PREFIX samples, and the rest only where those show no motion. Its
+channel draws every fate of the device's frames, and of the host's ACKs to
+it, in the shard's send order from a generator seeded by the same (seed,
+device id) under spawn key CHANNEL_STREAM, which keeps it apart from the
+noise key.
 
 Trace lines are UTF-8 and tab-separated, ``t_ms kind entity detail...``,
 after a first line that gives the trace version; TRACE_LINES is their
@@ -25,6 +27,9 @@ the full frame hex, the channel byte log for privacy and nonce audits.
 A device books all its energy, state dwell and transmit bursts alike,
 through ``firmware.account_energy``. Its cycle moves only through
 ``firmware.step_state_machine``, except that an empty battery forces sleep.
+A wake runs cycle after cycle in one callback until a queued entry falls due
+before a dwell ends (SimDevice._run_cycle); each dwell is still booked, and
+each step taken, at its own time.
 """
 
 from __future__ import annotations
@@ -89,6 +94,9 @@ MIN_RADIO_MS = 1
 # motion flag and label, not its samples: a batch's 230 KB (32 windows of 128 x 7
 # float64) lives only until it is labelled.
 WINDOWS_AHEAD_MAX = 32
+# The samples of a one-block window that a device without a model draws first (SimDevice._window): 4 left 604
+# of device 1's 31,280 seed-0 reference-week windows undecided, and 42 more span blocks. PipelineSettings holds W >= 16.
+PREFIX = 4
 DAY_MS = SLOT_MS * SLOTS_PER_DAY
 # The spawn key of a device's channel stream; its noise key is the root of the same (seed, device id).
 CHANNEL_STREAM = 1
@@ -113,6 +121,7 @@ class Simulator:
     def __init__(self, seed: int, out: TextIO | None = None):
         self.seed = seed
         self.now = 0
+        self.until_ms = 0  # the end of the run in progress; advance_to moves the clock only within it
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._tie = 0
         self.lines: list[str] = []  # the emitted lines, less those spooled to the text file out if there is one
@@ -135,11 +144,21 @@ class Simulator:
         self.lines.clear()
 
     def run(self, until_ms: int) -> None:
+        self.until_ms = until_ms
         while self._heap and self._heap[0][0] <= until_ms:
             t, _, fn = heapq.heappop(self._heap)
             self.now = t
             fn()
         self.now = until_ms
+
+    def advance_to(self, t_ms: int) -> bool:
+        """Move the clock to t_ms, as an entry scheduled now for t_ms would when it ran, if t_ms is
+        within the run and no queued entry is due at or before it (one due at t_ms was queued
+        first, so it runs first). Returns whether it moved."""
+        if t_ms > self.until_ms or (self._heap and self._heap[0][0] <= t_ms):
+            return False
+        self.now = t_ms
+        return True
 
 
 class SimChannel:
@@ -244,8 +263,6 @@ class SimDevice:
         key = np.random.SeedSequence([sim.seed, spec.device_id]).generate_state(2, np.uint64)
         self.noise = np.random.Generator(np.random.Philox(key=key))
         self.noise_reset = self.noise.bit_generator.state
-        # The oracle reads only the label counts, so it needs accel alone for motion.
-        self.window_columns = 3 if model is None else self.channels
         self.ahead: dict[int, tuple[bool, tuple[Label, float] | None]] = {}  # see _window
         self.ahead_next: int | None = None  # the start that would follow the last batch
 
@@ -342,7 +359,7 @@ class SimDevice:
             (i, j, self.blocks[min(int(keys[i]), last)][2]) for i, j in zip(bounds[:-1], bounds[1:])
         ]
 
-    def _window_samples(self, starts: list[int], columns: int | None = None):
+    def _window_samples(self, starts: list[int], columns: int | None = None, samples: int | None = None):
         """Synthesize together the W-sample windows beginning at starts.
 
         Each window's noise is the device's Philox stream from block counter
@@ -351,25 +368,28 @@ class SimDevice:
         waveform and clipping then run once over the batch. A batch of more
         than one window must lie inside the block that holds starts[0]; a
         window that spans blocks comes alone. A one-block batch synthesizes
-        only the first `columns` channels (all by default); a spanning window
+        only the first `columns` channels (all by default) of the first
+        `samples` samples (all W by default): its draws are in sample order, so
+        those are the whole window's, bit for bit. A spanning window
         synthesizes every channel, block run by block run in time order, so
         each run's draws follow the last run's, then keeps the first `columns`.
-        Returns the (k, W, columns) samples and the per-code label counts
-        majority_label takes, which every window of the batch shares.
+        Returns the (k, samples or W, columns) samples and the per-code label
+        counts of the whole windows, which every window of the batch shares.
         """
         columns = columns or self.channels
+        n = samples or self.window
         runs = self._block_runs(starts[0] + self.sample_offsets_ms)
         width = columns if len(runs) == 1 else self.channels
-        z = np.empty((len(starts), self.window * width))
+        z = np.empty((len(starts), n * width))
         reset, bit_generator = self.noise_reset, self.noise.bit_generator
         for start_ms, draws in zip(starts, z):
             reset["state"]["counter"][1] = start_ms
             bit_generator.state = reset
             self.noise.standard_normal(out=draws)
-        t_s = (np.array(starts)[:, None] + self.sample_offsets_ms) / 1000.0
-        matrix = np.empty((len(starts), self.window, width))
+        t_s = (np.array(starts)[:, None] + self.sample_offsets_ms[:n]) / 1000.0
+        matrix = np.empty((len(starts), n, width))
         counts = [0] * (len(self.label_set) + 1)
-        for i, j, label in runs:
+        for i, j, label in runs:  # a prefix's one run, (0, W), slices to its n samples
             synthesize_signal(self.signals[label], t_s[:, i:j], z[:, i * width : j * width], matrix[:, i:j])
             counts[label.value] += j - i
         return matrix[..., :columns], counts
@@ -385,7 +405,9 @@ class SimDevice:
         otherwise, so a short wake wastes little; a batch predicts no start
         past its block, since the next block may be still. The windows of a
         batch share their label counts, so the oracle labels the batch once;
-        the model classifies it in one _classify call; a lone still window read with labelled false gets None."""
+        the model classifies it in one _classify call; a lone still window read with labelled false gets None.
+        The oracle reads only the label counts, so it draws accel alone, and of a one-block batch each window's
+        first PREFIX samples: motion there is motion in the window, so only the rest are drawn whole."""
         window = self.ahead.get(start_ms)
         if window is not None and (window[1] is not None or not labelled):
             return window
@@ -399,9 +421,15 @@ class SimDevice:
         while len(starts) < n and following + last_ms < end:
             starts.append(following)
             following = self._next_start(following, self.window_index + len(starts) - 1)
-        matrix, counts = self._window_samples(starts, self.window_columns)
-        moving = motion_detector(matrix).tolist()
-        labels = ([self._oracle(counts)] * len(starts) if self.model is None
+        oracle = self.model is None
+        prefix = PREFIX if oracle and start_ms + last_ms < end else None  # one block: its draws are in sample order
+        matrix, counts = self._window_samples(starts, 3 if oracle else None, prefix)
+        moving = motion_detector(matrix)
+        if prefix and not moving.all():
+            undecided = [start for start, flag in zip(starts, moving) if not flag]
+            moving[~moving] = motion_detector(self._window_samples(undecided, 3)[0])
+        moving = moving.tolist()
+        labels = ([self._oracle(counts)] * len(starts) if oracle
                   else [None] if not labelled and moving == [False] else self._classify(matrix))
         self.ahead = dict(zip(starts, zip(moving, labels)))
         self.ahead_next = following if following + last_ms < end else None
@@ -510,19 +538,24 @@ class SimDevice:
         self.state = step_state_machine(self.state, event)
         return self.cycle_gen, self.state
 
-    def _end_dwell_after(
-        self, dwell_ms: int, entered: tuple[int, PowerState], action: Callable[[], None]
-    ) -> None:
-        """After dwell_ms, book the dwell and run action, unless by then the
-        device left the state entered (a forced sleep) or its battery is empty."""
-        def end() -> None:
-            if (self.cycle_gen, self.state) != entered:
+    def _run_cycle(self, dwell: tuple | None) -> None:
+        """Run the cycle on from dwell = (dwell_ms, entered, step): at each dwell's end, _dwell_end takes
+        its step, which returns the next dwell, or None where the cycle stops. While no queued entry is
+        due first, the clock moves to a dwell's end in place (Simulator.advance_to); else the end is queued."""
+        while dwell is not None:
+            dwell_ms, entered, step = dwell
+            if not self.sim.advance_to(self.sim.now + dwell_ms):
+                self.sim.schedule(self.sim.now + dwell_ms, lambda: self._run_cycle(self._dwell_end(entered, step)))
                 return
-            self._advance(self.sim.now)
-            if not self.depleted:
-                action()
+            dwell = self._dwell_end(entered, step)
 
-        self.sim.schedule(self.sim.now + dwell_ms, end)
+    def _dwell_end(self, entered: tuple[int, PowerState], step: Callable[[], tuple | None]) -> tuple | None:
+        """Book the dwell and take step, unless by then the device left the
+        state entered (a forced sleep) or its battery is empty."""
+        if (self.cycle_gen, self.state) != entered:
+            return None
+        self._advance(self.sim.now)
+        return None if self.depleted else step()
 
     def _cycle_fits(self) -> bool:
         """Whether one more full cycle ends in the scenario and in its hour slot's duty budget."""
@@ -543,21 +576,18 @@ class SimDevice:
         if not moving:
             return
         self.last_motion_ms = self.sim.now
-        entered = self._transition(DeviceEvent.MotionDetected)
-        self._end_dwell_after(self.window_ms, entered, self._window_done)
+        self._run_cycle((self.window_ms, self._transition(DeviceEvent.MotionDetected), self._window_done))
 
-    def _window_done(self) -> None:
+    def _window_done(self) -> tuple:
         moving, (label, confidence) = self._window(self.sim.now - self.window_ms)
         if moving:
             self.last_motion_ms = self.sim.now
         entered = self._transition(DeviceEvent.WindowFull)
         conf_fp = min(CONFIDENCE_SCALE, round(confidence * CONFIDENCE_SCALE))
         self.sim.emit("classify", self.name, self.window_index, label.name, conf_fp)
-        self._end_dwell_after(
-            self.scenario.inference_latency_ms, entered, lambda: self._inference_done(label, conf_fp)
-        )
+        return self.scenario.inference_latency_ms, entered, lambda: self._inference_done(label, conf_fp)
 
-    def _inference_done(self, label: Label, conf_fp: int) -> None:
+    def _inference_done(self, label: Label, conf_fp: int) -> tuple:
         entered = self._transition(DeviceEvent.InferenceDone)
         reports = self._reports(self.window_index)
         self.window_index += 1
@@ -567,15 +597,15 @@ class SimDevice:
             self.channel.send(self.name, frame, self.host)
         if label.name in self.alert_labels:
             self._trigger_alert(label)  # its burst may empty the battery and cut this cycle short
-        self._end_dwell_after(self.data_tx_ms if reports else MIN_RADIO_MS, entered, self._tx_done)
+        return self.data_tx_ms if reports else MIN_RADIO_MS, entered, self._tx_done
 
-    def _tx_done(self) -> None:
+    def _tx_done(self) -> tuple | None:
         entered = self._transition(DeviceEvent.TxDone)
         idle = self.sim.now - self.last_motion_ms >= self.scenario.idle_timeout_ms
         if idle or not self._cycle_fits():
             self._transition(DeviceEvent.IdleTimeout)
-            return
-        self._end_dwell_after(self.window_ms, entered, self._window_done)
+            return None
+        return self.window_ms, entered, self._window_done
 
     # -- frames -------------------------------------------------------------------------
 
@@ -895,7 +925,7 @@ _PARSERS = {kind: _details_parser(parsers) for kind, (_, _, parsers) in TRACE_LI
 
 
 def trace_records(lines: Iterable[str], parse: Collection[str] = TRACE_LINES) -> Iterator[tuple]:
-    """(line number, t_ms, kind, entity, details) of each line.
+    """(line number, t_ms, kind, entity, details) of each line, less its line end if it keeps one.
 
     Every line must fit its kind's row of TRACE_LINES (see _line_rule) and have
     an integer t_ms; details are what its row parses if its kind is in parse,
@@ -904,7 +934,7 @@ def trace_records(lines: Iterable[str], parse: Collection[str] = TRACE_LINES) ->
     """
     rules: dict[str, tuple[int, set[str], Callable]] = {}  # kind -> (parts in a line, entities seen, details_of)
     for lineno, line in enumerate(lines, start=1):
-        parts = line.split("\t")
+        parts = line.rstrip("\n").split("\t")
         try:
             size, entities, details_of = rules[parts[1]]
         except (IndexError, KeyError):
@@ -942,7 +972,7 @@ def _line_rule(lineno: int, parts: list[str], parse: Collection[str]) -> tuple:
     return len(parts), {entity}, _PARSERS[kind] if kind in parse else itemgetter(slice(3, None))
 
 
-def trace_observations(lines: list[str]) -> list[Observation]:
+def trace_observations(lines: Iterable[str]) -> list[Observation]:
     """Host observation log entries recovered from the trace; raises only TraceFormatError."""
     records = trace_records(lines, parse=("observation",))
     return [Observation(*details) for _, _, kind, _, details in records if kind == "observation"]
@@ -1077,8 +1107,7 @@ def replay(lines: Iterable[str], canaries: tuple[bytes, ...] = ()) -> ReplayRepo
     sim_lines = lineno = 0
     last_ms = 0
 
-    stripped = (line.rstrip("\n") for line in lines)
-    for lineno, t_ms, kind, entity, details in trace_records(stripped, parse=_REPLAY_PARSE):
+    for lineno, t_ms, kind, entity, details in trace_records(lines, parse=_REPLAY_PARSE):
         if t_ms < last_ms:
             report.failures.append(f"line {lineno}: t_ms {t_ms} before the previous line's {last_ms}")
         last_ms = t_ms

@@ -10,6 +10,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -365,13 +366,13 @@ def test_device_rejects_a_replayed_ack(acked):
     assert (kinds["frame_rx"], kinds[acked]) == (1, 1)
 
 
-def _window_device(schedule, duration_ms, rate_hz=100, seed=5, device_id=1, model=None, labels=None):
+def _window_device(schedule, duration_ms, rate_hz=100, seed=5, device_id=1, model=None, labels=None, app="har"):
     from openhealth.simengine import SimChannel, SimDevice
 
     raw = small_raw(duration_ms=duration_ms)
-    raw["synthetic_models"]["har"]["labels"].update(labels or {})
+    raw["synthetic_models"][app]["labels"].update(labels or {})
     raw["device_profile"]["sample_rate_hz"] = rate_hz
-    raw["scenario"]["devices"][0].update(id=device_id, schedule=schedule, alert_schedule=[])
+    raw["scenario"]["devices"][0].update(id=device_id, app=app, schedule=schedule, alert_schedule=[])
     config = parse_config(raw)
     sim = Simulator(seed=seed)
     channel = SimChannel(sim, config.channel, device_id)
@@ -578,8 +579,8 @@ def test_windows_synthesized_ahead_equal_the_window_drawn_alone(
     # The samples each start was last synthesized with: those its cached entry was labelled from.
     drawn, real = {}, device._window_samples
 
-    def recorded(starts, columns=None):
-        matrix, counts = real(starts, columns)
+    def recorded(starts, columns=None, samples=None):
+        matrix, counts = real(starts, columns, samples)
         drawn.update(zip(starts, matrix))
         return matrix, counts
 
@@ -588,7 +589,9 @@ def test_windows_synthesized_ahead_equal_the_window_drawn_alone(
         for start in order:
             moving, labelled = device._window(start)
             alone = expected[start]
-            assert drawn[start].tobytes() == alone.tobytes(), start
+            # The whole window, or, on the oracle, a prefix that alone shows motion.
+            assert drawn[start].tobytes() == alone[: len(drawn[start])].tobytes(), start
+            assert len(drawn[start]) == device.window or (not use_model and motion_detector(drawn[start])), start
             assert moving == motion_detector(alone), start
             if use_model:
                 assert labelled == _classified_alone(device, alone), start
@@ -604,9 +607,9 @@ def test_windows_synthesized_ahead_equal_the_window_drawn_alone(
 
 @pytest.mark.parametrize("use_model", [False, True], ids=["oracle", "model"])
 def test_each_window_start_is_synthesized_once(monkeypatch, trained_model_path, use_model):
-    """A wake's probe window is its first window: no start is drawn twice. A
-    model device featurizes each batch in one call as it draws it, so no
-    window is featurized twice either."""
+    """A wake's probe window is its first window: no start is drawn twice on
+    one path, whole or as the oracle's prefix. A model device featurizes each
+    batch in one call as it draws it, so no window is featurized twice either."""
     from openhealth import simengine
     from openhealth.simengine import SimDevice
 
@@ -614,10 +617,10 @@ def test_each_window_start_is_synthesized_once(monkeypatch, trained_model_path, 
     real = SimDevice._window_samples
     real_features = simengine.extract_feature_matrix
 
-    def counted(self, starts, columns=None):
-        drawn.update((self.name, start) for start in starts)
+    def counted(self, starts, columns=None, samples=None):
+        drawn.update((self.name, start, samples) for start in starts)
         batches.append(len(starts))
-        return real(self, starts, columns)
+        return real(self, starts, columns, samples)
 
     def counted_features(windows):
         featurized.append(len(windows))
@@ -633,23 +636,34 @@ def test_each_window_start_is_synthesized_once(monkeypatch, trained_model_path, 
     assert classified > 50
     assert max(drawn.values()) == 1
     assert max(batches) > 1  # windows were synthesized ahead
-    assert classified <= len(drawn) < 1.25 * classified
+    starts = {(name, start) for name, start, _ in drawn}
+    assert classified <= len(starts) < 1.25 * classified
+    prefixed = sum(samples == simengine.PREFIX for _, _, samples in drawn)
     assert featurized == (batches if use_model else [])
+    redrawn = len(drawn) - len(starts)  # the oracle's undecided windows, drawn whole after their prefix
+    assert (prefixed, redrawn) == (0, 0) if use_model else 0 < redrawn < prefixed / 4
 
 
 def _count_batches(monkeypatch, raw):
-    """Run raw with seed 11; returns the trace and the size of each batch passed to _window_samples."""
-    from openhealth.simengine import SimDevice
+    """Run raw with seed 11; returns the trace, the size of each batch that a
+    window miss passed to _window_samples (drawn whole, or each window's prefix
+    on the oracle) and the size of each batch of a prefix's undecided windows,
+    drawn whole after it."""
+    from openhealth.simengine import PREFIX, SimDevice
 
-    batches = []
+    batches, undecided, prefixed = [], [], {}
     real = SimDevice._window_samples
 
-    def counted(self, starts, columns=None):
-        batches.append(len(starts))
-        return real(self, starts, columns)
+    def counted(self, starts, columns=None, samples=None):
+        if samples is None and set(starts) <= prefixed.get(self.name, set()):
+            undecided.append(len(starts))
+        else:
+            batches.append(len(starts))
+        prefixed[self.name] = set(starts) if samples == PREFIX else set()
+        return real(self, starts, columns, samples)
 
     monkeypatch.setattr(SimDevice, "_window_samples", counted)
-    return run_scenario(parse_config(raw), seed=11), batches
+    return run_scenario(parse_config(raw), seed=11), batches, undecided
 
 
 def _motion_raw(**scenario_overrides):
@@ -666,10 +680,12 @@ def test_next_window_start_is_predicted_exactly(monkeypatch, make_raw):
     no start past its own block; the look-ahead must follow both, so every
     window synthesized is classified. At 2 kbps a data frame is on the air
     ~150 ms, so a cycle that reports is that much longer."""
-    trace, batches = _count_batches(monkeypatch, make_raw(tx_bitrate_kbps=2, report_every_n_windows=3))
+    trace, batches, undecided = _count_batches(monkeypatch, make_raw(tx_bitrate_kbps=2, report_every_n_windows=3))
     classified = sum(line.split("\t")[1] == "classify" for line in trace.lines)
     assert classified > 50 and max(batches) > 1
     assert sum(batches) == classified
+    # Unbroken motion shows in every prefix; the still blocks' windows are drawn whole too.
+    assert bool(undecided) == (make_raw is small_raw)
 
 
 def test_oracle_labels_each_batch_once(monkeypatch):
@@ -683,9 +699,120 @@ def test_oracle_labels_each_batch_once(monkeypatch):
         return real(counts, label_set)
 
     monkeypatch.setattr(simengine, "majority_label", counted)
-    trace, batches = _count_batches(monkeypatch, _motion_raw())
+    trace, batches, _ = _count_batches(monkeypatch, _motion_raw())
     assert max(batches) > 1
     assert len(calls) == len(batches) < sum(line.split("\t")[1] == "classify" for line in trace.lines)
+
+
+# Moving and still labels of both apps; the scenario ends at 10 s. A still pose
+# with noise_sigma 0.02 (har's Sit, gesture's Up) crosses the 0.05 g motion
+# threshold in most whole windows but in few 4-sample prefixes.
+ORACLE_SCHEDULES = {
+    "har": [["Walk", 3_000], ["Sit", 2_000], ["Jump", 700], ["LieDown", 1_300], ["Drive", 2_000]],
+    "gesture": [["Up", 2_000], ["Left", 1_500], ["Down", 700], ["Right", 1_800], ["Up", 4_000]],
+}
+NOISY_STILL = {
+    "har": {"Sit": {"orientation": [0.35, 0.1, 0.93], "freq_hz": 0.0, "amp_g": 0.0, "noise_sigma": 0.02,
+                    "stretch_base": 0.72, "stretch_amp": 0.0}},
+    "gesture": {"Up": {"orientation": [0.0, 0.3, 0.95], "freq_hz": 0.0, "amp_g": 0.0, "noise_sigma": 0.02,
+                       "stretch_base": None, "stretch_amp": 0.0}},
+}
+
+
+@hypothesis_seed(20261020)
+@settings(max_examples=30, deadline=None)
+@given(
+    app=st.sampled_from(["har", "gesture"]),
+    rate_hz=st.sampled_from([100, 30, 2_000, 10]),  # 2 kHz: a 64 ms window; 10 Hz: 12.8 s, past every block
+    origin=st.integers(0, 10_000),
+    steps=st.integers(1, 12),
+    data=st.data(),
+)
+def test_an_oracle_flag_is_motion_anywhere_in_the_whole_window(app, rate_hz, origin, steps, data):
+    """Along the predicted grid (batches of prefixes), across block ends and at
+    the scenario end, the flag is motion_detector's over the whole window drawn
+    alone, and a one-block window's prefix is its first PREFIX samples."""
+    from openhealth.simengine import PREFIX
+
+    schedule = ORACLE_SCHEDULES[app]
+    device = _window_device(schedule, 10_000, rate_hz, labels=NOISY_STILL[app], app=app)
+    block_ends = np.cumsum([ms for _, ms in schedule]).tolist()
+    spanning = st.builds(lambda end, back: max(0, end - back), st.sampled_from(block_ends), st.integers(1, device.window_ms))
+    requests = [origin + k * device.cycle_ms for k in range(steps)]
+    requests += data.draw(st.lists(spanning, max_size=4)) + data.draw(st.lists(st.integers(9_000, 10_500), max_size=3))
+    for start in data.draw(st.permutations(requests)) if data.draw(st.booleans()) else requests:
+        moving, _ = device._window(start)
+        alone = _window_drawn_alone(device, start, 3)
+        assert moving == motion_detector(alone), start
+        if len(device._block_runs(start + device.sample_offsets_ms)) == 1:
+            assert device._window_samples([start], 3, PREFIX)[0][0].tobytes() == alone[:PREFIX].tobytes(), start
+
+
+def test_advance_to_moves_the_clock_only_within_the_run_and_before_every_queued_entry():
+    sim, ran = Simulator(seed=0), []
+
+    def first():
+        ran.append(sim.now)
+        assert not sim.advance_to(150)  # an entry due at 150 was queued first
+        assert sim.advance_to(149) and sim.now == 149
+
+    def second():
+        ran.append(sim.now)
+        assert not sim.advance_to(1_001) and sim.now == 150  # past the run
+        assert sim.advance_to(1_000) and sim.now == 1_000
+
+    sim.schedule(100, first)
+    sim.schedule(150, second)
+    sim.run(1_000)
+    assert ran == [100, 150]
+
+
+def _queued_only(monkeypatch):
+    """Make every dwell end a queued entry, as before runs of cycles."""
+    monkeypatch.setattr(Simulator, "advance_to", lambda self, t_ms: False)
+
+
+def test_a_run_of_cycles_stops_before_an_entry_due_at_its_dwell_end(monkeypatch):
+    """An alert due when a window's dwell ends was queued first, so it is sent
+    before that window is classified, as on the queued path. The window is
+    mid-run: no frame of the run's last report is still on its way."""
+    raw = _motion_raw(report_every_n_windows=15)
+    raw["scenario"]["devices"][0]["alert_schedule"] = []
+    classified = [line.split("\t") for line in run_scenario(parse_config(raw), 11).lines if "\tclassify\t" in line]
+    due_ms = int(next(parts[0] for parts in classified if int(parts[3]) % 15 == 7 and int(parts[0]) > 30_000))
+    raw["scenario"]["devices"][0]["alert_schedule"] = [[due_ms, "Jump"]]
+    lines = run_scenario(parse_config(raw), 11).lines
+    at_due = [line.split("\t")[1] for line in lines if line.startswith(f"{due_ms}\t")]
+    assert at_due[0] == "alert_sent" and "classify" in at_due
+    _queued_only(monkeypatch)
+    assert run_scenario(parse_config(raw), 11).lines == lines
+
+
+def test_a_battery_that_empties_mid_run_ends_it_as_the_queued_path_does(monkeypatch):
+    """Unbroken motion on 0.01 mWh and no harvest: a dwell that the clock moved
+    to in place empties the battery, which ends the run there."""
+    raw = _motion_raw(report_every_n_windows=15)
+    raw["scenario"]["devices"][0]["alert_schedule"] = []
+    raw["energy"].update(battery_initial_mwh=0.01, harvest_profile_mw=[0.0] * 24)
+    moved = []
+    real = Simulator.advance_to
+    monkeypatch.setattr(Simulator, "advance_to", lambda self, t_ms: real(self, t_ms) and not moved.append(t_ms))
+    lines = run_scenario(parse_config(raw), 11).lines
+    kinds = [line.split("\t")[1] for line in lines]
+    depleted_ms = int(lines[kinds.index("battery_depleted")].split("\t")[0])
+    assert depleted_ms in moved and kinds.count("classify") == 2
+    assert "classify" not in kinds[kinds.index("battery_depleted"):]
+    _queued_only(monkeypatch)
+    assert run_scenario(parse_config(raw), 11).lines == lines
+
+
+def test_a_scenario_schedules_fewer_events_than_it_classifies_windows(monkeypatch):
+    scheduled = []
+    real = Simulator.schedule
+    monkeypatch.setattr(Simulator, "schedule", lambda self, t_ms, fn: scheduled.append(t_ms) or real(self, t_ms, fn))
+    trace = run_scenario(small_config(report_every_n_windows=15), seed=11)  # one device: its shard runs here
+    classified = sum(line.split("\t")[1] == "classify" for line in trace.lines)
+    assert 0 < len(scheduled) < classified
 
 
 def test_sync_times_out_after_three_attempts():
@@ -865,6 +992,18 @@ def test_replay_reads_any_iterable_of_lines_once(fixture_traces, tmp_path):
     assert [replay(lines).warnings for lines in ([], no_events)] == [
         ["empty trace: vacuous pass"], ["trace has no events: vacuous pass"]
     ]
+
+
+def test_metrics_and_observations_read_an_open_trace_file(fixture_traces, tmp_path):
+    """Lines that keep their line ends, as an open trace file yields them, give the
+    metrics and observations of the list, for each fixture trace and the event-less one."""
+    no_events = [f"0\ttrace_version\tsim\t{TRACE_VERSION}", "0\tscenario\tsim\t1000\t0\t0", "1000\tscenario_end\tsim"]
+    path = tmp_path / "t.trace"
+    for lines in [trace.lines for trace in fixture_traces] + [no_events]:
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        for reader in (trace_metrics, trace_observations):
+            with open(path, encoding="utf-8") as f:
+                assert reader(f) == reader(lines)
 
 
 def test_the_last_energy_line_at_a_day_boundary_counts():
@@ -1666,7 +1805,8 @@ _HAR_LABELS = ["Walk", "Sit", "Jump", "LieDown", "Stand", "Drive"]
 
 @st.composite
 def shard_configs(draw):
-    """1-3 oracle devices for 1-10 minutes on a lossy, corrupting link with a latency range."""
+    """1-3 oracle devices for 1-10 minutes on a lossy, corrupting link with a latency range.
+    Each must give the same bytes when every dwell end is a queued entry."""
     duration_ms = draw(st.integers(1, 10)) * 60_000
     raw = small_raw(duration_ms=duration_ms, alert_labels=draw(st.sampled_from([[], ["Jump"]])))
     low = draw(st.integers(1, 50))
@@ -1717,7 +1857,10 @@ def test_a_device_shard_is_the_same_alone_beside_others_and_renumbered(raw, seed
         return _body(dict(raw, scenario=dict(raw["scenario"], devices=[device])), seed)
 
     shards = [alone(device) for device in devices]
-    assert _body(raw, seed) == _merged_as_heard_by(shards, ids)
+    body = _body(raw, seed)
+    assert body == _merged_as_heard_by(shards, ids)
+    with patch.object(Simulator, "advance_to", lambda self, t_ms: False):  # every dwell end a queued entry
+        assert _body(raw, seed) == body
     # Renumber every device but one; the one kept gives the same shard.
     kept = data.draw(st.integers(0, len(devices) - 1))
     free = st.integers(1, 12).filter(lambda i: i != ids[kept])

@@ -19,11 +19,11 @@ import numpy as np
 
 from .core import (
     ACCEL_CHANNELS,
+    APPS,
     COUNT,
     GYRO_CHANNELS,
     STRETCH_CHANNEL,
     check_fields,
-    label_set_for,
     num,
 )
 from .pipeline import (
@@ -140,11 +140,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for an (n, D) batch of normalized features: one
-    row per input row, each summing to 1."""
+    """Class probabilities for an (n, D) batch of normalized features, D the model's input size
+    (check_fit holds it, and matmul refuses another): one row per input row, each summing to 1."""
     x = np.asarray(x, dtype=float)
-    if x.shape[1] != model.w1.shape[0]:
-        raise ValueError(f"input dimension {x.shape[1]} != model dimension {model.w1.shape[0]}")
     hidden = np.maximum(x @ model.w1 + model.b1, 0.0)
     return _softmax(hidden @ model.w2 + model.b2)
 
@@ -501,7 +499,7 @@ def check_fit(model: MlpModel, channels: int, app: str) -> None:
     and carry the training set's feature stats (one window cannot be
     normalized by its own)."""
     d, _, c = model.layer_sizes
-    labels = len(label_set_for(app))
+    labels = len(APPS[app])
     if d != channels * FEATURES_PER_CHANNEL:
         raise ModelFitError(f"model input {d} != {channels} channels x {FEATURES_PER_CHANNEL} features")
     if c != labels:

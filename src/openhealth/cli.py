@@ -29,7 +29,7 @@ from .classifier import (
     train,
 )
 from .config import Config, ConfigError, load_config
-from .core import ALL_CHANNELS, APPS, ActivityLabel, label_set_for
+from .core import ALL_CHANNELS, APPS, ActivityLabel
 from .dataio import (
     DatasetFormatError,
     channel_count,
@@ -104,7 +104,7 @@ def _scan(path: str, config: Config) -> Windows:
 
 def _labeled_features(windows: Windows, app: str):
     """Features and label codes of the windows that have a label."""
-    if windows.label_set not in (None, label_set_for(app)):
+    if windows.label_set not in (None, APPS[app]):
         raise CliError(
             f"dataset labels do not belong to the {app!r} label set", EXIT_DATA
         )
@@ -141,7 +141,7 @@ def cmd_train(args) -> int:
             f"train.split_fraction {config.train.split_fraction} leaves no training windows of {len(labels)}", EXIT_DATA
         )
     x_train, stats = normalize_features(feats[train_idx])
-    label_set = label_set_for(args.app)
+    label_set = APPS[args.app]
     layer_sizes = (feats.shape[1], config.train.hidden, len(label_set))
     model = init_model(layer_sizes, seed=seed)
     model.stats = stats
@@ -188,7 +188,7 @@ def cmd_eval(args) -> int:
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
     feats, labels = _labeled_features(windows, app)
     normed, _ = normalize_features(feats, model.stats)
-    report = evaluate(model, normed, labels, label_set_for(app))
+    report = evaluate(model, normed, labels, APPS[app])
     print(render_report(report), end="")
 
     json_path = args.json or (str(Path(args.data).with_suffix("")) + "_report.json")

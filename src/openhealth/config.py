@@ -18,10 +18,11 @@ from typing import Any, Sequence
 
 from .classifier import TrainConfig
 from .core import APPS, COUNT, MAX_MS, POSITIVE, DeviceProfile, FieldError, Label, Rule, check_fields, is_int
-from .core import label_set_for, num, parse_label
+from .core import num, parse_label
 from .dataio import LabelSignalModel
 from .firmware import EnergySettings
 from .netproto import KEY_LEN, ChannelModel, RetryPolicy
+from .pipeline import MIN_WINDOW
 
 
 class ConfigError(ValueError):
@@ -37,39 +38,10 @@ class PipelineSettings:
     window: int = 128
     overlap: float = 0.5
 
-    RULES = {"window": num(lo=16, integer=True), "overlap": num(lo=0.0, hi=0.999)}
+    RULES = {"window": num(lo=MIN_WINDOW, integer=True), "overlap": num(lo=0.0, hi=0.999)}
 
     def __post_init__(self) -> None:
         check_fields(self)
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Per-app synthetic corpus description: label models plus a schedule. Rule across labels: there
-    is at least one, no two share a signal signature, and stretch is on all or none, else FieldError
-    at signals."""
-
-    app: str
-    signals: dict[Label, LabelSignalModel]
-    schedule: tuple[tuple[Label, int], ...]
-    repeat: int = 1
-
-    RULES = {"repeat": COUNT}
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if not self.signals:
-            raise FieldError("signals", "synthetic model needs at least one label")
-        seen: dict[tuple, Label] = {}
-        for label, sig in self.signals.items():
-            if (key := sig.signature()) in seen:
-                raise FieldError("signals", f"labels {seen[key].name} and {label.name} share signal signature {key}")
-            seen[key] = label
-        if len({sig.stretch_base is None for sig in self.signals.values()}) > 1:
-            raise FieldError("signals", "stretch channel must be present for all labels or none")
-
-    def full_schedule(self) -> list[tuple[Label, int]]:
-        return list(self.schedule) * self.repeat
 
 
 def _key(v):
@@ -144,6 +116,60 @@ def _alert_ms(v):
 UNKNOWN_LABEL = "unknown label {!r} for this application"
 
 
+def _check_schedule(app: str, key: str, rule: Rule, entries) -> None:
+    """FieldError at key[j] for the first (label, value) entry j whose value breaks rule or whose
+    label is not one of app's: the rule of a schedule, DeviceSpec's or SyntheticSpec's."""
+    for j, (label, value) in enumerate(entries):
+        try:
+            rule(value)
+            if not isinstance(label, APPS[app]):
+                raise ValueError(UNKNOWN_LABEL.format(getattr(label, "name", label)))
+        except ValueError as exc:
+            raise FieldError(f"{key}[{j}]", str(exc)) from None
+
+
+def _unmodeled(schedule, signals: dict[Label, LabelSignalModel]) -> str | None:
+    """Why a schedule cannot be synthesized from signals, or None if it can."""
+    missing = sorted({label.name for label, _ in schedule if label not in signals})
+    return f"labels without signal models: {missing}" if missing else None
+
+
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """Per-app synthetic corpus description: label models plus a schedule. Rules across fields: there
+    is at least one label, each one of the app's, no two share a signal signature, and stretch is on
+    all or none, else FieldError at signals; each schedule block lasts > 0 ms and names a label of the
+    app, as a DeviceSpec's does, else FieldError at schedule[j]; each has a signal model, else
+    FieldError at schedule."""
+
+    app: str
+    signals: dict[Label, LabelSignalModel]
+    schedule: tuple[tuple[Label, int], ...]
+    repeat: int = 1
+
+    RULES = {"app": _app, "schedule": _schedule, "repeat": COUNT}
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if not self.signals:
+            raise FieldError("signals", "synthetic model needs at least one label")
+        seen: dict[tuple, Label] = {}
+        for label, sig in self.signals.items():
+            if not isinstance(label, APPS[self.app]):
+                raise FieldError("signals", UNKNOWN_LABEL.format(label.name))
+            if (key := sig.signature()) in seen:
+                raise FieldError("signals", f"labels {seen[key].name} and {label.name} share signal signature {key}")
+            seen[key] = label
+        if len({sig.stretch_base is None for sig in self.signals.values()}) > 1:
+            raise FieldError("signals", "stretch channel must be present for all labels or none")
+        _check_schedule(self.app, "schedule", _block_ms, self.schedule)
+        if reason := _unmodeled(self.schedule, self.signals):
+            raise FieldError("schedule", reason)
+
+    def full_schedule(self) -> list[tuple[Label, int]]:
+        return list(self.schedule) * self.repeat
+
+
 @dataclass(frozen=True)
 class DeviceSpec:
     """A simulated device. Rule across fields: each label is one of its app's, else FieldError at
@@ -164,15 +190,8 @@ class DeviceSpec:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        entries = [(f"schedule[{j}]", _block_ms, ms, label) for j, (label, ms) in enumerate(self.schedule)]
-        entries += [(f"alert_schedule[{j}]", _alert_ms, t, label) for j, (t, label) in enumerate(self.alert_schedule)]
-        for key, rule, value, label in entries:
-            try:
-                rule(value)
-                if not isinstance(label, APPS[self.app]):
-                    raise ValueError(UNKNOWN_LABEL.format(getattr(label, "name", label)))
-            except ValueError as exc:
-                raise FieldError(key, str(exc)) from None
+        _check_schedule(self.app, "schedule", _block_ms, self.schedule)
+        _check_schedule(self.app, "alert_schedule", _alert_ms, [(label, t) for t, label in self.alert_schedule])
 
 
 def _duplicate_id(devices: Sequence[DeviceSpec]) -> str | None:
@@ -296,8 +315,9 @@ def _parse_synthetic_app(app: str, obj: Any, ctx: _Ctx) -> SyntheticSpec | None:
     if not isinstance(obj, dict):
         ctx.error(path, "expected an object")
         return None
-    kwargs = _fields(obj, SyntheticSpec, path, ctx, SyntheticSpec.RULES, extra=("labels", "schedule"))
-    label_set = label_set_for(app)
+    rules = {key: rule for key, rule in SyntheticSpec.RULES.items() if key not in ("app", "schedule")}
+    kwargs = _fields(obj, SyntheticSpec, path, ctx, rules, extra=("labels", "schedule"))
+    label_set = APPS[app]
     labels_obj = obj.get("labels")
     if not isinstance(labels_obj, dict) or not labels_obj:
         ctx.error(f"{path}.labels", "expected a non-empty label map")
@@ -323,12 +343,6 @@ def _parse_synthetic_app(app: str, obj: Any, ctx: _Ctx) -> SyntheticSpec | None:
     except FieldError as exc:  # at signals, the rule across the labels
         ctx.error(f"{path}.labels", exc.reason)
         return None
-
-
-def _unmodeled(schedule, signals: dict[Label, LabelSignalModel]) -> str | None:
-    """Why a schedule cannot be synthesized from signals, or None if it can."""
-    missing = sorted({label.name for label, _ in schedule if label not in signals})
-    return f"labels without signal models: {missing}" if missing else None
 
 
 def _parse_schedule(raw: Any, label_set: type, path: str, ctx: _Ctx):
@@ -379,7 +393,7 @@ def _parse_device(obj: Any, index: int, synthetic: dict[str, SyntheticSpec], ctx
     rules = {"id" if key == "device_id" else key: rule for key, rule in DeviceSpec.RULES.items() if key != "schedule"}
     kwargs = _fields({"id": index + 1, **obj}, DeviceSpec, path, ctx, rules, extra=("schedule", "alert_schedule"))
     app = kwargs.get("app", DeviceSpec.app)
-    label_set = label_set_for(app)
+    label_set = APPS[app]
     schedule = None
     if "schedule" in obj:
         schedule = _parse_schedule(obj["schedule"], label_set, f"{path}.schedule", ctx)

@@ -65,14 +65,6 @@ Label = Union[ActivityLabel, GestureLabel]
 APPS = {"har": ActivityLabel, "gesture": GestureLabel}  # application name -> its label set
 
 
-def label_set_for(name: str) -> type:
-    """Label enumeration of an application name (a key of APPS)."""
-    try:
-        return APPS[name]
-    except KeyError:
-        raise ValueError(f"unknown application {name!r} (expected one of {sorted(APPS)})") from None
-
-
 def parse_label(text: str) -> Label:
     """Resolve a label name from any application's label set."""
     for label_set in APPS.values():
@@ -189,11 +181,8 @@ class DeviceProfile:
             raise FieldError("p_sleep_mw", "must be below p_tx_mw")
 
     def active_power_mw(self, app: str) -> float:
-        if app == "har":
-            return self.p_active_har_mw
-        if app == "gesture":
-            return self.p_active_gesture_mw
-        raise ValueError(f"unknown application {app!r}")
+        """The active power of app, a key of APPS."""
+        return self.p_active_har_mw if app == "har" else self.p_active_gesture_mw
 
 
 class InvalidSample(ValueError):

@@ -401,20 +401,10 @@ def generate_blocks(
 
     Pure function of (signals, schedule, rate_hz, seed): the RNG is seeded
     from seed and consumed in a fixed per-entry order, so equal inputs give
-    bit-identical blocks.
+    bit-identical blocks. The inputs keep the rules of a config.SyntheticSpec
+    and a DeviceProfile's sample_rate_hz: every label is one app's and has a
+    signal model, every entry lasts > 0 ms, and rate_hz > 0.
     """
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be > 0")
-    for label, duration_ms in schedule:
-        if duration_ms <= 0:
-            raise ValueError(f"schedule duration for {label.name} must be > 0")
-        if label not in signals:
-            raise ValueError(f"no signal model for label {label.name}")
-    label_sets = {type(label) for label, _ in schedule}
-    if len(label_sets) > 1:
-        raise ValueError("schedule mixes activity and gesture labels")
-
-    label_set = label_sets.pop() if label_sets else None
     rng = np.random.default_rng(seed)
     width = channel_count(signals)
     sizes = [round(duration_ms * rate_hz / 1000.0) for _, duration_ms in schedule]
@@ -434,18 +424,10 @@ def generate_blocks(
             codes[run] = label.value
             index += n
         if len(k):
-            yield LabeledRecording(np.floor(k * 1000.0 / rate_hz).astype(np.int64), values, codes, label_set)
+            yield LabeledRecording(np.floor(k * 1000.0 / rate_hz).astype(np.int64), values, codes, type(label))
         start, first = end, last + 1
 
 
 def storage_budget(rate_hz, channels, bytes_per_scalar, duration_s):
     """Raw-sample storage in bytes: rate * channels * bytes_per_scalar * duration."""
-    for name, v in (
-        ("rate_hz", rate_hz),
-        ("channels", channels),
-        ("bytes_per_scalar", bytes_per_scalar),
-        ("duration_s", duration_s),
-    ):
-        if v <= 0:
-            raise ValueError(f"{name} must be > 0")
     return rate_hz * channels * bytes_per_scalar * duration_s

@@ -14,7 +14,6 @@ from enum import Enum
 import numpy as np
 
 from .core import FRACTION, POSITIVE, DeviceProfile, FieldError, check_fields, finite, num
-from .pipeline import FEATURES_PER_CHANNEL
 
 MOTION_THRESHOLD_G = 0.05
 SRAM_STACK_RESERVE = 4096
@@ -72,8 +71,6 @@ def motion_detector(values: np.ndarray, threshold_g: float = MOTION_THRESHOLD_G)
     windows. Returns one flag per window: a bool for one (n, >=3) window,
     else a bool array of the batch shape.
     """
-    if values.shape[-2] < 2:
-        raise ValueError("motion detection needs at least 2 samples")
     accel = values[..., :3]
     mags = np.sqrt(np.add.reduce(accel * accel, axis=-1))  # np.linalg.norm's own arithmetic
     flags = np.abs(mags - 1.0).max(axis=-1) > threshold_g
@@ -206,14 +203,10 @@ def memory_footprint(
     """SRAM/flash ledger for a configuration; raises BudgetError on overflow.
 
     SRAM: int16 sample ring buffer + float feature scratch + activations +
-    stack reserve. Flash: quantized parameter image + code reserve.
+    stack reserve. Flash: quantized parameter image + code reserve. The
+    model's input size d is channels x pipeline.FEATURES_PER_CHANNEL.
     """
     d, h, c = layer_sizes
-    if d != channels * FEATURES_PER_CHANNEL:
-        raise ValueError(
-            f"model input dimension {d} does not match {channels} channels "
-            f"x {FEATURES_PER_CHANNEL} features"
-        )
     sram = (
         w * channels * RAW_SAMPLE_BYTES_PER_SCALAR
         + ACTIVATION_BYTES * d

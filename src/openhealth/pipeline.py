@@ -20,7 +20,7 @@ from .core import APPS, ActivityLabel, Label, LabeledRecording
 
 FFT_BINS = 8
 FEATURES_PER_CHANNEL = 4 + FFT_BINS
-MIN_WINDOW = 2 * FFT_BINS  # need 8 nonzero rfft bins
+MIN_WINDOW = 2 * FFT_BINS  # the shortest window whose rfft has FFT_BINS nonzero bins: PipelineSettings' floor
 MAJORITY_THRESHOLD = 0.75
 MAX_GAP_PERIODS = 1.5
 STD_FLOOR = 1e-8
@@ -32,10 +32,6 @@ class FeatureStats:
 
     mean: np.ndarray
     std: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.mean.shape[0])
 
 
 def window_stride(w: int, overlap_fraction: float) -> int:
@@ -84,12 +80,9 @@ def scan_windows(
     periods is dropped. Fewer than w rows carry from block to block. Each complete window keeps its
     largest timestamp step, its per-code sample counts and its features, featurized _FEATURE_WINDOWS
     windows at a time across blocks. A histogram of the steps gives the median after the last block,
-    so nothing depends on where the blocks are cut.
+    so nothing depends on where the blocks are cut. w and overlap_fraction are within PipelineSettings'
+    ranges (a w below MIN_WINDOW fails in extract_feature_matrix).
     """
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ValueError("overlap_fraction must be in [0, 1)")
-    if w < 8:
-        raise ValueError("window length must be >= 8")
     stride = window_stride(w, overlap_fraction)
     histogram: Counter[int] = Counter()  # timestamp step -> how many
     max_steps, counts = [np.empty(0, np.int64)], [np.empty((0, len(_CODE_ORDER)), np.int64)]
@@ -160,10 +153,9 @@ def windows_to_matrix(recording: LabeledRecording, starts: np.ndarray, w: int) -
 
 
 def extract_feature_matrix(windows: np.ndarray) -> np.ndarray:
-    """Vectorized feature extraction over an (n, W, C) window stack."""
+    """Vectorized feature extraction over an (n, W, C) window stack, W >= MIN_WINDOW (a shorter
+    window has too few FFT bins, and its rows fail to reshape with ValueError)."""
     n, w, c = windows.shape
-    if w < MIN_WINDOW:
-        raise ValueError(f"window length {w} too short for {FFT_BINS} FFT bins (need >= {MIN_WINDOW})")
     mean = windows.mean(axis=1)
     centered = windows - mean[:, None, :]
     spectrum = np.abs(np.fft.rfft(centered, axis=1)[:, 1 : FFT_BINS + 1, :]) * (2.0 / w)
@@ -180,7 +172,8 @@ def normalize_features(
     """Z-score an (n, D) array of vectors per dimension, computing stats when not supplied.
 
     The standard deviation is floored at 1e-8 so constant dimensions map
-    to zero instead of blowing up.
+    to zero instead of blowing up. Supplied stats must have D dimensions:
+    classifier.check_fit holds a model's to its windows' features.
     """
     vectors = np.asarray(vectors, dtype=float)
     if stats is None:
@@ -189,8 +182,6 @@ def normalize_features(
         mean = vectors.mean(axis=0)
         std = np.maximum(vectors.std(axis=0), STD_FLOOR)
         stats = FeatureStats(mean=mean, std=std)
-    if vectors.shape[1] != stats.dim:
-        raise ValueError(f"dimension mismatch: vectors have {vectors.shape[1]}, stats have {stats.dim}")
     normed = vectors - stats.mean
     normed /= stats.std  # in place: one (n, D) array, not two
     return normed, stats

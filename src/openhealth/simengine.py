@@ -52,7 +52,7 @@ import numpy as np
 
 from .classifier import MlpModel, ModelFitError, check_fit, forward, load_model
 from .config import Config, ConfigError, DeviceSpec, scenario_errors
-from .core import Label, label_set_for
+from .core import APPS, Label
 from .dataio import channel_count, synthesize_signal
 from .firmware import (
     BATTERY_RECOVERY_FRACTION,
@@ -216,7 +216,7 @@ class SimHost:
         note = result.notification
         if note is not None:
             self.sim.emit("alert_notified", "host", note.device_id, note.seq, note.label_index)
-        if result.ack is not None and result.device_id == self.device.spec.device_id:
+        if result.ack is not None:  # decode_frame authenticated the frame, device id and all
             self.channel.send("host", result.ack, self.device)
 
 
@@ -242,7 +242,8 @@ class SimDevice:
         self.name = f"dev{spec.device_id}"
         self.app = spec.app
         self.app_id = AppId[spec.app.upper()]
-        self.label_set = label_set_for(spec.app)
+        self.label_set = APPS[spec.app]
+        self.label_names = tuple(label.name for label in self.label_set)  # by code
         self.profile = config.profile
         self.key = config.protocol.key
         self.host: SimHost | None = None
@@ -263,7 +264,7 @@ class SimDevice:
         key = np.random.SeedSequence([sim.seed, spec.device_id]).generate_state(2, np.uint64)
         self.noise = np.random.Generator(np.random.Philox(key=key))
         self.noise_reset = self.noise.bit_generator.state
-        self.ahead: dict[int, tuple[bool, tuple[Label, float] | None]] = {}  # see _window
+        self.ahead: dict[int, tuple[bool, tuple[int, float] | None]] = {}  # see _window
         self.ahead_next: int | None = None  # the start that would follow the last batch
 
         e = config.energy
@@ -294,9 +295,7 @@ class SimDevice:
         self.replay = ReplayWindow()
         self.sync_seq: int | None = None  # of the sync request awaiting its reply
         self.alert_queue: list[_PendingAlert] = []
-        self.alert_labels = {
-            name for name in scenario.alert_labels if name in self.label_set.__members__
-        }
+        self.alert_codes = {label.value for label in self.label_set if label.name in scenario.alert_labels}
 
     # -- setup ---------------------------------------------------------------
 
@@ -332,7 +331,7 @@ class SimDevice:
             self.sim.schedule(t, self._energy_tick)
         for t_ms, label in self.spec.alert_schedule:
             if t_ms < self.scenario.duration_ms:
-                self.sim.schedule(t_ms, lambda lbl=label: self._trigger_alert(lbl))
+                self.sim.schedule(t_ms, lambda code=label.value: self._trigger_alert(code))
 
     # -- clocks and signals ----------------------------------------------------
 
@@ -394,9 +393,9 @@ class SimDevice:
             counts[label.value] += j - i
         return matrix[..., :columns], counts
 
-    def _window(self, start_ms: int, labelled: bool = True) -> tuple[bool, tuple[Label, float] | None]:
+    def _window(self, start_ms: int, labelled: bool = True) -> tuple[bool, tuple[int, float] | None]:
         """The window beginning at start_ms, window number window_index: its
-        motion flag and its (label, confidence), the model's or, on a device
+        motion flag and its (label code, confidence), the model's or, on a device
         without one, the oracle's. Served from the windows synthesized and
         labelled ahead; a miss synthesizes start_ms and the starts predicted
         to follow it, each wholly inside the same schedule block, and labels
@@ -445,19 +444,17 @@ class SimDevice:
         tx_ms = self.data_tx_ms if self._reports(index) else MIN_RADIO_MS
         return start_ms + self.window_ms + self.scenario.inference_latency_ms + tx_ms
 
-    def _oracle(self, counts: list[int]) -> tuple[Label, float]:
-        """The schedule's label for a window with these label counts, and its share.
+    def _oracle(self, counts: list[int]) -> tuple[int, float]:
+        """The code of the schedule's label for a window with these label counts, and its share.
         The oracle must name a label: where majority_label gives none (a
         gesture window without a 75% majority), it names the top-count
         label, the lowest code on ties."""
         top = max(counts)
         label = majority_label(counts, self.label_set)
-        if label is None:
-            label = self.label_set(counts.index(top))
-        return label, top / self.window
+        return counts.index(top) if label is None else label.value, top / self.window
 
-    def _classify(self, matrix: np.ndarray) -> list[tuple[Label, float]]:
-        """The model's label and its probability for each window of a (k, W, c) batch.
+    def _classify(self, matrix: np.ndarray) -> list[tuple[int, float]]:
+        """The model's label code and its probability for each window of a (k, W, c) batch.
         Features and their normalization give each row the same bytes in a
         batch as alone, so they run once over the batch. forward runs row by
         row: a batched matmul may differ from it in the last bits."""
@@ -466,7 +463,7 @@ class SimDevice:
         for row in normed:
             probs = forward(self.model, row[None, :])[0]
             idx = int(np.argmax(probs))
-            labels.append((self.label_set(idx), float(probs[idx])))
+            labels.append((idx, float(probs[idx])))
         return labels
 
     # -- energy ------------------------------------------------------------------
@@ -579,24 +576,24 @@ class SimDevice:
         self._run_cycle((self.window_ms, self._transition(DeviceEvent.MotionDetected), self._window_done))
 
     def _window_done(self) -> tuple:
-        moving, (label, confidence) = self._window(self.sim.now - self.window_ms)
+        moving, (code, confidence) = self._window(self.sim.now - self.window_ms)
         if moving:
             self.last_motion_ms = self.sim.now
         entered = self._transition(DeviceEvent.WindowFull)
         conf_fp = min(CONFIDENCE_SCALE, round(confidence * CONFIDENCE_SCALE))
-        self.sim.emit("classify", self.name, self.window_index, label.name, conf_fp)
-        return self.scenario.inference_latency_ms, entered, lambda: self._inference_done(label, conf_fp)
+        self.sim.emit("classify", self.name, self.window_index, self.label_names[code], conf_fp)
+        return self.scenario.inference_latency_ms, entered, lambda: self._inference_done(code, conf_fp)
 
-    def _inference_done(self, label: Label, conf_fp: int) -> tuple:
+    def _inference_done(self, code: int, conf_fp: int) -> tuple:
         entered = self._transition(DeviceEvent.InferenceDone)
         reports = self._reports(self.window_index)
         self.window_index += 1
         if reports:
-            payload = self._payload(label, conf_fp)
+            payload = self._payload(code, conf_fp)
             frame = encode_frame(FrameType.DATA, self.spec.device_id, self._next_seq(), payload, self.key)
             self.channel.send(self.name, frame, self.host)
-        if label.name in self.alert_labels:
-            self._trigger_alert(label)  # its burst may empty the battery and cut this cycle short
+        if code in self.alert_codes:
+            self._trigger_alert(code)  # its burst may empty the battery and cut this cycle short
         return self.data_tx_ms if reports else MIN_RADIO_MS, entered, self._tx_done
 
     def _tx_done(self) -> tuple | None:
@@ -617,11 +614,11 @@ class SimDevice:
         bits = frame_len * 8
         return max(MIN_RADIO_MS, round(bits / self.scenario.tx_bitrate_kbps))
 
-    def _payload(self, label: Label, conf_fp: int) -> bytes:
-        """A DATA or ALERT payload stamped with the device clock now."""
+    def _payload(self, code: int, conf_fp: int) -> bytes:
+        """A DATA or ALERT payload of label code, stamped with the device clock now."""
         return DataPayload(
             timestamp_ms=self.device_clock(self.sim.now),
-            label_index=label.value,
+            label_index=code,
             confidence=conf_fp,
             app_id=self.app_id,
         ).pack()
@@ -672,8 +669,8 @@ class SimDevice:
 
     # -- alerts ------------------------------------------------------------------------------
 
-    def _trigger_alert(self, label: Label) -> None:
-        self.alert_queue.append(_PendingAlert(self._payload(label, CONFIDENCE_SCALE)))
+    def _trigger_alert(self, code: int) -> None:
+        self.alert_queue.append(_PendingAlert(self._payload(code, CONFIDENCE_SCALE)))
         if len(self.alert_queue) == 1:
             self._send_alert_attempt()
 

@@ -11,6 +11,8 @@ import pytest
 from openhealth import cli
 from openhealth.cli import main
 from openhealth.dataio import read_dataset
+from openhealth.pipeline import MIN_WINDOW
+from openhealth.simengine import replay
 
 REFERENCE = Path("configs/reference.json")
 # SHA-256 of the `datagen --seed 7` CSV for the small config below.
@@ -403,6 +405,49 @@ def test_simulate_writes_trace_and_metrics(tmp_path, capsys):
     obs_lines = observations.read_text().splitlines()
     assert obs_lines[0] == "device_id,corrected_t_ms,app_id,label,confidence"
     assert len(obs_lines) - 1 == m["host"]["observations"]["1"]
+
+
+def test_the_shortest_window_runs_every_command(tmp_path, capsys):
+    """At pipeline.window = MIN_WINDOW, datagen, train and eval run, and so does simulate, with a
+    device without a model and with one that runs the model trained on those windows."""
+    config = write_config(tmp_path, mutate=lambda raw: raw["pipeline"].update(window=MIN_WINDOW))
+    data, model = tmp_path / "har.csv", tmp_path / "har.ohm"
+    assert main(["datagen", "--config", str(config), "--out", str(data), "--seed", "7"]) == 0
+    assert main(["train", "--data", str(data), "--out", str(model), "--config", str(config)]) == 0
+    assert main(["eval", "--data", str(data), "--model", str(model), "--config", str(config)]) == 0
+    assert json.loads((tmp_path / "har_report.json").read_text())["overall"]["total"] > 0
+
+    def scenario(raw, model_path):
+        raw["pipeline"]["window"] = MIN_WINDOW
+        raw["scenario"].update(duration_ms=120_000, model_path=model_path)
+        raw["scenario"]["devices"] = [{"id": 1, "schedule": [["Walk", 60_000], ["LieDown", 60_000]]}]
+
+    for model_path in (None, str(model)):
+        config = write_config(tmp_path, mutate=lambda raw: scenario(raw, model_path), name="sim.json")
+        assert main(["simulate", "--config", str(config), "--trace", str(tmp_path / "t.trace")]) == 0
+        assert replay((tmp_path / "t.trace").read_text().splitlines()).passed
+        assert sum(json.loads((tmp_path / "t_metrics.json").read_text())["devices"]["dev1"]["classifications"].values())
+
+
+@pytest.mark.parametrize("command", ["datagen", "train", "eval", "budget", "simulate"])
+def test_a_window_below_min_window_exits_2(tmp_path, capsys, command):
+    from openhealth.classifier import init_model, save_model
+    from openhealth.pipeline import FeatureStats
+
+    model = init_model((84, 16, 7), seed=0)
+    model.stats = FeatureStats(mean=np.zeros(84), std=np.ones(84))
+    save_model(model, tmp_path / "m.ohm")
+    config = write_config(tmp_path, mutate=lambda raw: raw["pipeline"].update(window=MIN_WINDOW - 1))
+    argv = {
+        "datagen": ["datagen", "--out", str(tmp_path / "x.csv")],
+        "train": ["train", "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "x.ohm")],
+        "eval": ["eval", "--data", str(tmp_path / "d.csv"), "--model", str(tmp_path / "m.ohm")],
+        "budget": ["budget"],
+        "simulate": ["simulate", "--trace", str(tmp_path / "x.trace")],
+    }[command]
+    assert main(argv + ["--config", str(config)]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: pipeline.window: must be >= {MIN_WINDOW}"
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_simulate_missing_config_exits_2(tmp_path, capsys):

@@ -376,11 +376,13 @@ _SIT_STRETCH = LabelSignalModel(orientation=(0, 1, 0), stretch_base=0.7)
 CONSTRUCTED = [
     (DeviceProfile, "p_active_har_mw", 1e-10, "must be >= 1e-09"),
     (DeviceProfile, "sample_rate_hz", math.nan, "expected a finite number"),
+    (DeviceProfile, "sample_rate_hz", 0.0, "must be >= 1e-09"),
     (DeviceProfile, "sram_bytes", 1.5, "expected an integer"),
     (TrainConfig, "seed", -1, "must be >= 0"),
     (TrainConfig, "split_fraction", 0.995, "must be <= 0.99"),
     (PipelineSettings, "window", 0, "must be >= 16"),
     (SyntheticSpec, "repeat", 0, "must be >= 1"),
+    (SyntheticSpec, "schedule", (), "expected a non-empty list of [label, duration_ms] pairs"),
     (SyntheticSpec, "signals", {}, "synthetic model needs at least one label"),
     (
         SyntheticSpec,
@@ -418,7 +420,7 @@ CONSTRUCTED = [
 
 
 # The fields without a default, for the classes that have some.
-REQUIRED = {SyntheticSpec: {"app": "har", "signals": {}, "schedule": ()}}
+REQUIRED = {SyntheticSpec: {"app": "har", "signals": {}, "schedule": ((ActivityLabel.Walk, 1000),)}}
 
 
 @pytest.mark.parametrize(
@@ -490,6 +492,37 @@ def test_device_spec_construction_enforces_parser_rules(kwargs, name, reason):
     assert (exc.value.field, exc.value.reason) == (name, reason)
 
 
+_UP = LabelSignalModel(orientation=(0, 1, 0), freq_hz=1.0, amp_g=0.2)
+# A synthetic spec built in code: its fields beside a har spec that models Walk for WALK_1S, then the
+# field and reason. The parser refuses the same schedules, at synthetic_models.<app>.schedule.
+SYNTHETIC_CONSTRUCTED = {
+    "unknown-app": ({"app": "ecg"}, "app", "must be one of ['gesture', 'har']"),
+    "zero-ms-block": (
+        {"schedule": WALK_1S + ((ActivityLabel.Walk, 0),)}, "schedule[1]", "duration_ms must be a positive integer"
+    ),
+    "gesture-label-in-har-schedule": (
+        {"schedule": WALK_1S + ((GestureLabel.Up, 1000),)}, "schedule[1]", "unknown label 'Up' for this application"
+    ),
+    "unmodeled-label": (
+        {"schedule": WALK_1S + ((ActivityLabel.Sit, 1000), (ActivityLabel.Jump, 500))},
+        "schedule",
+        "labels without signal models: ['Jump', 'Sit']",
+    ),
+    "gesture-label-in-har-signals": (
+        {"signals": {ActivityLabel.Walk: _WALK_1HZ, GestureLabel.Up: _UP}},
+        "signals",
+        "unknown label 'Up' for this application",
+    ),
+}
+
+
+@pytest.mark.parametrize("kwargs,name,reason", SYNTHETIC_CONSTRUCTED.values(), ids=SYNTHETIC_CONSTRUCTED.keys())
+def test_synthetic_spec_construction_enforces_parser_rules(kwargs, name, reason):
+    with pytest.raises(FieldError) as exc:
+        SyntheticSpec(**{"app": "har", "signals": {ActivityLabel.Walk: _WALK_1HZ}, "schedule": WALK_1S, **kwargs})
+    assert (exc.value.field, exc.value.reason) == (name, reason)
+
+
 def test_scenario_settings_refuse_two_devices_with_one_id():
     devices = (DeviceSpec(1, WALK_1S), DeviceSpec(2, WALK_1S), DeviceSpec(1, WALK_1S))
     with pytest.raises(FieldError) as exc:
@@ -503,6 +536,7 @@ def test_reference_config_spells_out_every_rule_key():
     synthetic = raw["synthetic_models"]
     device_keys = ["id" if key == "device_id" else key for key in DeviceSpec.RULES]
     protocol_keys = ["key_hex" if key == "key" else key for key in ProtocolSettings.RULES]
+    synthetic_keys = [key for key in SyntheticSpec.RULES if key != "app"]  # the app is the section's key
     sections = [
         ("device_profile", raw["device_profile"], DeviceProfile.RULES),
         ("pipeline", raw["pipeline"], PipelineSettings.RULES),
@@ -513,7 +547,7 @@ def test_reference_config_spells_out_every_rule_key():
         ("protocol.retry", raw["protocol"]["retry"], RetryPolicy.RULES),
         ("scenario", raw["scenario"], ScenarioSettings.RULES),
         *((f"scenario.devices[{i}]", d, device_keys) for i, d in enumerate(raw["scenario"]["devices"])),
-        *((f"synthetic_models.{app}", synthetic[app], SyntheticSpec.RULES) for app in APPS),
+        *((f"synthetic_models.{app}", synthetic[app], synthetic_keys) for app in APPS),
         *(
             (f"synthetic_models.{app}.labels.{name}", params, LabelSignalModel.RULES)
             for app in APPS

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from openhealth.core import (
+    APPS,
     ActivityLabel,
     DeviceProfile,
     FieldError,
     GestureLabel,
     InvalidSample,
     LabeledRecording,
-    label_set_for,
     parse_label,
 )
 
@@ -29,10 +29,7 @@ def test_parse_label_and_app_mapping():
     assert parse_label("Up") is GestureLabel.Up
     with pytest.raises(ValueError):
         parse_label("Fly")
-    assert label_set_for("har") is ActivityLabel
-    assert label_set_for("gesture") is GestureLabel
-    with pytest.raises(ValueError, match=r"'ecg' \(expected one of \['gesture', 'har'\]\)"):
-        label_set_for("ecg")
+    assert APPS == {"har": ActivityLabel, "gesture": GestureLabel}
 
 
 def test_default_profile_matches_cited_part():
@@ -42,8 +39,7 @@ def test_default_profile_matches_cited_part():
     assert p.p_active_har_mw == 12.5
     assert p.p_active_gesture_mw == 10.0
     assert p.active_power_mw("har") == 12.5
-    with pytest.raises(ValueError, match="unknown application 'ecg'"):
-        p.active_power_mw("ecg")
+    assert p.active_power_mw("gesture") == 10.0
 
 
 def test_profile_rejects_nonpositive_power():

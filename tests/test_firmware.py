@@ -82,13 +82,6 @@ def test_motion_detector_zero_threshold():
     assert motion_detector(_samples([1.0, 1.0001]), threshold_g=0.0) is True
 
 
-def test_motion_detector_needs_two_samples():
-    with pytest.raises(ValueError):
-        motion_detector(_samples([1.0]))
-    with pytest.raises(ValueError):
-        motion_detector(np.stack([_samples([1.0])] * 3))
-
-
 def test_motion_detector_batch_flags_equal_per_window_calls():
     rng = np.random.default_rng(4)
     windows = [
@@ -306,8 +299,3 @@ def test_memory_footprint_zero_model_flash_reserve_only():
     profile = DeviceProfile()
     ledger = memory_footprint(128, 7, (84, 16, 7), 0, profile)
     assert ledger.flash_used_bytes == 32768
-
-
-def test_memory_footprint_dimension_consistency():
-    with pytest.raises(ValueError, match="channels"):
-        memory_footprint(128, 6, (84, 16, 7), 1529, DeviceProfile())

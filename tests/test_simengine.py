@@ -323,7 +323,7 @@ def test_oracle_names_top_label_for_gesture_window_without_majority():
     # No 75% majority: training and evaluation drop such a window ...
     assert majority_label(counts, GestureLabel) is None
     # ... but the oracle must name one: the top count, the lowest code on ties.
-    assert device._oracle(counts) == (GestureLabel.Up, 0.5)
+    assert device._oracle(counts) == (GestureLabel.Up.value, 0.5)
 
 
 def test_host_rejects_unassigned_frame_type_without_raising():
@@ -354,7 +354,7 @@ def test_device_rejects_a_replayed_ack(acked):
 
     device = _window_device([["Walk", 60_000]], 60_000)
     device._start_sync(attempt=1)  # seq 1
-    device._trigger_alert(ActivityLabel.Jump)  # seq 2
+    device._trigger_alert(ActivityLabel.Jump.value)  # seq 2
     acked_seq, data = (1, pack_sync_reply(0, 0, 0)) if acked == "sync" else (2, b"")
     ack = encode_frame(FrameType.ACK, 1, 1, pack_ack(acked_seq, data), device.key)
     lines = device.sim.lines
@@ -540,7 +540,7 @@ def _classified_alone(device, samples):
     normed, _ = normalize_features(extract_feature_matrix(samples[None, :, :]), device.model.stats)
     probs = forward(device.model, normed)[0]
     idx = int(np.argmax(probs))
-    return device.label_set(idx), float(probs[idx])
+    return idx, float(probs[idx])
 
 
 AHEAD_SCHEDULE = [["Walk", 30_000], ["Jump", 700], ["Sit", 19_300]]
@@ -1913,7 +1913,7 @@ def test_classify_confidences_pinned(trained_model_path):
     device = SimDevice(sim, spec, config, channel, load_model(trained_model_path))
     batches = [device._window_samples(starts)[0] for starts in CLASSIFY_BATCHES]
     batches.append(np.concatenate([device._window_samples([start])[0] for start in CLASSIFY_SPANNING_STARTS]))
-    rows = [(label.value, confidence) for batch in batches for label, confidence in device._classify(batch)]
+    rows = [row for batch in batches for row in device._classify(batch)]
     assert len({label for label, _ in rows}) >= 3
     assert min(confidence for _, confidence in rows) < 0.9
     digest = hashlib.sha256(np.array(rows, dtype=np.float64).tobytes()).hexdigest()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 import numpy as np
 
@@ -117,30 +118,52 @@ class EnergySettings:
             raise FieldError("battery_initial_mwh", "must not exceed battery_capacity_mwh")
 
 
-def account_energy(
-    battery_mwh: float,
-    capacity_mwh: float,
-    charge_efficiency: float,
-    harvest_mw: float,
-    consumption_mw: float,
-    dt_ms: int,
-) -> tuple[float, float, float, float, float, float]:
-    """The energy rule: dt_ms at constant post-MPPT harvest and consumption.
+# A battery ledger: (level, net, curtailed, shortfall, harvested, consumed), all mWh; all
+# but the level are running sums.
+Ledger = tuple[float, float, float, float, float, float]
 
-    Returns (new battery level, net, curtailed, shortfall, harvested,
-    consumed), all in mWh; depleted means a new level <= 0. Charging
-    applies charge_efficiency; discharging is taken at face value.
-    """
+
+def energy_piece(
+    harvest_mw: float, consumption_mw: float, charge_efficiency: float, dt_ms: int,
+) -> tuple[float, float, float]:
+    """The products of dt_ms at constant post-MPPT harvest and consumption, which
+    account_energy books: (net, harvested, consumed) mWh. Charging applies
+    charge_efficiency; discharging is taken at face value."""
     dt_h = dt_ms / 3_600_000.0
     net_mw = harvest_mw - consumption_mw
     eff = charge_efficiency if net_mw >= 0 else 1.0
-    net_mwh = net_mw * eff * dt_h
-    raw = battery_mwh + net_mwh
-    new_level = min(max(raw, 0.0), capacity_mwh)
-    return (
-        new_level, net_mwh, max(0.0, raw - capacity_mwh), max(0.0, -raw),
-        harvest_mw * dt_h, consumption_mw * dt_h,
-    )
+    return net_mw * eff * dt_h, harvest_mw * dt_h, consumption_mw * dt_h
+
+
+def account_energy(
+    ledger: Ledger, capacity_mwh: float, pieces: Iterable[tuple[float, float, float]],
+) -> tuple[Ledger, int]:
+    """The energy rule: book energy_piece products onto the ledger in order.
+
+    Each piece's net moves the level, clamped to [0, capacity]; what the
+    clamp cuts adds to curtailed above and to shortfall below. Stops after
+    the first piece that empties the battery (a new level <= 0). Returns
+    the new ledger and the number of pieces booked.
+    """
+    level, net_cum, curtailed_cum, shortfall_cum, harvest_cum, consumed_cum = ledger
+    booked = 0
+    for net, harvested, consumed in pieces:
+        raw = level + net
+        if raw > capacity_mwh:
+            curtailed_cum += raw - capacity_mwh
+            level = capacity_mwh
+        elif raw < 0.0:
+            shortfall_cum -= raw
+            level = 0.0
+        else:
+            level = raw
+        net_cum += net
+        harvest_cum += harvested
+        consumed_cum += consumed
+        booked += 1
+        if level <= 0.0:
+            break
+    return (level, net_cum, curtailed_cum, shortfall_cum, harvest_cum, consumed_cum), booked
 
 
 @dataclass(frozen=True)

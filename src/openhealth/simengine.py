@@ -28,8 +28,11 @@ A device books all its energy, state dwell and transmit bursts alike,
 through ``firmware.account_energy``. Its cycle moves only through
 ``firmware.step_state_machine``, except that an empty battery forces sleep.
 A wake runs cycle after cycle in one callback until a queued entry falls due
-before a dwell ends (SimDevice._run_cycle); each dwell is still booked, and
-each step taken, at its own time.
+before a dwell ends (SimDevice._run_cycle). A quiet cycle, one that sends no
+frame and raises no alert, is one step of a quiet run (SimDevice._quiet_run):
+its three dwells are booked with a run's others in one account_energy call, in
+the same order and in the same hour-slot pieces as dwell by dwell. Every other
+dwell is still booked, and each step taken, at its own time.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .firmware import (
     SLOT_MS,
     SLOTS_PER_DAY,
     account_energy,
+    energy_piece,
     motion_detector,
     plan_duty_cycle,
     state_power_mw,
@@ -133,8 +137,9 @@ class Simulator:
         heapq.heappush(self._heap, (t_ms, self._tie, fn))
         self._tie += 1
 
-    def emit(self, kind: str, entity: str, *details) -> None:
-        self.lines.append("\t".join(map(str, (self.now, kind, entity, *details))))
+    def emit(self, kind: str, entity: str, *details, at: int | None = None) -> None:
+        """Add a line stamped with the clock, or with at: a quiet run stamps each classify line with its own time."""
+        self.lines.append("\t".join(map(str, (self.now if at is None else at, kind, entity, *details))))
         if len(self.lines) >= SPOOL_LINES and self.out is not None:
             self.spool()
 
@@ -151,11 +156,15 @@ class Simulator:
             fn()
         self.now = until_ms
 
+    def horizon(self) -> int:
+        """The latest time within the run before every queued entry (one due at a time was queued first,
+        so it runs first)."""
+        return min(self.until_ms, self._heap[0][0] - 1) if self._heap else self.until_ms
+
     def advance_to(self, t_ms: int) -> bool:
         """Move the clock to t_ms, as an entry scheduled now for t_ms would when it ran, if t_ms is
-        within the run and no queued entry is due at or before it (one due at t_ms was queued
-        first, so it runs first). Returns whether it moved."""
-        if t_ms > self.until_ms or (self._heap and self._heap[0][0] <= t_ms):
+        at or before the horizon. Returns whether it moved."""
+        if t_ms > self.horizon():
             return False
         self.now = t_ms
         return True
@@ -229,6 +238,11 @@ class _PendingAlert:
     attempts: int = 0
 
 
+def _fixed_point(confidence: float) -> int:
+    """A confidence as classify lines and payloads carry it."""
+    return min(CONFIDENCE_SCALE, round(confidence * CONFIDENCE_SCALE))
+
+
 class SimDevice:
     """Autonomous wearable node: wake-on-motion, classify, transmit, harvest."""
 
@@ -268,7 +282,7 @@ class SimDevice:
         self.ahead_next: int | None = None  # the start that would follow the last batch
 
         e = config.energy
-        self.battery_mwh = e.battery_initial_mwh
+        self.ledger = (e.battery_initial_mwh, 0.0, 0.0, 0.0, 0.0, 0.0)  # see firmware.Ledger
         self.capacity_mwh = e.battery_capacity_mwh
         self.charge_efficiency = e.charge_efficiency
         self.harvest_mw = [e.mppt_efficiency * h for h in e.harvest_profile_mw]  # post-MPPT, per hour slot
@@ -276,6 +290,14 @@ class SimDevice:
         self.duty_plan: DutyPlan | None = None
         if scenario.use_duty_plan:
             self.duty_plan = plan_duty_cycle(self.profile, self.app, e)
+
+        # A quiet cycle's three dwells: the states step_state_machine takes a window through, and their lengths.
+        sampling = step_state_machine(PowerState.Sleep, DeviceEvent.MotionDetected)
+        processing = step_state_machine(sampling, DeviceEvent.WindowFull)
+        transmitting = step_state_machine(processing, DeviceEvent.InferenceDone)
+        self.quiet_dwells = ((sampling, self.window_ms), (processing, scenario.inference_latency_ms),
+                             (transmitting, MIN_RADIO_MS))
+        self.quiet_ms = sum(dt for _, dt in self.quiet_dwells)
 
         self.state = PowerState.Sleep
         self.cycle_gen = 0
@@ -285,11 +307,6 @@ class SimDevice:
         self.depleted = False
         self.slot_active_ms: dict[int, float] = {}
         self.dwell_ms = dict.fromkeys(PowerState, 0)
-        self.net_cum = 0.0
-        self.curtailed_cum = 0.0
-        self.shortfall_cum = 0.0
-        self.harvest_cum = 0.0
-        self.consumed_cum = 0.0
 
         self.seq = 0
         self.replay = ReplayWindow()
@@ -312,7 +329,7 @@ class SimDevice:
     def start(self) -> None:
         self.sim.emit(
             "device_init", self.name, self.app,
-            f"{self.battery_mwh:.9f}", f"{self.capacity_mwh:.9f}", self.spec.clock_offset_ms,
+            f"{self.ledger[0]:.9f}", f"{self.capacity_mwh:.9f}", self.spec.clock_offset_ms,
         )
         if self.duty_plan is not None:
             self.sim.emit(
@@ -489,28 +506,16 @@ class SimDevice:
 
     def _book(self, harvest_mw: float, consumption_mw: float, dt_ms: int) -> None:
         """Add dt_ms of account_energy to the ledger; a battery that first runs dry forces sleep."""
-        self.battery_mwh, net, curtailed, shortfall, harvest, consumed = account_energy(
-            self.battery_mwh, self.capacity_mwh, self.charge_efficiency, harvest_mw, consumption_mw, dt_ms,
-        )
-        self.net_cum += net
-        self.curtailed_cum += curtailed
-        self.shortfall_cum += shortfall
-        self.harvest_cum += harvest
-        self.consumed_cum += consumed
-        if self.battery_mwh <= 0.0 and not self.depleted:
+        piece = energy_piece(harvest_mw, consumption_mw, self.charge_efficiency, dt_ms)
+        self.ledger, _ = account_energy(self.ledger, self.capacity_mwh, (piece,))
+        if self.ledger[0] <= 0.0 and not self.depleted:
             self.depleted = True
             self.sim.emit("battery_depleted", self.name)
             self.cycle_gen += 1  # the cycle's pending dwell end now finds a newer cycle
             self.state = PowerState.Sleep
 
     def _emit_energy(self) -> None:
-        self.sim.emit(
-            "energy", self.name,
-            f"{self.battery_mwh:.9f}", f"{self.net_cum:.9f}",
-            f"{self.curtailed_cum:.9f}", f"{self.shortfall_cum:.9f}",
-            f"{self.harvest_cum:.9f}", f"{self.consumed_cum:.9f}",
-            *self.dwell_ms.values(),
-        )
+        self.sim.emit("energy", self.name, *(f"{mwh:.9f}" for mwh in self.ledger), *self.dwell_ms.values())
 
     def _energy_tick(self) -> None:
         self._advance(self.sim.now)
@@ -518,7 +523,7 @@ class SimDevice:
         self._emit_energy()
 
     def _maybe_recover(self) -> None:
-        if self.depleted and self.battery_mwh >= BATTERY_RECOVERY_FRACTION * self.capacity_mwh:
+        if self.depleted and self.ledger[0] >= BATTERY_RECOVERY_FRACTION * self.capacity_mwh:
             self.depleted = False
             self.sim.emit("battery_recovered", self.name)
             if self.alert_queue:
@@ -554,33 +559,39 @@ class SimDevice:
         self._advance(self.sim.now)
         return None if self.depleted else step()
 
-    def _cycle_fits(self) -> bool:
-        """Whether one more full cycle ends in the scenario and in its hour slot's duty budget."""
-        if self.sim.now + self.cycle_ms > self.scenario.duration_ms:
+    def _cycle_fits(self, now: int, active_ms: float) -> bool:
+        """Whether one more full cycle from now ends in the scenario and in its hour slot's duty
+        budget, of which active_ms is used."""
+        if now + self.cycle_ms > self.scenario.duration_ms:
             return False
         if self.duty_plan is None:
             return True
-        slot = self.sim.now // SLOT_MS
-        budget = self.duty_plan.fractions[slot % SLOTS_PER_DAY] * SLOT_MS
-        return self.slot_active_ms.get(slot, 0.0) + self.cycle_ms <= budget
+        return active_ms + self.cycle_ms <= self.duty_plan.fractions[now // SLOT_MS % SLOTS_PER_DAY] * SLOT_MS
+
+    def _wake_goes_on(self, now: int, last_motion_ms: int, active_ms: float) -> bool:
+        """_tx_done's check at a cycle's end, now: not idle for idle_timeout_ms, and a next cycle fits."""
+        return now - last_motion_ms < self.scenario.idle_timeout_ms and self._cycle_fits(now, active_ms)
 
     def _wake_check(self) -> None:
-        self._advance(self.sim.now)
+        now = self.sim.now
+        self._advance(now)
         self._maybe_recover()
-        if self.depleted or self.state is not PowerState.Sleep or not self._cycle_fits():
+        if self.depleted or self.state is not PowerState.Sleep:
             return
-        moving, _ = self._window(self.sim.now, labelled=False)  # the first window's, if the wake goes on
+        if not self._cycle_fits(now, self.slot_active_ms.get(now // SLOT_MS, 0.0)):
+            return
+        moving, _ = self._window(now, labelled=False)  # the first window's, if the wake goes on
         if not moving:
             return
-        self.last_motion_ms = self.sim.now
-        self._run_cycle((self.window_ms, self._transition(DeviceEvent.MotionDetected), self._window_done))
+        self.last_motion_ms = now
+        self._run_cycle(self._next_window(self._transition(DeviceEvent.MotionDetected), True))
 
     def _window_done(self) -> tuple:
         moving, (code, confidence) = self._window(self.sim.now - self.window_ms)
         if moving:
             self.last_motion_ms = self.sim.now
         entered = self._transition(DeviceEvent.WindowFull)
-        conf_fp = min(CONFIDENCE_SCALE, round(confidence * CONFIDENCE_SCALE))
+        conf_fp = _fixed_point(confidence)
         self.sim.emit("classify", self.name, self.window_index, self.label_names[code], conf_fp)
         return self.scenario.inference_latency_ms, entered, lambda: self._inference_done(code, conf_fp)
 
@@ -598,11 +609,67 @@ class SimDevice:
 
     def _tx_done(self) -> tuple | None:
         entered = self._transition(DeviceEvent.TxDone)
-        idle = self.sim.now - self.last_motion_ms >= self.scenario.idle_timeout_ms
-        if idle or not self._cycle_fits():
-            self._transition(DeviceEvent.IdleTimeout)
-            return None
-        return self.window_ms, entered, self._window_done
+        now = self.sim.now
+        active_ms = self.slot_active_ms.get(now // SLOT_MS, 0.0)
+        return self._next_window(entered, self._wake_goes_on(now, self.last_motion_ms, active_ms))
+
+    def _next_window(self, entered: tuple[int, PowerState], goes_on: bool) -> tuple | None:
+        """From a window start where the wake goes on: the quiet cycles _quiet_run takes, then the
+        dwell of the next window; None, the device asleep, where the wake or a quiet cycle ends it."""
+        if goes_on and self._quiet_run():
+            return self.window_ms, entered, self._window_done
+        self._transition(DeviceEvent.IdleTimeout)
+        return None
+
+    def _quiet_run(self) -> bool:
+        """Take the quiet cycles that follow a window start, now, in one pass; False if the last ends the wake.
+
+        A quiet cycle sends no frame, raises no alert, and ends in the hour slot of now and before the
+        horizon, so its classify line is the only line it adds. Each is looked up, checked at its end
+        as _tx_done checks, and booked as its three dwells' pieces, in the per-dwell order; the pieces
+        of this slot are computed once and booked through one account_energy call. Only the cycles
+        before a piece that empties the battery are taken: the per-dwell path books that one.
+        """
+        sim, quiet_ms, first = self.sim, self.quiet_ms, self.window_index
+        start = t = sim.now
+        slot = start // SLOT_MS
+        limit = min(sim.horizon(), (slot + 1) * SLOT_MS - 1)  # a cycle ending at the slot's end is checked in the next
+        active = base = self.slot_active_ms.get(slot, 0.0)
+        last_motion = self.last_motion_ms
+        cycles = []  # each quiet cycle's (classify t_ms, label code, fixed-point confidence, last motion)
+        goes_on = True
+        while goes_on and t + quiet_ms <= limit and not self._reports(self.window_index):
+            moving, (code, confidence) = self._window(t)
+            if code in self.alert_codes:
+                break
+            if moving:
+                last_motion = t + self.window_ms
+            cycles.append((t + self.window_ms, code, _fixed_point(confidence), last_motion))
+            self.window_index += 1
+            t += quiet_ms
+            active += quiet_ms
+            goes_on = self._wake_goes_on(t, last_motion, active)
+        self.window_index = first
+        if not cycles:
+            return True
+        harvest = self.harvest_mw[slot % SLOTS_PER_DAY]
+        pieces = [energy_piece(harvest, self.power_mw[state], self.charge_efficiency, dt)
+                  for state, dt in self.quiet_dwells if dt]
+        ledger, booked = account_energy(self.ledger, self.capacity_mwh, pieces * len(cycles))
+        if ledger[0] <= 0.0:  # the battery empties in cycle (booked - 1) // len(pieces)
+            del cycles[(booked - 1) // len(pieces):]
+            ledger, goes_on = account_energy(self.ledger, self.capacity_mwh, pieces * len(cycles))[0], True
+        if not cycles or not sim.advance_to(start + len(cycles) * quiet_ms):
+            return True
+        self.ledger, self.last_account_ms = ledger, sim.now
+        for state, dt in self.quiet_dwells:
+            self.dwell_ms[state] += len(cycles) * dt
+        self.slot_active_ms[slot] = base + len(cycles) * quiet_ms
+        self.last_motion_ms = cycles[-1][3]
+        for t1, code, conf_fp, _ in cycles:
+            sim.emit("classify", self.name, self.window_index, self.label_names[code], conf_fp, at=t1)
+            self.window_index += 1
+        return goes_on
 
     # -- frames -------------------------------------------------------------------------
 

@@ -12,6 +12,7 @@ from openhealth.firmware import (
     EnergySettings,
     PowerState,
     account_energy,
+    energy_piece,
     memory_footprint,
     motion_detector,
     plan_duty_cycle,
@@ -106,9 +107,16 @@ def test_motion_detector_batch_flags_equal_per_window_calls():
 HOUR_MS = 3_600_000
 
 
+def book_one(level, capacity, charge_eff, harvest, consumption, dt_ms):
+    """One piece booked onto a ledger at level with zero sums: (new level, net, curtailed, shortfall, harvested, consumed)."""
+    ledger, booked = account_energy((level, 0.0, 0.0, 0.0, 0.0, 0.0), capacity, [energy_piece(harvest, consumption, charge_eff, dt_ms)])
+    assert booked == 1
+    return ledger
+
+
 def test_one_hour_processing_drains_exactly_har_power():
     power = state_power_mw(DeviceProfile(), "har", PowerState.Processing)
-    new, _, _, _, _, consumed = account_energy(100.0, 200.0, 1.0, 0.0, power, HOUR_MS)
+    new, _, _, _, _, consumed = book_one(100.0, 200.0, 1.0, 0.0, power, HOUR_MS)
     assert new == pytest.approx(100.0 - 12.5, abs=1e-12)
     assert consumed == pytest.approx(12.5, abs=1e-12)
     assert new > 0.0  # not depleted
@@ -116,20 +124,20 @@ def test_one_hour_processing_drains_exactly_har_power():
 
 def test_one_hour_processing_gesture_power():
     power = state_power_mw(DeviceProfile(), "gesture", PowerState.Processing)
-    new = account_energy(100.0, 200.0, 1.0, 0.0, power, HOUR_MS)[0]
+    new = book_one(100.0, 200.0, 1.0, 0.0, power, HOUR_MS)[0]
     assert new == pytest.approx(100.0 - 10.0, abs=1e-12)
 
 
 def test_harvest_consumption_balance():
     power = state_power_mw(DeviceProfile(), "har", PowerState.Processing)
-    new, net, _, _, _, _ = account_energy(100.0, 200.0, 1.0, 12.5, power, HOUR_MS)
+    new, net, _, _, _, _ = book_one(100.0, 200.0, 1.0, 12.5, power, HOUR_MS)
     assert new == pytest.approx(100.0, abs=1e-12)
     assert net == pytest.approx(0.0, abs=1e-12)
 
 
 def test_battery_clamps_at_capacity():
     power = state_power_mw(DeviceProfile(), "har", PowerState.Sleep)
-    new, _, curtailed, _, _, _ = account_energy(199.9, 200.0, 1.0, 100.0, power, HOUR_MS)
+    new, _, curtailed, _, _, _ = book_one(199.9, 200.0, 1.0, 100.0, power, HOUR_MS)
     assert new == 200.0
     assert curtailed > 0
     assert new - 199.9 == pytest.approx(0.1, abs=1e-9)
@@ -137,7 +145,7 @@ def test_battery_clamps_at_capacity():
 
 def test_depletion_is_new_level_zero_not_exception():
     power = state_power_mw(DeviceProfile(), "har", PowerState.Processing)
-    new, _, _, shortfall, _, _ = account_energy(1.0, 200.0, 1.0, 0.0, power, HOUR_MS)
+    new, _, _, shortfall, _, _ = book_one(1.0, 200.0, 1.0, 0.0, power, HOUR_MS)
     assert new == 0.0  # depleted
     assert shortfall == pytest.approx(11.5, abs=1e-9)
 
@@ -146,28 +154,28 @@ def test_mixed_dwell_weights_power():
     profile = DeviceProfile()
     dwell = {PowerState.Sleep: 0.5, PowerState.Processing: 0.25, PowerState.Transmitting: 0.25}
     power = sum(state_power_mw(profile, "har", state) * frac for state, frac in dwell.items())
-    consumed = account_energy(100.0, 200.0, 1.0, 0.0, power, HOUR_MS)[5]
+    consumed = book_one(100.0, 200.0, 1.0, 0.0, power, HOUR_MS)[5]
     expected = 0.5 * 0.3 + 0.25 * 12.5 + 0.25 * 15.0
     assert consumed == pytest.approx(expected, abs=1e-12)
 
 
 
 def test_charge_efficiency_applies_only_when_charging():
-    new, net, _, _, _, _ = account_energy(100.0, 200.0, 0.8, 30.0, 10.0, HOUR_MS)
+    new, net, _, _, _, _ = book_one(100.0, 200.0, 0.8, 30.0, 10.0, HOUR_MS)
     assert net == pytest.approx(0.8 * 20.0, abs=1e-12)
     assert new == pytest.approx(116.0, abs=1e-12)
-    new, net, _, _, _, _ = account_energy(100.0, 200.0, 0.8, 10.0, 30.0, HOUR_MS)
+    new, net, _, _, _, _ = book_one(100.0, 200.0, 0.8, 10.0, 30.0, HOUR_MS)
     assert net == pytest.approx(-20.0, abs=1e-12)
     assert new == pytest.approx(80.0, abs=1e-12)
 
 
 def test_harvested_and_consumed_are_gross():
     # Reported before charge efficiency and clamping at either end.
-    new, _, curtailed, _, harvested, consumed = account_energy(199.0, 200.0, 0.5, 40.0, 10.0, HOUR_MS)
+    new, _, curtailed, _, harvested, consumed = book_one(199.0, 200.0, 0.5, 40.0, 10.0, HOUR_MS)
     assert new == 200.0
     assert curtailed == pytest.approx(199.0 + 0.5 * 30.0 - 200.0, abs=1e-12)
     assert (harvested, consumed) == (40.0, 10.0)
-    new, _, _, shortfall, harvested, consumed = account_energy(1.0, 200.0, 1.0, 0.0, 12.5, HOUR_MS)
+    new, _, _, shortfall, harvested, consumed = book_one(1.0, 200.0, 1.0, 0.0, 12.5, HOUR_MS)
     assert new == 0.0
     assert shortfall == pytest.approx(11.5, abs=1e-12)
     assert (harvested, consumed) == (0.0, 12.5)
@@ -176,13 +184,45 @@ def test_harvested_and_consumed_are_gross():
 def test_split_step_matches_one_step():
     # The simulator splits a dwell at hour-slot boundaries; inside the
     # battery's range the pieces must add up to the unsplit step.
-    whole = account_energy(100.0, 200.0, 0.9, 7.0, 3.0, HOUR_MS)
+    whole = book_one(100.0, 200.0, 0.9, 7.0, 3.0, HOUR_MS)
     level, totals = 100.0, [0.0] * 5
     for dt_ms in (1_234_567, HOUR_MS - 1_234_567):
-        level, *parts = account_energy(level, 200.0, 0.9, 7.0, 3.0, dt_ms)
+        level, *parts = book_one(level, 200.0, 0.9, 7.0, 3.0, dt_ms)
         totals = [a + b for a, b in zip(totals, parts)]
     assert level == pytest.approx(whole[0], abs=1e-12)
     assert totals == pytest.approx(list(whole[1:]), abs=1e-12)
+
+@settings(max_examples=100, deadline=None)
+@given(
+    level=st.floats(0.001, 10.0),
+    pieces=st.lists(
+        st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0), st.floats(0.1, 1.0), st.integers(1, HOUR_MS)),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_a_sequence_of_pieces_books_as_one_piece_calls_in_order(level, pieces):
+    """On a 10 mWh battery, pieces of up to 40 mW for up to an hour cross 0 and
+    the capacity. The sequence form books what one-piece calls book in order, to
+    the bit, and stops after the first piece that empties the battery."""
+    products = [energy_piece(harvest, consumption, eff, dt_ms) for harvest, consumption, eff, dt_ms in pieces]
+    ledger, booked = account_energy((level, 0.0, 0.0, 0.0, 0.0, 0.0), 10.0, products)
+    alone = clamped = (level, 0.0, 0.0, 0.0, 0.0, 0.0)
+    for count, product in enumerate(products, 1):
+        alone, one = account_energy(alone, 10.0, [product])
+        assert one == 1 and 0.0 <= alone[0] <= 10.0
+        # The rule as a clamp: what it cuts above the capacity is curtailed, below 0 shortfall.
+        old, net_cum, curtailed, shortfall, harvested, consumed = clamped
+        net, harvest, consumption = product
+        raw = old + net
+        clamped = (min(max(raw, 0.0), 10.0), net_cum + net, curtailed + max(0.0, raw - 10.0),
+                   shortfall + max(0.0, -raw), harvested + harvest, consumed + consumption)
+        assert [mwh.hex() for mwh in alone] == [mwh.hex() for mwh in clamped]
+        if alone[0] <= 0.0:
+            break
+    assert booked == count
+    assert [mwh.hex() for mwh in ledger] == [mwh.hex() for mwh in alone]
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -202,7 +242,7 @@ def test_battery_bounds_hold_for_random_schedules(steps):
     ledger_total = 0.0
     for state, dt_ms, harvest in steps:
         power = state_power_mw(profile, "har", state)
-        level, net, curtailed, shortfall, _, _ = account_energy(level, capacity, 1.0, harvest, power, dt_ms)
+        level, net, curtailed, shortfall, _, _ = book_one(level, capacity, 1.0, harvest, power, dt_ms)
         ledger_total += net - curtailed + shortfall
         assert 0.0 <= level <= capacity
     assert level == pytest.approx(50.0 + ledger_total, abs=1e-6)

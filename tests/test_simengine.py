@@ -788,22 +788,137 @@ def test_a_run_of_cycles_stops_before_an_entry_due_at_its_dwell_end(monkeypatch)
     assert run_scenario(parse_config(raw), 11).lines == lines
 
 
+def _quiet_runs(monkeypatch):
+    """Record each quiet run as (start ms, cycles taken, whether the wake went on)."""
+    runs = []
+    real = SimDevice._quiet_run
+
+    def recorded(self):
+        start, first = self.sim.now, self.window_index
+        goes_on = real(self)
+        runs.append((start, self.window_index - first, goes_on))
+        return goes_on
+
+    monkeypatch.setattr(SimDevice, "_quiet_run", recorded)
+    return runs
+
+
+def _per_dwell_only(monkeypatch):
+    """Take every cycle dwell by dwell: no quiet run takes a cycle."""
+    monkeypatch.setattr(SimDevice, "_quiet_run", lambda self: True)
+
+
+def _quiet_lines(monkeypatch, raw, seed=11):
+    """The trace lines of raw and its quiet runs (_quiet_runs), which took at
+    least one cycle; the per-dwell path gives the same lines."""
+    runs = _quiet_runs(monkeypatch)
+    lines = run_scenario(parse_config(raw), seed).lines
+    assert sum(taken for _, taken, _ in runs) > 0
+    _per_dwell_only(monkeypatch)
+    assert run_scenario(parse_config(raw), seed).lines == lines
+    return lines, runs
+
+
+QUIET_MS = 1_286  # a reference quiet cycle: a 1,280 ms window, 5 ms of inference and 1 ms on the air
+
+
 def test_a_battery_that_empties_mid_run_ends_it_as_the_queued_path_does(monkeypatch):
-    """Unbroken motion on 0.01 mWh and no harvest: a dwell that the clock moved
-    to in place empties the battery, which ends the run there."""
+    """Unbroken motion on 0.01 mWh and no harvest: the second quiet run takes
+    the one cycle before the piece that empties the battery, and the per-dwell
+    path books that piece at a dwell end the clock moved to in place, which
+    ends the run there."""
     raw = _motion_raw(report_every_n_windows=15)
     raw["scenario"]["devices"][0]["alert_schedule"] = []
     raw["energy"].update(battery_initial_mwh=0.01, harvest_profile_mw=[0.0] * 24)
     moved = []
     real = Simulator.advance_to
     monkeypatch.setattr(Simulator, "advance_to", lambda self, t_ms: real(self, t_ms) and not moved.append(t_ms))
-    lines = run_scenario(parse_config(raw), 11).lines
+    lines, runs = _quiet_lines(monkeypatch, raw)
     kinds = [line.split("\t")[1] for line in lines]
     depleted_ms = int(lines[kinds.index("battery_depleted")].split("\t")[0])
     assert depleted_ms in moved and kinds.count("classify") == 2
     assert "classify" not in kinds[kinds.index("battery_depleted"):]
+    assert runs[1] == (QUIET_MS, 1, True) and 2 * QUIET_MS in moved
     _queued_only(monkeypatch)
     assert run_scenario(parse_config(raw), 11).lines == lines
+
+
+def test_a_quiet_run_stops_at_the_end_of_its_hour_slot(monkeypatch):
+    """Motion from 3,500 s across the slot boundary at 3,600,000 ms: quiet runs
+    take cycles in both slots, and none ends past the boundary."""
+    raw = small_raw(duration_ms=3_660_000, report_every_n_windows=15)
+    raw["scenario"]["devices"][0].update(schedule=[["Sit", 3_500_000], ["Walk", 160_000]], alert_schedule=[])
+    # With nothing queued at the boundary, a run still takes no cycle that ends at or past it.
+    config = parse_config(raw)
+    sim = Simulator(seed=11)
+    device = SimDevice(sim, config.scenario.devices[0], config, SimChannel(sim, config.channel, 1), None)
+    sim.now = device.last_motion_ms = 3_600_000 - 10 * QUIET_MS
+    sim.until_ms = 3_660_000
+    assert device._quiet_run() and (sim.now, device.window_index) == (3_600_000 - QUIET_MS, 9)
+    _, runs = _quiet_lines(monkeypatch, raw)
+    taken = [(start, start + n * QUIET_MS) for start, n, _ in runs if n]
+    assert {start // 3_600_000 for start, _ in taken} == {0, 1}
+    assert all((end - 1) // 3_600_000 == start // 3_600_000 for start, end in taken)
+
+
+def test_a_quiet_run_stops_where_the_duty_budget_is_used_up(monkeypatch):
+    """Unbroken motion on a plan that funds ~43 s of each slot: a quiet cycle's
+    end check finds no budget left, and the device sleeps mid-motion."""
+    raw = _motion_raw(report_every_n_windows=15, use_duty_plan=True)
+    raw["scenario"]["devices"][0]["alert_schedule"] = []
+    raw["energy"]["harvest_profile_mw"] = [0.5] * 24
+    lines, runs = _quiet_lines(monkeypatch, raw)
+    assert any(n and not goes_on for _, n, goes_on in runs)
+    assert max(int(line.split("\t")[0]) for line in lines if "\tclassify\t" in line) < 45_000
+
+
+def test_a_quiet_run_stops_at_the_idle_timeout(monkeypatch):
+    """A walk into a still block: a quiet cycle ends the wake idle_timeout_ms
+    after the last motion, long before the scenario ends."""
+    raw = small_raw(report_every_n_windows=15)
+    raw["scenario"]["devices"][0]["alert_schedule"] = []
+    _, runs = _quiet_lines(monkeypatch, raw)
+    assert any(n and not goes_on and start + n * QUIET_MS < 500_000 for start, n, goes_on in runs)
+
+
+def test_a_quiet_run_stops_at_the_scenario_end(monkeypatch):
+    """Unbroken motion to the end: the last quiet cycle leaves no room for another, and ends the wake."""
+    raw = _motion_raw(report_every_n_windows=20)
+    raw["scenario"]["devices"][0]["alert_schedule"] = []
+    _, runs = _quiet_lines(monkeypatch, raw)
+    start, n, goes_on = runs[-1]
+    assert n and not goes_on and start + (n + 1) * QUIET_MS > 120_000
+
+
+def test_a_quiet_run_stops_before_an_entry_due_at_its_last_dwell_end(monkeypatch):
+    """An alert due when a quiet cycle's transmit dwell ends was queued first:
+    the run before it stops one cycle short, and the per-dwell path takes the
+    cycle, whose end is queued behind the alert."""
+    raw = _motion_raw(report_every_n_windows=15)
+    raw["scenario"]["devices"][0]["alert_schedule"] = []
+    classified = [line.split("\t") for line in run_scenario(parse_config(raw), 11).lines if "\tclassify\t" in line]
+    sampled_ms = next(int(parts[0]) for parts in classified if int(parts[3]) % 15 == 9 and int(parts[0]) > 30_000)
+    due_ms = sampled_ms + QUIET_MS - 1_280  # its transmit dwell's end
+    raw["scenario"]["devices"][0]["alert_schedule"] = [[due_ms, "Jump"]]
+    lines, runs = _quiet_lines(monkeypatch, raw)
+    assert any(start + n * QUIET_MS == due_ms - QUIET_MS for start, n, _ in runs if n)
+    assert [line.split("\t")[1] for line in lines if line.startswith(f"{due_ms}\t")][0] == "alert_sent"
+
+
+def test_a_quiet_run_stops_at_an_alert_label_window(monkeypatch):
+    """Each Jump window raises an alert, so no quiet run takes one."""
+    raw = _motion_raw(report_every_n_windows=15, alert_labels=["Jump"])
+    raw["scenario"]["devices"][0]["alert_schedule"] = []
+    lines, runs = _quiet_lines(monkeypatch, raw)
+    classified = [line.split("\t") for line in lines if "\tclassify\t" in line]
+    jumps = [int(parts[0]) for parts in classified if parts[4] == "Jump"]
+    assert jumps and "alert_sent" in {line.split("\t")[1] for line in lines}
+    assert not any(start < t1 < start + n * QUIET_MS for start, n, _ in runs for t1 in jumps)
+
+
+def test_a_model_device_takes_quiet_cycles(monkeypatch, trained_model_path):
+    raw = small_raw(report_every_n_windows=15, model_path=str(trained_model_path))
+    _quiet_lines(monkeypatch, raw)
 
 
 def test_a_scenario_schedules_fewer_events_than_it_classifies_windows(monkeypatch):
@@ -1805,10 +1920,15 @@ _HAR_LABELS = ["Walk", "Sit", "Jump", "LieDown", "Stand", "Drive"]
 
 @st.composite
 def shard_configs(draw):
-    """1-3 oracle devices for 1-10 minutes on a lossy, corrupting link with a latency range.
-    Each must give the same bytes when every dwell end is a queued entry."""
+    """1-3 oracle devices for 1-10 minutes on a lossy, corrupting link with a latency range, a
+    report every 1-20 windows at 2-250 kbps, and the duty plan on or off. Each must give the same
+    bytes when every dwell end is a queued entry, and when no quiet run takes a cycle."""
     duration_ms = draw(st.integers(1, 10)) * 60_000
-    raw = small_raw(duration_ms=duration_ms, alert_labels=draw(st.sampled_from([[], ["Jump"]])))
+    raw = small_raw(
+        duration_ms=duration_ms, alert_labels=draw(st.sampled_from([[], ["Jump"]])),
+        report_every_n_windows=draw(st.integers(1, 20)), use_duty_plan=draw(st.booleans()),
+        tx_bitrate_kbps=draw(st.integers(2, 250)),
+    )
     low = draw(st.integers(1, 50))
     raw["channel"] = {
         "latency_ms": [low, draw(st.integers(low, 120))],
@@ -1850,6 +1970,7 @@ def _merged_as_heard_by(shards, ids):
 @settings(max_examples=15, deadline=None)
 @given(raw=shard_configs(), seed=st.integers(0, 2**32), data=st.data())
 def test_a_device_shard_is_the_same_alone_beside_others_and_renumbered(raw, seed, data):
+    """Budget: ~3 s of tier-1 for 15 examples."""
     devices = raw["scenario"]["devices"]
     ids = [device["id"] for device in devices]
 
@@ -1859,8 +1980,11 @@ def test_a_device_shard_is_the_same_alone_beside_others_and_renumbered(raw, seed
     shards = [alone(device) for device in devices]
     body = _body(raw, seed)
     assert body == _merged_as_heard_by(shards, ids)
-    with patch.object(Simulator, "advance_to", lambda self, t_ms: False):  # every dwell end a queued entry
-        assert _body(raw, seed) == body
+    # Each shard, in process, the same with every dwell end a queued entry and with every cycle dwell by dwell.
+    for path in (patch.object(Simulator, "advance_to", lambda self, t_ms: False),
+                 patch.object(SimDevice, "_quiet_run", lambda self: True)):
+        with path:
+            assert [alone(device) for device in devices] == shards
     # Renumber every device but one; the one kept gives the same shard.
     kept = data.draw(st.integers(0, len(devices) - 1))
     free = st.integers(1, 12).filter(lambda i: i != ids[kept])

@@ -27,12 +27,14 @@ the full frame hex, the channel byte log for privacy and nonce audits.
 A device books all its energy, state dwell and transmit bursts alike,
 through ``firmware.account_energy``. Its cycle moves only through
 ``firmware.step_state_machine``, except that an empty battery forces sleep.
-A wake runs cycle after cycle in one callback until a queued entry falls due
-before a dwell ends (SimDevice._run_cycle). A quiet cycle, one that sends no
-frame and raises no alert, is one step of a quiet run (SimDevice._quiet_run):
-its three dwells are booked with a run's others in one account_energy call, in
-the same order and in the same hour-slot pieces as dwell by dwell. Every other
-dwell is still booked, and each step taken, at its own time.
+One loop takes every cycle of a wake (SimDevice._run_cycles). It books the
+dwells that end before the horizon (Simulator.horizon) and before the end of
+their hour slot in one account_energy call, in the order and slot pieces of
+booking them one by one, and stamps each classify line with its own time. It
+books and sends at the Processing end of a cycle that sends a data frame or
+raises an alert, and queues the end of a dwell past the horizon or the slot.
+Where a dwell empties the battery, the dwells before it are booked so, and it
+at its own end as a queued entry would book it, forcing sleep there.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ class Simulator:
         self._tie += 1
 
     def emit(self, kind: str, entity: str, *details, at: int | None = None) -> None:
-        """Add a line stamped with the clock, or with at: a quiet run stamps each classify line with its own time."""
+        """Add a line stamped with the clock, or with at: the cycle loop stamps each classify line with its own time."""
         self.lines.append("\t".join(map(str, (self.now if at is None else at, kind, entity, *details))))
         if len(self.lines) >= SPOOL_LINES and self.out is not None:
             self.spool()
@@ -238,11 +240,6 @@ class _PendingAlert:
     attempts: int = 0
 
 
-def _fixed_point(confidence: float) -> int:
-    """A confidence as classify lines and payloads carry it."""
-    return min(CONFIDENCE_SCALE, round(confidence * CONFIDENCE_SCALE))
-
-
 class SimDevice:
     """Autonomous wearable node: wake-on-motion, classify, transmit, harvest."""
 
@@ -290,18 +287,15 @@ class SimDevice:
         self.duty_plan: DutyPlan | None = None
         if scenario.use_duty_plan:
             self.duty_plan = plan_duty_cycle(self.profile, self.app, e)
-
-        # A quiet cycle's three dwells: the states step_state_machine takes a window through, and their lengths.
+        # The states step_state_machine takes a window's cycle through; TxDone enters sampling again.
         sampling = step_state_machine(PowerState.Sleep, DeviceEvent.MotionDetected)
         processing = step_state_machine(sampling, DeviceEvent.WindowFull)
-        transmitting = step_state_machine(processing, DeviceEvent.InferenceDone)
-        self.quiet_dwells = ((sampling, self.window_ms), (processing, scenario.inference_latency_ms),
-                             (transmitting, MIN_RADIO_MS))
-        self.quiet_ms = sum(dt for _, dt in self.quiet_dwells)
+        self.cycle_states = sampling, processing, step_state_machine(processing, DeviceEvent.InferenceDone)
 
         self.state = PowerState.Sleep
         self.cycle_gen = 0
         self.window_index = 0
+        self.label: tuple[int, int] | None = None  # (code, fixed-point confidence) of the window in the cycle
         self.last_motion_ms = -(10 ** 12)
         self.last_account_ms = 0
         self.depleted = False
@@ -340,9 +334,9 @@ class SimDevice:
         self._send_management_frame(FrameType.HELLO, b"")
         self._start_sync(attempt=1)
         for start_ms, _, _ in self.blocks:
-            self.sim.schedule(start_ms, self._wake_check)
+            self.sim.schedule(start_ms, self._run_cycles)
         for t in range(SLOT_MS, self.scenario.duration_ms, SLOT_MS):
-            self.sim.schedule(t, self._wake_check)
+            self.sim.schedule(t, self._run_cycles)
         tick = self.scenario.energy_log_interval_ms
         for t in range(tick, self.scenario.duration_ms, tick):
             self.sim.schedule(t, self._energy_tick)
@@ -535,30 +529,6 @@ class SimDevice:
 
     # -- the sleep/sampling/processing/transmitting cycle ------------------------------
 
-    def _transition(self, event: DeviceEvent) -> tuple[int, PowerState]:
-        """Take a cycle event the current state allows; returns the (cycle, state) entered."""
-        self.state = step_state_machine(self.state, event)
-        return self.cycle_gen, self.state
-
-    def _run_cycle(self, dwell: tuple | None) -> None:
-        """Run the cycle on from dwell = (dwell_ms, entered, step): at each dwell's end, _dwell_end takes
-        its step, which returns the next dwell, or None where the cycle stops. While no queued entry is
-        due first, the clock moves to a dwell's end in place (Simulator.advance_to); else the end is queued."""
-        while dwell is not None:
-            dwell_ms, entered, step = dwell
-            if not self.sim.advance_to(self.sim.now + dwell_ms):
-                self.sim.schedule(self.sim.now + dwell_ms, lambda: self._run_cycle(self._dwell_end(entered, step)))
-                return
-            dwell = self._dwell_end(entered, step)
-
-    def _dwell_end(self, entered: tuple[int, PowerState], step: Callable[[], tuple | None]) -> tuple | None:
-        """Book the dwell and take step, unless by then the device left the
-        state entered (a forced sleep) or its battery is empty."""
-        if (self.cycle_gen, self.state) != entered:
-            return None
-        self._advance(self.sim.now)
-        return None if self.depleted else step()
-
     def _cycle_fits(self, now: int, active_ms: float) -> bool:
         """Whether one more full cycle from now ends in the scenario and in its hour slot's duty
         budget, of which active_ms is used."""
@@ -568,108 +538,107 @@ class SimDevice:
             return True
         return active_ms + self.cycle_ms <= self.duty_plan.fractions[now // SLOT_MS % SLOTS_PER_DAY] * SLOT_MS
 
-    def _wake_goes_on(self, now: int, last_motion_ms: int, active_ms: float) -> bool:
-        """_tx_done's check at a cycle's end, now: not idle for idle_timeout_ms, and a next cycle fits."""
-        return now - last_motion_ms < self.scenario.idle_timeout_ms and self._cycle_fits(now, active_ms)
-
-    def _wake_check(self) -> None:
-        now = self.sim.now
-        self._advance(now)
+    def _run_cycles(self, entered: tuple[int, PowerState] | None = None) -> None:
+        """Run a wake's cycles, step by step, from now: a wake check, where motion wakes a sleeping device,
+        or the end of a dwell queued where the device entered (cycle_gen, state) = entered. Dwells that end
+        before their hour slot does, within Simulator.advance_to's reach, are booked together (_book_dwells)
+        up to a Processing end that sends a data frame or raises an alert, which it then sends. The loop
+        ends with the wake, or queues the end of a dwell out of reach to run on from there."""
+        sim = self.sim
+        if entered is not None and (self.cycle_gen, self.state) != entered:
+            return  # a forced sleep ended the cycle that queued this dwell end
+        self._advance(sim.now)
         self._maybe_recover()
-        if self.depleted or self.state is not PowerState.Sleep:
+        if self.depleted or entered is None and self.state is not PowerState.Sleep:
             return
-        if not self._cycle_fits(now, self.slot_active_ms.get(now // SLOT_MS, 0.0)):
-            return
-        moving, _ = self._window(now, labelled=False)  # the first window's, if the wake goes on
-        if not moving:
-            return
-        self.last_motion_ms = now
-        self._run_cycle(self._next_window(self._transition(DeviceEvent.MotionDetected), True))
+        t = sim.now
+        slot_end = (t // SLOT_MS + 1) * SLOT_MS
+        reach = t - 1  # the clock reaches any time up to reach: past it, advance_to decides
+        active = self.slot_active_ms.get(t // SLOT_MS, 0.0)
+        state, last_motion, label = self.state, self.last_motion_ms, self.label
+        sampling, processing, transmitting = self.cycle_states  # locals: an Enum member lookup is slow
+        dwells, marks, lines = [], [], []  # see _book_dwells
+        while True:
+            # The step at t: the end of the dwell in state, or a wake check.
+            if state is sampling:
+                moving, (code, confidence) = self._window(t - self.window_ms)
+                if moving:
+                    last_motion = t
+                label = code, min(CONFIDENCE_SCALE, round(confidence * CONFIDENCE_SCALE))  # as payloads carry it
+                lines.append((t, self.window_index, label))
+                state, dt = processing, self.scenario.inference_latency_ms
+            elif state is processing:
+                reports, (code, conf_fp) = self._reports(self.window_index), label
+                state, dt = transmitting, self.data_tx_ms if reports else MIN_RADIO_MS
+                self.window_index += 1
+                if reports or code in self.alert_codes:
+                    if self._book_dwells(dwells, marks, lines, state, last_motion, label):
+                        return
+                    dwells, marks, lines, reach = [], [], [], t - 1
+                    if reports:
+                        payload = self._payload(code, conf_fp)
+                        frame = encode_frame(FrameType.DATA, self.spec.device_id, self._next_seq(), payload, self.key)
+                        self.channel.send(self.name, frame, self.host)
+                    if code in self.alert_codes:
+                        self._trigger_alert(code)
+                        if self.depleted:  # its burst emptied the battery: the cycle is cut short
+                            return
+            elif state is transmitting:
+                state, dt = sampling, self.window_ms
+                if t - last_motion >= self.scenario.idle_timeout_ms or not self._cycle_fits(t, active):
+                    state = step_state_machine(state, DeviceEvent.IdleTimeout)
+                    break
+            elif self._cycle_fits(t, active) and self._window(t, labelled=False)[0]:  # motion in the first window
+                state, last_motion, dt = step_state_machine(state, DeviceEvent.MotionDetected), t, self.window_ms
+            else:
+                return
+            # The dwell in state from t.
+            end = t + dt
+            if end > reach:
+                if end >= slot_end or not sim.advance_to(end):
+                    break
+                reach = min(sim.horizon(), slot_end - 1)
+            if dt:
+                dwells.append((state, dt))
+                marks.append((self.window_index, last_motion, len(lines)))
+            t, active = end, active + dt
+        if not self._book_dwells(dwells, marks, lines, state, last_motion, label) and state is not PowerState.Sleep:
+            entered = self.cycle_gen, state
+            sim.schedule(end, lambda: self._run_cycles(entered))
 
-    def _window_done(self) -> tuple:
-        moving, (code, confidence) = self._window(self.sim.now - self.window_ms)
-        if moving:
-            self.last_motion_ms = self.sim.now
-        entered = self._transition(DeviceEvent.WindowFull)
-        conf_fp = _fixed_point(confidence)
-        self.sim.emit("classify", self.name, self.window_index, self.label_names[code], conf_fp)
-        return self.scenario.inference_latency_ms, entered, lambda: self._inference_done(code, conf_fp)
-
-    def _inference_done(self, code: int, conf_fp: int) -> tuple:
-        entered = self._transition(DeviceEvent.InferenceDone)
-        reports = self._reports(self.window_index)
-        self.window_index += 1
-        if reports:
-            payload = self._payload(code, conf_fp)
-            frame = encode_frame(FrameType.DATA, self.spec.device_id, self._next_seq(), payload, self.key)
-            self.channel.send(self.name, frame, self.host)
-        if code in self.alert_codes:
-            self._trigger_alert(code)  # its burst may empty the battery and cut this cycle short
-        return self.data_tx_ms if reports else MIN_RADIO_MS, entered, self._tx_done
-
-    def _tx_done(self) -> tuple | None:
-        entered = self._transition(DeviceEvent.TxDone)
-        now = self.sim.now
-        active_ms = self.slot_active_ms.get(now // SLOT_MS, 0.0)
-        return self._next_window(entered, self._wake_goes_on(now, self.last_motion_ms, active_ms))
-
-    def _next_window(self, entered: tuple[int, PowerState], goes_on: bool) -> tuple | None:
-        """From a window start where the wake goes on: the quiet cycles _quiet_run takes, then the
-        dwell of the next window; None, the device asleep, where the wake or a quiet cycle ends it."""
-        if goes_on and self._quiet_run():
-            return self.window_ms, entered, self._window_done
-        self._transition(DeviceEvent.IdleTimeout)
-        return None
-
-    def _quiet_run(self) -> bool:
-        """Take the quiet cycles that follow a window start, now, in one pass; False if the last ends the wake.
-
-        A quiet cycle sends no frame, raises no alert, and ends in the hour slot of now and before the
-        horizon, so its classify line is the only line it adds. Each is looked up, checked at its end
-        as _tx_done checks, and booked as its three dwells' pieces, in the per-dwell order; the pieces
-        of this slot are computed once and booked through one account_energy call. Only the cycles
-        before a piece that empties the battery are taken: the per-dwell path books that one.
-        """
-        sim, quiet_ms, first = self.sim, self.quiet_ms, self.window_index
-        start = t = sim.now
-        slot = start // SLOT_MS
-        limit = min(sim.horizon(), (slot + 1) * SLOT_MS - 1)  # a cycle ending at the slot's end is checked in the next
-        active = base = self.slot_active_ms.get(slot, 0.0)
-        last_motion = self.last_motion_ms
-        cycles = []  # each quiet cycle's (classify t_ms, label code, fixed-point confidence, last motion)
-        goes_on = True
-        while goes_on and t + quiet_ms <= limit and not self._reports(self.window_index):
-            moving, (code, confidence) = self._window(t)
-            if code in self.alert_codes:
-                break
-            if moving:
-                last_motion = t + self.window_ms
-            cycles.append((t + self.window_ms, code, _fixed_point(confidence), last_motion))
-            self.window_index += 1
-            t += quiet_ms
-            active += quiet_ms
-            goes_on = self._wake_goes_on(t, last_motion, active)
-        self.window_index = first
-        if not cycles:
-            return True
-        harvest = self.harvest_mw[slot % SLOTS_PER_DAY]
-        pieces = [energy_piece(harvest, self.power_mw[state], self.charge_efficiency, dt)
-                  for state, dt in self.quiet_dwells if dt]
-        ledger, booked = account_energy(self.ledger, self.capacity_mwh, pieces * len(cycles))
-        if ledger[0] <= 0.0:  # the battery empties in cycle (booked - 1) // len(pieces)
-            del cycles[(booked - 1) // len(pieces):]
-            ledger, goes_on = account_energy(self.ledger, self.capacity_mwh, pieces * len(cycles))[0], True
-        if not cycles or not sim.advance_to(start + len(cycles) * quiet_ms):
-            return True
-        self.ledger, self.last_account_ms = ledger, sim.now
-        for state, dt in self.quiet_dwells:
-            self.dwell_ms[state] += len(cycles) * dt
-        self.slot_active_ms[slot] = base + len(cycles) * quiet_ms
-        self.last_motion_ms = cycles[-1][3]
-        for t1, code, conf_fp, _ in cycles:
-            sim.emit("classify", self.name, self.window_index, self.label_names[code], conf_fp, at=t1)
-            self.window_index += 1
-        return goes_on
+    def _book_dwells(self, dwells: list, marks: list, lines: list, state: PowerState, last_motion: int,
+                     label: tuple[int, int] | None) -> bool:
+        """Book the (state, ms) dwells _run_cycles took from last_account_ms on, in one hour slot, in one
+        account_energy call, in _advance's order and slot pieces; emit the (t_ms, window index, label)
+        classify lines of its steps; commit the loop state after them and move the clock there. Where a
+        dwell empties the battery, commit the state at its start, from marks (window_index, last_motion,
+        len(lines) at each dwell's), and book it through _advance at its end. Returns whether it emptied."""
+        emptying_ms = 0
+        if dwells:
+            slot = self.last_account_ms // SLOT_MS
+            harvest, kinds = self.harvest_mw[slot % SLOTS_PER_DAY], set(dwells)
+            piece = {kind: energy_piece(harvest, self.power_mw[kind[0]], self.charge_efficiency, kind[1])
+                     for kind in kinds}
+            pieces = list(map(piece.__getitem__, dwells))
+            ledger, booked = account_energy(self.ledger, self.capacity_mwh, pieces)
+            if ledger[0] <= 0.0:  # in dwell booked - 1
+                booked -= 1
+                ledger, _ = account_energy(self.ledger, self.capacity_mwh, pieces[:booked])
+                (state, emptying_ms), (self.window_index, last_motion, count) = dwells[booked], marks[booked]
+                del dwells[booked:], lines[count:]
+            self.ledger = ledger
+            booked_ms = sum(dt for _, dt in dwells)
+            for kind in kinds:
+                self.dwell_ms[kind[0]] += dwells.count(kind) * kind[1]
+            self.slot_active_ms[slot] = self.slot_active_ms.get(slot, 0.0) + booked_ms
+            self.last_account_ms += booked_ms
+        for t, index, (code, conf_fp) in lines:
+            self.sim.emit("classify", self.name, index, self.label_names[code], conf_fp, at=t)
+        self.state, self.last_motion_ms, self.label = state, last_motion, label
+        self.sim.advance_to(self.last_account_ms + emptying_ms)
+        if emptying_ms:  # booked at its own end
+            self._advance(self.sim.now)
+        return self.depleted
 
     # -- frames -------------------------------------------------------------------------
 
@@ -1149,8 +1118,9 @@ class ReplayReport:
     warnings: list[str] = field(default_factory=list)
 
 
-# What a device logs only after hearing a frame, which it cannot while depleted.
-_RECEIPT_KINDS = ("frame_rx", "frame_reject", "alert_delivered", "sync")
+# What a device logs only with its radio on or its cycle running: a depleted device hears no frame
+# and, forced to sleep, classifies no window.
+_RECEIPT_KINDS = ("frame_rx", "frame_reject", "alert_delivered", "sync", "classify")
 # The kinds whose details replay reads.
 _REPLAY_PARSE = ("device_init", "energy", "frame_tx", "frame_rx")
 

@@ -250,15 +250,18 @@ def cmd_budget(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     seed = _resolve_seed(args.seed)
+    stem = str(Path(args.trace).with_suffix(""))
+    metrics_path = args.metrics or stem + "_metrics.json"
+    log_path = args.observations or stem + "_observations.csv"
+    with _writing():  # before the scenario runs; the writes below are guarded too
+        for path in (args.trace, metrics_path, log_path):
+            _check_output(path)
     try:
         lines = scenario_lines(config, seed)
     except ConfigError as exc:  # no scenario section, or a device app without synthetic_models
         raise _config_error(exc) from None
     except (OSError, ModelFormatError, ModelFitError) as exc:  # scenario.model_path
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
-    stem = str(Path(args.trace).with_suffix(""))
-    metrics_path = args.metrics or stem + "_metrics.json"
-    log_path = args.observations or stem + "_observations.csv"
 
     def written(line: str) -> str:  # one pass: the metrics fold reads each merged line as it goes to the trace
         nonlocal count

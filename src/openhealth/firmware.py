@@ -137,16 +137,15 @@ def energy_piece(
 
 def account_energy(
     ledger: Ledger, capacity_mwh: float, pieces: Iterable[tuple[float, float, float]],
-) -> tuple[Ledger, int]:
+) -> Ledger:
     """The energy rule: book energy_piece products onto the ledger in order.
 
     Each piece's net moves the level, clamped to [0, capacity]; what the
-    clamp cuts adds to curtailed above and to shortfall below. Stops after
-    the first piece that empties the battery (a new level <= 0). Returns
-    the new ledger and the number of pieces booked.
+    clamp cuts adds to curtailed above and to shortfall below. Returns the
+    new ledger. Many pieces in one call book what one-piece calls book in
+    order, to the bit.
     """
     level, net_cum, curtailed_cum, shortfall_cum, harvest_cum, consumed_cum = ledger
-    booked = 0
     for net, harvested, consumed in pieces:
         raw = level + net
         if raw > capacity_mwh:
@@ -160,10 +159,7 @@ def account_energy(
         net_cum += net
         harvest_cum += harvested
         consumed_cum += consumed
-        booked += 1
-        if level <= 0.0:
-            break
-    return (level, net_cum, curtailed_cum, shortfall_cum, harvest_cum, consumed_cum), booked
+    return level, net_cum, curtailed_cum, shortfall_cum, harvest_cum, consumed_cum
 
 
 @dataclass(frozen=True)

@@ -25,16 +25,18 @@ grammar, which every reader checks through trace_records. Frame lines carry
 the full frame hex, the channel byte log for privacy and nonce audits.
 
 A device books all its energy, state dwell and transmit bursts alike,
-through ``firmware.account_energy``. Its cycle moves only through
-``firmware.step_state_machine``, except that an empty battery forces sleep.
-One loop takes every cycle of a wake (SimDevice._run_cycles). It books the
-dwells that end before the horizon (Simulator.horizon) and before the end of
-their hour slot in one account_energy call, in the order and slot pieces of
-booking them one by one, and stamps each classify line with its own time. It
+through ``firmware.account_energy``, in one place (SimDevice._book), the only
+one that finds the battery empty and forces sleep. Its cycle moves only
+through ``firmware.step_state_machine``, except for that forced sleep. One
+loop takes every cycle of a wake (SimDevice._run_cycles). It books each
+stretch of dwells in one account_energy call, in the order and slot pieces of
+booking them one by one, and stamps each classify line with its own time. A
+stretch ends before the horizon (Simulator.horizon) and before _stretch_end:
+the end of the hour slot or, sooner, the time by which the device's highest
+state power would draw half the battery, so that no stretch can empty it. It
 books and sends at the Processing end of a cycle that sends a data frame or
-raises an alert, and queues the end of a dwell past the horizon or the slot.
-Where a dwell empties the battery, the dwells before it are booked so, and it
-at its own end as a queued entry would book it, forcing sleep there.
+raises an alert, and queues the end of a dwell past the stretch, so a dwell
+that empties the battery is booked alone, at its own end.
 """
 
 from __future__ import annotations
@@ -480,33 +482,45 @@ class SimDevice:
     # -- energy ------------------------------------------------------------------
 
     def _advance(self, to_ms: int) -> None:
-        """Book the current state's dwell up to to_ms, split per hour slot."""
-        t = self.last_account_ms
-        while t < to_ms:
-            slot = t // SLOT_MS
-            piece_end = min((slot + 1) * SLOT_MS, to_ms)
-            dt = piece_end - t
-            self.dwell_ms[self.state] += dt
-            if self.state is not PowerState.Sleep:
-                self.slot_active_ms[slot] = self.slot_active_ms.get(slot, 0.0) + dt
-            self._book(self.harvest_mw[slot % SLOTS_PER_DAY], self.power_mw[self.state], dt)
-            t = piece_end
-        self.last_account_ms = to_ms
+        """Book the current state's dwell up to to_ms, one piece per hour slot."""
+        while self.last_account_ms < to_ms:
+            t = self.last_account_ms
+            self._book_dwells([(self.state, min((t // SLOT_MS + 1) * SLOT_MS, to_ms) - t)])
+
+    def _book_dwells(self, dwells: list[tuple[PowerState, int]]) -> None:
+        """Book the (state, ms) dwells from last_account_ms on, all in that time's hour slot, in one
+        account_energy call, in order, with one energy_piece per distinct dwell; add them to dwell_ms and
+        slot_active_ms."""
+        slot = self.last_account_ms // SLOT_MS
+        harvest, kinds = self.harvest_mw[slot % SLOTS_PER_DAY], set(dwells)
+        piece = {kind: energy_piece(harvest, self.power_mw[kind[0]], self.charge_efficiency, kind[1]) for kind in kinds}
+        self._book(map(piece.__getitem__, dwells))
+        for state, ms in kinds:
+            ms *= dwells.count((state, ms))
+            self.dwell_ms[state] += ms
+            self.last_account_ms += ms
+            if state is not PowerState.Sleep:
+                self.slot_active_ms[slot] = self.slot_active_ms.get(slot, 0.0) + ms
 
     def _burst(self, frame: bytes) -> None:
         """A frame sent outside the cycle: its air time at p_tx, on top of the dwell, unharvested.
         Booked after the send: a frame whose burst empties the battery was already on the air."""
-        self._book(0.0, self.profile.p_tx_mw, self._tx_ms(len(frame)))
+        self._book([energy_piece(0.0, self.profile.p_tx_mw, self.charge_efficiency, self._tx_ms(len(frame)))])
 
-    def _book(self, harvest_mw: float, consumption_mw: float, dt_ms: int) -> None:
-        """Add dt_ms of account_energy to the ledger; a battery that first runs dry forces sleep."""
-        piece = energy_piece(harvest_mw, consumption_mw, self.charge_efficiency, dt_ms)
-        self.ledger, _ = account_energy(self.ledger, self.capacity_mwh, (piece,))
+    def _book(self, pieces: Iterable[tuple[float, float, float]]) -> None:
+        """Book energy_piece products onto the ledger, the one place that does; a battery that first runs
+        dry here forces sleep."""
+        self.ledger = account_energy(self.ledger, self.capacity_mwh, pieces)
         if self.ledger[0] <= 0.0 and not self.depleted:
             self.depleted = True
             self.sim.emit("battery_depleted", self.name)
             self.cycle_gen += 1  # the cycle's pending dwell end now finds a newer cycle
             self.state = PowerState.Sleep
+
+    def _stretch_end(self, t: int) -> int:
+        """Where a stretch of the cycle loop from t ends: the end of t's hour slot or, if sooner, where the
+        highest state power would have drawn half the battery's level, so that no stretch empties it."""
+        return min((t // SLOT_MS + 1) * SLOT_MS, t + int(self.ledger[0] / 2 * 3_600_000 / max(self.power_mw.values())))
 
     def _emit_energy(self) -> None:
         self.sim.emit("energy", self.name, *(f"{mwh:.9f}" for mwh in self.ledger), *self.dwell_ms.values())
@@ -541,9 +555,9 @@ class SimDevice:
     def _run_cycles(self, entered: tuple[int, PowerState] | None = None) -> None:
         """Run a wake's cycles, step by step, from now: a wake check, where motion wakes a sleeping device,
         or the end of a dwell queued where the device entered (cycle_gen, state) = entered. Dwells that end
-        before their hour slot does, within Simulator.advance_to's reach, are booked together (_book_dwells)
-        up to a Processing end that sends a data frame or raises an alert, which it then sends. The loop
-        ends with the wake, or queues the end of a dwell out of reach to run on from there."""
+        before the stretch does (_stretch_end), within Simulator.advance_to's reach, are booked together
+        (_book_dwells) up to a Processing end that sends a data frame or raises an alert, which it then
+        sends. The loop ends with the wake, or queues the end of a dwell out of reach to run on from there."""
         sim = self.sim
         if entered is not None and (self.cycle_gen, self.state) != entered:
             return  # a forced sleep ended the cycle that queued this dwell end
@@ -552,12 +566,20 @@ class SimDevice:
         if self.depleted or entered is None and self.state is not PowerState.Sleep:
             return
         t = sim.now
-        slot_end = (t // SLOT_MS + 1) * SLOT_MS
-        reach = t - 1  # the clock reaches any time up to reach: past it, advance_to decides
+        stop, reach = self._stretch_end(t), t - 1  # the clock reaches any time up to reach: past it, advance_to decides
         active = self.slot_active_ms.get(t // SLOT_MS, 0.0)
         state, last_motion, label = self.state, self.last_motion_ms, self.label
         sampling, processing, transmitting = self.cycle_states  # locals: an Enum member lookup is slow
-        dwells, marks, lines = [], [], []  # see _book_dwells
+        dwells, lines = [], []  # the stretch's (state, ms) dwells and (t_ms, window index, label) classify lines
+
+        def book_stretch():  # book the stretch, emit its classify lines, commit the loop state and move the clock
+            if dwells:
+                self._book_dwells(dwells)
+            for t_ms, index, (code, conf_fp) in lines:
+                sim.emit("classify", self.name, index, self.label_names[code], conf_fp, at=t_ms)
+            self.state, self.last_motion_ms, self.label = state, last_motion, label
+            sim.advance_to(self.last_account_ms)
+
         while True:
             # The step at t: the end of the dwell in state, or a wake check.
             if state is sampling:
@@ -572,9 +594,8 @@ class SimDevice:
                 state, dt = transmitting, self.data_tx_ms if reports else MIN_RADIO_MS
                 self.window_index += 1
                 if reports or code in self.alert_codes:
-                    if self._book_dwells(dwells, marks, lines, state, last_motion, label):
-                        return
-                    dwells, marks, lines, reach = [], [], [], t - 1
+                    book_stretch()
+                    dwells, lines = [], []
                     if reports:
                         payload = self._payload(code, conf_fp)
                         frame = encode_frame(FrameType.DATA, self.spec.device_id, self._next_seq(), payload, self.key)
@@ -583,6 +604,7 @@ class SimDevice:
                         self._trigger_alert(code)
                         if self.depleted:  # its burst emptied the battery: the cycle is cut short
                             return
+                    stop, reach = self._stretch_end(t), t - 1
             elif state is transmitting:
                 state, dt = sampling, self.window_ms
                 if t - last_motion >= self.scenario.idle_timeout_ms or not self._cycle_fits(t, active):
@@ -595,50 +617,16 @@ class SimDevice:
             # The dwell in state from t.
             end = t + dt
             if end > reach:
-                if end >= slot_end or not sim.advance_to(end):
+                if end >= stop or not sim.advance_to(end):
                     break
-                reach = min(sim.horizon(), slot_end - 1)
+                reach = min(sim.horizon(), stop - 1)
             if dt:
                 dwells.append((state, dt))
-                marks.append((self.window_index, last_motion, len(lines)))
             t, active = end, active + dt
-        if not self._book_dwells(dwells, marks, lines, state, last_motion, label) and state is not PowerState.Sleep:
+        book_stretch()
+        if state is not PowerState.Sleep:
             entered = self.cycle_gen, state
             sim.schedule(end, lambda: self._run_cycles(entered))
-
-    def _book_dwells(self, dwells: list, marks: list, lines: list, state: PowerState, last_motion: int,
-                     label: tuple[int, int] | None) -> bool:
-        """Book the (state, ms) dwells _run_cycles took from last_account_ms on, in one hour slot, in one
-        account_energy call, in _advance's order and slot pieces; emit the (t_ms, window index, label)
-        classify lines of its steps; commit the loop state after them and move the clock there. Where a
-        dwell empties the battery, commit the state at its start, from marks (window_index, last_motion,
-        len(lines) at each dwell's), and book it through _advance at its end. Returns whether it emptied."""
-        emptying_ms = 0
-        if dwells:
-            slot = self.last_account_ms // SLOT_MS
-            harvest, kinds = self.harvest_mw[slot % SLOTS_PER_DAY], set(dwells)
-            piece = {kind: energy_piece(harvest, self.power_mw[kind[0]], self.charge_efficiency, kind[1])
-                     for kind in kinds}
-            pieces = list(map(piece.__getitem__, dwells))
-            ledger, booked = account_energy(self.ledger, self.capacity_mwh, pieces)
-            if ledger[0] <= 0.0:  # in dwell booked - 1
-                booked -= 1
-                ledger, _ = account_energy(self.ledger, self.capacity_mwh, pieces[:booked])
-                (state, emptying_ms), (self.window_index, last_motion, count) = dwells[booked], marks[booked]
-                del dwells[booked:], lines[count:]
-            self.ledger = ledger
-            booked_ms = sum(dt for _, dt in dwells)
-            for kind in kinds:
-                self.dwell_ms[kind[0]] += dwells.count(kind) * kind[1]
-            self.slot_active_ms[slot] = self.slot_active_ms.get(slot, 0.0) + booked_ms
-            self.last_account_ms += booked_ms
-        for t, index, (code, conf_fp) in lines:
-            self.sim.emit("classify", self.name, index, self.label_names[code], conf_fp, at=t)
-        self.state, self.last_motion_ms, self.label = state, last_motion, label
-        self.sim.advance_to(self.last_account_ms + emptying_ms)
-        if emptying_ms:  # booked at its own end
-            self._advance(self.sim.now)
-        return self.depleted
 
     # -- frames -------------------------------------------------------------------------
 

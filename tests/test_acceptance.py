@@ -226,10 +226,10 @@ def test_c06_energy_neutrality(reference_trace):
 def test_c07_power_arithmetic():
     profile = DeviceProfile()
     har_mw = state_power_mw(profile, "har", PowerState.Processing)
-    after_har = account_energy((100.0, 0.0, 0.0, 0.0, 0.0, 0.0), 200.0, [energy_piece(0.0, har_mw, 1.0, 3_600_000)])[0][0]
+    after_har = account_energy((100.0, 0.0, 0.0, 0.0, 0.0, 0.0), 200.0, [energy_piece(0.0, har_mw, 1.0, 3_600_000)])[0]
     assert after_har == pytest.approx(100.0 - 12.5, abs=0)
     gesture_mw = state_power_mw(profile, "gesture", PowerState.Processing)
-    after_gesture = account_energy((100.0, 0.0, 0.0, 0.0, 0.0, 0.0), 200.0, [energy_piece(0.0, gesture_mw, 1.0, 3_600_000)])[0][0]
+    after_gesture = account_energy((100.0, 0.0, 0.0, 0.0, 0.0, 0.0), 200.0, [energy_piece(0.0, gesture_mw, 1.0, 3_600_000)])[0]
     assert after_gesture == pytest.approx(100.0 - 10.0, abs=0)
     ok(7, "1 h Processing drains exactly 12.5 mWh (HAR) and 10.0 mWh (gesture)")
 

@@ -544,6 +544,24 @@ def test_train_unwritable_out_exits_2_before_training(tmp_path, capsys, monkeypa
     assert err.startswith("output error: [Errno ") and err.endswith(f"] {reason}: {str(tmp_path / out)!r}")
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--metrics", "--observations"])
+@pytest.mark.parametrize(
+    "out, reason",
+    [("missing/x.out", "No such file or directory"), (".", "Is a directory"), ("config.json/x.out", "Not a directory")],
+    ids=["no-parent", "directory", "file-parent"],
+)
+def test_simulate_unwritable_output_exits_2_before_the_scenario_runs(tmp_path, capsys, monkeypatch, flag, out, reason):
+    config = write_config(tmp_path)
+    monkeypatch.setattr(cli, "scenario_lines", lambda *args: pytest.fail("the scenario ran before its outputs were checked"))
+    paths = {"--trace": tmp_path / "t.trace", "--metrics": tmp_path / "m.json", "--observations": tmp_path / "o.csv"}
+    paths[flag] = tmp_path / out
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["simulate", "--config", str(config), *(arg for item in paths.items() for arg in map(str, item))]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("output error: [Errno ") and err.endswith(f"] {reason}: {str(tmp_path / out)!r}")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command", ["budget", "simulate"])
 def test_sleep_power_not_below_transmit_power_exits_2(tmp_path, capsys, command):
     """The parser used to accept it, and the duty planner of budget and of a

@@ -12,36 +12,17 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from itertools import combinations
 from pathlib import Path
 
-from .classifier import (
-    DegenerateDatasetError,
-    ModelFitError,
-    ModelFormatError,
-    check_fit,
-    evaluate,
-    init_model,
-    load_model,
-    quantize_model,
-    render_report,
-    save_model,
-    split_dataset,
-    train,
-)
+from .classifier import DegenerateDatasetError, ModelFitError, ModelFormatError, check_fit, evaluate, init_model
+from .classifier import load_model, quantize_model, render_report, save_model, split_dataset, train
 from .config import Config, ConfigError, load_config
 from .core import ALL_CHANNELS, APPS, ActivityLabel
-from .dataio import (
-    DatasetFormatError,
-    channel_count,
-    generate_blocks,
-    read_blocks,
-    storage_budget,
-    write_dataset,
-)
+from .dataio import DatasetFormatError, channel_count, generate_blocks, read_blocks, storage_budget, write_dataset
 from .firmware import BudgetError, memory_footprint, plan_duty_cycle
 from .pipeline import FEATURES_PER_CHANNEL, Windows, normalize_features, scan_windows
-from .netproto import OBSERVATION_HEADER, observation_row
-from .simengine import scenario_lines, trace_metrics, write_metrics
+from .simengine import scenario_lines, write_metrics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -253,26 +234,24 @@ def cmd_simulate(args) -> int:
     stem = str(Path(args.trace).with_suffix(""))
     metrics_path = args.metrics or stem + "_metrics.json"
     log_path = args.observations or stem + "_observations.csv"
+    outputs = {"--trace": args.trace, "--metrics": metrics_path, "--observations": log_path}
     with _writing():  # before the scenario runs; the writes below are guarded too
-        for path in (args.trace, metrics_path, log_path):
+        for path in outputs.values():
             _check_output(path)
+    for (flag, path), (other, other_path) in combinations(outputs.items(), 2):  # a later write would replace one
+        both = os.path.exists(path) and os.path.exists(other_path)  # then os.path.samefile sees hard links too
+        if os.path.realpath(path) == os.path.realpath(other_path) or both and os.path.samefile(path, other_path):
+            raise CliError(f"output error: {flag} and {other} name the same file: {other_path}", EXIT_CONFIG)
     try:
-        lines = scenario_lines(config, seed)
+        run = scenario_lines(config, seed)
     except ConfigError as exc:  # no scenario section, or a device app without synthetic_models
         raise _config_error(exc) from None
     except (OSError, ModelFormatError, ModelFitError) as exc:  # scenario.model_path
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
 
-    def written(line: str) -> str:  # one pass: the metrics fold reads each merged line as it goes to the trace
-        nonlocal count
-        count += 1
-        trace.write(line + "\n")
-        return line
-
-    count = 0
-    with _writing(), open(args.trace, "w", encoding="utf-8") as trace, open(log_path, "w", encoding="utf-8") as log:
-        log.write(OBSERVATION_HEADER + "\n")
-        m = trace_metrics(map(written, lines), lambda o: log.write(observation_row(o)))
+    with _writing(), run as (write, m), open(args.trace, "w", encoding="utf-8") as trace, \
+            open(log_path, "w", encoding="utf-8") as log:
+        count = write(trace, log)
         write_metrics(m, metrics_path)
 
     print(f"wrote {args.trace} ({count} events), {metrics_path} and {log_path}")

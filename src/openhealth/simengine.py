@@ -1,59 +1,51 @@
 """Deterministic discrete-event simulation of devices, channel and host.
 
-Each device runs as its own shard: an event kernel, a channel and a host
-that serve that device alone. Devices share no state, so shards can run in
-any order or in parallel, and the trace merges their lines in one canonical
-order (see scenario_lines). Simulated time is integer milliseconds.
+Each device runs as its own shard: an event kernel, a channel and a host that serve that device alone. Devices
+share no state, so shards can run in any order or in parallel. Each folds its own lines into partial metrics
+(fold), which combine sums; the parent merges the shards' lines as text into one canonical order
+(scenario_lines). Simulated time is integer milliseconds.
 
-A device draws from two streams, both keyed by (seed, device id), so neither
-the event order nor another device can change what it sees. Its sensor noise
-comes from a Philox counter-based generator keyed by the root of that seed:
-the window that starts at t ms draws from block counter (0, t, 0, 0) on, so
-each window owns 2^64 blocks and its samples depend only on (seed, device,
-t). A device synthesizes the windows it expects next ahead of time, in
-batches, but each from its own reset stream, so neither the batch size nor a
-wrong guess can change a sample; without a model it draws a one-block window's
-first PREFIX samples, and the rest only where those show no motion. Its
-channel draws every fate of the device's frames, and of the host's ACKs to
-it, in the shard's send order from a generator seeded by the same (seed,
-device id) under spawn key CHANNEL_STREAM, which keeps it apart from the
-noise key.
+A device draws from two streams, both keyed by (seed, device id), so neither the event order nor another
+device can change what it sees. Its sensor noise comes from a Philox counter-based generator keyed by the root
+of that seed: the window that starts at t ms draws from block counter (0, t, 0, 0) on, so each window owns
+2^64 blocks and its samples depend only on (seed, device, t). A device synthesizes the windows it expects next
+ahead of time, in batches, but each from its own reset stream, so neither the batch size nor a wrong guess can
+change a sample; without a model it draws a one-block window's first PREFIX samples, and the rest only where
+those show no motion. Its channel draws every fate of the device's frames, and of the host's ACKs to it, in
+the shard's send order from a generator seeded by the same (seed, device id) under spawn key CHANNEL_STREAM,
+which keeps it apart from the noise key.
 
-Trace lines are UTF-8 and tab-separated, ``t_ms kind entity detail...``,
-after a first line that gives the trace version; TRACE_LINES is their
-grammar, which every reader checks through trace_records. Frame lines carry
-the full frame hex, the channel byte log for privacy and nonce audits.
+Trace lines are UTF-8 and tab-separated, ``t_ms kind entity detail...``, after a first line that gives the
+trace version; TRACE_LINES is their grammar, which every reader checks through trace_records. Frame lines
+carry the full frame hex, the channel byte log for privacy and nonce audits.
 
-A device books all its energy, state dwell and transmit bursts alike,
-through ``firmware.account_energy``, in one place (SimDevice._book), the only
-one that finds the battery empty and forces sleep. Its cycle moves only
-through ``firmware.step_state_machine``, except for that forced sleep. One
-loop takes every cycle of a wake (SimDevice._run_cycles). It books each
-stretch of dwells in one account_energy call, in the order and slot pieces of
-booking them one by one, and stamps each classify line with its own time. A
-stretch ends before the horizon (Simulator.horizon) and before _stretch_end:
-the end of the hour slot or, sooner, the time by which the device's highest
-state power would draw half the battery, so that no stretch can empty it. It
-books and sends at the Processing end of a cycle that sends a data frame or
-raises an alert, and queues the end of a dwell past the stretch, so a dwell
-that empties the battery is booked alone, at its own end.
+A device books all its energy, state dwell and transmit bursts alike, through ``firmware.account_energy``, in
+one place (SimDevice._book), the only one that finds the battery empty and forces sleep. Its cycle moves only
+through ``firmware.step_state_machine``, except for that forced sleep. One loop takes every cycle of a wake
+(SimDevice._run_cycles), a look-ahead batch's quiet cycles in one step. It books each stretch of dwells in one
+account_energy call, in the order and pieces of booking them one by one. A stretch ends before _stretch_end:
+the end of the hour slot or, sooner, where the highest state power would draw half the battery, so no stretch
+empties it. A queued entry due inside a run runs in place (Simulator.advance_to), after the run's classify
+lines; a booking it makes books the stretch first, and the run goes on after it unless it cut the cycle short.
 """
 
 from __future__ import annotations
 
 import heapq
+import io
 import json
+import math
 import os
 import re
 import tempfile
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from itertools import cycle
+from itertools import chain, cycle
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, TextIO
+from typing import Callable, Collection, ContextManager, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -61,39 +53,11 @@ from .classifier import MlpModel, ModelFitError, check_fit, forward, load_model
 from .config import Config, ConfigError, DeviceSpec, scenario_errors
 from .core import APPS, Label
 from .dataio import channel_count, synthesize_signal
-from .firmware import (
-    BATTERY_RECOVERY_FRACTION,
-    DeviceEvent,
-    DutyPlan,
-    PowerState,
-    SLOT_MS,
-    SLOTS_PER_DAY,
-    account_energy,
-    energy_piece,
-    motion_detector,
-    plan_duty_cycle,
-    state_power_mw,
-    step_state_machine,
-)
-from .netproto import (
-    CONFIDENCE_SCALE,
-    DATA_FRAME_LEN,
-    AppId,
-    DataPayload,
-    FrameType,
-    HostGateway,
-    Observation,
-    ProtocolError,
-    ReplayWindow,
-    decode_frame,
-    encode_frame,
-    estimate_offset,
-    pack_sync_report,
-    pack_sync_request,
-    peek_header,
-    unpack_ack,
-    unpack_sync_reply,
-)
+from .firmware import BATTERY_RECOVERY_FRACTION, SLOT_MS, SLOTS_PER_DAY, DeviceEvent, DutyPlan, PowerState
+from .firmware import account_energy, energy_piece, motion_detector, plan_duty_cycle, state_power_mw, step_state_machine
+from .netproto import CONFIDENCE_SCALE, DATA_FRAME_LEN, OBSERVATION_HEADER, AppId, DataPayload, FrameType, HostGateway
+from .netproto import Observation, ProtocolError, ReplayWindow, decode_frame, encode_frame, estimate_offset
+from .netproto import observation_row, pack_sync_report, pack_sync_request, peek_header, unpack_ack, unpack_sync_reply
 from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
 TRACE_VERSION = 4
@@ -108,6 +72,7 @@ PREFIX = 4
 DAY_MS = SLOT_MS * SLOTS_PER_DAY
 # The spawn key of a device's channel stream; its noise key is the root of the same (seed, device id).
 CHANNEL_STREAM = 1
+MERGE_BYTES = 1 << 16  # the text of each spool file that the merge holds at a time
 SPOOL_LINES = 1024  # the lines a shard holds before it writes them out; a write per line slowed sessions ~5%
 
 
@@ -132,7 +97,8 @@ class Simulator:
         self.until_ms = 0  # the end of the run in progress; advance_to moves the clock only within it
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._tie = 0
-        self.lines: list[str] = []  # the emitted lines, less those spooled to the text file out if there is one
+        self.in_place = False  # whether advance_to runs an entry in place
+        self.lines: list[str] = []  # written lines (joined, as write got them), less those spooled to the file out
         self.out = out
 
     def schedule(self, t_ms: int, fn: Callable[[], None]) -> None:
@@ -141,9 +107,13 @@ class Simulator:
         heapq.heappush(self._heap, (t_ms, self._tie, fn))
         self._tie += 1
 
-    def emit(self, kind: str, entity: str, *details, at: int | None = None) -> None:
-        """Add a line stamped with the clock, or with at: the cycle loop stamps each classify line with its own time."""
-        self.lines.append("\t".join(map(str, (self.now if at is None else at, kind, entity, *details))))
+    def emit(self, kind: str, entity: str, *details) -> None:
+        """Add a line stamped with the clock."""
+        self.write("\t".join(map(str, (self.now, kind, entity, *details))))
+
+    def write(self, text: str) -> None:
+        """Add formatted lines, joined by newlines: a line of emit, or the cycle loop's classify lines."""
+        self.lines.append(text)
         if len(self.lines) >= SPOOL_LINES and self.out is not None:
             self.spool()
 
@@ -166,9 +136,20 @@ class Simulator:
         return min(self.until_ms, self._heap[0][0] - 1) if self._heap else self.until_ms
 
     def advance_to(self, t_ms: int) -> bool:
-        """Move the clock to t_ms, as an entry scheduled now for t_ms would when it ran, if t_ms is
-        at or before the horizon. Returns whether it moved."""
-        if t_ms > self.horizon():
+        """Move the clock to t_ms within the run, as an entry queued now for t_ms would run. Each entry that
+        would run first runs in place, in order, at its own time; one so runs none in place itself. Returns
+        whether the clock reached t_ms: not past the run, where an entry run in place finds one due first, or
+        where one moved the clock past t_ms."""
+        heap, mark = self._heap, (t_ms, self._tie)  # the entry for t_ms would take the tie _tie
+        if t_ms > self.until_ms or self.in_place and heap and heap[0] < mark:
+            return False
+        self.in_place, nested = True, self.in_place
+        while heap and heap[0] < mark:
+            t, _, fn = heapq.heappop(heap)
+            self.now = t
+            fn()
+        self.in_place = nested
+        if self.now > t_ms:
             return False
         self.now = t_ms
         return True
@@ -267,17 +248,23 @@ class SimDevice:
         self.window_ms = round(self.window * 1000.0 / rate)
         self.data_tx_ms = self._tx_ms(DATA_FRAME_LEN)
         self.cycle_ms = self.window_ms + scenario.inference_latency_ms + self.data_tx_ms  # the longest cycle
+        self.quiet_ms = self.window_ms + scenario.inference_latency_ms + MIN_RADIO_MS  # a cycle that sends no frame
 
         self.blocks = self._tile_blocks(spec.schedule, scenario.duration_ms)
         self.block_ends = [end for _, end, _ in self.blocks]
         self.sample_offsets_ms = np.arange(self.window) * self.period_ms
         self.signals = config.synthetic[spec.app].signals
         self.channels = channel_count(self.signals)
-        # The key takes any seed size; noise_reset is a fresh state: counter 0, buffer empty.
+        # The key takes any seed size; noise_reset is a fresh state: counter 0, buffer empty. Its arrays are
+        # lists, which the state setter reads in half the time.
         key = np.random.SeedSequence([sim.seed, spec.device_id]).generate_state(2, np.uint64)
         self.noise = np.random.Generator(np.random.Philox(key=key))
-        self.noise_reset = self.noise.bit_generator.state
-        self.ahead: dict[int, tuple[bool, tuple[int, float] | None]] = {}  # see _window
+        fresh = self.noise.bit_generator.state
+        self.noise_reset = {**fresh, "state": {"counter": [0] * 4, "key": key.tolist()}, "buffer": [0] * 4}
+        # The look-ahead batch (see _window): window starts, motion flags and times, and labels.
+        self.ahead_starts: list[int] = []
+        self.ahead_moving = self.ahead_motion = np.zeros(0, np.int64)
+        self.ahead_labels: list[tuple[int, int]] = []
         self.ahead_next: int | None = None  # the start that would follow the last batch
 
         e = config.energy
@@ -293,11 +280,14 @@ class SimDevice:
         sampling = step_state_machine(PowerState.Sleep, DeviceEvent.MotionDetected)
         processing = step_state_machine(sampling, DeviceEvent.WindowFull)
         self.cycle_states = sampling, processing, step_state_machine(processing, DeviceEvent.InferenceDone)
+        self.quiet_dwells = [(state, ms) for state, ms in zip(self.cycle_states, (self.window_ms,
+                             scenario.inference_latency_ms, MIN_RADIO_MS)) if ms]  # a quiet cycle's, in order
 
         self.state = PowerState.Sleep
         self.cycle_gen = 0
         self.window_index = 0
         self.label: tuple[int, int] | None = None  # (code, fixed-point confidence) of the window in the cycle
+        self.unbooked: list[tuple[PowerState, int]] = []  # the cycle loop's dwells from last_account_ms on
         self.last_motion_ms = -(10 ** 12)
         self.last_account_ms = 0
         self.depleted = False
@@ -323,15 +313,10 @@ class SimDevice:
             t += dur
 
     def start(self) -> None:
-        self.sim.emit(
-            "device_init", self.name, self.app,
-            f"{self.ledger[0]:.9f}", f"{self.capacity_mwh:.9f}", self.spec.clock_offset_ms,
-        )
+        init = f"{self.ledger[0]:.9f}", f"{self.capacity_mwh:.9f}", self.spec.clock_offset_ms
+        self.sim.emit("device_init", self.name, self.app, *init)
         if self.duty_plan is not None:
-            self.sim.emit(
-                "duty_plan", self.name,
-                ",".join(f"{f:.4f}" for f in self.duty_plan.fractions),
-            )
+            self.sim.emit("duty_plan", self.name, ",".join(f"{f:.4f}" for f in self.duty_plan.fractions))
         self._emit_energy()
         self._send_management_frame(FrameType.HELLO, b"")
         self._start_sync(attempt=1)
@@ -372,30 +357,24 @@ class SimDevice:
         ]
 
     def _window_samples(self, starts: list[int], columns: int | None = None, samples: int | None = None):
-        """Synthesize together the W-sample windows beginning at starts.
+        """Synthesize together the W-sample windows beginning at starts: the (k, samples or W, columns)
+        samples, and the per-code label counts of the whole windows, which every window of the batch shares.
 
-        Each window's noise is the device's Philox stream from block counter
-        (0, start, 0, 0), with the whole generator state reset first, so it
-        does not depend on which windows were drawn before or beside it; the
-        waveform and clipping then run once over the batch. A batch of more
-        than one window must lie inside the block that holds starts[0]; a
-        window that spans blocks comes alone. A one-block batch synthesizes
-        only the first `columns` channels (all by default) of the first
-        `samples` samples (all W by default): its draws are in sample order, so
-        those are the whole window's, bit for bit. A spanning window
-        synthesizes every channel, block run by block run in time order, so
-        each run's draws follow the last run's, then keeps the first `columns`.
-        Returns the (k, samples or W, columns) samples and the per-code label
-        counts of the whole windows, which every window of the batch shares.
-        """
+        Each window's noise is the device's Philox stream from block counter (0, start, 0, 0), with the whole
+        generator state reset first, so it does not depend on which windows were drawn before or beside it;
+        the waveform and clipping then run once over the batch. A batch of more than one window must lie
+        inside the block that holds starts[0]; a window that spans blocks comes alone. A one-block batch
+        synthesizes only the first `columns` channels (all by default) of the first `samples` samples (all W
+        by default): its draws are in sample order, so those are the whole window's, bit for bit. A spanning
+        window synthesizes every channel, block run by block run in time order, then keeps `columns`."""
         columns = columns or self.channels
         n = samples or self.window
         runs = self._block_runs(starts[0] + self.sample_offsets_ms)
         width = columns if len(runs) == 1 else self.channels
         z = np.empty((len(starts), n * width))
-        reset, bit_generator = self.noise_reset, self.noise.bit_generator
+        reset, counter, bit_generator = self.noise_reset, self.noise_reset["state"]["counter"], self.noise.bit_generator
         for start_ms, draws in zip(starts, z):
-            reset["state"]["counter"][1] = start_ms
+            counter[1] = start_ms
             bit_generator.state = reset
             self.noise.standard_normal(out=draws)
         t_s = (np.array(starts)[:, None] + self.sample_offsets_ms[:n]) / 1000.0
@@ -406,33 +385,32 @@ class SimDevice:
             counts[label.value] += j - i
         return matrix[..., :columns], counts
 
-    def _window(self, start_ms: int, labelled: bool = True) -> tuple[bool, tuple[int, float] | None]:
-        """The window beginning at start_ms, window number window_index: its
-        motion flag and its (label code, confidence), the model's or, on a device
-        without one, the oracle's. Served from the windows synthesized and
-        labelled ahead; a miss synthesizes start_ms and the starts predicted
-        to follow it, each wholly inside the same schedule block, and labels
-        them all. The batch doubles on each miss that lands where the last
-        batch predicted, up to WINDOWS_AHEAD_MAX, and is one window
-        otherwise, so a short wake wastes little; a batch predicts no start
-        past its block, since the next block may be still. The windows of a
-        batch share their label counts, so the oracle labels the batch once;
-        the model classifies it in one _classify call; a lone still window read with labelled false gets None.
-        The oracle reads only the label counts, so it draws accel alone, and of a one-block batch each window's
-        first PREFIX samples: motion there is motion in the window, so only the rest are drawn whole."""
-        window = self.ahead.get(start_ms)
-        if window is not None and (window[1] is not None or not labelled):
-            return window
-        n = min(2 * len(self.ahead), WINDOWS_AHEAD_MAX) if start_ms == self.ahead_next else 1
+    def _window(self, start_ms: int, labelled: bool = True) -> int:
+        """The position of the window beginning at start_ms, window number window_index, in the look-ahead
+        batch's arrays: ahead_starts, ahead_moving, ahead_motion (its Sampling end where it moves) and
+        ahead_labels ((code, confidence) rounded to CONFIDENCE_SCALE as payloads carry it, the model's or the
+        oracle's). A miss synthesizes start_ms and the starts predicted to follow it, each inside its block,
+        and labels them all. The batch doubles on each miss where the last one predicted, up to
+        WINDOWS_AHEAD_MAX, and is one window otherwise; it predicts no start past its block, as the next may
+        be still. The oracle labels a batch once, from the counts its windows share, and draws accel alone,
+        of a one-block batch each window's first PREFIX samples: motion there is motion in the window, so
+        only the rest are drawn whole. The model classifies it at once; a lone still window read with
+        labelled false gets code -1."""
+        starts = self.ahead_starts
+        i = bisect_left(starts, start_ms)
+        if i < len(starts) and starts[i] == start_ms and (self.ahead_labels[i][0] >= 0 or not labelled):
+            return i
+        n = min(2 * len(starts), WINDOWS_AHEAD_MAX) if start_ms == self.ahead_next else 1
         # A window lies in one block iff its last sample time, summed as _block_runs sums it, is before the end.
         block = bisect_right(self.block_ends, start_ms)
         end = self.block_ends[block] if block < len(self.block_ends) else 0
-        last_ms = self.sample_offsets_ms[-1]
-        starts = [start_ms]
-        following = self._next_start(start_ms, self.window_index)
+        last_ms = float(self.sample_offsets_ms[-1])  # a float, not numpy's: the same sums, faster
+        starts, index, quiet, extra = [start_ms], self.window_index, self.quiet_ms, self.data_tx_ms - MIN_RADIO_MS
+        following = start_ms + quiet + extra * self._reports(index)  # a report's window is longer on the air
         while len(starts) < n and following + last_ms < end:
             starts.append(following)
-            following = self._next_start(following, self.window_index + len(starts) - 1)
+            index += 1
+            following += quiet + extra * self._reports(index)
         oracle = self.model is None
         prefix = PREFIX if oracle and start_ms + last_ms < end else None  # one block: its draws are in sample order
         matrix, counts = self._window_samples(starts, 3 if oracle else None, prefix)
@@ -440,22 +418,17 @@ class SimDevice:
         if prefix and not moving.all():
             undecided = [start for start, flag in zip(starts, moving) if not flag]
             moving[~moving] = motion_detector(self._window_samples(undecided, 3)[0])
-        moving = moving.tolist()
-        labels = ([self._oracle(counts)] * len(starts) if oracle
-                  else [None] if not labelled and moving == [False] else self._classify(matrix))
-        self.ahead = dict(zip(starts, zip(moving, labels)))
+        labels = ([self._oracle(counts)] if oracle  # one label, which every window of the batch takes
+                  else [(-1, 0.0)] if not labelled and moving.tolist() == [False] else self._classify(matrix))
+        fixed = [(code, min(CONFIDENCE_SCALE, round(confidence * CONFIDENCE_SCALE))) for code, confidence in labels]
+        self.ahead_starts, self.ahead_moving, self.ahead_labels = starts, moving, fixed * (len(starts) // len(fixed))
+        self.ahead_motion = np.where(moving, np.array(starts) + self.window_ms, -(10**12))  # Sampling ends that move
         self.ahead_next = following if following + last_ms < end else None
-        return self.ahead[start_ms]
+        return 0
 
     def _reports(self, index: int) -> bool:
         """Whether window number index (from 0) sends a data frame, on the air for data_tx_ms."""
         return (index + 1) % self.scenario.report_every_n_windows == 0
-
-    def _next_start(self, start_ms: int, index: int) -> int:
-        """Where the window after window number index, which begins at
-        start_ms, begins if the cycle goes on."""
-        tx_ms = self.data_tx_ms if self._reports(index) else MIN_RADIO_MS
-        return start_ms + self.window_ms + self.scenario.inference_latency_ms + tx_ms
 
     def _oracle(self, counts: list[int]) -> tuple[int, float]:
         """The code of the schedule's label for a window with these label counts, and its share.
@@ -482,7 +455,11 @@ class SimDevice:
     # -- energy ------------------------------------------------------------------
 
     def _advance(self, to_ms: int) -> None:
-        """Book the current state's dwell up to to_ms, one piece per hour slot."""
+        """Book the dwells the cycle loop left unbooked, then the current state's dwell up to to_ms, one piece
+        per hour slot."""
+        if self.unbooked:
+            dwells, self.unbooked = self.unbooked, []
+            self._book_dwells(dwells)
         while self.last_account_ms < to_ms:
             t = self.last_account_ms
             self._book_dwells([(self.state, min((t // SLOT_MS + 1) * SLOT_MS, to_ms) - t)])
@@ -505,6 +482,7 @@ class SimDevice:
     def _burst(self, frame: bytes) -> None:
         """A frame sent outside the cycle: its air time at p_tx, on top of the dwell, unharvested.
         Booked after the send: a frame whose burst empties the battery was already on the air."""
+        self._advance(0)  # the dwells the cycle loop left unbooked come first
         self._book([energy_piece(0.0, self.profile.p_tx_mw, self.charge_efficiency, self._tx_ms(len(frame)))])
 
     def _book(self, pieces: Iterable[tuple[float, float, float]]) -> None:
@@ -543,21 +521,42 @@ class SimDevice:
 
     # -- the sleep/sampling/processing/transmitting cycle ------------------------------
 
-    def _cycle_fits(self, now: int, active_ms: float) -> bool:
-        """Whether one more full cycle from now ends in the scenario and in its hour slot's duty
-        budget, of which active_ms is used."""
-        if now + self.cycle_ms > self.scenario.duration_ms:
-            return False
+    def _slack_ms(self, now: int, active_ms: float) -> int:
+        """How many ms after now, and as many more active ms, one more full cycle could begin and end in the
+        scenario and in the duty budget of now's slot, of which active_ms is used; below 0 if none fits. The
+        active ms and the budget's floor are integers, so they compare exactly."""
+        slack = self.scenario.duration_ms - self.cycle_ms - now
         if self.duty_plan is None:
-            return True
-        return active_ms + self.cycle_ms <= self.duty_plan.fractions[now // SLOT_MS % SLOTS_PER_DAY] * SLOT_MS
+            return slack
+        budget = math.floor(self.duty_plan.fractions[now // SLOT_MS % SLOTS_PER_DAY] * SLOT_MS)
+        return min(slack, budget - self.cycle_ms - int(active_ms))
+
+    def _quiet_cycles(self, q: int, t: int, last_motion: int, active: float, reach: int) -> tuple[int, int]:
+        """How many whole quiet cycles from window q of the look-ahead batch, at t, the loop takes in one step,
+        and the last motion after them: up to a window that reports or raises an alert, the last cycle that
+        ends by reach, and the first that _slack_ms or the idle timeout (a running maximum) would not begin."""
+        quiet, starts, reports = self.quiet_ms, self.ahead_starts, self.scenario.report_every_n_windows
+        n = min(len(starts) - q, (reach - t) // quiet, self._slack_ms(t, active) // quiet + 1,
+                (-self.window_index - 1) % reports)
+        if self.alert_codes:
+            n = next((j for j in range(n) if self.ahead_labels[q + j][0] in self.alert_codes), n)
+        if n <= 0 or starts[q + n - 1] != t + (n - 1) * quiet:  # none, or the batch predicted other numbers
+            return 0, last_motion
+        if self.ahead_moving[q : q + n].all() and quiet - self.window_ms < self.scenario.idle_timeout_ms:
+            return n, t + (n - 1) * quiet + self.window_ms  # each cycle goes on from its own motion
+        motion = np.maximum.accumulate(np.maximum(self.ahead_motion[q : q + n], last_motion))
+        idle = np.flatnonzero(motion[:-1] <= (t - self.scenario.idle_timeout_ms) + quiet * np.arange(1, n))
+        n = int(idle[0]) + 1 if idle.size else n
+        return n, int(motion[n - 1])
 
     def _run_cycles(self, entered: tuple[int, PowerState] | None = None) -> None:
-        """Run a wake's cycles, step by step, from now: a wake check, where motion wakes a sleeping device,
-        or the end of a dwell queued where the device entered (cycle_gen, state) = entered. Dwells that end
-        before the stretch does (_stretch_end), within Simulator.advance_to's reach, are booked together
-        (_book_dwells) up to a Processing end that sends a data frame or raises an alert, which it then
-        sends. The loop ends with the wake, or queues the end of a dwell out of reach to run on from there."""
+        """Run a wake's cycles from now: a wake check, where motion wakes a sleeping device, or the end of a
+        dwell queued where the device entered (cycle_gen, state) = entered. A look-ahead batch's quiet cycles
+        are one step (_quiet_cycles). A Processing end that sends a frame sends it there. The next booking
+        books the stretch's dwells, which end before _stretch_end. A dwell that ends past the horizon moves
+        the clock with Simulator.advance_to, which runs each queued entry due first in place, after the
+        loop's classify lines: where one booked, the loop books that dwell as its queued end would and goes
+        on, and where one cut the cycle short, it ends. It ends with the wake, or queues a dwell's end."""
         sim = self.sim
         if entered is not None and (self.cycle_gen, self.state) != entered:
             return  # a forced sleep ended the cycle that queued this dwell end
@@ -565,65 +564,96 @@ class SimDevice:
         self._maybe_recover()
         if self.depleted or entered is None and self.state is not PowerState.Sleep:
             return
-        t = sim.now
+        t, gen = sim.now, self.cycle_gen
         stop, reach = self._stretch_end(t), t - 1  # the clock reaches any time up to reach: past it, advance_to decides
         active = self.slot_active_ms.get(t // SLOT_MS, 0.0)
         state, last_motion, label = self.state, self.last_motion_ms, self.label
         sampling, processing, transmitting = self.cycle_states  # locals: an Enum member lookup is slow
-        dwells, lines = [], []  # the stretch's (state, ms) dwells and (t_ms, window index, label) classify lines
+        window_ms, name, names = self.window_ms, self.name, self.label_names
+        dwells, lines, q = [], [], -1  # the stretch's dwells and classify lines; the batch position sampled next
 
-        def book_stretch():  # book the stretch, emit its classify lines, commit the loop state and move the clock
-            if dwells:
-                self._book_dwells(dwells)
-            for t_ms, index, (code, conf_fp) in lines:
-                sim.emit("classify", self.name, index, self.label_names[code], conf_fp, at=t_ms)
-            self.state, self.last_motion_ms, self.label = state, last_motion, label
-            sim.advance_to(self.last_account_ms)
+        def settle():  # hand the lines, the loop state and the dwells to the device, before anything else runs
+            if lines:
+                sim.write("\n".join(lines))
+                lines.clear()
+            self.state, self.last_motion_ms, self.label, self.unbooked = state, last_motion, label, dwells
+            return self.ledger  # a later ledger is another tuple: something booked
 
         while True:
             # The step at t: the end of the dwell in state, or a wake check.
             if state is sampling:
-                moving, (code, confidence) = self._window(t - self.window_ms)
-                if moving:
+                if not (0 <= q < len(self.ahead_starts) and self.ahead_starts[q] == t - window_ms):
+                    q = self._window(t - window_ms)
+                if self.ahead_moving[q]:
                     last_motion = t
-                label = code, min(CONFIDENCE_SCALE, round(confidence * CONFIDENCE_SCALE))  # as payloads carry it
-                lines.append((t, self.window_index, label))
-                state, dt = processing, self.scenario.inference_latency_ms
+                label = self.ahead_labels[q]
+                lines.append(f"{t}\tclassify\t{name}\t{self.window_index}\t{names[label[0]]}\t{label[1]}")
+                state, dt, q = processing, self.scenario.inference_latency_ms, q + 1
             elif state is processing:
                 reports, (code, conf_fp) = self._reports(self.window_index), label
                 state, dt = transmitting, self.data_tx_ms if reports else MIN_RADIO_MS
                 self.window_index += 1
                 if reports or code in self.alert_codes:
-                    book_stretch()
-                    dwells, lines = [], []
+                    ledger, moved = settle(), sim.advance_to(t)
                     if reports:
                         payload = self._payload(code, conf_fp)
                         frame = encode_frame(FrameType.DATA, self.spec.device_id, self._next_seq(), payload, self.key)
                         self.channel.send(self.name, frame, self.host)
                     if code in self.alert_codes:
                         self._trigger_alert(code)
-                        if self.depleted:  # its burst emptied the battery: the cycle is cut short
+                        if self.cycle_gen != gen:  # its burst emptied the battery: the cycle is cut short
                             return
-                    stop, reach = self._stretch_end(t), t - 1
+                    if self.ledger is not ledger:  # a burst booked the stretch: the next begins here
+                        dwells, stop = self.unbooked, self._stretch_end(t)
+                    reach = min(sim.horizon(), stop - 1) if moved else t - 1  # re-read: a send queues its receipt
             elif state is transmitting:
-                state, dt = sampling, self.window_ms
-                if t - last_motion >= self.scenario.idle_timeout_ms or not self._cycle_fits(t, active):
+                state, dt = sampling, window_ms
+                if t - last_motion >= self.scenario.idle_timeout_ms or self._slack_ms(t, active) < 0:
                     state = step_state_machine(state, DeviceEvent.IdleTimeout)
                     break
-            elif self._cycle_fits(t, active) and self._window(t, labelled=False)[0]:  # motion in the first window
-                state, last_motion, dt = step_state_machine(state, DeviceEvent.MotionDetected), t, self.window_ms
+                if t + self.quiet_ms <= reach and not self._reports(self.window_index):  # take quiet cycles at once
+                    if not (0 <= q < len(self.ahead_starts) and self.ahead_starts[q] == t):
+                        q = self._window(t)
+                    k, motion = self._quiet_cycles(q, t, last_motion, active, reach)
+                    if k:
+                        quiet, index = self.quiet_ms, self.window_index
+                        lines.append("\n".join([
+                            f"{t + j * quiet + window_ms}\tclassify\t{name}\t{index + j}\t{names[code]}\t{conf_fp}"
+                            for j, (code, conf_fp) in enumerate(self.ahead_labels[q : q + k])
+                        ]))
+                        dwells += self.quiet_dwells * k
+                        last_motion, label, q = motion, self.ahead_labels[q + k - 1], q + k
+                        t, active, state, self.window_index = t + k * quiet, active + k * quiet, transmitting, index + k
+                        continue
+            elif self._slack_ms(t, active) >= 0:
+                q = self._window(t, labelled=False)
+                if not self.ahead_moving[q]:
+                    return  # no motion in the first window
+                state, last_motion, dt = step_state_machine(state, DeviceEvent.MotionDetected), t, window_ms
             else:
                 return
             # The dwell in state from t.
             end = t + dt
             if end > reach:
-                if end >= stop or not sim.advance_to(end):
+                if end >= stop:
                     break
+                ledger, moved = settle(), sim.advance_to(end)
+                if self.cycle_gen != gen:
+                    return  # an entry run in place emptied the battery: the cycle is cut short
+                if not moved:
+                    break
+                if self.ledger is not ledger:  # an entry run in place booked: book this dwell as its queued end would
+                    self._advance(end)
+                    if self.cycle_gen != gen:
+                        return
+                    dwells, stop, active, dt = self.unbooked, self._stretch_end(end), active + dt, 0
                 reach = min(sim.horizon(), stop - 1)
             if dt:
                 dwells.append((state, dt))
             t, active = end, active + dt
-        book_stretch()
+        settle()
+        self._advance(t)
+        sim.advance_to(t)
         if state is not PowerState.Sleep:
             entered = self.cycle_gen, state
             sim.schedule(end, lambda: self._run_cycles(entered))
@@ -767,17 +797,16 @@ class SimTrace:
 
 
 def run_scenario(config: Config, seed: int = 0) -> SimTrace:
-    """The lines of scenario_lines, and the metrics trace_metrics derives from them."""
-    lines = list(scenario_lines(config, seed))
-    return SimTrace(lines=lines, metrics=trace_metrics(lines))
+    """The lines of the scenario's trace, and the metrics that trace_metrics derives from them."""
+    with scenario_lines(config, seed) as (write, metrics):
+        write(text := io.StringIO(), io.StringIO())
+    return SimTrace(lines=text.getvalue().splitlines(), metrics=metrics)
 
 
-def scenario_lines(config: Config, seed: int = 0) -> Iterator[str]:
-    """Check the config and its model; return an iterator over the scenario's trace lines.
-
-    Once the first line is asked for, each device's shard runs apart (_shard_lines), in up to min(devices,
-    usable CPUs) processes, and spools its lines to an anonymous temporary file. The trace is the
-    trace_version and scenario lines, the shards' lines merged by (t_ms, device index), then scenario_end."""
+def scenario_lines(config: Config, seed: int = 0) -> ContextManager[tuple[Callable, dict]]:
+    """Check the config and its model; return a context (_sharded) that runs the scenario on entry and
+    closes each spool file on exit, however it ends. Each device's shard runs apart (_shard_lines), in up
+    to min(devices, usable CPUs) processes (_run_shards)."""
     scenario = config.scenario
     if scenario is None:
         raise ConfigError(["config has no scenario section"])
@@ -791,32 +820,74 @@ def scenario_lines(config: Config, seed: int = 0) -> Iterator[str]:
                 check_fit(model, channel_count(config.synthetic[spec.app].signals), spec.app)
             except ModelFitError as exc:
                 raise ModelFitError(f"device {spec.device_id}: {exc}") from None
-    return _merged_shards(config, model, seed)
+    return _sharded(config, model, seed)
 
 
-def _merged_shards(config: Config, model: MlpModel | None, seed: int) -> Iterator[str]:
-    """The lines of scenario_lines, which closes each spool file however it ends."""
+@contextmanager
+def _sharded(config: Config, model: MlpModel | None, seed: int) -> Iterator[tuple[Callable, dict]]:
+    """Run the shards; give a function that writes the trace and the observation log and returns the trace's
+    line count, and the metrics that the shards' partials combine into. It merges the shards' spool files as
+    text and parses no line."""
     scenario = config.scenario
     with ExitStack() as stack:
-        files = [stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8")) for _ in scenario.devices]
-        _run_shards(len(files), lambda index: _shard_lines(config, model, seed, index, files[index]))
-        for out in files:
-            out.seek(0)
-        yield f"0\ttrace_version\tsim\t{TRACE_VERSION}"
-        yield f"0\tscenario\tsim\t{scenario.duration_ms}\t{len(scenario.devices)}\t{seed}"
-        for line in heapq.merge(*files, key=lambda line: int(line[: line.index("\t")])):
-            yield line[:-1]
-        yield f"{scenario.duration_ms}\tscenario_end\tsim"
+        spools = [[stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8")) for _ in range(2)]
+                  for _ in scenario.devices]  # each shard's lines and observation rows
+        partials = _run_shards(len(spools), lambda index: _shard_lines(config, model, seed, index, *spools[index]))
+        for spool in chain(*spools):  # the shards wrote and read them
+            spool.seek(0)
+
+        def write(trace: TextIO, log: TextIO) -> int:
+            # The trace is its first lines, the shards' lines merged by (t_ms, device index), then scenario_end;
+            # the log its header, then a row per observation line, in the trace's order.
+            trace.write("\n".join([*_header(scenario, seed), ""]))
+            count = sum(trace.writelines(block) or len(block) for block in _merged([lines for lines, _ in spools]))
+            trace.write(f"{scenario.duration_ms}\tscenario_end\tsim\n")
+            log.write(OBSERVATION_HEADER + "\n")
+            merged_rows = _merged([rows for _, rows in spools])
+            log.writelines(row[row.index("\t") + 1 :] for block in merged_rows for row in block)
+            return count + 3
+
+        yield write, combine(partials)
 
 
-def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int, out: TextIO) -> None:
-    """Write the trace lines of the shard of scenario.devices[index] to out, in its kernel's order.
+def _header(scenario, seed: int) -> list[str]:
+    scenario_line = f"0\tscenario\tsim\t{scenario.duration_ms}\t{len(scenario.devices)}\t{seed}"
+    return [f"0\ttrace_version\tsim\t{TRACE_VERSION}", scenario_line]
 
-    A shard is one device with its own kernel, channel and host. Its host's
-    gateway knows every device's key, so a frame whose device-id byte was
-    corrupted into another device's id fails authentication as it would at
-    a shared host; it stays in its sender's shard.
-    """
+
+def _t_ms(line: str) -> int:
+    return int(line[: line.index("\t")])
+
+
+def _merged(files: list[TextIO]) -> Iterator[list[str]]:
+    """The lines of files, each led by its t_ms and in t_ms order, in (t_ms, file) order, a list at a time:
+    of the blocks held, those before the earliest last t_ms of the files still read, in a stable sort."""
+    held, reading = [[] for _ in files], set(range(len(files)))  # each file's lines read and not yet merged
+    while True:
+        for i in list(reading):  # a file whose lines held share one t_ms, or are none, reads a block more
+            if not held[i] or _t_ms(held[i][0]) == _t_ms(held[i][-1]):
+                block = files[i].readlines(MERGE_BYTES)
+                held[i] += block
+                if not block:
+                    reading.discard(i)
+        bound = min((_t_ms(held[i][-1]) for i in reading), default=math.inf)  # no line still to read is earlier
+        taken = []
+        for lines in held:
+            n = bisect_left(lines, bound, key=_t_ms)
+            taken += lines[:n]
+            del lines[:n]
+        if taken:
+            yield sorted(taken, key=_t_ms)
+        elif bound == math.inf:
+            return
+
+
+def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int, out: TextIO, rows: TextIO) -> dict:
+    """Write the lines of the shard of scenario.devices[index] to out, in its kernel's order, and its host's
+    observation rows to rows, each after its line's t_ms and a tab; return what fold gives its lines, read
+    back after the trace's first two. A shard is one device with its own kernel, channel and host. Its
+    host's gateway knows every device's key, so a frame whose device-id byte was corrupted into another
+    device's id fails authentication as it would at a shared host; it stays in its sender's shard."""
     scenario = config.scenario
     spec = scenario.devices[index]
     sim = Simulator(seed, out)
@@ -828,6 +899,10 @@ def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int, 
     sim.run(scenario.duration_ms)
     device.finalize()
     sim.spool()
+    out.seek(0)
+    partial = fold(chain(_header(scenario, seed), out), lambda t_ms, obs: rows.write(f"{t_ms}\t{observation_row(obs)}"))
+    rows.flush()  # a fork child leaves through os._exit, which flushes nothing
+    return partial
 
 
 def _usable_cpus() -> int:
@@ -837,19 +912,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_shards(count: int, shard: Callable[[int], None]) -> None:
-    """shard(i) for i in range(count), in up to min(count, usable CPUs) processes.
+def _run_shards(count: int, shard: Callable[[int], object]) -> list:
+    """[shard(i) for i in range(count)], in up to min(count, usable CPUs) processes.
 
-    Where the platform can fork, the parent forks one child per extra
-    process; worker w of n runs shards w, w + n, ... (the parent is worker
-    0) and each child sends back over a pipe only None, or the exception a
-    shard raised, which raises here. Every child is joined, and a child
-    whose result was not read is terminated first."""
+    Where the platform can fork, the parent forks one child per extra process; worker w of n runs shards
+    w, w + n, ... (the parent is worker 0) and each child sends back over a pipe its shards' results, or the
+    exception a shard raised, which raises here. Every child is joined, and a child whose result was not read
+    is terminated first."""
     workers = max(1, min(count, _usable_cpus())) if hasattr(os, "fork") else 1
     if workers > 1:
         import multiprocessing  # only where it forks: the import alone takes milliseconds
         context = multiprocessing.get_context("fork")
-    children = []
+    children, results = [], [None] * count
     try:
         for w in range(1, workers):
             receiver, sender = context.Pipe(duplex=False)
@@ -858,16 +932,17 @@ def _run_shards(count: int, shard: Callable[[int], None]) -> None:
             children.append((child, receiver))
             sender.close()
         for i in range(0, count, workers):
-            shard(i)
-        for child, receiver in children:
+            results[i] = shard(i)
+        for w, (child, receiver) in enumerate(children, start=1):
             try:
-                error = receiver.recv()
+                sent = receiver.recv()
             except EOFError:
                 child.join()
                 raise RuntimeError(f"shard process exited with code {child.exitcode} and sent no result") from None
             receiver.close()
-            if error is not None:
-                raise error
+            if isinstance(sent, Exception):
+                raise sent
+            results[w::workers] = sent
     finally:
         for child, receiver in children:
             if not receiver.closed:
@@ -875,17 +950,16 @@ def _run_shards(count: int, shard: Callable[[int], None]) -> None:
                 child.terminate()
             child.join()
             child.close()  # now, not when a failed run's traceback is collected
+    return results
 
 
-def _shard_child(sender, shard: Callable[[int], None], indices: range) -> None:
-    """Run shard(i) for i in indices, then send the parent None, or the exception it raised."""
-    error = None
+def _shard_child(sender, shard: Callable[[int], object], indices: range) -> None:
+    """Run shard(i) for i in indices, then send the parent their results, or the exception one raised."""
     try:
-        for i in indices:
-            shard(i)
+        sent = [shard(i) for i in indices]
     except Exception as exc:
-        error = exc
-    sender.send(error)
+        sent = exc
+    sender.send(sent)
     sender.close()
 
 
@@ -999,26 +1073,37 @@ def trace_observations(lines: Iterable[str]) -> list[Observation]:
     return [Observation(*details) for _, _, kind, _, details in records if kind == "observation"]
 
 
-def trace_metrics(lines: Iterable[str], observe: Callable[[Observation], object] | None = None) -> dict:
-    """Summary metrics of a trace (re-derivable from the file alone); observe, if given, gets each Observation."""
-    devices: dict[str, dict] = defaultdict(
-        lambda: {
-            "app": None,
-            "frames_sent": 0,
-            "classifications": {},
-            "alerts": {"sent": 0, "delivered": 0, "undelivered": 0, "attempts": {}, "latency_ms": {}},
-            "battery_mwh": {},
-            "battery_daily": [],  # [day, mWh] at each day boundary, then at the end
-            "energy_mwh": {},
-            "dwell_ms": {},
-            "sync": {"offset_est_ms": None, "rtt_ms": None, "timeouts": 0},
-            "depletions": 0,
-        }
-    )
+def trace_metrics(lines: Iterable[str], observe: Callable[[int, Observation], object] | None = None) -> dict:
+    """Summary metrics of a trace (re-derivable from the file alone); observe, if given, gets each observation
+    line's t_ms and Observation."""
+    return combine([fold(lines, observe)])
+
+
+def combine(partials: Iterable[dict]) -> dict:
+    """The metrics of a trace from what fold gives each shard's lines after the trace's first two: each
+    device's figures from its shard, the host's and the channel's counts summed."""
+    metrics = fold([])
+    for partial in partials:
+        metrics.update(duration_ms=partial["duration_ms"], seed=partial["seed"])
+        metrics["devices"].update(partial["devices"])
+        for group, counts in (metrics["host"], partial["host"]), (metrics["channel"], partial["channel"]):
+            for key, n in counts.items():  # a count, or counts by code or device id
+                old = group[key]
+                group[key] = {k: old.get(k, 0) + n.get(k, 0) for k in old | n} if isinstance(n, dict) else old + n
+    return metrics
+
+
+def fold(lines: Iterable[str], observe: Callable[[int, Observation], object] | None = None) -> dict:
+    """The metrics of lines, a trace or a shard's part of one (see combine); observe as trace_metrics'."""
+    devices: dict[str, dict] = defaultdict(lambda: {  # battery_daily: [day, mWh] at each day boundary, then the end
+        "app": None, "frames_sent": 0, "classifications": {},
+        "alerts": {"sent": 0, "delivered": 0, "undelivered": 0, "attempts": {}, "latency_ms": {}},
+        "battery_mwh": {}, "battery_daily": [], "energy_mwh": {}, "dwell_ms": {},
+        "sync": {"offset_est_ms": None, "rtt_ms": None, "timeouts": 0}, "depletions": 0,
+    })
     host = {"frames_received": 0, "frames_rejected": {}, "observations": {}, "alerts_notified": 0}
     channel = {"transmitted": 0, "lost": 0, "corrupted": 0}
-    duration = 0
-    seed = None
+    duration, seed = 0, None
     # The kinds whose numbers it reads (and observation for observe): the others it counts, or reads as strings.
     numeric = ("scenario", "device_init", "alert_sent", "alert_delivered", "alert_undelivered", "sync", "energy")
     for _, t, kind, entity, details in trace_records(lines, parse=(*numeric, "observation") if observe else numeric):
@@ -1048,7 +1133,7 @@ def trace_metrics(lines: Iterable[str], observe: Callable[[Observation], object]
             device_id = str(details[0])
             host["observations"][device_id] = host["observations"].get(device_id, 0) + 1
             if observe is not None:
-                observe(Observation(*details))
+                observe(t, Observation(*details))
         elif kind == "alert_notified":
             host["alerts_notified"] += 1
         elif kind == "alert_sent":

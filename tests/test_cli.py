@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -560,6 +561,26 @@ def test_simulate_unwritable_output_exits_2_before_the_scenario_runs(tmp_path, c
     err = capsys.readouterr().err.strip()
     assert err.startswith("output error: [Errno ") and err.endswith(f"] {reason}: {str(tmp_path / out)!r}")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("flags", [("--trace", "--metrics"), ("--trace", "--observations"), ("--metrics", "--observations")])
+@pytest.mark.parametrize("spelling", ["same", "dot-slash", "hard-link"])
+def test_simulate_refuses_two_outputs_that_name_one_file(tmp_path, capsys, monkeypatch, flags, spelling):
+    """The later of two outputs that name one file would replace the earlier, so the run is refused
+    before it starts: by the resolved path, or by os.path.samefile where both files exist."""
+    config = write_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "scenario_lines", lambda *args: pytest.fail("the scenario ran before its outputs were checked"))
+    paths = {"--trace": "t.trace", "--metrics": "m.json", "--observations": "o.csv"}
+    first, second = flags
+    paths[first], paths[second] = "x", {"same": "x", "dot-slash": "./x", "hard-link": "y"}[spelling]
+    if spelling == "hard-link":
+        Path("x").write_text("kept\n")
+        os.link("x", "y")
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+    assert main(["simulate", "--config", str(config), *(arg for item in paths.items() for arg in item)]) == 2
+    assert capsys.readouterr().err.strip() == f"output error: {first} and {second} name the same file: {paths[second]}"
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
 
 
 @pytest.mark.parametrize("command", ["budget", "simulate"])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import io
 import json
 import os
 import re
@@ -22,7 +23,9 @@ from openhealth.cli import main
 from openhealth.config import Config, ConfigError, DeviceSpec, load_config, parse_config
 from openhealth.core import MAX_MS, ActivityLabel, FieldError
 from openhealth.firmware import SLOT_MS, PowerState, account_energy, energy_piece, motion_detector
-from openhealth.netproto import AppId, frame_nonce, peek_header, write_observation_log
+from openhealth.netproto import (
+    CONFIDENCE_SCALE, OBSERVATION_HEADER, AppId, frame_nonce, observation_row, peek_header, write_observation_log,
+)
 from openhealth.pipeline import extract_feature_matrix, normalize_features
 from openhealth.simengine import (
     DAY_MS,
@@ -389,12 +392,12 @@ def test_a_still_wake_probe_is_labelled_only_when_its_label_is_read(trained_mode
     monkeypatch.setattr(
         SimDevice, "_classify", lambda self, matrix: classified.append(len(matrix)) or real_classify(self, matrix)
     )
-    assert device._window(0, labelled=False) == (False, None)
+    assert _looked_up(device, 0, labelled=False) == (False, (-1, 0))
     assert classified == []
-    moving, label = device._window(0)
+    moving, label = _looked_up(device, 0)
     assert (moving, classified) == (False, [1])
-    assert label == real_classify(device, device._window_samples([0])[0])[0]
-    assert device._window(0) == (False, label) and classified == [1]
+    assert label == _fixed_point(real_classify(device, device._window_samples([0])[0])[0])
+    assert _looked_up(device, 0) == (False, label) and classified == [1]
 
 
 def _scalar_block_runs(device, start_ms):
@@ -534,6 +537,19 @@ def _window_drawn_alone(device, start_ms, columns):
     return matrix[:, :columns]
 
 
+def _looked_up(device, start_ms, labelled=True):
+    """The motion flag and (label code, fixed-point confidence) of the window at start_ms, which
+    _window finds or synthesizes in the look-ahead batch."""
+    i = device._window(start_ms, labelled)
+    return bool(device.ahead_moving[i]), device.ahead_labels[i]
+
+
+def _fixed_point(label):
+    """(code, confidence) with the confidence rounded to CONFIDENCE_SCALE, as payloads carry it."""
+    code, confidence = label
+    return code, min(CONFIDENCE_SCALE, round(confidence * CONFIDENCE_SCALE))
+
+
 def _classified_alone(device, samples):
     """The per-window rule that a batch classified at once must reproduce:
     the one window alone through features, normalization and forward."""
@@ -587,16 +603,16 @@ def test_windows_synthesized_ahead_equal_the_window_drawn_alone(
     device._window_samples = recorded
     for order in (requests, data.draw(st.permutations(requests))):
         for start in order:
-            moving, labelled = device._window(start)
+            moving, labelled = _looked_up(device, start)
             alone = expected[start]
             # The whole window, or, on the oracle, a prefix that alone shows motion.
             assert drawn[start].tobytes() == alone[: len(drawn[start])].tobytes(), start
             assert len(drawn[start]) == device.window or (not use_model and motion_detector(drawn[start])), start
             assert moving == motion_detector(alone), start
             if use_model:
-                assert labelled == _classified_alone(device, alone), start
+                assert labelled == _fixed_point(_classified_alone(device, alone)), start
             else:
-                assert labelled == device._oracle(real([start], columns)[1]), start
+                assert labelled == _fixed_point(device._oracle(real([start], columns)[1])), start
     # A batch holds only windows of one block, each drawn from its own reset.
     inside = [start for start in grid if start + device.sample_offsets_ms[-1] < 30_000]
     if len(inside) > 1:
@@ -741,30 +757,43 @@ def test_an_oracle_flag_is_motion_anywhere_in_the_whole_window(app, rate_hz, ori
     requests = [origin + k * device.cycle_ms for k in range(steps)]
     requests += data.draw(st.lists(spanning, max_size=4)) + data.draw(st.lists(st.integers(9_000, 10_500), max_size=3))
     for start in data.draw(st.permutations(requests)) if data.draw(st.booleans()) else requests:
-        moving, _ = device._window(start)
+        moving, _ = _looked_up(device, start)
         alone = _window_drawn_alone(device, start, 3)
         assert moving == motion_detector(alone), start
         if len(device._block_runs(start + device.sample_offsets_ms)) == 1:
             assert device._window_samples([start], 3, PREFIX)[0][0].tobytes() == alone[:PREFIX].tobytes(), start
 
 
-def test_advance_to_moves_the_clock_only_within_the_run_and_before_every_queued_entry():
+def test_advance_to_runs_each_entry_due_first_in_place_and_none_inside_one():
+    """advance_to(t) moves the clock as an entry queued now for t would run: each queued entry
+    that would run first runs in place, at its own time; one queued later for t runs after it.
+    An entry run in place runs none in place itself, and one that moves the clock past t leaves
+    it there."""
     sim, ran = Simulator(seed=0), []
 
     def first():
-        ran.append(sim.now)
-        assert not sim.advance_to(150)  # an entry due at 150 was queued first
-        assert sim.advance_to(149) and sim.now == 149
+        ran.append(("first", sim.now))
+        assert sim.advance_to(200) and sim.now == 200 and ran[-1] == ("second", 150)
+        assert not sim.advance_to(1_001) and sim.now == 200  # past the run
+        assert not sim.advance_to(600) and sim.now == 700  # fourth, run in place, moved the clock past 600
 
     def second():
-        ran.append(sim.now)
-        assert not sim.advance_to(1_001) and sim.now == 150  # past the run
-        assert sim.advance_to(1_000) and sim.now == 1_000
+        ran.append(("second", sim.now))
+        sim.schedule(200, third)  # queued after the entry for 200 that first's advance_to stands for
+        assert not sim.advance_to(201) and sim.now == 150  # third comes first, and this runs in place
+
+    def third():
+        ran.append(("third", sim.now))
+        sim.schedule(400, fourth)
+
+    def fourth():
+        ran.append(("fourth", sim.now))
+        assert sim.advance_to(700)  # nothing comes first: inside an entry run in place, the clock moves
 
     sim.schedule(100, first)
     sim.schedule(150, second)
     sim.run(1_000)
-    assert ran == [100, 150]
+    assert ran == [("first", 100), ("second", 150), ("third", 200), ("fourth", 400)]
 
 
 def _queued_only(monkeypatch):
@@ -861,6 +890,42 @@ def test_an_alert_burst_bounds_the_stretch_after_it(monkeypatch):
     assert replay(lines).passed
 
 
+@pytest.mark.parametrize(
+    "battery_mwh, due_ms, depleted_ms", [(0.065, 5_000, 5_000), (0.069, 3_000, 3_852), (0.066, 100, 2_566)],
+    ids=["burst", "dwell-after", "stretch-after"],
+)
+def test_an_alert_sent_in_place_empties_the_battery_where_the_queued_path_does(
+    monkeypatch, battery_mwh, due_ms, depleted_ms
+):
+    """A walk with no harvest, on a 15 mW radio at 0.0553 kbps: an alert frame is ~5.5 s on the air.
+    The alert, due inside a run, is sent in place. Its burst empties the battery, which cuts the run
+    short; or it leaves less than the rest of that Sampling dwell draws, so the run books the dwell to
+    its end, as its queued end would, and the battery empties there; or it leaves more, and the stretch
+    the run reads again after it ends before the next Sampling dwell's end, where the battery empties."""
+    raw = small_raw(duration_ms=60_000, report_every_n_windows=1_000, tx_bitrate_kbps=0.0553)
+    raw["channel"]["loss_probability"] = 1.0
+    raw["protocol"].update(sync_timeout_ms=100_000)
+    raw["protocol"]["retry"]["interval_ms"] = 50_000
+    raw["energy"].update(battery_initial_mwh=battery_mwh, harvest_profile_mw=[0.0] * 24)
+    raw["scenario"]["devices"][0].update(schedule=[["Walk", 60_000]], alert_schedule=[[due_ms, "Jump"]])
+    lines, runs = _quiet_lines(monkeypatch, raw)
+    events = [(int(parts[0]), parts[1]) for parts in (line.split("\t") for line in lines)
+              if parts[1] in ("alert_sent", "battery_depleted")]
+    assert events == [(due_ms, "alert_sent"), (depleted_ms, "battery_depleted")]
+    assert any(start < due_ms < end for start, end, _, _ in runs)  # sent by a run in progress
+
+
+def test_an_energy_tick_due_inside_a_run_books_in_place_and_the_run_goes_on(monkeypatch):
+    """Energy lines every 50 s during unbroken motion: each tick falls inside a run, which books
+    its stretch and the dwell in progress up to the tick, as the queued path does, and goes on."""
+    raw = _motion_raw(report_every_n_windows=15, energy_log_interval_ms=50_000)
+    raw["scenario"]["devices"][0]["alert_schedule"] = []
+    lines, runs = _quiet_lines(monkeypatch, raw)
+    ticks = [int(line.split("\t")[0]) for line in lines if "\tenergy\t" in line]
+    assert ticks == [0, 50_000, 100_000, 120_000]
+    assert all(any(start < tick < end for start, end, n, _ in runs if n) for tick in ticks[1:3])
+
+
 @hypothesis_seed(20261026)
 @settings(max_examples=100, deadline=None)
 @given(
@@ -929,6 +994,17 @@ def test_a_quiet_run_stops_at_the_idle_timeout(monkeypatch):
     assert any(n and not goes_on and start + n * QUIET_MS < 500_000 for start, _, n, goes_on in runs)
 
 
+def test_a_quiet_run_stops_at_the_idle_timeout_inside_a_batch(monkeypatch):
+    """A walk into a noisy sit, whose windows move or not at random: the wake goes on into the sit, and
+    a still streak that reaches the idle timeout inside a look-ahead batch ends it there."""
+    raw = small_raw(report_every_n_windows=1_000)
+    raw["synthetic_models"]["har"]["labels"].update(NOISY_STILL["har"])
+    raw["scenario"]["devices"][0].update(schedule=[["Walk", 10_000], ["Sit", 590_000]], alert_schedule=[])
+    lines, runs = _quiet_lines(monkeypatch, raw)
+    last = max(int(line.split("\t")[0]) for line in lines if "\tclassify\t" in line)
+    assert 20_000 < last < 500_000 and not runs[-1][3]
+
+
 def test_a_quiet_run_stops_at_the_scenario_end(monkeypatch):
     """Unbroken motion to the end: the last quiet cycle leaves no room for another, and ends the wake."""
     raw = _motion_raw(report_every_n_windows=20)
@@ -938,10 +1014,10 @@ def test_a_quiet_run_stops_at_the_scenario_end(monkeypatch):
     assert n and not goes_on and start + (n + 1) * QUIET_MS > 120_000
 
 
-def test_a_quiet_run_stops_before_an_entry_due_at_its_last_dwell_end(monkeypatch):
+def test_a_run_sends_an_alert_due_at_a_dwell_end_in_place_before_that_end(monkeypatch):
     """An alert due when a quiet cycle's transmit dwell ends was queued first:
-    the run before it stops at the cycle's Processing end, and queues the
-    transmit dwell's end behind the alert."""
+    the run sends it in place before that dwell end, its burst books the
+    stretch first, and the run goes on from the dwell end."""
     raw = _motion_raw(report_every_n_windows=15)
     raw["scenario"]["devices"][0]["alert_schedule"] = []
     classified = [line.split("\t") for line in run_scenario(parse_config(raw), 11).lines if "\tclassify\t" in line]
@@ -949,19 +1025,21 @@ def test_a_quiet_run_stops_before_an_entry_due_at_its_last_dwell_end(monkeypatch
     due_ms = sampled_ms + QUIET_MS - 1_280  # its transmit dwell's end
     raw["scenario"]["devices"][0]["alert_schedule"] = [[due_ms, "Jump"]]
     lines, runs = _quiet_lines(monkeypatch, raw)
-    assert any(end == due_ms - 1 for _, end, n, _ in runs if n)
+    assert any(start < due_ms < end for start, end, n, _ in runs if n)
     assert [line.split("\t")[1] for line in lines if line.startswith(f"{due_ms}\t")][0] == "alert_sent"
 
 
-def test_a_quiet_run_stops_at_an_alert_label_window(monkeypatch):
-    """Each Jump window raises an alert at its Processing end, so no run takes a cycle past one."""
+def test_a_run_goes_on_past_an_alert_label_window(monkeypatch):
+    """Each Jump window raises an alert at its Processing end. Its burst books the
+    stretch, and the alert's receipt at the host and the ACK's at the device run in
+    place, so a run takes cycles past one."""
     raw = _motion_raw(report_every_n_windows=15, alert_labels=["Jump"])
     raw["scenario"]["devices"][0]["alert_schedule"] = []
     lines, runs = _quiet_lines(monkeypatch, raw)
     classified = [line.split("\t") for line in lines if "\tclassify\t" in line]
     jumps = [int(parts[0]) for parts in classified if parts[4] == "Jump"]
     assert jumps and "alert_sent" in {line.split("\t")[1] for line in lines}
-    assert not any(start <= t1 <= end - QUIET_MS for start, end, _, _ in runs for t1 in jumps)
+    assert any(start <= t1 <= end - QUIET_MS for start, end, _, _ in runs for t1 in jumps)
 
 
 def test_a_model_device_takes_quiet_cycles(monkeypatch, trained_model_path):
@@ -976,6 +1054,28 @@ def test_a_scenario_schedules_fewer_events_than_it_classifies_windows(monkeypatc
     trace = run_scenario(small_config(report_every_n_windows=15), seed=11)  # one device: its shard runs here
     classified = sum(line.split("\t")[1] == "classify" for line in trace.lines)
     assert 0 < len(scheduled) < classified
+
+
+def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
+    """Budget: ~0.2 s of tier-1 (0.13-0.23 s on a 2-vCPU host), within 0.5 s. The first day of the
+    reference config at seed 0, in one process: a run goes on through the host's receipts and takes
+    a batch's quiet cycles in one step, so a change that cuts runs again moves these counts. The
+    parent merges the shards' spool files without parsing a line."""
+    counts = Counter()
+
+    def counted(owner, name, key, when=lambda *args, **kw: True):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kw: counts.update([key] * when(*args, **kw)) or real(*args, **kw))
+
+    counted(simengine, "account_energy", "account_energy")
+    counted(SimDevice, "_run_cycles", "queued dwell ends", lambda self, entered=None: entered is not None)
+    counted(Simulator, "emit", "emit")
+    counted(SimDevice, "_window", "_window")
+    _on_cpus(monkeypatch, 1)
+    with simengine.scenario_lines(parse_config(_reference_day_raw()), seed=0) as (write, _):
+        assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 408}
+        monkeypatch.setattr(simengine, "trace_records", lambda *args: pytest.fail("the parent parsed a line"))
+        assert write(io.StringIO(), io.StringIO()) == 10_803
 
 
 def test_sync_times_out_after_three_attempts():
@@ -1277,8 +1377,10 @@ def test_replay_detects_canary_bytes_on_the_air(small_trace):
     assert failures == [f"line {index + 1}: canary bytes {canary.hex()} leaked on the air"]
 
 
-def test_metrics_rederivable_from_trace(small_trace):
-    assert trace_metrics(small_trace.lines) == small_trace.metrics
+def test_metrics_rederivable_from_trace(fixture_traces):
+    """The metrics that the shards' partials combine into are those trace_metrics derives from the lines."""
+    for trace in fixture_traces:
+        assert trace_metrics(trace.lines) == trace.metrics
 
 
 def test_simulator_rejects_past_events():
@@ -1853,11 +1955,11 @@ def test_processes_are_at_most_devices_and_cpus(monkeypatch, devices, cpus, can_
 _WRITTEN = (".trace", "_metrics.json", "_observations.csv")  # the files simulate writes, after the trace's stem
 
 
-def _simulate(tmp_path, raw: dict, name: str) -> None:
-    """Run openhealth simulate on raw at seed 0, writing tmp_path/name + each suffix of _WRITTEN."""
+def _simulate(tmp_path, raw: dict, name: str, seed: int = 0) -> None:
+    """Run openhealth simulate on raw at seed, writing tmp_path/name + each suffix of _WRITTEN."""
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
-    assert main(["simulate", "--config", str(config), "--seed", "0", "--trace", str(tmp_path / f"{name}.trace")]) == 0
+    assert main(["simulate", "--config", str(config), "--seed", str(seed), "--trace", str(tmp_path / f"{name}.trace")]) == 0
 
 
 def _reference_day_raw():
@@ -1960,19 +2062,23 @@ def test_no_spool_file_is_left_behind(monkeypatch, spool_dir, failing):
         assert set(os.listdir("/proc/self/fd")) <= open_fds
 
 
-def test_a_shard_spools_flushed_lines_and_a_child_sends_only_its_error(small_trace):
-    """_shard_child, run here: the shard's lines are in its file, flushed
-    (a fork child leaves through os._exit), before the child reports; what
-    it sends is None, or the exception a shard raised, never the lines."""
+def test_a_shard_spools_flushed_lines_and_a_child_sends_its_partial_or_its_error(small_trace):
+    """_shard_child, run here: the shard's lines and its host's observation rows
+    are in its files, flushed (a fork child leaves through os._exit), before the
+    child reports; what it sends is its shards' partial metrics, which combine
+    into the trace's, or the exception a shard raised, never the lines."""
     import multiprocessing
 
     config = small_config()
     receiver, sender = multiprocessing.Pipe(duplex=False)
-    with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
-        simengine._shard_child(sender, lambda index: simengine._shard_lines(config, None, 11, index, out), range(1))
-        assert receiver.recv() is None
-        spooled = os.pread(out.fileno(), 1 << 20, 0).decode("utf-8")
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as out, tempfile.TemporaryFile("w+", encoding="utf-8") as rows:
+        simengine._shard_child(sender, lambda index: simengine._shard_lines(config, None, 11, index, out, rows), range(1))
+        partials = receiver.recv()
+        spooled, spooled_rows = (os.pread(f.fileno(), 1 << 20, 0).decode("utf-8") for f in (out, rows))
     assert spooled == "".join(line + "\n" for line in small_trace.lines[2:-1])
+    assert simengine.combine(partials) == trace_metrics(small_trace.lines)
+    observed = [parts for parts in map(lambda line: line.split("\t"), small_trace.lines) if parts[1] == "observation"]
+    assert observed and spooled_rows == "".join(f"{parts[0]}\t{','.join(parts[3:])}\n" for parts in observed)
 
     def failing(index):
         raise ValueError(f"shard {index} cannot run")
@@ -2053,13 +2159,27 @@ def _merged_as_heard_by(shards, ids):
 @settings(max_examples=15, deadline=None)
 @given(raw=shard_configs(), seed=st.integers(0, 2**32), data=st.data())
 def test_a_device_shard_is_the_same_alone_beside_others_and_renumbered(raw, seed, data):
-    """Budget: ~3 s of tier-1 for 15 examples (2.4-3.3 s on a 2-vCPU host), measured after the last edit. The
+    """Budget: ~4 s of tier-1 for 15 examples (2.9-4.6 s on a 2-vCPU host), measured after the last edit. The
     fixed seed keeps the examples, and so the time, across edits of this text. Its examples empty a battery
     at a queued dwell end, at a wake check, and in the burst of an alert cycle's alert, of an alert retry
     and of a sync request; and recover it at a wake check, where the loop runs on in stretches that a
-    battery just above BATTERY_RECOVERY_FRACTION bounds."""
+    battery just above BATTERY_RECOVERY_FRACTION bounds. simulate writes the same files forked and in one
+    process, and the trace file alone gives the metrics that the shards' partials combine into, and the
+    observation log."""
     devices = raw["scenario"]["devices"]
     ids = [device["id"] for device in devices]
+    with tempfile.TemporaryDirectory() as tmp:
+        written = []
+        for cpus in (3, 1):
+            with patch.object(simengine, "_usable_cpus", lambda: cpus):
+                _simulate(Path(tmp), raw, f"cpus{cpus}", seed)
+            written.append([(Path(tmp) / f"cpus{cpus}{suffix}").read_bytes() for suffix in _WRITTEN])
+        rows = []
+        with open(Path(tmp) / "cpus1.trace", encoding="utf-8") as trace:
+            write_metrics(trace_metrics(trace, lambda t_ms, obs: rows.append(observation_row(obs))), Path(tmp) / "m.json")
+        assert written[0] == written[1]
+        assert (Path(tmp) / "m.json").read_bytes() == written[1][1]
+        assert (OBSERVATION_HEADER + "\n" + "".join(rows)).encode() == written[1][2]
 
     def alone(device):
         return _body(dict(raw, scenario=dict(raw["scenario"], devices=[device])), seed)

@@ -15,11 +15,30 @@ from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
-from .classifier import DegenerateDatasetError, ModelFitError, ModelFormatError, check_fit, evaluate, init_model
-from .classifier import load_model, quantize_model, render_report, save_model, split_dataset, train
+from .classifier import (
+    DegenerateDatasetError,
+    ModelFitError,
+    ModelFormatError,
+    check_fit,
+    evaluate,
+    init_model,
+    load_model,
+    quantize_model,
+    render_report,
+    save_model,
+    split_dataset,
+    train,
+)
 from .config import Config, ConfigError, load_config
 from .core import ALL_CHANNELS, APPS, ActivityLabel
-from .dataio import DatasetFormatError, channel_count, generate_blocks, read_blocks, storage_budget, write_dataset
+from .dataio import (
+    DatasetFormatError,
+    channel_count,
+    generate_blocks,
+    read_blocks,
+    storage_budget,
+    write_dataset,
+)
 from .firmware import BudgetError, memory_footprint, plan_duty_cycle
 from .pipeline import FEATURES_PER_CHANNEL, Windows, normalize_features, scan_windows
 from .simengine import scenario_lines, write_metrics
@@ -249,9 +268,10 @@ def cmd_simulate(args) -> int:
     except (OSError, ModelFormatError, ModelFitError) as exc:  # scenario.model_path
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
 
-    with _writing(), run as (write, m), open(args.trace, "w", encoding="utf-8") as trace, \
+    with _writing(), run as (blocks, rows, m), open(args.trace, "w", encoding="utf-8") as trace, \
             open(log_path, "w", encoding="utf-8") as log:
-        count = write(trace, log)
+        count = sum(trace.writelines(block) or len(block) for block in blocks)
+        log.writelines(rows)
         write_metrics(m, metrics_path)
 
     print(f"wrote {args.trace} ({count} events), {metrics_path} and {log_path}")

@@ -1,38 +1,50 @@
 """Deterministic discrete-event simulation of devices, channel and host.
 
-Each device runs as its own shard: an event kernel, a channel and a host that serve that device alone. Devices
-share no state, so shards can run in any order or in parallel. Each folds its own lines into partial metrics
-(fold), which combine sums; the parent merges the shards' lines as text into one canonical order
-(scenario_lines). Simulated time is integer milliseconds.
+Each device runs as its own shard: an event kernel, a channel and a host
+that serve that device alone. Devices share no state, so shards can run in
+any order or in parallel. Each shard folds its own lines into partial
+metrics (fold), which combine sums, and the parent merges the shards' lines
+as text into one canonical order (see scenario_lines). Simulated time is
+integer milliseconds.
 
-A device draws from two streams, both keyed by (seed, device id), so neither the event order nor another
-device can change what it sees. Its sensor noise comes from a Philox counter-based generator keyed by the root
-of that seed: the window that starts at t ms draws from block counter (0, t, 0, 0) on, so each window owns
-2^64 blocks and its samples depend only on (seed, device, t). A device synthesizes the windows it expects next
-ahead of time, in batches, but each from its own reset stream, so neither the batch size nor a wrong guess can
-change a sample; without a model it draws a one-block window's first PREFIX samples, and the rest only where
-those show no motion. Its channel draws every fate of the device's frames, and of the host's ACKs to it, in
-the shard's send order from a generator seeded by the same (seed, device id) under spawn key CHANNEL_STREAM,
-which keeps it apart from the noise key.
+A device draws from two streams, both keyed by (seed, device id), so neither
+the event order nor another device can change what it sees. Its sensor noise
+comes from a Philox counter-based generator keyed by the root of that seed:
+the window that starts at t ms draws from block counter (0, t, 0, 0) on, so
+each window owns 2^64 blocks and its samples depend only on (seed, device,
+t). A device synthesizes the windows it expects next ahead of time, in
+batches, but each from its own reset stream, so neither the batch size nor a
+wrong guess can change a sample; without a model it draws a one-block window's
+first PREFIX samples, and the rest only where those show no motion. Its
+channel draws every fate of the device's frames, and of the host's ACKs to
+it, in the shard's send order from a generator seeded by the same (seed,
+device id) under spawn key CHANNEL_STREAM, which keeps it apart from the
+noise key.
 
-Trace lines are UTF-8 and tab-separated, ``t_ms kind entity detail...``, after a first line that gives the
-trace version; TRACE_LINES is their grammar, which every reader checks through trace_records. Frame lines
-carry the full frame hex, the channel byte log for privacy and nonce audits.
+Trace lines are UTF-8 and tab-separated, ``t_ms kind entity detail...``,
+after a first line that gives the trace version; TRACE_LINES is their
+grammar, which every reader checks through trace_records. Frame lines carry
+the full frame hex, the channel byte log for privacy and nonce audits.
 
-A device books all its energy, state dwell and transmit bursts alike, through ``firmware.account_energy``, in
-one place (SimDevice._book), the only one that finds the battery empty and forces sleep. Its cycle moves only
-through ``firmware.step_state_machine``, except for that forced sleep. One loop takes every cycle of a wake
-(SimDevice._run_cycles), a look-ahead batch's quiet cycles in one step. It books each stretch of dwells in one
-account_energy call, in the order and pieces of booking them one by one. A stretch ends before _stretch_end:
-the end of the hour slot or, sooner, where the highest state power would draw half the battery, so no stretch
-empties it. A queued entry due inside a run runs in place (Simulator.advance_to), after the run's classify
-lines; a booking it makes books the stretch first, and the run goes on after it unless it cut the cycle short.
+A device books all its energy, state dwell and transmit bursts alike,
+through ``firmware.account_energy``, in one place (SimDevice._book), the only
+one that finds the battery empty and forces sleep. Its cycle moves only
+through ``firmware.step_state_machine``, except for that forced sleep. One
+loop takes every cycle of a wake (SimDevice._run_cycles), a look-ahead
+batch's quiet cycles in one step. It books each stretch of dwells in one
+account_energy call, in the order and slot pieces of booking them one by
+one, and stamps each classify line with its own time. A stretch ends before
+_stretch_end: the end of the hour slot or, sooner, the time by which the
+device's highest state power would draw half the battery, so that no
+stretch can empty it. A queued entry due inside a run runs in place
+(Simulator.advance_to), after the run's classify lines; a booking it makes
+books the stretch first, and the run goes on after it unless it cut the
+cycle short.
 """
 
 from __future__ import annotations
 
 import heapq
-import io
 import json
 import math
 import os
@@ -53,11 +65,41 @@ from .classifier import MlpModel, ModelFitError, check_fit, forward, load_model
 from .config import Config, ConfigError, DeviceSpec, scenario_errors
 from .core import APPS, Label
 from .dataio import channel_count, synthesize_signal
-from .firmware import BATTERY_RECOVERY_FRACTION, SLOT_MS, SLOTS_PER_DAY, DeviceEvent, DutyPlan, PowerState
-from .firmware import account_energy, energy_piece, motion_detector, plan_duty_cycle, state_power_mw, step_state_machine
-from .netproto import CONFIDENCE_SCALE, DATA_FRAME_LEN, OBSERVATION_HEADER, AppId, DataPayload, FrameType, HostGateway
-from .netproto import Observation, ProtocolError, ReplayWindow, decode_frame, encode_frame, estimate_offset
-from .netproto import observation_row, pack_sync_report, pack_sync_request, peek_header, unpack_ack, unpack_sync_reply
+from .firmware import (
+    BATTERY_RECOVERY_FRACTION,
+    DeviceEvent,
+    DutyPlan,
+    PowerState,
+    SLOT_MS,
+    SLOTS_PER_DAY,
+    account_energy,
+    energy_piece,
+    motion_detector,
+    plan_duty_cycle,
+    state_power_mw,
+    step_state_machine,
+)
+from .netproto import (
+    CONFIDENCE_SCALE,
+    DATA_FRAME_LEN,
+    OBSERVATION_HEADER,
+    AppId,
+    DataPayload,
+    FrameType,
+    HostGateway,
+    Observation,
+    ProtocolError,
+    ReplayWindow,
+    decode_frame,
+    encode_frame,
+    estimate_offset,
+    observation_row,
+    pack_sync_report,
+    pack_sync_request,
+    peek_header,
+    unpack_ack,
+    unpack_sync_reply,
+)
 from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
 TRACE_VERSION = 4
@@ -99,6 +141,7 @@ class Simulator:
         self._tie = 0
         self.in_place = False  # whether advance_to runs an entry in place
         self.lines: list[str] = []  # written lines (joined, as write got them), less those spooled to the file out
+        self.held = 0  # the lines in self.lines
         self.out = out
 
     def schedule(self, t_ms: int, fn: Callable[[], None]) -> None:
@@ -114,13 +157,15 @@ class Simulator:
     def write(self, text: str) -> None:
         """Add formatted lines, joined by newlines: a line of emit, or the cycle loop's classify lines."""
         self.lines.append(text)
-        if len(self.lines) >= SPOOL_LINES and self.out is not None:
+        self.held += text.count("\n") + 1
+        if self.held >= SPOOL_LINES and self.out is not None:
             self.spool()
 
     def spool(self) -> None:
         self.out.write("\n".join([*self.lines, ""]))  # each line ended by a newline
         self.out.flush()  # a fork child leaves through os._exit, which flushes nothing
         self.lines.clear()
+        self.held = 0
 
     def run(self, until_ms: int) -> None:
         self.until_ms = until_ms
@@ -261,9 +306,9 @@ class SimDevice:
         self.noise = np.random.Generator(np.random.Philox(key=key))
         fresh = self.noise.bit_generator.state
         self.noise_reset = {**fresh, "state": {"counter": [0] * 4, "key": key.tolist()}, "buffer": [0] * 4}
-        # The look-ahead batch (see _window): window starts, motion flags and times, and labels.
+        # The look-ahead batch (see _window): window starts, motion flags and labels.
         self.ahead_starts: list[int] = []
-        self.ahead_moving = self.ahead_motion = np.zeros(0, np.int64)
+        self.ahead_moving: list[bool] = []
         self.ahead_labels: list[tuple[int, int]] = []
         self.ahead_next: int | None = None  # the start that would follow the last batch
 
@@ -313,10 +358,15 @@ class SimDevice:
             t += dur
 
     def start(self) -> None:
-        init = f"{self.ledger[0]:.9f}", f"{self.capacity_mwh:.9f}", self.spec.clock_offset_ms
-        self.sim.emit("device_init", self.name, self.app, *init)
+        self.sim.emit(
+            "device_init", self.name, self.app,
+            f"{self.ledger[0]:.9f}", f"{self.capacity_mwh:.9f}", self.spec.clock_offset_ms,
+        )
         if self.duty_plan is not None:
-            self.sim.emit("duty_plan", self.name, ",".join(f"{f:.4f}" for f in self.duty_plan.fractions))
+            self.sim.emit(
+                "duty_plan", self.name,
+                ",".join(f"{f:.4f}" for f in self.duty_plan.fractions),
+            )
         self._emit_energy()
         self._send_management_frame(FrameType.HELLO, b"")
         self._start_sync(attempt=1)
@@ -357,16 +407,22 @@ class SimDevice:
         ]
 
     def _window_samples(self, starts: list[int], columns: int | None = None, samples: int | None = None):
-        """Synthesize together the W-sample windows beginning at starts: the (k, samples or W, columns)
-        samples, and the per-code label counts of the whole windows, which every window of the batch shares.
+        """Synthesize together the W-sample windows beginning at starts.
 
-        Each window's noise is the device's Philox stream from block counter (0, start, 0, 0), with the whole
-        generator state reset first, so it does not depend on which windows were drawn before or beside it;
-        the waveform and clipping then run once over the batch. A batch of more than one window must lie
-        inside the block that holds starts[0]; a window that spans blocks comes alone. A one-block batch
-        synthesizes only the first `columns` channels (all by default) of the first `samples` samples (all W
-        by default): its draws are in sample order, so those are the whole window's, bit for bit. A spanning
-        window synthesizes every channel, block run by block run in time order, then keeps `columns`."""
+        Each window's noise is the device's Philox stream from block counter
+        (0, start, 0, 0), with the whole generator state reset first, so it
+        does not depend on which windows were drawn before or beside it; the
+        waveform and clipping then run once over the batch. A batch of more
+        than one window must lie inside the block that holds starts[0]; a
+        window that spans blocks comes alone. A one-block batch synthesizes
+        only the first `columns` channels (all by default) of the first
+        `samples` samples (all W by default): its draws are in sample order, so
+        those are the whole window's, bit for bit. A spanning window
+        synthesizes every channel, block run by block run in time order, so
+        each run's draws follow the last run's, then keeps the first `columns`.
+        Returns the (k, samples or W, columns) samples and the per-code label
+        counts of the whole windows, which every window of the batch shares.
+        """
         columns = columns or self.channels
         n = samples or self.window
         runs = self._block_runs(starts[0] + self.sample_offsets_ms)
@@ -387,12 +443,11 @@ class SimDevice:
 
     def _window(self, start_ms: int, labelled: bool = True) -> int:
         """The position of the window beginning at start_ms, window number window_index, in the look-ahead
-        batch's arrays: ahead_starts, ahead_moving, ahead_motion (its Sampling end where it moves) and
-        ahead_labels ((code, confidence) rounded to CONFIDENCE_SCALE as payloads carry it, the model's or the
-        oracle's). A miss synthesizes start_ms and the starts predicted to follow it, each inside its block,
-        and labels them all. The batch doubles on each miss where the last one predicted, up to
-        WINDOWS_AHEAD_MAX, and is one window otherwise; it predicts no start past its block, as the next may
-        be still. The oracle labels a batch once, from the counts its windows share, and draws accel alone,
+        batch's lists: ahead_starts, ahead_moving and ahead_labels ((code, confidence) rounded to
+        CONFIDENCE_SCALE as payloads carry it, the model's or the oracle's). A miss synthesizes start_ms and
+        the starts predicted to follow it, each inside its block, and labels them all. The batch doubles on
+        each miss where the last one predicted, up to WINDOWS_AHEAD_MAX, and is one window otherwise; it
+        predicts no start past its block, as the next may be still. The oracle labels a batch once, from the counts its windows share, and draws accel alone,
         of a one-block batch each window's first PREFIX samples: motion there is motion in the window, so
         only the rest are drawn whole. The model classifies it at once; a lone still window read with
         labelled false gets code -1."""
@@ -421,8 +476,8 @@ class SimDevice:
         labels = ([self._oracle(counts)] if oracle  # one label, which every window of the batch takes
                   else [(-1, 0.0)] if not labelled and moving.tolist() == [False] else self._classify(matrix))
         fixed = [(code, min(CONFIDENCE_SCALE, round(confidence * CONFIDENCE_SCALE))) for code, confidence in labels]
-        self.ahead_starts, self.ahead_moving, self.ahead_labels = starts, moving, fixed * (len(starts) // len(fixed))
-        self.ahead_motion = np.where(moving, np.array(starts) + self.window_ms, -(10**12))  # Sampling ends that move
+        self.ahead_starts, self.ahead_moving = starts, moving.tolist()
+        self.ahead_labels = fixed * (len(starts) // len(fixed))
         self.ahead_next = following if following + last_ms < end else None
         return 0
 
@@ -534,7 +589,7 @@ class SimDevice:
     def _quiet_cycles(self, q: int, t: int, last_motion: int, active: float, reach: int) -> tuple[int, int]:
         """How many whole quiet cycles from window q of the look-ahead batch, at t, the loop takes in one step,
         and the last motion after them: up to a window that reports or raises an alert, the last cycle that
-        ends by reach, and the first that _slack_ms or the idle timeout (a running maximum) would not begin."""
+        ends by reach, and the first that _slack_ms or the idle timeout would not begin."""
         quiet, starts, reports = self.quiet_ms, self.ahead_starts, self.scenario.report_every_n_windows
         n = min(len(starts) - q, (reach - t) // quiet, self._slack_ms(t, active) // quiet + 1,
                 (-self.window_index - 1) % reports)
@@ -542,12 +597,13 @@ class SimDevice:
             n = next((j for j in range(n) if self.ahead_labels[q + j][0] in self.alert_codes), n)
         if n <= 0 or starts[q + n - 1] != t + (n - 1) * quiet:  # none, or the batch predicted other numbers
             return 0, last_motion
-        if self.ahead_moving[q : q + n].all() and quiet - self.window_ms < self.scenario.idle_timeout_ms:
-            return n, t + (n - 1) * quiet + self.window_ms  # each cycle goes on from its own motion
-        motion = np.maximum.accumulate(np.maximum(self.ahead_motion[q : q + n], last_motion))
-        idle = np.flatnonzero(motion[:-1] <= (t - self.scenario.idle_timeout_ms) + quiet * np.arange(1, n))
-        n = int(idle[0]) + 1 if idle.size else n
-        return n, int(motion[n - 1])
+        idle_ms, window_ms = self.scenario.idle_timeout_ms, self.window_ms
+        for j, moving in enumerate(self.ahead_moving[q : q + n]):
+            if j and t + j * quiet - last_motion >= idle_ms:  # cycle j would not begin
+                return j, last_motion
+            if moving:
+                last_motion = t + j * quiet + window_ms  # its Sampling end
+        return n, last_motion
 
     def _run_cycles(self, entered: tuple[int, PowerState] | None = None) -> None:
         """Run a wake's cycles from now: a wake check, where motion wakes a sleeping device, or the end of a
@@ -798,12 +854,11 @@ class SimTrace:
 
 def run_scenario(config: Config, seed: int = 0) -> SimTrace:
     """The lines of the scenario's trace, and the metrics that trace_metrics derives from them."""
-    with scenario_lines(config, seed) as (write, metrics):
-        write(text := io.StringIO(), io.StringIO())
-    return SimTrace(lines=text.getvalue().splitlines(), metrics=metrics)
+    with scenario_lines(config, seed) as (blocks, _, metrics):  # the observation rows are never merged
+        return SimTrace(lines=[line[:-1] for block in blocks for line in block], metrics=metrics)
 
 
-def scenario_lines(config: Config, seed: int = 0) -> ContextManager[tuple[Callable, dict]]:
+def scenario_lines(config: Config, seed: int = 0) -> ContextManager[tuple[Iterator[list[str]], Iterator[str], dict]]:
     """Check the config and its model; return a context (_sharded) that runs the scenario on entry and
     closes each spool file on exit, however it ends. Each device's shard runs apart (_shard_lines), in up
     to min(devices, usable CPUs) processes (_run_shards)."""
@@ -824,10 +879,10 @@ def scenario_lines(config: Config, seed: int = 0) -> ContextManager[tuple[Callab
 
 
 @contextmanager
-def _sharded(config: Config, model: MlpModel | None, seed: int) -> Iterator[tuple[Callable, dict]]:
-    """Run the shards; give a function that writes the trace and the observation log and returns the trace's
-    line count, and the metrics that the shards' partials combine into. It merges the shards' spool files as
-    text and parses no line."""
+def _sharded(config: Config, model: MlpModel | None, seed: int) -> Iterator[tuple[Iterator, Iterator, dict]]:
+    """Run the shards; give the trace's lines, a list at a time, and the observation log's rows, each ended
+    by a newline and merged from the shards' spool files as they are read, parsing no line; and the metrics
+    that the shards' partials combine into."""
     scenario = config.scenario
     with ExitStack() as stack:
         spools = [[stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8")) for _ in range(2)]
@@ -835,19 +890,12 @@ def _sharded(config: Config, model: MlpModel | None, seed: int) -> Iterator[tupl
         partials = _run_shards(len(spools), lambda index: _shard_lines(config, model, seed, index, *spools[index]))
         for spool in chain(*spools):  # the shards wrote and read them
             spool.seek(0)
-
-        def write(trace: TextIO, log: TextIO) -> int:
-            # The trace is its first lines, the shards' lines merged by (t_ms, device index), then scenario_end;
-            # the log its header, then a row per observation line, in the trace's order.
-            trace.write("\n".join([*_header(scenario, seed), ""]))
-            count = sum(trace.writelines(block) or len(block) for block in _merged([lines for lines, _ in spools]))
-            trace.write(f"{scenario.duration_ms}\tscenario_end\tsim\n")
-            log.write(OBSERVATION_HEADER + "\n")
-            merged_rows = _merged([rows for _, rows in spools])
-            log.writelines(row[row.index("\t") + 1 :] for block in merged_rows for row in block)
-            return count + 3
-
-        yield write, combine(partials)
+        # The trace is its first lines, the shards' lines merged by (t_ms, device index), then scenario_end;
+        # the log its header, then a row per observation line, in the trace's order.
+        blocks = chain([[line + "\n" for line in _header(scenario, seed)]], _merged([lines for lines, _ in spools]),
+                       [[f"{scenario.duration_ms}\tscenario_end\tsim\n"]])
+        rows = (row[row.index("\t") + 1 :] for block in _merged([rows for _, rows in spools]) for row in block)
+        yield blocks, chain([OBSERVATION_HEADER + "\n"], rows), combine(partials)
 
 
 def _header(scenario, seed: int) -> list[str]:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import io
 import json
 import os
 import re
@@ -1072,10 +1071,11 @@ def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
     counted(Simulator, "emit", "emit")
     counted(SimDevice, "_window", "_window")
     _on_cpus(monkeypatch, 1)
-    with simengine.scenario_lines(parse_config(_reference_day_raw()), seed=0) as (write, _):
+    with simengine.scenario_lines(parse_config(_reference_day_raw()), seed=0) as (blocks, rows, _):
         assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 408}
         monkeypatch.setattr(simengine, "trace_records", lambda *args: pytest.fail("the parent parsed a line"))
-        assert write(io.StringIO(), io.StringIO()) == 10_803
+        assert sum(map(len, blocks)) == 10_803
+        assert len(list(rows)) == 1 + 592  # the header and a row per observation line
 
 
 def test_sync_times_out_after_three_attempts():
@@ -1999,11 +1999,8 @@ def test_simulate_writes_the_files_of_run_scenario_and_the_writers(monkeypatch, 
     assert f"({len(trace.lines)} events)" in capsys.readouterr().out
 
 
-def _simulate_peak(tmp_path, days: float) -> tuple[int, int]:
-    """simulate's tracemalloc peak on the reference config run for `days`
-    days, and the bytes of the trace it wrote."""
-    raw = _reference_day_raw()
-    raw["scenario"]["duration_ms"] = round(days * DAY_MS)
+def _simulate_peak(tmp_path, raw: dict) -> tuple[int, int]:
+    """simulate's tracemalloc peak on raw, and the bytes of the trace it wrote."""
     tracemalloc.start()
     try:
         _simulate(tmp_path, raw, "peak")
@@ -2013,17 +2010,41 @@ def _simulate_peak(tmp_path, days: float) -> tuple[int, int]:
     return peak, (tmp_path / "peak.trace").stat().st_size
 
 
-def test_simulate_memory_does_not_grow_with_the_run(monkeypatch, tmp_path):
+def _steady_walk_raw(duration_ms: int) -> dict:
+    """The reference config with both devices walking all the time on a battery that does not empty, no
+    duty plan and a report every 1,000 windows: a run of the cycle loop takes up to an hour slot's windows,
+    ~2,700, and writes their classify lines as one text."""
+    raw = _reference_day_raw()
+    raw["energy"].update(battery_capacity_mwh=10_000.0, battery_initial_mwh=10_000.0)
+    raw["scenario"].update(duration_ms=duration_ms, report_every_n_windows=1000, use_duty_plan=False)
+    for device in raw["scenario"]["devices"]:
+        device.update(schedule=[["Walk", duration_ms]], alert_schedule=[])
+    return raw
+
+
+def _reference_raw(duration_ms: int) -> dict:
+    raw = _reference_day_raw()
+    raw["scenario"]["duration_ms"] = duration_ms
+    return raw
+
+
+@pytest.mark.parametrize(
+    "make_raw, duration_ms",
+    [(_reference_raw, DAY_MS), (_steady_walk_raw, 2 * 3_600_000)],
+    ids=["reference-day", "steady-walk-rare-reports"],
+)
+def test_simulate_memory_does_not_grow_with_the_run(monkeypatch, tmp_path, make_raw, duration_ms):
     """Doubling the run grows simulate's peak by less than 5% of the trace
-    bytes it adds: the shards spool to files, and the merge, the writers and
+    bytes it adds: the shards spool to files a bounded number of lines at a
+    time, however those lines were written, and the merge, the writers and
     the metrics fold hold a line at a time, never the trace."""
     _on_cpus(monkeypatch, 2)  # the parent runs one shard, merges both and writes everything
-    _simulate_peak(tmp_path, 0.01)  # first-call allocations
-    day, day_bytes = _simulate_peak(tmp_path, 1)
-    two_days, two_days_bytes = _simulate_peak(tmp_path, 2)
-    added = two_days_bytes - day_bytes
+    _simulate_peak(tmp_path, make_raw(duration_ms // 100))  # first-call allocations
+    once, once_bytes = _simulate_peak(tmp_path, make_raw(duration_ms))
+    twice, twice_bytes = _simulate_peak(tmp_path, make_raw(2 * duration_ms))
+    added = twice_bytes - once_bytes
     assert added > 400_000
-    assert two_days - day < 0.05 * added
+    assert twice - once < 0.05 * added
 
 
 @pytest.fixture

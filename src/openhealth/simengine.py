@@ -447,10 +447,10 @@ class SimDevice:
         CONFIDENCE_SCALE as payloads carry it, the model's or the oracle's). A miss synthesizes start_ms and
         the starts predicted to follow it, each inside its block, and labels them all. The batch doubles on
         each miss where the last one predicted, up to WINDOWS_AHEAD_MAX, and is one window otherwise; it
-        predicts no start past its block, as the next may be still. The oracle labels a batch once, from the counts its windows share, and draws accel alone,
-        of a one-block batch each window's first PREFIX samples: motion there is motion in the window, so
-        only the rest are drawn whole. The model classifies it at once; a lone still window read with
-        labelled false gets code -1."""
+        predicts no start past its block, as the next may be still. The oracle labels a batch once, from the
+        counts its windows share, and draws accel alone, of a one-block batch each window's first PREFIX
+        samples: motion there is motion in the window, so only the rest are drawn whole. The model classifies
+        it at once; a lone still window read with labelled false gets code -1."""
         starts = self.ahead_starts
         i = bisect_left(starts, start_ms)
         if i < len(starts) and starts[i] == start_ms and (self.ahead_labels[i][0] >= 0 or not labelled):

@@ -40,8 +40,9 @@ from .dataio import (
     write_dataset,
 )
 from .firmware import BudgetError, memory_footprint, plan_duty_cycle
+from .netproto import OBSERVATION_HEADER
 from .pipeline import FEATURES_PER_CHANNEL, Windows, normalize_features, scan_windows
-from .simengine import scenario_lines, write_metrics
+from .simengine import observation_rows, scenario_lines, write_metrics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -268,10 +269,14 @@ def cmd_simulate(args) -> int:
     except (OSError, ModelFormatError, ModelFitError) as exc:  # scenario.model_path
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
 
-    with _writing(), run as (blocks, rows, m), open(args.trace, "w", encoding="utf-8") as trace, \
+    with _writing(), run as (blocks, m), open(args.trace, "w", encoding="utf-8") as trace, \
             open(log_path, "w", encoding="utf-8") as log:
-        count = sum(trace.writelines(block) or len(block) for block in blocks)
-        log.writelines(rows)
+        log.write(OBSERVATION_HEADER + "\n")
+        count = 0
+        for block in blocks:  # the log's rows are the observation lines of each merged block, cut by text
+            trace.writelines(block)
+            log.writelines(observation_rows(block))
+            count += len(block)
         write_metrics(m, metrics_path)
 
     print(f"wrote {args.trace} ({count} events), {metrics_path} and {log_path}")

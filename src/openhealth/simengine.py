@@ -2,10 +2,10 @@
 
 Each device runs as its own shard: an event kernel, a channel and a host
 that serve that device alone. Devices share no state, so shards can run in
-any order or in parallel. Each shard folds its own lines into partial
-metrics (fold), which combine sums, and the parent merges the shards' lines
-as text into one canonical order (see scenario_lines). Simulated time is
-integer milliseconds.
+any order or in parallel. Each shard writes its lines straight to one spool
+file and folds them into partial metrics (fold), which combine sums; the
+parent merges the shards' files as text into one canonical order (see
+scenario_lines). Simulated time is integer milliseconds.
 
 A device draws from two streams, both keyed by (seed, device id), so neither
 the event order nor another device can change what it sees. Its sensor noise
@@ -82,7 +82,6 @@ from .firmware import (
 from .netproto import (
     CONFIDENCE_SCALE,
     DATA_FRAME_LEN,
-    OBSERVATION_HEADER,
     AppId,
     DataPayload,
     FrameType,
@@ -93,7 +92,6 @@ from .netproto import (
     decode_frame,
     encode_frame,
     estimate_offset,
-    observation_row,
     pack_sync_report,
     pack_sync_request,
     peek_header,
@@ -115,7 +113,6 @@ DAY_MS = SLOT_MS * SLOTS_PER_DAY
 # The spawn key of a device's channel stream; its noise key is the root of the same (seed, device id).
 CHANNEL_STREAM = 1
 MERGE_BYTES = 1 << 16  # the text of each spool file that the merge holds at a time
-SPOOL_LINES = 1024  # the lines a shard holds before it writes them out; a write per line slowed sessions ~5%
 
 
 class TraceFormatError(ValueError):
@@ -131,17 +128,16 @@ class VersionMismatch(TraceFormatError):
 
 
 class Simulator:
-    """Event kernel: time-ordered queue with an insertion-order tiebreaker."""
+    """Event kernel: time-ordered queue with an insertion-order tiebreaker. Its lines go straight to out,
+    whose buffer bounds what it holds."""
 
-    def __init__(self, seed: int, out: TextIO | None = None):
+    def __init__(self, seed: int, out: TextIO):
         self.seed = seed
         self.now = 0
         self.until_ms = 0  # the end of the run in progress; advance_to moves the clock only within it
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._tie = 0
         self.in_place = False  # whether advance_to runs an entry in place
-        self.lines: list[str] = []  # written lines (joined, as write got them), less those spooled to the file out
-        self.held = 0  # the lines in self.lines
         self.out = out
 
     def schedule(self, t_ms: int, fn: Callable[[], None]) -> None:
@@ -156,16 +152,7 @@ class Simulator:
 
     def write(self, text: str) -> None:
         """Add formatted lines, joined by newlines: a line of emit, or the cycle loop's classify lines."""
-        self.lines.append(text)
-        self.held += text.count("\n") + 1
-        if self.held >= SPOOL_LINES and self.out is not None:
-            self.spool()
-
-    def spool(self) -> None:
-        self.out.write("\n".join([*self.lines, ""]))  # each line ended by a newline
-        self.out.flush()  # a fork child leaves through os._exit, which flushes nothing
-        self.lines.clear()
-        self.held = 0
+        self.out.write(text + "\n")
 
     def run(self, until_ms: int) -> None:
         self.until_ms = until_ms
@@ -390,21 +377,16 @@ class SimDevice:
         """Split sample times into runs of one schedule block: (i, j, label).
 
         A sample belongs to the block whose [start, end) holds its integer
-        millisecond. A sample at or past the scenario end is a run of its
-        own, labelled as the last block.
+        millisecond; every sample is before the scenario end, as every cycle
+        ends by it (_slack_ms).
         """
         ends = self.block_ends
         first = bisect_right(ends, int(t_ms[0]))
-        if first < len(ends) and int(t_ms[-1]) < ends[first]:  # most windows: one block
+        if int(t_ms[-1]) < ends[first]:  # most windows: one block
             return [(0, len(t_ms), self.blocks[first][2])]
         keys = np.searchsorted(ends, t_ms.astype(np.int64), side="right")
-        last = len(self.blocks) - 1
-        if keys[-1] > last:
-            keys = keys + np.cumsum(keys > last)
         bounds = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
-        return [
-            (i, j, self.blocks[min(int(keys[i]), last)][2]) for i, j in zip(bounds[:-1], bounds[1:])
-        ]
+        return [(i, j, self.blocks[int(keys[i])][2]) for i, j in zip(bounds[:-1], bounds[1:])]
 
     def _window_samples(self, starts: list[int], columns: int | None = None, samples: int | None = None):
         """Synthesize together the W-sample windows beginning at starts.
@@ -458,7 +440,7 @@ class SimDevice:
         n = min(2 * len(starts), WINDOWS_AHEAD_MAX) if start_ms == self.ahead_next else 1
         # A window lies in one block iff its last sample time, summed as _block_runs sums it, is before the end.
         block = bisect_right(self.block_ends, start_ms)
-        end = self.block_ends[block] if block < len(self.block_ends) else 0
+        end = self.block_ends[block]
         last_ms = float(self.sample_offsets_ms[-1])  # a float, not numpy's: the same sums, faster
         starts, index, quiet, extra = [start_ms], self.window_index, self.quiet_ms, self.data_tx_ms - MIN_RADIO_MS
         following = start_ms + quiet + extra * self._reports(index)  # a report's window is longer on the air
@@ -626,12 +608,9 @@ class SimDevice:
         state, last_motion, label = self.state, self.last_motion_ms, self.label
         sampling, processing, transmitting = self.cycle_states  # locals: an Enum member lookup is slow
         window_ms, name, names = self.window_ms, self.name, self.label_names
-        dwells, lines, q = [], [], -1  # the stretch's dwells and classify lines; the batch position sampled next
+        dwells, q = [], -1  # the stretch's dwells; the batch position sampled next
 
-        def settle():  # hand the lines, the loop state and the dwells to the device, before anything else runs
-            if lines:
-                sim.write("\n".join(lines))
-                lines.clear()
+        def settle():  # hand the loop state and the dwells to the device, before anything else runs
             self.state, self.last_motion_ms, self.label, self.unbooked = state, last_motion, label, dwells
             return self.ledger  # a later ledger is another tuple: something booked
 
@@ -643,7 +622,7 @@ class SimDevice:
                 if self.ahead_moving[q]:
                     last_motion = t
                 label = self.ahead_labels[q]
-                lines.append(f"{t}\tclassify\t{name}\t{self.window_index}\t{names[label[0]]}\t{label[1]}")
+                sim.write(f"{t}\tclassify\t{name}\t{self.window_index}\t{names[label[0]]}\t{label[1]}")
                 state, dt, q = processing, self.scenario.inference_latency_ms, q + 1
             elif state is processing:
                 reports, (code, conf_fp) = self._reports(self.window_index), label
@@ -673,7 +652,7 @@ class SimDevice:
                     k, motion = self._quiet_cycles(q, t, last_motion, active, reach)
                     if k:
                         quiet, index = self.quiet_ms, self.window_index
-                        lines.append("\n".join([
+                        sim.write("\n".join([
                             f"{t + j * quiet + window_ms}\tclassify\t{name}\t{index + j}\t{names[code]}\t{conf_fp}"
                             for j, (code, conf_fp) in enumerate(self.ahead_labels[q : q + k])
                         ]))
@@ -854,11 +833,11 @@ class SimTrace:
 
 def run_scenario(config: Config, seed: int = 0) -> SimTrace:
     """The lines of the scenario's trace, and the metrics that trace_metrics derives from them."""
-    with scenario_lines(config, seed) as (blocks, _, metrics):  # the observation rows are never merged
+    with scenario_lines(config, seed) as (blocks, metrics):
         return SimTrace(lines=[line[:-1] for block in blocks for line in block], metrics=metrics)
 
 
-def scenario_lines(config: Config, seed: int = 0) -> ContextManager[tuple[Iterator[list[str]], Iterator[str], dict]]:
+def scenario_lines(config: Config, seed: int = 0) -> ContextManager[tuple[Iterator[list[str]], dict]]:
     """Check the config and its model; return a context (_sharded) that runs the scenario on entry and
     closes each spool file on exit, however it ends. Each device's shard runs apart (_shard_lines), in up
     to min(devices, usable CPUs) processes (_run_shards)."""
@@ -879,23 +858,20 @@ def scenario_lines(config: Config, seed: int = 0) -> ContextManager[tuple[Iterat
 
 
 @contextmanager
-def _sharded(config: Config, model: MlpModel | None, seed: int) -> Iterator[tuple[Iterator, Iterator, dict]]:
-    """Run the shards; give the trace's lines, a list at a time, and the observation log's rows, each ended
-    by a newline and merged from the shards' spool files as they are read, parsing no line; and the metrics
-    that the shards' partials combine into."""
+def _sharded(config: Config, model: MlpModel | None, seed: int) -> Iterator[tuple[Iterator, dict]]:
+    """Run the shards; give the trace's lines, a list at a time, each ended by a newline and merged from the
+    shards' spool files as they are read, parsing no line; and the metrics that the shards' partials combine
+    into."""
     scenario = config.scenario
     with ExitStack() as stack:
-        spools = [[stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8")) for _ in range(2)]
-                  for _ in scenario.devices]  # each shard's lines and observation rows
-        partials = _run_shards(len(spools), lambda index: _shard_lines(config, model, seed, index, *spools[index]))
-        for spool in chain(*spools):  # the shards wrote and read them
+        spools = [stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8")) for _ in scenario.devices]
+        partials = _run_shards(len(spools), lambda index: _shard_lines(config, model, seed, index, spools[index]))
+        for spool in spools:  # the shards wrote and read them
             spool.seek(0)
-        # The trace is its first lines, the shards' lines merged by (t_ms, device index), then scenario_end;
-        # the log its header, then a row per observation line, in the trace's order.
-        blocks = chain([[line + "\n" for line in _header(scenario, seed)]], _merged([lines for lines, _ in spools]),
+        # The trace is its first lines, the shards' lines merged by (t_ms, device index), then scenario_end.
+        blocks = chain([[line + "\n" for line in _header(scenario, seed)]], _merged(spools),
                        [[f"{scenario.duration_ms}\tscenario_end\tsim\n"]])
-        rows = (row[row.index("\t") + 1 :] for block in _merged([rows for _, rows in spools]) for row in block)
-        yield blocks, chain([OBSERVATION_HEADER + "\n"], rows), combine(partials)
+        yield blocks, combine(partials)
 
 
 def _header(scenario, seed: int) -> list[str]:
@@ -930,12 +906,12 @@ def _merged(files: list[TextIO]) -> Iterator[list[str]]:
             return
 
 
-def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int, out: TextIO, rows: TextIO) -> dict:
-    """Write the lines of the shard of scenario.devices[index] to out, in its kernel's order, and its host's
-    observation rows to rows, each after its line's t_ms and a tab; return what fold gives its lines, read
-    back after the trace's first two. A shard is one device with its own kernel, channel and host. Its
-    host's gateway knows every device's key, so a frame whose device-id byte was corrupted into another
-    device's id fails authentication as it would at a shared host; it stays in its sender's shard."""
+def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int, out: TextIO) -> dict:
+    """Write the lines of the shard of scenario.devices[index] to out, in its kernel's order; return what
+    fold gives them, read back after the trace's first two. A shard is one device with its own kernel,
+    channel and host. Its host's gateway knows every device's key, so a frame whose device-id byte was
+    corrupted into another device's id fails authentication as it would at a shared host; it stays in its
+    sender's shard."""
     scenario = config.scenario
     spec = scenario.devices[index]
     sim = Simulator(seed, out)
@@ -946,11 +922,8 @@ def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int, 
     device.start()
     sim.run(scenario.duration_ms)
     device.finalize()
-    sim.spool()
-    out.seek(0)
-    partial = fold(chain(_header(scenario, seed), out), lambda t_ms, obs: rows.write(f"{t_ms}\t{observation_row(obs)}"))
-    rows.flush()  # a fork child leaves through os._exit, which flushes nothing
-    return partial
+    out.seek(0)  # flushes: a fork child leaves through os._exit, which flushes nothing
+    return fold(chain(_header(scenario, seed), out))
 
 
 def _usable_cpus() -> int:
@@ -1121,10 +1094,15 @@ def trace_observations(lines: Iterable[str]) -> list[Observation]:
     return [Observation(*details) for _, _, kind, _, details in records if kind == "observation"]
 
 
-def trace_metrics(lines: Iterable[str], observe: Callable[[int, Observation], object] | None = None) -> dict:
-    """Summary metrics of a trace (re-derivable from the file alone); observe, if given, gets each observation
-    line's t_ms and Observation."""
-    return combine([fold(lines, observe)])
+def observation_rows(lines: Iterable[str]) -> list[str]:
+    """The host observation log's row of each observation line of a trace, cut by text: its details,
+    comma-joined, keeping the line's end if it has one. The log is OBSERVATION_HEADER, then these rows."""
+    return [",".join(line.split("\t")[3:]) for line in lines if "\tobservation\t" in line]
+
+
+def trace_metrics(lines: Iterable[str]) -> dict:
+    """Summary metrics of a trace (re-derivable from the file alone)."""
+    return combine([fold(lines)])
 
 
 def combine(partials: Iterable[dict]) -> dict:
@@ -1141,8 +1119,8 @@ def combine(partials: Iterable[dict]) -> dict:
     return metrics
 
 
-def fold(lines: Iterable[str], observe: Callable[[int, Observation], object] | None = None) -> dict:
-    """The metrics of lines, a trace or a shard's part of one (see combine); observe as trace_metrics'."""
+def fold(lines: Iterable[str]) -> dict:
+    """The metrics of lines, a trace or a shard's part of one (see combine)."""
     devices: dict[str, dict] = defaultdict(lambda: {  # battery_daily: [day, mWh] at each day boundary, then the end
         "app": None, "frames_sent": 0, "classifications": {},
         "alerts": {"sent": 0, "delivered": 0, "undelivered": 0, "attempts": {}, "latency_ms": {}},
@@ -1152,9 +1130,9 @@ def fold(lines: Iterable[str], observe: Callable[[int, Observation], object] | N
     host = {"frames_received": 0, "frames_rejected": {}, "observations": {}, "alerts_notified": 0}
     channel = {"transmitted": 0, "lost": 0, "corrupted": 0}
     duration, seed = 0, None
-    # The kinds whose numbers it reads (and observation for observe): the others it counts, or reads as strings.
+    # The kinds whose numbers it reads: the others it counts, or reads as strings.
     numeric = ("scenario", "device_init", "alert_sent", "alert_delivered", "alert_undelivered", "sync", "energy")
-    for _, t, kind, entity, details in trace_records(lines, parse=(*numeric, "observation") if observe else numeric):
+    for _, t, kind, entity, details in trace_records(lines, parse=numeric):
         if kind == "classify":
             _, label, _ = details
             counts = devices[entity]["classifications"]
@@ -1180,8 +1158,6 @@ def fold(lines: Iterable[str], observe: Callable[[int, Observation], object] | N
         elif kind == "observation":
             device_id = str(details[0])
             host["observations"][device_id] = host["observations"].get(device_id, 0) + 1
-            if observe is not None:
-                observe(t, Observation(*details))
         elif kind == "alert_notified":
             host["alerts_notified"] += 1
         elif kind == "alert_sent":

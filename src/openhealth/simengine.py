@@ -24,7 +24,8 @@ noise key.
 Trace lines are UTF-8 and tab-separated, ``t_ms kind entity detail...``,
 after a first line that gives the trace version; TRACE_LINES is their
 grammar, which every reader checks through trace_records. Frame lines carry
-the full frame hex, the channel byte log for privacy and nonce audits.
+the full frame hex, the channel byte log for privacy and nonce audits. A run of
+a device's windows with one label, confidence and spacing is one classify_run line.
 
 A device books all its energy, state dwell and transmit bursts alike,
 through ``firmware.account_energy``, in one place (SimDevice._book), the only
@@ -33,11 +34,11 @@ through ``firmware.step_state_machine``, except for that forced sleep. One
 loop takes every cycle of a wake (SimDevice._run_cycles), a look-ahead
 batch's quiet cycles in one step. It books each stretch of dwells in one
 account_energy call, in the order and slot pieces of booking them one by
-one, and stamps each classify line with its own time. A stretch ends before
+one, and logs each window at its own time. A stretch ends before
 _stretch_end: the end of the hour slot or, sooner, the time by which the
 device's highest state power would draw half the battery, so that no
 stretch can empty it. A queued entry due inside a run runs in place
-(Simulator.advance_to), after the run's classify lines; a booking it makes
+(Simulator.advance_to), after the run's windows before it; a booking it makes
 books the stretch first, and the run goes on after it unless it cut the
 cycle short.
 """
@@ -100,7 +101,7 @@ from .netproto import (
 )
 from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
-TRACE_VERSION = 4
+TRACE_VERSION = 5
 MIN_RADIO_MS = 1
 # The largest batch synthesized and labelled ahead. The cache keeps each window's
 # motion flag and label, not its samples: a batch's 230 KB (32 windows of 128 x 7
@@ -129,7 +130,7 @@ class VersionMismatch(TraceFormatError):
 
 class Simulator:
     """Event kernel: time-ordered queue with an insertion-order tiebreaker. Its lines go straight to out,
-    whose buffer bounds what it holds."""
+    whose buffer bounds what it holds, but for the open classify run, which any other line closes first."""
 
     def __init__(self, seed: int, out: TextIO):
         self.seed = seed
@@ -139,6 +140,7 @@ class Simulator:
         self._tie = 0
         self.in_place = False  # whether advance_to runs an entry in place
         self.out = out
+        self.open_run: list | None = None  # [t_ms, entity, first index, windows, spacing ms, label, confidence]
 
     def schedule(self, t_ms: int, fn: Callable[[], None]) -> None:
         if t_ms < self.now:
@@ -147,12 +149,30 @@ class Simulator:
         self._tie += 1
 
     def emit(self, kind: str, entity: str, *details) -> None:
-        """Add a line stamped with the clock."""
-        self.write("\t".join(map(str, (self.now, kind, entity, *details))))
+        """Add a line stamped with the clock, after the open classify run's."""
+        self.close_run()
+        self.out.write("\t".join(map(str, (self.now, kind, entity, *details))) + "\n")
 
-    def write(self, text: str) -> None:
-        """Add formatted lines, joined by newlines: a line of emit, or the cycle loop's classify lines."""
-        self.out.write(text + "\n")
+    def classify(self, t_ms: int, entity: str, index: int, label: str, confidence: int) -> None:
+        """Log window number index's classification at t_ms: the open run's next window if it has that
+        entity, label and confidence, follows its last index and keeps its spacing; else a new run's first."""
+        run = self.open_run
+        if run and index == run[2] + run[3] and label == run[5] and confidence == run[6] and entity == run[1]:
+            spacing = t_ms - run[0] if run[3] == 1 else run[4]
+            if t_ms == run[0] + run[3] * spacing:
+                run[3], run[4] = run[3] + 1, spacing
+                return
+        self.close_run()
+        self.open_run = [t_ms, entity, index, 1, 0, label, confidence]
+
+    def close_run(self) -> None:
+        """Write the open run, if any, stamped with its first window's time: a lone window's classify line,
+        or a classify_run line."""
+        if run := self.open_run:
+            self.open_run = None
+            t_ms, entity, index, n, spacing, label, confidence = run
+            head = f"classify\t{entity}\t{index}" if n == 1 else f"classify_run\t{entity}\t{index}\t{n}\t{spacing}"
+            self.out.write(f"{t_ms}\t{head}\t{label}\t{confidence}\n")
 
     def run(self, until_ms: int) -> None:
         self.until_ms = until_ms
@@ -442,12 +462,12 @@ class SimDevice:
         block = bisect_right(self.block_ends, start_ms)
         end = self.block_ends[block]
         last_ms = float(self.sample_offsets_ms[-1])  # a float, not numpy's: the same sums, faster
-        starts, index, quiet, extra = [start_ms], self.window_index, self.quiet_ms, self.data_tx_ms - MIN_RADIO_MS
-        following = start_ms + quiet + extra * self._reports(index)  # a report's window is longer on the air
-        while len(starts) < n and following + last_ms < end:
-            starts.append(following)
-            index += 1
-            following += quiet + extra * self._reports(index)
+        index, quiet, extra = self.window_index, self.quiet_ms, self.data_tx_ms - MIN_RADIO_MS
+        every = self.scenario.report_every_n_windows
+        # Start j follows j windows, of which (index + j) // every - index // every report (_reports); the starts rise.
+        grid = [start_ms + j * quiet + extra * ((index + j) // every - index // every) for j in range(n + 1)]
+        k = 1 + sum(start + last_ms < end for start in grid[1:n])
+        starts, following = grid[:k], grid[k]
         oracle = self.model is None
         prefix = PREFIX if oracle and start_ms + last_ms < end else None  # one block: its draws are in sample order
         matrix, counts = self._window_samples(starts, 3 if oracle else None, prefix)
@@ -593,7 +613,7 @@ class SimDevice:
         are one step (_quiet_cycles). A Processing end that sends a frame sends it there. The next booking
         books the stretch's dwells, which end before _stretch_end. A dwell that ends past the horizon moves
         the clock with Simulator.advance_to, which runs each queued entry due first in place, after the
-        loop's classify lines: where one booked, the loop books that dwell as its queued end would and goes
+        loop's windows before it: where one booked, the loop books that dwell as its queued end would and goes
         on, and where one cut the cycle short, it ends. It ends with the wake, or queues a dwell's end."""
         sim = self.sim
         if entered is not None and (self.cycle_gen, self.state) != entered:
@@ -622,7 +642,7 @@ class SimDevice:
                 if self.ahead_moving[q]:
                     last_motion = t
                 label = self.ahead_labels[q]
-                sim.write(f"{t}\tclassify\t{name}\t{self.window_index}\t{names[label[0]]}\t{label[1]}")
+                sim.classify(t, name, self.window_index, names[label[0]], label[1])
                 state, dt, q = processing, self.scenario.inference_latency_ms, q + 1
             elif state is processing:
                 reports, (code, conf_fp) = self._reports(self.window_index), label
@@ -645,6 +665,7 @@ class SimDevice:
                 state, dt = sampling, window_ms
                 if t - last_motion >= self.scenario.idle_timeout_ms or self._slack_ms(t, active) < 0:
                     state = step_state_machine(state, DeviceEvent.IdleTimeout)
+                    sim.close_run()  # a sleep cuts the run
                     break
                 if t + self.quiet_ms <= reach and not self._reports(self.window_index):  # take quiet cycles at once
                     if not (0 <= q < len(self.ahead_starts) and self.ahead_starts[q] == t):
@@ -652,10 +673,8 @@ class SimDevice:
                     k, motion = self._quiet_cycles(q, t, last_motion, active, reach)
                     if k:
                         quiet, index = self.quiet_ms, self.window_index
-                        sim.write("\n".join([
-                            f"{t + j * quiet + window_ms}\tclassify\t{name}\t{index + j}\t{names[code]}\t{conf_fp}"
-                            for j, (code, conf_fp) in enumerate(self.ahead_labels[q : q + k])
-                        ]))
+                        for j, (code, conf_fp) in enumerate(self.ahead_labels[q : q + k]):
+                            sim.classify(t + j * quiet + window_ms, name, index + j, names[code], conf_fp)
                         dwells += self.quiet_dwells * k
                         last_motion, label, q = motion, self.ahead_labels[q + k - 1], q + k
                         t, active, state, self.window_index = t + k * quiet, active + k * quiet, transmitting, index + k
@@ -922,6 +941,7 @@ def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int, 
     device.start()
     sim.run(scenario.duration_ms)
     device.finalize()
+    sim.close_run()
     out.seek(0)  # flushes: a fork child leaves through os._exit, which flushes nothing
     return fold(chain(_header(scenario, seed), out))
 
@@ -1011,6 +1031,7 @@ TRACE_LINES: dict[str, tuple[str, tuple[str, ...], tuple[Callable[[str], object]
     "device_init": ("dev", ("app", "battery_mwh", "capacity_mwh", "clock_offset_ms"), (str, float, float, int)),
     "duty_plan": ("dev", ("hourly_fractions",), (lambda text: tuple(map(float, text.split(","))),)),
     "classify": ("dev", ("window_index", "label", "confidence"), (int, str, int)),
+    "classify_run": ("dev", ("first_index", "windows", "spacing_ms", "label", "confidence"), (int, int, int, str, int)),
     "frame_tx": ("dev/host", ("type", "device_id", "seq", "length", "frame"), (str, int, int, int, bytes.fromhex)),
     "frame_lost": ("channel", ("src", "type", "device_id", "seq"), (str, str, int, int)),
     "frame_corrupt": ("channel", ("src", "type", "device_id", "seq", "frame"), (str, str, int, int, bytes.fromhex)),
@@ -1131,12 +1152,13 @@ def fold(lines: Iterable[str]) -> dict:
     channel = {"transmitted": 0, "lost": 0, "corrupted": 0}
     duration, seed = 0, None
     # The kinds whose numbers it reads: the others it counts, or reads as strings.
-    numeric = ("scenario", "device_init", "alert_sent", "alert_delivered", "alert_undelivered", "sync", "energy")
+    numeric = ("scenario", "device_init", "classify_run", "alert_sent", "alert_delivered", "alert_undelivered",
+               "sync", "energy")
     for _, t, kind, entity, details in trace_records(lines, parse=numeric):
-        if kind == "classify":
-            _, label, _ = details
+        if kind == "classify" or kind == "classify_run":  # a run counts its windows
+            label, n = details[-2], details[1] if kind == "classify_run" else 1
             counts = devices[entity]["classifications"]
-            counts[label] = counts.get(label, 0) + 1
+            counts[label] = counts.get(label, 0) + n
         elif kind == "scenario":
             duration, _, seed = details
         elif kind == "device_init":
@@ -1217,17 +1239,17 @@ class ReplayReport:
 
 # What a device logs only with its radio on or its cycle running: a depleted device hears no frame
 # and, forced to sleep, classifies no window.
-_RECEIPT_KINDS = ("frame_rx", "frame_reject", "alert_delivered", "sync", "classify")
+_RECEIPT_KINDS = ("frame_rx", "frame_reject", "alert_delivered", "sync", "classify", "classify_run")
 # The kinds whose details replay reads.
-_REPLAY_PARSE = ("device_init", "energy", "frame_tx", "frame_rx")
+_REPLAY_PARSE = ("device_init", "energy", "frame_tx", "frame_rx", "classify", "classify_run")
 
 
 def replay(lines: Iterable[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
     """Re-check the rules across the lines that trace_records checks one by one:
-    time order, energy ledger, state dwell, radio silence while depleted, seq
-    monotonicity, frame causality and canary absence. lines is read once and
-    may keep its line ends, so an open trace file will do. Line numbers are
-    1-based."""
+    time order, energy ledger, state dwell, radio silence while depleted, window
+    order, seq monotonicity, frame causality and canary absence. lines is read
+    once and may keep its line ends, so an open trace file will do. Line
+    numbers are 1-based."""
     report = ReplayReport(passed=True)
     initial: dict[str, float] = {}
     capacity: dict[str, float] = {}
@@ -1235,6 +1257,8 @@ def replay(lines: Iterable[str], canaries: tuple[bytes, ...] = ()) -> ReplayRepo
     seen_frames: dict[tuple[str, int], bytes] = {}
     tx_keys: set[tuple[str, int, int, int]] = set()
     depleted: set[str] = set()
+    next_window: dict[str, int] = {}  # the least window index each device may classify next
+    run_ends: dict[str, tuple[int, int]] = {}  # (line, last window's t_ms) of a device's last run, until its next line
     sim_lines = lineno = 0
     last_ms = 0
 
@@ -1242,6 +1266,10 @@ def replay(lines: Iterable[str], canaries: tuple[bytes, ...] = ()) -> ReplayRepo
         if t_ms < last_ms:
             report.failures.append(f"line {lineno}: t_ms {t_ms} before the previous line's {last_ms}")
         last_ms = t_ms
+        if entity in run_ends:
+            run_line, end_ms = run_ends.pop(entity)
+            if end_ms > t_ms:
+                report.failures.append(f"line {run_line}: {entity}'s run ends at {end_ms} ms, after line {lineno}")
         if entity == "sim":
             sim_lines += 1
         elif entity in depleted and kind in _RECEIPT_KINDS:
@@ -1262,6 +1290,11 @@ def replay(lines: Iterable[str], canaries: tuple[bytes, ...] = ()) -> ReplayRepo
                 )
             if battery < -1e-9 or battery > capacity[entity] + 1e-9:
                 report.failures.append(f"line {lineno}: battery {battery} outside [0, capacity]")
+        elif kind == "classify" or kind == "classify_run":  # a lone window is a run of one
+            index, n, spacing = details[:3] if kind == "classify_run" else (details[0], 1, 0)
+            if index < next_window.get(entity, 0):
+                report.failures.append(f"line {lineno}: {entity} window {index} not above {next_window[entity] - 1}")
+            next_window[entity], run_ends[entity] = index + n, (lineno, t_ms + (n - 1) * spacing)
         elif kind == "battery_depleted":
             depleted.add(entity)
         elif kind == "battery_recovered":

@@ -53,3 +53,28 @@ def tiny_har_model():
             noise_sigma=0.01, stretch_base=0.05, stretch_amp=0.0,
         ),
     }
+
+
+def classified_windows(lines) -> list[tuple[int, str, int, str, int]]:
+    """(t_ms, entity, window index, label, confidence) of each window that a trace's classify and
+    classify_run lines hold, in line order: a run of n windows at t_ms from index i, spacing s ms apart,
+    holds window i + j at t_ms + j * s for j < n."""
+    windows = []
+    for line in lines:
+        t_ms, kind, entity, *details = line.rstrip("\n").split("\t")
+        if kind == "classify":
+            index, label, confidence = details
+            windows.append((int(t_ms), entity, int(index), label, int(confidence)))
+        elif kind == "classify_run":
+            index, n, spacing, label, confidence = details
+            first, spacing = int(t_ms), int(spacing)
+            windows += [(first + j * spacing, entity, int(index) + j, label, int(confidence)) for j in range(int(n))]
+    return windows
+
+
+def one_line_a_window(lines) -> list[str]:
+    """A trace's lines with each classify_run line written out as its windows' classify lines, after the
+    other lines: the lines of trace version 4, in another order."""
+    kept = [line.rstrip("\n") for line in lines if "\tclassify_run\t" not in line]
+    runs = classified_windows(line for line in lines if "\tclassify_run\t" in line)
+    return kept + ["\t".join(map(str, (t_ms, "classify", *rest))) for t_ms, *rest in runs]

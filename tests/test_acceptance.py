@@ -56,15 +56,18 @@ from openhealth.pipeline import (
 )
 from openhealth.simengine import TRACE_VERSION, replay, run_scenario, write_metrics
 
+from conftest import one_line_a_window
+
 REFERENCE = Path("configs/reference.json")
 # SHA-256 of the seed-0 reference trace text. A deliberate change to the
 # trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-REFERENCE_TRACE_SHA256 = "15d57630db794a868bb14751f0d36fc2d7596d33b87fcc8b014af8911bcb40a5"
+REFERENCE_TRACE_SHA256 = "9596e2692ed525bd7cf385c6f8a3adf7ba9f7d77a75e9183976edc8bed244959"
 # SHA-256 of the metrics file write_metrics writes for that trace.
-REFERENCE_METRICS_SHA256 = "be1373ae3979b3de48e2866ae2baaaf3e5cc6a6aa96a67475b0e4f87abf60903"
+REFERENCE_METRICS_SHA256 = "16fbff87e15651d419649b8791fa7cc93774cd89c2108a40db4e2261eff77f24"
 # SHA-256 of that trace's lines without its trace_version line, sorted, as
 # trace version 3 wrote them. The reference link loses and corrupts nothing
-# and has a fixed latency, so version 4 only reorders version 3's lines.
+# and has a fixed latency, so version 4 only reorders version 3's lines, and
+# version 5 writes the same lines with each run of windows in one line.
 REFERENCE_SORTED_LINES_SHA256 = "2b7a51b98e8dce7185d15d662f93f7d8728bb0fcd90d9c5b9fbde2884fbe3ead"
 
 
@@ -80,7 +83,7 @@ def reference_trace():
 
 
 def test_reference_trace_digest_pinned(reference_trace, tmp_path):
-    assert TRACE_VERSION == 4
+    assert TRACE_VERSION == 5
     digest = hashlib.sha256(reference_trace.text().encode("utf-8")).hexdigest()
     assert digest == REFERENCE_TRACE_SHA256, "reference trace bytes changed"
     write_metrics(reference_trace.metrics, tmp_path / "metrics.json")
@@ -89,7 +92,8 @@ def test_reference_trace_digest_pinned(reference_trace, tmp_path):
 
 
 def test_reference_trace_reorders_the_version_3_lines(reference_trace):
-    lines = sorted(line for line in reference_trace.lines if line.split("\t")[1] != "trace_version")
+    """With each run written out as its windows' classify lines, the trace holds version 3's lines."""
+    lines = sorted(line for line in one_line_a_window(reference_trace.lines) if line.split("\t")[1] != "trace_version")
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
     assert digest == REFERENCE_SORTED_LINES_SHA256, "reference trace holds other lines than version 3's"
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -44,6 +46,8 @@ from openhealth.simengine import (
     write_metrics,
     write_trace,
 )
+
+from conftest import classified_windows, one_line_a_window
 
 REFERENCE = "configs/reference.json"
 
@@ -264,6 +268,13 @@ def test_duty_plan_limits_activity():
     # per-slot harvest covers planned consumption: battery never dips below start
     d = gated.metrics["devices"]["dev1"]
     assert d["battery_mwh"]["min"] >= d["battery_mwh"]["start"] - 1e-6
+    # Each hour slot's active ms, the difference of the hourly energy lines' non-sleep dwell, is within that
+    # slot's budget on the duty_plan line (its fractions have 4 decimals, which this plan's budget keeps).
+    rows = [line.split("\t") for line in gated.lines]
+    fractions = next(parts[3] for parts in rows if parts[1] == "duty_plan").split(",")
+    active = {int(parts[0]): _active_ms(parts) for parts in rows if parts[1] == "energy"}
+    for start in range(0, 7_200_000, SLOT_MS):
+        assert active[start + SLOT_MS] - active[start] <= math.floor(float(fractions[start // SLOT_MS]) * SLOT_MS)
 
 
 def test_model_driven_classification(tmp_path):
@@ -503,7 +514,7 @@ def test_run_seeds_one_generator_per_entity(monkeypatch):
     raw["scenario"]["devices"].append(dict(raw["scenario"]["devices"][0], id=2, alert_schedule=[]))
     _on_cpus(monkeypatch, 1)  # every shard seeds in this process, where the counter sees it
     trace = run_scenario(parse_config(raw), seed=3)
-    assert sum(line.split("\t")[1] == "classify" for line in trace.lines) > 50
+    assert len(classified_windows(trace.lines)) > 50
     assert sum(seeded.values()) <= 4, seeded  # each of the two devices' noise and channel streams
 
 
@@ -648,7 +659,7 @@ def test_each_window_start_is_synthesized_once(monkeypatch, trained_model_path, 
     if use_model:
         raw["scenario"]["model_path"] = str(trained_model_path)
     trace = run_scenario(parse_config(raw), seed=11)
-    classified = sum(line.split("\t")[1] == "classify" for line in trace.lines)
+    classified = len(classified_windows(trace.lines))
     assert classified > 50
     assert max(drawn.values()) == 1
     assert max(batches) > 1  # windows were synthesized ahead
@@ -697,7 +708,7 @@ def test_next_window_start_is_predicted_exactly(monkeypatch, make_raw):
     window synthesized is classified. At 2 kbps a data frame is on the air
     ~150 ms, so a cycle that reports is that much longer."""
     trace, batches, undecided = _count_batches(monkeypatch, make_raw(tx_bitrate_kbps=2, report_every_n_windows=3))
-    classified = sum(line.split("\t")[1] == "classify" for line in trace.lines)
+    classified = len(classified_windows(trace.lines))
     assert classified > 50 and max(batches) > 1
     assert sum(batches) == classified
     # Unbroken motion shows in every prefix; the still blocks' windows are drawn whole too.
@@ -717,7 +728,7 @@ def test_oracle_labels_each_batch_once(monkeypatch):
     monkeypatch.setattr(simengine, "majority_label", counted)
     trace, batches, _ = _count_batches(monkeypatch, _motion_raw())
     assert max(batches) > 1
-    assert len(calls) == len(batches) < sum(line.split("\t")[1] == "classify" for line in trace.lines)
+    assert len(calls) == len(batches) < len(classified_windows(trace.lines))
 
 
 # Moving and still labels of both apps; the scenario ends at 10 s. A still pose
@@ -809,12 +820,12 @@ def test_a_run_of_cycles_stops_before_an_entry_due_at_its_dwell_end(monkeypatch)
     mid-run: no frame of the run's last report is still on its way."""
     raw = _motion_raw(report_every_n_windows=15)
     raw["scenario"]["devices"][0]["alert_schedule"] = []
-    classified = [line.split("\t") for line in run_scenario(parse_config(raw), 11).lines if "\tclassify\t" in line]
-    due_ms = int(next(parts[0] for parts in classified if int(parts[3]) % 15 == 7 and int(parts[0]) > 30_000))
+    classified = classified_windows(run_scenario(parse_config(raw), 11).lines)
+    due_ms = next(t_ms for t_ms, _, index, _, _ in classified if index % 15 == 7 and t_ms > 30_000)
     raw["scenario"]["devices"][0]["alert_schedule"] = [[due_ms, "Jump"]]
     lines = run_scenario(parse_config(raw), 11).lines
-    at_due = [line.split("\t")[1] for line in lines if line.startswith(f"{due_ms}\t")]
-    assert at_due[0] == "alert_sent" and "classify" in at_due
+    at_due = [line for line in lines if line.startswith(f"{due_ms}\t")]
+    assert at_due[0].split("\t")[1] == "alert_sent" and due_ms in [t_ms for t_ms, *_ in classified_windows(at_due)]
     _queued_only(monkeypatch)
     assert run_scenario(parse_config(raw), 11).lines == lines
 
@@ -865,7 +876,7 @@ def test_a_battery_that_empties_mid_run_ends_it_as_the_queued_path_does(monkeypa
     lines = run_scenario(parse_config(raw), 11).lines
     kinds = [line.split("\t")[1] for line in lines]
     depleted_ms = int(lines[kinds.index("battery_depleted")].split("\t")[0])
-    assert kinds.count("classify") == 2 and "classify" not in kinds[kinds.index("battery_depleted"):]
+    assert len(classified_windows(lines)) == 2 and not classified_windows(lines[kinds.index("battery_depleted"):])
     assert (depleted_ms - QUIET_MS, depleted_ms - 1_280, 1, True) in runs and depleted_ms in queued
     assert (depleted_ms, depleted_ms, 0, False) in runs
     assert len(looked_up) <= 3
@@ -886,8 +897,9 @@ def test_an_alert_burst_bounds_the_stretch_after_it(monkeypatch):
     raw["energy"].update(battery_initial_mwh=0.0676, harvest_profile_mw=[0.0] * 24)
     raw["scenario"]["devices"][0].update(schedule=[["Sit", 10_000], ["Jump", 50_000]], alert_schedule=[])
     lines, _ = _quiet_lines(monkeypatch, raw)
-    events = [(int(parts[0]), parts[1]) for parts in (line.split("\t") for line in lines)
-              if parts[1] in ("classify", "alert_sent", "battery_depleted")]
+    events = sorted([(t_ms, "classify") for t_ms, *_ in classified_windows(lines)] + [
+        (int(parts[0]), parts[1]) for parts in (line.split("\t") for line in lines)
+        if parts[1] in ("alert_sent", "battery_depleted")])
     assert events == [(11_280, "classify"), (11_285, "alert_sent"), (12_566, "battery_depleted")]
     assert replay(lines).passed
 
@@ -984,7 +996,7 @@ def test_a_quiet_run_stops_where_the_duty_budget_is_used_up(monkeypatch):
     raw["energy"]["harvest_profile_mw"] = [0.5] * 24
     lines, runs = _quiet_lines(monkeypatch, raw)
     assert any(n and not goes_on for _, _, n, goes_on in runs)
-    assert max(int(line.split("\t")[0]) for line in lines if "\tclassify\t" in line) < 45_000
+    assert max(t_ms for t_ms, *_ in classified_windows(lines)) < 45_000
 
 
 def test_a_quiet_run_stops_at_the_idle_timeout(monkeypatch):
@@ -996,6 +1008,14 @@ def test_a_quiet_run_stops_at_the_idle_timeout(monkeypatch):
     assert any(n and not goes_on and start + n * QUIET_MS < 500_000 for start, _, n, goes_on in runs)
 
 
+def test_a_quiet_run_stops_at_an_idle_timeout_on_the_cycle_grid(monkeypatch):
+    """An idle timeout of three quiet cycles less a window: a transmit dwell ends exactly idle_timeout_ms
+    after a Sampling end, so the wake ends there, inside a look-ahead batch as on the queued path."""
+    raw = small_raw(report_every_n_windows=1_000, idle_timeout_ms=3 * QUIET_MS - 1_280)
+    raw["scenario"]["devices"][0]["alert_schedule"] = []
+    _quiet_lines(monkeypatch, raw)
+
+
 def test_a_quiet_run_stops_at_the_idle_timeout_inside_a_batch(monkeypatch):
     """A walk into a noisy sit, whose windows move or not at random: the wake goes on into the sit, and
     a still streak that reaches the idle timeout inside a look-ahead batch ends it there."""
@@ -1003,7 +1023,7 @@ def test_a_quiet_run_stops_at_the_idle_timeout_inside_a_batch(monkeypatch):
     raw["synthetic_models"]["har"]["labels"].update(NOISY_STILL["har"])
     raw["scenario"]["devices"][0].update(schedule=[["Walk", 10_000], ["Sit", 590_000]], alert_schedule=[])
     lines, runs = _quiet_lines(monkeypatch, raw)
-    last = max(int(line.split("\t")[0]) for line in lines if "\tclassify\t" in line)
+    last = max(t_ms for t_ms, *_ in classified_windows(lines))
     assert 20_000 < last < 500_000 and not runs[-1][3]
 
 
@@ -1022,8 +1042,8 @@ def test_a_run_sends_an_alert_due_at_a_dwell_end_in_place_before_that_end(monkey
     stretch first, and the run goes on from the dwell end."""
     raw = _motion_raw(report_every_n_windows=15)
     raw["scenario"]["devices"][0]["alert_schedule"] = []
-    classified = [line.split("\t") for line in run_scenario(parse_config(raw), 11).lines if "\tclassify\t" in line]
-    sampled_ms = next(int(parts[0]) for parts in classified if int(parts[3]) % 15 == 9 and int(parts[0]) > 30_000)
+    classified = classified_windows(run_scenario(parse_config(raw), 11).lines)
+    sampled_ms = next(t_ms for t_ms, _, index, _, _ in classified if index % 15 == 9 and t_ms > 30_000)
     due_ms = sampled_ms + QUIET_MS - 1_280  # its transmit dwell's end
     raw["scenario"]["devices"][0]["alert_schedule"] = [[due_ms, "Jump"]]
     lines, runs = _quiet_lines(monkeypatch, raw)
@@ -1038,8 +1058,7 @@ def test_a_run_goes_on_past_an_alert_label_window(monkeypatch):
     raw = _motion_raw(report_every_n_windows=15, alert_labels=["Jump"])
     raw["scenario"]["devices"][0]["alert_schedule"] = []
     lines, runs = _quiet_lines(monkeypatch, raw)
-    classified = [line.split("\t") for line in lines if "\tclassify\t" in line]
-    jumps = [int(parts[0]) for parts in classified if parts[4] == "Jump"]
+    jumps = [t_ms for t_ms, _, _, label, _ in classified_windows(lines) if label == "Jump"]
     assert jumps and "alert_sent" in {line.split("\t")[1] for line in lines}
     assert any(start <= t1 <= end - QUIET_MS for start, end, _, _ in runs for t1 in jumps)
 
@@ -1054,7 +1073,7 @@ def test_a_scenario_schedules_fewer_events_than_it_classifies_windows(monkeypatc
     real = Simulator.schedule
     monkeypatch.setattr(Simulator, "schedule", lambda self, t_ms, fn: scheduled.append(t_ms) or real(self, t_ms, fn))
     trace = run_scenario(small_config(report_every_n_windows=15), seed=11)  # one device: its shard runs here
-    classified = sum(line.split("\t")[1] == "classify" for line in trace.lines)
+    classified = len(classified_windows(trace.lines))
     assert 0 < len(scheduled) < classified
 
 
@@ -1078,7 +1097,10 @@ def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
         assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 408}
         monkeypatch.setattr(simengine, "trace_records", lambda *args: pytest.fail("the parent parsed a line"))
         blocks = list(blocks)
-        assert sum(map(len, blocks)) == 10_803
+        lines = [line for block in blocks for line in block]
+        runs = [line for line in lines if "\tclassify" in line]  # classify and classify_run lines
+        assert (len(lines), len(runs)) == (2_537, 626)
+        assert len(lines) - len(runs) + len(classified_windows(runs)) == 10_803  # the lines of a window each
         rows = [OBSERVATION_HEADER + "\n", *(row for block in blocks for row in simengine.observation_rows(block))]
         assert len(rows) == 1 + 592  # the header and a row per observation line
 
@@ -1157,7 +1179,7 @@ def test_replay_version_mismatch():
 @pytest.mark.parametrize("reader", [replay, trace_metrics, trace_observations])
 @pytest.mark.parametrize(
     "first, detail",
-    [("0\ttrace_version\tsim\t2", "trace version 2 != supported 4"), (None, "trace has no version line")],
+    [("0\ttrace_version\tsim\t2", "trace version 2 != supported 5"), (None, "trace has no version line")],
     ids=["version-2", "no-version-line"],
 )
 def test_trace_readers_refuse_another_version(small_trace, reader, first, detail):
@@ -1382,10 +1404,74 @@ def test_replay_detects_canary_bytes_on_the_air(small_trace):
     assert failures == [f"line {index + 1}: canary bytes {canary.hex()} leaked on the air"]
 
 
+def test_retried_alerts_count_each_alert_once(depletion_trace):
+    """The depletion pin's alerts are retried over a lossy link: an alert counts as sent at its first
+    attempt, and its attempts are its alert_sent lines."""
+    alerts = depletion_trace.metrics["devices"]["dev1"]["alerts"]
+    assert (alerts["sent"], alerts["delivered"], alerts["undelivered"]) == (526, 467, 59)
+    assert sorted(Counter(alerts["attempts"].values()).items()) == [
+        (1, 115), (2, 99), (3, 62), (4, 49), (5, 56), (6, 23), (7, 22), (8, 11), (9, 14), (10, 75)
+    ]
+    assert sum(alerts["attempts"].values()) == sum("\talert_sent\t" in line for line in depletion_trace.lines) == 2_231
+
+
 def test_metrics_rederivable_from_trace(fixture_traces):
     """The metrics that the shards' partials combine into are those trace_metrics derives from the lines."""
     for trace in fixture_traces:
         assert trace_metrics(trace.lines) == trace.metrics
+
+
+def _run_lines(lines):
+    """Indices of the classify_run lines."""
+    return [i for i, line in enumerate(lines) if "\tclassify_run\t" in line]
+
+
+def test_replay_detects_a_run_past_its_devices_next_line(runs_trace):
+    """A run spaced 10 ms wider ends after the frame_tx of its report window, the line that cut it."""
+    index = _run_lines(runs_trace.lines)[0]
+    parts = runs_trace.lines[index].split("\t")
+    parts[5] = str(int(parts[5]) + 10)
+    lines = [*runs_trace.lines[:index], "\t".join(parts), *runs_trace.lines[index + 1 :]]
+    end_ms = int(parts[0]) + (int(parts[4]) - 1) * int(parts[5])
+    after = next(i for i in range(index + 1, len(lines)) if "\tdev1\t" in lines[i])
+    assert int(lines[after].split("\t")[0]) < end_ms
+    assert replay(lines).failures == [f"line {index + 1}: dev1's run ends at {end_ms} ms, after line {after + 1}"]
+
+
+def test_replay_detects_a_run_that_repeats_a_window(runs_trace):
+    """A run whose first index is the previous run's last window."""
+    index = _run_lines(runs_trace.lines)[1]
+    parts = runs_trace.lines[index].split("\t")
+    repeated = int(parts[3]) - 1
+    parts[3] = str(repeated)
+    lines = [*runs_trace.lines[:index], "\t".join(parts), *runs_trace.lines[index + 1 :]]
+    assert replay(lines).failures == [f"line {index + 1}: dev1 window {repeated} not above {repeated}"]
+
+
+def test_a_run_holds_windows_of_one_label_confidence_and_spacing_until_another_line():
+    windows = [
+        (10, "dev1", 0, "Walk", 9_000), (20, "dev1", 1, "Walk", 9_000), (30, "dev1", 2, "Walk", 9_000),
+        (40, "dev1", 3, "Sit", 9_000),  # another label
+        (50, "dev1", 4, "Sit", 8_000), (65, "dev1", 5, "Sit", 8_000), (80, "dev1", 6, "Sit", 8_000),  # another confidence
+        (90, "dev1", 7, "Sit", 8_000),  # another spacing
+        (100, "dev1", 9, "Sit", 8_000), (110, "dev1", 10, "Sit", 8_000),  # an index gap
+        (120, "dev1", 11, "Sit", 8_000),  # after another line
+    ]
+    sim = Simulator(seed=0, out=io.StringIO())
+    for window in windows:
+        if window[0] == 120:
+            sim.now = 115
+            sim.emit("battery_recovered", "dev1")
+        sim.classify(*window)
+    sim.close_run()
+    lines = sim.out.getvalue().splitlines()
+    assert lines == [
+        "10\tclassify_run\tdev1\t0\t3\t10\tWalk\t9000", "40\tclassify\tdev1\t3\tSit\t9000",
+        "50\tclassify_run\tdev1\t4\t3\t15\tSit\t8000", "90\tclassify\tdev1\t7\tSit\t8000",
+        "100\tclassify_run\tdev1\t9\t2\t10\tSit\t8000", "115\tbattery_recovered\tdev1",
+        "120\tclassify\tdev1\t11\tSit\t8000",
+    ]
+    assert classified_windows(lines) == windows
 
 
 def test_simulator_rejects_past_events():
@@ -1399,7 +1485,7 @@ def test_state_machine_cycle_appears_in_trace(small_trace):
     # Each classified window spends inference_latency_ms in Processing, then
     # one DATA frame's air time in Transmitting: 38 bytes at 250 kbit/s is 1 ms.
     dwell = small_trace.metrics["devices"]["dev1"]["dwell_ms"]
-    windows = sum(1 for line in small_trace.lines if line.split("\t")[1] == "classify")
+    windows = len(classified_windows(small_trace.lines))
     assert list(dwell) == ["Sleep", "Sampling", "Processing", "Transmitting"]
     assert all(ms > 0 for ms in dwell.values())
     assert dwell["Processing"] == small_config().scenario.inference_latency_ms * windows
@@ -1421,7 +1507,7 @@ def test_replay_detects_a_changed_dwell_figure(small_trace, field):
 # that trained_model_path trains. A deliberate change to the trace format bumps
 # TRACE_VERSION and re-pins this digest in the same change; a deliberate change
 # to the trained model re-pins it and LOSSY_MODEL_SHA256 without a bump.
-LOSSY_MODEL_TRACE_SHA256 = "c1eaee0378ad2d32af761d878eab706cf6f634e42d0fa9a415f798258694682d"
+LOSSY_MODEL_TRACE_SHA256 = "5f09eb03171496000187706ea83b5002f49590ddf86eac542a2fd45df2696ac4"
 LOSSY_MODEL_SHA256 = "a68fb73d46ee797cb591ddc6b82a5e36c6b926b03d0338295a793780c6274d9d"
 
 
@@ -1467,7 +1553,7 @@ def lossy_model_trace(trained_model_path):
 
 
 def test_lossy_model_trace_digest_pinned(trained_model_path, lossy_model_trace):
-    assert TRACE_VERSION == 4
+    assert TRACE_VERSION == 5
     model_digest = hashlib.sha256(trained_model_path.read_bytes()).hexdigest()
     assert model_digest == LOSSY_MODEL_SHA256, "trained model bytes changed"
     trace = lossy_model_trace
@@ -1481,7 +1567,7 @@ def test_lossy_model_trace_digest_pinned(trained_model_path, lossy_model_trace):
 
 # SHA-256 of the seed-0 trace of depletion_raw() below. A deliberate change to
 # the trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-DEPLETION_TRACE_SHA256 = "d8b87af691667419f8ac85dbf396cb5b4057ab9621565c100db40ea4a5209308"
+DEPLETION_TRACE_SHA256 = "3763f79af9e708663b0fc59cbd7c2affbd16ae709e1eddd904328abaa0450822"
 
 
 def depletion_raw():
@@ -1509,7 +1595,7 @@ def depletion_trace():
 
 
 def test_depletion_trace_digest_pinned(depletion_trace):
-    assert TRACE_VERSION == 4
+    assert TRACE_VERSION == 5
     trace = depletion_trace
     kinds = [line.split("\t")[1] for line in trace.lines]
     for kind in ("battery_depleted", "battery_recovered", "alert_sent"):
@@ -1546,8 +1632,14 @@ def dead_link_trace():
 
 
 @pytest.fixture(scope="module")
-def fixture_traces(small_trace, lossy_model_trace, depletion_trace, dead_link_trace):
-    return small_trace, lossy_model_trace, depletion_trace, dead_link_trace
+def runs_trace():
+    """The small scenario reporting every 15th window, so that runs of quiet windows share a line."""
+    return run_scenario(small_config(report_every_n_windows=15), seed=0)
+
+
+@pytest.fixture(scope="module")
+def fixture_traces(small_trace, lossy_model_trace, depletion_trace, dead_link_trace, runs_trace):
+    return small_trace, lossy_model_trace, depletion_trace, dead_link_trace, runs_trace
 
 
 def test_every_kind_is_written_by_a_fixture_trace_and_read_back(fixture_traces):
@@ -1586,10 +1678,13 @@ def test_a_line_with_a_field_added_or_dropped_is_refused_at_that_line(fixture_tr
     [
         ("{t}\tclassify_all\tdev1\t1\tWalk\t10000", "unknown kind 'classify_all'"),
         ("{t}\tclassify\thost\t1\tWalk\t10000", "entity 'host' does not log classify lines"),
+        ("{t}\tclassify_run\thost\t1\t2\t1286\tWalk\t10000", "entity 'host' does not log classify_run lines"),
+        ("{t}\tclassify_run\tdev1\t1\t2\tWalk\t10000", "classify_run line has 4 details, not 5"),
         ("{t}\tobservation\tdev1\t1\t0\t1\t5\t10000", "entity 'dev1' does not log observation lines"),
         ("{t}\tframe_lost\tdevice1\tdev1\tDATA\t1\t0", "entity 'device1' does not log frame_lost lines"),
     ],
-    ids=["unknown-kind", "classify-from-host", "observation-from-a-device", "no-such-entity"],
+    ids=["unknown-kind", "classify-from-host", "classify-run-from-host", "classify-run-without-spacing",
+         "observation-from-a-device", "no-such-entity"],
 )
 def test_an_unknown_kind_or_a_wrong_entity_is_refused_at_that_line(small_trace, line, detail):
     lines = list(small_trace.lines)
@@ -1674,11 +1769,11 @@ def test_alert_burst_depleting_the_battery_ends_the_cycle():
     assert rows[at][0] == "20575"
     # The alert frame was on the air before its own burst emptied the battery.
     assert [parts[1] for parts in rows[at - 2:at]] == ["alert_sent", "frame_tx"]
-    assert not any(parts[1] == "classify" for parts in rows[at:])
+    assert not classified_windows(trace.lines[at:])
     active = {_active_ms(parts) for parts in rows[at:] if parts[1] == "energy"}
     assert len(active) == 1
     # The cut cycle entered Transmitting and left it in the same millisecond.
-    windows = sum(1 for parts in rows if parts[1] == "classify")
+    windows = len(classified_windows(trace.lines))
     assert trace.metrics["devices"]["dev1"]["dwell_ms"]["Transmitting"] == windows - 1
     assert replay(trace.lines).passed
 
@@ -1695,15 +1790,21 @@ def test_depleted_device_hears_nothing():
     assert replay(trace.lines).passed
 
 
-@pytest.mark.parametrize("kind", ["frame_rx", "frame_reject", "alert_delivered", "sync", "classify"])
-def test_replay_detects_a_device_hearing_while_depleted(depletion_trace, small_trace, kind):
+@pytest.mark.parametrize("kind", ["frame_rx", "frame_reject", "alert_delivered", "sync", "classify", "classify_run"])
+def test_replay_detects_a_device_hearing_while_depleted(depletion_trace, small_trace, runs_trace, kind):
     lines = list(depletion_trace.lines)
     kinds = [line.split("\t")[1] for line in lines]
     down = kinds.index("battery_depleted")
-    # The depletion pin has no sync line; the small trace's is for dev1 too.
-    heard = next(line for line in lines + small_trace.lines if line.split("\t")[1:3] == [kind, "dev1"])
-    # At the depletion's own time, so that the line is in time order and its only fault is being heard.
-    lines.insert(down + 1, "\t".join([lines[down].split("\t")[0], *heard.split("\t")[1:]]))
+    # The depletion pin has no sync or classify_run line; the small traces' are for dev1 too.
+    heard = next(line for line in lines + small_trace.lines + runs_trace.lines if line.split("\t")[1:3] == [kind, "dev1"])
+    # At the depletion's own time, so that the line is in time order and its only fault is being heard. A
+    # window line takes the device's next window index, and the trace ends with it: the device's later
+    # windows would repeat that index.
+    parts = [lines[down].split("\t")[0], *heard.split("\t")[1:]]
+    if kind.startswith("classify"):
+        parts[3] = str(classified_windows(lines[:down])[-1][2] + 1)
+        del lines[down + 1 :]
+    lines.insert(down + 1, "\t".join(parts))
     report = replay(lines)
     assert report.failures == [f"line {down + 2}: device dev1 logged {kind} while depleted"]
 
@@ -1818,7 +1919,7 @@ def test_a_dwell_end_queued_before_a_forced_sleep_is_stale_after_the_next_wake()
     rows = [line.split("\t") for line in trace.lines]
     events = [(int(parts[0]), parts[1]) for parts in rows if parts[1] in ("battery_depleted", "battery_recovered")]
     assert events == [(100, "battery_depleted"), (300, "battery_recovered")]
-    assert [int(parts[0]) for parts in rows if parts[1] == "classify"] == [1_580, 2_866, 4_152]
+    assert [t_ms for t_ms, *_ in classified_windows(trace.lines)] == [1_580, 2_866, 4_152]
     assert replay(trace.lines).passed
 
 
@@ -2005,20 +2106,25 @@ def test_simulate_writes_the_files_of_run_scenario_and_the_writers(monkeypatch, 
 
 
 def _simulate_peak(tmp_path, raw: dict) -> tuple[int, int]:
-    """simulate's tracemalloc peak on raw, and the bytes of the trace it wrote."""
+    """simulate's tracemalloc peak on raw, and the bytes of the trace it wrote with each run written out
+    one classify line a window: what the run classified, which the trace's own bytes no longer follow. A full
+    collection first empties the interpreter's free lists, so that the peak counts every block the run takes,
+    whatever ran before it."""
+    gc.collect()
     tracemalloc.start()
     try:
         _simulate(tmp_path, raw, "peak")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, (tmp_path / "peak.trace").stat().st_size
+    lines = one_line_a_window((tmp_path / "peak.trace").read_text(encoding="utf-8").splitlines())
+    return peak, sum(len(line) + 1 for line in lines)
 
 
 def _steady_walk_raw(duration_ms: int) -> dict:
     """The reference config with both devices walking all the time on a battery that does not empty, no
     duty plan and a report every 1,000 windows: a run of the cycle loop takes up to an hour slot's windows,
-    ~2,700, and writes their classify lines as one text."""
+    ~2,700, and one classify run holds up to 1,000 windows."""
     raw = _reference_day_raw()
     raw["energy"].update(battery_capacity_mwh=10_000.0, battery_initial_mwh=10_000.0)
     raw["scenario"].update(duration_ms=duration_ms, report_every_n_windows=1000, use_duty_plan=False)
@@ -2035,14 +2141,17 @@ def _reference_raw(duration_ms: int) -> dict:
 
 @pytest.mark.parametrize(
     "make_raw, duration_ms",
-    [(_reference_raw, DAY_MS), (_steady_walk_raw, 2 * 3_600_000)],
+    [(_reference_raw, 2 * DAY_MS), (_steady_walk_raw, 2 * 3_600_000)],
     ids=["reference-day", "steady-walk-rare-reports"],
 )
 def test_simulate_memory_does_not_grow_with_the_run(monkeypatch, tmp_path, make_raw, duration_ms):
     """Doubling the run grows simulate's peak by less than 5% of the trace
-    bytes it adds: the shards spool to files a bounded number of lines at a
-    time, however those lines were written, and the merge, the writers and
-    the metrics fold hold a line at a time, never the trace."""
+    bytes it adds, written one line a window (_simulate_peak): the shards
+    spool to files a bounded number of lines at a time, however those lines
+    were written, a classify run holds nothing per window, and the merge, the
+    writers and the metrics fold hold a line at a time, never the trace. The
+    reference run starts at two days, where each shard's spool file outgrows
+    the text that the merge holds of it at a time (MERGE_BYTES)."""
     _on_cpus(monkeypatch, 2)  # the parent runs one shard, merges both and writes everything
     _simulate_peak(tmp_path, make_raw(duration_ms // 100))  # first-call allocations
     once, once_bytes = _simulate_peak(tmp_path, make_raw(duration_ms))

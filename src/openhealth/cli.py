@@ -269,14 +269,12 @@ def cmd_simulate(args) -> int:
     except (OSError, ModelFormatError, ModelFitError) as exc:  # scenario.model_path
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
 
-    with _writing(), run as (blocks, m), open(args.trace, "w", encoding="utf-8") as trace, \
+    with _writing(), run as (lines, m), open(args.trace, "w", encoding="utf-8") as trace, \
             open(log_path, "w", encoding="utf-8") as log:
         log.write(OBSERVATION_HEADER + "\n")
-        count = 0
-        for block in blocks:  # the log's rows are the observation lines of each merged block, cut by text
-            trace.writelines(block)
-            log.writelines(observation_rows(block))
-            count += len(block)
+        for count, line in enumerate(lines, start=1):  # one pass: each line, and an observation line's row
+            trace.write(line)
+            log.writelines(observation_rows((line,)))
         write_metrics(m, metrics_path)
 
     print(f"wrote {args.trace} ({count} events), {metrics_path} and {log_path}")

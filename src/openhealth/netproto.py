@@ -4,7 +4,7 @@ Frame layout (big-endian, bit-exact):
 
     offset  size  field
     0       1     version (= 1)
-    1       1     frame type (HELLO=1, TIME_SYNC=2, DATA=3, ALERT=4, ACK=5, CONFIG=6)
+    1       1     frame type (HELLO=1, TIME_SYNC=2, DATA=3, ALERT=4, ACK=5)
     2       2     device id
     4       4     sequence number (strictly increasing per device and direction)
     8       2     payload length (ciphertext bytes, <= 1024)
@@ -46,7 +46,6 @@ class FrameType(Enum):
     DATA = 3
     ALERT = 4
     ACK = 5
-    CONFIG = 6
 
 
 class AppId(Enum):
@@ -63,7 +62,6 @@ _DIRECTION = {
     FrameType.DATA: DEVICE_TO_HOST,
     FrameType.ALERT: DEVICE_TO_HOST,
     FrameType.ACK: HOST_TO_DEVICE,
-    FrameType.CONFIG: HOST_TO_DEVICE,
 }
 
 

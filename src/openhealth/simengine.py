@@ -4,8 +4,8 @@ Each device runs as its own shard: an event kernel, a channel and a host
 that serve that device alone. Devices share no state, so shards can run in
 any order or in parallel. Each shard writes its lines straight to one spool
 file and folds them into partial metrics (fold), which combine sums; the
-parent merges the shards' files as text into one canonical order (see
-scenario_lines). Simulated time is integer milliseconds.
+parent merges the shards' files as text with heapq.merge, in one canonical
+order (see scenario_lines). Simulated time is integer milliseconds.
 
 A device draws from two streams, both keyed by (seed, device id), so neither
 the event order nor another device can change what it sees. Its sensor noise
@@ -14,8 +14,8 @@ the window that starts at t ms draws from block counter (0, t, 0, 0) on, so
 each window owns 2^64 blocks and its samples depend only on (seed, device,
 t). A device synthesizes the windows it expects next ahead of time, in
 batches, but each from its own reset stream, so neither the batch size nor a
-wrong guess can change a sample; without a model it draws a one-block window's
-first PREFIX samples, and the rest only where those show no motion. Its
+wrong guess can change a sample; without a model it draws a window's first
+PREFIX samples, and the rest only where those show no motion. Its
 channel draws every fate of the device's frames, and of the host's ACKs to
 it, in the shard's send order from a generator seeded by the same (seed,
 device id) under spawn key CHANNEL_STREAM, which keeps it apart from the
@@ -107,13 +107,12 @@ MIN_RADIO_MS = 1
 # motion flag and label, not its samples: a batch's 230 KB (32 windows of 128 x 7
 # float64) lives only until it is labelled.
 WINDOWS_AHEAD_MAX = 32
-# The samples of a one-block window that a device without a model draws first (SimDevice._window): 4 left 604
-# of device 1's 31,280 seed-0 reference-week windows undecided, and 42 more span blocks. PipelineSettings holds W >= 16.
+# The samples of a window that a device without a model draws first (SimDevice._window): 4 left 604 of
+# device 1's 31,280 seed-0 reference-week windows undecided. PipelineSettings holds W >= 16.
 PREFIX = 4
 DAY_MS = SLOT_MS * SLOTS_PER_DAY
 # The spawn key of a device's channel stream; its noise key is the root of the same (seed, device id).
 CHANNEL_STREAM = 1
-MERGE_BYTES = 1 << 16  # the text of each spool file that the merge holds at a time
 
 
 class TraceFormatError(ValueError):
@@ -377,9 +376,9 @@ class SimDevice:
         self._emit_energy()
         self._send_management_frame(FrameType.HELLO, b"")
         self._start_sync(attempt=1)
-        for start_ms, _, _ in self.blocks:
-            self.sim.schedule(start_ms, self._run_cycles)
-        for t in range(SLOT_MS, self.scenario.duration_ms, SLOT_MS):
+        # One wake check at each block start and hour-slot boundary, queued before the ticks and alerts at its ms.
+        checks = {start_ms for start_ms, _, _ in self.blocks} | set(range(SLOT_MS, self.scenario.duration_ms, SLOT_MS))
+        for t in sorted(checks):
             self.sim.schedule(t, self._run_cycles)
         tick = self.scenario.energy_log_interval_ms
         for t in range(tick, self.scenario.duration_ms, tick):
@@ -416,12 +415,13 @@ class SimDevice:
         does not depend on which windows were drawn before or beside it; the
         waveform and clipping then run once over the batch. A batch of more
         than one window must lie inside the block that holds starts[0]; a
-        window that spans blocks comes alone. A one-block batch synthesizes
-        only the first `columns` channels (all by default) of the first
-        `samples` samples (all W by default): its draws are in sample order, so
-        those are the whole window's, bit for bit. A spanning window
-        synthesizes every channel, block run by block run in time order, so
-        each run's draws follow the last run's, then keeps the first `columns`.
+        window that spans blocks comes alone. It synthesizes the first
+        `samples` samples (all W by default): a window's draws are in sample
+        order, block run by block run in time order, each run's following the
+        last run's, so those are the whole window's, bit for bit. A one-block
+        batch synthesizes only the first `columns` channels (all by default);
+        a spanning window synthesizes every channel, then keeps the first
+        `columns`.
         Returns the (k, samples or W, columns) samples and the per-code label
         counts of the whole windows, which every window of the batch shares.
         """
@@ -450,9 +450,9 @@ class SimDevice:
         the starts predicted to follow it, each inside its block, and labels them all. The batch doubles on
         each miss where the last one predicted, up to WINDOWS_AHEAD_MAX, and is one window otherwise; it
         predicts no start past its block, as the next may be still. The oracle labels a batch once, from the
-        counts its windows share, and draws accel alone, of a one-block batch each window's first PREFIX
-        samples: motion there is motion in the window, so only the rest are drawn whole. The model classifies
-        it at once; a lone still window read with labelled false gets code -1."""
+        counts its windows share, and draws accel alone, at first each window's first PREFIX samples: motion
+        there is motion in the window, so only the rest are drawn whole. The model classifies it at once; a
+        lone still window read with labelled false gets code -1."""
         starts = self.ahead_starts
         i = bisect_left(starts, start_ms)
         if i < len(starts) and starts[i] == start_ms and (self.ahead_labels[i][0] >= 0 or not labelled):
@@ -469,7 +469,7 @@ class SimDevice:
         k = 1 + sum(start + last_ms < end for start in grid[1:n])
         starts, following = grid[:k], grid[k]
         oracle = self.model is None
-        prefix = PREFIX if oracle and start_ms + last_ms < end else None  # one block: its draws are in sample order
+        prefix = PREFIX if oracle else None  # a window's draws are in sample order, block run by block run
         matrix, counts = self._window_samples(starts, 3 if oracle else None, prefix)
         moving = motion_detector(matrix)
         if prefix and not moving.all():
@@ -852,14 +852,14 @@ class SimTrace:
 
 def run_scenario(config: Config, seed: int = 0) -> SimTrace:
     """The lines of the scenario's trace, and the metrics that trace_metrics derives from them."""
-    with scenario_lines(config, seed) as (blocks, metrics):
-        return SimTrace(lines=[line[:-1] for block in blocks for line in block], metrics=metrics)
+    with scenario_lines(config, seed) as (lines, metrics):
+        return SimTrace(lines=[line[:-1] for line in lines], metrics=metrics)
 
 
-def scenario_lines(config: Config, seed: int = 0) -> ContextManager[tuple[Iterator[list[str]], dict]]:
-    """Check the config and its model; return a context (_sharded) that runs the scenario on entry and
-    closes each spool file on exit, however it ends. Each device's shard runs apart (_shard_lines), in up
-    to min(devices, usable CPUs) processes (_run_shards)."""
+def scenario_lines(config: Config, seed: int = 0) -> ContextManager[tuple[Iterator[str], dict]]:
+    """Check the config and its model; return a context (_sharded) that runs the scenario on entry, gives
+    its trace as one stream of lines, and closes each spool file on exit, however it ends. Each device's
+    shard runs apart (_shard_lines), in up to min(devices, usable CPUs) processes (_run_shards)."""
     scenario = config.scenario
     if scenario is None:
         raise ConfigError(["config has no scenario section"])
@@ -877,10 +877,10 @@ def scenario_lines(config: Config, seed: int = 0) -> ContextManager[tuple[Iterat
 
 
 @contextmanager
-def _sharded(config: Config, model: MlpModel | None, seed: int) -> Iterator[tuple[Iterator, dict]]:
-    """Run the shards; give the trace's lines, a list at a time, each ended by a newline and merged from the
-    shards' spool files as they are read, parsing no line; and the metrics that the shards' partials combine
-    into."""
+def _sharded(config: Config, model: MlpModel | None, seed: int) -> Iterator[tuple[Iterator[str], dict]]:
+    """Run the shards; give the trace's lines, each ended by a newline, in one stream that heapq.merge
+    takes from the shards' spool files a line at a time as it is read, parsing no line; and the metrics
+    that the shards' partials combine into."""
     scenario = config.scenario
     with ExitStack() as stack:
         spools = [stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8")) for _ in scenario.devices]
@@ -888,9 +888,9 @@ def _sharded(config: Config, model: MlpModel | None, seed: int) -> Iterator[tupl
         for spool in spools:  # the shards wrote and read them
             spool.seek(0)
         # The trace is its first lines, the shards' lines merged by (t_ms, device index), then scenario_end.
-        blocks = chain([[line + "\n" for line in _header(scenario, seed)]], _merged(spools),
-                       [[f"{scenario.duration_ms}\tscenario_end\tsim\n"]])
-        yield blocks, combine(partials)
+        lines = chain((line + "\n" for line in _header(scenario, seed)), heapq.merge(*spools, key=_t_ms),
+                      [f"{scenario.duration_ms}\tscenario_end\tsim\n"])
+        yield lines, combine(partials)
 
 
 def _header(scenario, seed: int) -> list[str]:
@@ -900,29 +900,6 @@ def _header(scenario, seed: int) -> list[str]:
 
 def _t_ms(line: str) -> int:
     return int(line[: line.index("\t")])
-
-
-def _merged(files: list[TextIO]) -> Iterator[list[str]]:
-    """The lines of files, each led by its t_ms and in t_ms order, in (t_ms, file) order, a list at a time:
-    of the blocks held, those before the earliest last t_ms of the files still read, in a stable sort."""
-    held, reading = [[] for _ in files], set(range(len(files)))  # each file's lines read and not yet merged
-    while True:
-        for i in list(reading):  # a file whose lines held share one t_ms, or are none, reads a block more
-            if not held[i] or _t_ms(held[i][0]) == _t_ms(held[i][-1]):
-                block = files[i].readlines(MERGE_BYTES)
-                held[i] += block
-                if not block:
-                    reading.discard(i)
-        bound = min((_t_ms(held[i][-1]) for i in reading), default=math.inf)  # no line still to read is earlier
-        taken = []
-        for lines in held:
-            n = bisect_left(lines, bound, key=_t_ms)
-            taken += lines[:n]
-            del lines[:n]
-        if taken:
-            yield sorted(taken, key=_t_ms)
-        elif bound == math.inf:
-            return
 
 
 def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int, out: TextIO) -> dict:
@@ -1116,8 +1093,9 @@ def trace_observations(lines: Iterable[str]) -> list[Observation]:
 
 
 def observation_rows(lines: Iterable[str]) -> list[str]:
-    """The host observation log's row of each observation line of a trace, cut by text: its details,
-    comma-joined, keeping the line's end if it has one. The log is OBSERVATION_HEADER, then these rows."""
+    """The host observation log's row of each observation line of lines, a trace or one line of it, cut by
+    text: its details, comma-joined, keeping the line's end if it has one. The log is OBSERVATION_HEADER,
+    then these rows."""
     return [",".join(line.split("\t")[3:]) for line in lines if "\tobservation\t" in line]
 
 

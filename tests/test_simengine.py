@@ -340,7 +340,8 @@ def test_oracle_names_top_label_for_gesture_window_without_majority():
     assert device._oracle(counts) == (GestureLabel.Up.value, 0.5)
 
 
-def test_host_rejects_unassigned_frame_type_without_raising():
+@pytest.mark.parametrize("type_byte", [0x83, 0x06], ids=["flipped-bit", "six"])
+def test_host_rejects_unassigned_frame_type_without_raising(type_byte):
     from openhealth.netproto import FrameType, HostGateway, encode_frame
     from openhealth.simengine import SimChannel, SimDevice, SimHost
 
@@ -352,7 +353,7 @@ def test_host_rejects_unassigned_frame_type_without_raising():
     channel = SimChannel(sim, config.channel, 1)
     host = SimHost(sim, gateway, channel, SimDevice(sim, config.scenario.devices[0], config, channel, None))
     frame = bytearray(encode_frame(FrameType.DATA, 1, 1, b"\x00" * 12, key))
-    frame[1] = 0x03 ^ 0x80  # a flipped type bit: no FrameType has this value
+    frame[1] = type_byte  # DATA's 0x03 with a flipped bit, or 6: no FrameType has this value
     result = gateway.step(sim.now, bytes(frame))
     assert (result.device_id, result.reject, result.frame, result.ack) == (1, "auth_failure", None, None)
     host.receive(bytes(frame))
@@ -592,14 +593,18 @@ def test_windows_synthesized_ahead_equal_the_window_drawn_alone(
     trained_model_path, rate_hz, use_model, origin, steps, wrong_ms, data
 ):
     # Along the predicted grid the batches grow; an off-grid start is a miss
-    # after a wrong prediction. The fixed starts span three blocks, span the
-    # schedule's repeat, and end at the scenario end; every start ends before it.
+    # after a wrong prediction. The first fixed starts span three blocks, span
+    # the schedule's repeat, and end at the scenario end; every start ends
+    # before it. The last three are predicted in a row, and at 100 Hz the
+    # third's last sample falls on the Walk block's end, 30,000 ms, which Jump
+    # holds: the batch that the second grows must stop before it.
     model = load_model(trained_model_path) if use_model else None
     device = _window_device(AHEAD_SCHEDULE, 200_000, rate_hz, model=model, labels=FULL_SCALE_WALK)
     cycle = device.cycle_ms
     grid = [origin + k * cycle for k in range(steps)]
     off_grid = grid[-1] + cycle + wrong_ms
-    fixed = [29_900, 49_400, 200_000 - device.window_ms]
+    on_end = 30_000 - round(device.sample_offsets_ms[-1])
+    fixed = [29_900, 49_400, 200_000 - device.window_ms, on_end - 2 * cycle, on_end - cycle, on_end]
     requests = grid + [off_grid + k * cycle for k in range(steps)] + fixed
     columns = device.channels if use_model else 3
     expected = {start: _window_drawn_alone(device, start, columns) for start in requests}
@@ -1093,15 +1098,14 @@ def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
     counted(Simulator, "emit", "emit")
     counted(SimDevice, "_window", "_window")
     _on_cpus(monkeypatch, 1)
-    with simengine.scenario_lines(parse_config(_reference_day_raw()), seed=0) as (blocks, _):
-        assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 408}
+    with simengine.scenario_lines(parse_config(_reference_day_raw()), seed=0) as (lines, _):
+        assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 406}
         monkeypatch.setattr(simengine, "trace_records", lambda *args: pytest.fail("the parent parsed a line"))
-        blocks = list(blocks)
-        lines = [line for block in blocks for line in block]
+        lines = list(lines)
         runs = [line for line in lines if "\tclassify" in line]  # classify and classify_run lines
         assert (len(lines), len(runs)) == (2_537, 626)
         assert len(lines) - len(runs) + len(classified_windows(runs)) == 10_803  # the lines of a window each
-        rows = [OBSERVATION_HEADER + "\n", *(row for block in blocks for row in simengine.observation_rows(block))]
+        rows = [OBSERVATION_HEADER + "\n", *simengine.observation_rows(lines)]
         assert len(rows) == 1 + 592  # the header and a row per observation line
 
 
@@ -2150,8 +2154,8 @@ def test_simulate_memory_does_not_grow_with_the_run(monkeypatch, tmp_path, make_
     spool to files a bounded number of lines at a time, however those lines
     were written, a classify run holds nothing per window, and the merge, the
     writers and the metrics fold hold a line at a time, never the trace. The
-    reference run starts at two days, where each shard's spool file outgrows
-    the text that the merge holds of it at a time (MERGE_BYTES)."""
+    reference run starts at two days, where each shard's spool file is about
+    twenty times the buffers that read and write it."""
     _on_cpus(monkeypatch, 2)  # the parent runs one shard, merges both and writes everything
     _simulate_peak(tmp_path, make_raw(duration_ms // 100))  # first-call allocations
     once, once_bytes = _simulate_peak(tmp_path, make_raw(duration_ms))

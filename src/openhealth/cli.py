@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import combinations, count
 from pathlib import Path
 
 from .classifier import (
@@ -272,12 +272,12 @@ def cmd_simulate(args) -> int:
     with _writing(), run as (lines, m), open(args.trace, "w", encoding="utf-8") as trace, \
             open(log_path, "w", encoding="utf-8") as log:
         log.write(OBSERVATION_HEADER + "\n")
-        for count, line in enumerate(lines, start=1):  # one pass: each line, and an observation line's row
-            trace.write(line)
-            log.writelines(observation_rows((line,)))
+        seen = count()  # zip draws from it only after a line
+        log.writelines(observation_rows(line for line, _ in zip(lines, seen) if trace.write(line)))  # one pass
+        events = next(seen)
         write_metrics(m, metrics_path)
 
-    print(f"wrote {args.trace} ({count} events), {metrics_path} and {log_path}")
+    print(f"wrote {args.trace} ({events} events), {metrics_path} and {log_path}")
     print(
         f"host: {m['host']['frames_received']} frames received, "
         f"{sum(m['host']['frames_rejected'].values())} rejected, "

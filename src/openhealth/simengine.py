@@ -25,7 +25,8 @@ Trace lines are UTF-8 and tab-separated, ``t_ms kind entity detail...``,
 after a first line that gives the trace version; TRACE_LINES is their
 grammar, which every reader checks through trace_records. Frame lines carry
 the full frame hex, the channel byte log for privacy and nonce audits. A run of
-a device's windows with one label, confidence and spacing is one classify_run line.
+a device's windows with one label, confidence and spacing is one classify_run line,
+written when the run closes.
 
 A device books all its energy, state dwell and transmit bursts alike,
 through ``firmware.account_energy``, in one place (SimDevice._book), the only
@@ -69,7 +70,6 @@ from .dataio import channel_count, synthesize_signal
 from .firmware import (
     BATTERY_RECOVERY_FRACTION,
     DeviceEvent,
-    DutyPlan,
     PowerState,
     SLOT_MS,
     SLOTS_PER_DAY,
@@ -101,7 +101,7 @@ from .netproto import (
 )
 from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
-TRACE_VERSION = 5
+TRACE_VERSION = 6
 MIN_RADIO_MS = 1
 # The largest batch synthesized and labelled ahead. The cache keeps each window's
 # motion flag and label, not its samples: a batch's 230 KB (32 windows of 128 x 7
@@ -129,7 +129,7 @@ class VersionMismatch(TraceFormatError):
 
 class Simulator:
     """Event kernel: time-ordered queue with an insertion-order tiebreaker. Its lines go straight to out,
-    whose buffer bounds what it holds, but for the open classify run, which any other line closes first."""
+    whose buffer bounds what it holds, but for the open classify run, which only its own rules close."""
 
     def __init__(self, seed: int, out: TextIO):
         self.seed = seed
@@ -148,30 +148,29 @@ class Simulator:
         self._tie += 1
 
     def emit(self, kind: str, entity: str, *details) -> None:
-        """Add a line stamped with the clock, after the open classify run's."""
-        self.close_run()
+        """Add a line stamped with the clock; the open classify run stays open."""
         self.out.write("\t".join(map(str, (self.now, kind, entity, *details))) + "\n")
 
     def classify(self, t_ms: int, entity: str, index: int, label: str, confidence: int) -> None:
         """Log window number index's classification at t_ms: the open run's next window if it has that
-        entity, label and confidence, follows its last index and keeps its spacing; else a new run's first."""
+        entity, label and confidence, follows its last index and keeps its spacing; else a new run's first,
+        after the open run closes at t_ms."""
         run = self.open_run
         if run and index == run[2] + run[3] and label == run[5] and confidence == run[6] and entity == run[1]:
             spacing = t_ms - run[0] if run[3] == 1 else run[4]
             if t_ms == run[0] + run[3] * spacing:
                 run[3], run[4] = run[3] + 1, spacing
                 return
-        self.close_run()
+        self.close_run(t_ms)
         self.open_run = [t_ms, entity, index, 1, 0, label, confidence]
 
-    def close_run(self) -> None:
-        """Write the open run, if any, stamped with its first window's time: a lone window's classify line,
-        or a classify_run line."""
+    def close_run(self, t_ms: int) -> None:
+        """Write the open run, if any, as a classify_run line stamped t_ms, its close: a time at or after its
+        last window and every line written before it."""
         if run := self.open_run:
             self.open_run = None
-            t_ms, entity, index, n, spacing, label, confidence = run
-            head = f"classify\t{entity}\t{index}" if n == 1 else f"classify_run\t{entity}\t{index}\t{n}\t{spacing}"
-            self.out.write(f"{t_ms}\t{head}\t{label}\t{confidence}\n")
+            first, entity, index, n, spacing, label, confidence = run
+            self.out.write(f"{t_ms}\tclassify_run\t{entity}\t{first}\t{index}\t{n}\t{spacing}\t{label}\t{confidence}\n")
 
     def run(self, until_ms: int) -> None:
         self.until_ms = until_ms
@@ -324,9 +323,8 @@ class SimDevice:
         self.charge_efficiency = e.charge_efficiency
         self.harvest_mw = [e.mppt_efficiency * h for h in e.harvest_profile_mw]  # post-MPPT, per hour slot
         self.power_mw = {state: state_power_mw(self.profile, self.app, state) for state in PowerState}
-        self.duty_plan: DutyPlan | None = None
-        if scenario.use_duty_plan:
-            self.duty_plan = plan_duty_cycle(self.profile, self.app, e)
+        plan = plan_duty_cycle(self.profile, self.app, e) if scenario.use_duty_plan else None
+        self.duty_budget_ms = None if plan is None else [math.floor(f * SLOT_MS) for f in plan.fractions]  # per slot
         # The states step_state_machine takes a window's cycle through; TxDone enters sampling again.
         sampling = step_state_machine(PowerState.Sleep, DeviceEvent.MotionDetected)
         processing = step_state_machine(sampling, DeviceEvent.WindowFull)
@@ -365,14 +363,11 @@ class SimDevice:
 
     def start(self) -> None:
         self.sim.emit(
-            "device_init", self.name, self.app,
-            f"{self.ledger[0]:.9f}", f"{self.capacity_mwh:.9f}", self.spec.clock_offset_ms,
+            "device_init", self.name, self.app, f"{self.ledger[0]:.9f}", f"{self.capacity_mwh:.9f}",
+            self.spec.clock_offset_ms, self.quiet_ms, self.cycle_ms,
         )
-        if self.duty_plan is not None:
-            self.sim.emit(
-                "duty_plan", self.name,
-                ",".join(f"{f:.4f}" for f in self.duty_plan.fractions),
-            )
+        if self.duty_budget_ms is not None:
+            self.sim.emit("duty_plan", self.name, ",".join(map(str, self.duty_budget_ms)))
         self._emit_energy()
         self._send_management_frame(FrameType.HELLO, b"")
         self._start_sync(attempt=1)
@@ -548,6 +543,7 @@ class SimDevice:
         self.ledger = account_energy(self.ledger, self.capacity_mwh, pieces)
         if self.ledger[0] <= 0.0 and not self.depleted:
             self.depleted = True
+            self.sim.close_run(self.sim.now)  # a forced sleep closes the run
             self.sim.emit("battery_depleted", self.name)
             self.cycle_gen += 1  # the cycle's pending dwell end now finds a newer cycle
             self.state = PowerState.Sleep
@@ -581,12 +577,11 @@ class SimDevice:
     def _slack_ms(self, now: int, active_ms: float) -> int:
         """How many ms after now, and as many more active ms, one more full cycle could begin and end in the
         scenario and in the duty budget of now's slot, of which active_ms is used; below 0 if none fits. The
-        active ms and the budget's floor are integers, so they compare exactly."""
+        active ms and the budget are integers, so they compare exactly."""
         slack = self.scenario.duration_ms - self.cycle_ms - now
-        if self.duty_plan is None:
+        if self.duty_budget_ms is None:
             return slack
-        budget = math.floor(self.duty_plan.fractions[now // SLOT_MS % SLOTS_PER_DAY] * SLOT_MS)
-        return min(slack, budget - self.cycle_ms - int(active_ms))
+        return min(slack, self.duty_budget_ms[now // SLOT_MS % SLOTS_PER_DAY] - self.cycle_ms - int(active_ms))
 
     def _quiet_cycles(self, q: int, t: int, last_motion: int, active: float, reach: int) -> tuple[int, int]:
         """How many whole quiet cycles from window q of the look-ahead batch, at t, the loop takes in one step,
@@ -665,7 +660,7 @@ class SimDevice:
                 state, dt = sampling, window_ms
                 if t - last_motion >= self.scenario.idle_timeout_ms or self._slack_ms(t, active) < 0:
                     state = step_state_machine(state, DeviceEvent.IdleTimeout)
-                    sim.close_run()  # a sleep cuts the run
+                    sim.close_run(t)  # a sleep closes the run: every entry due before t has run
                     break
                 if t + self.quiet_ms <= reach and not self._reports(self.window_index):  # take quiet cycles at once
                     if not (0 <= q < len(self.ahead_starts) and self.ahead_starts[q] == t):
@@ -918,7 +913,8 @@ def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int, 
     device.start()
     sim.run(scenario.duration_ms)
     device.finalize()
-    sim.close_run()
+    sim.close_run(sim.now)
+    sim._heap, device.host = [], None  # break the shard's reference cycles, so that it is freed on return
     out.seek(0)  # flushes: a fork child leaves through os._exit, which flushes nothing
     return fold(chain(_header(scenario, seed), out))
 
@@ -1005,10 +1001,11 @@ TRACE_LINES: dict[str, tuple[str, tuple[str, ...], tuple[Callable[[str], object]
     "trace_version": ("sim", ("version",), (int,)),
     "scenario": ("sim", ("duration_ms", "n_devices", "seed"), (int, int, int)),
     "scenario_end": ("sim", (), ()),
-    "device_init": ("dev", ("app", "battery_mwh", "capacity_mwh", "clock_offset_ms"), (str, float, float, int)),
-    "duty_plan": ("dev", ("hourly_fractions",), (lambda text: tuple(map(float, text.split(","))),)),
-    "classify": ("dev", ("window_index", "label", "confidence"), (int, str, int)),
-    "classify_run": ("dev", ("first_index", "windows", "spacing_ms", "label", "confidence"), (int, int, int, str, int)),
+    "device_init": ("dev", ("app", "battery_mwh", "capacity_mwh", "clock_offset_ms", "quiet_ms", "cycle_ms"),
+                    (str, float, float, int, int, int)),
+    "duty_plan": ("dev", ("hourly_budget_ms",), (lambda text: tuple(map(int, text.split(","))),)),
+    "classify_run": ("dev", ("first_t_ms", "first_index", "windows", "spacing_ms", "label", "confidence"),
+                     (int, int, int, int, str, int)),
     "frame_tx": ("dev/host", ("type", "device_id", "seq", "length", "frame"), (str, int, int, int, bytes.fromhex)),
     "frame_lost": ("channel", ("src", "type", "device_id", "seq"), (str, str, int, int)),
     "frame_corrupt": ("channel", ("src", "type", "device_id", "seq", "frame"), (str, str, int, int, bytes.fromhex)),
@@ -1092,11 +1089,11 @@ def trace_observations(lines: Iterable[str]) -> list[Observation]:
     return [Observation(*details) for _, _, kind, _, details in records if kind == "observation"]
 
 
-def observation_rows(lines: Iterable[str]) -> list[str]:
-    """The host observation log's row of each observation line of lines, a trace or one line of it, cut by
-    text: its details, comma-joined, keeping the line's end if it has one. The log is OBSERVATION_HEADER,
-    then these rows."""
-    return [",".join(line.split("\t")[3:]) for line in lines if "\tobservation\t" in line]
+def observation_rows(lines: Iterable[str]) -> Iterator[str]:
+    """The host observation log's row of each observation line of lines, cut by text as lines are read: its
+    details, comma-joined, keeping the line's end if it has one. The log is OBSERVATION_HEADER, then these
+    rows."""
+    return (",".join(line.split("\t")[3:]) for line in lines if "\tobservation\t" in line)
 
 
 def trace_metrics(lines: Iterable[str]) -> dict:
@@ -1133,15 +1130,15 @@ def fold(lines: Iterable[str]) -> dict:
     numeric = ("scenario", "device_init", "classify_run", "alert_sent", "alert_delivered", "alert_undelivered",
                "sync", "energy")
     for _, t, kind, entity, details in trace_records(lines, parse=numeric):
-        if kind == "classify" or kind == "classify_run":  # a run counts its windows
-            label, n = details[-2], details[1] if kind == "classify_run" else 1
+        if kind == "classify_run":  # a run counts its windows
+            _, _, n, _, label, _ = details
             counts = devices[entity]["classifications"]
             counts[label] = counts.get(label, 0) + n
         elif kind == "scenario":
             duration, _, seed = details
         elif kind == "device_init":
             d = devices[entity]
-            d["app"], d["battery_mwh"]["start"], d["battery_mwh"]["capacity"], _ = details
+            d["app"], d["battery_mwh"]["start"], d["battery_mwh"]["capacity"], *_ = details
         elif kind == "frame_tx":
             channel["transmitted"] += 1
             if entity != "host":
@@ -1217,17 +1214,17 @@ class ReplayReport:
 
 # What a device logs only with its radio on or its cycle running: a depleted device hears no frame
 # and, forced to sleep, classifies no window.
-_RECEIPT_KINDS = ("frame_rx", "frame_reject", "alert_delivered", "sync", "classify", "classify_run")
+_RECEIPT_KINDS = ("frame_rx", "frame_reject", "alert_delivered", "sync", "classify_run")
 # The kinds whose details replay reads.
-_REPLAY_PARSE = ("device_init", "energy", "frame_tx", "frame_rx", "classify", "classify_run")
+_REPLAY_PARSE = ("device_init", "energy", "frame_tx", "frame_rx", "classify_run")
 
 
 def replay(lines: Iterable[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
     """Re-check the rules across the lines that trace_records checks one by one:
     time order, energy ledger, state dwell, radio silence while depleted, window
-    order, seq monotonicity, frame causality and canary absence. lines is read
-    once and may keep its line ends, so an open trace file will do. Line
-    numbers are 1-based."""
+    order, run bounds and cycle grid, seq monotonicity, frame causality and
+    canary absence. lines is read once and may keep its line ends, so an open
+    trace file will do. Line numbers are 1-based."""
     report = ReplayReport(passed=True)
     initial: dict[str, float] = {}
     capacity: dict[str, float] = {}
@@ -1236,7 +1233,8 @@ def replay(lines: Iterable[str], canaries: tuple[bytes, ...] = ()) -> ReplayRepo
     tx_keys: set[tuple[str, int, int, int]] = set()
     depleted: set[str] = set()
     next_window: dict[str, int] = {}  # the least window index each device may classify next
-    run_ends: dict[str, tuple[int, int]] = {}  # (line, last window's t_ms) of a device's last run, until its next line
+    grids: dict[str, list[int]] = {}  # a device's quiet_ms and cycle_ms, from its device_init line
+    run_floor: dict[str, tuple[int, int]] = {}  # (line, least t_ms) of a device's next run's first window
     sim_lines = lineno = 0
     last_ms = 0
 
@@ -1244,16 +1242,12 @@ def replay(lines: Iterable[str], canaries: tuple[bytes, ...] = ()) -> ReplayRepo
         if t_ms < last_ms:
             report.failures.append(f"line {lineno}: t_ms {t_ms} before the previous line's {last_ms}")
         last_ms = t_ms
-        if entity in run_ends:
-            run_line, end_ms = run_ends.pop(entity)
-            if end_ms > t_ms:
-                report.failures.append(f"line {run_line}: {entity}'s run ends at {end_ms} ms, after line {lineno}")
         if entity == "sim":
             sim_lines += 1
         elif entity in depleted and kind in _RECEIPT_KINDS:
             report.failures.append(f"line {lineno}: device {entity} logged {kind} while depleted")
         if kind == "device_init":
-            _, initial[entity], capacity[entity], _ = details
+            _, initial[entity], capacity[entity], _, *grids[entity] = details
         elif kind == "energy":
             battery, net, curtailed, shortfall, _, _, *dwell = details
             if sum(dwell) != t_ms:
@@ -1268,15 +1262,25 @@ def replay(lines: Iterable[str], canaries: tuple[bytes, ...] = ()) -> ReplayRepo
                 )
             if battery < -1e-9 or battery > capacity[entity] + 1e-9:
                 report.failures.append(f"line {lineno}: battery {battery} outside [0, capacity]")
-        elif kind == "classify" or kind == "classify_run":  # a lone window is a run of one
-            index, n, spacing = details[:3] if kind == "classify_run" else (details[0], 1, 0)
+        elif kind == "classify_run":  # stamped with its close
+            first_ms, index, n, spacing = details[:4]
+            end_ms, (after, floor_ms) = first_ms + (n - 1) * spacing, run_floor.get(entity, (0, 0))
             if index < next_window.get(entity, 0):
                 report.failures.append(f"line {lineno}: {entity} window {index} not above {next_window[entity] - 1}")
-            next_window[entity], run_ends[entity] = index + n, (lineno, t_ms + (n - 1) * spacing)
+            if first_ms < floor_ms:
+                report.failures.append(
+                    f"line {lineno}: {entity}'s run starts at {first_ms} ms, before {floor_ms} (line {after})")
+            if end_ms > t_ms:
+                report.failures.append(f"line {lineno}: {entity}'s run ends at {end_ms} ms, after its close")
+            if n > 1 and spacing not in grids.get(entity, ()):
+                report.failures.append(f"line {lineno}: {entity}'s run spacing {spacing} ms is off its cycle grid")
+            next_window[entity], run_floor[entity] = index + n, (lineno, t_ms)
         elif kind == "battery_depleted":
             depleted.add(entity)
+            run_floor[entity] = lineno, t_ms + 1  # a run starts after it
         elif kind == "battery_recovered":
             depleted.discard(entity)
+            run_floor[entity] = lineno, t_ms + 1
         elif kind == "frame_tx":
             ftype, device_id, seq, _, frame = details
             tx_keys.add((ftype, device_id, seq, 1 if entity == "host" else 0))

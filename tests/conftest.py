@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from openhealth.core import ActivityLabel, LabeledRecording
 from openhealth.dataio import LabelSignalModel
+from openhealth.firmware import SLOT_MS
 
 # Every @given test draws the same examples on every run, and no example
 # database is written; each test's own max_examples still applies.
@@ -56,25 +57,31 @@ def tiny_har_model():
 
 
 def classified_windows(lines) -> list[tuple[int, str, int, str, int]]:
-    """(t_ms, entity, window index, label, confidence) of each window that a trace's classify and
-    classify_run lines hold, in line order: a run of n windows at t_ms from index i, spacing s ms apart,
-    holds window i + j at t_ms + j * s for j < n."""
+    """(t_ms, entity, window index, label, confidence) of each window that a trace's classify_run lines
+    hold, in line order: a run of n windows from first_t_ms and index i, spacing s ms apart, holds window
+    i + j at first_t_ms + j * s for j < n."""
     windows = []
     for line in lines:
-        t_ms, kind, entity, *details = line.rstrip("\n").split("\t")
-        if kind == "classify":
-            index, label, confidence = details
-            windows.append((int(t_ms), entity, int(index), label, int(confidence)))
-        elif kind == "classify_run":
-            index, n, spacing, label, confidence = details
-            first, spacing = int(t_ms), int(spacing)
-            windows += [(first + j * spacing, entity, int(index) + j, label, int(confidence)) for j in range(int(n))]
+        _, kind, entity, *details = line.rstrip("\n").split("\t")
+        if kind == "classify_run":
+            first, index, n, spacing, label, confidence = details
+            windows += [(int(first) + j * int(spacing), entity, int(index) + j, label, int(confidence))
+                        for j in range(int(n))]
     return windows
 
 
 def one_line_a_window(lines) -> list[str]:
-    """A trace's lines with each classify_run line written out as its windows' classify lines, after the
-    other lines: the lines of trace version 4, in another order."""
-    kept = [line.rstrip("\n") for line in lines if "\tclassify_run\t" not in line]
+    """A trace's lines as trace version 4 wrote them, in another order: the other lines, with device_init
+    less its cycle grid and duty_plan giving each slot's budget as its share of the hour to 4 decimals, then
+    each classify_run line written out as its windows' classify lines."""
+    kept = []
+    for line in lines:
+        parts = line.rstrip("\n").split("\t")
+        if parts[1] == "device_init":
+            del parts[-2:]
+        elif parts[1] == "duty_plan":
+            parts[3] = ",".join(f"{int(ms) / SLOT_MS:.4f}" for ms in parts[3].split(","))
+        if parts[1] != "classify_run":
+            kept.append("\t".join(parts))
     runs = classified_windows(line for line in lines if "\tclassify_run\t" in line)
     return kept + ["\t".join(map(str, (t_ms, "classify", *rest))) for t_ms, *rest in runs]

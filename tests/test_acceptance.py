@@ -61,13 +61,14 @@ from conftest import one_line_a_window
 REFERENCE = Path("configs/reference.json")
 # SHA-256 of the seed-0 reference trace text. A deliberate change to the
 # trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-REFERENCE_TRACE_SHA256 = "9596e2692ed525bd7cf385c6f8a3adf7ba9f7d77a75e9183976edc8bed244959"
+REFERENCE_TRACE_SHA256 = "362554cdb1d39b3fa3d3500e2fa9e0b8061d60e115183b4d2b11902373ce66ab"
 # SHA-256 of the metrics file write_metrics writes for that trace.
-REFERENCE_METRICS_SHA256 = "16fbff87e15651d419649b8791fa7cc93774cd89c2108a40db4e2261eff77f24"
+REFERENCE_METRICS_SHA256 = "57904c05589588863306cd006a79b21a8101e886d2287479da2ee6a8bb64435a"
 # SHA-256 of that trace's lines without its trace_version line, sorted, as
 # trace version 3 wrote them. The reference link loses and corrupts nothing
-# and has a fixed latency, so version 4 only reorders version 3's lines, and
-# version 5 writes the same lines with each run of windows in one line.
+# and has a fixed latency, so version 4 only reorders version 3's lines;
+# version 6 writes the same lines with each run of windows in one line, and
+# device_init and duty_plan lines that one_line_a_window writes as version 4's.
 REFERENCE_SORTED_LINES_SHA256 = "2b7a51b98e8dce7185d15d662f93f7d8728bb0fcd90d9c5b9fbde2884fbe3ead"
 
 
@@ -83,7 +84,9 @@ def reference_trace():
 
 
 def test_reference_trace_digest_pinned(reference_trace, tmp_path):
-    assert TRACE_VERSION == 5
+    assert TRACE_VERSION == 6
+    kinds = [line.split("\t")[1] for line in reference_trace.lines]
+    assert (kinds.count("classify_run"), len(kinds)) == (224, 13_493)  # the week's 62,247 windows in 224 runs
     digest = hashlib.sha256(reference_trace.text().encode("utf-8")).hexdigest()
     assert digest == REFERENCE_TRACE_SHA256, "reference trace bytes changed"
     write_metrics(reference_trace.metrics, tmp_path / "metrics.json")

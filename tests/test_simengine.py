@@ -10,6 +10,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +25,7 @@ from openhealth.classifier import forward, load_model
 from openhealth.cli import main
 from openhealth.config import Config, ConfigError, DeviceSpec, load_config, parse_config
 from openhealth.core import MAX_MS, ActivityLabel, FieldError
-from openhealth.firmware import SLOT_MS, PowerState, account_energy, energy_piece, motion_detector
+from openhealth.firmware import SLOT_MS, PowerState, account_energy, energy_piece, motion_detector, plan_duty_cycle
 from openhealth.netproto import (
     CONFIDENCE_SCALE, OBSERVATION_HEADER, AppId, frame_nonce, peek_header, write_observation_log,
 )
@@ -269,12 +270,13 @@ def test_duty_plan_limits_activity():
     d = gated.metrics["devices"]["dev1"]
     assert d["battery_mwh"]["min"] >= d["battery_mwh"]["start"] - 1e-6
     # Each hour slot's active ms, the difference of the hourly energy lines' non-sleep dwell, is within that
-    # slot's budget on the duty_plan line (its fractions have 4 decimals, which this plan's budget keeps).
+    # slot's budget on the duty_plan line, the plan's own in integer ms.
     rows = [line.split("\t") for line in gated.lines]
-    fractions = next(parts[3] for parts in rows if parts[1] == "duty_plan").split(",")
+    budgets = [int(ms) for ms in next(parts[3] for parts in rows if parts[1] == "duty_plan").split(",")]
+    assert budgets == [math.floor(f * SLOT_MS) for f in plan_duty_cycle(cfg.profile, "har", cfg.energy).fractions]
     active = {int(parts[0]): _active_ms(parts) for parts in rows if parts[1] == "energy"}
     for start in range(0, 7_200_000, SLOT_MS):
-        assert active[start + SLOT_MS] - active[start] <= math.floor(float(fractions[start // SLOT_MS]) * SLOT_MS)
+        assert active[start + SLOT_MS] - active[start] <= budgets[start // SLOT_MS]
 
 
 def test_model_driven_classification(tmp_path):
@@ -828,9 +830,13 @@ def test_a_run_of_cycles_stops_before_an_entry_due_at_its_dwell_end(monkeypatch)
     classified = classified_windows(run_scenario(parse_config(raw), 11).lines)
     due_ms = next(t_ms for t_ms, _, index, _, _ in classified if index % 15 == 7 and t_ms > 30_000)
     raw["scenario"]["devices"][0]["alert_schedule"] = [[due_ms, "Jump"]]
+    # (t_ms, kind) of each line emitted and each window classified, in call order: a run's line comes later.
+    logged, emit, classify = [], Simulator.emit, Simulator.classify
+    monkeypatch.setattr(Simulator, "emit", lambda self, kind, *a: logged.append((self.now, kind)) or emit(self, kind, *a))
+    monkeypatch.setattr(Simulator, "classify", lambda self, t, *a: logged.append((t, "window")) or classify(self, t, *a))
     lines = run_scenario(parse_config(raw), 11).lines
-    at_due = [line for line in lines if line.startswith(f"{due_ms}\t")]
-    assert at_due[0].split("\t")[1] == "alert_sent" and due_ms in [t_ms for t_ms, *_ in classified_windows(at_due)]
+    at_due = [kind for t_ms, kind in logged if t_ms == due_ms]
+    assert at_due[0] == "alert_sent" and "window" in at_due
     _queued_only(monkeypatch)
     assert run_scenario(parse_config(raw), 11).lines == lines
 
@@ -1085,8 +1091,9 @@ def test_a_scenario_schedules_fewer_events_than_it_classifies_windows(monkeypatc
 def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
     """Budget: ~0.2 s of tier-1 (0.13-0.23 s on a 2-vCPU host), within 0.5 s. The first day of the
     reference config at seed 0, in one process: a run goes on through the host's receipts and takes
-    a batch's quiet cycles in one step, so a change that cuts runs again moves these counts. The
-    parent merges the shards' spool files without parsing a line."""
+    a batch's quiet cycles in one step, and a classify run stays open across the shard's other lines,
+    so a change that cuts either again moves these counts. The parent merges the shards' spool files
+    without parsing a line."""
     counts = Counter()
 
     def counted(owner, name, key, when=lambda *args, **kw: True):
@@ -1102,8 +1109,8 @@ def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
         assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 406}
         monkeypatch.setattr(simengine, "trace_records", lambda *args: pytest.fail("the parent parsed a line"))
         lines = list(lines)
-        runs = [line for line in lines if "\tclassify" in line]  # classify and classify_run lines
-        assert (len(lines), len(runs)) == (2_537, 626)
+        runs = [line for line in lines if "\tclassify_run\t" in line]
+        assert (len(lines), len(runs)) == (1_943, 32)
         assert len(lines) - len(runs) + len(classified_windows(runs)) == 10_803  # the lines of a window each
         rows = [OBSERVATION_HEADER + "\n", *simengine.observation_rows(lines)]
         assert len(rows) == 1 + 592  # the header and a row per observation line
@@ -1183,7 +1190,7 @@ def test_replay_version_mismatch():
 @pytest.mark.parametrize("reader", [replay, trace_metrics, trace_observations])
 @pytest.mark.parametrize(
     "first, detail",
-    [("0\ttrace_version\tsim\t2", "trace version 2 != supported 5"), (None, "trace has no version line")],
+    [("0\ttrace_version\tsim\t2", "trace version 2 != supported 6"), (None, "trace has no version line")],
     ids=["version-2", "no-version-line"],
 )
 def test_trace_readers_refuse_another_version(small_trace, reader, first, detail):
@@ -1307,7 +1314,7 @@ def test_the_last_energy_line_at_a_day_boundary_counts():
     metrics = trace_metrics([
         f"0\ttrace_version\tsim\t{TRACE_VERSION}",
         f"0\tscenario\tsim\t{2 * DAY_MS}\t1\t0",
-        "0\tdevice_init\tdev1\thar\t8.0\t40.0\t0",
+        "0\tdevice_init\tdev1\thar\t8.0\t40.0\t0\t1286\t1286",
         energy(DAY_MS, 7.5),
         energy(DAY_MS, 7.25),
         energy(2 * DAY_MS, 7.0),
@@ -1359,12 +1366,10 @@ def test_replay_detects_rx_without_tx(small_trace):
 
 
 def _edited(lines, index, **fields):
-    """lines with the named fields of line index replaced (battery and net
-    of an energy line; seq and frame of a frame_tx line)."""
-    names = {"energy": ("battery", "net"), "frame_tx": ("type", "device_id", "seq", "length", "frame")}
+    """lines with the fields of line index that TRACE_LINES names replaced by str(value)."""
     parts = lines[index].split("\t")
     for name, value in fields.items():
-        parts[3 + names[parts[1]].index(name)] = value
+        parts[3 + TRACE_LINES[parts[1]][1].index(name)] = str(value)
     return [*lines[:index], "\t".join(parts), *lines[index + 1 :]]
 
 
@@ -1430,50 +1435,78 @@ def _run_lines(lines):
     return [i for i, line in enumerate(lines) if "\tclassify_run\t" in line]
 
 
-def test_replay_detects_a_run_past_its_devices_next_line(runs_trace):
-    """A run spaced 10 ms wider ends after the frame_tx of its report window, the line that cut it."""
+def test_replay_detects_a_run_that_starts_before_the_last_run_closed(runs_trace):
+    """A run's first window one ms before the stamp of the device's run before it, which that line closed."""
+    before, index = _run_lines(runs_trace.lines)[:2]
+    closed = int(runs_trace.lines[before].split("\t")[0])
+    lines = _edited(runs_trace.lines, index, first_t_ms=closed - 1)
+    assert replay(lines).failures == [
+        f"line {index + 1}: dev1's run starts at {closed - 1} ms, before {closed} (line {before + 1})"]
+
+
+def test_replay_detects_a_run_that_starts_at_a_battery_recovery(depletion_trace):
+    """The first run after the battery recovers starts at the recovery's own time: a run starts after it."""
+    kinds = [line.split("\t")[1] for line in depletion_trace.lines]
+    up = kinds.index("battery_recovered")
+    index = kinds.index("classify_run", up)
+    recovered = int(depletion_trace.lines[up].split("\t")[0])
+    lines = _edited(depletion_trace.lines, index, first_t_ms=recovered)
+    assert replay(lines).failures == [
+        f"line {index + 1}: dev1's run starts at {recovered} ms, before {recovered + 1} (line {up + 1})"]
+
+
+def test_replay_detects_a_run_that_ends_after_its_close(runs_trace):
+    """A run moved later, so that its last window is one ms past its own stamp."""
     index = _run_lines(runs_trace.lines)[0]
     parts = runs_trace.lines[index].split("\t")
-    parts[5] = str(int(parts[5]) + 10)
-    lines = [*runs_trace.lines[:index], "\t".join(parts), *runs_trace.lines[index + 1 :]]
-    end_ms = int(parts[0]) + (int(parts[4]) - 1) * int(parts[5])
-    after = next(i for i in range(index + 1, len(lines)) if "\tdev1\t" in lines[i])
-    assert int(lines[after].split("\t")[0]) < end_ms
-    assert replay(lines).failures == [f"line {index + 1}: dev1's run ends at {end_ms} ms, after line {after + 1}"]
+    closed, n, spacing = int(parts[0]), int(parts[5]), int(parts[6])
+    lines = _edited(runs_trace.lines, index, first_t_ms=closed + 1 - (n - 1) * spacing)
+    assert replay(lines).failures == [f"line {index + 1}: dev1's run ends at {closed + 1} ms, after its close"]
+
+
+def test_replay_detects_a_run_off_its_cycle_grid(runs_trace):
+    """A run of several windows spaced 1 ms closer than any cycle that device_init gives."""
+    index = next(i for i in _run_lines(runs_trace.lines) if int(runs_trace.lines[i].split("\t")[5]) > 1)
+    spacing = int(runs_trace.lines[index].split("\t")[6]) - 1
+    lines = _edited(runs_trace.lines, index, spacing_ms=spacing)
+    assert replay(lines).failures == [f"line {index + 1}: dev1's run spacing {spacing} ms is off its cycle grid"]
 
 
 def test_replay_detects_a_run_that_repeats_a_window(runs_trace):
     """A run whose first index is the previous run's last window."""
     index = _run_lines(runs_trace.lines)[1]
-    parts = runs_trace.lines[index].split("\t")
-    repeated = int(parts[3]) - 1
-    parts[3] = str(repeated)
-    lines = [*runs_trace.lines[:index], "\t".join(parts), *runs_trace.lines[index + 1 :]]
+    repeated = int(runs_trace.lines[index].split("\t")[4]) - 1
+    lines = _edited(runs_trace.lines, index, first_index=repeated)
     assert replay(lines).failures == [f"line {index + 1}: dev1 window {repeated} not above {repeated}"]
 
 
-def test_a_run_holds_windows_of_one_label_confidence_and_spacing_until_another_line():
+def test_a_run_holds_windows_of_one_label_confidence_and_spacing_until_its_own_rules_close_it():
+    """Another line of the shard leaves the run open; a window that does not continue it closes it at that
+    window's time, and close_run (a sleep, a forced sleep, the shard's end) at the time it is given."""
     windows = [
         (10, "dev1", 0, "Walk", 9_000), (20, "dev1", 1, "Walk", 9_000), (30, "dev1", 2, "Walk", 9_000),
         (40, "dev1", 3, "Sit", 9_000),  # another label
         (50, "dev1", 4, "Sit", 8_000), (65, "dev1", 5, "Sit", 8_000), (80, "dev1", 6, "Sit", 8_000),  # another confidence
         (90, "dev1", 7, "Sit", 8_000),  # another spacing
         (100, "dev1", 9, "Sit", 8_000), (110, "dev1", 10, "Sit", 8_000),  # an index gap
-        (120, "dev1", 11, "Sit", 8_000),  # after another line
+        (120, "dev1", 11, "Sit", 8_000),  # after another line, which leaves the run open
+        (140, "dev1", 12, "Sit", 8_000),  # after a close
     ]
     sim = Simulator(seed=0, out=io.StringIO())
     for window in windows:
         if window[0] == 120:
             sim.now = 115
-            sim.emit("battery_recovered", "dev1")
+            sim.emit("sync_timeout", "dev1", 3)
+        if window[0] == 140:
+            sim.close_run(135)
         sim.classify(*window)
-    sim.close_run()
+    sim.close_run(150)
     lines = sim.out.getvalue().splitlines()
     assert lines == [
-        "10\tclassify_run\tdev1\t0\t3\t10\tWalk\t9000", "40\tclassify\tdev1\t3\tSit\t9000",
-        "50\tclassify_run\tdev1\t4\t3\t15\tSit\t8000", "90\tclassify\tdev1\t7\tSit\t8000",
-        "100\tclassify_run\tdev1\t9\t2\t10\tSit\t8000", "115\tbattery_recovered\tdev1",
-        "120\tclassify\tdev1\t11\tSit\t8000",
+        "40\tclassify_run\tdev1\t10\t0\t3\t10\tWalk\t9000", "50\tclassify_run\tdev1\t40\t3\t1\t0\tSit\t9000",
+        "90\tclassify_run\tdev1\t50\t4\t3\t15\tSit\t8000", "100\tclassify_run\tdev1\t90\t7\t1\t0\tSit\t8000",
+        "115\tsync_timeout\tdev1\t3", "135\tclassify_run\tdev1\t100\t9\t3\t10\tSit\t8000",
+        "150\tclassify_run\tdev1\t140\t12\t1\t0\tSit\t8000",
     ]
     assert classified_windows(lines) == windows
 
@@ -1511,7 +1544,7 @@ def test_replay_detects_a_changed_dwell_figure(small_trace, field):
 # that trained_model_path trains. A deliberate change to the trace format bumps
 # TRACE_VERSION and re-pins this digest in the same change; a deliberate change
 # to the trained model re-pins it and LOSSY_MODEL_SHA256 without a bump.
-LOSSY_MODEL_TRACE_SHA256 = "5f09eb03171496000187706ea83b5002f49590ddf86eac542a2fd45df2696ac4"
+LOSSY_MODEL_TRACE_SHA256 = "7e08ad6886233e42d381c2f53cf5b198823f6cf95e387ebc21144dea703b97c1"
 LOSSY_MODEL_SHA256 = "a68fb73d46ee797cb591ddc6b82a5e36c6b926b03d0338295a793780c6274d9d"
 
 
@@ -1557,12 +1590,12 @@ def lossy_model_trace(trained_model_path):
 
 
 def test_lossy_model_trace_digest_pinned(trained_model_path, lossy_model_trace):
-    assert TRACE_VERSION == 5
+    assert TRACE_VERSION == 6
     model_digest = hashlib.sha256(trained_model_path.read_bytes()).hexdigest()
     assert model_digest == LOSSY_MODEL_SHA256, "trained model bytes changed"
     trace = lossy_model_trace
     kinds = [line.split("\t")[1] for line in trace.lines]
-    for kind in ("frame_lost", "frame_corrupt", "frame_reject", "classify", "alert_sent"):
+    for kind in ("frame_lost", "frame_corrupt", "frame_reject", "classify_run", "alert_sent"):
         assert kind in kinds, f"scenario no longer exercises {kind}"
     assert replay(trace.lines).passed
     digest = hashlib.sha256(trace.text().encode("utf-8")).hexdigest()
@@ -1571,7 +1604,7 @@ def test_lossy_model_trace_digest_pinned(trained_model_path, lossy_model_trace):
 
 # SHA-256 of the seed-0 trace of depletion_raw() below. A deliberate change to
 # the trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-DEPLETION_TRACE_SHA256 = "3763f79af9e708663b0fc59cbd7c2affbd16ae709e1eddd904328abaa0450822"
+DEPLETION_TRACE_SHA256 = "d955bf99328ae2cc64487e61e29bcd05d4b66c35b1d34450d92fc89f335c9248"
 
 
 def depletion_raw():
@@ -1599,7 +1632,7 @@ def depletion_trace():
 
 
 def test_depletion_trace_digest_pinned(depletion_trace):
-    assert TRACE_VERSION == 5
+    assert TRACE_VERSION == 6
     trace = depletion_trace
     kinds = [line.split("\t")[1] for line in trace.lines]
     for kind in ("battery_depleted", "battery_recovered", "alert_sent"):
@@ -1681,18 +1714,18 @@ def test_a_line_with_a_field_added_or_dropped_is_refused_at_that_line(fixture_tr
     "line, detail",
     [
         ("{t}\tclassify_all\tdev1\t1\tWalk\t10000", "unknown kind 'classify_all'"),
-        ("{t}\tclassify\thost\t1\tWalk\t10000", "entity 'host' does not log classify lines"),
-        ("{t}\tclassify_run\thost\t1\t2\t1286\tWalk\t10000", "entity 'host' does not log classify_run lines"),
-        ("{t}\tclassify_run\tdev1\t1\t2\tWalk\t10000", "classify_run line has 4 details, not 5"),
+        ("{t}\tclassify\tdev1\t1\tWalk\t10000", "unknown kind 'classify'"),
+        ("{t}\tclassify_run\thost\t{t}\t1\t2\t1286\tWalk\t10000", "entity 'host' does not log classify_run lines"),
+        ("{t}\tclassify_run\tdev1\t1\t2\t1286\tWalk\t10000", "classify_run line has 5 details, not 6"),
         ("{t}\tobservation\tdev1\t1\t0\t1\t5\t10000", "entity 'dev1' does not log observation lines"),
         ("{t}\tframe_lost\tdevice1\tdev1\tDATA\t1\t0", "entity 'device1' does not log frame_lost lines"),
     ],
-    ids=["unknown-kind", "classify-from-host", "classify-run-from-host", "classify-run-without-spacing",
+    ids=["unknown-kind", "classify-of-version-5", "classify-run-from-host", "classify-run-without-first-time",
          "observation-from-a-device", "no-such-entity"],
 )
 def test_an_unknown_kind_or_a_wrong_entity_is_refused_at_that_line(small_trace, line, detail):
     lines = list(small_trace.lines)
-    index = next(i for i, text in enumerate(lines) if text.split("\t")[1] == "classify")
+    index = next(i for i, text in enumerate(lines) if text.split("\t")[1] == "classify_run")
     lines.insert(index, line.format(t=lines[index].split("\t")[0]))
     _readers_refuse_line(lines, index, detail)
 
@@ -1771,8 +1804,9 @@ def test_alert_burst_depleting_the_battery_ends_the_cycle():
     rows = [line.split("\t") for line in trace.lines]
     at = next(i for i, parts in enumerate(rows) if parts[1] == "battery_depleted")
     assert rows[at][0] == "20575"
-    # The alert frame was on the air before its own burst emptied the battery.
-    assert [parts[1] for parts in rows[at - 2:at]] == ["alert_sent", "frame_tx"]
+    # The alert frame was on the air before its own burst emptied the battery, and the forced sleep closed the run.
+    assert [parts[1] for parts in rows[at - 3:at]] == ["alert_sent", "frame_tx", "classify_run"]
+    assert rows[at - 1][0] == "20575"
     assert not classified_windows(trace.lines[at:])
     active = {_active_ms(parts) for parts in rows[at:] if parts[1] == "energy"}
     assert len(active) == 1
@@ -1794,19 +1828,20 @@ def test_depleted_device_hears_nothing():
     assert replay(trace.lines).passed
 
 
-@pytest.mark.parametrize("kind", ["frame_rx", "frame_reject", "alert_delivered", "sync", "classify", "classify_run"])
+@pytest.mark.parametrize("kind", ["frame_rx", "frame_reject", "alert_delivered", "sync", "classify_run"])
 def test_replay_detects_a_device_hearing_while_depleted(depletion_trace, small_trace, runs_trace, kind):
     lines = list(depletion_trace.lines)
     kinds = [line.split("\t")[1] for line in lines]
     down = kinds.index("battery_depleted")
-    # The depletion pin has no sync or classify_run line; the small traces' are for dev1 too.
+    # The depletion pin has no sync line; the small traces' are for dev1 too.
     heard = next(line for line in lines + small_trace.lines + runs_trace.lines if line.split("\t")[1:3] == [kind, "dev1"])
     # At the depletion's own time, so that the line is in time order and its only fault is being heard. A
-    # window line takes the device's next window index, and the trace ends with it: the device's later
-    # windows would repeat that index.
+    # run is one window 1 ms later, after the depletion, with the device's next window index, and the trace
+    # ends with it: the device's later windows would repeat that index.
     parts = [lines[down].split("\t")[0], *heard.split("\t")[1:]]
-    if kind.startswith("classify"):
-        parts[3] = str(classified_windows(lines[:down])[-1][2] + 1)
+    if kind == "classify_run":
+        parts[0] = parts[3] = str(int(parts[0]) + 1)
+        parts[4:7] = str(classified_windows(lines[:down])[-1][2] + 1), "1", "0"
         del lines[down + 1 :]
     lines.insert(down + 1, "\t".join(parts))
     report = replay(lines)
@@ -2234,6 +2269,23 @@ def test_a_shard_spools_flushed_lines_and_a_child_sends_its_partial_or_its_error
     assert isinstance(error, ValueError) and str(error) == "shard 3 cannot run"
 
 
+def test_a_shard_is_freed_as_it_returns(monkeypatch):
+    """With the cyclic collector off, a shard's device is gone once _shard_lines returns: no reference cycle
+    (its device and host, or the closures of the alert's receipt and retry, still queued past the end,
+    which an alert 1 ms before the end leaves) keeps the shard alive."""
+    raw = small_raw(duration_ms=60_000)
+    raw["scenario"]["devices"][0]["alert_schedule"] = [[59_999, "Jump"]]
+    devices, real_start = [], SimDevice.start
+    monkeypatch.setattr(SimDevice, "start", lambda device: devices.append(weakref.ref(device)) or real_start(device))
+    gc.disable()
+    try:
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
+            simengine._shard_lines(parse_config(raw), None, 11, 0, out)
+        assert len(devices) == 1 and devices[0]() is None
+    finally:
+        gc.enable()
+
+
 # Each app's schedule labels; the first is the one its alerts name.
 _APP_LABELS = {"har": ["Jump", "Walk", "Sit", "LieDown", "Stand", "Drive"], "gesture": ["Up", "Down", "Left", "Right"]}
 
@@ -2344,7 +2396,7 @@ def _check_shards(raw, seed, data):
         with open(trace_path, encoding="utf-8") as trace:
             write_metrics(trace_metrics(trace), Path(tmp) / "m.json")
         with open(trace_path, encoding="utf-8") as trace:
-            rows = simengine.observation_rows(trace)
+            rows = list(simengine.observation_rows(trace))
         write_observation_log(trace_observations(simengine.read_trace(trace_path)), Path(tmp) / "o.csv")
         assert written[0] == written[1]
         assert (Path(tmp) / "m.json").read_bytes() == written[1][1]

@@ -141,10 +141,12 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Class probabilities for an (n, D) batch of normalized features, D the model's input size
-    (check_fit holds it, and matmul refuses another): one row per input row, each summing to 1."""
+    (check_fit holds it, and matmul refuses another): one row per input row, each summing to 1.
+    Each row is its own (1, D) product, a stack of them in one matmul call, so a row has the same
+    bytes in any batch as alone; one (n, D) product may order its sums otherwise, moving the last bits."""
     x = np.asarray(x, dtype=float)
-    hidden = np.maximum(x @ model.w1 + model.b1, 0.0)
-    return _softmax(hidden @ model.w2 + model.b2)
+    hidden = np.maximum(np.matmul(x[:, None, :], model.w1)[:, 0] + model.b1, 0.0)
+    return _softmax(np.matmul(hidden[:, None, :], model.w2)[:, 0] + model.b2)
 
 
 def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:

@@ -161,7 +161,9 @@ def extract_feature_matrix(windows: np.ndarray) -> np.ndarray:
     spectrum = np.abs(np.fft.rfft(centered, axis=1)[:, 1 : FFT_BINS + 1, :]) * (2.0 / w)
     # windows.std(axis=1), bit for bit: numpy's std squares these same deviations from the same mean.
     centered *= centered
-    moments = np.stack([mean, np.sqrt(centered.sum(axis=1) / w), windows.min(axis=1), windows.max(axis=1)], axis=1)
+    # Min and max are exact in any order, so they run over a copy whose rows are contiguous channels.
+    channels = np.ascontiguousarray(windows.transpose(0, 2, 1))
+    moments = np.stack([mean, np.sqrt(centered.sum(axis=1) / w), channels.min(axis=2), channels.max(axis=2)], axis=1)
     # (n, 12, c): one column of features per channel; the transposed reshape lays them out channel by channel.
     return np.concatenate([moments, spectrum], axis=1).transpose(0, 2, 1).reshape(n, c * FEATURES_PER_CHANNEL)
 

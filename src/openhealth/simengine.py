@@ -15,7 +15,9 @@ each window owns 2^64 blocks and its samples depend only on (seed, device,
 t). A device synthesizes the windows it expects next ahead of time, in
 batches, but each from its own reset stream, so neither the batch size nor a
 wrong guess can change a sample; without a model it draws a window's first
-PREFIX samples, and the rest only where those show no motion. Its
+PREFIX samples, and the rest only where those show no motion. A model device
+classifies a batch in one pass, features and forward alike, whose every row
+has the bytes it has alone, so no classification depends on the batch. Its
 channel draws every fate of the device's frames, and of the host's ACKs to
 it, in the shard's send order from a generator seeded by the same (seed,
 device id) under spawn key CHANNEL_STREAM, which keeps it apart from the
@@ -103,9 +105,10 @@ from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
 TRACE_VERSION = 6
 MIN_RADIO_MS = 1
-# The largest batch synthesized and labelled ahead. The cache keeps each window's
-# motion flag and label, not its samples: a batch's 230 KB (32 windows of 128 x 7
-# float64) lives only until it is labelled.
+# The largest batch synthesized and labelled ahead, which one that follows a batch that moved throughout
+# takes at once (SimDevice._window). The cache keeps each window's motion flag and label, not its samples:
+# a batch's 230 KB (32 windows of 128 x 7 float64) lives only until it is labelled, in one feature and one
+# forward call.
 WINDOWS_AHEAD_MAX = 32
 # The samples of a window that a device without a model draws first (SimDevice._window): 4 left 604 of
 # device 1's 31,280 seed-0 reference-week windows undecided. PipelineSettings holds W >= 16.
@@ -442,17 +445,22 @@ class SimDevice:
         """The position of the window beginning at start_ms, window number window_index, in the look-ahead
         batch's lists: ahead_starts, ahead_moving and ahead_labels ((code, confidence) rounded to
         CONFIDENCE_SCALE as payloads carry it, the model's or the oracle's). A miss synthesizes start_ms and
-        the starts predicted to follow it, each inside its block, and labels them all. The batch doubles on
-        each miss where the last one predicted, up to WINDOWS_AHEAD_MAX, and is one window otherwise; it
-        predicts no start past its block, as the next may be still. The oracle labels a batch once, from the
-        counts its windows share, and draws accel alone, at first each window's first PREFIX samples: motion
-        there is motion in the window, so only the rest are drawn whole. The model classifies it at once; a
-        lone still window read with labelled false gets code -1."""
+        the starts predicted to follow it, each inside its block, and labels them all. A miss where the last
+        batch predicted takes the rest of the block, up to WINDOWS_AHEAD_MAX, if every window of that batch
+        moved, and twice that batch otherwise; any other miss is one window. A batch predicts no start past
+        its block, as the next may be still; one that moved but that a stop cuts short (a forced sleep, the
+        duty budget, the scenario end) leaves its tail drawn for nothing. The oracle labels a batch once,
+        from the counts its windows share, and draws accel alone, at first each window's first PREFIX
+        samples: motion there is motion in the window, so only the rest are drawn whole. The model
+        classifies it in one call (_classify); a lone still window read with labelled false gets code -1."""
         starts = self.ahead_starts
         i = bisect_left(starts, start_ms)
         if i < len(starts) and starts[i] == start_ms and (self.ahead_labels[i][0] >= 0 or not labelled):
             return i
-        n = min(2 * len(starts), WINDOWS_AHEAD_MAX) if start_ms == self.ahead_next else 1
+        if start_ms != self.ahead_next:
+            n = 1
+        else:  # a batch that moved throughout is followed by one that takes the rest of its block
+            n = WINDOWS_AHEAD_MAX if all(self.ahead_moving) else min(2 * len(starts), WINDOWS_AHEAD_MAX)
         # A window lies in one block iff its last sample time, summed as _block_runs sums it, is before the end.
         block = bisect_right(self.block_ends, start_ms)
         end = self.block_ends[block]
@@ -493,16 +501,10 @@ class SimDevice:
 
     def _classify(self, matrix: np.ndarray) -> list[tuple[int, float]]:
         """The model's label code and its probability for each window of a (k, W, c) batch.
-        Features and their normalization give each row the same bytes in a
-        batch as alone, so they run once over the batch. forward runs row by
-        row: a batched matmul may differ from it in the last bits."""
-        normed, _ = normalize_features(extract_feature_matrix(matrix), self.model.stats)
-        labels = []
-        for row in normed:
-            probs = forward(self.model, row[None, :])[0]
-            idx = int(np.argmax(probs))
-            labels.append((idx, float(probs[idx])))
-        return labels
+        Features, their normalization and forward give each row the same bytes
+        in a batch as alone, so each runs once over the batch."""
+        probs = forward(self.model, normalize_features(extract_feature_matrix(matrix), self.model.stats)[0])
+        return list(zip(probs.argmax(axis=1).tolist(), probs.max(axis=1).tolist()))
 
     # -- energy ------------------------------------------------------------------
 
@@ -638,11 +640,11 @@ class SimDevice:
                     last_motion = t
                 label = self.ahead_labels[q]
                 sim.classify(t, name, self.window_index, names[label[0]], label[1])
+                self.window_index += 1  # here: a forced sleep before the Processing end must not leave it to the next wake
                 state, dt, q = processing, self.scenario.inference_latency_ms, q + 1
             elif state is processing:
-                reports, (code, conf_fp) = self._reports(self.window_index), label
+                reports, (code, conf_fp) = self._reports(self.window_index - 1), label
                 state, dt = transmitting, self.data_tx_ms if reports else MIN_RADIO_MS
-                self.window_index += 1
                 if reports or code in self.alert_codes:
                     ledger, moved = settle(), sim.advance_to(t)
                     if reports:

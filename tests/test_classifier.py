@@ -86,6 +86,25 @@ def test_forward_argmax_invariant_to_bias_shift():
     assert np.array_equal(before, after)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 64),
+    sizes=st.tuples(st.sampled_from([6, 21, 84, 96]), st.sampled_from([4, 16, 33]), st.sampled_from([2, 5, 7])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_gives_each_row_of_a_batch_its_bytes_alone(rows, sizes, seed):
+    """Budget: ~0.2 s of tier-1 for 60 examples, measured after the last edit. The simulated device
+    classifies a look-ahead batch in one forward call, and its trace must not depend on the batch:
+    each row's probabilities have the bytes that row gets alone, which an (n, D) @ (D, H) product
+    does not give in its last bits."""
+    model = init_model(sizes, seed=seed % 1000)
+    model.b1[:] = np.random.default_rng(seed).normal(size=sizes[1])
+    x = np.random.default_rng(seed + 1).normal(size=(rows, sizes[0]))
+    batch = forward(model, x)
+    for row, probs in zip(x, batch):
+        assert probs.tobytes() == forward(model, row[None])[0].tobytes()
+
+
 def test_forward_dimension_mismatch():
     m = zero_model(d=6)
     with pytest.raises(ValueError, match="dimension"):

@@ -1092,8 +1092,9 @@ def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
     """Budget: ~0.2 s of tier-1 (0.13-0.23 s on a 2-vCPU host), within 0.5 s. The first day of the
     reference config at seed 0, in one process: a run goes on through the host's receipts and takes
     a batch's quiet cycles in one step, and a classify run stays open across the shard's other lines,
-    so a change that cuts either again moves these counts. The parent merges the shards' spool files
-    without parsing a line."""
+    so a change that cuts either again moves these counts; the `_window` count is the loop's
+    look-ups outside its batch, which fewer, larger batches cut. The parent merges the
+    shards' spool files without parsing a line."""
     counts = Counter()
 
     def counted(owner, name, key, when=lambda *args, **kw: True):
@@ -1106,7 +1107,7 @@ def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
     counted(SimDevice, "_window", "_window")
     _on_cpus(monkeypatch, 1)
     with simengine.scenario_lines(parse_config(_reference_day_raw()), seed=0) as (lines, _):
-        assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 406}
+        assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 370}
         monkeypatch.setattr(simengine, "trace_records", lambda *args: pytest.fail("the parent parsed a line"))
         lines = list(lines)
         runs = [line for line in lines if "\tclassify_run\t" in line]
@@ -1602,6 +1603,33 @@ def test_lossy_model_trace_digest_pinned(trained_model_path, lossy_model_trace):
     assert digest == LOSSY_MODEL_TRACE_SHA256, "model-driven lossy trace bytes changed"
 
 
+def test_a_model_device_draws_only_the_windows_it_classifies_and_its_still_probes(
+    monkeypatch, trained_model_path, lossy_model_trace
+):
+    """Budget: ~0.05 s of tier-1, past the module's trained model. A batch that moved in every window is
+    followed by one that takes the rest of its block, which the doubling reached in more batches; it still
+    draws no window twice, and none that is not classified but a wake's still probe, drawn alone. The
+    trace is the pinned one."""
+    batches, moving, drawn_once = [], {}, _drawn_once(SimDevice._window_samples)
+
+    def counted(device, starts, columns=None, samples=None):
+        matrix, counts = drawn_once(device, starts, columns, samples)
+        batches.append(len(starts))
+        ends = [(device.name, start + device.window_ms) for start in starts]  # each window's Sampling end
+        moving.update(zip(ends, motion_detector(matrix).tolist()))
+        return matrix, counts
+
+    monkeypatch.setattr(SimDevice, "_window_samples", counted)
+    _on_cpus(monkeypatch, 1)
+    trace = run_scenario(parse_config(lossy_model_raw(trained_model_path)), seed=0)
+    assert trace.lines == lossy_model_trace.lines
+    classified = [(entity, t_ms) for t_ms, entity, *_ in classified_windows(trace.lines)]
+    assert len(set(classified)) == len(classified) == 124 and set(classified) <= moving.keys()
+    probes = moving.keys() - set(classified)
+    assert len(probes) == 4 and not any(moving[probe] for probe in probes)
+    assert (len(batches), sum(batches)) == (36, 128)  # doubling took 52 batches
+
+
 # SHA-256 of the seed-0 trace of depletion_raw() below. A deliberate change to
 # the trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
 DEPLETION_TRACE_SHA256 = "d955bf99328ae2cc64487e61e29bcd05d4b66c35b1d34450d92fc89f335c9248"
@@ -1960,6 +1988,27 @@ def test_a_dwell_end_queued_before_a_forced_sleep_is_stale_after_the_next_wake()
     assert events == [(100, "battery_depleted"), (300, "battery_recovered")]
     assert [t_ms for t_ms, *_ in classified_windows(trace.lines)] == [1_580, 2_866, 4_152]
     assert replay(trace.lines).passed
+
+
+def test_a_forced_sleep_inside_a_processing_dwell_does_not_repeat_its_window_index():
+    """A shard-fuzzer example (hypothesis seed 991, scenario seed 3709): a gesture device on a small
+    battery that a 1.9 mW harvest refills, whose 374 mW radio empties it while a window classified at
+    its Sampling end is in Processing. The next wake's first window takes the next index; when the index
+    advanced only at the Processing end it took the same one, and replay failed `dev8 window 26 not above
+    26`."""
+    raw = small_raw(duration_ms=240_000, report_every_n_windows=16, tx_bitrate_kbps=120, idle_timeout_ms=3_000,
+                    inference_latency_ms=5, energy_log_interval_ms=3_600_000)
+    raw["scenario"]["devices"] = [{"id": 8, "app": "gesture", "clock_offset_ms": 531,
+                                   "schedule": [["Down", 4_852]], "alert_schedule": [[4_216, "Up"]]}]
+    raw["energy"].update(battery_capacity_mwh=0.2913721228587172, battery_initial_mwh=0.03978060048421983,
+                         harvest_profile_mw=[1.9] * 24, charge_efficiency=1.0)
+    raw["device_profile"]["p_tx_mw"] = 374.4647313050333
+    raw["channel"] = {"latency_ms": [16, 57], "loss_probability": 0.0, "corruption_probability": 0.10700563245144779}
+    lines = run_scenario(parse_config(raw), seed=3709).lines
+    assert "battery_depleted" in "".join(lines)
+    indices = [index for _, _, index, *_ in classified_windows(lines)]
+    assert indices == list(range(len(indices)))
+    assert replay(lines).passed
 
 
 # -- shards ----------------------------------------------------------------------

@@ -40,10 +40,10 @@ account_energy call, in the order and slot pieces of booking them one by
 one, and logs each window at its own time. A stretch ends before
 _stretch_end: the end of the hour slot or, sooner, the time by which the
 device's highest state power would draw half the battery, so that no
-stretch can empty it. A queued entry due inside a run runs in place
-(Simulator.advance_to), after the run's windows before it; a booking it makes
-books the stretch first, and the run goes on after it unless it cut the
-cycle short.
+stretch can empty it. Only at a dwell's start do queued entries due before
+its end run in place (Simulator.advance_to), after the run's windows before
+them, as with that end queued then; a booking one makes books the stretch
+first, and the run goes on unless it cut the cycle short.
 """
 
 from __future__ import annotations
@@ -132,7 +132,8 @@ class VersionMismatch(TraceFormatError):
 
 class Simulator:
     """Event kernel: time-ordered queue with an insertion-order tiebreaker. Its lines go straight to out,
-    whose buffer bounds what it holds, but for the open classify run, which only its own rules close."""
+    whose buffer bounds what it holds, but for the open classify run, which only its own rules close.
+    advance_to runs entries in place, and no entry so run calls it."""
 
     def __init__(self, seed: int, out: TextIO):
         self.seed = seed
@@ -140,7 +141,6 @@ class Simulator:
         self.until_ms = 0  # the end of the run in progress; advance_to moves the clock only within it
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._tie = 0
-        self.in_place = False  # whether advance_to runs an entry in place
         self.out = out
         self.open_run: list | None = None  # [t_ms, entity, first index, windows, spacing ms, label, confidence]
 
@@ -189,21 +189,16 @@ class Simulator:
         return min(self.until_ms, self._heap[0][0] - 1) if self._heap else self.until_ms
 
     def advance_to(self, t_ms: int) -> bool:
-        """Move the clock to t_ms within the run, as an entry queued now for t_ms would run. Each entry that
-        would run first runs in place, in order, at its own time; one so runs none in place itself. Returns
-        whether the clock reached t_ms: not past the run, where an entry run in place finds one due first, or
-        where one moved the clock past t_ms."""
-        heap, mark = self._heap, (t_ms, self._tie)  # the entry for t_ms would take the tie _tie
-        if t_ms > self.until_ms or self.in_place and heap and heap[0] < mark:
+        """Move the clock to t_ms within the run, as an entry queued now for t_ms would run: each entry that
+        would run first runs in place, in order, at its own time. Returns False, and leaves the clock, past
+        the run."""
+        if t_ms > self.until_ms:
             return False
-        self.in_place, nested = True, self.in_place
+        heap, mark = self._heap, (t_ms, self._tie)  # the entry for t_ms would take the tie _tie
         while heap and heap[0] < mark:
             t, _, fn = heapq.heappop(heap)
             self.now = t
             fn()
-        self.in_place = nested
-        if self.now > t_ms:
-            return False
         self.now = t_ms
         return True
 
@@ -609,9 +604,10 @@ class SimDevice:
         dwell queued where the device entered (cycle_gen, state) = entered. A look-ahead batch's quiet cycles
         are one step (_quiet_cycles). A Processing end that sends a frame sends it there. The next booking
         books the stretch's dwells, which end before _stretch_end. A dwell that ends past the horizon moves
-        the clock with Simulator.advance_to, which runs each queued entry due first in place, after the
-        loop's windows before it: where one booked, the loop books that dwell as its queued end would and goes
-        on, and where one cut the cycle short, it ends. It ends with the wake, or queues a dwell's end."""
+        the clock at its start with Simulator.advance_to, which runs in place each queued entry due before that
+        end queued then, after the loop's windows before it: where one booked, the loop books that dwell as its
+        queued end would and goes on, and where one cut the cycle short, it ends. Nowhere else does the clock
+        pass a queued entry. It ends with the wake, or queues a dwell's end."""
         sim = self.sim
         if entered is not None and (self.cycle_gen, self.state) != entered:
             return  # a forced sleep ended the cycle that queued this dwell end
@@ -646,7 +642,8 @@ class SimDevice:
                 reports, (code, conf_fp) = self._reports(self.window_index - 1), label
                 state, dt = transmitting, self.data_tx_ms if reports else MIN_RADIO_MS
                 if reports or code in self.alert_codes:
-                    ledger, moved = settle(), sim.advance_to(t)
+                    ledger = settle()
+                    sim.now = t  # t <= reach, or this dwell's start or its queued end moved the clock here
                     if reports:
                         payload = self._payload(code, conf_fp)
                         frame = encode_frame(FrameType.DATA, self.spec.device_id, self._next_seq(), payload, self.key)
@@ -657,7 +654,7 @@ class SimDevice:
                             return
                     if self.ledger is not ledger:  # a burst booked the stretch: the next begins here
                         dwells, stop = self.unbooked, self._stretch_end(t)
-                    reach = min(sim.horizon(), stop - 1) if moved else t - 1  # re-read: a send queues its receipt
+                    reach = min(reach, sim.horizon(), stop - 1)  # re-read: a send queues its receipt
             elif state is transmitting:
                 state, dt = sampling, window_ms
                 if t - last_motion >= self.scenario.idle_timeout_ms or self._slack_ms(t, active) < 0:
@@ -704,7 +701,7 @@ class SimDevice:
             t, active = end, active + dt
         settle()
         self._advance(t)
-        sim.advance_to(t)
+        sim.now = t
         if state is not PowerState.Sleep:
             entered = self.cycle_gen, state
             sim.schedule(end, lambda: self._run_cycles(entered))

@@ -784,36 +784,28 @@ def test_an_oracle_flag_is_motion_anywhere_in_the_whole_window(app, rate_hz, ori
             assert device._window_samples([start], 3, PREFIX)[0][0].tobytes() == alone[:PREFIX].tobytes(), start
 
 
-def test_advance_to_runs_each_entry_due_first_in_place_and_none_inside_one():
+def test_advance_to_runs_each_entry_due_first_in_place_at_its_own_time():
     """advance_to(t) moves the clock as an entry queued now for t would run: each queued entry
-    that would run first runs in place, at its own time; one queued later for t runs after it.
-    An entry run in place runs none in place itself, and one that moves the clock past t leaves
-    it there."""
+    that would run first, one due at t among them, runs in place at its own time; one queued
+    later for t runs after it. Past the run it returns False and leaves the clock."""
     sim, ran = Simulator(seed=0, out=io.StringIO()), []
 
     def first():
         ran.append(("first", sim.now))
-        assert sim.advance_to(200) and sim.now == 200 and ran[-1] == ("second", 150)
+        assert sim.advance_to(200) and sim.now == 200
+        assert ran == [("first", 100), ("second", 150), ("queued before", 200)]
         assert not sim.advance_to(1_001) and sim.now == 200  # past the run
-        assert not sim.advance_to(600) and sim.now == 700  # fourth, run in place, moved the clock past 600
 
     def second():
         ran.append(("second", sim.now))
-        sim.schedule(200, third)  # queued after the entry for 200 that first's advance_to stands for
-        assert not sim.advance_to(201) and sim.now == 150  # third comes first, and this runs in place
-
-    def third():
-        ran.append(("third", sim.now))
-        sim.schedule(400, fourth)
-
-    def fourth():
-        ran.append(("fourth", sim.now))
-        assert sim.advance_to(700)  # nothing comes first: inside an entry run in place, the clock moves
+        # Queued after the entry for 200 that first's advance_to stands for.
+        sim.schedule(200, lambda: ran.append(("queued later", sim.now)))
 
     sim.schedule(100, first)
     sim.schedule(150, second)
+    sim.schedule(200, lambda: ran.append(("queued before", sim.now)))
     sim.run(1_000)
-    assert ran == [("first", 100), ("second", 150), ("third", 200), ("fourth", 400)]
+    assert ran[3:] == [("queued later", 200)]
 
 
 def _queued_only(monkeypatch):
@@ -1060,6 +1052,24 @@ def test_a_run_sends_an_alert_due_at_a_dwell_end_in_place_before_that_end(monkey
     lines, runs = _quiet_lines(monkeypatch, raw)
     assert any(start < due_ms < end for start, end, n, _ in runs if n)
     assert [line.split("\t")[1] for line in lines if line.startswith(f"{due_ms}\t")][0] == "alert_sent"
+
+
+def test_a_frame_sent_at_a_processing_end_goes_before_an_entry_queued_in_that_dwell(monkeypatch):
+    """Over a 1 ms link, dev6's alert retry at 90,031 ms reaches the host at 90,032 ms, queued during
+    the Processing dwell that ends then. That end sends a DATA frame, and its queued twin was queued
+    when the dwell began, so the frame goes on the air before the host's receipt, in place as queued.
+    A hypothesis seed-77 search of shard_configs (150 examples, no shrinking) found the config."""
+    raw = small_raw(540_000, alert_labels=["Jump", "Up"], report_every_n_windows=5, use_duty_plan=True,
+                    tx_bitrate_kbps=133)
+    raw["channel"] = {"latency_ms": [1, 1], "loss_probability": 0.4018264809470782,
+                      "corruption_probability": 0.4018264809470782}
+    raw["scenario"]["devices"] = [{"id": 6, "app": "har", "clock_offset_ms": -752, "schedule": [["Jump", 68978]],
+                                   "alert_schedule": [[8825, "Jump"]]}]
+    lines = _body(raw, 126)
+    at = [line.split("\t")[1:4] for line in lines if line.startswith("90032\t")]
+    assert at.index(["frame_tx", "dev6", "DATA"]) < at.index(["frame_reject", "host", "6"])
+    _queued_only(monkeypatch)
+    assert _body(raw, 126) == lines
 
 
 def test_a_run_goes_on_past_an_alert_label_window(monkeypatch):

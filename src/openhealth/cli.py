@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from itertools import combinations, count
+from itertools import combinations
 from pathlib import Path
 
 from .classifier import (
@@ -42,7 +42,7 @@ from .dataio import (
 from .firmware import BudgetError, memory_footprint, plan_duty_cycle
 from .netproto import OBSERVATION_HEADER
 from .pipeline import FEATURES_PER_CHANNEL, Windows, normalize_features, scan_windows
-from .simengine import observation_rows, scenario_lines, write_metrics
+from .simengine import observation_rows, scenario_lines, trace_metrics, write_metrics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -269,12 +269,19 @@ def cmd_simulate(args) -> int:
     except (OSError, ModelFormatError, ModelFitError) as exc:  # scenario.model_path
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
 
-    with _writing(), run as (lines, m), open(args.trace, "w", encoding="utf-8") as trace, \
+    with _writing(), run as lines, open(args.trace, "w", encoding="utf-8") as trace, \
             open(log_path, "w", encoding="utf-8") as log:
         log.write(OBSERVATION_HEADER + "\n")
-        seen = count()  # zip draws from it only after a line
-        log.writelines(observation_rows(line for line, _ in zip(lines, seen) if trace.write(line)))  # one pass
-        events = next(seen)
+        events = 0
+
+        def written():  # one pass: each line to the trace, its row, if it has one, to the log, then to the fold
+            nonlocal events
+            for events, line in enumerate(lines, start=1):
+                trace.write(line)
+                log.writelines(observation_rows((line,)))
+                yield line
+
+        m = trace_metrics(written())
         write_metrics(m, metrics_path)
 
     print(f"wrote {args.trace} ({events} events), {metrics_path} and {log_path}")

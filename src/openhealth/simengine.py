@@ -3,9 +3,9 @@
 Each device runs as its own shard: an event kernel, a channel and a host
 that serve that device alone. Devices share no state, so shards can run in
 any order or in parallel. Each shard writes its lines straight to one spool
-file and folds them into partial metrics (fold), which combine sums; the
-parent merges the shards' files as text with heapq.merge, in one canonical
-order (see scenario_lines). Simulated time is integer milliseconds.
+file; the parent merges the shards' files as text with heapq.merge, in one
+canonical order (see scenario_lines), and the metrics are one fold of that
+merged trace (trace_metrics). Simulated time is integer milliseconds.
 
 A device draws from two streams, both keyed by (seed, device id), so neither
 the event order nor another device can change what it sees. Its sensor noise
@@ -338,7 +338,7 @@ class SimDevice:
         self.last_motion_ms = -(10 ** 12)
         self.last_account_ms = 0
         self.depleted = False
-        self.slot_active_ms: dict[int, float] = {}
+        self.slot_active_ms: dict[int, int] = {}
         self.dwell_ms = dict.fromkeys(PowerState, 0)
 
         self.seq = 0
@@ -526,7 +526,7 @@ class SimDevice:
             self.dwell_ms[state] += ms
             self.last_account_ms += ms
             if state is not PowerState.Sleep:
-                self.slot_active_ms[slot] = self.slot_active_ms.get(slot, 0.0) + ms
+                self.slot_active_ms[slot] = self.slot_active_ms.get(slot, 0) + ms
 
     def _burst(self, frame: bytes) -> None:
         """A frame sent outside the cycle: its air time at p_tx, on top of the dwell, unharvested.
@@ -571,16 +571,16 @@ class SimDevice:
 
     # -- the sleep/sampling/processing/transmitting cycle ------------------------------
 
-    def _slack_ms(self, now: int, active_ms: float) -> int:
+    def _slack_ms(self, now: int, active_ms: int) -> int:
         """How many ms after now, and as many more active ms, one more full cycle could begin and end in the
         scenario and in the duty budget of now's slot, of which active_ms is used; below 0 if none fits. The
         active ms and the budget are integers, so they compare exactly."""
         slack = self.scenario.duration_ms - self.cycle_ms - now
         if self.duty_budget_ms is None:
             return slack
-        return min(slack, self.duty_budget_ms[now // SLOT_MS % SLOTS_PER_DAY] - self.cycle_ms - int(active_ms))
+        return min(slack, self.duty_budget_ms[now // SLOT_MS % SLOTS_PER_DAY] - self.cycle_ms - active_ms)
 
-    def _quiet_cycles(self, q: int, t: int, last_motion: int, active: float, reach: int) -> tuple[int, int]:
+    def _quiet_cycles(self, q: int, t: int, last_motion: int, active: int, reach: int) -> tuple[int, int]:
         """How many whole quiet cycles from window q of the look-ahead batch, at t, the loop takes in one step,
         and the last motion after them: up to a window that reports or raises an alert, the last cycle that
         ends by reach, and the first that _slack_ms or the idle timeout would not begin."""
@@ -617,7 +617,7 @@ class SimDevice:
             return
         t, gen = sim.now, self.cycle_gen
         stop, reach = self._stretch_end(t), t - 1  # the clock reaches any time up to reach: past it, advance_to decides
-        active = self.slot_active_ms.get(t // SLOT_MS, 0.0)
+        active = self.slot_active_ms.get(t // SLOT_MS, 0)
         state, last_motion, label = self.state, self.last_motion_ms, self.label
         sampling, processing, transmitting = self.cycle_states  # locals: an Enum member lookup is slow
         window_ms, name, names = self.window_ms, self.name, self.label_names
@@ -846,11 +846,12 @@ class SimTrace:
 
 def run_scenario(config: Config, seed: int = 0) -> SimTrace:
     """The lines of the scenario's trace, and the metrics that trace_metrics derives from them."""
-    with scenario_lines(config, seed) as (lines, metrics):
-        return SimTrace(lines=[line[:-1] for line in lines], metrics=metrics)
+    with scenario_lines(config, seed) as lines:
+        lines = [line[:-1] for line in lines]
+    return SimTrace(lines=lines, metrics=trace_metrics(lines))
 
 
-def scenario_lines(config: Config, seed: int = 0) -> ContextManager[tuple[Iterator[str], dict]]:
+def scenario_lines(config: Config, seed: int = 0) -> ContextManager[Iterator[str]]:
     """Check the config and its model; return a context (_sharded) that runs the scenario on entry, gives
     its trace as one stream of lines, and closes each spool file on exit, however it ends. Each device's
     shard runs apart (_shard_lines), in up to min(devices, usable CPUs) processes (_run_shards)."""
@@ -871,37 +872,30 @@ def scenario_lines(config: Config, seed: int = 0) -> ContextManager[tuple[Iterat
 
 
 @contextmanager
-def _sharded(config: Config, model: MlpModel | None, seed: int) -> Iterator[tuple[Iterator[str], dict]]:
+def _sharded(config: Config, model: MlpModel | None, seed: int) -> Iterator[Iterator[str]]:
     """Run the shards; give the trace's lines, each ended by a newline, in one stream that heapq.merge
-    takes from the shards' spool files a line at a time as it is read, parsing no line; and the metrics
-    that the shards' partials combine into."""
+    takes from the shards' spool files a line at a time as it is read, parsing no line."""
     scenario = config.scenario
     with ExitStack() as stack:
         spools = [stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8")) for _ in scenario.devices]
-        partials = _run_shards(len(spools), lambda index: _shard_lines(config, model, seed, index, spools[index]))
-        for spool in spools:  # the shards wrote and read them
+        _run_shards(len(spools), lambda index: _shard_lines(config, model, seed, index, spools[index]))
+        for spool in spools:  # the shards wrote them
             spool.seek(0)
         # The trace is its first lines, the shards' lines merged by (t_ms, device index), then scenario_end.
-        lines = chain((line + "\n" for line in _header(scenario, seed)), heapq.merge(*spools, key=_t_ms),
-                      [f"{scenario.duration_ms}\tscenario_end\tsim\n"])
-        yield lines, combine(partials)
-
-
-def _header(scenario, seed: int) -> list[str]:
-    scenario_line = f"0\tscenario\tsim\t{scenario.duration_ms}\t{len(scenario.devices)}\t{seed}"
-    return [f"0\ttrace_version\tsim\t{TRACE_VERSION}", scenario_line]
+        yield chain([f"0\ttrace_version\tsim\t{TRACE_VERSION}\n",
+                     f"0\tscenario\tsim\t{scenario.duration_ms}\t{len(scenario.devices)}\t{seed}\n"],
+                    heapq.merge(*spools, key=_t_ms), [f"{scenario.duration_ms}\tscenario_end\tsim\n"])
 
 
 def _t_ms(line: str) -> int:
     return int(line[: line.index("\t")])
 
 
-def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int, out: TextIO) -> dict:
-    """Write the lines of the shard of scenario.devices[index] to out, in its kernel's order; return what
-    fold gives them, read back after the trace's first two. A shard is one device with its own kernel,
-    channel and host. Its host's gateway knows every device's key, so a frame whose device-id byte was
-    corrupted into another device's id fails authentication as it would at a shared host; it stays in its
-    sender's shard."""
+def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int, out: TextIO) -> None:
+    """Write the lines of the shard of scenario.devices[index] to out, in its kernel's order, and flush
+    them. A shard is one device with its own kernel, channel and host. Its host's gateway knows every
+    device's key, so a frame whose device-id byte was corrupted into another device's id fails
+    authentication as it would at a shared host; it stays in its sender's shard."""
     scenario = config.scenario
     spec = scenario.devices[index]
     sim = Simulator(seed, out)
@@ -914,8 +908,7 @@ def _shard_lines(config: Config, model: MlpModel | None, seed: int, index: int, 
     device.finalize()
     sim.close_run(sim.now)
     sim._heap, device.host = [], None  # break the shard's reference cycles, so that it is freed on return
-    out.seek(0)  # flushes: a fork child leaves through os._exit, which flushes nothing
-    return fold(chain(_header(scenario, seed), out))
+    out.flush()  # a fork child leaves through os._exit, which flushes nothing
 
 
 def _usable_cpus() -> int:
@@ -925,18 +918,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_shards(count: int, shard: Callable[[int], object]) -> list:
-    """[shard(i) for i in range(count)], in up to min(count, usable CPUs) processes.
+def _run_shards(count: int, shard: Callable[[int], None]) -> None:
+    """Run shard(i) for each i in range(count), in up to min(count, usable CPUs) processes.
 
     Where the platform can fork, the parent forks one child per extra process; worker w of n runs shards
-    w, w + n, ... (the parent is worker 0) and each child sends back over a pipe its shards' results, or the
-    exception a shard raised, which raises here. Every child is joined, and a child whose result was not read
-    is terminated first."""
+    w, w + n, ... (the parent is worker 0) and each child sends back over a pipe None once its shards have
+    run, or the exception a shard raised, which raises here. Every child is joined, and a child whose result
+    was not read is terminated first."""
     workers = max(1, min(count, _usable_cpus())) if hasattr(os, "fork") else 1
     if workers > 1:
         import multiprocessing  # only where it forks: the import alone takes milliseconds
         context = multiprocessing.get_context("fork")
-    children, results = [], [None] * count
+    children = []
     try:
         for w in range(1, workers):
             receiver, sender = context.Pipe(duplex=False)
@@ -945,17 +938,16 @@ def _run_shards(count: int, shard: Callable[[int], object]) -> list:
             children.append((child, receiver))
             sender.close()
         for i in range(0, count, workers):
-            results[i] = shard(i)
-        for w, (child, receiver) in enumerate(children, start=1):
+            shard(i)
+        for child, receiver in children:
             try:
                 sent = receiver.recv()
             except EOFError:
                 child.join()
                 raise RuntimeError(f"shard process exited with code {child.exitcode} and sent no result") from None
             receiver.close()
-            if isinstance(sent, Exception):
+            if sent is not None:
                 raise sent
-            results[w::workers] = sent
     finally:
         for child, receiver in children:
             if not receiver.closed:
@@ -963,13 +955,14 @@ def _run_shards(count: int, shard: Callable[[int], object]) -> list:
                 child.terminate()
             child.join()
             child.close()  # now, not when a failed run's traceback is collected
-    return results
 
 
-def _shard_child(sender, shard: Callable[[int], object], indices: range) -> None:
-    """Run shard(i) for i in indices, then send the parent their results, or the exception one raised."""
+def _shard_child(sender, shard: Callable[[int], None], indices: range) -> None:
+    """Run shard(i) for i in indices, then send the parent None, or the exception one raised."""
+    sent = None
     try:
-        sent = [shard(i) for i in indices]
+        for i in indices:
+            shard(i)
     except Exception as exc:
         sent = exc
     sender.send(sent)
@@ -1096,26 +1089,8 @@ def observation_rows(lines: Iterable[str]) -> Iterator[str]:
 
 
 def trace_metrics(lines: Iterable[str]) -> dict:
-    """Summary metrics of a trace (re-derivable from the file alone)."""
-    return combine([fold(lines)])
-
-
-def combine(partials: Iterable[dict]) -> dict:
-    """The metrics of a trace from what fold gives each shard's lines after the trace's first two: each
-    device's figures from its shard, the host's and the channel's counts summed."""
-    metrics = fold([])
-    for partial in partials:
-        metrics.update(duration_ms=partial["duration_ms"], seed=partial["seed"])
-        metrics["devices"].update(partial["devices"])
-        for group, counts in (metrics["host"], partial["host"]), (metrics["channel"], partial["channel"]):
-            for key, n in counts.items():  # a count, or counts by code or device id
-                old = group[key]
-                group[key] = {k: old.get(k, 0) + n.get(k, 0) for k in old | n} if isinstance(n, dict) else old + n
-    return metrics
-
-
-def fold(lines: Iterable[str]) -> dict:
-    """The metrics of lines, a trace or a shard's part of one (see combine)."""
+    """Summary metrics of a trace, folded in one pass over its lines, which may keep their line ends, so an
+    open trace file will do: every metric follows from the trace file alone."""
     devices: dict[str, dict] = defaultdict(lambda: {  # battery_daily: [day, mWh] at each day boundary, then the end
         "app": None, "frames_sent": 0, "classifications": {},
         "alerts": {"sent": 0, "delivered": 0, "undelivered": 0, "attempts": {}, "latency_ms": {}},

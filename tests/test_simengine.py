@@ -1116,7 +1116,7 @@ def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
     counted(Simulator, "emit", "emit")
     counted(SimDevice, "_window", "_window")
     _on_cpus(monkeypatch, 1)
-    with simengine.scenario_lines(parse_config(_reference_day_raw()), seed=0) as (lines, _):
+    with simengine.scenario_lines(parse_config(_reference_day_raw()), seed=0) as lines:
         assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 370}
         monkeypatch.setattr(simengine, "trace_records", lambda *args: pytest.fail("the parent parsed a line"))
         lines = list(lines)
@@ -1436,7 +1436,7 @@ def test_retried_alerts_count_each_alert_once(depletion_trace):
 
 
 def test_metrics_rederivable_from_trace(fixture_traces):
-    """The metrics that the shards' partials combine into are those trace_metrics derives from the lines."""
+    """run_scenario's metrics are those trace_metrics derives from its lines."""
     for trace in fixture_traces:
         assert trace_metrics(trace.lines) == trace.metrics
 
@@ -2299,22 +2299,20 @@ def test_no_spool_file_is_left_behind(monkeypatch, spool_dir, failing):
         assert set(os.listdir("/proc/self/fd")) <= open_fds
 
 
-def test_a_shard_spools_flushed_lines_and_a_child_sends_its_partial_or_its_error(small_trace):
+def test_a_shard_spools_flushed_lines_and_a_child_sends_none_or_its_error(small_trace):
     """_shard_child, run here: the shard's lines, its host's observation lines
     among them, are in its one file, flushed (a fork child leaves through
-    os._exit), before the child reports; what it sends is its shards' partial
-    metrics, which combine into the trace's, or the exception a shard raised,
-    never the lines."""
+    os._exit), before the child reports; what it sends is None, or the
+    exception a shard raised, never lines or metrics."""
     import multiprocessing
 
     config = small_config()
     receiver, sender = multiprocessing.Pipe(duplex=False)
     with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
         simengine._shard_child(sender, lambda index: simengine._shard_lines(config, None, 11, index, out), range(1))
-        partials = receiver.recv()
+        assert receiver.recv() is None
         spooled = os.pread(out.fileno(), 1 << 20, 0).decode("utf-8")
     assert spooled == "".join(line + "\n" for line in small_trace.lines[2:-1])
-    assert simengine.combine(partials) == trace_metrics(small_trace.lines)
     observed = [parts for parts in map(lambda line: line.split("\t"), small_trace.lines) if parts[1] == "observation"]
     spooled_rows = "".join(simengine.observation_rows(spooled.splitlines(keepends=True)))
     assert observed and spooled_rows == "".join(f"{','.join(parts[3:])}\n" for parts in observed)
@@ -2326,6 +2324,23 @@ def test_a_shard_spools_flushed_lines_and_a_child_sends_its_partial_or_its_error
     simengine._shard_child(sender, failing, range(3, 4))
     error = receiver.recv()
     assert isinstance(error, ValueError) and str(error) == "shard 3 cannot run"
+
+
+def test_simulate_parses_each_line_once_in_the_parent(monkeypatch, tmp_path):
+    """In one process, simulate's one pass over the merged trace is the only one that parses it: trace_records
+    reads every line of the trace file once, in order, and no shard reads its spool file back."""
+    real, parsed = simengine.trace_records, []
+
+    def trace_records(lines, *args, **kw):
+        for record in real(lines, *args, **kw):
+            parsed.append(record[0])
+            yield record
+
+    monkeypatch.setattr(simengine, "trace_records", trace_records)
+    _on_cpus(monkeypatch, 1)
+    _simulate(tmp_path, small_raw(duration_ms=60_000), "once")
+    lines = (tmp_path / "once.trace").read_text(encoding="utf-8").splitlines()
+    assert parsed == list(range(1, len(lines) + 1))
 
 
 def test_a_shard_is_freed_as_it_returns(monkeypatch):
@@ -2420,8 +2435,8 @@ def test_a_device_shard_is_the_same_alone_beside_others_and_renumbered(raw, seed
     at a queued dwell end, at a wake check, and in the burst of an alert cycle's alert, of an alert retry
     and of a sync request; and recover it at a wake check, where the loop runs on in stretches that a
     battery just above BATTERY_RECOVERY_FRACTION bounds. simulate writes the same files forked and in one
-    process, and the trace file alone gives the metrics that the shards' partials combine into, and the
-    observation log, cut by text and parsed. No in-process run draws a window twice. A failing example is
+    process, and the trace file alone gives the metrics it wrote, and the observation log, cut by text
+    and parsed. No in-process run draws a window twice. A failing example is
     not shrunk, which would rerun whole scenarios for minutes; its config is noted."""
     note(f"raw = {json.dumps(raw)}")
     with patch.object(SimDevice, "_window_samples", _drawn_once(SimDevice._window_samples)):

@@ -42,7 +42,7 @@ from .dataio import (
 from .firmware import BudgetError, memory_footprint, plan_duty_cycle
 from .netproto import OBSERVATION_HEADER
 from .pipeline import FEATURES_PER_CHANNEL, Windows, normalize_features, scan_windows
-from .simengine import observation_rows, scenario_lines, trace_metrics, write_metrics
+from .simengine import observation_line_row, scenario_lines, trace_metrics, write_metrics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -278,7 +278,7 @@ def cmd_simulate(args) -> int:
             nonlocal events
             for events, line in enumerate(lines, start=1):
                 trace.write(line)
-                log.writelines(observation_rows((line,)))
+                log.write(observation_line_row(line))
                 yield line
 
         m = trace_metrics(written())

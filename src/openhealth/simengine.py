@@ -31,19 +31,20 @@ a device's windows with one label, confidence and spacing is one classify_run li
 written when the run closes.
 
 A device books all its energy, state dwell and transmit bursts alike,
-through ``firmware.account_energy``, in one place (SimDevice._book), the only
-one that finds the battery empty and forces sleep. Its cycle moves only
+through ``firmware.account_energy``, in one place (SimDevice._book), the
+only one that finds the battery empty and forces sleep. Its cycle moves only
 through ``firmware.step_state_machine``, except for that forced sleep. One
 loop takes every cycle of a wake (SimDevice._run_cycles), a look-ahead
-batch's quiet cycles in one step. It books each stretch of dwells in one
-account_energy call, in the order and slot pieces of booking them one by
-one, and logs each window at its own time. A stretch ends before
-_stretch_end: the end of the hour slot or, sooner, the time by which the
-device's highest state power would draw half the battery, so that no
-stretch can empty it. Only at a dwell's start do queued entries due before
-its end run in place (Simulator.advance_to), after the run's windows before
-them, as with that end queued then; a booking one makes books the stretch
-first, and the run goes on unless it cut the cycle short.
+batch's quiet cycles in one step, on the device's own state. Its dwells wait
+in SimDevice.unbooked, which the next booking books in one account_energy
+call, in the order and slot pieces of booking them one by one; it logs each
+window at its own time. A stretch ends before stretch_stop, kept by _book
+(_stretch_end): the end of the hour slot or, sooner, the time by which the
+device's highest state power would draw half the battery, so that no stretch
+can empty it. Only at a dwell's start do queued entries due before its end
+run in place (Simulator.advance_to), after the run's windows before them, as
+with that end queued then; a booking one makes books the stretch first, and
+the run goes on unless it cut the cycle short.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import os
 import re
 import tempfile
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, cycle
@@ -334,7 +335,8 @@ class SimDevice:
         self.cycle_gen = 0
         self.window_index = 0
         self.label: tuple[int, int] | None = None  # (code, fixed-point confidence) of the window in the cycle
-        self.unbooked: list[tuple[PowerState, int]] = []  # the cycle loop's dwells from last_account_ms on
+        self.unbooked: list[tuple[PowerState, int]] = []  # the dwells the cycle loop added from last_account_ms on
+        self.stretch_stop = 0  # where the stretch from last_account_ms ends: _book keeps it, the cycle loop sets it
         self.last_motion_ms = -(10 ** 12)
         self.last_account_ms = 0
         self.depleted = False
@@ -515,18 +517,18 @@ class SimDevice:
 
     def _book_dwells(self, dwells: list[tuple[PowerState, int]]) -> None:
         """Book the (state, ms) dwells from last_account_ms on, all in that time's hour slot, in one
-        account_energy call, in order, with one energy_piece per distinct dwell; add them to dwell_ms and
-        slot_active_ms."""
+        account_energy call, in order, with one energy_piece per distinct dwell. They are added to
+        last_account_ms, dwell_ms and slot_active_ms first, so that _book keeps the stretch's end from theirs."""
         slot = self.last_account_ms // SLOT_MS
-        harvest, kinds = self.harvest_mw[slot % SLOTS_PER_DAY], set(dwells)
+        harvest, kinds = self.harvest_mw[slot % SLOTS_PER_DAY], Counter(dwells)
         piece = {kind: energy_piece(harvest, self.power_mw[kind[0]], self.charge_efficiency, kind[1]) for kind in kinds}
-        self._book(map(piece.__getitem__, dwells))
-        for state, ms in kinds:
-            ms *= dwells.count((state, ms))
+        for (state, ms), count in kinds.items():
+            ms *= count
             self.dwell_ms[state] += ms
             self.last_account_ms += ms
             if state is not PowerState.Sleep:
                 self.slot_active_ms[slot] = self.slot_active_ms.get(slot, 0) + ms
+        self._book(map(piece.__getitem__, dwells))
 
     def _burst(self, frame: bytes) -> None:
         """A frame sent outside the cycle: its air time at p_tx, on top of the dwell, unharvested.
@@ -535,9 +537,11 @@ class SimDevice:
         self._book([energy_piece(0.0, self.profile.p_tx_mw, self.charge_efficiency, self._tx_ms(len(frame)))])
 
     def _book(self, pieces: Iterable[tuple[float, float, float]]) -> None:
-        """Book energy_piece products onto the ledger, the one place that does; a battery that first runs
-        dry here forces sleep."""
+        """Book energy_piece products onto the ledger, the one place that does, and keep stretch_stop, where
+        the cycle loop's stretch from last_account_ms ends at the new level; a battery that first runs dry
+        here forces sleep."""
         self.ledger = account_energy(self.ledger, self.capacity_mwh, pieces)
+        self.stretch_stop = self._stretch_end(self.last_account_ms)
         if self.ledger[0] <= 0.0 and not self.depleted:
             self.depleted = True
             self.sim.close_run(self.sim.now)  # a forced sleep closes the run
@@ -600,13 +604,14 @@ class SimDevice:
         return n, last_motion
 
     def _run_cycles(self, entered: tuple[int, PowerState] | None = None) -> None:
-        """Run a wake's cycles from now: a wake check, where motion wakes a sleeping device, or the end of a
-        dwell queued where the device entered (cycle_gen, state) = entered. A look-ahead batch's quiet cycles
-        are one step (_quiet_cycles). A Processing end that sends a frame sends it there. The next booking
-        books the stretch's dwells, which end before _stretch_end. A dwell that ends past the horizon moves
-        the clock at its start with Simulator.advance_to, which runs in place each queued entry due before that
-        end queued then, after the loop's windows before it: where one booked, the loop books that dwell as its
-        queued end would and goes on, and where one cut the cycle short, it ends. Nowhere else does the clock
+        """Run a wake's cycles from now: a wake check, where motion wakes a sleeping device, or the end of a dwell
+        queued where the device entered (cycle_gen, state) = entered. It works on the device's state, label and
+        last motion and adds its dwells to unbooked, so whatever runs between its steps sees them. A look-ahead
+        batch's quiet cycles are one step (_quiet_cycles). A Processing end that sends a frame sends it there. The
+        next booking books the stretch's dwells, which end before stretch_stop. A dwell that ends past the horizon
+        moves the clock at its start with Simulator.advance_to, which runs in place each queued entry due before
+        that end queued then, after the loop's windows before it: where one booked, the loop books that dwell as
+        its queued end would and goes on, and where one cut the cycle short, it ends. Nowhere else does the clock
         pass a queued entry. It ends with the wake, or queues a dwell's end."""
         sim = self.sim
         if entered is not None and (self.cycle_gen, self.state) != entered:
@@ -616,33 +621,28 @@ class SimDevice:
         if self.depleted or entered is None and self.state is not PowerState.Sleep:
             return
         t, gen = sim.now, self.cycle_gen
-        stop, reach = self._stretch_end(t), t - 1  # the clock reaches any time up to reach: past it, advance_to decides
+        self.stretch_stop = self._stretch_end(t)
+        reach = t - 1  # the clock reaches any time up to reach: past it, advance_to decides
         active = self.slot_active_ms.get(t // SLOT_MS, 0)
-        state, last_motion, label = self.state, self.last_motion_ms, self.label
         sampling, processing, transmitting = self.cycle_states  # locals: an Enum member lookup is slow
         window_ms, name, names = self.window_ms, self.name, self.label_names
-        dwells, q = [], -1  # the stretch's dwells; the batch position sampled next
-
-        def settle():  # hand the loop state and the dwells to the device, before anything else runs
-            self.state, self.last_motion_ms, self.label, self.unbooked = state, last_motion, label, dwells
-            return self.ledger  # a later ledger is another tuple: something booked
+        q = -1  # the batch position sampled next
 
         while True:
-            # The step at t: the end of the dwell in state, or a wake check.
-            if state is sampling:
+            # The step at t: the end of the dwell in self.state, or a wake check.
+            if self.state is sampling:
                 if not (0 <= q < len(self.ahead_starts) and self.ahead_starts[q] == t - window_ms):
                     q = self._window(t - window_ms)
                 if self.ahead_moving[q]:
-                    last_motion = t
-                label = self.ahead_labels[q]
-                sim.classify(t, name, self.window_index, names[label[0]], label[1])
+                    self.last_motion_ms = t
+                code, conf_fp = self.label = self.ahead_labels[q]
+                sim.classify(t, name, self.window_index, names[code], conf_fp)
                 self.window_index += 1  # here: a forced sleep before the Processing end must not leave it to the next wake
-                state, dt, q = processing, self.scenario.inference_latency_ms, q + 1
-            elif state is processing:
-                reports, (code, conf_fp) = self._reports(self.window_index - 1), label
-                state, dt = transmitting, self.data_tx_ms if reports else MIN_RADIO_MS
+                self.state, dt, q = processing, self.scenario.inference_latency_ms, q + 1
+            elif self.state is processing:
+                reports, (code, conf_fp) = self._reports(self.window_index - 1), self.label
+                self.state, dt = transmitting, self.data_tx_ms if reports else MIN_RADIO_MS
                 if reports or code in self.alert_codes:
-                    ledger = settle()
                     sim.now = t  # t <= reach, or this dwell's start or its queued end moved the clock here
                     if reports:
                         payload = self._payload(code, conf_fp)
@@ -652,40 +652,38 @@ class SimDevice:
                         self._trigger_alert(code)
                         if self.cycle_gen != gen:  # its burst emptied the battery: the cycle is cut short
                             return
-                    if self.ledger is not ledger:  # a burst booked the stretch: the next begins here
-                        dwells, stop = self.unbooked, self._stretch_end(t)
-                    reach = min(reach, sim.horizon(), stop - 1)  # re-read: a send queues its receipt
-            elif state is transmitting:
-                state, dt = sampling, window_ms
-                if t - last_motion >= self.scenario.idle_timeout_ms or self._slack_ms(t, active) < 0:
-                    state = step_state_machine(state, DeviceEvent.IdleTimeout)
+                    reach = min(reach, sim.horizon(), self.stretch_stop - 1)  # re-read: a send queues its receipt
+            elif self.state is transmitting:
+                self.state, dt = sampling, window_ms
+                if t - self.last_motion_ms >= self.scenario.idle_timeout_ms or self._slack_ms(t, active) < 0:
+                    self.state = step_state_machine(self.state, DeviceEvent.IdleTimeout)
                     sim.close_run(t)  # a sleep closes the run: every entry due before t has run
                     break
                 if t + self.quiet_ms <= reach and not self._reports(self.window_index):  # take quiet cycles at once
                     if not (0 <= q < len(self.ahead_starts) and self.ahead_starts[q] == t):
                         q = self._window(t)
-                    k, motion = self._quiet_cycles(q, t, last_motion, active, reach)
+                    k, motion = self._quiet_cycles(q, t, self.last_motion_ms, active, reach)
                     if k:
                         quiet, index = self.quiet_ms, self.window_index
                         for j, (code, conf_fp) in enumerate(self.ahead_labels[q : q + k]):
                             sim.classify(t + j * quiet + window_ms, name, index + j, names[code], conf_fp)
-                        dwells += self.quiet_dwells * k
-                        last_motion, label, q = motion, self.ahead_labels[q + k - 1], q + k
-                        t, active, state, self.window_index = t + k * quiet, active + k * quiet, transmitting, index + k
+                        self.unbooked += self.quiet_dwells * k
+                        self.last_motion_ms, self.label, q = motion, self.ahead_labels[q + k - 1], q + k
+                        t, active, self.state, self.window_index = t + k * quiet, active + k * quiet, transmitting, index + k
                         continue
             elif self._slack_ms(t, active) >= 0:
                 q = self._window(t, labelled=False)
                 if not self.ahead_moving[q]:
                     return  # no motion in the first window
-                state, last_motion, dt = step_state_machine(state, DeviceEvent.MotionDetected), t, window_ms
+                self.state, self.last_motion_ms, dt = step_state_machine(self.state, DeviceEvent.MotionDetected), t, window_ms
             else:
                 return
-            # The dwell in state from t.
+            # The dwell in self.state from t.
             end = t + dt
             if end > reach:
-                if end >= stop:
+                if end >= self.stretch_stop:
                     break
-                ledger, moved = settle(), sim.advance_to(end)
+                ledger, moved = self.ledger, sim.advance_to(end)  # a later ledger is another tuple: something booked
                 if self.cycle_gen != gen:
                     return  # an entry run in place emptied the battery: the cycle is cut short
                 if not moved:
@@ -694,16 +692,15 @@ class SimDevice:
                     self._advance(end)
                     if self.cycle_gen != gen:
                         return
-                    dwells, stop, active, dt = self.unbooked, self._stretch_end(end), active + dt, 0
-                reach = min(sim.horizon(), stop - 1)
+                    active, dt = active + dt, 0
+                reach = min(sim.horizon(), self.stretch_stop - 1)
             if dt:
-                dwells.append((state, dt))
+                self.unbooked.append((self.state, dt))
             t, active = end, active + dt
-        settle()
         self._advance(t)
         sim.now = t
-        if state is not PowerState.Sleep:
-            entered = self.cycle_gen, state
+        if self.state is not PowerState.Sleep:
+            entered = self.cycle_gen, self.state
             sim.schedule(end, lambda: self._run_cycles(entered))
 
     # -- frames -------------------------------------------------------------------------
@@ -1081,11 +1078,11 @@ def trace_observations(lines: Iterable[str]) -> list[Observation]:
     return [Observation(*details) for _, _, kind, _, details in records if kind == "observation"]
 
 
-def observation_rows(lines: Iterable[str]) -> Iterator[str]:
-    """The host observation log's row of each observation line of lines, cut by text as lines are read: its
-    details, comma-joined, keeping the line's end if it has one. The log is OBSERVATION_HEADER, then these
-    rows."""
-    return (",".join(line.split("\t")[3:]) for line in lines if "\tobservation\t" in line)
+def observation_line_row(line: str) -> str:
+    """The host observation log's row of an observation line, cut by text: its details, comma-joined, keeping
+    the line's end if it has one; "" for any other line. The log is OBSERVATION_HEADER, then the rows of the
+    trace's lines in order."""
+    return ",".join(line.split("\t")[3:]) if "\tobservation\t" in line else ""
 
 
 def trace_metrics(lines: Iterable[str]) -> dict:

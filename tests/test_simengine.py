@@ -1103,8 +1103,10 @@ def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
     reference config at seed 0, in one process: a run goes on through the host's receipts and takes
     a batch's quiet cycles in one step, and a classify run stays open across the shard's other lines,
     so a change that cuts either again moves these counts; the `_window` count is the loop's
-    look-ups outside its batch, which fewer, larger batches cut. The parent merges the
-    shards' spool files without parsing a line."""
+    look-ups outside its batch, which fewer, larger batches cut. The `_stretch_end` count is
+    what the stretch's end costs: one read at each booking (124) and one at each start of the
+    cycle loop (56); reading it again at each use in the loop would make it ~2,000. The parent
+    merges the shards' spool files without parsing a line."""
     counts = Counter()
 
     def counted(owner, name, key, when=lambda *args, **kw: True):
@@ -1115,15 +1117,16 @@ def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
     counted(SimDevice, "_run_cycles", "queued dwell ends", lambda self, entered=None: entered is not None)
     counted(Simulator, "emit", "emit")
     counted(SimDevice, "_window", "_window")
+    counted(SimDevice, "_stretch_end", "_stretch_end")
     _on_cpus(monkeypatch, 1)
     with simengine.scenario_lines(parse_config(_reference_day_raw()), seed=0) as lines:
-        assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 370}
+        assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 370, "_stretch_end": 180}
         monkeypatch.setattr(simengine, "trace_records", lambda *args: pytest.fail("the parent parsed a line"))
         lines = list(lines)
         runs = [line for line in lines if "\tclassify_run\t" in line]
         assert (len(lines), len(runs)) == (1_943, 32)
         assert len(lines) - len(runs) + len(classified_windows(runs)) == 10_803  # the lines of a window each
-        rows = [OBSERVATION_HEADER + "\n", *simengine.observation_rows(lines)]
+        rows = [OBSERVATION_HEADER + "\n", *filter(None, map(simengine.observation_line_row, lines))]
         assert len(rows) == 1 + 592  # the header and a row per observation line
 
 
@@ -2314,7 +2317,7 @@ def test_a_shard_spools_flushed_lines_and_a_child_sends_none_or_its_error(small_
         spooled = os.pread(out.fileno(), 1 << 20, 0).decode("utf-8")
     assert spooled == "".join(line + "\n" for line in small_trace.lines[2:-1])
     observed = [parts for parts in map(lambda line: line.split("\t"), small_trace.lines) if parts[1] == "observation"]
-    spooled_rows = "".join(simengine.observation_rows(spooled.splitlines(keepends=True)))
+    spooled_rows = "".join(map(simengine.observation_line_row, spooled.splitlines(keepends=True)))
     assert observed and spooled_rows == "".join(f"{','.join(parts[3:])}\n" for parts in observed)
 
     def failing(index):
@@ -2470,7 +2473,7 @@ def _check_shards(raw, seed, data):
         with open(trace_path, encoding="utf-8") as trace:
             write_metrics(trace_metrics(trace), Path(tmp) / "m.json")
         with open(trace_path, encoding="utf-8") as trace:
-            rows = list(simengine.observation_rows(trace))
+            rows = list(map(simengine.observation_line_row, trace))
         write_observation_log(trace_observations(simengine.read_trace(trace_path)), Path(tmp) / "o.csv")
         assert written[0] == written[1]
         assert (Path(tmp) / "m.json").read_bytes() == written[1][1]

@@ -38,13 +38,14 @@ loop takes every cycle of a wake (SimDevice._run_cycles), a look-ahead
 batch's quiet cycles in one step, on the device's own state. Its dwells wait
 in SimDevice.unbooked, which the next booking books in one account_energy
 call, in the order and slot pieces of booking them one by one; it logs each
-window at its own time. A stretch ends before stretch_stop, kept by _book
-(_stretch_end): the end of the hour slot or, sooner, the time by which the
-device's highest state power would draw half the battery, so that no stretch
-can empty it. Only at a dwell's start do queued entries due before its end
-run in place (Simulator.advance_to), after the run's windows before them, as
-with that end queued then; a booking one makes books the stretch first, and
-the run goes on unless it cut the cycle short.
+window at its own time. Every cycle ends by the scenario's end (_slack_ms); a
+stretch ends before stretch_stop, which only _book sets (_stretch_end): the
+end of the hour slot or, sooner, the time by which the highest state power
+would draw half the battery, so that no stretch can empty it. Only at a
+dwell's start do queued entries due before its end run in place
+(Simulator.advance_to), after the run's windows before them, as with that end
+queued then; a booking one makes books the stretch first, and the run goes on
+unless it cut the cycle short.
 """
 
 from __future__ import annotations
@@ -134,12 +135,11 @@ class VersionMismatch(TraceFormatError):
 class Simulator:
     """Event kernel: time-ordered queue with an insertion-order tiebreaker. Its lines go straight to out,
     whose buffer bounds what it holds, but for the open classify run, which only its own rules close.
-    advance_to runs entries in place, and no entry so run calls it."""
+    advance_to runs entries in place, and no entry so run calls it; only run takes the run's end."""
 
     def __init__(self, seed: int, out: TextIO):
         self.seed = seed
         self.now = 0
-        self.until_ms = 0  # the end of the run in progress; advance_to moves the clock only within it
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._tie = 0
         self.out = out
@@ -177,31 +177,26 @@ class Simulator:
             self.out.write(f"{t_ms}\tclassify_run\t{entity}\t{first}\t{index}\t{n}\t{spacing}\t{label}\t{confidence}\n")
 
     def run(self, until_ms: int) -> None:
-        self.until_ms = until_ms
         while self._heap and self._heap[0][0] <= until_ms:
             t, _, fn = heapq.heappop(self._heap)
             self.now = t
             fn()
         self.now = until_ms
 
-    def horizon(self) -> int:
-        """The latest time within the run before every queued entry (one due at a time was queued first,
-        so it runs first)."""
-        return min(self.until_ms, self._heap[0][0] - 1) if self._heap else self.until_ms
+    def horizon(self, bound: int) -> int:
+        """The latest time up to bound before every queued entry (one due at a time was queued first, so it
+        runs first)."""
+        return min(bound, self._heap[0][0] - 1) if self._heap else bound
 
-    def advance_to(self, t_ms: int) -> bool:
-        """Move the clock to t_ms within the run, as an entry queued now for t_ms would run: each entry that
-        would run first runs in place, in order, at its own time. Returns False, and leaves the clock, past
-        the run."""
-        if t_ms > self.until_ms:
-            return False
+    def advance_to(self, t_ms: int) -> None:
+        """Move the clock to t_ms, as an entry queued now for t_ms would run: each entry that would run first
+        runs in place, in order, at its own time. Its caller keeps t_ms within the run."""
         heap, mark = self._heap, (t_ms, self._tie)  # the entry for t_ms would take the tie _tie
         while heap and heap[0] < mark:
             t, _, fn = heapq.heappop(heap)
             self.now = t
             fn()
         self.now = t_ms
-        return True
 
 
 class SimChannel:
@@ -322,6 +317,7 @@ class SimDevice:
         self.charge_efficiency = e.charge_efficiency
         self.harvest_mw = [e.mppt_efficiency * h for h in e.harvest_profile_mw]  # post-MPPT, per hour slot
         self.power_mw = {state: state_power_mw(self.profile, self.app, state) for state in PowerState}
+        self.max_power_mw = max(self.power_mw.values())  # the highest state power, which bounds a stretch
         plan = plan_duty_cycle(self.profile, self.app, e) if scenario.use_duty_plan else None
         self.duty_budget_ms = None if plan is None else [math.floor(f * SLOT_MS) for f in plan.fractions]  # per slot
         # The states step_state_machine takes a window's cycle through; TxDone enters sampling again.
@@ -336,7 +332,7 @@ class SimDevice:
         self.window_index = 0
         self.label: tuple[int, int] | None = None  # (code, fixed-point confidence) of the window in the cycle
         self.unbooked: list[tuple[PowerState, int]] = []  # the dwells the cycle loop added from last_account_ms on
-        self.stretch_stop = 0  # where the stretch from last_account_ms ends: _book keeps it, the cycle loop sets it
+        self.stretch_stop = self._stretch_end(0)  # where the stretch from last_account_ms ends: _book keeps it
         self.last_motion_ms = -(10 ** 12)
         self.last_account_ms = 0
         self.depleted = False
@@ -552,7 +548,7 @@ class SimDevice:
     def _stretch_end(self, t: int) -> int:
         """Where a stretch of the cycle loop from t ends: the end of t's hour slot or, if sooner, where the
         highest state power would have drawn half the battery's level, so that no stretch empties it."""
-        return min((t // SLOT_MS + 1) * SLOT_MS, t + int(self.ledger[0] / 2 * 3_600_000 / max(self.power_mw.values())))
+        return min((t // SLOT_MS + 1) * SLOT_MS, t + int(self.ledger[0] / 2 * 3_600_000 / self.max_power_mw))
 
     def _emit_energy(self) -> None:
         self.sim.emit("energy", self.name, *(f"{mwh:.9f}" for mwh in self.ledger), *self.dwell_ms.values())
@@ -603,26 +599,26 @@ class SimDevice:
                 last_motion = t + j * quiet + window_ms  # its Sampling end
         return n, last_motion
 
-    def _run_cycles(self, entered: tuple[int, PowerState] | None = None) -> None:
+    def _run_cycles(self, entered: int | None = None) -> None:
         """Run a wake's cycles from now: a wake check, where motion wakes a sleeping device, or the end of a dwell
-        queued where the device entered (cycle_gen, state) = entered. It works on the device's state, label and
-        last motion and adds its dwells to unbooked, so whatever runs between its steps sees them. A look-ahead
-        batch's quiet cycles are one step (_quiet_cycles). A Processing end that sends a frame sends it there. The
-        next booking books the stretch's dwells, which end before stretch_stop. A dwell that ends past the horizon
-        moves the clock at its start with Simulator.advance_to, which runs in place each queued entry due before
-        that end queued then, after the loop's windows before it: where one booked, the loop books that dwell as
-        its queued end would and goes on, and where one cut the cycle short, it ends. Nowhere else does the clock
-        pass a queued entry. It ends with the wake, or queues a dwell's end."""
+        the cycle of generation entered queued (a forced sleep bumps cycle_gen). It works on the device's state,
+        label and last motion and adds its dwells to unbooked, so whatever runs between its steps sees them. A
+        look-ahead batch's quiet cycles are one step (_quiet_cycles). A Processing end that sends a frame sends it
+        there. The next booking books the stretch's dwells, which end before stretch_stop, and sets it anew. A dwell
+        that ends past the horizon moves the clock at its start with Simulator.advance_to, which runs in place each
+        queued entry due before that end queued then, after the loop's windows before it: where one booked, the loop
+        books that dwell as its queued end would and goes on, and where one cut the cycle short, it ends. Nowhere
+        else does the clock pass a queued entry. It ends with the wake, or queues a dwell's end, by the scenario's
+        end (_slack_ms)."""
         sim = self.sim
-        if entered is not None and (self.cycle_gen, self.state) != entered:
+        if entered is not None and self.cycle_gen != entered:
             return  # a forced sleep ended the cycle that queued this dwell end
         self._advance(sim.now)
         self._maybe_recover()
         if self.depleted or entered is None and self.state is not PowerState.Sleep:
             return
         t, gen = sim.now, self.cycle_gen
-        self.stretch_stop = self._stretch_end(t)
-        reach = t - 1  # the clock reaches any time up to reach: past it, advance_to decides
+        reach = t - 1  # the clock reaches any time up to reach: past it, a dwell's start moves it (advance_to)
         active = self.slot_active_ms.get(t // SLOT_MS, 0)
         sampling, processing, transmitting = self.cycle_states  # locals: an Enum member lookup is slow
         window_ms, name, names = self.window_ms, self.name, self.label_names
@@ -652,7 +648,7 @@ class SimDevice:
                         self._trigger_alert(code)
                         if self.cycle_gen != gen:  # its burst emptied the battery: the cycle is cut short
                             return
-                    reach = min(reach, sim.horizon(), self.stretch_stop - 1)  # re-read: a send queues its receipt
+                    reach = min(reach, sim.horizon(self.stretch_stop - 1))  # re-read: a send queues its receipt
             elif self.state is transmitting:
                 self.state, dt = sampling, window_ms
                 if t - self.last_motion_ms >= self.scenario.idle_timeout_ms or self._slack_ms(t, active) < 0:
@@ -683,25 +679,23 @@ class SimDevice:
             if end > reach:
                 if end >= self.stretch_stop:
                     break
-                ledger, moved = self.ledger, sim.advance_to(end)  # a later ledger is another tuple: something booked
+                ledger = self.ledger  # a later ledger is another tuple: something booked
+                sim.advance_to(end)
                 if self.cycle_gen != gen:
                     return  # an entry run in place emptied the battery: the cycle is cut short
-                if not moved:
-                    break
                 if self.ledger is not ledger:  # an entry run in place booked: book this dwell as its queued end would
                     self._advance(end)
                     if self.cycle_gen != gen:
                         return
                     active, dt = active + dt, 0
-                reach = min(sim.horizon(), self.stretch_stop - 1)
+                reach = sim.horizon(self.stretch_stop - 1)
             if dt:
                 self.unbooked.append((self.state, dt))
             t, active = end, active + dt
         self._advance(t)
         sim.now = t
         if self.state is not PowerState.Sleep:
-            entered = self.cycle_gen, self.state
-            sim.schedule(end, lambda: self._run_cycles(entered))
+            sim.schedule(end, lambda: self._run_cycles(gen))
 
     # -- frames -------------------------------------------------------------------------
 

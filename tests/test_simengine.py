@@ -787,14 +787,14 @@ def test_an_oracle_flag_is_motion_anywhere_in_the_whole_window(app, rate_hz, ori
 def test_advance_to_runs_each_entry_due_first_in_place_at_its_own_time():
     """advance_to(t) moves the clock as an entry queued now for t would run: each queued entry
     that would run first, one due at t among them, runs in place at its own time; one queued
-    later for t runs after it. Past the run it returns False and leaves the clock."""
+    later for t runs after it."""
     sim, ran = Simulator(seed=0, out=io.StringIO()), []
 
     def first():
         ran.append(("first", sim.now))
-        assert sim.advance_to(200) and sim.now == 200
+        sim.advance_to(200)
+        assert sim.now == 200
         assert ran == [("first", 100), ("second", 150), ("queued before", 200)]
-        assert not sim.advance_to(1_001) and sim.now == 200  # past the run
 
     def second():
         ran.append(("second", sim.now))
@@ -808,9 +808,38 @@ def test_advance_to_runs_each_entry_due_first_in_place_at_its_own_time():
     assert ran[3:] == [("queued later", 200)]
 
 
-def _queued_only(monkeypatch):
-    """Make every dwell end a queued entry: the run that the cycle loop's bytes are compared with."""
-    monkeypatch.setattr(Simulator, "advance_to", lambda self, t_ms: False)
+def _queued_only():
+    """A patch under which every dwell end is a queued entry: the run that the cycle loop's bytes are
+    compared with. A stretch then ends where it starts, at last_account_ms, which is the clock at the
+    loop's start: every dwell of the loop ends at or past stretch_stop, so the loop queues its end
+    through the same path that queues a dwell's end past a real stretch. The tests and
+    tools/fuzz_sweep.py all take the hook from here."""
+    return patch.object(SimDevice, "_stretch_end", lambda self, t: t)
+
+
+BOUNDARY_CYCLE_MS = 1_437  # a reference cycle that reports at 2 kbps: 1,280 + 5 + 152 ms on the air
+
+
+@pytest.mark.parametrize("slack", [0, -1])
+def test_a_cycle_that_ends_at_the_scenario_end_runs_in_place_and_one_past_it_sleeps(monkeypatch, slack):
+    """Budget: ~0.02 s of tier-1 per case (0.01-0.02 s on a 2-vCPU host), measured after the last
+    edit. Unbroken walk, a report every window at 2 kbps: every cycle sends a data frame whose receipt
+    falls due 20 ms into its 152 ms transmit dwell, so each such dwell's end is an advance_to target.
+    The scenario ends 20 cycles plus slack ms after the first wake, so the 20th cycle begins with
+    _slack_ms equal to slack. At 0 it runs, and its transmit dwell moves the clock in place to the
+    scenario's end exactly; at -1 the device sleeps at its start instead. No target passes the end,
+    and the trace is its queued-only twin's: the kernel needs no bound of its own on the run's end."""
+    raw = small_raw(duration_ms=20 * BOUNDARY_CYCLE_MS + slack, tx_bitrate_kbps=2)
+    raw["scenario"]["devices"][0].update(schedule=[["Walk", 600_000]], alert_schedule=[])
+    targets, advance_to = [], Simulator.advance_to
+    monkeypatch.setattr(Simulator, "advance_to", lambda self, t_ms: targets.append(t_ms) or advance_to(self, t_ms))
+    lines = run_scenario(parse_config(raw), 11).lines
+    assert next(line for line in lines if "\tdevice_init\t" in line).endswith(f"\t{BOUNDARY_CYCLE_MS}")
+    last = 20 * BOUNDARY_CYCLE_MS if slack == 0 else 19 * BOUNDARY_CYCLE_MS  # the last cycle's end
+    run = [line.split("\t") for line in lines if "\tclassify_run\t" in line]
+    assert (len(classified_windows(lines)), max(targets), run[-1][0]) == (last // BOUNDARY_CYCLE_MS, last, str(last))
+    with _queued_only():
+        assert run_scenario(parse_config(raw), 11).lines == lines
 
 
 def test_a_run_of_cycles_stops_before_an_entry_due_at_its_dwell_end(monkeypatch):
@@ -829,8 +858,8 @@ def test_a_run_of_cycles_stops_before_an_entry_due_at_its_dwell_end(monkeypatch)
     lines = run_scenario(parse_config(raw), 11).lines
     at_due = [kind for t_ms, kind in logged if t_ms == due_ms]
     assert at_due[0] == "alert_sent" and "window" in at_due
-    _queued_only(monkeypatch)
-    assert run_scenario(parse_config(raw), 11).lines == lines
+    with _queued_only():
+        assert run_scenario(parse_config(raw), 11).lines == lines
 
 
 def _quiet_runs(monkeypatch):
@@ -855,8 +884,8 @@ def _quiet_lines(monkeypatch, raw, seed=11):
     lines = run_scenario(parse_config(raw), seed).lines
     runs = list(runs)  # not those of the queued run
     assert sum(taken for _, _, taken, _ in runs) > 0
-    _queued_only(monkeypatch)
-    assert run_scenario(parse_config(raw), seed).lines == lines
+    with _queued_only():
+        assert run_scenario(parse_config(raw), seed).lines == lines
     return lines, runs
 
 
@@ -883,8 +912,8 @@ def test_a_battery_that_empties_mid_run_ends_it_as_the_queued_path_does(monkeypa
     assert (depleted_ms - QUIET_MS, depleted_ms - 1_280, 1, True) in runs and depleted_ms in queued
     assert (depleted_ms, depleted_ms, 0, False) in runs
     assert len(looked_up) <= 3
-    _queued_only(monkeypatch)
-    assert run_scenario(parse_config(raw), 11).lines == lines
+    with _queued_only():
+        assert run_scenario(parse_config(raw), 11).lines == lines
 
 
 def test_an_alert_burst_bounds_the_stretch_after_it(monkeypatch):
@@ -982,9 +1011,9 @@ def test_a_quiet_run_stops_at_the_end_of_its_hour_slot(monkeypatch):
     sim = Simulator(seed=11, out=io.StringIO())
     device = SimDevice(sim, config.scenario.devices[0], config, SimChannel(sim, config.channel, 1), None)
     sim.now = device.last_account_ms = 3_600_000 - 10 * QUIET_MS
-    sim.until_ms = 3_660_000
+    device.stretch_stop = device._stretch_end(device.last_account_ms)  # as a booking up to then would set it
     device._run_cycles()
-    assert (sim.now, device.window_index, sim.horizon()) == (3_600_000 - 1, 10, 3_600_000 - 1)
+    assert (sim.now, device.window_index, sim.horizon(3_660_000)) == (3_600_000 - 1, 10, 3_600_000 - 1)
     _, runs = _quiet_lines(monkeypatch, raw)
     taken = [(start, end) for start, end, n, _ in runs if n]
     assert {start // 3_600_000 for start, _ in taken} == {0, 1}
@@ -1054,7 +1083,7 @@ def test_a_run_sends_an_alert_due_at_a_dwell_end_in_place_before_that_end(monkey
     assert [line.split("\t")[1] for line in lines if line.startswith(f"{due_ms}\t")][0] == "alert_sent"
 
 
-def test_a_frame_sent_at_a_processing_end_goes_before_an_entry_queued_in_that_dwell(monkeypatch):
+def test_a_frame_sent_at_a_processing_end_goes_before_an_entry_queued_in_that_dwell():
     """Over a 1 ms link, dev6's alert retry at 90,031 ms reaches the host at 90,032 ms, queued during
     the Processing dwell that ends then. That end sends a DATA frame, and its queued twin was queued
     when the dwell began, so the frame goes on the air before the host's receipt, in place as queued.
@@ -1068,8 +1097,8 @@ def test_a_frame_sent_at_a_processing_end_goes_before_an_entry_queued_in_that_dw
     lines = _body(raw, 126)
     at = [line.split("\t")[1:4] for line in lines if line.startswith("90032\t")]
     assert at.index(["frame_tx", "dev6", "DATA"]) < at.index(["frame_reject", "host", "6"])
-    _queued_only(monkeypatch)
-    assert _body(raw, 126) == lines
+    with _queued_only():
+        assert _body(raw, 126) == lines
 
 
 def test_a_run_goes_on_past_an_alert_label_window(monkeypatch):
@@ -1104,8 +1133,9 @@ def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
     a batch's quiet cycles in one step, and a classify run stays open across the shard's other lines,
     so a change that cuts either again moves these counts; the `_window` count is the loop's
     look-ups outside its batch, which fewer, larger batches cut. The `_stretch_end` count is
-    what the stretch's end costs: one read at each booking (124) and one at each start of the
-    cycle loop (56); reading it again at each use in the loop would make it ~2,000. The parent
+    what the stretch's end costs: one read at each booking (124) and one at each device's set-up
+    (2), as only a booking moves it; reading it again at each start of the cycle loop too would
+    make it 180, and at each use in the loop ~2,000. The parent
     merges the shards' spool files without parsing a line."""
     counts = Counter()
 
@@ -1120,7 +1150,7 @@ def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
     counted(SimDevice, "_stretch_end", "_stretch_end")
     _on_cpus(monkeypatch, 1)
     with simengine.scenario_lines(parse_config(_reference_day_raw()), seed=0) as lines:
-        assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 370, "_stretch_end": 180}
+        assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 370, "_stretch_end": 126}
         monkeypatch.setattr(simengine, "trace_records", lambda *args: pytest.fail("the parent parsed a line"))
         lines = list(lines)
         runs = [line for line in lines if "\tclassify_run\t" in line]
@@ -2483,11 +2513,18 @@ def _check_shards(raw, seed, data):
     def alone(device):
         return _body(dict(raw, scenario=dict(raw["scenario"], devices=[device])), seed)
 
-    shards = [alone(device) for device in devices]
+    end_ms, advance_to = raw["scenario"]["duration_ms"], Simulator.advance_to
+
+    def bounded(sim, t_ms):  # the kernel holds no run end: every cycle ends by the scenario's (_slack_ms)
+        assert t_ms <= end_ms, f"advance_to({t_ms}) past the scenario's end, {end_ms}"
+        advance_to(sim, t_ms)
+
+    with patch.object(Simulator, "advance_to", bounded):
+        shards = [alone(device) for device in devices]
     body = _body(raw, seed)
     assert body == _merged_as_heard_by(shards, ids)
     # Each shard, in process, the same with every dwell end a queued entry.
-    with patch.object(Simulator, "advance_to", lambda self, t_ms: False):
+    with _queued_only():
         assert [alone(device) for device in devices] == shards
     # Renumber every device but one; the one kept gives the same shard.
     kept = data.draw(st.integers(0, len(devices) - 1))

@@ -5,12 +5,14 @@
 For each hypothesis seed (by default 77, 991 and 2-9) it draws N examples
 (default 150) from the shard_configs strategy of tests/test_simengine.py and
 checks each with _check_shards, as the tier-1 shard fuzzer does: forked and
-in-process files, the trace's metrics and observation log, each shard alone,
-beside the others, renumbered, and with every dwell end a queued entry. No
-example is shrunk, and a failure does not stop the seed. For each failure it
-prints the seeds, the config as JSON, the error, and the first line where
-each device's shard run alone differs from the same shard with every dwell
-end queued. It exits 1 if any seed fails.
+in-process files, the trace's metrics and observation log, each shard alone
+(with no advance_to target past the scenario's end), beside the others,
+renumbered, and run queued only: under the tests' _queued_only hook a
+stretch ends where it starts, so the cycle loop queues every dwell end
+through its own stretch-end path. No example is shrunk, and a failure does
+not stop the seed. For each failure it prints the seeds, the config as JSON,
+the error, and the first line where each device's shard run alone differs
+from the same shard run queued only. It exits 1 if any seed fails.
 
 A 150-example seed takes ~40-70 s on a 2-vCPU host, so it is run by hand,
 not by tier-1.
@@ -34,18 +36,19 @@ os.chdir(ROOT)  # the tests read configs/ by relative path
 
 from hypothesis import HealthCheck, Phase, given, seed as hypothesis_seed, settings, strategies as st  # noqa: E402
 
-from openhealth.simengine import SimDevice, Simulator  # noqa: E402
-from test_simengine import _body, _check_shards, _drawn_once, shard_configs  # noqa: E402
+from openhealth.simengine import SimDevice  # noqa: E402
+from test_simengine import _body, _check_shards, _drawn_once, _queued_only, shard_configs  # noqa: E402
 
 
 def first_differences(raw, seed):
     """Each device's (index, in place, queued only) of the first body line where its shard alone, run in
-    place, differs from it run with every dwell end queued; None where none does."""
+    place, differs from it run queued only (_queued_only: every stretch ends where it starts, so every
+    dwell end is a queued entry); None where none does."""
     found = {}
     for device in raw["scenario"]["devices"]:
         alone = dict(raw, scenario=dict(raw["scenario"], devices=[device]))
         in_place = _body(alone, seed)
-        with patch.object(Simulator, "advance_to", lambda self, t_ms: False):
+        with _queued_only():
             queued = _body(alone, seed)
         pairs = enumerate(zip_longest(in_place, queued))  # None past the shorter body's end
         found[device["id"]] = next(((i, a, b) for i, (a, b) in pairs if a != b), None)

@@ -24,6 +24,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 from cryptography.exceptions import InvalidTag
@@ -46,6 +47,9 @@ class FrameType(Enum):
     DATA = 3
     ALERT = 4
     ACK = 5
+
+
+FRAME_TYPES = {t.value: t for t in FrameType}  # a table, which looks a type up faster than FrameType(value)
 
 
 class AppId(Enum):
@@ -97,6 +101,10 @@ class BadPayload(ProtocolError):
     code = "bad_payload"
 
 
+# One AESGCM object a key, made at its first use: making one costs more than an encryption with it.
+_cipher = lru_cache(maxsize=256)(AESGCM)
+
+
 def frame_nonce(device_id: int, seq: int, direction: int) -> bytes:
     return struct.pack(">HIB", device_id, seq, direction) + b"\x00" * 5
 
@@ -122,7 +130,7 @@ def encode_frame(
         ">BBHIH", PROTOCOL_VERSION, frame_type.value, device_id, seq, len(payload)
     )
     nonce = frame_nonce(device_id, seq, _DIRECTION[frame_type])
-    ct_and_tag = AESGCM(key).encrypt(nonce, payload, header)
+    ct_and_tag = _cipher(key).encrypt(nonce, payload, header)
     return header + ct_and_tag
 
 
@@ -160,14 +168,13 @@ def decode_frame(data: bytes, key: bytes) -> DecodedFrame:
         )
     if version != PROTOCOL_VERSION:
         raise VersionError(f"unknown protocol version {version}")
-    try:
-        frame_type = FrameType(type_value)
-    except ValueError:
-        raise AuthFailure(f"unknown frame type {type_value}") from None
+    frame_type = FRAME_TYPES.get(type_value)
+    if frame_type is None:
+        raise AuthFailure(f"unknown frame type {type_value}")
     direction = _DIRECTION[frame_type]
     nonce = frame_nonce(device_id, seq, direction)
     try:
-        payload = AESGCM(key).decrypt(nonce, data[HEADER_LEN:], data[:HEADER_LEN])
+        payload = _cipher(key).decrypt(nonce, data[HEADER_LEN:], data[:HEADER_LEN])
     except InvalidTag:
         raise AuthFailure("authentication tag mismatch") from None
     return DecodedFrame(

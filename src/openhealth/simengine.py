@@ -87,6 +87,7 @@ from .firmware import (
 from .netproto import (
     CONFIDENCE_SCALE,
     DATA_FRAME_LEN,
+    FRAME_TYPES,
     AppId,
     DataPayload,
     FrameType,
@@ -105,7 +106,7 @@ from .netproto import (
 )
 from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
-TRACE_VERSION = 6
+TRACE_VERSION = 7
 MIN_RADIO_MS = 1
 # The largest batch synthesized and labelled ahead, which one that follows a batch that moved throughout
 # takes at once (SimDevice._window). The cache keeps each window's motion flag and label, not its samples:
@@ -216,7 +217,7 @@ class SimChannel:
 
     def send(self, src: str, frame: bytes, receiver) -> None:
         _, type_value, device_id, seq, _ = peek_header(frame)
-        kind = FrameType(type_value).name
+        kind = FRAME_TYPES[type_value].name
         self.sim.emit("frame_tx", src, kind, device_id, seq, len(frame), frame.hex())
         if self.rng.random() < self.model.loss_probability:
             self.sim.emit("frame_lost", "channel", src, kind, device_id, seq)
@@ -241,19 +242,19 @@ class SimHost:
 
     def receive(self, frame: bytes) -> None:
         result = self.gateway.step(self.sim.now, frame)
-        if result.reject is None:
-            self.sim.emit("frame_rx", "host", result.frame.frame_type.name, result.device_id, result.frame.seq)
-        else:
+        obs, note = result.observation, result.notification
+        # An accepted frame's receipt is its effect line if it has one: a DATA's observation, an ALERT's notice.
+        if result.reject is not None:
             self.sim.emit("frame_reject", "host", result.device_id, result.reject)
-        obs = result.observation
-        if obs is not None:
+        elif obs is not None:
             self.sim.emit(
-                "observation", "host", obs.device_id, obs.corrected_t_ms,
+                "observation", "host", obs.device_id, result.frame.seq, obs.corrected_t_ms,
                 obs.app_id.value, obs.label_index, obs.confidence,
             )
-        note = result.notification
-        if note is not None:
+        elif note is not None:
             self.sim.emit("alert_notified", "host", note.device_id, note.seq, note.label_index)
+        else:
+            self.sim.emit("frame_rx", "host", result.frame.frame_type.name, result.device_id, result.frame.seq)
         if result.ack is not None:  # decode_frame authenticated the frame, device id and all
             self.channel.send("host", result.ack, self.device)
 
@@ -994,8 +995,8 @@ TRACE_LINES: dict[str, tuple[str, tuple[str, ...], tuple[Callable[[str], object]
     "frame_corrupt": ("channel", ("src", "type", "device_id", "seq", "frame"), (str, str, int, int, bytes.fromhex)),
     "frame_rx": ("dev/host", ("type", "device_id", "seq"), (str, int, int)),
     "frame_reject": ("dev/host", ("device_id", "code"), (int, str)),
-    "observation": ("host", ("device_id", "corrected_t_ms", "app_id", "label_index", "confidence"),
-                    (int, int, lambda text: AppId(int(text)), int, int)),
+    "observation": ("host", ("device_id", "seq", "corrected_t_ms", "app_id", "label_index", "confidence"),
+                    (int, int, int, lambda text: AppId(int(text)), int, int)),
     "alert_notified": ("host", ("device_id", "seq", "label_index"), (int, int, int)),
     "alert_sent": ("dev", ("seq", "attempt"), (int, int)),
     "alert_delivered": ("dev", ("seq", "attempts", "latency_ms"), (int, int, int)),
@@ -1069,14 +1070,17 @@ def _line_rule(lineno: int, parts: list[str], parse: Collection[str]) -> tuple:
 def trace_observations(lines: Iterable[str]) -> list[Observation]:
     """Host observation log entries recovered from the trace; raises only TraceFormatError."""
     records = trace_records(lines, parse=("observation",))
-    return [Observation(*details) for _, _, kind, _, details in records if kind == "observation"]
+    return [Observation(details[0], *details[2:]) for _, _, kind, _, details in records if kind == "observation"]
 
 
 def observation_line_row(line: str) -> str:
-    """The host observation log's row of an observation line, cut by text: its details, comma-joined, keeping
-    the line's end if it has one; "" for any other line. The log is OBSERVATION_HEADER, then the rows of the
-    trace's lines in order."""
-    return ",".join(line.split("\t")[3:]) if "\tobservation\t" in line else ""
+    """The host observation log's row of an observation line, cut by text: its details less the seq,
+    comma-joined, keeping the line's end if it has one; "" for any other line. The log is
+    OBSERVATION_HEADER, then the rows of the trace's lines in order."""
+    if "\tobservation\t" not in line:
+        return ""
+    _, _, _, device_id, _, rest = line.split("\t", 5)
+    return device_id + "," + rest.replace("\t", ",")
 
 
 def trace_metrics(lines: Iterable[str]) -> dict:
@@ -1112,16 +1116,18 @@ def trace_metrics(lines: Iterable[str]) -> dict:
             channel["lost"] += 1
         elif kind == "frame_corrupt":
             channel["corrupted"] += 1
-        elif kind == "frame_rx" and entity == "host":
+        elif kind == "frame_rx" and entity == "host":  # a frame with no effect line
             host["frames_received"] += 1
         elif kind == "frame_reject" and entity == "host":
             _, code = details
             host["frames_rejected"][code] = host["frames_rejected"].get(code, 0) + 1
-        elif kind == "observation":
+        elif kind == "observation":  # an accepted DATA frame's receipt
             device_id = str(details[0])
             host["observations"][device_id] = host["observations"].get(device_id, 0) + 1
-        elif kind == "alert_notified":
+            host["frames_received"] += 1
+        elif kind == "alert_notified":  # an accepted ALERT frame's receipt
             host["alerts_notified"] += 1
+            host["frames_received"] += 1
         elif kind == "alert_sent":
             seq, attempt = details
             a = devices[entity]["alerts"]
@@ -1181,7 +1187,9 @@ class ReplayReport:
 # and, forced to sleep, classifies no window.
 _RECEIPT_KINDS = ("frame_rx", "frame_reject", "alert_delivered", "sync", "classify_run")
 # The kinds whose details replay reads.
-_REPLAY_PARSE = ("device_init", "energy", "frame_tx", "frame_rx", "classify_run")
+_REPLAY_PARSE = ("device_init", "energy", "frame_tx", "frame_rx", "observation", "alert_notified", "classify_run")
+# The frame type of each host line that is an accepted frame's receipt and names no type: (device_id, seq, ...).
+_RECEIPT_TYPE = {"observation": "DATA", "alert_notified": "ALERT"}
 
 
 def replay(lines: Iterable[str], canaries: tuple[bytes, ...] = ()) -> ReplayReport:
@@ -1265,8 +1273,8 @@ def replay(lines: Iterable[str], canaries: tuple[bytes, ...] = ()) -> ReplayRepo
             for canary in canaries:
                 if canary in frame:
                     report.failures.append(f"line {lineno}: canary bytes {canary.hex()} leaked on the air")
-        elif kind == "frame_rx":
-            ftype, device_id, seq = details
+        elif kind == "frame_rx" or kind in _RECEIPT_TYPE:
+            ftype, device_id, seq = details if kind == "frame_rx" else (_RECEIPT_TYPE[kind], *details[:2])
             if (ftype, device_id, seq, 0 if entity == "host" else 1) not in tx_keys:
                 report.failures.append(
                     f"line {lineno}: received frame ({ftype}, dev {device_id}, seq {seq}) was never transmitted"

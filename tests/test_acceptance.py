@@ -61,14 +61,16 @@ from conftest import one_line_a_window
 REFERENCE = Path("configs/reference.json")
 # SHA-256 of the seed-0 reference trace text. A deliberate change to the
 # trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-REFERENCE_TRACE_SHA256 = "362554cdb1d39b3fa3d3500e2fa9e0b8061d60e115183b4d2b11902373ce66ab"
+REFERENCE_TRACE_SHA256 = "aa0a88204c0ea5c20fe197c907593915140cbcc7f088034b9f4a33c033864f24"
 # SHA-256 of the metrics file write_metrics writes for that trace.
-REFERENCE_METRICS_SHA256 = "57904c05589588863306cd006a79b21a8101e886d2287479da2ee6a8bb64435a"
+REFERENCE_METRICS_SHA256 = "31f55414480fb49f25d73eeb635340c121f64194e3331a377637e56df1f08a8c"
 # SHA-256 of that trace's lines without its trace_version line, sorted, as
 # trace version 3 wrote them. The reference link loses and corrupts nothing
 # and has a fixed latency, so version 4 only reorders version 3's lines;
 # version 6 writes the same lines with each run of windows in one line, and
-# device_init and duty_plan lines that one_line_a_window writes as version 4's.
+# device_init and duty_plan lines that one_line_a_window writes as version 4's;
+# version 7 writes the host's receipt of an accepted DATA or ALERT frame as its
+# observation or alert_notified line alone, which with_frame_rx undoes.
 REFERENCE_SORTED_LINES_SHA256 = "2b7a51b98e8dce7185d15d662f93f7d8728bb0fcd90d9c5b9fbde2884fbe3ead"
 
 
@@ -84,9 +86,9 @@ def reference_trace():
 
 
 def test_reference_trace_digest_pinned(reference_trace, tmp_path):
-    assert TRACE_VERSION == 6
+    assert TRACE_VERSION == 7
     kinds = [line.split("\t")[1] for line in reference_trace.lines]
-    assert (kinds.count("classify_run"), len(kinds)) == (224, 13_493)  # the week's 62,247 windows in 224 runs
+    assert (kinds.count("classify_run"), len(kinds)) == (224, 9_333)  # the week's 62,247 windows in 224 runs
     digest = hashlib.sha256(reference_trace.text().encode("utf-8")).hexdigest()
     assert digest == REFERENCE_TRACE_SHA256, "reference trace bytes changed"
     write_metrics(reference_trace.metrics, tmp_path / "metrics.json")
@@ -94,9 +96,24 @@ def test_reference_trace_digest_pinned(reference_trace, tmp_path):
     assert digest == REFERENCE_METRICS_SHA256, "reference metrics bytes changed"
 
 
+def with_frame_rx(lines):
+    """A trace's lines as trace version 6 wrote the host's receipts: each observation or alert_notified
+    line, the observation less its seq, after the host's frame_rx line of its DATA or ALERT frame."""
+    for line in lines:
+        parts = line.split("\t")
+        if parts[1] in ("observation", "alert_notified"):
+            frame_type = "DATA" if parts[1] == "observation" else "ALERT"
+            yield "\t".join((parts[0], "frame_rx", "host", frame_type, *parts[3:5]))  # device_id and seq
+            if parts[1] == "observation":
+                del parts[4]
+        yield "\t".join(parts)
+
+
 def test_reference_trace_reorders_the_version_3_lines(reference_trace):
-    """With each run written out as its windows' classify lines, the trace holds version 3's lines."""
-    lines = sorted(line for line in one_line_a_window(reference_trace.lines) if line.split("\t")[1] != "trace_version")
+    """With each run written out as its windows' classify lines and each receipt line preceded by its frame_rx
+    line, the trace holds version 3's lines."""
+    lines = one_line_a_window(list(with_frame_rx(reference_trace.lines)))
+    lines = sorted(line for line in lines if line.split("\t")[1] != "trace_version")
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
     assert digest == REFERENCE_SORTED_LINES_SHA256, "reference trace holds other lines than version 3's"
 

@@ -66,7 +66,8 @@ def test_simulator_runs_the_spanned_synthesis_rule():
 
 
 def test_gateway_span_counts_one_call_per_frame_the_host_hears():
-    """netproto.gateway_calls means one HostGateway.step per delivered frame, replays and rejects included."""
+    """netproto.gateway_calls means one HostGateway.step per delivered frame, replays and rejects included.
+    The host's receipt of an accepted DATA or ALERT frame is its observation or alert_notified line."""
     module = load_tracer()
     tracer = module.Tracer()
     tracer.install()
@@ -77,7 +78,8 @@ def test_gateway_span_counts_one_call_per_frame_the_host_hears():
     heard = Counter(parts[1] for parts in (line.split("\t") for line in trace.lines) if parts[2] == "host")
     assert heard["frame_reject"] > 0
     calls = module.SpanTable(tracer).calls("netproto.HostGateway.step", ("simengine.run_scenario",))
-    assert calls == heard["frame_rx"] + heard["frame_reject"]
+    assert heard["observation"] > 0 and heard["alert_notified"] > 0
+    assert calls == heard["frame_rx"] + heard["frame_reject"] + heard["observation"] + heard["alert_notified"]
 
 
 def test_decode_frame_raises_only_on_a_frame_that_fails_to_verify():

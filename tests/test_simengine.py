@@ -136,7 +136,7 @@ def test_observation_timestamps_offset_corrected(small_trace):
     assert obs
     for parts in obs:
         t_host = int(parts[0])
-        corrected = int(parts[4])
+        corrected = int(parts[5])  # after device_id and seq
         # corrected timestamp = tx-time sim clock; host stores it at tx + latency
         assert 0 <= t_host - corrected <= 100
 
@@ -1135,8 +1135,10 @@ def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
     look-ups outside its batch, which fewer, larger batches cut. The `_stretch_end` count is
     what the stretch's end costs: one read at each booking (124) and one at each device's set-up
     (2), as only a booking moves it; reading it again at each start of the cycle loop too would
-    make it 180, and at each use in the loop ~2,000. The parent
-    merges the shards' spool files without parsing a line."""
+    make it 180, and at each use in the loop ~2,000. The host writes one line for each frame it accepts:
+    the day's 592 DATA frames and 2 ALERT frames are each their observation or alert_notified line alone,
+    where a frame_rx line of each as well made 594 more. The parent merges the shards' spool files without
+    parsing a line."""
     counts = Counter()
 
     def counted(owner, name, key, when=lambda *args, **kw: True):
@@ -1150,12 +1152,12 @@ def test_the_first_reference_day_keeps_its_run_structure(monkeypatch):
     counted(SimDevice, "_stretch_end", "_stretch_end")
     _on_cpus(monkeypatch, 1)
     with simengine.scenario_lines(parse_config(_reference_day_raw()), seed=0) as lines:
-        assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_908, "_window": 370, "_stretch_end": 126}
+        assert counts == {"account_energy": 124, "queued dwell ends": 4, "emit": 1_314, "_window": 370, "_stretch_end": 126}
         monkeypatch.setattr(simengine, "trace_records", lambda *args: pytest.fail("the parent parsed a line"))
         lines = list(lines)
         runs = [line for line in lines if "\tclassify_run\t" in line]
-        assert (len(lines), len(runs)) == (1_943, 32)
-        assert len(lines) - len(runs) + len(classified_windows(runs)) == 10_803  # the lines of a window each
+        assert (len(lines), len(runs)) == (1_349, 32)
+        assert len(lines) - len(runs) + len(classified_windows(runs)) == 10_209  # the lines of a window each
         rows = [OBSERVATION_HEADER + "\n", *filter(None, map(simengine.observation_line_row, lines))]
         assert len(rows) == 1 + 592  # the header and a row per observation line
 
@@ -1234,7 +1236,7 @@ def test_replay_version_mismatch():
 @pytest.mark.parametrize("reader", [replay, trace_metrics, trace_observations])
 @pytest.mark.parametrize(
     "first, detail",
-    [("0\ttrace_version\tsim\t2", "trace version 2 != supported 6"), (None, "trace has no version line")],
+    [("0\ttrace_version\tsim\t2", "trace version 2 != supported 7"), (None, "trace has no version line")],
     ids=["version-2", "no-version-line"],
 )
 def test_trace_readers_refuse_another_version(small_trace, reader, first, detail):
@@ -1295,7 +1297,7 @@ def test_unknown_app_id_is_format_error(small_trace):
     lines = list(small_trace.lines)
     index = next(i for i, line in enumerate(lines) if line.split("\t")[1] == "observation")
     parts = lines[index].split("\t")
-    parts[5] = "9"
+    parts[6] = "9"  # app_id
     lines[index] = "\t".join(parts)
     with pytest.raises(TraceFormatError, match=f"^line {index + 1}: cannot parse \\(ValueError: 9 is not a valid AppId"):
         trace_observations(lines)
@@ -1407,6 +1409,20 @@ def test_replay_detects_rx_without_tx(small_trace):
     report = replay(lines)
     assert not report.passed
     assert any("never transmitted" in f for f in report.failures)
+
+
+@pytest.mark.parametrize("kind, frame_type, sent_as", [("observation", "DATA", "ALERT"), ("alert_notified", "ALERT", "DATA")])
+def test_replay_detects_a_receipt_whose_frame_was_never_transmitted(small_trace, kind, frame_type, sent_as):
+    """An accepted DATA frame's receipt is its observation line, an ALERT's its alert_notified line, and
+    each names its frame's (device, seq). One such line given the seq of a frame sent as the other type
+    fails at that line."""
+    lines = small_trace.lines
+    index = next(i for i, line in enumerate(lines) if line.split("\t")[1] == kind)
+    seq = next(parts[5] for parts in map(lambda line: line.split("\t"), lines) if parts[1:4] == ["frame_tx", "dev1", sent_as])
+    assert replay(lines).passed
+    assert replay(_edited(lines, index, seq=seq)).failures == [
+        f"line {index + 1}: received frame ({frame_type}, dev 1, seq {seq}) was never transmitted"
+    ]
 
 
 def _edited(lines, index, **fields):
@@ -1588,7 +1604,7 @@ def test_replay_detects_a_changed_dwell_figure(small_trace, field):
 # that trained_model_path trains. A deliberate change to the trace format bumps
 # TRACE_VERSION and re-pins this digest in the same change; a deliberate change
 # to the trained model re-pins it and LOSSY_MODEL_SHA256 without a bump.
-LOSSY_MODEL_TRACE_SHA256 = "7e08ad6886233e42d381c2f53cf5b198823f6cf95e387ebc21144dea703b97c1"
+LOSSY_MODEL_TRACE_SHA256 = "5922d2305dbff75445cdb10d2454f3ee3490c19573a12d781ec16dd9a45fa620"
 LOSSY_MODEL_SHA256 = "a68fb73d46ee797cb591ddc6b82a5e36c6b926b03d0338295a793780c6274d9d"
 
 
@@ -1634,7 +1650,7 @@ def lossy_model_trace(trained_model_path):
 
 
 def test_lossy_model_trace_digest_pinned(trained_model_path, lossy_model_trace):
-    assert TRACE_VERSION == 6
+    assert TRACE_VERSION == 7
     model_digest = hashlib.sha256(trained_model_path.read_bytes()).hexdigest()
     assert model_digest == LOSSY_MODEL_SHA256, "trained model bytes changed"
     trace = lossy_model_trace
@@ -1675,7 +1691,7 @@ def test_a_model_device_draws_only_the_windows_it_classifies_and_its_still_probe
 
 # SHA-256 of the seed-0 trace of depletion_raw() below. A deliberate change to
 # the trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-DEPLETION_TRACE_SHA256 = "d955bf99328ae2cc64487e61e29bcd05d4b66c35b1d34450d92fc89f335c9248"
+DEPLETION_TRACE_SHA256 = "a3229e11d664783bee72955525396296c4d7b4c7cb8ac3ead899b41b7c0362c6"
 
 
 def depletion_raw():
@@ -1703,7 +1719,7 @@ def depletion_trace():
 
 
 def test_depletion_trace_digest_pinned(depletion_trace):
-    assert TRACE_VERSION == 6
+    assert TRACE_VERSION == 7
     trace = depletion_trace
     kinds = [line.split("\t")[1] for line in trace.lines]
     for kind in ("battery_depleted", "battery_recovered", "alert_sent"):
@@ -1804,7 +1820,7 @@ def test_an_unknown_kind_or_a_wrong_entity_is_refused_at_that_line(small_trace, 
 def test_trace_records_yield_and_parse_only_the_kinds_asked_for(small_trace):
     records = list(trace_records(small_trace.lines, parse=("observation",)))
     observations = [details for _, _, kind, _, details in records if kind == "observation"]
-    assert observations and all(isinstance(app_id, AppId) for _, _, app_id, _, _ in observations)
+    assert observations and all(isinstance(app_id, AppId) for _, _, _, app_id, _, _ in observations)
     assert all(isinstance(field, str) for _, _, kind, _, details in records if kind != "observation" for field in details)
     unparsed = {kind: details for _, _, kind, _, details in trace_records(small_trace.lines, parse=())}
     assert unparsed.keys() == {line.split("\t")[1] for line in small_trace.lines}
@@ -2236,6 +2252,23 @@ def test_simulate_writes_the_files_of_run_scenario_and_the_writers(monkeypatch, 
     assert f"({len(trace.lines)} events)" in capsys.readouterr().out
 
 
+# SHA-256 of the observation log that `simulate --observations` writes for the first day of the
+# reference config at seed 0. No change to the trace's lines may move it: the log is the host's record
+# of what it collected, and its format is its own (docs/formats/trace.md).
+REFERENCE_DAY_OBSERVATIONS_SHA256 = "f0aeba3d47b76c0680bd1fd7650baabd62720826a6bbe140073934b1b2c8b6e6"
+
+
+def test_the_reference_day_observation_log_is_pinned(tmp_path):
+    """Budget: ~0.25 s of tier-1 (0.23 s on a 2-vCPU host), within 0.5 s. The first reference day's
+    observation log, byte for byte."""
+    config = tmp_path / "reference_day.json"
+    config.write_text(json.dumps(_reference_day_raw()), encoding="utf-8")
+    log = tmp_path / "observations.csv"
+    assert main(["simulate", "--config", str(config), "--seed", "0", "--trace", str(tmp_path / "day.trace"),
+                 "--observations", str(log)]) == 0
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == REFERENCE_DAY_OBSERVATIONS_SHA256
+
+
 def _simulate_peak(tmp_path, raw: dict) -> tuple[int, int]:
     """simulate's tracemalloc peak on raw, and the bytes of the trace it wrote with each run written out
     one classify line a window: what the run classified, which the trace's own bytes no longer follow. A full
@@ -2348,7 +2381,7 @@ def test_a_shard_spools_flushed_lines_and_a_child_sends_none_or_its_error(small_
     assert spooled == "".join(line + "\n" for line in small_trace.lines[2:-1])
     observed = [parts for parts in map(lambda line: line.split("\t"), small_trace.lines) if parts[1] == "observation"]
     spooled_rows = "".join(map(simengine.observation_line_row, spooled.splitlines(keepends=True)))
-    assert observed and spooled_rows == "".join(f"{','.join(parts[3:])}\n" for parts in observed)
+    assert observed and spooled_rows == "".join(f"{','.join([parts[3], *parts[5:]])}\n" for parts in observed)
 
     def failing(index):
         raise ValueError(f"shard {index} cannot run")

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from openhealth.core import ActivityLabel, LabeledRecording
 from openhealth.dataio import LabelSignalModel
-from openhealth.firmware import SLOT_MS
+from openhealth.simengine import trace_records
 
 # Every @given test draws the same examples on every run, and no example
 # database is written; each test's own max_examples still applies.
@@ -71,17 +73,59 @@ def classified_windows(lines) -> list[tuple[int, str, int, str, int]]:
 
 
 def one_line_a_window(lines) -> list[str]:
-    """A trace's lines as trace version 4 wrote them, in another order: the other lines, with device_init
-    less its cycle grid and duty_plan giving each slot's budget as its share of the hour to 4 decimals, then
-    each classify_run line written out as its windows' classify lines."""
-    kept = []
-    for line in lines:
-        parts = line.rstrip("\n").split("\t")
-        if parts[1] == "device_init":
-            del parts[-2:]
-        elif parts[1] == "duty_plan":
-            parts[3] = ",".join(f"{int(ms) / SLOT_MS:.4f}" for ms in parts[3].split(","))
-        if parts[1] != "classify_run":
-            kept.append("\t".join(parts))
+    """A trace's lines with each classify_run line written out as its windows' classify lines, as trace
+    version 4 wrote them, after the other lines."""
+    kept = [line for line in lines if "\tclassify_run\t" not in line]
     runs = classified_windows(line for line in lines if "\tclassify_run\t" in line)
     return kept + ["\t".join(map(str, (t_ms, "classify", *rest))) for t_ms, *rest in runs]
+
+
+FRAME_KINDS = ("frame_tx", "frame_corrupt")
+# The frame type of each host line whose frame a trace's lines name by (device_id, seq, ...).
+_RECEIPT_TYPE = {"observation": "DATA", "alert_notified": "ALERT"}
+
+
+def trace_events(lines) -> list[tuple]:
+    """The facts of a trace, one canonical tuple each, whichever line carries them and however it is
+    written: (t_ms, kind, entity, *details), each detail as its line writes it, but for these.
+
+    - A window, of a classify_run line or of a version-4 classify line (one_line_a_window), is
+      (t_ms, "window", entity, index, label, confidence) at its own time; a run's close is no fact.
+    - A frame_tx or frame_corrupt line's frame is its full bytes, as trace_records reads them, in place
+      of its text and of frame_tx's length.
+    - An observation line that carries its seq (version 7 on), or an alert_notified line, is also the
+      host's frame_rx receipt of its DATA or ALERT frame, unless a frame_rx line gave that receipt
+      (version 6, or with_frame_rx); the observation fact leaves the seq to the receipt.
+    - The trace_version line is no fact.
+    """
+    lines = [line.rstrip("\n") for line in lines]
+    framed = lines[:1] + [line for line in lines[1:] if line.split("\t", 2)[1] in FRAME_KINDS]
+    frames = iter([details[-1] for _, _, kind, _, details in trace_records(framed, parse=FRAME_KINDS)
+                   if kind in FRAME_KINDS])
+    events = [(t_ms, "window", *rest) for t_ms, *rest in classified_windows(lines)]
+    receipts = set()
+    for line in lines[1:]:
+        t_ms, kind, entity, *details = line.split("\t")
+        t_ms = int(t_ms)
+        if kind == "classify":
+            events.append((t_ms, "window", entity, int(details[0]), details[1], int(details[2])))
+        elif kind in FRAME_KINDS:
+            events.append((t_ms, kind, entity, *details[: 3 if kind == "frame_tx" else 4], next(frames)))
+        elif kind in _RECEIPT_TYPE:
+            if kind == "alert_notified" or len(details) == 6:
+                receipt = (t_ms, "frame_rx", entity, _RECEIPT_TYPE[kind], *details[:2])
+                if receipt not in receipts:
+                    events.append(receipt)
+                if kind == "observation":
+                    del details[1]
+            events.append((t_ms, kind, entity, *details))
+        elif kind != "classify_run":
+            events.append((t_ms, kind, entity, *details))
+            if kind == "frame_rx":
+                receipts.add(events[-1])
+    return events
+
+
+def events_digest(lines) -> str:
+    """SHA-256 of a trace's facts (trace_events), sorted."""
+    return hashlib.sha256(repr(sorted(trace_events(lines))).encode("utf-8")).hexdigest()

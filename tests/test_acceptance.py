@@ -56,7 +56,7 @@ from openhealth.pipeline import (
 )
 from openhealth.simengine import TRACE_VERSION, replay, run_scenario, write_metrics
 
-from conftest import one_line_a_window
+from conftest import events_digest, one_line_a_window, trace_events
 
 REFERENCE = Path("configs/reference.json")
 # SHA-256 of the seed-0 reference trace text. A deliberate change to the
@@ -64,14 +64,10 @@ REFERENCE = Path("configs/reference.json")
 REFERENCE_TRACE_SHA256 = "aa0a88204c0ea5c20fe197c907593915140cbcc7f088034b9f4a33c033864f24"
 # SHA-256 of the metrics file write_metrics writes for that trace.
 REFERENCE_METRICS_SHA256 = "31f55414480fb49f25d73eeb635340c121f64194e3331a377637e56df1f08a8c"
-# SHA-256 of that trace's lines without its trace_version line, sorted, as
-# trace version 3 wrote them. The reference link loses and corrupts nothing
-# and has a fixed latency, so version 4 only reorders version 3's lines;
-# version 6 writes the same lines with each run of windows in one line, and
-# device_init and duty_plan lines that one_line_a_window writes as version 4's;
-# version 7 writes the host's receipt of an accepted DATA or ALERT frame as its
-# observation or alert_notified line alone, which with_frame_rx undoes.
-REFERENCE_SORTED_LINES_SHA256 = "2b7a51b98e8dce7185d15d662f93f7d8728bb0fcd90d9c5b9fbde2884fbe3ead"
+# SHA-256 of that trace's facts, sorted (conftest.events_digest): what the trace
+# says, whichever lines say it and however they write it. A change of format
+# alone keeps it; a change of behaviour re-pins it, with its reason.
+REFERENCE_EVENTS_SHA256 = "7d80b2c9cb1483fd88b9bc22625a953cbb6eef6f32f537986c42466519a7ba51"
 
 
 def ok(criterion: int, message: str) -> None:
@@ -109,13 +105,21 @@ def with_frame_rx(lines):
         yield "\t".join(parts)
 
 
-def test_reference_trace_reorders_the_version_3_lines(reference_trace):
-    """With each run written out as its windows' classify lines and each receipt line preceded by its frame_rx
-    line, the trace holds version 3's lines."""
-    lines = one_line_a_window(list(with_frame_rx(reference_trace.lines)))
-    lines = sorted(line for line in lines if line.split("\t")[1] != "trace_version")
-    digest = hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
-    assert digest == REFERENCE_SORTED_LINES_SHA256, "reference trace holds other lines than version 3's"
+def test_reference_events_digest_pinned(reference_trace):
+    assert events_digest(reference_trace.lines) == REFERENCE_EVENTS_SHA256, "reference trace facts changed"
+
+
+def test_reference_events_do_not_depend_on_the_format(reference_trace):
+    """The facts are the same with each receipt written as version 6 wrote it, or each run written out
+    one classify line a window, as version 4 wrote them; one window's label moved moves the digest."""
+    events = sorted(trace_events(reference_trace.lines))
+    assert sorted(trace_events(with_frame_rx(reference_trace.lines))) == events
+    lines = one_line_a_window(reference_trace.lines)
+    assert sorted(trace_events(lines)) == events
+    parts = lines[-1].split("\t")
+    parts[4] = "Jump" if parts[4] != "Jump" else "Walk"  # the label of the trace's last window
+    lines[-1] = "\t".join(parts)
+    assert events_digest(lines) != REFERENCE_EVENTS_SHA256
 
 
 def test_c01_synthetic_corpus_accuracy_all_classes():

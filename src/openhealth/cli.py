@@ -1,7 +1,8 @@
 """Command-line entry point: datagen, train, eval, budget, simulate.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 data/validation
-error. All commands are pure functions of their arguments and input files.
+error, 4 run error (a simulate shard process that died unheard). All
+commands are pure functions of their arguments and input files.
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ from .dataio import (
 from .firmware import BudgetError, memory_footprint, plan_duty_cycle
 from .netproto import OBSERVATION_HEADER
 from .pipeline import FEATURES_PER_CHANNEL, Windows, normalize_features, scan_windows
-from .simengine import observation_line_row, scenario_lines, trace_metrics, write_metrics
+from .simengine import ShardLost, observation_line_row, scenario_lines, trace_metrics, write_metrics
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+EXIT_RUN = 4
 
 class CliError(Exception):
     def __init__(self, message: str, exit_code: int):
@@ -80,6 +82,15 @@ def _writing():
         yield
     except OSError as exc:
         raise CliError(f"output error: {exc}", EXIT_CONFIG) from None
+
+
+@contextmanager
+def _running():
+    """A shard process that died without a result (an OOM kill, say) is a run error."""
+    try:
+        yield
+    except ShardLost as exc:
+        raise CliError(f"run error: {exc}", EXIT_RUN) from None
 
 
 def _check_output(path: str) -> None:
@@ -269,7 +280,7 @@ def cmd_simulate(args) -> int:
     except (OSError, ModelFormatError, ModelFitError) as exc:  # scenario.model_path
         raise CliError(f"model error: {exc}", EXIT_DATA) from None
 
-    with _writing(), run as lines, open(args.trace, "w", encoding="utf-8") as trace, \
+    with _writing(), _running(), run as lines, open(args.trace, "w", encoding="utf-8") as trace, \
             open(log_path, "w", encoding="utf-8") as log:
         log.write(OBSERVATION_HEADER + "\n")
         events = 0

@@ -33,6 +33,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .core import COUNT, MAX_MS, check_fields, is_int, num
 
 PROTOCOL_VERSION = 1
+_HEADER = struct.Struct(">BBHIH")  # version, type, device id, seq, payload length
 HEADER_LEN = 10
 TAG_LEN = 16
 MAX_PAYLOAD = 1024
@@ -50,6 +51,7 @@ class FrameType(Enum):
 
 
 FRAME_TYPES = {t.value: t for t in FrameType}  # a table, which looks a type up faster than FrameType(value)
+FRAME_TYPE_VALUES = {t.name: t.value for t in FrameType}  # and one that looks a value up by name
 
 
 class AppId(Enum):
@@ -118,6 +120,11 @@ class DecodedFrame:
     direction: int
 
 
+def frame_header(type_value: int, device_id: int, seq: int, payload_len: int) -> bytes:
+    """A frame's 10-byte header, which is also its AES-GCM associated data."""
+    return _HEADER.pack(PROTOCOL_VERSION, type_value, device_id, seq, payload_len)
+
+
 def encode_frame(
     frame_type: FrameType, device_id: int, seq: int, payload: bytes, key: bytes
 ) -> bytes:
@@ -126,9 +133,7 @@ def encode_frame(
         raise ValueError(f"key must be {KEY_LEN} bytes")
     if len(payload) > MAX_PAYLOAD:
         raise PayloadTooLong(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
-    header = struct.pack(
-        ">BBHIH", PROTOCOL_VERSION, frame_type.value, device_id, seq, len(payload)
-    )
+    header = frame_header(frame_type.value, device_id, seq, len(payload))
     nonce = frame_nonce(device_id, seq, _DIRECTION[frame_type])
     ct_and_tag = _cipher(key).encrypt(nonce, payload, header)
     return header + ct_and_tag
@@ -151,7 +156,7 @@ def peek_header(data: bytes) -> tuple[int, int, int, int, int]:
     """Unauthenticated header fields (version, type, device, seq, payload_len)."""
     if len(data) < HEADER_LEN:
         raise TruncatedFrame(f"frame of {len(data)} bytes is shorter than the header")
-    return struct.unpack(">BBHIH", data[:HEADER_LEN])
+    return _HEADER.unpack(data[:HEADER_LEN])
 
 
 def decode_frame(data: bytes, key: bytes) -> DecodedFrame:

@@ -25,9 +25,10 @@ noise key.
 
 Trace lines are UTF-8 and tab-separated, ``t_ms kind entity detail...``,
 after a first line that gives the trace version; TRACE_LINES is their
-grammar, which every reader checks through trace_records. Frame lines carry
-the full frame hex, the channel byte log for privacy and nonce audits. A run of
-a device's windows with one label, confidence and spacing is one classify_run line,
+grammar, which every reader checks through trace_records. A frame_tx line logs its
+frame's ciphertext and tag in base64 after the columns that give its header, a
+frame_corrupt line the whole frame; trace_records gives each frame whole. A run of a
+device's windows with one label, confidence and spacing is one classify_run line,
 written when the run closes.
 
 A device books all its energy, state dwell and transmit bursts alike,
@@ -55,7 +56,9 @@ import json
 import math
 import os
 import re
+import struct
 import tempfile
+from binascii import a2b_base64, b2a_base64
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from contextlib import ExitStack, contextmanager
@@ -87,7 +90,10 @@ from .firmware import (
 from .netproto import (
     CONFIDENCE_SCALE,
     DATA_FRAME_LEN,
+    FRAME_TYPE_VALUES,
     FRAME_TYPES,
+    HEADER_LEN,
+    TAG_LEN,
     AppId,
     DataPayload,
     FrameType,
@@ -98,6 +104,7 @@ from .netproto import (
     decode_frame,
     encode_frame,
     estimate_offset,
+    frame_header,
     pack_sync_report,
     pack_sync_request,
     peek_header,
@@ -106,7 +113,7 @@ from .netproto import (
 )
 from .pipeline import extract_feature_matrix, majority_label, normalize_features
 
-TRACE_VERSION = 7
+TRACE_VERSION = 8
 MIN_RADIO_MS = 1
 # The largest batch synthesized and labelled ahead, which one that follows a batch that moved throughout
 # takes at once (SimDevice._window). The cache keeps each window's motion flag and label, not its samples:
@@ -131,6 +138,10 @@ class TraceFormatError(ValueError):
 
 class VersionMismatch(TraceFormatError):
     pass
+
+
+class ShardLost(RuntimeError):
+    """A shard process that exited without sending its result."""
 
 
 class Simulator:
@@ -218,7 +229,7 @@ class SimChannel:
     def send(self, src: str, frame: bytes, receiver) -> None:
         _, type_value, device_id, seq, _ = peek_header(frame)
         kind = FRAME_TYPES[type_value].name
-        self.sim.emit("frame_tx", src, kind, device_id, seq, len(frame), frame.hex())
+        self.sim.emit("frame_tx", src, kind, device_id, seq, len(frame), b2a_base64(frame[HEADER_LEN:], newline=False).decode())
         if self.rng.random() < self.model.loss_probability:
             self.sim.emit("frame_lost", "channel", src, kind, device_id, seq)
             return
@@ -227,7 +238,7 @@ class SimChannel:
             bit = int(self.rng.integers(0, len(flipped) * 8))
             flipped[bit // 8] ^= 1 << (bit % 8)
             frame = bytes(flipped)
-            self.sim.emit("frame_corrupt", "channel", src, kind, device_id, seq, frame.hex())
+            self.sim.emit("frame_corrupt", "channel", src, kind, device_id, seq, b2a_base64(frame, newline=False).decode())
         self.sim.schedule(self.sim.now + self._latency(), lambda: receiver.receive(frame))
 
 
@@ -915,8 +926,8 @@ def _run_shards(count: int, shard: Callable[[int], None]) -> None:
 
     Where the platform can fork, the parent forks one child per extra process; worker w of n runs shards
     w, w + n, ... (the parent is worker 0) and each child sends back over a pipe None once its shards have
-    run, or the exception a shard raised, which raises here. Every child is joined, and a child whose result
-    was not read is terminated first."""
+    run, or the exception a shard raised, which raises here; a child that exits sending neither is ShardLost.
+    Every child is joined, and a child whose result was not read is terminated first."""
     workers = max(1, min(count, _usable_cpus())) if hasattr(os, "fork") else 1
     if workers > 1:
         import multiprocessing  # only where it forks: the import alone takes milliseconds
@@ -936,7 +947,7 @@ def _run_shards(count: int, shard: Callable[[int], None]) -> None:
                 sent = receiver.recv()
             except EOFError:
                 child.join()
-                raise RuntimeError(f"shard process exited with code {child.exitcode} and sent no result") from None
+                raise ShardLost(f"shard process exited with code {child.exitcode} and sent no result") from None
             receiver.close()
             if sent is not None:
                 raise sent
@@ -979,8 +990,9 @@ def read_trace(path: str | Path) -> list[str]:
 ENERGY_MWH = ("net", "curtailed", "shortfall", "harvested", "consumed")
 DWELL_MS = tuple(state.value for state in PowerState)
 # Each kind of line: the entities that may log it (docs/formats/trace.md's entity
-# column; "dev" is any dev<N>), its details' names and the parser of each. The
-# energy names are trace_metrics' energy_mwh and dwell_ms keys.
+# column; "dev" is any dev<N>), its details' names and the parser of each, but that
+# a frame_tx body is read with its columns (_frame_tx_details). The energy names
+# are trace_metrics' energy_mwh and dwell_ms keys.
 TRACE_LINES: dict[str, tuple[str, tuple[str, ...], tuple[Callable[[str], object], ...]]] = {
     "trace_version": ("sim", ("version",), (int,)),
     "scenario": ("sim", ("duration_ms", "n_devices", "seed"), (int, int, int)),
@@ -990,9 +1002,11 @@ TRACE_LINES: dict[str, tuple[str, tuple[str, ...], tuple[Callable[[str], object]
     "duty_plan": ("dev", ("hourly_budget_ms",), (lambda text: tuple(map(int, text.split(","))),)),
     "classify_run": ("dev", ("first_t_ms", "first_index", "windows", "spacing_ms", "label", "confidence"),
                      (int, int, int, int, str, int)),
-    "frame_tx": ("dev/host", ("type", "device_id", "seq", "length", "frame"), (str, int, int, int, bytes.fromhex)),
+    "frame_tx": ("dev/host", ("type", "device_id", "seq", "length", "body"),
+                 (str, int, int, int, lambda text: a2b_base64(text, strict_mode=True))),
     "frame_lost": ("channel", ("src", "type", "device_id", "seq"), (str, str, int, int)),
-    "frame_corrupt": ("channel", ("src", "type", "device_id", "seq", "frame"), (str, str, int, int, bytes.fromhex)),
+    "frame_corrupt": ("channel", ("src", "type", "device_id", "seq", "frame"),
+                      (str, str, int, int, lambda text: a2b_base64(text, strict_mode=True))),
     "frame_rx": ("dev/host", ("type", "device_id", "seq"), (str, int, int)),
     "frame_reject": ("dev/host", ("device_id", "code"), (int, str)),
     "observation": ("host", ("device_id", "seq", "corrected_t_ms", "app_id", "label_index", "confidence"),
@@ -1016,16 +1030,25 @@ def _details_parser(parsers: tuple) -> Callable[[list[str]], tuple]:
     return eval(f"lambda f: ({calls})", {f"p{i}": p for i, p in enumerate(parsers)})
 
 
+def _frame_tx_details(f: list[str]) -> tuple:
+    """A frame_tx line's details, its body read as the frame whole: the header its columns give, then the body."""
+    body, length, device_id, seq = a2b_base64(f[7], strict_mode=True), int(f[6]), int(f[4]), int(f[5])
+    if length != HEADER_LEN + len(body):
+        raise ValueError(f"a body of {len(body)} bytes is not that of a frame of length {length}")
+    return f[3], device_id, seq, length, frame_header(FRAME_TYPE_VALUES[f[3]], device_id, seq, len(body) - TAG_LEN) + body
+
+
 _PARSERS = {kind: _details_parser(parsers) for kind, (_, _, parsers) in TRACE_LINES.items()}
+_PARSERS["frame_tx"] = _frame_tx_details
 
 
 def trace_records(lines: Iterable[str], parse: Collection[str] = TRACE_LINES) -> Iterator[tuple]:
     """(line number, t_ms, kind, entity, details) of each line, less its line end if it keeps one.
 
     Every line must fit its kind's row of TRACE_LINES (see _line_rule) and have
-    an integer t_ms; details are what its row parses if its kind is in parse,
-    else they stay strings. The first line that breaks a rule raises
-    TraceFormatError naming it.
+    an integer t_ms; details are what its row parses if its kind is in parse (a
+    frame_tx body, the frame whole), else they stay strings. The first line that
+    breaks a rule raises TraceFormatError naming it.
     """
     rules: dict[str, tuple[int, set[str], Callable]] = {}  # kind -> (parts in a line, entities seen, details_of)
     for lineno, line in enumerate(lines, start=1):
@@ -1039,7 +1062,7 @@ def trace_records(lines: Iterable[str], parse: Collection[str] = TRACE_LINES) ->
             entities.add(parts[2])
         try:
             record = lineno, int(parts[0]), parts[1], parts[2], details_of(parts)
-        except ValueError as exc:
+        except (ValueError, KeyError, struct.error) as exc:  # the last two: no frame_tx header fits
             raise TraceFormatError(lineno, f"cannot parse ({type(exc).__name__}: {exc})") from None
         yield record
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from base64 import b64encode
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import settings
 
 from openhealth.core import ActivityLabel, LabeledRecording
 from openhealth.dataio import LabelSignalModel
+from openhealth.netproto import HEADER_LEN
 from openhealth.simengine import trace_records
 
 # Every @given test draws the same examples on every run, and no example
@@ -81,6 +83,22 @@ def one_line_a_window(lines) -> list[str]:
 
 
 FRAME_KINDS = ("frame_tx", "frame_corrupt")
+
+
+def frames(lines, kinds=("frame_tx",)) -> dict[int, bytes]:
+    """The frame of each line of a trace whose kind is in kinds (frame kinds), by the line's index, whole, as
+    trace_records reads it: the one place where a test reads a frame from its line."""
+    return {lineno - 1: details[-1] for lineno, _, kind, _, details in trace_records(lines, parse=kinds)
+            if kind in kinds}
+
+
+def with_frame(line: str, frame: bytes) -> str:
+    """A frame_tx or frame_corrupt line that carries frame in place of its own, the one place where a test
+    writes a frame to a line: a frame_tx line its body, in base64 after the columns that give its header,
+    which keep their values; a frame_corrupt line the whole frame."""
+    parts = line.split("\t")
+    parts[-1] = b64encode(frame[HEADER_LEN:] if parts[1] == "frame_tx" else frame).decode("ascii")
+    return "\t".join(parts)
 # The frame type of each host line whose frame a trace's lines name by (device_id, seq, ...).
 _RECEIPT_TYPE = {"observation": "DATA", "alert_notified": "ALERT"}
 
@@ -100,8 +118,7 @@ def trace_events(lines) -> list[tuple]:
     """
     lines = [line.rstrip("\n") for line in lines]
     framed = lines[:1] + [line for line in lines[1:] if line.split("\t", 2)[1] in FRAME_KINDS]
-    frames = iter([details[-1] for _, _, kind, _, details in trace_records(framed, parse=FRAME_KINDS)
-                   if kind in FRAME_KINDS])
+    sent = iter(frames(framed, FRAME_KINDS).values())
     events = [(t_ms, "window", *rest) for t_ms, *rest in classified_windows(lines)]
     receipts = set()
     for line in lines[1:]:
@@ -110,7 +127,7 @@ def trace_events(lines) -> list[tuple]:
         if kind == "classify":
             events.append((t_ms, "window", entity, int(details[0]), details[1], int(details[2])))
         elif kind in FRAME_KINDS:
-            events.append((t_ms, kind, entity, *details[: 3 if kind == "frame_tx" else 4], next(frames)))
+            events.append((t_ms, kind, entity, *details[: 3 if kind == "frame_tx" else 4], next(sent)))
         elif kind in _RECEIPT_TYPE:
             if kind == "alert_notified" or len(details) == 6:
                 receipt = (t_ms, "frame_rx", entity, _RECEIPT_TYPE[kind], *details[:2])

@@ -56,14 +56,14 @@ from openhealth.pipeline import (
 )
 from openhealth.simengine import TRACE_VERSION, replay, run_scenario, write_metrics
 
-from conftest import events_digest, one_line_a_window, trace_events
+from conftest import events_digest, frames, one_line_a_window, trace_events, with_frame
 
 REFERENCE = Path("configs/reference.json")
 # SHA-256 of the seed-0 reference trace text. A deliberate change to the
 # trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-REFERENCE_TRACE_SHA256 = "aa0a88204c0ea5c20fe197c907593915140cbcc7f088034b9f4a33c033864f24"
+REFERENCE_TRACE_SHA256 = "36f9dca51953dcf53e55059748cb097702067faef49603c508d600cec3f03e1c"
 # SHA-256 of the metrics file write_metrics writes for that trace.
-REFERENCE_METRICS_SHA256 = "31f55414480fb49f25d73eeb635340c121f64194e3331a377637e56df1f08a8c"
+REFERENCE_METRICS_SHA256 = "301e086da6873aadaacfe4544b998ffda73bfca6b6b232dafc0c1f4102baf9c6"
 # SHA-256 of that trace's facts, sorted (conftest.events_digest): what the trace
 # says, whichever lines say it and however they write it. A change of format
 # alone keeps it; a change of behaviour re-pins it, with its reason.
@@ -82,7 +82,7 @@ def reference_trace():
 
 
 def test_reference_trace_digest_pinned(reference_trace, tmp_path):
-    assert TRACE_VERSION == 7
+    assert TRACE_VERSION == 8
     kinds = [line.split("\t")[1] for line in reference_trace.lines]
     assert (kinds.count("classify_run"), len(kinds)) == (224, 9_333)  # the week's 62,247 windows in 224 runs
     digest = hashlib.sha256(reference_trace.text().encode("utf-8")).hexdigest()
@@ -295,19 +295,16 @@ def test_c08_protocol_suite(reference_trace):
     with pytest.raises(ReplayRejected):
         window.accept(replayed.direction, replayed.seq)
 
-    nonces: dict[bytes, str] = {}
-    frames_seen = 0
-    for line in reference_trace.lines:
-        parts = line.split("\t")
-        if parts[1] != "frame_tx":
-            continue
-        frames_seen += 1
-        _, type_value, device_id, seq, _ = peek_header(bytes.fromhex(parts[7]))
-        direction = 1 if parts[2] == "host" else 0
+    nonces: dict[bytes, bytes] = {}
+    sent = frames(reference_trace.lines)
+    for index, frame in sent.items():
+        _, type_value, device_id, seq, _ = peek_header(frame)
+        direction = 1 if reference_trace.lines[index].split("\t")[2] == "host" else 0
         nonce = frame_nonce(device_id, seq, direction)
         if nonce in nonces:
-            assert nonces[nonce] == parts[7], "nonce reused for different frame bytes"
-        nonces[nonce] = parts[7]
+            assert nonces[nonce] == frame, "nonce reused for different frame bytes"
+        nonces[nonce] = frame
+    frames_seen = len(sent)
     assert frames_seen > 1000
     ok(8, f"1000 round-trips, 100/100 tampers rejected, replay rejected, "
           f"{len(nonces)} unique nonces over {frames_seen} frames")
@@ -346,16 +343,13 @@ def test_c09_privacy_canary(canary_trace):
     device_raw = np.full(8, canary_stretch).tobytes()
     assert canaries[0] in device_raw
 
-    frames = [l for l in trace.lines if l.split("\t")[1] == "frame_tx"]
-    assert len(frames) > 50, "scenario must actually transmit"
-    hits = 0
-    for line in frames:
-        blob = bytes.fromhex(line.split("\t")[7])
-        hits += sum(blob.count(c) for c in canaries)
+    sent = frames(trace.lines).values()
+    assert len(sent) > 50, "scenario must actually transmit"
+    hits = sum(frame.count(c) for frame in sent for c in canaries)
     assert hits == 0, f"raw-sample canary leaked {hits} times"
     report = replay(trace.lines, canaries=canaries)
     assert report.passed
-    ok(9, f"canary absent from all {len(frames)} transmitted frames (0 occurrences)")
+    ok(9, f"canary absent from all {len(sent)} transmitted frames (0 occurrences)")
 
 
 @pytest.mark.parametrize("canary", range(len(CANARIES)))
@@ -364,11 +358,9 @@ def test_c09_catches_a_leaked_canary(canary_trace, canary):
     replay at that frame's line, and only there."""
     lines = list(canary_trace.lines)
     index = next(i for i, line in enumerate(lines) if line.split("\t")[1:4] == ["frame_tx", "dev1", "DATA"])
-    parts = lines[index].split("\t")
-    frame = bytes.fromhex(parts[7])
+    frame = frames(lines)[index]
     leaked = CANARIES[canary]
-    parts[7] = (frame[:12] + leaked + frame[12 + len(leaked) :]).hex()
-    lines[index] = "\t".join(parts)
+    lines[index] = with_frame(lines[index], frame[:12] + leaked + frame[12 + len(leaked) :])
     report = replay(lines, canaries=CANARIES)
     assert report.failures == [f"line {index + 1}: canary bytes {leaked.hex()} leaked on the air"]
 

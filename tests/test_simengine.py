@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import heapq
+import importlib.util
 import io
 import json
 import math
@@ -27,13 +28,14 @@ from openhealth.config import Config, ConfigError, DeviceSpec, load_config, pars
 from openhealth.core import MAX_MS, ActivityLabel, FieldError
 from openhealth.firmware import SLOT_MS, PowerState, account_energy, energy_piece, motion_detector, plan_duty_cycle
 from openhealth.netproto import (
-    CONFIDENCE_SCALE, OBSERVATION_HEADER, AppId, frame_nonce, peek_header, write_observation_log,
+    CONFIDENCE_SCALE, HEADER_LEN, OBSERVATION_HEADER, AppId, frame_nonce, peek_header, write_observation_log,
 )
 from openhealth.pipeline import extract_feature_matrix, normalize_features
 from openhealth.simengine import (
     DAY_MS,
     TRACE_LINES,
     TRACE_VERSION,
+    ShardLost,
     SimChannel,
     SimDevice,
     Simulator,
@@ -48,7 +50,7 @@ from openhealth.simengine import (
     write_trace,
 )
 
-from conftest import classified_windows, one_line_a_window
+from conftest import classified_windows, frames, one_line_a_window, with_frame
 
 REFERENCE = "configs/reference.json"
 
@@ -204,19 +206,14 @@ def test_corruption_rejected_not_stored():
 
 
 def test_nonce_uniqueness_across_trace(small_trace):
-    seen: dict[bytes, str] = {}
-    for line in small_trace.lines:
-        parts = line.split("\t")
-        if parts[1] != "frame_tx":
-            continue
-        frame = bytes.fromhex(parts[7])
+    seen: dict[bytes, bytes] = {}
+    for index, frame in frames(small_trace.lines).items():
         _, type_value, device_id, seq, _ = peek_header(frame)
-        direction = 1 if parts[2] == "host" else 0
+        direction = 1 if small_trace.lines[index].split("\t")[2] == "host" else 0
         nonce = frame_nonce(device_id, seq, direction)
-        hexes = parts[7]
         if nonce in seen:
-            assert seen[nonce] == hexes, "same nonce for different frame bytes"
-        seen[nonce] = hexes
+            assert seen[nonce] == frame, "same nonce for different frame bytes"
+        seen[nonce] = frame
     assert len(seen) > 10
 
 
@@ -1236,7 +1233,7 @@ def test_replay_version_mismatch():
 @pytest.mark.parametrize("reader", [replay, trace_metrics, trace_observations])
 @pytest.mark.parametrize(
     "first, detail",
-    [("0\ttrace_version\tsim\t2", "trace version 2 != supported 7"), (None, "trace has no version line")],
+    [("0\ttrace_version\tsim\t2", "trace version 2 != supported 8"), (None, "trace has no version line")],
     ids=["version-2", "no-version-line"],
 )
 def test_trace_readers_refuse_another_version(small_trace, reader, first, detail):
@@ -1456,6 +1453,18 @@ def test_replay_detects_a_seq_reused_for_other_bytes(small_trace):
     assert f"line {later + 1}: device dev1 reused seq {seq} for different bytes" in replay(lines).failures
 
 
+def test_replay_detects_a_seq_resent_with_a_bit_of_its_body_flipped(small_trace):
+    """A copy of a device frame's line right after it, one bit of its ciphertext flipped: the seq rule
+    refuses the copy at its line."""
+    index = _device_frames(small_trace.lines)[2]
+    lines = list(small_trace.lines)
+    frame = bytearray(frames(lines)[index])
+    frame[HEADER_LEN] ^= 1
+    lines.insert(index + 1, with_frame(lines[index], bytes(frame)))
+    seq = lines[index].split("\t")[5]
+    assert replay(lines).failures == [f"line {index + 2}: device dev1 reused seq {seq} for different bytes"]
+
+
 def test_replay_detects_a_seq_not_above_the_last(small_trace):
     index = _device_frames(small_trace.lines)[3]
     top = int(small_trace.lines[index].split("\t")[5]) - 1
@@ -1466,8 +1475,9 @@ def test_replay_detects_a_seq_not_above_the_last(small_trace):
 def test_replay_detects_canary_bytes_on_the_air(small_trace):
     canary = bytes(range(0xA0, 0xA8))
     index = next(i for i in _device_frames(small_trace.lines) if small_trace.lines[i].split("\t")[3] == "DATA")
-    frame = bytes.fromhex(small_trace.lines[index].split("\t")[7])
-    lines = _edited(small_trace.lines, index, frame=(frame[:12] + canary + frame[20:]).hex())
+    lines = list(small_trace.lines)
+    frame = frames(lines)[index]
+    lines[index] = with_frame(lines[index], frame[:12] + canary + frame[20:])
     assert replay(small_trace.lines, canaries=(canary,)).passed
     failures = replay(lines, canaries=(canary,)).failures
     assert failures == [f"line {index + 1}: canary bytes {canary.hex()} leaked on the air"]
@@ -1604,7 +1614,7 @@ def test_replay_detects_a_changed_dwell_figure(small_trace, field):
 # that trained_model_path trains. A deliberate change to the trace format bumps
 # TRACE_VERSION and re-pins this digest in the same change; a deliberate change
 # to the trained model re-pins it and LOSSY_MODEL_SHA256 without a bump.
-LOSSY_MODEL_TRACE_SHA256 = "5922d2305dbff75445cdb10d2454f3ee3490c19573a12d781ec16dd9a45fa620"
+LOSSY_MODEL_TRACE_SHA256 = "df017699fa282c7db5e3840b597bc388b8f141c466296af5c62aadfa2ba61980"
 LOSSY_MODEL_SHA256 = "a68fb73d46ee797cb591ddc6b82a5e36c6b926b03d0338295a793780c6274d9d"
 
 
@@ -1650,7 +1660,7 @@ def lossy_model_trace(trained_model_path):
 
 
 def test_lossy_model_trace_digest_pinned(trained_model_path, lossy_model_trace):
-    assert TRACE_VERSION == 7
+    assert TRACE_VERSION == 8
     model_digest = hashlib.sha256(trained_model_path.read_bytes()).hexdigest()
     assert model_digest == LOSSY_MODEL_SHA256, "trained model bytes changed"
     trace = lossy_model_trace
@@ -1691,7 +1701,7 @@ def test_a_model_device_draws_only_the_windows_it_classifies_and_its_still_probe
 
 # SHA-256 of the seed-0 trace of depletion_raw() below. A deliberate change to
 # the trace bytes bumps TRACE_VERSION and re-pins this digest in the same change.
-DEPLETION_TRACE_SHA256 = "a3229e11d664783bee72955525396296c4d7b4c7cb8ac3ead899b41b7c0362c6"
+DEPLETION_TRACE_SHA256 = "ec42e4f462200d6209afeaa3054c98bced1273e36b25c508f339d52cc9f628a8"
 
 
 def depletion_raw():
@@ -1719,7 +1729,7 @@ def depletion_trace():
 
 
 def test_depletion_trace_digest_pinned(depletion_trace):
-    assert TRACE_VERSION == 7
+    assert TRACE_VERSION == 8
     trace = depletion_trace
     kinds = [line.split("\t")[1] for line in trace.lines]
     for kind in ("battery_depleted", "battery_recovered", "alert_sent"):
@@ -1815,6 +1825,46 @@ def test_an_unknown_kind_or_a_wrong_entity_is_refused_at_that_line(small_trace, 
     index = next(i for i, text in enumerate(lines) if text.split("\t")[1] == "classify_run")
     lines.insert(index, line.format(t=lines[index].split("\t")[0]))
     _readers_refuse_line(lines, index, detail)
+
+
+def _middle_dropped(text: str) -> str:
+    return text[: len(text) // 2] + text[len(text) // 2 + 1 :]
+
+
+@pytest.mark.parametrize(
+    "kind, field, edit, detail",
+    [
+        ("frame_tx", 7, _middle_dropped, r"cannot parse \(Error: "),
+        ("frame_tx", 7, lambda body: "*" + body[1:], r"cannot parse \(Error: Only base64 data is allowed\)$"),
+        ("frame_tx", 6, lambda length: str(int(length) + 1),
+         r"cannot parse \(ValueError: a body of 16 bytes is not that of a frame of length 27\)$"),
+        ("frame_corrupt", 7, lambda frame: frame[:-1], r"cannot parse \(Error: Incorrect padding\)$"),
+    ],
+    ids=["body-character-dropped", "body-not-base64", "length-off-by-one", "corrupt-frame-cut-short"],
+)
+def test_a_frame_whose_text_does_not_fit_its_line_is_refused_at_that_line(fixture_traces, kind, field, edit, detail):
+    """The kind's first line with one field edited: trace_records, and replay, which reads frame_tx frames,
+    refuse it at that line."""
+    lines = next(list(t.lines) for t in fixture_traces if any(line.split("\t")[1] == kind for line in t.lines))
+    index = next(i for i, line in enumerate(lines) if line.split("\t")[1] == kind)
+    parts = lines[index].split("\t")
+    parts[field] = edit(parts[field])
+    lines[index] = "\t".join(parts)
+    for reader in (lambda lines: list(trace_records(lines)), replay)[: 2 if kind == "frame_tx" else 1]:
+        with pytest.raises(TraceFormatError, match=f"^line {index + 1}: {detail}"):
+            reader(lines)
+
+
+def test_trace_kinds_totals_are_the_trace_files_lines_and_bytes(small_trace, tmp_path, capsys):
+    """tools/trace_kinds.py, on a trace file, splits all of its lines and bytes."""
+    spec = importlib.util.spec_from_file_location("trace_kinds", "tools/trace_kinds.py")
+    trace_kinds = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_kinds)
+    path = tmp_path / "small.trace"
+    write_trace(small_trace, path)
+    assert trace_kinds.main([str(path)]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total == ["total", str(len(small_trace.lines)), str(path.stat().st_size)]
 
 
 def test_trace_records_yield_and_parse_only_the_kinds_asked_for(small_trace):
@@ -2141,11 +2191,15 @@ def test_forked_three_device_run_equals_the_in_process_run(monkeypatch, cpus):
     assert {"frame_lost", "frame_corrupt", "alert_delivered"} <= kinds
 
 
-def _reference_hour():
+def _reference_hour_raw() -> dict:
     with open(REFERENCE) as f:
         raw = json.load(f)
     raw["scenario"]["duration_ms"] = 3_600_000
-    return parse_config(raw)
+    return raw
+
+
+def _reference_hour():
+    return parse_config(_reference_hour_raw())
 
 
 @needs_fork
@@ -2168,10 +2222,8 @@ def test_a_failing_shard_raises_its_error_and_leaves_no_child(monkeypatch, capfd
     assert capfd.readouterr().err == ""
 
 
-@needs_fork
-def test_a_child_that_dies_unheard_is_an_error(monkeypatch):
-    import multiprocessing
-
+def _child_dies_unheard(monkeypatch) -> None:
+    """Make a two-device run fork one child, whose shard of device 2 exits with code 3 as it starts."""
     parent, real_start = os.getpid(), SimDevice.start
 
     def start(device):
@@ -2181,9 +2233,31 @@ def test_a_child_that_dies_unheard_is_an_error(monkeypatch):
 
     monkeypatch.setattr(SimDevice, "start", start)
     _on_cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="^shard process exited with code 3 and sent no result$"):
+
+
+@needs_fork
+def test_a_child_that_dies_unheard_is_an_error(monkeypatch):
+    import multiprocessing
+
+    _child_dies_unheard(monkeypatch)
+    with pytest.raises(ShardLost, match="^shard process exited with code 3 and sent no result$"):
         run_scenario(_reference_hour(), seed=0)
     assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_simulate_exits_4_when_a_child_dies_unheard(monkeypatch, tmp_path, capfd):
+    """simulate reports the lost shard as a run error, in one line and with no traceback, and writes no
+    output."""
+    import multiprocessing
+
+    _child_dies_unheard(monkeypatch)
+    config = tmp_path / "hour.json"
+    config.write_text(json.dumps(_reference_hour_raw()), encoding="utf-8")
+    assert main(["simulate", "--config", str(config), "--trace", str(tmp_path / "hour.trace")]) == 4
+    assert capfd.readouterr().err == "run error: shard process exited with code 3 and sent no result\n"
+    assert multiprocessing.active_children() == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["hour.json"]
 
 
 @needs_fork
@@ -2578,8 +2652,8 @@ def test_a_frame_corrupted_into_another_device_id_stays_in_its_sender_shard():
     dev1 = raw["scenario"]["devices"][0]
     raw["scenario"]["devices"] = [dev1, dict(dev1, id=3, alert_schedule=[])]
     dev1_alone = _body(dict(raw, scenario=dict(raw["scenario"], devices=[dev1])), 3)
-    corrupt = next(line.split("\t") for line in dev1_alone if line.startswith("516429\tframe_corrupt\tchannel\tdev1"))
-    assert peek_header(bytes.fromhex(corrupt[-1]))[2] == 3
+    index = next(i for i, line in enumerate(dev1_alone) if line.startswith("516429\tframe_corrupt\tchannel\tdev1"))
+    assert peek_header(frames([f"0\ttrace_version\tsim\t{TRACE_VERSION}", *dev1_alone], ("frame_corrupt",))[index + 1])[2] == 3
     heard_alone = [line for line in dev1_alone if "\tframe_reject\thost\t3\t" in line]
     assert len(heard_alone) == 1 and heard_alone[0].endswith("\tunknown_device")
     dev3_alone = _body(dict(raw, scenario=dict(raw["scenario"], devices=raw["scenario"]["devices"][1:])), 3)

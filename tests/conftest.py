@@ -86,8 +86,8 @@ FRAME_KINDS = ("frame_tx", "frame_corrupt")
 
 
 def frames(lines, kinds=("frame_tx",)) -> dict[int, bytes]:
-    """The frame of each line of a trace whose kind is in kinds (frame kinds), by the line's index, whole, as
-    trace_records reads it: the one place where a test reads a frame from its line."""
+    """The whole frame, as trace_records reads it, of each line of a trace whose kind is in kinds, by the
+    line's index: the one place where a test reads a frame from its line."""
     return {lineno - 1: details[-1] for lineno, _, kind, _, details in trace_records(lines, parse=kinds)
             if kind in kinds}
 
@@ -99,6 +99,8 @@ def with_frame(line: str, frame: bytes) -> str:
     parts = line.split("\t")
     parts[-1] = b64encode(frame[HEADER_LEN:] if parts[1] == "frame_tx" else frame).decode("ascii")
     return "\t".join(parts)
+
+
 # The frame type of each host line whose frame a trace's lines name by (device_id, seq, ...).
 _RECEIPT_TYPE = {"observation": "DATA", "alert_notified": "ALERT"}
 

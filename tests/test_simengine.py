@@ -1839,8 +1839,10 @@ def _middle_dropped(text: str) -> str:
         ("frame_tx", 6, lambda length: str(int(length) + 1),
          r"cannot parse \(ValueError: a body of 16 bytes is not that of a frame of length 27\)$"),
         ("frame_corrupt", 7, lambda frame: frame[:-1], r"cannot parse \(Error: Incorrect padding\)$"),
+        ("frame_corrupt", 7, lambda frame: "*" + frame[1:], r"cannot parse \(Error: Only base64 data is allowed\)$"),
     ],
-    ids=["body-character-dropped", "body-not-base64", "length-off-by-one", "corrupt-frame-cut-short"],
+    ids=["body-character-dropped", "body-not-base64", "length-off-by-one", "corrupt-frame-cut-short",
+         "corrupt-frame-not-base64"],
 )
 def test_a_frame_whose_text_does_not_fit_its_line_is_refused_at_that_line(fixture_traces, kind, field, edit, detail):
     """The kind's first line with one field edited: trace_records, and replay, which reads frame_tx frames,
@@ -2653,7 +2655,8 @@ def test_a_frame_corrupted_into_another_device_id_stays_in_its_sender_shard():
     raw["scenario"]["devices"] = [dev1, dict(dev1, id=3, alert_schedule=[])]
     dev1_alone = _body(dict(raw, scenario=dict(raw["scenario"], devices=[dev1])), 3)
     index = next(i for i, line in enumerate(dev1_alone) if line.startswith("516429\tframe_corrupt\tchannel\tdev1"))
-    assert peek_header(frames([f"0\ttrace_version\tsim\t{TRACE_VERSION}", *dev1_alone], ("frame_corrupt",))[index + 1])[2] == 3
+    trace = [f"0\ttrace_version\tsim\t{TRACE_VERSION}", *dev1_alone]  # whole, for trace_records
+    assert peek_header(frames(trace, ("frame_corrupt",))[index + 1])[2] == 3
     heard_alone = [line for line in dev1_alone if "\tframe_reject\thost\t3\t" in line]
     assert len(heard_alone) == 1 and heard_alone[0].endswith("\tunknown_device")
     dev3_alone = _body(dict(raw, scenario=dict(raw["scenario"], devices=raw["scenario"]["devices"][1:])), 3)
